@@ -9,6 +9,7 @@ precondition failure (e.g. a non-tnn matrix fed to `invert`).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,10 +58,10 @@ def cmd_measure(args):
 
 def cmd_invert(args):
     A = RationalMatrix.from_text(_read(args.file))
-    from .exactmath import is_tnn
-    if not is_tnn(A):
-        raise PreconditionError(lediagram.witness_not_tnn(A))
-    T = lediagram.invert_measurement(A)
+    try:
+        T = lediagram.invert_measurement(A)
+    except lediagram.NotTotallyNonnegative as ex:
+        raise PreconditionError(str(ex))
     _emit({"k": T.k, "n": T.n, "shape": list(T.shape), "text": T.to_text()}, args.json)
     return 0
 
@@ -252,7 +253,9 @@ def cmd_selfcheck(args):
     return 0 if ok else 2
 
 
-def main(argv=None):
+@functools.cache
+def _build_parser():
+    """The argument parser, built once per process; subcommand `x-y` runs `cmd_x_y`."""
     ap = argparse.ArgumentParser(prog="positroid",
                                  description="exact combinatorics of nonnegative Grassmann cells")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -262,84 +265,76 @@ def main(argv=None):
     p.add_argument("--matrix", action="store_true", help="print A(N) instead of Plucker coordinates")
     p.add_argument("--plucker", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("invert", help="recover the Le-tableau of a tnn matrix")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_invert)
 
     p = sub.add_parser("perfect", help="perfect trivalent form of a network")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_perfect)
 
-    for name, fn, helptext in [("le2net", cmd_le2net, "hook network of a Le-tableau"),
-                               ("le2perm", cmd_le2perm, "decorated permutation of a Le-tableau")]:
+    for name, helptext in [("le2net", "hook network of a Le-tableau"),
+                           ("le2perm", "decorated permutation of a Le-tableau")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("perm2le", help="Le-diagram of a decorated permutation")
     p.add_argument("perm")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_perm2le)
 
     p = sub.add_parser("perm2graph", help="reduced plabic graph of a decorated permutation")
     p.add_argument("perm")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_perm2graph)
 
-    for name, fn, helptext in [("trips", cmd_trips, "decorated trip permutation"),
-                               ("reduce", cmd_reduce, "reduce a plabic graph/network"),
-                               ("matroid", cmd_matroid, "matroid of perfect orientations"),
-                               ("moves", cmd_moves, "list applicable move/reduction sites")]:
+    for name, helptext in [("trips", "decorated trip permutation"),
+                           ("reduce", "reduce a plabic graph/network"),
+                           ("matroid", "matroid of perfect orientations"),
+                           ("moves", "list applicable move/reduction sites")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
         if name == "moves":
             p.add_argument("--list", action="store_true")
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("move", help="apply a move/reduction at a site")
     p.add_argument("file")
     p.add_argument("--site", required=True, help="e.g. 'M1 4 1', 'M2 7', 'R1 2 3'")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_move)
 
     p = sub.add_parser("leq", help="circular Bruhat comparison of two permutations")
     p.add_argument("perm1")
     p.add_argument("perm2")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_leq)
 
     p = sub.add_parser("poset", help="covers or full cell list")
     p.add_argument("--covers", help="decorated permutation")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_poset)
 
     p = sub.add_parser("count", help="cell-count table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", action="store_true", help="q-polynomials by dimension")
     p.add_argument("--check-all", action="store_true", dest="check_all")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("export-dot", help="DOT rendering of a plabic file")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_export_dot)
 
     p = sub.add_parser("selfcheck", help="run the invariant suite at size n")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_selfcheck)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    # looked up at call time, so that rebinding a cmd_* function takes effect
+    fn = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except PreconditionError as ex:
         print(f"precondition failed: {ex}", file=sys.stderr)
         return 2

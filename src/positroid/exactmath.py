@@ -5,6 +5,7 @@ matroids) is built on the types here.  There is no floating point and no
 tolerance anywhere: equality of values is exact equality of fractions.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -91,14 +92,31 @@ class RationalMatrix:
 
     @classmethod
     def from_text(cls, text):
+        """Parse 'k n' and k*n entries; any malformed input raises ValueError.
+
+        Entries are integers, fractions p/q or plain decimals (no exponent).
+        """
         toks = text.split()
-        if len(toks) < 2:
-            raise ValueError("matrix text needs a 'k n' header")
+        if len(toks) < 2 or not all(t.isdecimal() for t in toks[:2]):
+            raise ValueError("matrix text needs a 'k n' header of nonnegative integers")
         k, n = int(toks[0]), int(toks[1])
         vals = toks[2:]
         if len(vals) != k * n:
             raise ValueError(f"expected {k * n} entries, got {len(vals)}")
-        return cls([[Fraction(vals[i * n + j]) for j in range(n)] for i in range(k)])
+        return cls([[_parse_entry(vals[i * n + j], i, j) for j in range(n)] for i in range(k)])
+
+
+_ENTRY = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
+def _parse_entry(tok, i, j):
+    """The exact value of a matrix-text token at 0-indexed row i, column j."""
+    if _ENTRY.fullmatch(tok):
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"row {i + 1}, column {j + 1}: {tok!r} is not a rational number")
 
 
 def _det_bareiss(rows):

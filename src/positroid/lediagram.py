@@ -14,9 +14,10 @@ any totally nonnegative matrix, column by column.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .exactmath import (RationalMatrix, echelon_form, format_rational, is_tnn,
-                        lambda_to_subset, rational, subset_to_lambda)
+from .exactmath import (RationalMatrix, echelon_form, format_rational,
+                        lambda_to_subset, maximal_minor, rational, subset_to_lambda)
 from .network import PlanarDirectedNetwork, boundary_measurement_matrix, measure
 
 
@@ -467,34 +468,58 @@ def _procedure(rows, n):
     return inner
 
 
+class NotTotallyNonnegative(ValueError):
+    """A matrix outside the totally nonnegative part; the message is its witness."""
+
+
 def invert_measurement(A):
     """Recover the Le-tableau of a totally nonnegative full-rank matrix.
 
     The result T satisfies tableau_matrix(T) == echelon_form(A)[0]; shapes
     come from the pivot set, entries are extracted column by column with
     the sign bookkeeping of the removal steps applied eagerly.
+
+    Total nonnegativity is certified rather than checked minor by minor:
+    with (B, I) = echelon_form(A) we have A = C B for C = A restricted to
+    the columns I, so Delta_J(A) = Delta_I(A) Delta_J(B).  A positive
+    Delta_I(A), a valid Le-tableau T and tableau_matrix(T) == B (B is then
+    the measurement of a positively weighted planar network, hence tnn)
+    together prove A tnn.  Failing any of them raises NotTotallyNonnegative
+    carrying witness_not_tnn(A).
     """
     if not isinstance(A, RationalMatrix):
         A = RationalMatrix(A)
-    if not is_tnn(A):
-        raise ValueError(witness_not_tnn(A))
-    B, pivots = echelon_form(A)
-    shape = subset_to_lambda(pivots, A.n)
-    rows = _procedure([list(r) for r in B.rows], A.n)
-    if [len(r) for r in rows] != list(shape):
-        raise AssertionError("procedure produced rows of the wrong shape")
-    return LeTableau(A.k, A.n, shape, rows)
+    try:
+        B, pivots = echelon_form(A)
+        if maximal_minor(A, pivots) <= 0:
+            raise ValueError(f"Delta_I(A) <= 0 at the pivot set I = {pivots}")
+        shape = subset_to_lambda(pivots, A.n)
+        rows = _procedure([list(r) for r in B.rows], A.n)
+        if [len(r) for r in rows] != list(shape):
+            raise AssertionError("procedure produced rows of the wrong shape")
+        T = LeTableau(A.k, A.n, shape, rows)
+        if A.k and tableau_matrix(T) != B:
+            raise ValueError("the recovered tableau does not measure to the echelon form")
+    except (ValueError, AssertionError) as ex:
+        witness = _tnn_witness(A)
+        if witness is None:
+            raise AssertionError(f"certificate rejected a totally nonnegative matrix: {ex}") from ex
+        raise NotTotallyNonnegative(witness) from None
+    return T
 
 
-def witness_not_tnn(A):
-    """Human-readable reason why A fails total nonnegativity."""
-    from itertools import combinations
-    from .exactmath import maximal_minor, _row_reduce
-    rows, pivots = _row_reduce([list(r) for r in A.rows])
-    if len(pivots) != A.k:
-        return f"matrix has rank {len(pivots)} < {A.k}"
+def _tnn_witness(A):
+    """The rank defect or the lex-first negative maximal minor of A, or None."""
+    rank = A.rank()
+    if rank != A.k:
+        return f"matrix has rank {rank} < {A.k}"
     for J in combinations(range(1, A.n + 1), A.k):
         m = maximal_minor(A, J)
         if m < 0:
             return f"minor Delta_{{{','.join(str(j) for j in J)}}} = {format_rational(m)} < 0"
-    return "matrix is totally nonnegative"
+    return None
+
+
+def witness_not_tnn(A):
+    """Human-readable reason why A fails total nonnegativity."""
+    return _tnn_witness(A) or "matrix is totally nonnegative"

@@ -117,22 +117,23 @@ class PlanarDirectedNetwork:
     def in_edges(self, v):
         return self._in.get(v, [])
 
-    def is_acyclic(self):
-        state = {}
+    def topological_order(self):
+        """All vertices with every edge pointing forward, or None if cyclic.
 
-        def dfs(v):
-            state[v] = 1
+        Kahn's algorithm, O(V + E); a loop keeps its vertex out of the order.
+        """
+        indegree = {v: len(self.in_edges(v)) for v in self.rot}
+        order = [v for v, d in indegree.items() if d == 0]
+        for v in order:
             for e in self.out_edges(v):
                 w = self.head(e)
-                s = state.get(w)
-                if s == 1:
-                    return False
-                if s is None and not dfs(w):
-                    return False
-            state[v] = 2
-            return True
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        return order if len(order) == len(indegree) else None
 
-        return all(state.get(v) == 2 or dfs(v) for v in self.rot)
+    def is_acyclic(self):
+        return self.topological_order() is not None
 
     def replace(self, **kw):
         args = dict(n=self.n, source_flags=self.source_flags, edges=self.edges, rot=self.rot)
@@ -367,23 +368,44 @@ def boundary_measurement(net, i, j):
     return total
 
 
+def _path_sums(net, order, src):
+    """Weighted path counts from src to every vertex of an acyclic network.
+
+    One pass over a topological order: with no cycles there are no winding
+    signs and no excursion denominators, so M_ij is the plain path sum.
+    """
+    total = {src: Fraction(1)}
+    for v in order:
+        x = total.get(v)
+        if x is None:
+            continue
+        for e in net.out_edges(v):
+            w = net.head(e)
+            total[w] = total.get(w, 0) + x * net.weight(e)
+    return total
+
+
 def boundary_measurement_matrix(net):
     """The k x n matrix A(N) with A_I = Id and signed measurements elsewhere.
 
     Row r (for the r-th source i_r) has entry (-1)^s M_{i_r, j} in each sink
-    column j, where s counts sources strictly between i_r and j.
+    column j, where s counts sources strictly between i_r and j.  Acyclic
+    networks take one path-sum pass per source, in polynomial time; cyclic
+    ones sum each entry with the exhaustive `boundary_measurement`.
     """
     I = sorted(net.sources())
     if not I:
         raise ValueError("network has no sources")
     k = len(I)
+    order = net.topological_order()
     rows = [[Fraction(0)] * net.n for _ in range(k)]
     for r, ir in enumerate(I):
         rows[r][ir - 1] = Fraction(1)
+        reach = None if order is None else _path_sums(net, order, ir)
         for j in sorted(net.sinks()):
             lo, hi = min(ir, j), max(ir, j)
             s = sum(1 for x in I if lo < x < hi)
-            m = boundary_measurement(net, ir, j)
+            m = boundary_measurement(net, ir, j) if reach is None else reach.get(j, 0)
             rows[r][j - 1] = (-1) ** s * m
     return RationalMatrix(rows)
 

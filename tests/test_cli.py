@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from positroid.cli import main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
@@ -44,6 +46,26 @@ def test_invert_non_tnn_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "invert", str(f))
     assert code == 2
     assert "Delta" in err
+
+
+def test_invert_witness_text_exit_2(capsys, tmp_path):
+    f = tmp_path / "m.txt"
+    f.write_text("2 3\n1 0 1\n0 1 -2\n")
+    code, out, err = run(capsys, "invert", str(f))
+    assert (code, out) == (2, "")
+    assert err == "precondition failed: minor Delta_{1,3} = -2 < 0\n"
+    f.write_text("2 3\n1 2 3\n2 4 6\n")
+    code, _, err = run(capsys, "invert", str(f))
+    assert (code, err) == (2, "precondition failed: matrix has rank 1 < 2\n")
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x", "1e9", "--1", "nan"])
+def test_invert_bad_entry_exit_1(capsys, tmp_path, entry):
+    f = tmp_path / "m.txt"
+    f.write_text(f"2 2\n1 0\n{entry} 1\n")
+    code, out, err = run(capsys, "invert", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: row 2, column 1: {entry!r} is not a rational number\n"
 
 
 def test_bad_file_exit_1(capsys, tmp_path):

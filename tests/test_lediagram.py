@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from helpers import random_le_data, random_rational
-from positroid.exactmath import (RationalMatrix, lambda_to_subset,
-                                 matroid_of_plucker, partitions_in_box)
-from positroid.lediagram import (LeDiagram, LeTableau, count_le_diagrams,
-                                 diagram_to_tableau, enumerate_le_diagrams,
-                                 gamma_network, gamma_vertical_edges,
+from positroid.exactmath import (RationalMatrix, echelon_form, is_tnn, lambda_to_subset,
+                                 matroid_of_plucker, maximal_minor, partitions_in_box)
+from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative,
+                                 count_le_diagrams, diagram_to_tableau,
+                                 enumerate_le_diagrams, gamma_network, gamma_vertical_edges,
                                  invert_measurement, is_le_diagram, le_count_poly,
                                  le_fills, meas_D, tableau_matrix,
                                  vertical_normalizing_gauge, witness_not_tnn)
@@ -218,3 +218,72 @@ def test_meas_D_integer_polynomiality():
             continue  # a zero landed on a support box; not a valid tableau
         p = meas_D(T)
         assert all(v >= 0 and v.denominator == 1 for v in p.coords.values())
+
+
+def lex_first_witness(A):
+    """The rejection text: the rank defect, else the lex-first negative minor."""
+    if A.rank() < A.k:
+        return f"matrix has rank {A.rank()} < {A.k}"
+    for J in combinations(range(1, A.n + 1), A.k):
+        m = maximal_minor(A, J)
+        if m < 0:
+            return f"minor Delta_{{{','.join(map(str, J))}}} = {m} < 0"
+    return None
+
+
+def test_invert_certificate_matches_tnn_oracle():
+    local = random.Random(2024)
+    accepted = rejected = 0
+    for _ in range(60):
+        k = local.randint(1, 3)
+        n = local.randint(k, 6)
+        _, T = random_le_data(local, k, n)
+        A = tableau_matrix(T)
+        rows = [list(r) for r in A.rows]
+        flipped = [list(r) for r in rows]
+        i, j = local.choice([(i, j) for i in range(k) for j in range(n) if rows[i][j]])
+        flipped[i][j] = -flipped[i][j]
+        deficient = [list(r) for r in rows]
+        deficient[-1] = [2 * x for x in rows[0]] if k > 1 else [0] * n
+        scaled = [list(r) for r in rows]
+        scaled[0] = [-random_rational(local, 1, 9) * x for x in rows[0]]
+        mix = [[random_rational(local, 1, 5) * local.choice((-1, 1)) for _ in range(k)]
+               for _ in range(k)]
+        mixed = [[sum(mix[i][t] * rows[t][j] for t in range(k)) for j in range(n)]
+                 for i in range(k)]
+        noise = [[local.randint(-2, 3) for _ in range(n)] for _ in range(k)]
+        for M in map(RationalMatrix, (rows, flipped, deficient, scaled, mixed, noise)):
+            if is_tnn(M):
+                S = invert_measurement(M)
+                assert tableau_matrix(S) == echelon_form(M)[0]
+                accepted += 1
+            else:
+                with pytest.raises(NotTotallyNonnegative) as info:
+                    invert_measurement(M)
+                assert str(info.value) == witness_not_tnn(M) == lex_first_witness(M)
+                rejected += 1
+        assert invert_measurement(A) == T
+    assert accepted >= 60 and rejected >= 150
+
+
+def test_invert_remeasurement_catches_a_valid_looking_tableau():
+    # Delta_I > 0 and the procedure returns a valid tableau, but the tableau
+    # measures to a different echelon form: only the re-measurement rejects
+    from positroid.exactmath import subset_to_lambda
+    from positroid.lediagram import _procedure
+    A = RationalMatrix([[-1, 2, 1, -1], [-1, 1, 1, 1]])
+    B, I = echelon_form(A)
+    assert maximal_minor(A, I) > 0
+    T = LeTableau(2, 4, subset_to_lambda(I, 4), _procedure([list(r) for r in B.rows], 4))
+    assert tableau_matrix(T) != B
+    with pytest.raises(NotTotallyNonnegative, match=r"^minor Delta_\{1,4\} = -2 < 0$"):
+        invert_measurement(A)
+
+
+def test_invert_certificate_failure_on_tnn_input_is_a_bug(monkeypatch):
+    import positroid.lediagram as lediagram
+    T = LeTableau(2, 4, (2, 1), [(2, 3), (5,)])
+    A = tableau_matrix(T)
+    monkeypatch.setattr(lediagram, "tableau_matrix", lambda T: RationalMatrix.identity(2))
+    with pytest.raises(AssertionError, match="totally nonnegative"):
+        invert_measurement(A)

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import random_grid_network, random_rational
-from positroid.exactmath import maximal_minor
+from positroid.exactmath import RationalMatrix, maximal_minor, partitions_in_box
 from positroid.network import (PlanarDirectedNetwork, Walk, boundary_measurement,
                                boundary_measurement_matrix, color, formal_series,
                                gauge_transform, is_perfect, measure,
@@ -437,3 +437,68 @@ def test_nested_cycle_measurement():
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids=rot_ids)
     assert boundary_measurement(net, 1, 2) == 1 / (1 + Fraction(2) / (1 + 3)) == Fraction(2, 3)
     assert formal_series(net, 1, 2, 13) == rational_series(net, 1, 2, 13)
+
+
+def exhaustive_matrix(net):
+    """A(N) entry by entry from the exhaustive walk-sum evaluator."""
+    I = sorted(net.sources())
+    rows = []
+    for ir in I:
+        row = [Fraction(int(j == ir)) for j in range(1, net.n + 1)]
+        for j in sorted(net.sinks()):
+            s = sum(1 for x in I if min(ir, j) < x < max(ir, j))
+            row[j - 1] = (-1) ** s * boundary_measurement(net, ir, j)
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+def test_acyclic_path_sum_matches_exhaustive_on_hook_networks():
+    # every Le-diagram with n <= 6, randomly weighted, and a random gauge
+    # transform of its hook network
+    from positroid.lediagram import diagram_to_tableau, enumerate_le_diagrams, gamma_network
+    local = random.Random(606)
+    done = 0
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for lam in partitions_in_box(k, n - k):
+                for D in enumerate_le_diagrams(k, n, lam):
+                    T = diagram_to_tableau(D, {b: random_rational(local, 1, 30) for b in D.boxes()})
+                    net = gamma_network(T)
+                    t = {v: random_rational(local, 1, 9) for v in net.internal_vertices()}
+                    for N in (net, gauge_transform(net, t)):
+                        assert N.is_acyclic()
+                        assert boundary_measurement_matrix(N) == exhaustive_matrix(N)
+                    done += 1
+    assert done == 2365
+
+
+def test_cyclic_matrix_takes_exhaustive_path(monkeypatch):
+    import positroid.network as network
+    calls = []
+    exhaustive = network.boundary_measurement
+
+    def counted(net, i, j):
+        calls.append((i, j))
+        return exhaustive(net, i, j)
+
+    monkeypatch.setattr(network, "boundary_measurement", counted)
+    net = two_vertex_cycle(Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+    assert not net.is_acyclic() and net.topological_order() is None
+    assert boundary_measurement_matrix(net).rows == ((1, exhaustive(net, 1, 2)),)
+    assert calls == [(1, 2)]
+    done = 0
+    for _ in range(10):
+        net = random_grid_network(rng, n=4, w=2, h=2, max_internal=6, require_cycle=True)
+        if net is None:
+            continue
+        calls.clear()
+        assert boundary_measurement_matrix(net) == exhaustive_matrix(net)
+        assert len(calls) == len(net.sources()) * len(net.sinks())
+        done += 1
+    assert done >= 5
+    # an acyclic network never calls the exhaustive evaluator
+    edges = {1: (1, 10, Fraction(2)), 2: (10, 2, Fraction(3)), 3: (1, 2, Fraction(5))}
+    net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={1: [3, 1], 2: [2, 3], 10: [1, 2]})
+    calls.clear()
+    assert boundary_measurement_matrix(net).rows == ((1, 11),)
+    assert calls == []
