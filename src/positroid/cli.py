@@ -125,8 +125,7 @@ def cmd_reduce(args):
 
 
 def cmd_matroid(args):
-    obj = plabic.PlabicGraph.from_text(_read(args.file))
-    G = obj.graph if isinstance(obj, plabic.PlabicNetwork) else obj
+    G = _read_plabic_graph(args.file)
     try:
         M = plabic.matroid(G)
     except ValueError as ex:
@@ -138,43 +137,30 @@ def cmd_matroid(args):
 
 
 def cmd_moves(args):
-    obj = plabic.PlabicGraph.from_text(_read(args.file))
-    G = obj.graph if isinstance(obj, plabic.PlabicNetwork) else obj
-    sites = {
-        "M1": [str(key) for key in plabic.square_faces(G)],
-        "M2": [e for e, (u, w) in sorted(G.edges.items())
-               if u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w)],
-        "M3r": sorted(v for v in G.internal_vertices()
-                      if G.degree(v) == 2 and len({e for e, _ in G.rot[v]}) == 2),
-        "R1": [list(p) for p in plabic.parallel_pairs(G)],
-    }
+    sites = plabic.move_sites(_read_plabic_graph(args.file))
+    sites["M1"] = [str(key) for key in sites["M1"]]
+    sites["R1"] = [list(p) for p in sites["R1"]]
     text = "\n".join(f"{k}: {v}" for k, v in sites.items())
     _emit({"sites": sites, "text": text}, args.json)
     return 0
 
 
+_SITE_ARITY = {"M1": 2, "M2": 1, "M2u": 3, "M3": 2, "M3r": 1, "R1": 2, "R2": 1, "R3": 1, "Rloop": 1}
+
+
 def cmd_move(args):
     obj = plabic.PlabicGraph.from_text(_read(args.file))
-    toks = args.site.split()
-    kind = toks[0]
+    kind, *toks = args.site.split() or [""]
+    if _SITE_ARITY.get(kind) != len(toks):
+        raise ValueError(f"bad site {args.site!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
     if kind == "M1":
-        site = ("M1", (int(toks[1]), int(toks[2])))
-    elif kind == "M2":
-        site = ("M2", int(toks[1]))
-    elif kind == "M2u":
-        site = ("M2u", int(toks[1]), int(toks[2]), int(toks[3]))
+        site = ("M1", (int(toks[0]), int(toks[1])))
     elif kind == "M3":
-        site = ("M3", int(toks[1]), 1 if toks[2].lower().startswith("b") else -1)
-    elif kind == "M3r":
-        site = ("M3r", int(toks[1]))
-    elif kind in ("R1", "R2", "R3", "Rloop"):
-        out = plabic.apply_reduction(obj, (kind, *(int(t) for t in toks[1:])))
-        _emit({"text": out.to_text()}, args.json)
-        return 0
+        site = ("M3", int(toks[0]), 1 if toks[1].lower().startswith("b") else -1)
     else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    out = plabic.apply_move(obj, site)
-    _emit({"text": out.to_text()}, args.json)
+        site = (kind, *(int(t) for t in toks))
+    apply = plabic.apply_reduction if kind[0] == "R" else plabic.apply_move
+    _emit({"text": apply(obj, site).to_text()}, args.json)
     return 0
 
 
@@ -195,6 +181,8 @@ def cmd_poset(args):
         text = "\n".join(c.format() for c in cov) or "(none)"
         _emit({"covers": [c.format() for c in cov], "text": text}, args.json)
         return 0
+    if args.n is None:
+        raise ValueError("poset needs --covers PERM or --n N (with an optional --k K)")
     k, n = args.k, args.n
     cells = list(permutations.all_decorated_permutations(n, k))
     lines = []
@@ -263,7 +251,6 @@ def _build_parser():
     p = sub.add_parser("measure", help="boundary measurements of a network file")
     p.add_argument("file")
     p.add_argument("--matrix", action="store_true", help="print A(N) instead of Plucker coordinates")
-    p.add_argument("--plucker", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("invert", help="recover the Le-tableau of a tnn matrix")
@@ -295,8 +282,6 @@ def _build_parser():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
-        if name == "moves":
-            p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("move", help="apply a move/reduction at a site")
     p.add_argument("file")

@@ -12,14 +12,27 @@ from itertools import combinations, permutations
 Rational = Fraction
 
 
+_TOKEN = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 def rational(x):
-    """Coerce ints, strings like '3/7', or Fractions to an exact Rational."""
+    """Coerce ints, Fractions or rational tokens to an exact Rational.
+
+    The one rule for text: a token is an integer, a fraction p/q with
+    q != 0 or a plain decimal; anything else (1/0, nan, exponent forms,
+    which Fraction would expand) raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if _TOKEN.fullmatch(x):
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                pass
+        raise ValueError(f"{x!r} is not a rational number")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -106,17 +119,12 @@ class RationalMatrix:
         return cls([[_parse_entry(vals[i * n + j], i, j) for j in range(n)] for i in range(k)])
 
 
-_ENTRY = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
-
-
 def _parse_entry(tok, i, j):
     """The exact value of a matrix-text token at 0-indexed row i, column j."""
-    if _ENTRY.fullmatch(tok):
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            pass
-    raise ValueError(f"row {i + 1}, column {j + 1}: {tok!r} is not a rational number")
+    try:
+        return rational(tok)
+    except ValueError as ex:
+        raise ValueError(f"row {i + 1}, column {j + 1}: {ex}") from None
 
 
 def _det_bareiss(rows):

@@ -119,11 +119,12 @@ class LeTableau:
     @classmethod
     def from_text(cls, text):
         lines = text.splitlines()
-        if not lines:
-            raise ValueError("empty tableau text")
-        k, n = (int(t) for t in lines[0].split())
+        head = lines[0].split() if lines else []
+        if len(head) != 2 or not all(t.isdecimal() for t in head) or int(head[0]) > int(head[1]):
+            raise ValueError("tableau text needs a 'k n' header with 0 <= k <= n")
+        k, n = int(head[0]), int(head[1])
         shape = tuple(int(t) for t in lines[1].split()) if len(lines) > 1 else ()
-        rows = [[Fraction(t) for t in ln.split()] for ln in lines[2:] if ln.strip()]
+        rows = [[rational(t) for t in ln.split()] for ln in lines[2:] if ln.strip()]
         return cls(k, n, shape, rows)
 
 
@@ -353,9 +354,9 @@ def gamma_vertical_edges(net):
 
     verticals = []
     for e, (u, w, _) in net.edges.items():
-        if not (isinstance(u, int) and u > n):
+        if u in net.boundary:
             continue  # horizontal edge out of a boundary source
-        if isinstance(w, int) and w <= n:
+        if w in net.boundary:
             verticals.append(e)  # drops into a boundary sink
         elif column(u) == column(w):
             verticals.append(e)
@@ -373,10 +374,10 @@ def vertical_normalizing_gauge(net, vertical_eids):
     pending = set(vertical_eids)
 
     def known(v):
-        return isinstance(v, int) and 1 <= v <= net.n or v in t
+        return v in net.boundary or v in t
 
     def value(v):
-        return Fraction(1) if isinstance(v, int) and 1 <= v <= net.n else t[v]
+        return Fraction(1) if v in net.boundary else t[v]
 
     while pending:
         progress = False

@@ -28,13 +28,16 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import DiskMap, rotations_from_edge_lists
+from .permutations import _alignment_cond, _crossing_cond
+from .planarmaps import _DiskGraph, components, fresh_ids, parse_disk_text
 
 
-class PlanarDirectedNetwork:
+class PlanarDirectedNetwork(_DiskGraph):
     """Immutable planar directed network with positive rational weights."""
 
-    def __init__(self, n, source_flags, edges, rot_ids=None, rot=None, validate=True):
+    _fields = ("n", "source_flags", "edges", "rot")
+
+    def __init__(self, n, source_flags, edges, rot_ids=None, rot=None):
         """
         n: number of boundary vertices (ids 1..n, clockwise).
         source_flags: iterable of n bools, True where b_i is a source.
@@ -43,32 +46,13 @@ class PlanarDirectedNetwork:
                  (a loop id appears twice, first occurrence = tail end), or
         rot: dict vertex -> clockwise dart tuples, given directly.
         """
-        self.n = n
         self.source_flags = tuple(bool(b) for b in source_flags)
         if len(self.source_flags) != n:
             raise ValueError("need one source/sink flag per boundary vertex")
         self.edges = {e: (u, w, rational(x)) for e, (u, w, x) in edges.items()}
         shape = {e: (u, w) for e, (u, w, _) in self.edges.items()}
-        verts = set(range(1, n + 1))
-        for u, w in shape.values():
-            verts.add(u)
-            verts.add(w)
-        if rot is None:
-            rot_ids = dict(rot_ids or {})
-            for v in verts:
-                if v not in rot_ids:
-                    rot_ids[v] = [e for e, (u, w) in shape.items() if v in (u, w)]
-                    if len(rot_ids[v]) > 1:
-                        raise ValueError(f"vertex {v} has degree > 1, give its rotation explicitly")
-                    if any(u == w == v for e, (u, w) in shape.items() if v in (u, w)):
-                        rot_ids[v] = rot_ids[v] * 2
-            rot = rotations_from_edge_lists(shape, rot_ids)
-        for v in verts:
-            rot.setdefault(v, ())
-        self.rot = {v: tuple(ds) for v, ds in rot.items()}
-        self.map = DiskMap(range(1, n + 1), shape, self.rot, validate=validate)
-        if validate:
-            self._validate()
+        super().__init__(n, shape, set(range(1, n + 1)), rot_ids, rot)
+        self._validate()
         self._out = {}
         self._in = {}
         for e, (u, w, x) in self.edges.items():
@@ -79,7 +63,7 @@ class PlanarDirectedNetwork:
         for e, (u, w, x) in self.edges.items():
             if x <= 0:
                 raise ValueError(f"edge {e} has nonpositive weight {x}")
-        for i in range(1, self.n + 1):
+        for i in self.boundary:
             for e, (u, w, _) in self.edges.items():
                 if u == w and u == i:
                     raise ValueError(f"loop at boundary vertex {i}")
@@ -96,9 +80,6 @@ class PlanarDirectedNetwork:
     def sinks(self):
         return frozenset(i for i in range(1, self.n + 1) if not self.source_flags[i - 1])
 
-    def internal_vertices(self):
-        return frozenset(v for v in self.rot if not (isinstance(v, int) and 1 <= v <= self.n))
-
     def weight(self, e):
         return self.edges[e][2]
 
@@ -107,9 +88,6 @@ class PlanarDirectedNetwork:
 
     def head(self, e):
         return self.edges[e][1]
-
-    def degree(self, v):
-        return len(self.rot[v])
 
     def out_edges(self, v):
         return self._out.get(v, [])
@@ -135,11 +113,6 @@ class PlanarDirectedNetwork:
     def is_acyclic(self):
         return self.topological_order() is not None
 
-    def replace(self, **kw):
-        args = dict(n=self.n, source_flags=self.source_flags, edges=self.edges, rot=self.rot)
-        args.update(kw)
-        return PlanarDirectedNetwork(**args)
-
     def __repr__(self):
         return (f"PlanarDirectedNetwork(n={self.n}, sources={sorted(self.sources())}, "
                 f"{len(self.edges)} edges, {len(self.internal_vertices())} internal)")
@@ -149,9 +122,9 @@ class PlanarDirectedNetwork:
     def to_text(self):
         lines = [f"n {self.n}", "sources " + " ".join(str(i) for i in sorted(self.sources()))]
         for v in sorted(self.rot, key=lambda x: (isinstance(x, str), x)):
-            if len(self.rot[v]) <= 1 and isinstance(v, int) and 1 <= v <= self.n:
+            if len(self.rot[v]) <= 1 and v in self.boundary:
                 continue
-            kind = "boundary" if isinstance(v, int) and 1 <= v <= self.n else "internal"
+            kind = "boundary" if v in self.boundary else "internal"
             ids = " ".join(str(e) for e, _ in self.rot[v])
             lines.append(f"vertex {v} {kind} : {ids}")
         for e in sorted(self.edges):
@@ -161,33 +134,27 @@ class PlanarDirectedNetwork:
 
     @classmethod
     def from_text(cls, text):
-        n = None
-        sources = set()
-        rot_ids = {}
-        edges = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if toks[0] == "n":
-                n = int(toks[1])
-            elif toks[0] == "sources":
-                sources = {int(t) for t in toks[1:]}
-            elif toks[0] == "vertex":
-                v = int(toks[1])
-                ids = toks[toks.index(":") + 1:] if ":" in toks else toks[3:]
-                rot_ids[v] = [int(t) for t in ids]
-            elif toks[0] == "edge":
-                e = int(toks[1])
-                body = toks[toks.index(":") + 1:] if ":" in toks else toks[2:]
-                edges[e] = (int(body[0]), int(body[1]), Fraction(body[2]))
-            else:
-                raise ValueError(f"unrecognized line: {raw!r}")
-        if n is None:
-            raise ValueError("network text needs an 'n <count>' line")
-        flags = [i in sources for i in range(1, n + 1)]
-        return cls(n, flags, edges, rot_ids=rot_ids)
+        sources = []
+
+        def other(toks):
+            if toks[0] != "sources":
+                raise ValueError("unrecognized line")
+            sources[:] = [int(t) for t in toks[1:]]
+
+        def weight(toks):
+            if len(toks) != 1:
+                raise ValueError("expected 'edge e : u w weight'")
+            return (rational(toks[0]),)
+
+        n, _, rot_ids, edges = parse_disk_text(text, "network", _at_most_one, weight, other)
+        if any(i not in range(1, n + 1) for i in sources):
+            raise ValueError(f"sources {sources} are not all boundary vertices 1..{n}")
+        return cls(n, [i in sources for i in range(1, n + 1)], edges, rot_ids=rot_ids)
+
+
+def _at_most_one(labels):
+    if len(labels) > 1:
+        raise ValueError("expected 'vertex v [kind] : edge ids'")
 
 
 # -- walks and winding ---------------------------------------------------------
@@ -208,10 +175,6 @@ class Walk:
                 raise ValueError(f"walk breaks at edge {e}")
             verts.append(net.head(e))
         return verts
-
-    def is_closed(self, net):
-        v = self.vertices(net)
-        return v[0] == v[-1]
 
 
 def _erasable_cycles(verts):
@@ -238,7 +201,7 @@ def winding_index(net, walk, rng=None):
         eids = list(walk)
     verts = Walk(eids).vertices(net)
     for v in (verts[0], verts[-1]):
-        if not (isinstance(v, int) and 1 <= v <= net.n):
+        if v not in net.boundary:
             raise ValueError("winding index is defined for boundary-to-boundary walks")
     wind = 0
     while True:
@@ -418,13 +381,6 @@ def measure(net):
 # -- the general loop-erased minor formula ---------------------------------------
 
 
-def _cyclic_interval(a, b, n):
-    """{a, a+1, ..., b} clockwise around the n-circle."""
-    if a <= b:
-        return set(range(a, b + 1))
-    return set(range(a, n + 1)) | set(range(1, b + 1))
-
-
 def chord_class(n, a, pa, b, pb):
     """Mutual position of directed chords a->pa and b->pb on the circle.
 
@@ -433,16 +389,9 @@ def chord_class(n, a, pa, b, pb):
     """
     if len({a, pa, b, pb}) != 4:
         raise ValueError("chord endpoints must be distinct")
-
-    def crossing(x, px, y, py):
-        return py in _cyclic_interval(x, px, n) and y in _cyclic_interval(px, x, n)
-
-    def alignment(x, px, y, py):
-        return px in _cyclic_interval(x, py, n) and y in _cyclic_interval(py, x, n)
-
-    if crossing(a, pa, b, pb) or crossing(b, pb, a, pa):
+    if _crossing_cond(n, a, pa, b, pb) or _crossing_cond(n, b, pb, a, pa):
         return "crossing"
-    if alignment(a, pa, b, pb) or alignment(b, pb, a, pa):
+    if _alignment_cond(n, a, pa, b, pb) or _alignment_cond(n, b, pb, a, pa):
         return "alignment"
     return "misalignment"
 
@@ -540,7 +489,7 @@ def gauge_transform(net, t):
     """
     t = {v: rational(x) for v, x in t.items()}
     for v, x in t.items():
-        if isinstance(v, int) and 1 <= v <= net.n and x != 1:
+        if v in net.boundary and x != 1:
             raise ValueError("gauge must fix boundary vertices")
         if x <= 0:
             raise ValueError(f"gauge value at {v} must be positive")
@@ -615,14 +564,9 @@ def perfect_and_trivalent(net):
     rot = {v: list(ds) for v, ds in net.rot.items()}
     flags = net.source_flags
     n = net.n
-    fresh = [max([n] + [v for v in rot if isinstance(v, int)] + list(e for e in edges if isinstance(e, int))) + 1]
-
-    def new_id():
-        fresh[0] += 1
-        return fresh[0]
-
-    def is_boundary(v):
-        return isinstance(v, int) and 1 <= v <= n
+    ids = fresh_ids(rot, edges)
+    next(ids)  # the first fresh id is skipped; the output's ids depend on it
+    new_id = ids.__next__
 
     def drop_vertex(v):
         for e in [e for e, (a, b, _) in edges.items() if v in (a, b)]:
@@ -632,20 +576,10 @@ def perfect_and_trivalent(net):
         del rot[v]
 
     # isolated components never touch a boundary path
-    comp_edges = {e: (a, b) for e, (a, b, _) in edges.items()}
-    adj = {v: set() for v in rot}
-    for a, b in comp_edges.values():
-        adj[a].add(b)
-        adj[b].add(a)
     seen = set()
-    for i in range(1, n + 1):
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
+    for comp in components(rot, [(a, b) for a, b, _ in edges.values()]):
+        if any(v in net.boundary for v in comp):
+            seen |= comp
     for v in [v for v in rot if v not in seen]:
         drop_vertex(v)
 
@@ -654,7 +588,7 @@ def perfect_and_trivalent(net):
     while changed:
         changed = False
         for v in list(rot):
-            if is_boundary(v) or v not in rot:
+            if v in net.boundary or v not in rot:
                 continue
             outs = [e for e, (a, b, _) in edges.items() if a == v]
             ins = [e for e, (a, b, _) in edges.items() if b == v]
@@ -667,7 +601,7 @@ def perfect_and_trivalent(net):
     while changed:
         changed = False
         for v in list(rot):
-            if is_boundary(v) or v not in rot or len(rot[v]) != 2:
+            if v in net.boundary or v not in rot or len(rot[v]) != 2:
                 continue
             ins = [e for e, (a, b, _) in edges.items() if b == v]
             outs = [e for e, (a, b, _) in edges.items() if a == v]
@@ -711,7 +645,7 @@ def perfect_and_trivalent(net):
     while work:
         work = False
         for v in list(rot):
-            if is_boundary(v) or v not in rot or len(rot[v]) <= 3:
+            if v in net.boundary or v not in rot or len(rot[v]) <= 3:
                 continue
             ds = rot[v]
             d = len(ds)

@@ -217,20 +217,24 @@ def cyclic_interval(a, b, n):
     return set(range(a, n + 1)) | set(range(1, b + 1))
 
 
-def _crossing_cond(pi, i, j):
-    n = pi.n
-    return (pi(j) in cyclic_interval(i, pi(i), n)
-            and j in cyclic_interval(pi(i), i, n))
+def _crossing_cond(n, i, pi_i, j, pi_j):
+    """Chord i -> pi_i crosses chord j -> pi_j, in the roles (i, j)."""
+    return pi_j in cyclic_interval(i, pi_i, n) and j in cyclic_interval(pi_i, i, n)
 
 
-def _alignment_cond(pi, i, j):
-    n = pi.n
+def _alignment_cond(n, i, pi_i, j, pi_j):
+    """Chords i -> pi_i and j -> pi_j are aligned, in the roles (i, j)."""
+    return pi_i in cyclic_interval(i, pi_j, n) and j in cyclic_interval(pi_j, i, n)
+
+
+def _aligned(pi, i, j):
+    """The chords of pi at i and j are aligned in the roles (i, j); a loop
+    takes part only as i when black and only as j when white."""
     if pi.is_loop(i) and pi.col[i] != BLACK:
         return False
     if pi.is_loop(j) and pi.col[j] != WHITE:
         return False
-    return (pi(i) in cyclic_interval(i, pi(j), n)
-            and j in cyclic_interval(pi(j), i, n))
+    return _alignment_cond(pi.n, i, pi(i), j, pi(j))
 
 
 class ChordPairClass:
@@ -258,15 +262,15 @@ def crossing_roles(pi, i, j):
     """
     if pi.is_loop(i) or pi.is_loop(j):
         return None
-    if _crossing_cond(pi, i, j):
+    if _crossing_cond(pi.n, i, pi(i), j, pi(j)):
         return (i, j)
-    if _crossing_cond(pi, j, i):
+    if _crossing_cond(pi.n, j, pi(j), i, pi(i)):
         return (j, i)
     return None
 
 
 def is_alignment(pi, i, j):
-    return _alignment_cond(pi, i, j) or _alignment_cond(pi, j, i)
+    return _aligned(pi, i, j) or _aligned(pi, j, i)
 
 
 def _is_misalignment(pi, i, j):
@@ -289,7 +293,7 @@ def _is_misalignment(pi, i, j):
             return False
         if y == py and cy != WHITE:
             return False
-        return px in cyclic_interval(x, py, n) and y in cyclic_interval(py, x, n)
+        return _alignment_cond(n, x, px, y, py)
 
     for ca in (plain_chord(i), reversed_chord(i)):
         for cb in (plain_chord(j), reversed_chord(j)):
@@ -328,9 +332,9 @@ def classify_pair(pi, i, j):
     roles = crossing_roles(pi, i, j)
     if roles is not None:
         return ChordPairClass("crossing", _simple_crossing(pi, *roles))
-    if _alignment_cond(pi, i, j):
+    if _aligned(pi, i, j):
         return ChordPairClass("alignment", _simple_alignment(pi, i, j))
-    if _alignment_cond(pi, j, i):
+    if _aligned(pi, j, i):
         return ChordPairClass("alignment", _simple_alignment(pi, j, i))
     if _is_misalignment(pi, i, j):
         return ChordPairClass("misalignment", False)
@@ -385,7 +389,7 @@ def covers(sigma):
         for j in range(1, n + 1):
             if i == j or sigma.is_loop(i) or sigma.is_loop(j):
                 continue
-            if not _crossing_cond(sigma, i, j):
+            if not _crossing_cond(sigma.n, i, sigma(i), j, sigma(j)):
                 continue
             if not _simple_crossing(sigma, i, j):
                 continue

@@ -14,44 +14,24 @@ invariant of reduced graphs.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
 from .permutations import BLACK, WHITE, DecoratedPermutation, crossing_roles, _simple_crossing
-from .planarmaps import DiskMap, rev, rotations_from_edge_lists
+from .planarmaps import _DiskGraph, fresh_ids, parse_disk_text, rev
 
 
-class PlabicGraph:
+class PlabicGraph(_DiskGraph):
     """Immutable bicolored graph in the disk with degree-1 boundary vertices."""
 
-    def __init__(self, n, col, edges, rot_ids=None, rot=None, validate=True):
-        self.n = n
+    _fields = ("n", "col", "edges", "rot")
+
+    def __init__(self, n, col, edges, rot_ids=None, rot=None):
         self.col = dict(col)
         self.edges = {e: (u, w) for e, (u, w) in edges.items()}
-        verts = set(range(1, n + 1)) | set(self.col)
-        for u, w in self.edges.values():
-            verts.add(u)
-            verts.add(w)
-        if rot is None:
-            rot_ids = dict(rot_ids or {})
-            for v in verts:
-                if v not in rot_ids:
-                    incid = [e for e, (u, w) in self.edges.items() if v in (u, w)]
-                    loops = [e for e in incid if self.edges[e][0] == self.edges[e][1]]
-                    incid += loops
-                    if len(incid) > 2:
-                        raise ValueError(f"vertex {v} needs an explicit rotation")
-                    rot_ids[v] = incid
-            rot = rotations_from_edge_lists(self.edges, rot_ids)
-        for v in verts:
-            rot.setdefault(v, ())
-        self.rot = {v: tuple(ds) for v, ds in rot.items()}
-        self.map = DiskMap(range(1, n + 1), self.edges, self.rot, validate=validate)
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        for i in range(1, self.n + 1):
+        super().__init__(n, self.edges, set(range(1, n + 1)) | set(self.col), rot_ids, rot)
+        for i in self.boundary:
             if len(self.rot[i]) != 1:
                 raise ValueError(f"boundary vertex {i} has degree {len(self.rot[i])}, need 1")
             if i in self.col:
@@ -59,15 +39,6 @@ class PlabicGraph:
         for v in self.internal_vertices():
             if self.col.get(v) not in (BLACK, WHITE):
                 raise ValueError(f"internal vertex {v} has no color")
-
-    def internal_vertices(self):
-        return frozenset(v for v in self.rot if not (isinstance(v, int) and 1 <= v <= self.n))
-
-    def degree(self, v):
-        return len(self.rot[v])
-
-    def endpoints(self, e):
-        return self.edges[e]
 
     def other_end(self, e, v):
         u, w = self.edges[e]
@@ -83,39 +54,16 @@ class PlabicGraph:
             raise ValueError("graph has no consistent type")
         return ((s + self.n) // 2, self.n)
 
-    def components(self):
-        adj = {v: set() for v in self.rot}
-        for u, w in self.edges.values():
-            adj[u].add(w)
-            adj[w].add(u)
-        comps, left = [], set(adj)
-        while left:
-            start = left.pop()
-            comp, stack = {start}, [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            left -= comp
-            comps.append(frozenset(comp))
-        return comps
-
     def isolated_components(self):
-        return [c for c in self.components() if not any(isinstance(v, int) and 1 <= v <= self.n for v in c)]
+        return [c for c in self.components() if not any(v in self.boundary for v in c)]
 
     def boundary_leaf(self, i):
         """The internal leaf at b_i, when the boundary edge ends in one."""
         (e, _), = self.rot[i]
         v = self.other_end(e, i)
-        if not (isinstance(v, int) and 1 <= v <= self.n) and self.degree(v) == 1:
+        if v not in self.boundary and self.degree(v) == 1:
             return v
         return None
-
-    def replace(self, **kw):
-        args = dict(n=self.n, col=self.col, edges=self.edges, rot=self.rot)
-        args.update(kw)
-        return PlabicGraph(**args)
 
     def __repr__(self):
         k, n = self.type()
@@ -141,36 +89,19 @@ class PlabicGraph:
 
     @classmethod
     def from_text(cls, text):
-        n = None
-        col = {}
-        rot_ids = {}
-        edges = {}
         weights = []
         in_faces = False
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if toks[0] == "n":
-                n = int(toks[1])
-            elif toks[0] == "vertex":
-                v = int(toks[1])
-                col[v] = BLACK if toks[2].lower().startswith("b") else WHITE
-                ids = toks[toks.index(":") + 1:] if ":" in toks else toks[3:]
-                rot_ids[v] = [int(t) for t in ids]
-            elif toks[0] == "edge":
-                e = int(toks[1])
-                body = toks[toks.index(":") + 1:] if ":" in toks else toks[2:]
-                edges[e] = (int(body[0]), int(body[1]))
-            elif toks[0] == "faces":
+
+        def other(toks):
+            nonlocal in_faces
+            if toks == ["faces"]:
                 in_faces = True
             elif in_faces:
-                weights.append(Fraction(toks[-1]))
+                weights.append(rational(toks[-1]))
             else:
-                raise ValueError(f"unrecognized line: {raw!r}")
-        if n is None:
-            raise ValueError("plabic text needs an 'n <count>' line")
+                raise ValueError("unrecognized line")
+
+        n, col, rot_ids, edges = parse_disk_text(text, "plabic", _color, _no_tail, other)
         G = cls(n, col, edges, rot_ids=rot_ids)
         if weights:
             keys = sorted(face_weight_keys(G))
@@ -178,6 +109,19 @@ class PlabicGraph:
                 raise ValueError(f"{len(weights)} face weights for {len(keys)} faces")
             return PlabicNetwork(G, dict(zip(keys, weights)))
         return G
+
+
+def _color(labels):
+    color = {"black": BLACK, "white": WHITE}.get(labels[0].lower()) if len(labels) == 1 else None
+    if color is None:
+        raise ValueError("expected 'vertex v black|white : edge ids'")
+    return color
+
+
+def _no_tail(toks):
+    if toks:
+        raise ValueError("expected 'edge e : u w'")
+    return ()
 
 
 def faces(G):
@@ -378,7 +322,7 @@ def path_matroid(G, orient):
         paths = []
 
         def dfs(v, seen, eids):
-            if isinstance(v, int) and 1 <= v <= n and v != s:
+            if v in G.boundary and v != s:
                 if v in targets:
                     paths.append((list(seen), v))
                 return
@@ -468,7 +412,7 @@ def trips(G):
             used.add(cur)
             e, end = cur
             v = G.edges[e][1 - end]
-            if isinstance(v, int) and 1 <= v <= G.n:
+            if v in G.boundary:
                 one_way[i] = (v, path)
                 break
             cur = _trip_step(G, cur)
@@ -494,22 +438,16 @@ def trip_permutation(G):
 # -- contraction and normalization ----------------------------------------------------
 
 
-def _fresh_ids(G, count=1):
-    base = max([G.n] + [v for v in G.rot if isinstance(v, int)] + [e for e in G.edges]) + 1
-    return list(range(base, base + count))
-
-
 def contract_edge(G, e):
     """(M2) contract a unicolored non-loop edge into one vertex."""
     u, w = G.edges[e]
     if u == w:
         raise ValueError("cannot contract a loop")
-    for v in (u, w):
-        if isinstance(v, int) and 1 <= v <= G.n:
-            raise ValueError("cannot contract into the boundary")
+    if u in G.boundary or w in G.boundary:
+        raise ValueError("cannot contract into the boundary")
     if G.col[u] != G.col[w]:
         raise ValueError(f"edge {e} is not unicolored")
-    (m,) = _fresh_ids(G)
+    m = next(fresh_ids(G.rot, G.edges))
     du, dw = (e, 0), (e, 1)
     if G.edges[e][0] != u:
         du, dw = dw, du
@@ -533,8 +471,8 @@ def uncontract_vertex(G, v, i, j):
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
     if len(take) + len(keep) != len(ds):
         raise ValueError("bad uncontraction slice")
-    (m,) = _fresh_ids(G)
-    e = max(G.edges, default=0) + 1
+    m = next(fresh_ids(G.rot, G.edges))
+    e = next(fresh_ids(G.edges))
     edges = dict(G.edges)
     edges[e] = (v, m)
     for dart in take:
@@ -550,34 +488,31 @@ def uncontract_vertex(G, v, i, j):
 
 
 def insert_vertex(G, e, colr):
-    """(M3) insert a middle vertex of the given color into edge e."""
+    """(M3) insert a middle vertex of the given color into edge e.
+
+    Returns the new graph and the renaming {old dart: new dart} of e's darts.
+    """
     u, w = G.edges[e]
-    (m,) = _fresh_ids(G)
-    base = max(G.edges) + 1
-    e1, e2 = base, base + 1
+    m = next(fresh_ids(G.rot, G.edges))
+    e1, e2 = islice(fresh_ids(G.edges), 2)
     edges = {f: ab for f, ab in G.edges.items() if f != e}
     edges[e1] = (u, m)
     edges[e2] = (m, w)
-    rot = {}
-    for v, ds in G.rot.items():
-        new = []
-        for dart in ds:
-            if dart == (e, 0):
-                new.append((e1, 0))
-            elif dart == (e, 1):
-                new.append((e2, 1))
-            else:
-                new.append(dart)
-        rot[v] = tuple(new)
+    rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
+    rot = _renamed_rot(G, rename)
     rot[m] = ((e1, 1), (e2, 0))
     col = dict(G.col)
     col[m] = colr
-    return PlabicGraph(G.n, col, edges, rot=rot)
+    return PlabicGraph(G.n, col, edges, rot=rot), rename
 
 
 def remove_vertex(G, v):
-    """(M3) remove an internal degree-2 vertex, gluing its edges."""
-    if G.degree(v) != 2 or (isinstance(v, int) and 1 <= v <= G.n):
+    """(M3) remove an internal degree-2 vertex, gluing its edges.
+
+    Returns the new graph and the renaming {old dart: new dart} of the two
+    far darts of the glued edges.
+    """
+    if G.degree(v) != 2 or v in G.boundary:
         raise ValueError(f"{v} is not an internal degree-2 vertex")
     (d1, d2) = G.rot[v]
     e1, e2 = d1[0], d2[0]
@@ -585,24 +520,23 @@ def remove_vertex(G, v):
         raise ValueError("vertex carries a loop; remove the loop instead")
     a = G.other_end(e1, v)
     b = G.other_end(e2, v)
-    e = max(G.edges) + 1
+    e = next(fresh_ids(G.edges))
     edges = {f: ab for f, ab in G.edges.items() if f not in (e1, e2)}
     edges[e] = (a, b)
-    rot = {}
-    for x, ds in G.rot.items():
-        if x == v:
-            continue
-        new = []
-        for dart in ds:
-            if dart[0] == e1 and x == a and dart == _far_dart(G, e1, v):
-                new.append((e, 0))
-            elif dart[0] == e2 and x == b and dart == _far_dart(G, e2, v):
-                new.append((e, 1))
-            else:
-                new.append(dart)
-        rot[x] = tuple(new)
+    rename = {_far_dart(G, e1, v): (e, 0), _far_dart(G, e2, v): (e, 1)}
+    rot = _renamed_rot(G, rename)
+    del rot[v]
     col = {x: c for x, c in G.col.items() if x != v}
-    return PlabicGraph(G.n, col, edges, rot=rot)
+    return PlabicGraph(G.n, col, edges, rot=rot), rename
+
+
+def _renamed_rot(G, rename):
+    """A copy of G's rotations with the darts in rename replaced."""
+    rot = dict(G.rot)
+    for e, end in rename:
+        x = G.edges[e][end]
+        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+    return rot
 
 
 def _far_dart(G, e, v):
@@ -614,24 +548,16 @@ def _far_dart(G, e, v):
 
 
 def contracted(G):
-    """Repeatedly contract unicolored edges and remove degree-2 vertices."""
-    changed = True
-    while changed:
-        changed = False
-        for v in list(G.internal_vertices()):
-            if v in G.rot and G.degree(v) == 2 and len({e for e, _ in G.rot[v]}) == 2:
-                G = remove_vertex(G, v)
-                changed = True
-                break
-        if changed:
+    """Repeatedly remove degree-2 vertices and contract unicolored edges."""
+    while True:
+        v = next(_m3r_sites(G), None)
+        if v is not None:
+            G = remove_vertex(G, v)[0]
             continue
-        for e, (u, w) in sorted(G.edges.items()):
-            if u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w):
-                if G.degree(u) + G.degree(w) > 2:
-                    G = contract_edge(G, e)
-                    changed = True
-                    break
-    return G
+        e = next(_m2_sites(G), None)
+        if e is None:
+            return G
+        G = contract_edge(G, e)
 
 
 # -- reducedness ---------------------------------------------------------------------
@@ -651,7 +577,7 @@ def reducedness_certificate(G):
         if H.degree(v) == 1:
             e = H.incident(v)[0]
             w = H.other_end(e, v)
-            if not (isinstance(w, int) and 1 <= w <= H.n):
+            if w not in H.boundary:
                 return False, f"internal leaf at vertex {v} (leaf reduction applies)"
     T = trips(H)
     if T.round_trips:
@@ -755,6 +681,10 @@ def _as_network(x):
     return PlabicNetwork(x, dummy, check=False), False
 
 
+def _graph_of(obj):
+    return obj.graph if isinstance(obj, PlabicNetwork) else obj
+
+
 def square_faces(G):
     """Face keys where the square move applies."""
     out = []
@@ -824,16 +754,9 @@ def apply_move(x, move):
     elif kind == "M2u":
         newG = uncontract_vertex(G, *move[1:])
     elif kind == "M3":
-        e = move[1]
-        newG = insert_vertex(G, e, move[2])
-        base = max(G.edges) + 1
-        rename = {(e, 0): (base, 0), (e, 1): (base + 1, 1)}
+        newG, rename = insert_vertex(G, move[1], move[2])
     elif kind == "M3r":
-        v = move[1]
-        (d1, d2) = G.rot[v]
-        newG = remove_vertex(G, v)
-        e = max(G.edges) + 1
-        rename = {_far_dart(G, d1[0], v): (e, 0), _far_dart(G, d2[0], v): (e, 1)}
+        newG, rename = remove_vertex(G, move[1])
     else:
         raise ValueError(f"unknown move {move!r}")
     if not weighted:
@@ -866,25 +789,12 @@ def bigon_faces(G):
 
 def parallel_pairs(G):
     """R1 sites: (e1, e2) bounding a bigon between trivalent bicolored vertices."""
-    out = []
-    fd, _ = _face_data(G)
-    for darts in fd.values():
-        if len(darts) != 2:
-            continue
-        (e1, _), (e2, _) = darts
-        if e1 == e2:
-            continue
+    out = set()
+    for (e1, _), (e2, _) in bigon_faces(G):
         u, w = G.edges[e1]
-        if set(G.edges[e2]) != {u, w} or u == w:
-            continue
-        if G.col.get(u) is None or G.col.get(w) is None or G.col[u] == G.col[w]:
-            continue
-        if G.degree(u) != 3 or G.degree(w) != 3:
-            continue
-        others = [e for e in set(G.incident(u) + G.incident(w)) if e not in (e1, e2)]
-        if len(others) == 2 and others[0] != others[1]:
-            out.append((min(e1, e2), max(e1, e2)))
-    return sorted(set(out))
+        if G.degree(u) == G.degree(w) == 3 and len(set(G.incident(u) + G.incident(w)) - {e1, e2}) == 2:
+            out.add((min(e1, e2), max(e1, e2)))
+    return sorted(out)
 
 
 def apply_reduction(x, red):
@@ -909,22 +819,12 @@ def apply_reduction(x, red):
         b = next(e for e in G.incident(w) if e not in (e1, e2))
         za = G.other_end(a, u)
         zb = G.other_end(b, w)
-        e = max(G.edges) + 1
+        e = next(fresh_ids(G.edges))
         edges = {f: ab for f, ab in G.edges.items() if f not in (e1, e2, a, b)}
         edges[e] = (za, zb)
-        rot = {}
-        for v, ds in G.rot.items():
-            if v in (u, w):
-                continue
-            new = []
-            for dart in ds:
-                if dart[0] == a and v == za and dart == _far_dart(G, a, u):
-                    new.append((e, 0))
-                elif dart[0] == b and v == zb and dart == _far_dart(G, b, w):
-                    new.append((e, 1))
-                else:
-                    new.append(dart)
-            rot[v] = tuple(new)
+        rename = {_far_dart(G, a, u): (e, 0), _far_dart(G, b, w): (e, 1)}
+        rot = _renamed_rot(G, rename)
+        del rot[u], rot[w]
         col = {v: c for v, c in G.col.items() if v not in (u, w)}
         newG = PlabicGraph(G.n, col, edges, rot=rot)
         if not weighted:
@@ -936,25 +836,23 @@ def apply_reduction(x, red):
             other = face_key(fd[lookup[rev(dart)]])
             factor = (1 + y0) if G.col[src] == WHITE else 1 / (1 + 1 / y0)
             adjust[other] = adjust.get(other, Fraction(1)) * factor
-        rename = {_far_dart(G, a, u): (e, 0), _far_dart(G, b, w): (e, 1)}
         return _transfer_weights(net, newG, adjust=adjust,
                                  dropped={face_key(bigon)}, rename=rename)
     if kind == "R2":
         u = red[1]
-        if G.degree(u) != 1 or (isinstance(u, int) and 1 <= u <= G.n):
+        if G.degree(u) != 1 or u in G.boundary:
             raise ValueError(f"{u} is not an internal leaf")
         e = G.incident(u)[0]
         v = G.other_end(e, u)
-        if isinstance(v, int) and 1 <= v <= G.n:
+        if v in G.boundary:
             raise ValueError("boundary leaves cannot be reduced")
         if G.col[u] == G.col[v] or G.degree(v) < 3:
             raise ValueError(f"leaf reduction does not apply at {u}")
-        fresh = _fresh_ids(G, G.degree(v) - 1)
         edges = {f: ab for f, ab in G.edges.items() if f != e}
         rot = {x2: ds for x2, ds in G.rot.items() if x2 not in (u, v)}
         col = {x2: c for x2, c in G.col.items() if x2 not in (u, v)}
         others = [d for d in G.rot[v] if d[0] != e]
-        for m, dart in zip(fresh, others):
+        for m, dart in zip(fresh_ids(G.rot, G.edges), others):
             f, end = dart
             aa, bb = edges[f]
             edges[f] = (m if (end == 0 and aa == v) else aa, m if (end == 1 and bb == v) else bb)
@@ -996,7 +894,7 @@ def apply_reduction(x, red):
             raise ValueError(f"loop vertex {w} is not trivalent")
         e2 = next(f for f, _ in G.rot[w] if f != e)
         u = G.other_end(e2, w)
-        boundary = isinstance(u, int) and 1 <= u <= G.n
+        boundary = u in G.boundary
         if not boundary and G.col[u] == G.col[w]:
             raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
         fd, lookup = _face_data(G)
@@ -1009,8 +907,8 @@ def apply_reduction(x, red):
         col = {x2: c for x2, c in G.col.items() if x2 != w}
         rename = {}
         if boundary:
-            lv = _fresh_ids(G)[0]
-            eL = max(G.edges) + 1
+            lv = next(fresh_ids(G.rot, G.edges))
+            eL = next(fresh_ids(G.edges))
             edges[eL] = (u, lv)
             rot[u] = ((eL, 0),)
             rot[lv] = ((eL, 1),)
@@ -1028,7 +926,7 @@ def apply_reduction(x, red):
 
 def singletons(G):
     return [next(iter(c)) for c in G.components()
-            if len(c) == 1 and not any(isinstance(v, int) and 1 <= v <= G.n for v in c)
+            if len(c) == 1 and not any(v in G.boundary for v in c)
             and not any(v in uw for v in c for uw in G.edges.values())]
 
 
@@ -1038,25 +936,130 @@ def remove_singleton(G, v):
     return PlabicGraph(G.n, col, dict(G.edges), rot=rot)
 
 
+# -- the site-finder table ------------------------------------------------------------
+
+
+def _unicolored(G, u, w):
+    return u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w)
+
+
+def _m3r_sites(G):
+    """Internal degree-2 vertices on two distinct edges."""
+    return (v for v in G.internal_vertices() if G.degree(v) == 2 and G.rot[v][0][0] != G.rot[v][1][0])
+
+
+def _m2_sites(G):
+    """Unicolored edges by id; an isolated unicolored dipole is left to the leaf finder."""
+    return (e for e, (u, w) in sorted(G.edges.items())
+            if _unicolored(G, u, w) and G.degree(u) + G.degree(w) > 2)
+
+
+def _loop_sites(G):
+    return (e for e, (u, w) in sorted(G.edges.items()) if u == w)
+
+
+def _leaf_sites(G):
+    """Internal leaves whose neighbor is internal, in str order."""
+    return (v for v in sorted(G.internal_vertices(), key=str)
+            if G.degree(v) == 1 and G.other_end(G.incident(v)[0], v) not in G.boundary)
+
+
+def _split_pair(G, v, es):
+    """The M2u site moving the rotation-adjacent darts of the edges es off v, or None."""
+    ds = G.rot[v]
+    d = len(ds)
+    a, b = (t for t, dd in enumerate(ds) if dd[0] in es)
+    if (b - a) % d == 1:
+        return ("M2u", v, a, (b + 1) % d)
+    if (a - b) % d == 1:
+        return ("M2u", v, b, (a + 1) % d)
+    return None
+
+
+def _bigon_step(G, darts):
+    # the bigon's darts are split off a fat endpoint first, so that
+    # uncontracted endpoints are not immediately re-merged
+    es = tuple(e for e, _ in darts)
+    fat = next((v for v in sorted(set(G.edges[es[0]]), key=str) if G.degree(v) > 3), None)
+    if fat is None:
+        return ("R1", min(es), max(es))
+    step = _split_pair(G, fat, es)
+    if step is None:
+        raise AssertionError("bigon darts not adjacent at their endpoint")
+    return step
+
+
+def _loop_step(G, loop):
+    v = G.edges[loop][0]
+    if G.degree(v) > 3:
+        step = _split_pair(G, v, (loop,))
+        if step is None:
+            raise NotImplementedError("loop with enclosed attachments")
+        return step
+    e2 = next((f for f, _ in G.rot[v] if f != loop), None)
+    if e2 is None:
+        raise ValueError(f"no reduction removes the isolated loop {loop}")
+    u = G.other_end(e2, v)
+    if u not in G.boundary and G.col[u] == G.col[v]:
+        return ("M3", e2, -G.col[v])
+    return ("Rloop", loop)
+
+
+def _leaf_step(G, leaf):
+    e = G.incident(leaf)[0]
+    w = G.other_end(e, leaf)
+    if G.degree(w) == 1:
+        # a bicolored dipole vanishes; a unicolored one contracts to a singleton
+        return ("R3", leaf) if G.col[leaf] != G.col[w] else ("M2", e)
+    if G.degree(w) >= 3:
+        return ("R2", leaf)
+    raise AssertionError("degree-2 neighbors are removed before leaves")
+
+
+# The direct sites of reduce_graph in priority order: kind -> (finder, step).
+# A finder yields the kind's sites of a graph in the order reduce_graph takes
+# them; the step turns a site into the move or reduction applied there.
+SITE_FINDERS = {
+    "M3r": (_m3r_sites, lambda G, v: ("M3r", v)),
+    "bigon": (bigon_faces, _bigon_step),
+    "M2": (_m2_sites, lambda G, e: ("M2", e)),
+    "loop": (_loop_sites, _loop_step),
+    "leaf": (_leaf_sites, _leaf_step),
+}
+
+
+def _direct_step(G):
+    """The move or reduction at the first direct site, or None when there is none."""
+    for find, step in SITE_FINDERS.values():
+        site = next(iter(find(G)), None)
+        if site is not None:
+            return step(G, site)
+    return None
+
+
+def move_sites(G):
+    """The sites of M1, M2, M3r and R1; M2 lists every unicolored edge."""
+    return {"M1": square_faces(G),
+            "M2": [e for e, (u, w) in sorted(G.edges.items()) if _unicolored(G, u, w)],
+            "M3r": sorted(_m3r_sites(G)),
+            "R1": parallel_pairs(G)}
+
+
 def reduce_graph(x, max_square_depth=6):
     """Transform into a reduced plabic graph/network plus removed singletons.
 
     Returns (reduced object, singleton count, trace).  The trace lists the
     applied operations and is replayable with apply_move/apply_reduction.
-    Hidden reduction sites are searched for with a breadth-first sweep of
-    square moves (the only structure-preserving move that can expose one).
+    Direct sites come from SITE_FINDERS.  Hidden reduction sites are
+    searched for with a breadth-first sweep of square moves (the only
+    structure-preserving move that can expose one).
     """
     net, weighted = _as_network(x)
     cur = net if weighted else net.graph
     trace = []
     removed = 0
-
-    def graph_of(obj):
-        return obj.graph if isinstance(obj, PlabicNetwork) else obj
-
     while True:
-        G = graph_of(cur)
-        # singletons out first
+        G = _graph_of(cur)
         sing = singletons(G)
         if sing:
             v = sing[0]
@@ -1065,93 +1068,10 @@ def reduce_graph(x, max_square_depth=6):
             removed += 1
             cur = _transfer_weights(cur, newG) if weighted else newG
             continue
-        # structural cleanups that are always safe
-        site = next((v for v in G.internal_vertices()
-                     if G.degree(v) == 2 and len({e for e, _ in G.rot[v]}) == 2), None)
-        if site is not None:
-            trace.append(("M3r", site))
-            cur = apply_move(cur, ("M3r", site))
-            continue
-        # bigons get priority over contraction so that uncontracted
-        # endpoints are not immediately re-merged
-        bigons = bigon_faces(G)
-        if bigons:
-            darts = bigons[0]
-            es = tuple(e for e, _ in darts)
-            endpoints = set(G.edges[es[0]])
-            fat = next((v for v in sorted(endpoints, key=str) if G.degree(v) > 3), None)
-            if fat is not None:
-                # the two bigon darts are rotation-adjacent; split them off
-                ds = list(G.rot[fat])
-                d = len(ds)
-                a, b = (t for t, dd in enumerate(ds) if dd[0] in es)
-                if (b - a) % d == 1:
-                    i, j = a, (b + 1) % d
-                elif (a - b) % d == 1:
-                    i, j = b, (a + 1) % d
-                else:
-                    raise AssertionError("bigon darts not adjacent at their endpoint")
-                trace.append(("M2u", fat, i, j))
-                cur = apply_move(cur, ("M2u", fat, i, j))
-                continue
-            pair = (min(es), max(es))
-            trace.append(("R1", *pair))
-            cur = apply_reduction(cur, ("R1", *pair))
-            continue
-        e = next((e for e, (u, w) in sorted(G.edges.items())
-                  if u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w)
-                  and G.degree(u) + G.degree(w) > 2), None)
-        if e is not None:
-            trace.append(("M2", e))
-            cur = apply_move(cur, ("M2", e))
-            continue
-        loop = next((e for e, (u, w) in sorted(G.edges.items()) if u == w), None)
-        if loop is not None:
-            v = G.edges[loop][0]
-            if G.degree(v) > 3:
-                ds = list(G.rot[v])
-                i0, i1 = (t for t, d in enumerate(ds) if d[0] == loop)
-                if (i1 - i0) % len(ds) == 1:
-                    i, j = i0, (i1 + 1) % len(ds)
-                elif (i0 - i1) % len(ds) == 1:
-                    i, j = i1, (i0 + 1) % len(ds)
-                else:
-                    raise NotImplementedError("loop with enclosed attachments")
-                trace.append(("M2u", v, i, j))
-                cur = apply_move(cur, ("M2u", v, i, j))
-                continue
-            e2 = next(f for f, _ in G.rot[v] if f != loop)
-            u = G.other_end(e2, v)
-            if not (isinstance(u, int) and 1 <= u <= G.n) and G.col[u] == G.col[v]:
-                trace.append(("M3", e2, -G.col[v]))
-                cur = apply_move(cur, ("M3", e2, -G.col[v]))
-                continue
-            trace.append(("Rloop", loop))
-            cur = apply_reduction(cur, ("Rloop", loop))
-            continue
-        leaf = None
-        for v in sorted(G.internal_vertices(), key=str):
-            if G.degree(v) == 1:
-                w = G.other_end(G.incident(v)[0], v)
-                if isinstance(w, int) and 1 <= w <= G.n:
-                    continue
-                leaf = v
-                break
-        if leaf is not None:
-            e = G.incident(leaf)[0]
-            w = G.other_end(e, leaf)
-            if G.degree(w) == 1:
-                if G.col[leaf] != G.col[w]:
-                    trace.append(("R3", leaf))
-                    cur = apply_reduction(cur, ("R3", leaf))
-                else:
-                    trace.append(("M2", e))  # unicolored dipole contracts to a singleton
-                    cur = apply_move(cur, ("M2", e))
-            elif G.degree(w) >= 3:
-                trace.append(("R2", leaf))
-                cur = apply_reduction(cur, ("R2", leaf))
-            else:
-                raise AssertionError("degree-2 neighbors are removed before leaves")
+        step = _direct_step(G)
+        if step is not None:
+            trace.append(step)
+            cur = (apply_reduction if step[0][0] == "R" else apply_move)(cur, step)
             continue
         ok, _ = reducedness_certificate(G)
         if ok:
@@ -1161,36 +1081,14 @@ def reduce_graph(x, max_square_depth=6):
         if found is None:
             raise RuntimeError("could not expose a reduction with square moves "
                                f"within depth {max_square_depth}")
-        moves = found
-        for key in moves:
+        for key in found:
             trace.append(("M1", key))
             cur = apply_move(cur, ("M1", key))
 
 
 def _square_search(cur, depth):
-    """Shortest square-move sequence after which a direct reduction applies."""
-    def graph_of(obj):
-        return obj.graph if isinstance(obj, PlabicNetwork) else obj
-
-    def has_direct(G):
-        if bigon_faces(G):
-            return True
-        for v in G.internal_vertices():
-            if G.degree(v) == 2 and len({e for e, _ in G.rot[v]}) == 2:
-                return True
-        for e, (u, w) in G.edges.items():
-            if u == w:
-                return True
-            if G.col.get(u) is not None and G.col.get(u) == G.col.get(w) and G.degree(u) + G.degree(w) > 2:
-                return True
-        for v in G.internal_vertices():
-            if G.degree(v) == 1:
-                w = G.other_end(G.incident(v)[0], v)
-                if not (isinstance(w, int) and 1 <= w <= G.n):
-                    return True
-        return False
-
-    start = graph_of(cur)
+    """Shortest square-move sequence after which a direct site appears."""
+    start = _graph_of(cur)
     seen = {start.canonical()}
     frontier = [(start, [])]
     for _ in range(depth):
@@ -1202,7 +1100,7 @@ def _square_search(cur, depth):
                 if c in seen:
                     continue
                 seen.add(c)
-                if has_direct(H):
+                if any(next(iter(find(H)), None) is not None for find, _ in SITE_FINDERS.values()):
                     return path + [key]
                 nxt.append((H, path + [key]))
         frontier = nxt
@@ -1358,11 +1256,9 @@ def _perfect_gamma(net):
     rot = {v: list(ds) for v, ds in net.rot.items()}
     flags = net.source_flags
     n = net.n
-    nid = [max([n] + [v for v in rot if isinstance(v, int)] + list(edges)) + 1]
-
-    def fresh():
-        nid[0] += 1
-        return nid[0]
+    ids = fresh_ids(rot, edges)
+    next(ids)  # the first fresh id is skipped; the output's ids depend on it
+    fresh = ids.__next__
 
     for v in list(net.internal_vertices()):
         if len(rot[v]) == 4:
@@ -1377,7 +1273,7 @@ def _perfect_gamma(net):
                 edges[e] = (v2 if end == 0 else a, v2 if end == 1 else b, xx)
             rot[v] = [dn, de, (ep, 0)]
             rot[v2] = [(ep, 1), ds_, dw]
-    for i in range(1, n + 1):
+    for i in net.boundary:
         if rot[i]:
             continue
         leaf = fresh()
@@ -1414,13 +1310,10 @@ def removable_edges(G):
         raise ValueError("graph is not contracted")
     T = trips(G)
     pi = T.decorated(G)
-    def is_boundary(v):
-        return isinstance(v, int) and 1 <= v <= G.n
-
     out = []
     for e in sorted(G.edges):
         u, w = G.edges[e]
-        if (is_boundary(u) or is_boundary(w)) and (G.degree(u) == 1 and G.degree(w) == 1):
+        if (u in G.boundary or w in G.boundary) and (G.degree(u) == 1 and G.degree(w) == 1):
             continue  # boundary leaves cannot be removed
         kind_a = T.trip_through((e, 0))
         kind_b = T.trip_through((e, 1))
@@ -1455,7 +1348,7 @@ def delete_edge(G, e, boundary_color=None):
     edges = {f: ab for f, ab in G.edges.items() if f != e}
     rot = {v: tuple(d for d in ds if d[0] != e) for v, ds in G.rot.items()}
     col = dict(G.col)
-    bdry = [v for v in (u, w) if isinstance(v, int) and 1 <= v <= G.n]
+    bdry = [v for v in (u, w) if v in G.boundary]
     if len(bdry) == 2:
         if boundary_color not in (BLACK, WHITE):
             raise ValueError("removing a boundary-to-boundary edge needs boundary_color")
@@ -1465,12 +1358,7 @@ def delete_edge(G, e, boundary_color=None):
         colors = {bdry[0]: -G.col[other]}
     else:
         colors = {}
-    nid = max([G.n] + [v for v in rot if isinstance(v, int)] + list(edges or [0])) + 1
-    eid = max(edges, default=0) + 1
-    for i, c in colors.items():
-        leaf, enew = nid, eid
-        nid += 1
-        eid += 1
+    for (i, c), leaf, enew in zip(colors.items(), fresh_ids(rot, edges), fresh_ids(edges)):
         edges[enew] = (i, leaf)
         rot[i] = ((enew, 0),)
         rot[leaf] = ((enew, 1),)
@@ -1480,7 +1368,7 @@ def delete_edge(G, e, boundary_color=None):
 
 def export_dot(x):
     """DOT description of a plabic graph or network for external rendering."""
-    G = x.graph if isinstance(x, PlabicNetwork) else x
+    G = _graph_of(x)
     lines = ["graph plabic {"]
     for i in range(1, G.n + 1):
         lines.append(f'  b{i} [shape=plaintext, label="b{i}"];')
@@ -1489,7 +1377,7 @@ def export_dot(x):
         lines.append(f'  v{v} [shape=circle, style=filled, fillcolor={fill}, label=""];')
 
     def name(v):
-        return f"b{v}" if isinstance(v, int) and 1 <= v <= G.n else f"v{v}"
+        return f"b{v}" if v in G.boundary else f"v{v}"
 
     for e in sorted(G.edges):
         u, w = G.edges[e]

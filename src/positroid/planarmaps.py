@@ -14,7 +14,15 @@ the opposite end.  With clockwise rotations, the orbit rule
 
 walks every face keeping that face on the LEFT of the travel direction.
 Consequently face_left(d) = orbit(d) and face_right(d) = orbit(rev(d)).
+
+`_DiskGraph` is the core that planar directed networks and plabic graphs
+share: boundary vertices 1..n, the rotation system and its DiskMap, the
+implied rotations, the connected components, the fresh-id rule and the
+tokenizer of their text formats.
 """
+
+from itertools import count
+
 
 def rev(dart):
     e, end = dart
@@ -30,7 +38,7 @@ class DiskMap:
           Every dart of every edge must appear exactly once.
     """
 
-    def __init__(self, boundary, edges, rot, validate=True):
+    def __init__(self, boundary, edges, rot):
         self.boundary = tuple(boundary)
         self.n = len(self.boundary)
         self.edges = dict(edges)
@@ -39,8 +47,7 @@ class DiskMap:
         self._aug_rot = self._augmented_rotations()
         self._faces = None
         self._face_of = None
-        if validate:
-            self.validate_planarity()
+        self.validate_planarity()
 
     # -- construction helpers ------------------------------------------------
 
@@ -145,43 +152,14 @@ class DiskMap:
             raise ValueError("no boundary circle")
         return self.face_left((("arc", 0), 0))
 
-    def interior_faces(self):
-        """Indices of the faces of the picture inside the disk."""
-        outer = self.outer_face()
-        return [i for i in range(len(self.faces())) if i != outer]
-
     # -- validation ------------------------------------------------------------
-
-    def _components(self):
-        adj = {}
-        for e, (u, w) in self.edges.items():
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
-        for i in range(self.n):
-            u, w = self.boundary[i], self.boundary[(i + 1) % self.n]
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
-        for v in self._aug_rot:
-            adj.setdefault(v, set())
-        comps = []
-        left = set(adj)
-        while left:
-            start = left.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            left -= comp
-            comps.append(comp)
-        return comps
 
     def validate_planarity(self):
         """Per-component Euler check V - E + F = 2 for the rotation data."""
         self.faces()
-        for comp in self._components():
+        b = self.boundary
+        arcs = [(b[i], b[(i + 1) % self.n]) for i in range(self.n)]
+        for comp in components(self._aug_rot, [*self.edges.values(), *arcs]):
             ne = sum(1 for (u, w) in self.edges.values() if u in comp)
             if comp & set(self.boundary):
                 ne += self.n
@@ -242,6 +220,8 @@ def rotations_from_edge_lists(edges, rot_ids):
         seen_loop = set()
         darts = []
         for e in ids:
+            if e not in edges:
+                raise ValueError(f"vertex {v} lists unknown edge {e}")
             u, w = edges[e]
             if u == w:
                 end = 0 if e not in seen_loop else 1
@@ -256,6 +236,127 @@ def rotations_from_edge_lists(edges, rot_ids):
             darts.append((e, end))
         rot[v] = tuple(darts)
     return rot
+
+
+def components(vertices, pairs):
+    """Connected components, as sets, of the graph on `vertices` with edges `pairs`."""
+    adj = {v: set() for v in vertices}
+    for u, w in pairs:
+        adj[u].add(w)
+        adj[w].add(u)
+    comps, left = [], set(adj)
+    while left:
+        start = left.pop()
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        left -= comp
+        comps.append(comp)
+    return comps
+
+
+def fresh_ids(*pools):
+    """Unused ids, counting up from one above every integer id in the pools."""
+    return count(1 + max((x for pool in pools for x in pool if isinstance(x, int)), default=0))
+
+
+class _DiskGraph:
+    """A graph in the disk with boundary vertices 1..n, clockwise.
+
+    The core of PlanarDirectedNetwork and PlabicGraph: the vertex set, the
+    rotation system and its DiskMap.  A vertex may omit its rotation only
+    when the rotation is unique: an internal vertex with at most two darts
+    (a loop counts twice), or a boundary vertex with at most one, since the
+    boundary arcs put the darts at b_i in a linear order.  `boundary` is
+    the range 1..n, so `v in G.boundary` is the boundary test.
+    """
+
+    def __init__(self, n, shape, verts, rot_ids, rot):
+        """shape: eid -> (u, w); verts: a fresh set of the boundary and of
+        any vertex without edges (the end vertices are added to it)."""
+        self.n = n
+        self.boundary = range(1, n + 1)
+        for u, w in shape.values():
+            verts.add(u)
+            verts.add(w)
+        if rot is None:
+            rot_ids = dict(rot_ids or {})
+            incident = {}
+            for e, (u, w) in shape.items():
+                incident.setdefault(u, []).append(e)
+                incident.setdefault(w, []).append(e)
+            for v in verts:
+                if v not in rot_ids:
+                    rot_ids[v] = incident.get(v, [])
+                    if len(rot_ids[v]) > (1 if v in self.boundary else 2):
+                        raise ValueError(f"vertex {v} has degree {len(rot_ids[v])}; "
+                                         "give its rotation explicitly")
+            rot = rotations_from_edge_lists(shape, rot_ids)
+        missing = [v for v in verts if v not in rot]
+        if missing:
+            rot = {**rot, **dict.fromkeys(missing, ())}
+        self.map = DiskMap(self.boundary, shape, rot)
+        self.rot = self.map.rot
+
+    def internal_vertices(self):
+        return frozenset(v for v in self.rot if v not in self.boundary)
+
+    def degree(self, v):
+        return len(self.rot[v])
+
+    def components(self):
+        return components(self.rot, self.map.edges.values())
+
+    def replace(self, **kw):
+        args = {name: getattr(self, name) for name in self._fields}
+        args.update(kw)
+        return type(self)(**args)
+
+
+def parse_disk_text(text, what, vertex_label, edge_tail, other):
+    """Read the lines that network and plabic text share.
+
+    `#` starts a comment.  `n <count>` gives n; `vertex v [label] : ids`
+    gives the clockwise edge ids at v and vertex_label(label tokens);
+    `edge e : u w [more]` gives the edge (u, w, *edge_tail(more tokens)).
+    The colons may be left out.  Every other line goes to other(tokens).
+    Returns (n, labels, rot_ids, edges); every error is one ValueError
+    naming the line number and the line.
+    """
+    n = None
+    labels, rot_ids, edges = {}, {}, {}
+    for number, line in enumerate(text.splitlines(), 1):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        try:
+            colon = toks.index(":") if ":" in toks else None
+            if toks[0] == "n":
+                if len(toks) != 2 or int(toks[1]) < 0:
+                    raise ValueError("expected 'n <count>' with a count >= 0")
+                n = int(toks[1])
+            elif toks[0] == "vertex":
+                head, ids = (toks[1:3], toks[3:]) if colon is None else (toks[1:colon], toks[colon + 1:])
+                if not head:
+                    raise ValueError("a vertex line needs an id")
+                v = int(head[0])
+                labels[v] = vertex_label(head[1:])
+                rot_ids[v] = [int(t) for t in ids]
+            elif toks[0] == "edge":
+                head, body = (toks[1:2], toks[2:]) if colon is None else (toks[1:colon], toks[colon + 1:])
+                if len(head) != 1 or len(body) < 2:
+                    raise ValueError("expected 'edge e : u w ...'")
+                edges[int(head[0])] = (int(body[0]), int(body[1]), *edge_tail(body[2:]))
+            else:
+                other(toks)
+        except ValueError as ex:
+            raise ValueError(f"{what} text line {number}: {ex}: {line.strip()!r}") from None
+    if n is None:
+        raise ValueError(f"{what} text needs an 'n <count>' line")
+    return n, labels, rot_ids, edges
 
 
 def rotations_from_coordinates(edges, pos):

@@ -192,7 +192,7 @@ def test_moves_list_cli(capsys, tmp_path):
     G = contracted(graph_from_perm(top_permutation(2, 4)))
     f = tmp_path / "g.txt"
     f.write_text(G.to_text())
-    code, out, _ = run(capsys, "moves", str(f), "--list")
+    code, out, _ = run(capsys, "moves", str(f))
     assert code == 0 and out.startswith("M1:")
 
 
@@ -209,3 +209,82 @@ def test_move_cli_roundtrip(capsys, tmp_path):
     (key,) = square_faces(N.graph)
     code, out, _ = run(capsys, "move", str(f), "--site", f"M1 {key[0]} {key[1]}")
     assert code == 0 and "faces" in out
+
+
+# -- total text parsers: each malformed input exits 1 with one line ---------------------
+
+
+def _one_line_error(capsys, tmp_path, text, *argv):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, *argv[:1], str(f), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_short_edge_line_exit_1(capsys, tmp_path):
+    err = _one_line_error(capsys, tmp_path, "n 2\nsources 1\nedge 1 : 1 2\n", "measure")
+    assert err == "error: network text line 3: expected 'edge e : u w weight': 'edge 1 : 1 2'\n"
+    err = _one_line_error(capsys, tmp_path, "n 2\nedge 1 : 1\n", "reduce")
+    assert "plabic text line 2" in err
+
+
+def test_network_weight_1_over_0_exit_1(capsys, tmp_path):
+    text = "n 2\nsources 1\nedge 1 : 1 3 1/0\nedge 2 : 3 2 1\n"
+    err = _one_line_error(capsys, tmp_path, text, "measure")
+    assert "'1/0' is not a rational number" in err
+
+
+def test_face_weight_1_over_0_exit_1(capsys, tmp_path):
+    from positroid.plabic import PlabicNetwork, contracted, face_weight_keys
+    from positroid.permutations import top_permutation
+    G = contracted(graph_from_perm(top_permutation(2, 4)))
+    text = PlabicNetwork(G, dict.fromkeys(face_weight_keys(G), 1)).to_text()
+    head, faces = text.split("faces\n")
+    text = head + "faces\n" + faces.replace(": 1\n", ": 1/0\n", 1)
+    err = _one_line_error(capsys, tmp_path, text, "reduce", "--json")
+    assert "'1/0' is not a rational number" in err
+
+
+def test_tableau_entry_1_over_0_exit_1(capsys, tmp_path):
+    err = _one_line_error(capsys, tmp_path, "1 2\n1\n1/0\n", "le2net")
+    assert "'1/0' is not a rational number" in err
+
+
+def test_sources_outside_boundary_exit_1(capsys, tmp_path):
+    text = "n 2\nsources 1 7\nedge 1 : 1 3 1\nedge 2 : 3 2 1\n"
+    err = _one_line_error(capsys, tmp_path, text, "measure")
+    assert "boundary vertices 1..2" in err
+
+
+def test_vertex_without_color_exit_1(capsys, tmp_path):
+    text = "n 2\nvertex 3 : 1 2\nedge 1 : 1 3\nedge 2 : 3 2\n"
+    err = _one_line_error(capsys, tmp_path, text, "trips")
+    assert "plabic text line 2" in err and "black|white" in err
+
+
+def test_poset_without_n_exit_1(capsys):
+    code, out, err = run(capsys, "poset", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: poset needs") and err.count("\n") == 1
+
+
+def test_network_degree_two_vertex_needs_no_vertex_line(capsys, tmp_path):
+    f = tmp_path / "net.txt"
+    f.write_text("n 2\nsources 1\nedge 1 : 1 3 2\nedge 2 : 3 2 3/4\n")
+    code, out, _ = run(capsys, "measure", str(f), "--matrix")
+    assert (code, out) == (0, "1 2\n1 3/2\n")
+    # at a boundary vertex the boundary arcs order the edge ends linearly
+    text = "n 2\nsources 1\nedge 1 : 1 3 1\nedge 2 : 1 4 2\nedge 3 : 3 2 1\nedge 4 : 4 2 1\n"
+    err = _one_line_error(capsys, tmp_path, text, "measure")
+    assert err == "error: vertex 1 has degree 2; give its rotation explicitly\n"
+
+
+@pytest.mark.parametrize("site", ["M1 4", "M3 5", "R1 2", "", "X 1"])
+def test_move_bad_site_exit_1(capsys, tmp_path, site):
+    f = tmp_path / "g.txt"
+    f.write_text(graph_from_perm(DecoratedPermutation((2, 1))).to_text())
+    code, out, err = run(capsys, "move", str(f), "--site", site)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad site") and err.count("\n") == 1

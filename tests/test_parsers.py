@@ -1,0 +1,84 @@
+"""Total text parsers: a damaged text parses or raises ValueError, nothing else.
+
+Valid texts of the five formats (network, plabic with faces, matrix,
+tableau, permutation) get a few token deletions or replacements; the
+parser must return an object, whose text then round-trips, or raise
+ValueError.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from positroid.exactmath import RationalMatrix
+from positroid.lediagram import LeTableau
+from positroid.network import PlanarDirectedNetwork
+from positroid.permutations import DecoratedPermutation, top_permutation
+from positroid.plabic import PlabicGraph, PlabicNetwork, contracted, face_weight_keys, graph_from_perm
+
+
+def _plabic_with_faces():
+    G = contracted(graph_from_perm(top_permutation(2, 4)))
+    keys = sorted(face_weight_keys(G))
+    weights = {key: Fraction(i + 2, i + 1) for i, key in enumerate(keys[:-1])}
+    weights[keys[-1]] = Fraction(1, len(keys))
+    return PlabicNetwork(G, weights).to_text()
+
+
+FORMATS = {
+    "network": (PlanarDirectedNetwork.from_text, lambda x: x.to_text(), [
+        "n 2\nsources 1\nvertex 3 internal : 1 2 3\nvertex 4 internal : 2 4 3\n"
+        "edge 1 : 1 3 1\nedge 2 : 3 4 2/3\nedge 3 : 4 3 1\nedge 4 : 4 2 5\n",
+        "n 2\nsources 1\nedge 1 : 1 3 1/2\nedge 2 : 3 4 1\nedge 3 : 4 2 7\n",
+    ]),
+    "plabic": (PlabicGraph.from_text, lambda x: x.to_text(), [
+        _plabic_with_faces(),
+        graph_from_perm(DecoratedPermutation.parse("3 1 5 4B 2 6W")).to_text(),
+    ]),
+    "matrix": (RationalMatrix.from_text, lambda x: x.to_text(), [
+        "2 4\n1 0 -1/2 -3\n0 1 1 2/5\n",
+    ]),
+    "tableau": (LeTableau.from_text, lambda x: x.to_text(), [
+        "2 5\n3 2\n1 0 2/3\n4 1\n",
+    ]),
+    "permutation": (DecoratedPermutation.parse, lambda x: x.format(), [
+        "3 1 5 4B 2 6W",
+    ]),
+}
+
+REPLACEMENTS = ["1/0", "x", "-1", "0", "99", ":", "1.5", "1e9", "black", "n", "edge"]
+
+
+def _damage(data, text):
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+        i, j = data.draw(st.sampled_from(spots))
+        if data.draw(st.booleans()):
+            del lines[i][j]
+        else:
+            lines[i][j] = data.draw(st.sampled_from(REPLACEMENTS))
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_valid_texts_round_trip(fmt):
+    parse, unparse, texts = FORMATS[fmt]
+    for text in texts:
+        out = unparse(parse(text))
+        assert unparse(parse(out)) == out
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_texts_parse_or_raise_value_error(fmt, data):
+    parse, unparse, texts = FORMATS[fmt]
+    text = _damage(data, data.draw(st.sampled_from(texts)))
+    try:
+        obj = parse(text)
+    except ValueError:
+        return
+    out = unparse(obj)
+    assert unparse(parse(out)) == out
