@@ -118,9 +118,8 @@ def _read_plabic_graph(path):
 def cmd_reduce(args):
     obj = plabic.PlabicGraph.from_text(_read(args.file))
     red, nsing, trace = plabic.reduce_graph(obj)
-    out = red.to_text() if hasattr(red, "to_text") else red.graph.to_text()
-    _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace], "text": out},
-          args.json)
+    _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],
+           "text": red.to_text()}, args.json)
     return 0
 
 

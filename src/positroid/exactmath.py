@@ -8,8 +8,7 @@ tolerance anywhere: equality of values is exact equality of fractions.
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
-
-Rational = Fraction
+from math import lcm
 
 
 _TOKEN = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
@@ -162,18 +161,10 @@ def det(matrix):
     scale = Fraction(1)
     int_rows = []
     for r in rows:
-        d = 1
-        for x in r:
-            d = d * x.denominator // _gcd(d, x.denominator)
+        d = lcm(*(x.denominator for x in r))
         scale *= d
         int_rows.append([int(x * d) for x in r])
     return Fraction(_det_bareiss(int_rows)) / scale
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def maximal_minor(A, J):
@@ -184,14 +175,6 @@ def maximal_minor(A, J):
     if len(set(J)) != len(J) or not all(1 <= j <= A.n for j in J):
         raise ValueError(f"invalid column subset {J}")
     return det(A.submatrix_columns(J))
-
-
-def minor_signed(A, seq):
-    """Minor for an ordered (possibly unsorted) column sequence, with sign."""
-    s = sort_sign(seq)
-    if s == 0:
-        return Fraction(0)
-    return s * maximal_minor(A, sorted(seq))
 
 
 def _row_reduce(rows):
@@ -431,10 +414,6 @@ def subset_to_lambda(I, n):
     for j, ij in enumerate(I):
         out.append((n - ij + 1) - (k - j))
     return tuple(out)
-
-
-def partition_weight(lam):
-    return sum(lam)
 
 
 def partitions_in_box(k, width):

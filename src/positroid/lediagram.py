@@ -123,9 +123,27 @@ class LeTableau:
         if len(head) != 2 or not all(t.isdecimal() for t in head) or int(head[0]) > int(head[1]):
             raise ValueError("tableau text needs a 'k n' header with 0 <= k <= n")
         k, n = int(head[0]), int(head[1])
-        shape = tuple(int(t) for t in lines[1].split()) if len(lines) > 1 else ()
-        rows = [[rational(t) for t in ln.split()] for ln in lines[2:] if ln.strip()]
+        shape = tuple(_tableau_line(lines[1], 2, _part)) if len(lines) > 1 else ()
+        rows = [_tableau_line(ln, number, rational)
+                for number, ln in enumerate(lines[2:], 3) if ln.strip()]
         return cls(k, n, shape, rows)
+
+
+def _part(tok):
+    if not tok.isdecimal():
+        raise ValueError(f"{tok!r} is not a nonnegative integer")
+    return int(tok)
+
+
+def _tableau_line(line, number, parse):
+    """The parsed tokens of line `number` of tableau text; errors name the line and entry."""
+    out = []
+    for pos, tok in enumerate(line.split(), 1):
+        try:
+            out.append(parse(tok))
+        except ValueError as ex:
+            raise ValueError(f"tableau text line {number}, entry {pos}: {ex}") from None
+    return out
 
 
 def diagram_to_tableau(D, values=None):

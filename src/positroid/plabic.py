@@ -170,29 +170,28 @@ def weights_by_travel(N):
 class PlabicNetwork:
     """A plabic graph with positive face weights multiplying to 1."""
 
-    def __init__(self, graph, weights, check=True):
+    def __init__(self, graph, weights):
         self.graph = graph
         self.weights = {k: rational(x) for k, x in weights.items()}
-        if check:
-            keys = set(face_weight_keys(graph))
-            if set(self.weights) != keys:
-                raise ValueError("weights do not match the faces of the graph")
-            if any(x <= 0 for x in self.weights.values()):
-                raise ValueError("face weights must be positive")
-            prod = Fraction(1)
-            for x in self.weights.values():
-                prod *= x
-            if prod != 1:
-                raise ValueError(f"face weights multiply to {prod}, not 1")
-            for comp in graph.isolated_components():
-                comp_edges = [e for e, (u, w) in graph.edges.items() if u in comp]
-                if len(comp_edges) >= len(comp):
-                    raise ValueError("isolated component with a cycle: containment is ambiguous")
-                if comp_edges:
-                    # a tree's boundary walk bounds no area: weight forced to 1
-                    key = min((e, end) for e in comp_edges for end in (0, 1))
-                    if self.weights.get(key) != 1:
-                        raise ValueError("isolated tree component must carry face weight 1")
+        keys = set(face_weight_keys(graph))
+        if set(self.weights) != keys:
+            raise ValueError("weights do not match the faces of the graph")
+        if any(x <= 0 for x in self.weights.values()):
+            raise ValueError("face weights must be positive")
+        prod = Fraction(1)
+        for x in self.weights.values():
+            prod *= x
+        if prod != 1:
+            raise ValueError(f"face weights multiply to {prod}, not 1")
+        for comp in graph.isolated_components():
+            comp_edges = [e for e, (u, w) in graph.edges.items() if u in comp]
+            if len(comp_edges) >= len(comp):
+                raise ValueError("isolated component with a cycle: containment is ambiguous")
+            if comp_edges:
+                # a tree's boundary walk bounds no area: weight forced to 1
+                key = min((e, end) for e in comp_edges for end in (0, 1))
+                if self.weights.get(key) != 1:
+                    raise ValueError("isolated tree component must carry face weight 1")
 
     def __repr__(self):
         return f"PlabicNetwork({self.graph!r}, {len(self.weights)} faces)"
@@ -467,10 +466,11 @@ def contract_edge(G, e):
 def uncontract_vertex(G, v, i, j):
     """(M2) split v into an edge; darts rot[v][i:j] (cyclically) move out."""
     ds = list(G.rot[v])
+    if not (0 <= i < len(ds) and 0 <= j < len(ds)):
+        raise ValueError(f"bad M2u site ({v}, {i}, {j}): vertex {v} has degree {len(ds)}, "
+                         f"so i and j must lie in 0..{len(ds) - 1}")
     take = ds[i:j] if i <= j else ds[i:] + ds[:j]
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
-    if len(take) + len(keep) != len(ds):
-        raise ValueError("bad uncontraction slice")
     m = next(fresh_ids(G.rot, G.edges))
     e = next(fresh_ids(G.edges))
     edges = dict(G.edges)
@@ -622,63 +622,53 @@ def is_reduced(G):
 # -- moves with face weights -----------------------------------------------------------
 
 
-def _face_data(G):
-    """face index -> real-dart tuple, and dart -> face index (interior only)."""
-    out = {}
-    lookup = {}
-    all_faces = G.map.faces()
-    outer = G.map.outer_face()
-    for idx, orbit in enumerate(all_faces):
-        if idx == outer:
-            continue
-        darts = tuple(d for d in orbit if not isinstance(d[0], tuple))
-        out[idx] = darts
-        for d in darts:
-            lookup[d] = idx
-    return out, lookup
+def _face_of(G):
+    """dart -> key of the interior face on its left."""
+    return {d: key for darts in faces(G) for key in [face_key(darts)] for d in darts}
 
 
-def _transfer_weights(old_net, new_graph, adjust=None, dropped=(), rename=None):
+def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     """Carry face weights across a rewrite by matching surviving darts.
 
-    adjust: dict old-face-key -> multiplicative correction.
-    dropped: old face keys whose regions disappeared (already redistributed).
+    Every new face gets the product of the weights of the old faces that
+    share a dart with it; new faces without an old dart (fresh isolated
+    trees) get weight 1.
+    adjust: dict old-face-key -> multiplicative correction.  A face whose
+    region disappears must be scaled to weight 1 (its weight having gone
+    to its neighbours); a lost face of any other weight is a bug.
     rename: dict old dart -> new dart for edges that were glued/split, so a
     face bounded only by rewritten edges still finds its region.
-    New faces without any old dart (fresh isolated trees) get weight 1.
     """
+    adjust = adjust or {}
     rename = rename or {}
-    old_faces, _ = _face_data(old_net.graph)
-    old_weights = {}
-    for darts in old_faces.values():
+    new_key = _face_of(new_graph)
+    weights = dict.fromkeys(new_key.values(), Fraction(1))
+    for darts in faces(old_net.graph):
         key = face_key(darts)
-        if key in dropped:
-            continue
         w = old_net.weights[key]
-        if adjust and key in adjust:
+        if key in adjust:
             w *= adjust[key]
-        old_weights[key] = ({rename.get(d, d) for d in darts}, w)
-    weights = {}
-    matched = set()
-    for darts in faces(new_graph):
-        total = Fraction(1)
-        dartset = set(darts)
-        for key, (odarts, w) in old_weights.items():
-            if odarts & dartset:
-                total *= w
-                matched.add(key)
-        weights[face_key(darts)] = total
-    for key, (odarts, w) in old_weights.items():
-        if key not in matched and w != 1:
+        hit = {new_key[d] for d in (rename.get(d, d) for d in darts) if d in new_key}
+        if not hit and w != 1:
             raise AssertionError(f"face {key} with weight {w} lost in the rewrite")
+        for k in hit:
+            weights[k] *= w
     return PlabicNetwork(new_graph, weights)
 
 
-def _as_network(x):
-    if isinstance(x, PlabicNetwork):
-        return x, True
-    dummy = {face_key(f): Fraction(1) for f in faces(x)}
-    return PlabicNetwork(x, dummy, check=False), False
+def _neighbour_factors(G, darts, y0, adjust):
+    """Multiply into adjust the factor of each face across `darts`, a face of weight y0.
+
+    The orbit walks with the face on the left; the face across an edge
+    walked white -> black is multiplied by (1 + y0), black -> white divided
+    by (1 + 1/y0).  Shared by the square move M1 and the bigon reduction R1.
+    """
+    face_of = _face_of(G)
+    for e, end in darts:
+        other = face_of[(e, 1 - end)]
+        factor = (1 + y0) if G.col[G.edges[e][end]] == WHITE else 1 / (1 + 1 / y0)
+        adjust[other] = adjust.get(other, 1) * factor
+    return adjust
 
 
 def _graph_of(obj):
@@ -688,12 +678,8 @@ def _graph_of(obj):
 def square_faces(G):
     """Face keys where the square move applies."""
     out = []
-    fd, _ = _face_data(G)
-    for idx, darts in fd.items():
+    for darts in faces(G):
         if len(darts) != 4:
-            continue
-        orbit = G.map.faces()[idx]
-        if any(isinstance(d[0], tuple) for d in orbit):
             continue
         vs = [G.edges[e][1 - end] for e, end in darts]
         cols = [G.col.get(v) for v in vs]
@@ -713,43 +699,23 @@ def apply_move(x, move):
     Sites: ("M1", face_key), ("M2", eid), ("M2u", v, i, j),
     ("M3", eid, color), ("M3r", v).
     """
-    net, weighted = _as_network(x)
-    G = net.graph
+    G = _graph_of(x)
+    weighted = isinstance(x, PlabicNetwork)
     kind = move[0]
+    adjust, rename = {}, {}
     if kind == "M1":
         key = move[1]
         if key not in square_faces(G):
             raise ValueError(f"face {key} is not a square-move site")
-        fd, lookup = _face_data(G)
-        idx = next(i for i, darts in fd.items() if face_key(darts) == key)
-        darts = fd[idx]
-        y0 = net.weights[key]
-        corners = {G.edges[e][1 - end] for e, end in darts}
+        darts = next(f for f in faces(G) if face_key(f) == key)
         col = dict(G.col)
-        for v in corners:
+        for v in {G.edges[e][1 - end] for e, end in darts}:
             col[v] = -col[v]
         newG = G.replace(col=col)
-        if not weighted:
-            return newG
-        # the orbit walks with the face on the left; an edge walked
-        # white -> black has its opposite face multiplied by (1 + y0),
-        # black -> white divided by (1 + 1/y0)
-        adjust = {key: y0 ** -2}  # y0 -> 1/y0
-        for dart in darts:
-            e, end = dart
-            src = G.edges[e][end]       # the vertex the travel leaves
-            dst = G.edges[e][1 - end]
-            other = face_key(fd[lookup[rev(dart)]]) if rev(dart) in lookup else None
-            if other is None:
-                raise AssertionError("square borders the outer region")
-            factor = (1 + y0) if G.col[src] == WHITE else 1 / (1 + 1 / y0)
-            adjust[other] = adjust.get(other, Fraction(1)) * factor
-        weights = {}
-        for fkey, w in net.weights.items():
-            weights[fkey] = w * adjust.get(fkey, 1)
-        return PlabicNetwork(newG, weights)
-    rename = {}
-    if kind == "M2":
+        if weighted:
+            y0 = x.weights[key]
+            adjust = _neighbour_factors(G, darts, y0, {key: y0 ** -2})  # y0 -> 1/y0
+    elif kind == "M2":
         newG = contract_edge(G, move[1])
     elif kind == "M2u":
         newG = uncontract_vertex(G, *move[1:])
@@ -759,9 +725,7 @@ def apply_move(x, move):
         newG, rename = remove_vertex(G, move[1])
     else:
         raise ValueError(f"unknown move {move!r}")
-    if not weighted:
-        return newG
-    return _transfer_weights(net, newG, rename=rename)
+    return _transfer_weights(x, newG, adjust, rename) if weighted else newG
 
 
 def bigon_faces(G):
@@ -770,8 +734,7 @@ def bigon_faces(G):
     These become R1 sites once high-degree endpoints are uncontracted.
     """
     out = []
-    fd, _ = _face_data(G)
-    for darts in fd.values():
+    for darts in faces(G):
         if len(darts) != 2:
             continue
         (e1, _), (e2, _) = darts
@@ -803,17 +766,14 @@ def apply_reduction(x, red):
     Sites: ("R1", e1, e2), ("R2", leaf vertex), ("R3", vertex in dipole),
     ("Rloop", eid).
     """
-    net, weighted = _as_network(x)
-    G = net.graph
+    G = _graph_of(x)
+    weighted = isinstance(x, PlabicNetwork)
     kind = red[0]
+    adjust, rename = {}, {}
     if kind == "R1":
         e1, e2 = red[1], red[2]
         if (min(e1, e2), max(e1, e2)) not in parallel_pairs(G):
             raise ValueError(f"edges {e1}, {e2} are not an R1 site")
-        fd, lookup = _face_data(G)
-        bigon = next(darts for darts in fd.values()
-                     if {d[0] for d in darts} == {e1, e2} and len(darts) == 2)
-        y0 = net.weight_of(bigon) if weighted else Fraction(1)
         u, w = G.edges[e1]
         a = next(e for e in G.incident(u) if e not in (e1, e2))
         b = next(e for e in G.incident(w) if e not in (e1, e2))
@@ -827,18 +787,12 @@ def apply_reduction(x, red):
         del rot[u], rot[w]
         col = {v: c for v, c in G.col.items() if v not in (u, w)}
         newG = PlabicGraph(G.n, col, edges, rot=rot)
-        if not weighted:
-            return newG
-        adjust = {}
-        for dart in bigon:
-            eid, end = dart
-            src = G.edges[eid][end]
-            other = face_key(fd[lookup[rev(dart)]])
-            factor = (1 + y0) if G.col[src] == WHITE else 1 / (1 + 1 / y0)
-            adjust[other] = adjust.get(other, Fraction(1)) * factor
-        return _transfer_weights(net, newG, adjust=adjust,
-                                 dropped={face_key(bigon)}, rename=rename)
-    if kind == "R2":
+        if weighted:
+            bigon = next(darts for darts in faces(G)
+                         if {d[0] for d in darts} == {e1, e2} and len(darts) == 2)
+            y0 = x.weight_of(bigon)
+            adjust = _neighbour_factors(G, bigon, y0, {face_key(bigon): 1 / y0})
+    elif kind == "R2":
         u = red[1]
         if G.degree(u) != 1 or u in G.boundary:
             raise ValueError(f"{u} is not an internal leaf")
@@ -859,10 +813,8 @@ def apply_reduction(x, red):
             rot[m] = (dart,)
             col[m] = G.col[u]
         newG = PlabicGraph(G.n, col, edges, rot=rot)
-        if not weighted:
-            return newG
-        return _transfer_weights(net, newG)
-    if kind == "R3":
+    elif kind == "R3":
+        # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
         v = red[1]
         comp = next((c for c in G.components() if v in c), None)
         if comp is None or len(comp) != 2:
@@ -875,11 +827,7 @@ def apply_reduction(x, red):
         rot = {x2: ds for x2, ds in G.rot.items() if x2 not in (a, b)}
         col = {x2: c for x2, c in G.col.items() if x2 not in (a, b)}
         newG = PlabicGraph(G.n, col, edges, rot=rot)
-        if not weighted:
-            return newG
-        # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
-        return _transfer_weights(net, newG, dropped={(es[0], 0)})
-    if kind == "Rloop":
+    elif kind == "Rloop":
         # lollipop removal: a trivalent vertex w carrying a loop is a dead
         # end for directed paths, so w, its loop, and its attaching edge
         # vanish together; the loop's inside face folds into the ambient
@@ -897,15 +845,13 @@ def apply_reduction(x, red):
         boundary = u in G.boundary
         if not boundary and G.col[u] == G.col[w]:
             raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
-        fd, lookup = _face_data(G)
-        inner = next((darts for darts in fd.values() if len(darts) == 1 and darts[0][0] == e), None)
+        inner = next((darts for darts in faces(G) if len(darts) == 1 and darts[0][0] == e), None)
         if inner is None:
             raise ValueError("the loop encloses other structure; uncontract first")
         edges = {f: ab for f, ab in G.edges.items() if f not in (e, e2)}
         rot = {x2: tuple(d for d in ds if d[0] not in (e, e2))
                for x2, ds in G.rot.items() if x2 != w}
         col = {x2: c for x2, c in G.col.items() if x2 != w}
-        rename = {}
         if boundary:
             lv = next(fresh_ids(G.rot, G.edges))
             eL = next(fresh_ids(G.edges))
@@ -915,19 +861,17 @@ def apply_reduction(x, red):
             col[lv] = -G.col[w]
             rename = {_far_dart(G, e2, w): (eL, 0)}
         newG = PlabicGraph(G.n, col, edges, rot=rot)
-        if not weighted:
-            return newG
-        target = face_key(fd[lookup[rev(inner[0])]])
-        adjust = {target: net.weights[face_key(inner)]}
-        return _transfer_weights(net, newG, adjust=adjust,
-                                 dropped={face_key(inner)}, rename=rename)
-    raise ValueError(f"unknown reduction {red!r}")
+        if weighted:
+            y = x.weight_of(inner)
+            adjust = {_face_of(G)[rev(inner[0])]: y, face_key(inner): 1 / y}
+    else:
+        raise ValueError(f"unknown reduction {red!r}")
+    return _transfer_weights(x, newG, adjust, rename) if weighted else newG
 
 
 def singletons(G):
-    return [next(iter(c)) for c in G.components()
-            if len(c) == 1 and not any(v in G.boundary for v in c)
-            and not any(v in uw for v in c for uw in G.edges.values())]
+    """Internal vertices without darts, in str order."""
+    return sorted((v for v in G.internal_vertices() if G.degree(v) == 0), key=str)
 
 
 def remove_singleton(G, v):
@@ -1054,8 +998,8 @@ def reduce_graph(x, max_square_depth=6):
     searched for with a breadth-first sweep of square moves (the only
     structure-preserving move that can expose one).
     """
-    net, weighted = _as_network(x)
-    cur = net if weighted else net.graph
+    weighted = isinstance(x, PlabicNetwork)
+    cur = x
     trace = []
     removed = 0
     while True:

@@ -252,6 +252,17 @@ def test_tableau_entry_1_over_0_exit_1(capsys, tmp_path):
     assert "'1/0' is not a rational number" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 3\n2\n1 1/0\n", "line 3, entry 2: '1/0' is not a rational number"),
+    ("2 4\n2 2\n1 1\n1 x\n", "line 4, entry 2: 'x' is not a rational number"),
+    ("1 2\nx\n1\n", "line 2, entry 1: 'x' is not a nonnegative integer"),
+    ("2 4\n2 -1\n1 1\n", "line 2, entry 2: '-1' is not a nonnegative integer"),
+], ids=["fraction-entry", "word-entry", "word-part", "negative-part"])
+def test_tableau_error_names_line_and_entry(capsys, tmp_path, text, message):
+    err = _one_line_error(capsys, tmp_path, text, "le2net")
+    assert err == f"error: tableau text {message}\n"
+
+
 def test_sources_outside_boundary_exit_1(capsys, tmp_path):
     text = "n 2\nsources 1 7\nedge 1 : 1 3 1\nedge 2 : 3 2 1\n"
     err = _one_line_error(capsys, tmp_path, text, "measure")
@@ -288,3 +299,10 @@ def test_move_bad_site_exit_1(capsys, tmp_path, site):
     code, out, err = run(capsys, "move", str(f), "--site", site)
     assert (code, out) == (1, "")
     assert err.startswith("error: bad site") and err.count("\n") == 1
+
+
+def test_move_m2u_slice_outside_rotation_exit_1(capsys, tmp_path):
+    text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
+    err = _one_line_error(capsys, tmp_path, text, "move", "--site", "M2u 5 0 9")
+    assert err == ("error: bad M2u site (5, 0, 9): vertex 5 has degree 2, "
+                   "so i and j must lie in 0..1\n")

@@ -11,16 +11,16 @@ from positroid.network import measure
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
                                     minimal_permutation, rank, top_permutation)
-from positroid.plabic import (PlabicGraph, PlabicNetwork, apply_move,
+from positroid.plabic import (PlabicGraph, PlabicNetwork, _transfer_weights, apply_move,
                               apply_reduction, contracted, delete_edge,
-                              edge_weights_from_faces, export_dot,
+                              edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, network_from_le,
                               parallel_pairs, path_matroid,
                               perfect_orientations, reduce_graph,
                               reducedness_certificate, removable_edges,
-                              square_faces, trip_permutation, trips)
+                              singletons, square_faces, trip_permutation, trips)
 
 rng = random.Random(31337)
 
@@ -78,7 +78,6 @@ def test_face_weights_pattern_example():
     """
     from math import cos, sin, pi as PI
     from positroid.planarmaps import rotations_from_coordinates
-    from positroid.plabic import _face_data
     vals = {e: Fraction(p) for e, p in
             zip(range(1, 11), (2, 3, 5, 7, 11, 13, 17, 19, 23, 1))}
     # hexagon 20..25 clockwise, bridge to 26 inside, pendant tie to b1
@@ -99,9 +98,9 @@ def test_face_weights_pattern_example():
     col[27] = BLACK
     col[28] = WHITE
     G = PlabicGraph(1, col, shape, rot=rot)
-    fd, _ = _face_data(G)
-    inner = next(darts for darts in fd.values() if any(e == 7 for e, _ in darts))
-    hole_walk = next(darts for darts in fd.values()
+    fd = faces(G)
+    inner = next(darts for darts in fd if any(e == 7 for e, _ in darts))
+    hole_walk = next(darts for darts in fd
                      if {e for e, _ in darts} == {8, 9} and len(darts) == 3)
 
     def weight(darts):
@@ -443,6 +442,72 @@ def test_reduce_exposes_hidden_sites():
         G, _ = insert_bigon(G, internal_edges[0], rng)
     red, nsing, trace = reduce_graph(G)
     assert is_reduced(red)
+
+
+def _rewrite_site(kind):
+    """A weighted network with a site of the given move or reduction kind."""
+    rng2 = random.Random(7)
+    top = contracted(graph_from_perm(top_permutation(2, 4)))
+    v = sorted(top.internal_vertices())[0]
+    e = next(e for e, (u, w) in sorted(top.edges.items())
+             if u not in top.boundary and w not in top.boundary)
+    if kind == "M1":
+        return reweight(top, rng2), ("M1", square_faces(top)[0])
+    if kind in ("M2u", "M3"):
+        site = ("M2u", v, 0, 2) if kind == "M2u" else ("M3", e, BLACK)
+        return reweight(top, rng2), site
+    if kind == "M2":
+        G = apply_move(top, ("M2u", v, 0, 2))
+        return reweight(G, rng2), ("M2", max(G.edges))  # the split-off edge
+    if kind == "M3r":
+        G = apply_move(top, ("M3", e, BLACK))
+        (m,) = [x for x in G.internal_vertices() if G.degree(x) == 2]
+        return reweight(G, rng2), ("M3r", m)
+    if kind == "R1":
+        G, (ep, eq) = insert_bigon(top, e, rng2)
+        bigon = next(face_key(f) for f in faces(G) if {d[0] for d in f} == {ep, eq})
+        return reweight(G, rng2, special={bigon: Fraction(3)}), ("R1", ep, eq)
+    if kind == "R2":
+        G, leaf = attach_leaf(top, v, -top.col[v], 1)
+        return reweight(G, rng2), ("R2", leaf)
+    if kind == "R3":
+        col = {10: WHITE, 11: BLACK, 20: WHITE, 21: BLACK}
+        edges = {1: (1, 10), 2: (10, 11), 3: (10, 2), 4: (20, 21)}
+        G = PlabicGraph(2, col, edges,
+                        rot_ids={1: [1], 2: [3], 10: [1, 2, 3], 11: [2], 20: [4], 21: [4]})
+        return reweight(G, rng2), ("R3", 20)
+    # a black lollipop (loop 5 at 12) hanging off the white vertex of the bridge
+    col = {10: WHITE, 11: BLACK, 12: BLACK}
+    edges = {1: (1, 10), 2: (10, 11), 3: (11, 2), 4: (10, 12), 5: (12, 12)}
+    G = PlabicGraph(2, col, edges, rot_ids={10: [1, 4, 2], 12: [4, 5, 5]})
+    return reweight(G, rng2), ("Rloop", 5)
+
+
+@pytest.mark.parametrize("kind", ["M1", "M2", "M2u", "M3", "M3r", "R1", "R2", "R3", "Rloop"])
+def test_weighted_rewrite_has_the_bare_rewrite_graph(kind):
+    N, site = _rewrite_site(kind)
+    apply = apply_reduction if kind[0] == "R" else apply_move
+    weighted, bare = apply(N, site), apply(N.graph, site)
+    assert isinstance(weighted, PlabicNetwork) and isinstance(bare, PlabicGraph)
+    assert weighted.graph.canonical() == bare.canonical()
+
+
+def test_transfer_weights_rejects_a_lost_face():
+    N, site = _rewrite_site("R1")
+    newG = apply_reduction(N.graph, site)
+    # without R1's adjustment the bigon (weight 3) vanishes with its weight
+    with pytest.raises(AssertionError, match="weight 3 lost in the rewrite"):
+        _transfer_weights(N, newG)
+
+
+def test_singletons_removed_in_str_order():
+    B = bridge_graph()
+    G = PlabicGraph(2, {**B.col, 9: BLACK, 12: WHITE}, B.edges)
+    assert singletons(G) == [12, 9]
+    rest = reduce_graph(B)[2]
+    for x in (G, reweight(G, rng)):
+        red, nsing, trace = reduce_graph(x)
+        assert nsing == 2 and trace == [("singleton", 12), ("singleton", 9)] + rest
 
 
 def test_equal_trips_implies_equal_matroid():
