@@ -152,12 +152,16 @@ def cmd_move(args):
     kind, *toks = args.site.split() or [""]
     if _SITE_ARITY.get(kind) != len(toks):
         raise ValueError(f"bad site {args.site!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
-    if kind == "M1":
-        site = ("M1", (int(toks[0]), int(toks[1])))
-    elif kind == "M3":
-        site = ("M3", int(toks[0]), 1 if toks[1].lower().startswith("b") else -1)
-    else:
-        site = (kind, *(int(t) for t in toks))
+    colours = []
+    if kind == "M3":
+        colours = [{"black": permutations.BLACK, "white": permutations.WHITE}.get(toks.pop().lower())]
+        if colours[0] is None:
+            raise ValueError(f"bad site {args.site!r}: the colour must be black or white")
+    try:
+        ids = [int(t) for t in toks]
+    except ValueError:
+        raise ValueError(f"bad site {args.site!r}: ids and indices must be integers") from None
+    site = ("M1", tuple(ids)) if kind == "M1" else (kind, *ids, *colours)
     apply = plabic.apply_reduction if kind[0] == "R" else plabic.apply_move
     _emit({"text": apply(obj, site).to_text()}, args.json)
     return 0

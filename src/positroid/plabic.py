@@ -8,13 +8,16 @@ with a positive rational, the weights multiplying to 1.
 Orientations in which every black vertex has one outgoing edge and every
 white vertex one incoming edge turn the graph into a perfect directed
 network; all such orientations measure to the same projective point, and
-their source sets form the graph's matroid.  Trips (turn right at black,
+their source sets form the graph's matroid.  None are enumerated: one is
+found by augmenting paths, and a k-subset is a basis when a unit-capacity
+flow on that one orientation reaches it.  Trips (turn right at black,
 left at white) give the decorated trip permutation, the complete move
 invariant of reduced graphs.
 """
 
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import combinations, islice
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
@@ -64,6 +67,13 @@ class PlabicGraph(_DiskGraph):
         if v not in self.boundary and self.degree(v) == 1:
             return v
         return None
+
+    @cached_property
+    def _interior_faces(self):
+        """faces(self), computed once per graph."""
+        outer = self.map.outer_face()
+        return tuple(tuple(d for d in orbit if not isinstance(d[0], tuple))
+                     for idx, orbit in enumerate(self.map.faces()) if idx != outer)
 
     def __repr__(self):
         k, n = self.type()
@@ -125,19 +135,12 @@ def _no_tail(toks):
 
 
 def faces(G):
-    """Interior faces as tuples of real darts (arc darts dropped).
+    """Interior faces as a tuple of tuples of real darts (arc darts dropped).
 
     The count satisfies |V| - |E| + |F| = 1 + c with c the number of
     isolated components, each contributing its outer walk as a face.
     """
-    out = []
-    all_faces = G.map.faces()
-    outer = G.map.outer_face()
-    for idx, orbit in enumerate(all_faces):
-        if idx == outer:
-            continue
-        out.append(tuple(d for d in orbit if not isinstance(d[0], tuple)))
-    return out
+    return G._interior_faces
 
 
 def face_key(darts):
@@ -210,146 +213,114 @@ class PlabicNetwork:
 # -- perfect orientations and the matroid -------------------------------------------
 
 
-def perfect_orientations(G):
-    """All orientations with one out-edge per black and one in-edge per white.
+def perfect_orientation(G):
+    """One orientation with one out-edge per black and one in-edge per white, or None.
 
-    Each orientation is a dict eid -> (tail, head).  Exponential
-    backtracking; fine at desk scale.
+    Returned as a dict eid -> (tail, head).  An internal vertex needs
+    out-degree 1 if black and deg - 1 if white (a loop counts once in and
+    once out); a boundary vertex may have out-degree 0 or 1.  Starting from
+    the stored directions, each surplus out-edge is passed forward and each
+    missing one fetched from behind by reversing a shortest path.  When no
+    such path exists, the vertices reachable from the unbalanced one have
+    too many (or too few) edges among them for any orientation, so there is
+    none.  O(V E) in all.
     """
-    eids = sorted(G.edges)
-    need = {}
-    for v in G.internal_vertices():
-        # black: exactly one outgoing; white: exactly one incoming
-        need[v] = 1
-    out_count = {v: 0 for v in need}
-    in_count = {v: 0 for v in need}
-    remaining = {v: G.degree(v) for v in need}
-    results = []
+    orient = dict(G.edges)
+    out = dict.fromkeys(G.rot, 0)
+    for t, _ in orient.values():
+        out[t] += 1
+    need = {v: 1 if G.col[v] == BLACK else G.degree(v) - 1 for v in G.internal_vertices()}
 
-    def special(v, tail_is_v):
-        # returns the count this direction adds to v's constrained side
-        if G.col[v] == BLACK:
-            return 1 if tail_is_v else 0
-        return 0 if tail_is_v else 1
+    def reverse_path(v, forward, end):
+        """Reverse a directed path from v (forward) or into v to some x with end(x)."""
+        prev = {v: None}
+        queue = [v]
+        for x in queue:
+            if x != v and end(x):
+                out[x] += 1 if forward else -1
+                while prev[x] is not None:
+                    e, x = prev[x]
+                    orient[e] = orient[e][::-1]
+                out[v] -= 1 if forward else -1
+                return True
+            for e, _ in G.rot[x]:
+                t, h = orient[e] if forward else orient[e][::-1]
+                if t == x and h not in prev:
+                    prev[h] = (e, x)
+                    queue.append(h)
+        return False
 
-    def feasible(v):
-        cnt = out_count[v] if G.col[v] == BLACK else in_count[v]
-        return cnt <= 1 and cnt + remaining[v] >= 1
-
-    def assign(idx, orient):
-        if idx == len(eids):
-            if any((out_count[v] if G.col[v] == BLACK else in_count[v]) != 1 for v in need):
-                return
-            results.append(dict(orient))
-            return
-        e = eids[idx]
-        u, w = G.edges[e]
-        for tail, head in ((u, w), (w, u)):
-            touched = []
-            ok = True
-            for v, as_tail in ((tail, True), (head, False)):
-                if v in need:
-                    if as_tail:
-                        out_count[v] += 1
-                    else:
-                        in_count[v] += 1
-                    remaining[v] -= 1
-                    touched.append((v, as_tail))
-            for v in {tail, head} & set(need):
-                if not feasible(v):
-                    ok = False
-            if ok:
-                orient[e] = (tail, head)
-                assign(idx + 1, orient)
-                del orient[e]
-            for v, as_tail in touched:
-                if as_tail:
-                    out_count[v] -= 1
-                else:
-                    in_count[v] -= 1
-                remaining[v] += 1
-            if u == w:
-                break  # a loop has only one distinguishable direction here
-        return
-
-    # loops: a loop at v contributes one in and one out whichever way
-    assign(0, {})
-    return results
+    # a boundary vertex may take out-degree 0..1, an internal one exactly need[v]
+    for v in sorted(need, key=str):
+        while out[v] > need[v]:
+            if not reverse_path(v, True, lambda x: out[x] < need.get(x, 1)):
+                return None
+    for v in sorted(need, key=str):
+        while out[v] < need[v]:
+            if not reverse_path(v, False, lambda x: out[x] > need.get(x, 0)):
+                return None
+    return orient
 
 
 def orientation_sources(G, orient):
     """Boundary vertices whose single edge points into the disk."""
-    out = set()
-    for i in range(1, G.n + 1):
-        (e, _), = G.rot[i]
-        if orient[e][0] == i:
-            out.add(i)
-    return frozenset(out)
+    return frozenset(i for i in G.boundary if orient[G.rot[i][0][0]][0] == i)
 
 
 def matroid(G):
-    """Bases = source sets of the perfect orientations of G."""
-    orients = perfect_orientations(G)
-    if not orients:
+    """Bases = source sets of the perfect orientations of G.
+
+    With I the sources of one perfect orientation, a k-subset J is a basis
+    exactly when |I - J| edge-disjoint paths of that orientation lead from
+    I - J to J - I: reversing them gives an orientation with sources J, and
+    any orientation with sources J differs from the first by such paths
+    (and cycles).  Each J costs one unit-capacity max flow, O(k E).
+    """
+    orient = perfect_orientation(G)
+    if orient is None:
         raise ValueError("graph is not perfectly orientable")
     k, n = G.type()
-    bases = {orientation_sources(G, o) for o in orients}
-    if any(len(b) != k for b in bases):
-        raise AssertionError("orientation source set disagrees with the type")
-    return Matroid(k, n, bases)
-
-
-def path_matroid(G, orient):
-    """k-subsets J reachable from the fixed orientation by noncrossing paths.
-
-    Equivalent to matroid(G); used as the independent cross-check.
-    """
     base = orientation_sources(G, orient)
-    k, n = G.type()
-    adj = {}
+    if len(base) != k:
+        raise AssertionError("orientation source set disagrees with the type")
+    ahead = {v: [] for v in G.rot}      # residual arcs: (eid, next vertex)
+    behind = {v: [] for v in G.rot}
     for e, (t, h) in orient.items():
-        adj.setdefault(t, []).append((e, h))
-    bases = set()
+        if t != h:
+            ahead[t].append((e, h))
+            behind[h].append((e, t))
+    return Matroid(k, n, (J for J in combinations(range(1, n + 1), k)
+                          if _disjoint_paths(ahead, behind, base.difference(J), set(J) - base)))
 
-    def vertex_disjoint_families(sources, targets):
-        # families of vertex-disjoint directed paths pairing sources with targets
-        if not sources:
-            yield []
-            return
-        s = sources[0]
-        stack = [(s, [s], [])]
-        paths = []
 
-        def dfs(v, seen, eids):
-            if v in G.boundary and v != s:
-                if v in targets:
-                    paths.append((list(seen), v))
-                return
-            for e, w in adj.get(v, []):
-                if w not in seen:
-                    dfs(w, seen + [w], eids + [e])
+def _disjoint_paths(ahead, behind, sources, targets):
+    """Whether edge-disjoint directed paths join every source to its own target.
 
-        dfs(s, [s], [])
-        for verts, t in paths:
-            for rest in vertex_disjoint_families(sources[1:], [x for x in targets if x != t]):
-                if all(not (set(verts) & set(rv)) for rv, _ in rest):
-                    yield [(verts, t)] + rest
-
-    from itertools import combinations as comb
-    for J in comb(range(1, n + 1), k):
-        J = frozenset(J)
-        K = sorted(base - J)
-        L = sorted(J - base)
-        if not K:
-            bases.add(J)
-            continue
-        found = False
-        for fam in vertex_disjoint_families(K, L):
-            found = True
-            break
-        if found:
-            bases.add(J)
-    return Matroid(k, n, bases)
+    Augmenting paths of a unit-capacity flow: an arc is usable forward when
+    unused and backward when used.  Each target is a boundary sink, so a
+    path that reaches one fills it.
+    """
+    used = set()
+    for s in sources:
+        prev = {s: None}
+        queue = [s]
+        for x in queue:
+            if x in targets:
+                break
+            for e, y in ahead[x]:
+                if e not in used and y not in prev:
+                    prev[y] = (e, x)
+                    queue.append(y)
+            for e, y in behind[x]:
+                if e in used and y not in prev:
+                    prev[y] = (e, x)
+                    queue.append(y)
+        else:
+            return False
+        while prev[x] is not None:
+            e, x = prev[x]
+            used ^= {e}
+    return True
 
 
 # -- trips ---------------------------------------------------------------------------
@@ -467,8 +438,8 @@ def uncontract_vertex(G, v, i, j):
     """(M2) split v into an edge; darts rot[v][i:j] (cyclically) move out."""
     ds = list(G.rot[v])
     if not (0 <= i < len(ds) and 0 <= j < len(ds)):
-        raise ValueError(f"bad M2u site ({v}, {i}, {j}): vertex {v} has degree {len(ds)}, "
-                         f"so i and j must lie in 0..{len(ds) - 1}")
+        raise _bad_site(("M2u", v, i, j), f"vertex {v} has degree {len(ds)}, "
+                        f"so i and j must lie in 0..{len(ds) - 1}")
     take = ds[i:j] if i <= j else ds[i:] + ds[:j]
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
     m = next(fresh_ids(G.rot, G.edges))
@@ -691,6 +662,26 @@ def square_faces(G):
     return out
 
 
+# the arguments of each site that name an edge (e) or an internal vertex (v)
+_SITE_IDS = {"M2": "e", "M2u": "v", "M3": "e", "M3r": "v",
+             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e"}
+
+
+def _bad_site(site, why):
+    return ValueError(f"bad {site[0]} site ({', '.join(map(str, site[1:]))}): {why}")
+
+
+def _check_site_ids(G, site):
+    """Reject a site that names an unknown edge or vertex, or a boundary vertex."""
+    for what, x in zip(_SITE_IDS.get(site[0], ""), site[1:]):
+        if what == "e" and x not in G.edges:
+            raise _bad_site(site, f"no edge {x}")
+        if what == "v" and x not in G.rot:
+            raise _bad_site(site, f"no vertex {x}")
+        if what == "v" and x in G.boundary:
+            raise _bad_site(site, f"{x} is a boundary vertex")
+
+
 def apply_move(x, move):
     """Apply M1 (square, site=face key), M2 (contract edge / uncontract
     vertex), or M3 (insert into edge / remove degree-2 vertex).
@@ -700,6 +691,7 @@ def apply_move(x, move):
     ("M3", eid, color), ("M3r", v).
     """
     G = _graph_of(x)
+    _check_site_ids(G, move)
     weighted = isinstance(x, PlabicNetwork)
     kind = move[0]
     adjust, rename = {}, {}
@@ -767,6 +759,7 @@ def apply_reduction(x, red):
     ("Rloop", eid).
     """
     G = _graph_of(x)
+    _check_site_ids(G, red)
     weighted = isinstance(x, PlabicNetwork)
     kind = red[0]
     adjust, rename = {}, {}
@@ -794,7 +787,7 @@ def apply_reduction(x, red):
             adjust = _neighbour_factors(G, bigon, y0, {face_key(bigon): 1 / y0})
     elif kind == "R2":
         u = red[1]
-        if G.degree(u) != 1 or u in G.boundary:
+        if G.degree(u) != 1:
             raise ValueError(f"{u} is not an internal leaf")
         e = G.incident(u)[0]
         v = G.other_end(e, u)
@@ -816,8 +809,8 @@ def apply_reduction(x, red):
     elif kind == "R3":
         # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
         v = red[1]
-        comp = next((c for c in G.components() if v in c), None)
-        if comp is None or len(comp) != 2:
+        comp = next(c for c in G.components() if v in c)
+        if len(comp) != 2:
             raise ValueError(f"{v} is not in a dipole")
         a, b = sorted(comp, key=str)
         es = [e for e, (x2, y2) in G.edges.items() if {x2, y2} == {a, b}]
@@ -1162,13 +1155,13 @@ def edge_weights_from_faces(N, orient):
 
 def measure_plabic(N):
     """Plucker point of a plabic network via any perfect orientation."""
-    orients = perfect_orientations(N.graph)
-    if not orients:
+    orient = perfect_orientation(N.graph)
+    if orient is None:
         raise ValueError("network is not perfectly orientable")
     k, n = N.graph.type()
     if k == 0:
         return PluckerVector(0, n, {(): 1})
-    net = edge_weights_from_faces(N, orients[0])
+    net = edge_weights_from_faces(N, orient)
     return measure(net)
 
 

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from helpers import (attach_leaf, insert_bigon, random_grid_network,
                      random_plabic_network, random_rational, reweight)
+from oracles import perfect_orientations
 from positroid.enumeration import (bruhat_interval_count, cell_poly, count_cells,
                                    count_cells_by_permutations, staircase_check)
 from positroid.exactmath import (lex_min_base, matroid_of_plucker, maximal_minor,
@@ -28,8 +29,7 @@ from positroid.permutations import (BLACK, WHITE, all_decorated_permutations,
 from positroid.plabic import (apply_move, apply_reduction, contracted,
                               edge_weights_from_faces, graph_from_le,
                               graph_from_perm, matroid, measure_plabic,
-                              perfect_orientations, square_faces,
-                              trip_permutation)
+                              square_faces, trip_permutation)
 from positroid.network import measure
 
 

@@ -306,3 +306,35 @@ def test_move_m2u_slice_outside_rotation_exit_1(capsys, tmp_path):
     err = _one_line_error(capsys, tmp_path, text, "move", "--site", "M2u 5 0 9")
     assert err == ("error: bad M2u site (5, 0, 9): vertex 5 has degree 2, "
                    "so i and j must lie in 0..1\n")
+
+
+@pytest.mark.parametrize("site, message", [
+    ("M3r 99", "bad M3r site (99): no vertex 99"),
+    ("M2 99", "bad M2 site (99): no edge 99"),
+    ("M3 99 black", "bad M3 site (99, 1): no edge 99"),
+    ("R2 99", "bad R2 site (99): no vertex 99"),
+    ("Rloop 99", "bad Rloop site (99): no edge 99"),
+    ("M2u 1 0 0", "bad M2u site (1, 0, 0): 1 is a boundary vertex"),
+    ("M3r x", "bad site 'M3r x': ids and indices must be integers"),
+])
+def test_move_unknown_or_boundary_id_exit_1(capsys, tmp_path, site, message):
+    text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
+    err = _one_line_error(capsys, tmp_path, text, "move", "--site", site)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("colour", ["purple", "b", "w", "blue"])
+def test_move_m3_colour_must_be_black_or_white(capsys, tmp_path, colour):
+    text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
+    err = _one_line_error(capsys, tmp_path, text, "move", "--site", f"M3 2 {colour}")
+    assert err == f"error: bad site 'M3 2 {colour}': the colour must be black or white\n"
+
+
+def test_move_m3_inserts_the_named_colour(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text(graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text())
+    for colour in ("black", "White"):
+        code, out, _ = run(capsys, "move", str(f), "--site", f"M3 2 {colour}")
+        # the inserted vertex has the largest id, so its line is the last vertex line
+        last = [line for line in out.splitlines() if line.startswith("vertex")][-1]
+        assert code == 0 and last.split()[2] == colour.lower()

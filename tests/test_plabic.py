@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (attach_leaf, insert_bigon, random_le_data,
                      random_plabic_network, random_rational, reweight)
+from oracles import path_matroid, perfect_orientations
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
 from positroid.network import measure
@@ -17,8 +18,7 @@ from positroid.plabic import (PlabicGraph, PlabicNetwork, _transfer_weights, app
                               face_weight_keys, face_weights, faces,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, network_from_le,
-                              parallel_pairs, path_matroid,
-                              perfect_orientations, reduce_graph,
+                              parallel_pairs, reduce_graph,
                               reducedness_certificate, removable_edges,
                               singletons, square_faces, trip_permutation, trips)
 
