@@ -117,7 +117,10 @@ def _read_plabic_graph(path):
 
 def cmd_reduce(args):
     obj = plabic.PlabicGraph.from_text(_read(args.file))
-    red, nsing, trace = plabic.reduce_graph(obj)
+    try:
+        red, nsing, trace = plabic.reduce_graph(obj)
+    except plabic.ReductionStuck as ex:
+        raise PreconditionError(str(ex))
     _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],
            "text": red.to_text()}, args.json)
     return 0
@@ -144,26 +147,9 @@ def cmd_moves(args):
     return 0
 
 
-_SITE_ARITY = {"M1": 2, "M2": 1, "M2u": 3, "M3": 2, "M3r": 1, "R1": 2, "R2": 1, "R3": 1, "Rloop": 1}
-
-
 def cmd_move(args):
     obj = plabic.PlabicGraph.from_text(_read(args.file))
-    kind, *toks = args.site.split() or [""]
-    if _SITE_ARITY.get(kind) != len(toks):
-        raise ValueError(f"bad site {args.site!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
-    colours = []
-    if kind == "M3":
-        colours = [{"black": permutations.BLACK, "white": permutations.WHITE}.get(toks.pop().lower())]
-        if colours[0] is None:
-            raise ValueError(f"bad site {args.site!r}: the colour must be black or white")
-    try:
-        ids = [int(t) for t in toks]
-    except ValueError:
-        raise ValueError(f"bad site {args.site!r}: ids and indices must be integers") from None
-    site = ("M1", tuple(ids)) if kind == "M1" else (kind, *ids, *colours)
-    apply = plabic.apply_reduction if kind[0] == "R" else plabic.apply_move
-    _emit({"text": apply(obj, site).to_text()}, args.json)
+    _emit({"text": plabic.apply_site(obj, plabic.parse_site(args.site)).to_text()}, args.json)
     return 0
 
 

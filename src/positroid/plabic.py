@@ -71,7 +71,7 @@ class PlabicGraph(_DiskGraph):
     @cached_property
     def _interior_faces(self):
         """faces(self), computed once per graph."""
-        outer = self.map.outer_face()
+        outer = self.map.outer_face() if self.n else None   # n = 0: no boundary circle
         return tuple(tuple(d for d in orbit if not isinstance(d[0], tuple))
                      for idx, orbit in enumerate(self.map.faces()) if idx != outer)
 
@@ -121,8 +121,11 @@ class PlabicGraph(_DiskGraph):
         return G
 
 
+_COLOURS = {"black": BLACK, "white": WHITE}
+
+
 def _color(labels):
-    color = {"black": BLACK, "white": WHITE}.get(labels[0].lower()) if len(labels) == 1 else None
+    color = _COLOURS.get(labels[0].lower()) if len(labels) == 1 else None
     if color is None:
         raise ValueError("expected 'vertex v black|white : edge ids'")
     return color
@@ -520,15 +523,7 @@ def _far_dart(G, e, v):
 
 def contracted(G):
     """Repeatedly remove degree-2 vertices and contract unicolored edges."""
-    while True:
-        v = next(_m3r_sites(G), None)
-        if v is not None:
-            G = remove_vertex(G, v)[0]
-            continue
-        e = next(_m2_sites(G), None)
-        if e is None:
-            return G
-        G = contract_edge(G, e)
+    return _reduce_directly(G, [SITE_FINDERS["M3r"], SITE_FINDERS["M2"]], [])
 
 
 # -- reducedness ---------------------------------------------------------------------
@@ -544,25 +539,17 @@ def reducedness_certificate(G):
     if G.isolated_components():
         return False, "isolated component"
     H = contracted(G)
-    for v in H.internal_vertices():
-        if H.degree(v) == 1:
-            e = H.incident(v)[0]
-            w = H.other_end(e, v)
-            if w not in H.boundary:
-                return False, f"internal leaf at vertex {v} (leaf reduction applies)"
+    leaf = next(_leaf_sites(H), None)
+    if leaf is not None:
+        return False, f"internal leaf at vertex {leaf} (leaf reduction applies)"
     T = trips(H)
     if T.round_trips:
         return False, "round trip"
-    # essential (self-)intersections happen at edges with bicolored endpoints
-    def essential(e):
-        u, w = H.edges[e]
-        cu, cw = H.col.get(u), H.col.get(w)
-        return cu is not None and cw is not None and cu != cw
-
+    # essential (self-)intersections happen at bicolored edges
     where = {}
     for i, (_, darts) in T.one_way.items():
         for pos, dart in enumerate(darts):
-            if essential(dart[0]):
+            if _bicolored(H, dart[0]):
                 where.setdefault(dart[0], []).append((i, pos))
     pair_meets = {}
     for e, hits in where.items():
@@ -588,6 +575,12 @@ def reducedness_certificate(G):
 
 def is_reduced(G):
     return reducedness_certificate(G)[0]
+
+
+def _bicolored(G, e):
+    """Whether edge e joins internal vertices of opposite colours."""
+    cu, cw = (G.col.get(x) for x in G.edges[e])
+    return None not in (cu, cw) and cu != cw
 
 
 # -- moves with face weights -----------------------------------------------------------
@@ -662,9 +655,28 @@ def square_faces(G):
     return out
 
 
-# the arguments of each site that name an edge (e) or an internal vertex (v)
-_SITE_IDS = {"M2": "e", "M2u": "v", "M3": "e", "M3r": "v",
-             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e"}
+# The arguments of each kind of site: e an edge id, v an internal vertex, i a
+# rotation index, c a colour, f a face key (two integers in site text).
+# Kinds that start with "M" are moves, the others reductions.
+SITE_ARGS = {"M1": "f", "M2": "e", "M2u": "vii", "M3": "ec", "M3r": "v",
+             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e", "singleton": "v"}
+
+
+def parse_site(text):
+    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black' or 'R1 2 3'."""
+    kind, *toks = text.split() or [""]
+    args = SITE_ARGS.get(kind, "")
+    if not args or len(toks) != len(args) + args.count("f"):
+        raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
+    if args[-1] == "c":
+        toks[-1] = _COLOURS.get(toks[-1].lower())
+        if toks[-1] is None:
+            raise ValueError(f"bad site {text!r}: the colour must be black or white")
+    try:
+        ids = [int(t) for t in toks]
+    except ValueError:
+        raise ValueError(f"bad site {text!r}: ids and indices must be integers") from None
+    return (kind, tuple(ids)) if args == "f" else (kind, *ids)
 
 
 def _bad_site(site, why):
@@ -673,7 +685,7 @@ def _bad_site(site, why):
 
 def _check_site_ids(G, site):
     """Reject a site that names an unknown edge or vertex, or a boundary vertex."""
-    for what, x in zip(_SITE_IDS.get(site[0], ""), site[1:]):
+    for what, x in zip(SITE_ARGS.get(site[0], ""), site[1:]):
         if what == "e" and x not in G.edges:
             raise _bad_site(site, f"no edge {x}")
         if what == "v" and x not in G.rot:
@@ -721,25 +733,12 @@ def apply_move(x, move):
 
 
 def bigon_faces(G):
-    """Two-dart faces between distinct bicolored vertices, any degrees.
+    """Two-dart faces of two bicolored edges, any degrees.
 
     These become R1 sites once high-degree endpoints are uncontracted.
     """
-    out = []
-    for darts in faces(G):
-        if len(darts) != 2:
-            continue
-        (e1, _), (e2, _) = darts
-        if e1 == e2:
-            continue
-        u, w = G.edges[e1]
-        if set(G.edges[e2]) != {u, w} or u == w:
-            continue
-        cu, cw = G.col.get(u), G.col.get(w)
-        if cu is None or cw is None or cu == cw:
-            continue
-        out.append(darts)
-    return out
+    return [darts for darts in faces(G)
+            if len(darts) == 2 and darts[0][0] != darts[1][0] and _bicolored(G, darts[0][0])]
 
 
 def parallel_pairs(G):
@@ -753,10 +752,11 @@ def parallel_pairs(G):
 
 
 def apply_reduction(x, red):
-    """Apply R1 (parallel pair), R2 (leaf), R3 (dipole), or Rloop (loop).
+    """Apply R1 (parallel pair), R2 (leaf), R3 (dipole), Rloop (loop), or
+    remove a vertex without edges.
 
     Sites: ("R1", e1, e2), ("R2", leaf vertex), ("R3", vertex in dipole),
-    ("Rloop", eid).
+    ("Rloop", eid), ("singleton", v).
     """
     G = _graph_of(x)
     _check_site_ids(G, red)
@@ -808,15 +808,11 @@ def apply_reduction(x, red):
         newG = PlabicGraph(G.n, col, edges, rot=rot)
     elif kind == "R3":
         # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
-        v = red[1]
-        comp = next(c for c in G.components() if v in c)
-        if len(comp) != 2:
-            raise ValueError(f"{v} is not in a dipole")
-        a, b = sorted(comp, key=str)
-        es = [e for e, (x2, y2) in G.edges.items() if {x2, y2} == {a, b}]
-        if len(es) != 1 or G.col[a] == G.col[b]:
-            raise ValueError(f"component of {v} is not a dipole")
-        edges = {f: ab for f, ab in G.edges.items() if f != es[0]}
+        a = red[1]
+        b = G.other_end(G.incident(a)[0], a) if G.degree(a) == 1 else None
+        if b is None or b in G.boundary or G.degree(b) != 1 or G.col[a] == G.col[b]:
+            raise ValueError(f"{a} is not in a bicolored dipole")
+        edges = {f: ab for f, ab in G.edges.items() if f != G.incident(a)[0]}
         rot = {x2: ds for x2, ds in G.rot.items() if x2 not in (a, b)}
         col = {x2: c for x2, c in G.col.items() if x2 not in (a, b)}
         newG = PlabicGraph(G.n, col, edges, rot=rot)
@@ -857,9 +853,18 @@ def apply_reduction(x, red):
         if weighted:
             y = x.weight_of(inner)
             adjust = {_face_of(G)[rev(inner[0])]: y, face_key(inner): 1 / y}
+    elif kind == "singleton":
+        if G.degree(red[1]):
+            raise ValueError(f"vertex {red[1]} is not a singleton")
+        newG = remove_singleton(G, red[1])
     else:
         raise ValueError(f"unknown reduction {red!r}")
     return _transfer_weights(x, newG, adjust, rename) if weighted else newG
+
+
+def apply_site(x, site):
+    """apply_move at a move site, apply_reduction at any other."""
+    return (apply_move if site[0][0] == "M" else apply_reduction)(x, site)
 
 
 def singletons(G):
@@ -876,23 +881,20 @@ def remove_singleton(G, v):
 # -- the site-finder table ------------------------------------------------------------
 
 
-def _unicolored(G, u, w):
-    return u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w)
-
-
 def _m3r_sites(G):
     """Internal degree-2 vertices on two distinct edges."""
     return (v for v in G.internal_vertices() if G.degree(v) == 2 and G.rot[v][0][0] != G.rot[v][1][0])
 
 
 def _m2_sites(G):
-    """Unicolored edges by id; an isolated unicolored dipole is left to the leaf finder."""
+    """Unicolored edges by id."""
     return (e for e, (u, w) in sorted(G.edges.items())
-            if _unicolored(G, u, w) and G.degree(u) + G.degree(w) > 2)
+            if u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w))
 
 
 def _loop_sites(G):
-    return (e for e, (u, w) in sorted(G.edges.items()) if u == w)
+    """Loops whose two darts are rotation neighbours, so nothing hangs inside them."""
+    return (e for e, (u, w) in sorted(G.edges.items()) if u == w and _split_pair(G, u, (e,)))
 
 
 def _leaf_sites(G):
@@ -902,133 +904,152 @@ def _leaf_sites(G):
 
 
 def _split_pair(G, v, es):
-    """The M2u site moving the rotation-adjacent darts of the edges es off v, or None."""
-    ds = G.rot[v]
-    d = len(ds)
-    a, b = (t for t, dd in enumerate(ds) if dd[0] in es)
-    if (b - a) % d == 1:
-        return ("M2u", v, a, (b + 1) % d)
+    """The M2u site moving the two darts of the edges es off v, or None when
+    they are not rotation neighbours (the darts of a bigon always are)."""
+    d = G.degree(v)
+    a, b = (t for t, (e, _) in enumerate(G.rot[v]) if e in es)
     if (a - b) % d == 1:
-        return ("M2u", v, b, (a + 1) % d)
-    return None
+        a, b = b, a
+    return ("M2u", v, a, (b + 1) % d) if (b - a) % d == 1 else None
 
 
-def _bigon_step(G, darts):
-    # the bigon's darts are split off a fat endpoint first, so that
-    # uncontracted endpoints are not immediately re-merged
-    es = tuple(e for e, _ in darts)
-    fat = next((v for v in sorted(set(G.edges[es[0]]), key=str) if G.degree(v) > 3), None)
-    if fat is None:
-        return ("R1", min(es), max(es))
-    step = _split_pair(G, fat, es)
-    if step is None:
-        raise AssertionError("bigon darts not adjacent at their endpoint")
-    return step
+def _bigon_step(G, darts, run):
+    # split the bigon's darts off each endpoint of degree above 3, then R1
+    es = {e for e, _ in darts}
+    for v in sorted(set(G.edges[min(es)]), key=str):
+        if G.degree(v) > 3:
+            G = run(_split_pair(G, v, es))
+    run(("R1", min(es), max(es)))
 
 
-def _loop_step(G, loop):
+def _loop_step(G, loop, run):
+    # split the loop off a vertex of degree above 3, separate a neighbour of
+    # the loop's colour by an M3 vertex of the other colour, then Rloop
     v = G.edges[loop][0]
     if G.degree(v) > 3:
-        step = _split_pair(G, v, (loop,))
-        if step is None:
-            raise NotImplementedError("loop with enclosed attachments")
-        return step
+        G = run(_split_pair(G, v, (loop,)))
+        v = G.edges[loop][0]
     e2 = next((f for f, _ in G.rot[v] if f != loop), None)
     if e2 is None:
         raise ValueError(f"no reduction removes the isolated loop {loop}")
     u = G.other_end(e2, v)
     if u not in G.boundary and G.col[u] == G.col[v]:
-        return ("M3", e2, -G.col[v])
-    return ("Rloop", loop)
+        run(("M3", e2, -G.col[v]))
+    run(("Rloop", loop))
 
 
-def _leaf_step(G, leaf):
-    e = G.incident(leaf)[0]
-    w = G.other_end(e, leaf)
-    if G.degree(w) == 1:
-        # a bicolored dipole vanishes; a unicolored one contracts to a singleton
-        return ("R3", leaf) if G.col[leaf] != G.col[w] else ("M2", e)
-    if G.degree(w) >= 3:
-        return ("R2", leaf)
-    raise AssertionError("degree-2 neighbors are removed before leaves")
+def _leaf_step(G, leaf, run):
+    # unicolored edges are contracted first, so a leaf ends a dipole (R3) or
+    # hangs off a vertex of the other colour and of degree >= 3 (R2)
+    w = G.other_end(G.incident(leaf)[0], leaf)
+    run(("R3" if G.degree(w) == 1 else "R2", leaf))
 
 
-# The direct sites of reduce_graph in priority order: kind -> (finder, step).
-# A finder yields the kind's sites of a graph in the order reduce_graph takes
-# them; the step turns a site into the move or reduction applied there.
+# The direct sites of reduce_graph in priority order: row -> (finder, step).
+# A finder yields the row's sites of a graph in the order reduce_graph takes
+# them.  step(G, site, run) applies, through run, the whole composite that
+# removes the site: preparatory moves and the reduction together.  run(s)
+# applies the site s to the object being reduced, records s in the trace and
+# returns the new graph.  Every composite shrinks _size.
 SITE_FINDERS = {
-    "M3r": (_m3r_sites, lambda G, v: ("M3r", v)),
+    "singleton": (singletons, lambda G, v, run: run(("singleton", v))),
+    "M3r": (_m3r_sites, lambda G, v, run: run(("M3r", v))),
     "bigon": (bigon_faces, _bigon_step),
-    "M2": (_m2_sites, lambda G, e: ("M2", e)),
+    "M2": (_m2_sites, lambda G, e, run: run(("M2", e))),
     "loop": (_loop_sites, _loop_step),
     "leaf": (_leaf_sites, _leaf_step),
 }
 
+# the longest square-move sequence reduce_graph searches for a hidden site
+SQUARE_DEPTH = 6
 
-def _direct_step(G):
-    """The move or reduction at the first direct site, or None when there is none."""
-    for find, step in SITE_FINDERS.values():
+
+class ReductionStuck(ValueError):
+    """reduce_graph found no reduction, not even behind SQUARE_DEPTH square moves,
+    yet the graph is not reduced; witness is reducedness_certificate's reason."""
+
+    def __init__(self, witness):
+        super().__init__(f"no reduction within {SQUARE_DEPTH} square moves, "
+                         f"but the graph is not reduced: {witness}")
+        self.witness = witness
+
+
+def _size(G):
+    """Faces plus edges, a singleton counting as the face of its empty walk (the
+    map's orbits, traced when G was built, add the outer face: a constant)."""
+    return len(G.map.faces()) + len(G.edges) + sum(1 for ds in G.rot.values() if not ds)
+
+
+def _first_site(G, rows):
+    """(step, site) at the first site of the first row that has one, or None."""
+    for find, step in rows:
         site = next(iter(find(G)), None)
         if site is not None:
-            return step(G, site)
+            return step, site
     return None
+
+
+def _reduce_directly(x, rows, trace):
+    """Apply the composite at the first site of the rows until none is left.
+
+    Each composite shrinks _size, so there are at most _size(x) of them.
+    """
+    def run(site):
+        nonlocal x
+        trace.append(site)
+        x = apply_site(x, site)
+        return _graph_of(x)
+
+    G = _graph_of(x)
+    size = _size(G)
+    while (found := _first_site(G, rows)) is not None:
+        step, site = found
+        step(G, site, run)
+        G = _graph_of(x)
+        size, before = _size(G), size
+        assert size < before, f"the composite ending in {trace[-1]} did not shrink the graph"
+    return x
 
 
 def move_sites(G):
     """The sites of M1, M2, M3r and R1; M2 lists every unicolored edge."""
     return {"M1": square_faces(G),
-            "M2": [e for e, (u, w) in sorted(G.edges.items()) if _unicolored(G, u, w)],
+            "M2": list(_m2_sites(G)),
             "M3r": sorted(_m3r_sites(G)),
             "R1": parallel_pairs(G)}
 
 
-def reduce_graph(x, max_square_depth=6):
+def reduce_graph(x):
     """Transform into a reduced plabic graph/network plus removed singletons.
 
     Returns (reduced object, singleton count, trace).  The trace lists the
-    applied operations and is replayable with apply_move/apply_reduction.
-    Direct sites come from SITE_FINDERS.  Hidden reduction sites are
-    searched for with a breadth-first sweep of square moves (the only
-    structure-preserving move that can expose one).
+    applied sites and replays with apply_move/apply_reduction.  Direct sites
+    come from SITE_FINDERS, and each composite lowers _size (faces + edges
+    + singletons), so the loop ends after at most _size(x) composites plus
+    the square moves.  Hidden sites are searched for with a breadth-first
+    sweep of square moves (the only structure-preserving move that can
+    expose one); when that finds none, ReductionStuck names the
+    reducedness witness.
     """
-    weighted = isinstance(x, PlabicNetwork)
-    cur = x
     trace = []
-    removed = 0
     while True:
-        G = _graph_of(cur)
-        sing = singletons(G)
-        if sing:
-            v = sing[0]
-            newG = remove_singleton(G, v)
-            trace.append(("singleton", v))
-            removed += 1
-            cur = _transfer_weights(cur, newG) if weighted else newG
-            continue
-        step = _direct_step(G)
-        if step is not None:
-            trace.append(step)
-            cur = (apply_reduction if step[0][0] == "R" else apply_move)(cur, step)
-            continue
-        ok, _ = reducedness_certificate(G)
+        x = _reduce_directly(x, SITE_FINDERS.values(), trace)
+        ok, witness = reducedness_certificate(_graph_of(x))
         if ok:
-            return cur, removed, trace
-        # hidden site: breadth-first over square moves until a reduction shows
-        found = _square_search(cur, max_square_depth)
+            return x, sum(site[0] == "singleton" for site in trace), trace
+        found = _square_search(_graph_of(x))
         if found is None:
-            raise RuntimeError("could not expose a reduction with square moves "
-                               f"within depth {max_square_depth}")
+            raise ReductionStuck(witness)
         for key in found:
             trace.append(("M1", key))
-            cur = apply_move(cur, ("M1", key))
+            x = apply_move(x, ("M1", key))
 
 
-def _square_search(cur, depth):
+def _square_search(start):
     """Shortest square-move sequence after which a direct site appears."""
-    start = _graph_of(cur)
     seen = {start.canonical()}
     frontier = [(start, [])]
-    for _ in range(depth):
+    for _ in range(SQUARE_DEPTH):
         nxt = []
         for G, path in frontier:
             for key in square_faces(G):
@@ -1037,7 +1058,7 @@ def _square_search(cur, depth):
                 if c in seen:
                     continue
                 seen.add(c)
-                if any(next(iter(find(H)), None) is not None for find, _ in SITE_FINDERS.values()):
+                if _first_site(H, SITE_FINDERS.values()) is not None:
                     return path + [key]
                 nxt.append((H, path + [key]))
         frontier = nxt
@@ -1083,30 +1104,22 @@ def edge_weights_from_faces(N, orient):
     single undetermined edge.
     """
     G = N.graph
-    # spanning forest by lowest-index traversal from the boundary
-    in_forest = set()
-    seen = set(range(1, G.n + 1))
-    frontier = sorted(range(1, G.n + 1))
     adj = {}
     for e, (u, w) in G.edges.items():
         adj.setdefault(u, []).append((e, w))
         adj.setdefault(w, []).append((e, u))
-    while True:
-        progress = False
-        for v in list(frontier):
+    # spanning forest by breadth-first search from the whole boundary, then
+    # from the first unreached vertex (str order) of each isolated component
+    seen, in_forest = set(), set()
+    for roots in [range(1, G.n + 1), *([v] for v in sorted(G.rot, key=str))]:
+        queue = [v for v in roots if v not in seen]
+        seen.update(queue)
+        for v in queue:
             for e, w in sorted(adj.get(v, [])):
                 if w not in seen:
                     seen.add(w)
                     in_forest.add(e)
-                    frontier.append(w)
-                    progress = True
-        if not progress:
-            rest = [v for v in G.rot if v not in seen]
-            if not rest:
-                break
-            root = sorted(rest, key=str)[0]
-            seen.add(root)
-            frontier.append(root)
+                    queue.append(w)
     x = {e: Fraction(1) for e in in_forest}
     unknown = set(G.edges) - in_forest
     fd = {face_key(darts): darts for darts in faces(G)}
@@ -1121,8 +1134,7 @@ def edge_weights_from_faces(N, orient):
         progress = False
         for key, darts in fd.items():
             open_darts = [d for d in darts if d[0] in unknown]
-            open_edges = {d[0] for d in open_darts}
-            if len(open_edges) != 1 or len(open_darts) != 1:
+            if len(open_darts) != 1:
                 continue
             (dart,) = open_darts
             e = dart[0]

@@ -207,3 +207,47 @@ def insert_bigon(G, e, rng):
     col[m1] = rng.choice([BLACK, WHITE])
     col[m2] = -col[m1]
     return PlabicGraph(G.n, col, edges, rot=rot), (ep, eq)
+
+
+def random_decorated_permutation(rng, n):
+    from positroid.permutations import BLACK, WHITE, DecoratedPermutation
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    fixed = [i for i in perm if perm[i - 1] == i]
+    return DecoratedPermutation(perm, {i: rng.choice([BLACK, WHITE]) for i in fixed})
+
+
+def _middle_vertex(G, dart, colr, chord):
+    """M3 on the dart's edge, leaving room for the chord's dart at the new vertex.
+
+    Returns the new graph, the middle vertex m, and m's rotation with the
+    chord's dart on the dart's left: the face on the left of the dart then
+    turns into the chord at m.
+    """
+    from positroid.plabic import insert_vertex
+    H, _ = insert_vertex(G, dart[0], colr)
+    (m,) = set(H.rot) - set(G.rot)
+    first, second = H.rot[m]        # towards the edge's tail, towards its head
+    return H, m, (first, chord, second) if dart[1] == 0 else (first, second, chord)
+
+
+def chord_graph(rng, n, chords):
+    """graph_from_perm of a random cell of n, with chords drawn across faces.
+
+    Each chord joins middle vertices (M3, random colours) put on two
+    distinct edges of one face.  Chords make round trips, bad double
+    crossings, bigons, loops (once unicolored edges are contracted) and
+    vertices of high degree, which reduce_graph must undo.
+    """
+    from positroid.permutations import BLACK, WHITE
+    from positroid.plabic import faces, graph_from_perm
+    G = graph_from_perm(random_decorated_permutation(rng, n))
+    for _ in range(chords):
+        face = rng.choice([f for f in faces(G) if len({e for e, _ in f}) >= 2])
+        d1 = rng.choice(face)
+        d2 = rng.choice([d for d in face if d[0] != d1[0]])
+        c = max(G.edges) + 5        # above the four edge ids the two M3 take
+        H, m1, r1 = _middle_vertex(G, d1, rng.choice([BLACK, WHITE]), (c, 0))
+        H, m2, r2 = _middle_vertex(H, d2, rng.choice([BLACK, WHITE]), (c, 1))
+        G = PlabicGraph(n, H.col, {**H.edges, c: (m1, m2)}, rot={**H.rot, m1: r1, m2: r2})
+    return G

@@ -338,3 +338,112 @@ def test_move_m3_inserts_the_named_colour(capsys, tmp_path):
         # the inserted vertex has the largest id, so its line is the last vertex line
         last = [line for line in out.splitlines() if line.startswith("vertex")][-1]
         assert code == 0 and last.split()[2] == colour.lower()
+
+
+# -- reduce always ends: reduced output, or exit 2 naming the witness -----------------
+
+LOOP_AT_FAT_VERTEX = """n 5
+vertex 11 white : 3 8 4
+vertex 17 black : 13 11 4 7 14 13
+edge 3 : 3 11
+edge 4 : 11 17
+edge 7 : 17 5
+edge 8 : 11 4
+edge 11 : 2 17
+edge 13 : 17 17
+edge 14 : 1 17
+"""
+
+LOOP_FROM_CONTRACTIONS = """n 5
+vertex 7 black : 19 20
+vertex 9 black : 2 3
+vertex 11 black : 12
+vertex 13 black : 13 17 18
+vertex 15 black : 21 17 16
+vertex 18 black : 18 19 22
+vertex 20 black : 20 21 22
+edge 2 : 4 9
+edge 3 : 9 5
+edge 12 : 11 1
+edge 13 : 2 13
+edge 16 : 15 3
+edge 17 : 13 15
+edge 18 : 13 18
+edge 19 : 18 7
+edge 20 : 7 20
+edge 21 : 20 15
+edge 22 : 18 20
+"""
+
+NO_SQUARE_EXPOSES_A_SITE = """n 6
+vertex 8 black : 2 8
+vertex 9 white : 24 10 2
+vertex 12 black : 10 3 11
+vertex 13 black : 22 7
+vertex 14 black : 8 5 18
+vertex 15 black : 11 4 20
+vertex 17 white : 18 9 21
+vertex 19 white : 20 12 5
+vertex 21 black : 21 22 25
+vertex 23 black : 23 24 25
+edge 2 : 9 8
+edge 3 : 2 12
+edge 4 : 3 15
+edge 5 : 19 14
+edge 7 : 13 6
+edge 8 : 8 14
+edge 9 : 17 5
+edge 10 : 9 12
+edge 11 : 12 15
+edge 12 : 19 4
+edge 18 : 14 17
+edge 20 : 15 19
+edge 21 : 17 21
+edge 22 : 21 13
+edge 23 : 1 23
+edge 24 : 23 9
+edge 25 : 21 23
+"""
+
+
+@pytest.mark.parametrize("text, edges", [(LOOP_AT_FAT_VERTEX, 4), (LOOP_FROM_CONTRACTIONS, 4)],
+                         ids=["loop-at-fat-vertex", "loop-from-contractions"])
+def test_reduce_removes_loops(capsys, tmp_path, text, edges):
+    from positroid.plabic import PlabicGraph, is_reduced, matroid, perfect_orientation
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "reduce", str(f))
+    red, G = PlabicGraph.from_text(out), PlabicGraph.from_text(text)
+    assert code == 0 and is_reduced(red) and len(red.edges) == edges
+    if perfect_orientation(G) is not None:
+        assert matroid(red) == matroid(G)
+
+
+def test_reduce_stuck_exit_2_names_the_witness(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text(NO_SQUARE_EXPOSES_A_SITE)
+    code, out, err = run(capsys, "reduce", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition failed: ") and err.count("\n") == 1
+    assert err.endswith("not reduced: bad double crossing of trips from b_5, b_6 at edges 21, 20\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "moves"])
+def test_empty_disk_n_0(capsys, tmp_path, command):
+    f = tmp_path / "g.txt"
+    f.write_text("n 0\n")
+    code, out, _ = run(capsys, command, str(f), "--json")
+    data = json.loads(out)
+    assert code == 0
+    if command == "reduce":
+        assert data == {"singletons": 0, "trace": [], "text": "n 0\n"}
+    else:
+        assert data["sites"] == {"M1": [], "M2": [], "M3r": [], "R1": []}
+
+
+def test_move_removes_a_singleton(capsys, tmp_path):
+    text = graph_from_perm(DecoratedPermutation((2, 1))).to_text()
+    f = tmp_path / "g.txt"
+    f.write_text(text + "vertex 9 black :\n")
+    code, out, _ = run(capsys, "move", str(f), "--site", "singleton 9")
+    assert (code, out) == (0, text)

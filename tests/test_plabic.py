@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (attach_leaf, insert_bigon, random_le_data,
+from helpers import (attach_leaf, chord_graph, insert_bigon, random_le_data,
                      random_plabic_network, random_rational, reweight)
 from oracles import path_matroid, perfect_orientations
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
@@ -12,13 +12,13 @@ from positroid.network import measure
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
                                     minimal_permutation, rank, top_permutation)
-from positroid.plabic import (PlabicGraph, PlabicNetwork, _transfer_weights, apply_move,
-                              apply_reduction, contracted, delete_edge,
+from positroid.plabic import (PlabicGraph, PlabicNetwork, ReductionStuck, _transfer_weights,
+                              apply_move, apply_reduction, contracted, delete_edge,
                               edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, network_from_le,
-                              parallel_pairs, reduce_graph,
+                              parallel_pairs, perfect_orientation, reduce_graph,
                               reducedness_certificate, removable_edges,
                               singletons, square_faces, trip_permutation, trips)
 
@@ -442,6 +442,50 @@ def test_reduce_exposes_hidden_sites():
         G, _ = insert_bigon(G, internal_edges[0], rng)
     red, nsing, trace = reduce_graph(G)
     assert is_reduced(red)
+
+
+def _composites(trace):
+    """reduce_graph's trace cut into composites: the M2u and M3 moves that
+    prepare a site together with the site; a square move stands alone."""
+    out, cur = [], []
+    for site in trace:
+        cur.append(site)
+        if site[0] not in ("M2u", "M3"):
+            out.append(cur)
+            cur = []
+    assert cur == []
+    return out
+
+
+def _size(G):
+    return len(faces(G)) + len(G.edges) + len(singletons(G))
+
+
+def test_reduce_chord_corpus():
+    # chords across faces of reduced graphs: every graph reduces, or fails with the named error
+    reduced = 0
+    for seed in range(300):
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        try:
+            red, _, trace = reduce_graph(G)
+        except ReductionStuck as ex:
+            assert ex.witness and ex.witness in str(ex)
+            continue
+        reduced += 1
+        assert is_reduced(red)
+        assert sum(site[0] != "M1" for site in trace) <= 3 * (len(faces(G)) + len(G.edges))
+        cur = G
+        for comp in _composites(trace):
+            size = _size(cur)
+            for site in comp:
+                cur = (apply_move if site[0][0] == "M" else apply_reduction)(cur, site)
+            assert len(comp) <= 3
+            assert comp[0][0] == "M1" or _size(cur) < size, (seed, comp)
+        assert cur.to_text() == red.to_text()
+        if perfect_orientation(G) is not None:
+            assert matroid(red) == matroid(G)
+    assert reduced >= 290
 
 
 def _rewrite_site(kind):
