@@ -7,28 +7,34 @@ when isolated.  Internal vertices are any other integer ids.
 
 The boundary measurement M_ij sums over all directed walks from b_i to
 b_j, each weighted by its edge-weight product and signed by the parity of
-its winding index.  The walk sum is evaluated in closed form: every walk
-decomposes uniquely into a self-avoiding path with closed excursions at
-its vertices, each avoiding the earlier path vertices, and the signed
-excursion sums collapse to
+its winding index.  The walk sum is evaluated on the perfect trivalent
+form of the network (`perfect_and_trivalent` preserves it).  There every
+internal vertex has its in-edges side by side, so every walk is smooth at
+every vertex and erasing a simple cycle from a walk flips its winding
+parity; at a vertex whose edges run in, out, in, out, erasing a loop need
+not.
 
-    M_ij = sum over self-avoiding paths P of
-           x_P / prod over vertices v_j of P of D(v_j, earlier vertices),
+Acyclic networks have no cycles and no signs: M_ij is a path sum, one
+pass per source in topological order.  On a cyclic network, edge signs
+eps_e = +-1 with eps(C) = -1 on every simple directed cycle C (Kasteleyn
+signs of the network with each vertex split into in- and out-halves)
+turn the winding sign of a walk into eps(walk) eps(P_ij), by loop
+erasure, where P_ij is any path from b_i to b_j.  So
 
-where D(v, F) = 1 + sum over simple cycles C at v avoiding F of x_C
-divided by the D-values of the intermediate cycle vertices (with v and
-the earlier cycle vertices added to F).  The recursive denominators
-account for cycles nested inside inserted cycles; the truncated formal
-series cross-check pins this down coefficientwise.
+    M_ij = eps(P_ij) [(I - W)^-1]_ij,   W_vw = sum of eps_e x_e over e: v -> w,
+
+and one exact sparse elimination of I - W gives the whole matrix
+(Talaska's flow ratios as determinants, after Speyer's "Variations on a
+theme of Kasteleyn").
 
 All arithmetic is exact rational.
 """
 
+import heapq
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import count
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .permutations import _alignment_cond, _crossing_cond
 from .planarmaps import _DiskGraph, components, fresh_ids, parse_disk_text
 
 
@@ -157,178 +163,7 @@ def _at_most_one(labels):
         raise ValueError("expected 'vertex v [kind] : edge ids'")
 
 
-# -- walks and winding ---------------------------------------------------------
-
-
-class Walk:
-    """A directed walk given by its edge-id sequence."""
-
-    def __init__(self, eids):
-        self.eids = tuple(eids)
-
-    def vertices(self, net):
-        if not self.eids:
-            raise ValueError("empty walk")
-        verts = [net.tail(self.eids[0])]
-        for e in self.eids:
-            if net.tail(e) != verts[-1]:
-                raise ValueError(f"walk breaks at edge {e}")
-            verts.append(net.head(e))
-        return verts
-
-
-def _erasable_cycles(verts):
-    """All (j, i) with verts[j] == verts[i] and verts[j..i-1] distinct."""
-    out = []
-    for i in range(1, len(verts)):
-        for j in range(i):
-            if verts[j] == verts[i] and len(set(verts[j:i])) == i - j:
-                out.append((j, i))
-    return out
-
-
-def winding_index(net, walk, rng=None):
-    """Winding index of a boundary-to-boundary walk.
-
-    Computed by repeatedly erasing a simple cycle and adding +1 when the
-    cycle runs counterclockwise, -1 when clockwise; the result does not
-    depend on the erasure order.  By default the first self-intersection
-    is erased; pass a random generator to randomize the choice.
-    """
-    if isinstance(walk, Walk):
-        eids = list(walk.eids)
-    else:
-        eids = list(walk)
-    verts = Walk(eids).vertices(net)
-    for v in (verts[0], verts[-1]):
-        if v not in net.boundary:
-            raise ValueError("winding index is defined for boundary-to-boundary walks")
-    wind = 0
-    while True:
-        cands = _erasable_cycles(verts)
-        if not cands:
-            return wind
-        j, i = cands[0] if rng is None else rng.choice(cands)
-        wind += net.map.cycle_orientation(eids[j:i])
-        del verts[j:i]
-        del eids[j:i]
-
-
-# -- path and cycle enumeration --------------------------------------------------
-
-
-def _simple_paths(net, src, dst):
-    """Self-avoiding directed paths from src to dst as edge-id lists."""
-    out = []
-    path = []
-    visited = {src}
-
-    def dfs(v):
-        if v == dst:
-            out.append(list(path))
-            return
-        for e in net.out_edges(v):
-            w = net.head(e)
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(e)
-            dfs(w)
-            path.pop()
-            visited.remove(w)
-
-    dfs(src)
-    return out
-
-
-def _simple_cycles_at(net, v, forbidden):
-    """Simple directed cycles from v back to v avoiding the forbidden set."""
-    out = []
-    path = []
-    visited = set()
-
-    def dfs(u):
-        for e in net.out_edges(u):
-            w = net.head(e)
-            if w == v:
-                out.append(path + [e])
-            elif w not in visited and w not in forbidden:
-                visited.add(w)
-                path.append(e)
-                dfs(w)
-                path.pop()
-                visited.remove(w)
-
-    if v not in forbidden:
-        dfs(v)
-    return out
-
-
-def _path_weight(net, eids):
-    x = Fraction(1)
-    for e in eids:
-        x *= net.weight(e)
-    return x
-
-
-def _excursion_denominator(net, v, forbidden, memo):
-    """1 + the signed-collapsed weight of closed excursions at v.
-
-    A closed walk at v avoiding the forbidden set is a sequence of
-    irreducible loops; each loop erases to a simple cycle C at v carrying
-    its own nested excursions at the later cycle vertices.  Summing the
-    geometric series over loop sequences, the excursion generating
-    function is the reciprocal of
-
-        1 + sum over simple cycles C at v (avoiding forbidden) of
-            x_C / prod over intermediate vertices w of C (in order) of
-            the denominator at w with v and the earlier cycle vertices
-            also forbidden.
-
-    The naive 1 + sum of x_C misses loops nested inside inserted cycles;
-    the recursion is what the signed walk sum actually collapses to, and
-    it is validated coefficientwise against the formal series.
-    """
-    key = (v, frozenset(forbidden))
-    if key in memo:
-        return memo[key]
-    total = Fraction(0)
-    for cyc in _simple_cycles_at(net, v, forbidden):
-        term = _path_weight(net, cyc)
-        inner = set(forbidden)
-        inner.add(v)
-        for w in Walk(cyc).vertices(net)[1:-1]:
-            term /= _excursion_denominator(net, w, inner, memo)
-            inner.add(w)
-        total += term
-    memo[key] = 1 + total
-    return memo[key]
-
-
-def _cycle_correction(net, path_vertices, upto, extra_forbidden=(), memo=None):
-    """prod over path vertices of the excursion factors, exact."""
-    factor = Fraction(1)
-    forbidden = set(extra_forbidden)
-    if memo is None:
-        memo = {}
-    for v in path_vertices[:upto]:
-        factor /= _excursion_denominator(net, v, forbidden, memo)
-        forbidden.add(v)
-    return factor
-
-
-def boundary_measurement(net, i, j):
-    """M_ij, the exact signed walk sum from source b_i to sink b_j."""
-    if i not in net.sources():
-        raise ValueError(f"b_{i} is not a source")
-    if j not in net.sinks():
-        raise ValueError(f"b_{j} is not a sink")
-    total = Fraction(0)
-    memo = {}
-    for eids in _simple_paths(net, i, j):
-        verts = Walk(eids).vertices(net)
-        total += _path_weight(net, eids) * _cycle_correction(net, verts, len(verts), memo=memo)
-    return total
+# -- boundary measurements -------------------------------------------------------
 
 
 def _path_sums(net, order, src):
@@ -348,134 +183,162 @@ def _path_sums(net, order, src):
     return total
 
 
+def _kasteleyn_signs(P):
+    """Edge signs eps_e = +-1 of a perfect trivalent network P with
+    eps(C) = -1 on every simple directed cycle C.
+
+    Split every vertex v into v_in - v_out (in-edges at v_in, out-edges at
+    v_out; the split stays planar because the in-darts of a trivalent
+    vertex are consecutive) and sign the identity edges +1.  Kasteleyn's
+    rule on that bipartite graph, with eps = -kappa on the edges of P,
+    asks each interior face f (no boundary arc) for
+
+        prod over e in f of eps_e = (-1)^(len f + (len f + transit f)/2 + 1),
+
+    where transit f counts the corners of f between an in- and an
+    out-edge, that is the consecutive darts of f with the same end.
+    Every component of P reaches the boundary, so the faces are disks.
+    Edges off a dual spanning tree (rooted at the faces on the boundary
+    circle) keep +1; the tree edges are then fixed from the leaves in.
+    """
+    faces = P.map.faces()
+    face_of = {d: f for f, orbit in enumerate(faces) for d in orbit}
+    order = [f for f, orbit in enumerate(faces) if any(isinstance(e, tuple) for e, _ in orbit)]
+    parent = {}
+    seen = set(order)
+    for f in order:
+        for e, end in faces[f]:
+            if isinstance(e, tuple):
+                continue            # a boundary arc
+            g = face_of[(e, 1 - end)]
+            if g not in seen:
+                seen.add(g)
+                parent[g] = e
+                order.append(g)
+    sign = dict.fromkeys(P.edges, 1)
+    for f in reversed(order):
+        if f not in parent:
+            continue
+        orbit = faces[f]
+        transit = sum(1 for a, b in zip(orbit, orbit[1:] + orbit[:1]) if a[1] == b[1])
+        want = (-1) ** (len(orbit) + (len(orbit) + transit) // 2 + 1)
+        have = 1
+        for e, _ in orbit:
+            have *= sign[e]
+        if have != want:
+            sign[parent[f]] = -1
+    return sign
+
+
+def _signed_walk_sums(P, sign):
+    """[(I - W)^-1]_ij for every source i and sink j of P, where W_vw sums
+    sign_e x_e over the edges v -> w.
+
+    Gaussian elimination of I - W one internal vertex at a time, which on
+    the graph reads: every walk u -> v -> w through an eliminated v adds
+    W_uv W_vw / (1 - W_vv) to W_uw.  What is left joins sources to sinks
+    directly.  Every principal minor of I - W is a positive sum over
+    families of disjoint cycles (eps(C) = -1), so no pivot is zero.  The
+    pivot order is Markowitz's: the fewest in- times out-neighbours next.
+    """
+    out = {v: {} for v in P.rot}
+    into = {v: set() for v in P.rot}
+    for e, (u, w, x) in P.edges.items():
+        out[u][w] = out[u].get(w, 0) + sign[e] * x
+        into[w].add(u)
+
+    def cost(v):
+        return (len(into[v]) - (v in into[v])) * (len(out[v]) - (v in out[v]))
+
+    tick = count()
+    heap = [(cost(v), next(tick), v) for v in P.internal_vertices()]
+    heapq.heapify(heap)
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if v not in into or c != cost(v):
+            continue
+        succ, pred = out.pop(v), into.pop(v)
+        loop = succ.pop(v, 0)
+        pred.discard(v)
+        if loop:
+            succ = {w: b / (1 - loop) for w, b in succ.items()}
+        for w in succ:
+            into[w].discard(v)
+        for u in pred:
+            row = out[u]
+            a = row.pop(v)
+            for w, b in succ.items():
+                row[w] = row.get(w, 0) + a * b
+                into[w].add(u)
+        for t in pred | succ.keys():
+            if t not in P.boundary:
+                heapq.heappush(heap, (cost(t), next(tick), t))
+    return out
+
+
+def _measurements(net, I):
+    """M_ij for each source i in I, as a dict sink -> value (0 left out).
+
+    Acyclic networks: one path-sum pass per source.  Cyclic ones: one
+    Kasteleyn-signed elimination on the perfect trivalent form P, and
+    M_ij = eps(P_ij) [(I - W)^-1]_ij for any directed path P_ij from b_i
+    to b_j, found by one search per source; all such paths have one sign.
+    """
+    order = net.topological_order()
+    if order is not None:
+        return {i: _path_sums(net, order, i) for i in I}
+    P = perfect_and_trivalent(net)
+    sign = _kasteleyn_signs(P)
+    walks = _signed_walk_sums(P, sign)
+    out = {}
+    for i in I:
+        eps = {i: 1}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for e in P.out_edges(v):
+                w = P.head(e)
+                if w not in eps:
+                    eps[w] = eps[v] * sign[e]
+                    stack.append(w)
+        out[i] = {j: eps[j] * x for j, x in walks[i].items()}
+    return out
+
+
+def boundary_measurement(net, i, j):
+    """M_ij, the exact signed walk sum from source b_i to sink b_j."""
+    if i not in net.sources():
+        raise ValueError(f"b_{i} is not a source")
+    if j not in net.sinks():
+        raise ValueError(f"b_{j} is not a sink")
+    return _measurements(net, [i])[i].get(j, Fraction(0))
+
+
 def boundary_measurement_matrix(net):
     """The k x n matrix A(N) with A_I = Id and signed measurements elsewhere.
 
     Row r (for the r-th source i_r) has entry (-1)^s M_{i_r, j} in each sink
-    column j, where s counts sources strictly between i_r and j.  Acyclic
-    networks take one path-sum pass per source, in polynomial time; cyclic
-    ones sum each entry with the exhaustive `boundary_measurement`.
+    column j, where s counts sources strictly between i_r and j.  Both the
+    acyclic and the cyclic route take polynomial time (see `_measurements`).
     """
     I = sorted(net.sources())
     if not I:
         raise ValueError("network has no sources")
     k = len(I)
-    order = net.topological_order()
+    M = _measurements(net, I)
     rows = [[Fraction(0)] * net.n for _ in range(k)]
     for r, ir in enumerate(I):
         rows[r][ir - 1] = Fraction(1)
-        reach = None if order is None else _path_sums(net, order, ir)
         for j in sorted(net.sinks()):
             lo, hi = min(ir, j), max(ir, j)
             s = sum(1 for x in I if lo < x < hi)
-            m = boundary_measurement(net, ir, j) if reach is None else reach.get(j, 0)
-            rows[r][j - 1] = (-1) ** s * m
+            rows[r][j - 1] = (-1) ** s * M[ir].get(j, 0)
     return RationalMatrix(rows)
 
 
 def measure(net):
     """The Plucker vector of the boundary measurement matrix."""
     return plucker_vector(boundary_measurement_matrix(net))
-
-
-# -- the general loop-erased minor formula ---------------------------------------
-
-
-def chord_class(n, a, pa, b, pb):
-    """Mutual position of directed chords a->pa and b->pb on the circle.
-
-    All four endpoints must be distinct.  Returns 'crossing', 'alignment'
-    or 'misalignment'.
-    """
-    if len({a, pa, b, pb}) != 4:
-        raise ValueError("chord endpoints must be distinct")
-    if _crossing_cond(n, a, pa, b, pb) or _crossing_cond(n, b, pb, a, pa):
-        return "crossing"
-    if _alignment_cond(n, a, pa, b, pb) or _alignment_cond(n, b, pb, a, pa):
-        return "alignment"
-    return "misalignment"
-
-
-def minor_loop_erased(net, J):
-    """Delta_J(A(N)) evaluated directly by the admissible-collection formula.
-
-    Sums over families of pairwise compatible self-avoiding paths from the
-    sources K = I \\ J to the sinks L = J \\ I whose connection pattern has
-    no crossings and whose aligned members are disjoint, each corrected by
-    the geometric series over insertable simple cycles.  This is the
-    independent evaluator used to cross-check the minor computed through
-    the boundary measurement matrix.
-    """
-    I = sorted(net.sources())
-    J = sorted(J)
-    if len(J) != len(I):
-        raise ValueError(f"J must be a {len(I)}-subset")
-    K = [i for i in I if i not in J]
-    L = [j for j in J if j not in I]
-    if not K:
-        return Fraction(1)
-    paths = {a: {} for a in K}
-    for a in K:
-        for b in L:
-            paths[a][b] = _simple_paths(net, a, b)
-    total = Fraction(0)
-    for targets in permutations(L):
-        pi = dict(zip(K, targets))
-        if any(chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "crossing"
-               for s, t in combinations(range(len(K)), 2)):
-            continue
-        aligned = {(s, t) for s, t in combinations(range(len(K)), 2)
-                   if chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "alignment"}
-
-        def collect(idx, chosen):
-            nonlocal total
-            if idx == len(K):
-                contrib = Fraction(1)
-                for t, eids in enumerate(chosen):
-                    verts = Walk(eids).vertices(net)
-                    blocked = set()
-                    for s in range(t):
-                        if (s, t) in aligned:
-                            blocked |= set(Walk(chosen[s]).vertices(net))
-                    contrib *= _path_weight(net, eids)
-                    contrib *= _cycle_correction(net, verts, len(verts), blocked)
-                total += contrib
-                return
-            a = K[idx]
-            for eids in paths[a][pi[a]]:
-                vs = set(Walk(eids).vertices(net))
-                ok = True
-                for s in range(idx):
-                    if (s, idx) in aligned:
-                        prev = set(Walk(chosen[s]).vertices(net))
-                        if vs & prev:
-                            ok = False
-                            break
-                if ok:
-                    collect(idx + 1, chosen + [eids])
-
-        collect(0, [])
-    return total
-
-
-def minor_by_bijections(net, J):
-    """Delta_J(A(N)) via the signed sum over source-to-sink bijections."""
-    I = sorted(net.sources())
-    J = sorted(J)
-    K = [i for i in I if i not in J]
-    L = [j for j in J if j not in I]
-    if not K:
-        return Fraction(1)
-    total = Fraction(0)
-    for targets in permutations(L):
-        pi = dict(zip(K, targets))
-        xing = sum(1 for s, t in combinations(range(len(K)), 2)
-                   if chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "crossing")
-        term = Fraction(1)
-        for a in K:
-            term *= boundary_measurement(net, a, pi[a])
-        total += (-1) ** xing * term
-    return total
 
 
 # -- measurement-preserving transformations --------------------------------------
@@ -553,12 +416,12 @@ def switch_orientation(net, H):
 def perfect_and_trivalent(net):
     """Equivalent perfect network with trivalent internal vertices.
 
-    Applies, in order: removal of isolated components and of internal
-    sources/sinks, merging of internal degree-2 vertices, pulling boundary
-    vertices to degree 1, then splitting high-degree vertices (same-
-    direction neighbor pull-outs, and blow-up of alternating vertices
-    into weight-1 cycles, doubling the weights of edges leaving the new
-    cycle).  Boundary measurements are preserved exactly.
+    Applies, in order: removal of internal sources/sinks and then of
+    components without a boundary vertex, merging of internal degree-2
+    vertices, pulling boundary vertices to degree 1, then splitting
+    high-degree vertices (same-direction neighbor pull-outs, and blow-up
+    of alternating vertices into weight-1 cycles, doubling the weights of
+    edges leaving the new cycle).  Boundary measurements are preserved exactly.
     """
     edges = dict(net.edges)
     rot = {v: list(ds) for v, ds in net.rot.items()}
@@ -575,14 +438,6 @@ def perfect_and_trivalent(net):
                 rot[u] = [d for d in rot[u] if d[0] != e]
         del rot[v]
 
-    # isolated components never touch a boundary path
-    seen = set()
-    for comp in components(rot, [(a, b) for a, b, _ in edges.values()]):
-        if any(v in net.boundary for v in comp):
-            seen |= comp
-    for v in [v for v in rot if v not in seen]:
-        drop_vertex(v)
-
     # cascade removal of internal sources and sinks
     changed = True
     while changed:
@@ -595,6 +450,15 @@ def perfect_and_trivalent(net):
             if not outs or not ins:
                 drop_vertex(v)
                 changed = True
+
+    # components without a boundary vertex never touch a boundary path; a
+    # cycle can lose its last boundary contact in the cascade above
+    seen = set()
+    for comp in components(rot, [(a, b) for a, b, _ in edges.values()]):
+        if any(v in net.boundary for v in comp):
+            seen |= comp
+    for v in [v for v in rot if v not in seen]:
+        drop_vertex(v)
 
     # merge internal degree-2 vertices
     changed = True
@@ -695,107 +559,3 @@ def perfect_and_trivalent(net):
     if not is_perfect(out) or any(out.degree(v) != 3 for v in out.internal_vertices()):
         raise AssertionError("perfection pipeline left a bad vertex")
     return out
-
-
-# -- formal power series in the grading variable t -------------------------------
-
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a, order):
-    if a[0] == 0:
-        raise ZeroDivisionError("series with zero constant term")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / a[0]
-    for m in range(1, order + 1):
-        s = Fraction(0)
-        for t in range(1, min(m, len(a) - 1) + 1):
-            s += a[t] * inv[m - t]
-        inv[m] = -s / a[0]
-    return inv
-
-
-def formal_series(net, i, j, order):
-    """Coefficients of M_ij^form with x_e graded by t, up to t^order.
-
-    Enumerates every directed walk from b_i to b_j with at most `order`
-    edges, signed by the parity of its winding index (equivalently, of the
-    number of cycles erased from it).
-    """
-    coeffs = [Fraction(0)] * (order + 1)
-
-    def sign_of(eids):
-        verts = Walk(eids).vertices(net)
-        flips = 0
-        while True:
-            cands = _erasable_cycles(verts)
-            if not cands:
-                return -1 if flips % 2 else 1
-            a, b = cands[0]
-            del verts[a:b]
-            flips += 1
-
-    def dfs(v, eids, weight):
-        if v == j and eids:
-            coeffs[len(eids)] += sign_of(eids) * weight
-        if len(eids) == order:
-            return
-        for e in net.out_edges(v):
-            eids.append(e)
-            dfs(net.head(e), eids, weight * net.weight(e))
-            eids.pop()
-
-    dfs(i, [], Fraction(1))
-    return coeffs
-
-
-def _excursion_denominator_series(net, v, forbidden, order, memo):
-    """t-graded version of the nested excursion denominator."""
-    key = (v, frozenset(forbidden))
-    if key in memo:
-        return memo[key]
-    total = [Fraction(0)] * (order + 1)
-    total[0] = Fraction(1)
-    for cyc in _simple_cycles_at(net, v, forbidden):
-        if len(cyc) > order:
-            continue
-        term = [Fraction(0)] * (order + 1)
-        term[len(cyc)] = _path_weight(net, cyc)
-        inner = set(forbidden)
-        inner.add(v)
-        for w in Walk(cyc).vertices(net)[1:-1]:
-            inv = _series_inv(_excursion_denominator_series(net, w, inner, order, memo), order)
-            term = _series_mul(term, inv, order)
-            inner.add(w)
-        total = [a + b for a, b in zip(total, term)]
-    memo[key] = total
-    return total
-
-
-def rational_series(net, i, j, order):
-    """Taylor coefficients in t of the exact rational M_ij with x_e -> x_e t."""
-    coeffs = [Fraction(0)] * (order + 1)
-    memo = {}
-    for eids in _simple_paths(net, i, j):
-        if len(eids) > order:
-            continue
-        verts = Walk(eids).vertices(net)
-        term = [Fraction(0)] * (order + 1)
-        term[len(eids)] = _path_weight(net, eids)
-        forbidden = set()
-        for v in verts:
-            denom = _excursion_denominator_series(net, v, forbidden, order, memo)
-            term = _series_mul(term, _series_inv(denom, order), order)
-            forbidden.add(v)
-        coeffs = [a + b for a, b in zip(coeffs, term)]
-    return coeffs

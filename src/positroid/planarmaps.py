@@ -171,43 +171,6 @@ class DiskMap:
                     "rotation system is not a planar disk embedding "
                     f"(component with {len(comp)} vertices, {ne} edges, {len(face_ids)} faces)")
 
-    # -- geometry without coordinates ------------------------------------------
-
-    def _dual_reach(self, blocked_eids):
-        """Union-find closure of faces across all edges not in blocked_eids."""
-        self.faces()
-        parent = list(range(len(self._faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            if e in blocked_eids:
-                continue
-            a, b = find(self.face_left((e, 0))), find(self.face_right((e, 0)))
-            parent[a] = b
-        for i in range(self.n):
-            d = (("arc", i), 0)
-            a, b = find(self.face_left(d)), find(self.face_right(d))
-            parent[a] = b
-        return find
-
-    def cycle_orientation(self, cycle_eids):
-        """+1 if the directed simple cycle runs counterclockwise, -1 clockwise.
-
-        cycle_eids: edge ids of a simple directed cycle, traversed along the
-        edge directions.  The cycle is counterclockwise exactly when the face
-        on its right connects to the outer face without crossing the cycle.
-        """
-        cyc = set(cycle_eids)
-        find = self._dual_reach(cyc)
-        e0 = next(iter(cycle_eids))
-        right = self.face_right((e0, 0))
-        return 1 if find(right) == find(self.outer_face()) else -1
-
 
 def rotations_from_edge_lists(edges, rot_ids):
     """Turn per-vertex clockwise edge-id lists into dart rotations.

@@ -6,12 +6,17 @@ web and the measurement invariants at the requested size.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from . import enumeration
-from .exactmath import matroid_of_plucker, lex_min_base, partitions_in_box
-from .lediagram import LeDiagram, diagram_to_tableau, invert_measurement, le_fills, meas_D, tableau_matrix
+from .exactmath import (lex_min_base, matroid_of_plucker, maximal_minor, partitions_in_box,
+                        plucker_vector)
+from .lediagram import (LeDiagram, diagram_to_tableau, gamma_network, invert_measurement,
+                        le_fills, meas_D, tableau_matrix)
+from .network import boundary_measurement_matrix, perfect_and_trivalent, switch_orientation
 from .permutations import (all_decorated_permutations, le_from_perm,
-                           necklace_from_perm, perm_from_le, perm_from_necklace, rank)
+                           necklace_from_perm, perm_from_le, perm_from_necklace, rank,
+                           top_permutation)
 from .plabic import graph_from_le, is_reduced, matroid, trips
 
 
@@ -59,6 +64,37 @@ def run_selfcheck(n, seed=0):
                 return False
         return True
 
+    def cyclic_measurement():
+        """25 cyclic networks N, each a perfect top-cell hook network with
+        one boundary path reversed, on 4..max(n, 6) boundary vertices
+        (smaller ones rarely get a cycle): A(N) is tnn, inverts, and
+        keeps the hook network's Plucker point."""
+        found = 0
+        for _ in range(2000):
+            m = rng.randint(4, max(n, 6))
+            D = le_from_perm(top_permutation(rng.randint(1, m - 1), m))
+            T = diagram_to_tableau(D, {b: Fraction(rng.randint(1, 30), rng.randint(1, 30))
+                                       for b in D.boxes()})
+            P = perfect_and_trivalent(gamma_network(T))
+            path, v = [], rng.choice(sorted(P.sources()))
+            while P.out_edges(v):
+                path.append(rng.choice(P.out_edges(v)))
+                v = P.head(path[-1])
+            N = switch_orientation(P, path)
+            if N.is_acyclic():
+                continue
+            A = boundary_measurement_matrix(N)
+            if any(maximal_minor(A, J) < 0 for J in combinations(range(1, m + 1), A.k)):
+                return False
+            p = plucker_vector(A)
+            if not (meas_D(invert_measurement(A)).projectively_equal(p)
+                    and meas_D(T).projectively_equal(p)):
+                return False
+            found += 1
+            if found == 25:
+                return True
+        return False
+
     def matroid_coherence():
         for k in range(n + 1):
             for lam in partitions_in_box(k, n - k):
@@ -94,6 +130,7 @@ def run_selfcheck(n, seed=0):
     check("Le round trip", le_roundtrip)
     check("graph/trips round trip", graph_roundtrip)
     check("inverse boundary round trip", inverse_boundary)
+    check("cyclic measurement", cyclic_measurement)
     if n <= 5:
         check("matroid coherence", matroid_coherence)
     check("rank = |D|", rank_consistency)

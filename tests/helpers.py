@@ -97,6 +97,44 @@ def random_grid_network(rng, n=4, w=3, h=3, keep=0.75, max_internal=12,
     return None
 
 
+def manhattan_grid(rng, L, M, east, north):
+    """Weighted Manhattan street grid: L east-west streets, M north-south avenues.
+
+    Street i runs east when east[i - 1], avenue j north when north[j - 1];
+    both ends of every street are boundary vertices (n = 2(L + M)), and
+    every crossing has its two in-edges side by side, so no vertex
+    alternates.  Weights are a/b with 1 <= a, b <= 9.
+    """
+    n = 2 * (L + M)
+    ends = ([(j, L + 1) for j in range(1, M + 1)] + [(M + 1, i) for i in range(L, 0, -1)]
+            + [(j, 0) for j in range(M, 0, -1)] + [(0, i) for i in range(1, L + 1)])
+    vid = {p: b for b, p in enumerate(ends, start=1)}
+    for i in range(1, L + 1):
+        for j in range(1, M + 1):
+            vid[(j, i)] = n + (i - 1) * M + j
+    lines = [[(x, i) for x in range(M + 2)][::1 if east[i - 1] else -1] for i in range(1, L + 1)]
+    lines += [[(j, y) for y in range(L + 2)][::1 if north[j - 1] else -1] for j in range(1, M + 1)]
+    edges = {}
+    for line in lines:
+        for a, b in zip(line, line[1:]):
+            edges[len(edges) + 1] = (vid[a], vid[b], random_rational(rng, 1, 9))
+    flags = [False] * n
+    for line in lines:
+        flags[vid[line[0]] - 1] = True
+    shape = {e: (u, w) for e, (u, w, _) in edges.items()}
+    rot = rotations_from_coordinates(shape, {v: p for p, v in vid.items()})
+    return PlanarDirectedNetwork(n, flags, edges, rot=rot)
+
+
+def has_alternating_vertex(net):
+    """Some vertex has its in-edges apart in the rotation (in, out, in, out)."""
+    for v, ds in net.rot.items():
+        ins = [end == 1 for _, end in ds]
+        if sum(a != b for a, b in zip(ins, ins[1:] + ins[:1])) > 2:
+            return True
+    return False
+
+
 def reweight(G, rng, special=None):
     """Random positive face weights with product 1 (tree orbits forced 1)."""
     keys = sorted(face_weight_keys(G))

@@ -1,15 +1,34 @@
-"""Exhaustive oracles for the plabic matroid, kept out of the library.
+"""Exhaustive oracles, kept out of the library.
 
-`perfect_orientations` lists every perfect orientation by backtracking and
-`path_matroid` finds the bases reachable from one orientation by searching
-families of vertex-disjoint paths.  Both are exponential; the tests use
+Plabic matroid: `perfect_orientations` lists every perfect orientation by
+backtracking and `path_matroid` finds the bases reachable from one
+orientation by searching families of vertex-disjoint paths.  The tests use
 them to cross-check `plabic.perfect_orientation` and `plabic.matroid`.
+
+Boundary measurement: `exhaustive_measurement` sums every entry over
+self-avoiding paths with nested excursion denominators,
+
+    M_ij = sum over self-avoiding paths P of
+           x_P / prod over vertices v_j of P of D(v_j, earlier vertices),
+
+where D(v, F) = 1 + sum over simple cycles C at v avoiding F of x_C
+divided by the D-values of the intermediate cycle vertices (with v and
+the earlier cycle vertices added to F).  `formal_series` enumerates the
+walks themselves, signed by the parity of their erased cycles, and
+`rational_series` expands the closed form; the two agree coefficientwise.
+`minor_loop_erased` and `minor_by_bijections` evaluate maximal minors
+from path families.  These cross-check `network.boundary_measurement_matrix`,
+which agrees with them on the perfect trivalent form of a network (and on
+the network itself when no vertex alternates in, out, in, out).
+
+All of them are exponential; fine at desk scale.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
-from positroid.exactmath import Matroid
-from positroid.permutations import BLACK
+from positroid.exactmath import Matroid, RationalMatrix
+from positroid.permutations import BLACK, _alignment_cond, _crossing_cond
 from positroid.plabic import orientation_sources
 
 
@@ -124,3 +143,417 @@ def path_matroid(G, orient):
         if not K or next(vertex_disjoint_families(K, L), None) is not None:
             bases.add(J)
     return Matroid(k, n, bases)
+
+
+# -- walks and winding ---------------------------------------------------------
+
+
+def cycle_orientation(dmap, cycle_eids):
+    """+1 if the directed simple cycle runs counterclockwise, -1 clockwise.
+
+    cycle_eids: edge ids of a simple directed cycle of the DiskMap, traversed
+    along the edge directions.  The cycle is counterclockwise exactly when
+    the face on its right reaches the outer face without crossing the cycle
+    (a union-find over the faces, joined across every other edge and arc).
+    """
+    parent = list(range(len(dmap.faces())))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cycle = set(cycle_eids)
+    darts = [(e, 0) for e in dmap.edges if e not in cycle]
+    for d in darts + [(("arc", i), 0) for i in range(dmap.n)]:
+        parent[find(dmap.face_left(d))] = find(dmap.face_right(d))
+    right = dmap.face_right((next(iter(cycle_eids)), 0))
+    return 1 if find(right) == find(dmap.outer_face()) else -1
+
+
+class Walk:
+    """A directed walk given by its edge-id sequence."""
+
+    def __init__(self, eids):
+        self.eids = tuple(eids)
+
+    def vertices(self, net):
+        if not self.eids:
+            raise ValueError("empty walk")
+        verts = [net.tail(self.eids[0])]
+        for e in self.eids:
+            if net.tail(e) != verts[-1]:
+                raise ValueError(f"walk breaks at edge {e}")
+            verts.append(net.head(e))
+        return verts
+
+
+def _erasable_cycles(verts):
+    """All (j, i) with verts[j] == verts[i] and verts[j..i-1] distinct."""
+    out = []
+    for i in range(1, len(verts)):
+        for j in range(i):
+            if verts[j] == verts[i] and len(set(verts[j:i])) == i - j:
+                out.append((j, i))
+    return out
+
+
+def winding_index(net, walk, rng=None):
+    """Winding index of a boundary-to-boundary walk.
+
+    Computed by repeatedly erasing a simple cycle and adding +1 when the
+    cycle runs counterclockwise, -1 when clockwise; the result does not
+    depend on the erasure order.  By default the first self-intersection
+    is erased; pass a random generator to randomize the choice.
+    """
+    if isinstance(walk, Walk):
+        eids = list(walk.eids)
+    else:
+        eids = list(walk)
+    verts = Walk(eids).vertices(net)
+    for v in (verts[0], verts[-1]):
+        if v not in net.boundary:
+            raise ValueError("winding index is defined for boundary-to-boundary walks")
+    wind = 0
+    while True:
+        cands = _erasable_cycles(verts)
+        if not cands:
+            return wind
+        j, i = cands[0] if rng is None else rng.choice(cands)
+        wind += cycle_orientation(net.map, eids[j:i])
+        del verts[j:i]
+        del eids[j:i]
+
+
+# -- path and cycle enumeration --------------------------------------------------
+
+
+def _simple_paths(net, src, dst):
+    """Self-avoiding directed paths from src to dst as edge-id lists."""
+    out = []
+    path = []
+    visited = {src}
+
+    def dfs(v):
+        if v == dst:
+            out.append(list(path))
+            return
+        for e in net.out_edges(v):
+            w = net.head(e)
+            if w in visited:
+                continue
+            visited.add(w)
+            path.append(e)
+            dfs(w)
+            path.pop()
+            visited.remove(w)
+
+    dfs(src)
+    return out
+
+
+def _simple_cycles_at(net, v, forbidden):
+    """Simple directed cycles from v back to v avoiding the forbidden set."""
+    out = []
+    path = []
+    visited = set()
+
+    def dfs(u):
+        for e in net.out_edges(u):
+            w = net.head(e)
+            if w == v:
+                out.append(path + [e])
+            elif w not in visited and w not in forbidden:
+                visited.add(w)
+                path.append(e)
+                dfs(w)
+                path.pop()
+                visited.remove(w)
+
+    if v not in forbidden:
+        dfs(v)
+    return out
+
+
+def _path_weight(net, eids):
+    x = Fraction(1)
+    for e in eids:
+        x *= net.weight(e)
+    return x
+
+
+def _excursion_denominator(net, v, forbidden, memo):
+    """1 + the signed-collapsed weight of closed excursions at v.
+
+    A closed walk at v avoiding the forbidden set is a sequence of
+    irreducible loops; each loop erases to a simple cycle C at v carrying
+    its own nested excursions at the later cycle vertices.  Summing the
+    geometric series over loop sequences, the excursion generating
+    function is the reciprocal of
+
+        1 + sum over simple cycles C at v (avoiding forbidden) of
+            x_C / prod over intermediate vertices w of C (in order) of
+            the denominator at w with v and the earlier cycle vertices
+            also forbidden.
+
+    The naive 1 + sum of x_C misses loops nested inside inserted cycles;
+    the recursion is what the signed walk sum actually collapses to, and
+    it is validated coefficientwise against the formal series.
+    """
+    key = (v, frozenset(forbidden))
+    if key in memo:
+        return memo[key]
+    total = Fraction(0)
+    for cyc in _simple_cycles_at(net, v, forbidden):
+        term = _path_weight(net, cyc)
+        inner = set(forbidden)
+        inner.add(v)
+        for w in Walk(cyc).vertices(net)[1:-1]:
+            term /= _excursion_denominator(net, w, inner, memo)
+            inner.add(w)
+        total += term
+    memo[key] = 1 + total
+    return memo[key]
+
+
+def _cycle_correction(net, path_vertices, upto, extra_forbidden=(), memo=None):
+    """prod over path vertices of the excursion factors, exact."""
+    factor = Fraction(1)
+    forbidden = set(extra_forbidden)
+    if memo is None:
+        memo = {}
+    for v in path_vertices[:upto]:
+        factor /= _excursion_denominator(net, v, forbidden, memo)
+        forbidden.add(v)
+    return factor
+
+
+def exhaustive_measurement(net, i, j):
+    """M_ij, the exact signed walk sum from source b_i to sink b_j."""
+    if i not in net.sources():
+        raise ValueError(f"b_{i} is not a source")
+    if j not in net.sinks():
+        raise ValueError(f"b_{j} is not a sink")
+    total = Fraction(0)
+    memo = {}
+    for eids in _simple_paths(net, i, j):
+        verts = Walk(eids).vertices(net)
+        total += _path_weight(net, eids) * _cycle_correction(net, verts, len(verts), memo=memo)
+    return total
+
+def exhaustive_matrix(net):
+    """A(N) entry by entry from the exhaustive walk-sum evaluator."""
+    I = sorted(net.sources())
+    rows = []
+    for ir in I:
+        row = [Fraction(int(j == ir)) for j in range(1, net.n + 1)]
+        for j in sorted(net.sinks()):
+            s = sum(1 for x in I if min(ir, j) < x < max(ir, j))
+            row[j - 1] = (-1) ** s * exhaustive_measurement(net, ir, j)
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+# -- the general loop-erased minor formula ---------------------------------------
+
+
+def chord_class(n, a, pa, b, pb):
+    """Mutual position of directed chords a->pa and b->pb on the circle.
+
+    All four endpoints must be distinct.  Returns 'crossing', 'alignment'
+    or 'misalignment'.
+    """
+    if len({a, pa, b, pb}) != 4:
+        raise ValueError("chord endpoints must be distinct")
+    if _crossing_cond(n, a, pa, b, pb) or _crossing_cond(n, b, pb, a, pa):
+        return "crossing"
+    if _alignment_cond(n, a, pa, b, pb) or _alignment_cond(n, b, pb, a, pa):
+        return "alignment"
+    return "misalignment"
+
+
+def minor_loop_erased(net, J):
+    """Delta_J(A(N)) evaluated directly by the admissible-collection formula.
+
+    Sums over families of pairwise compatible self-avoiding paths from the
+    sources K = I \\ J to the sinks L = J \\ I whose connection pattern has
+    no crossings and whose aligned members are disjoint, each corrected by
+    the geometric series over insertable simple cycles.  This is the
+    independent evaluator used to cross-check the minor computed through
+    the boundary measurement matrix.
+    """
+    I = sorted(net.sources())
+    J = sorted(J)
+    if len(J) != len(I):
+        raise ValueError(f"J must be a {len(I)}-subset")
+    K = [i for i in I if i not in J]
+    L = [j for j in J if j not in I]
+    if not K:
+        return Fraction(1)
+    paths = {a: {} for a in K}
+    for a in K:
+        for b in L:
+            paths[a][b] = _simple_paths(net, a, b)
+    total = Fraction(0)
+    for targets in permutations(L):
+        pi = dict(zip(K, targets))
+        if any(chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "crossing"
+               for s, t in combinations(range(len(K)), 2)):
+            continue
+        aligned = {(s, t) for s, t in combinations(range(len(K)), 2)
+                   if chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "alignment"}
+
+        def collect(idx, chosen):
+            nonlocal total
+            if idx == len(K):
+                contrib = Fraction(1)
+                for t, eids in enumerate(chosen):
+                    verts = Walk(eids).vertices(net)
+                    blocked = set()
+                    for s in range(t):
+                        if (s, t) in aligned:
+                            blocked |= set(Walk(chosen[s]).vertices(net))
+                    contrib *= _path_weight(net, eids)
+                    contrib *= _cycle_correction(net, verts, len(verts), blocked)
+                total += contrib
+                return
+            a = K[idx]
+            for eids in paths[a][pi[a]]:
+                vs = set(Walk(eids).vertices(net))
+                ok = True
+                for s in range(idx):
+                    if (s, idx) in aligned:
+                        prev = set(Walk(chosen[s]).vertices(net))
+                        if vs & prev:
+                            ok = False
+                            break
+                if ok:
+                    collect(idx + 1, chosen + [eids])
+
+        collect(0, [])
+    return total
+
+
+def minor_by_bijections(net, J):
+    """Delta_J(A(N)) via the signed sum over source-to-sink bijections."""
+    I = sorted(net.sources())
+    J = sorted(J)
+    K = [i for i in I if i not in J]
+    L = [j for j in J if j not in I]
+    if not K:
+        return Fraction(1)
+    total = Fraction(0)
+    for targets in permutations(L):
+        pi = dict(zip(K, targets))
+        xing = sum(1 for s, t in combinations(range(len(K)), 2)
+                   if chord_class(net.n, K[s], pi[K[s]], K[t], pi[K[t]]) == "crossing")
+        term = Fraction(1)
+        for a in K:
+            term *= exhaustive_measurement(net, a, pi[a])
+        total += (-1) ** xing * term
+    return total
+
+
+# -- formal power series in the grading variable t -------------------------------
+
+
+def _series_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j, bj in enumerate(b):
+            if i + j > order:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
+def _series_inv(a, order):
+    if a[0] == 0:
+        raise ZeroDivisionError("series with zero constant term")
+    inv = [Fraction(0)] * (order + 1)
+    inv[0] = 1 / a[0]
+    for m in range(1, order + 1):
+        s = Fraction(0)
+        for t in range(1, min(m, len(a) - 1) + 1):
+            s += a[t] * inv[m - t]
+        inv[m] = -s / a[0]
+    return inv
+
+
+def formal_series(net, i, j, order):
+    """Coefficients of M_ij^form with x_e graded by t, up to t^order.
+
+    Enumerates every directed walk from b_i to b_j with at most `order`
+    edges, signed by the parity of its winding index (equivalently, of the
+    number of cycles erased from it).
+    """
+    coeffs = [Fraction(0)] * (order + 1)
+
+    def sign_of(eids):
+        verts = Walk(eids).vertices(net)
+        flips = 0
+        while True:
+            cands = _erasable_cycles(verts)
+            if not cands:
+                return -1 if flips % 2 else 1
+            a, b = cands[0]
+            del verts[a:b]
+            flips += 1
+
+    def dfs(v, eids, weight):
+        if v == j and eids:
+            coeffs[len(eids)] += sign_of(eids) * weight
+        if len(eids) == order:
+            return
+        for e in net.out_edges(v):
+            eids.append(e)
+            dfs(net.head(e), eids, weight * net.weight(e))
+            eids.pop()
+
+    dfs(i, [], Fraction(1))
+    return coeffs
+
+
+def _excursion_denominator_series(net, v, forbidden, order, memo):
+    """t-graded version of the nested excursion denominator."""
+    key = (v, frozenset(forbidden))
+    if key in memo:
+        return memo[key]
+    total = [Fraction(0)] * (order + 1)
+    total[0] = Fraction(1)
+    for cyc in _simple_cycles_at(net, v, forbidden):
+        if len(cyc) > order:
+            continue
+        term = [Fraction(0)] * (order + 1)
+        term[len(cyc)] = _path_weight(net, cyc)
+        inner = set(forbidden)
+        inner.add(v)
+        for w in Walk(cyc).vertices(net)[1:-1]:
+            inv = _series_inv(_excursion_denominator_series(net, w, inner, order, memo), order)
+            term = _series_mul(term, inv, order)
+            inner.add(w)
+        total = [a + b for a, b in zip(total, term)]
+    memo[key] = total
+    return total
+
+
+def rational_series(net, i, j, order):
+    """Taylor coefficients in t of the exact rational M_ij with x_e -> x_e t."""
+    coeffs = [Fraction(0)] * (order + 1)
+    memo = {}
+    for eids in _simple_paths(net, i, j):
+        if len(eids) > order:
+            continue
+        verts = Walk(eids).vertices(net)
+        term = [Fraction(0)] * (order + 1)
+        term[len(eids)] = _path_weight(net, eids)
+        forbidden = set()
+        for v in verts:
+            denom = _excursion_denominator_series(net, v, forbidden, order, memo)
+            term = _series_mul(term, _series_inv(denom, order), order)
+            forbidden.add(v)
+        coeffs = [a + b for a, b in zip(coeffs, term)]
+    return coeffs

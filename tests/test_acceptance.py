@@ -12,7 +12,7 @@ from itertools import combinations
 
 from helpers import (attach_leaf, insert_bigon, random_grid_network,
                      random_plabic_network, random_rational, reweight)
-from oracles import perfect_orientations
+from oracles import formal_series, perfect_orientations, rational_series
 from positroid.enumeration import (bruhat_interval_count, cell_poly, count_cells,
                                    count_cells_by_permutations, staircase_check)
 from positroid.exactmath import (lex_min_base, matroid_of_plucker, maximal_minor,
@@ -20,8 +20,7 @@ from positroid.exactmath import (lex_min_base, matroid_of_plucker, maximal_minor
 from positroid.lediagram import (LeDiagram, diagram_to_tableau, invert_measurement,
                                  le_count_poly, le_fills, meas_D, tableau_matrix)
 from positroid.network import (PlanarDirectedNetwork, boundary_measurement,
-                               boundary_measurement_matrix, formal_series,
-                               rational_series)
+                               boundary_measurement_matrix)
 from positroid.permutations import (BLACK, WHITE, all_decorated_permutations,
                                     covers, necklace_from_perm,
                                     le_from_perm, perm_from_le, r_table, rank,

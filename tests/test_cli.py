@@ -185,6 +185,85 @@ def test_perfect_cli(capsys, tmp_path):
     assert measure(perf).projectively_equal(measure(orig))
 
 
+# The cascade removing internal sources and sinks cuts the cycle 4 -> 5 ->
+# 10 -> 9 -> 4 off the boundary; it must be dropped before degree-2 merging.
+FLOATING_CYCLE = """n 3
+sources 1 2
+vertex 3 boundary : 10 9
+vertex 4 internal : 2 1
+vertex 5 internal : 3 2
+vertex 6 internal : 4
+vertex 7 internal : 5 4
+vertex 8 internal : 5
+vertex 9 internal : 1 6
+vertex 10 internal : 3 7 6
+vertex 11 internal : 7 8
+vertex 12 internal : 9 8
+edge 1 : 9 4 11/20
+edge 2 : 4 5 16/17
+edge 3 : 5 10 6/31
+edge 4 : 6 7 9
+edge 5 : 7 8 27
+edge 6 : 10 9 21/16
+edge 7 : 11 10 17/21
+edge 8 : 11 12 39/23
+edge 9 : 12 3 25
+edge 10 : 2 3 16/31
+"""
+
+# Vertex 9 runs in, out, in, out; erasing a loop there need not flip the
+# winding parity.
+ALTERNATING_VERTEX = """n 5
+sources 1 2 3
+vertex 1 boundary : 10 11
+vertex 3 boundary : 5 9
+vertex 6 internal : 2 1
+vertex 7 internal : 4 3 2
+vertex 8 internal : 1 6 5
+vertex 9 internal : 3 8 7 6
+vertex 10 internal : 7 10 9
+vertex 11 internal : 11
+edge 1 : 8 6 18/7
+edge 2 : 6 7 7/26
+edge 3 : 7 9 28/5
+edge 4 : 7 4 4/7
+edge 5 : 3 8 2
+edge 6 : 9 8 38/27
+edge 7 : 10 9 10/17
+edge 8 : 9 5 5/3
+edge 9 : 3 10 35/9
+edge 10 : 1 10 9/13
+edge 11 : 1 11 2/19
+"""
+
+
+def test_perfect_drops_a_cycle_cut_off_by_the_cascade(capsys, tmp_path):
+    f = tmp_path / "net.txt"
+    f.write_text(FLOATING_CYCLE)
+    code, out, err = run(capsys, "perfect", str(f))
+    assert (code, err) == (0, "")
+    f.write_text(out)
+    assert run(capsys, "measure", str(f)) == (0, "12 1\n13 16/31\n", "")
+
+
+def test_alternating_vertex_matrix_is_tnn(capsys, tmp_path):
+    from itertools import combinations
+    from positroid.exactmath import RationalMatrix, maximal_minor
+    f = tmp_path / "net.txt"
+    f.write_text(ALTERNATING_VERTEX)
+    code, matrix, _ = run(capsys, "measure", str(f), "--matrix")
+    assert code == 0
+    A = RationalMatrix.from_text(matrix)
+    assert all(maximal_minor(A, J) >= 0 for J in combinations(range(1, 6), 3))
+    m = tmp_path / "m.txt"
+    m.write_text(matrix)
+    code, _, err = run(capsys, "invert", str(m))
+    assert (code, err) == (0, "")
+    code, perf, _ = run(capsys, "perfect", str(f))
+    f.write_text(perf)
+    assert run(capsys, "measure", str(f), "--matrix") == (0, matrix, "")
+
+
 def test_moves_list_cli(capsys, tmp_path):
     from positroid.plabic import contracted
     from positroid.permutations import top_permutation

@@ -4,14 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_grid_network, random_rational
-from positroid.exactmath import RationalMatrix, maximal_minor, partitions_in_box
-from positroid.network import (PlanarDirectedNetwork, Walk, boundary_measurement,
-                               boundary_measurement_matrix, color, formal_series,
+from helpers import has_alternating_vertex, manhattan_grid, random_grid_network, random_rational
+from oracles import (Walk, _erasable_cycles, _path_weight, _simple_cycles_at, _simple_paths,
+                     exhaustive_matrix, formal_series, minor_by_bijections, minor_loop_erased,
+                     rational_series, winding_index)
+from positroid.exactmath import maximal_minor, partitions_in_box
+from positroid.network import (PlanarDirectedNetwork, boundary_measurement,
+                               boundary_measurement_matrix, color,
                                gauge_transform, is_perfect, measure,
-                               minor_by_bijections, minor_loop_erased,
-                               perfect_and_trivalent, rational_series,
-                               switch_orientation, winding_index)
+                               perfect_and_trivalent, switch_orientation)
 
 rng = random.Random(77)
 
@@ -97,7 +98,6 @@ def test_winding_erasure_order_independent():
 def test_winding_sign_equals_erasure_parity():
     # (-1)^wind equals the parity of the number of erased cycles
     net = two_vertex_cycle(1, 1, 1, 1)
-    from positroid.network import _erasable_cycles
     for walk in ([1, 2, 4], [1, 2, 3, 2, 4], [1, 2, 3, 2, 3, 2, 4]):
         w = winding_index(net, walk)
         verts = Walk(walk).vertices(net)
@@ -117,7 +117,6 @@ def test_acyclic_measurement_is_path_sum():
         net = random_grid_network(rng, n=3, w=2, h=2, max_internal=6)
         if net is None or not net.is_acyclic():
             continue
-        from positroid.network import _simple_paths, _path_weight
         for i in sorted(net.sources()):
             for j in sorted(net.sinks()):
                 plain = sum((_path_weight(net, p) for p in _simple_paths(net, i, j)),
@@ -294,7 +293,6 @@ def _find_cycle(net):
 
 def _find_boundary_path(net):
     for i in sorted(net.sources()):
-        from positroid.network import _simple_paths
         for j in sorted(net.sinks()):
             paths = _simple_paths(net, i, j)
             if paths:
@@ -420,12 +418,13 @@ def test_nested_cycle_measurement():
     form a continued fraction, not a flat (1 + sum of cycles).
 
     Chain b1 -> u -> b2 with a 2-cycle u<->v and another 2-cycle v<->w
-    hanging off it: M_12 = ab / (1 + cd/(1 + ef)).
+    hanging off it: M_12 = ab / (1 + cd/(1 + ef)).  The in-edges of u sit
+    side by side in its rotation, so every loop flips the winding parity.
     """
     edges = {1: (1, 10, Fraction(1)), 2: (10, 2, Fraction(1)),
              3: (10, 11, Fraction(1)), 4: (11, 10, Fraction(1)),
              5: (11, 12, Fraction(1)), 6: (12, 11, Fraction(1))}
-    rot_ids = {1: [1], 2: [2], 10: [1, 3, 4, 2], 11: [6, 5, 4, 3], 12: [6, 5]}
+    rot_ids = {1: [1], 2: [2], 10: [1, 4, 3, 2], 11: [6, 5, 4, 3], 12: [6, 5]}
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids=rot_ids)
     got = boundary_measurement(net, 1, 2)
     assert got == 1 / (1 + Fraction(1) / (1 + 1)) == Fraction(2, 3)
@@ -437,19 +436,12 @@ def test_nested_cycle_measurement():
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids=rot_ids)
     assert boundary_measurement(net, 1, 2) == 1 / (1 + Fraction(2) / (1 + 3)) == Fraction(2, 3)
     assert formal_series(net, 1, 2, 13) == rational_series(net, 1, 2, 13)
-
-
-def exhaustive_matrix(net):
-    """A(N) entry by entry from the exhaustive walk-sum evaluator."""
-    I = sorted(net.sources())
-    rows = []
-    for ir in I:
-        row = [Fraction(int(j == ir)) for j in range(1, net.n + 1)]
-        for j in sorted(net.sinks()):
-            s = sum(1 for x in I if min(ir, j) < x < max(ir, j))
-            row[j - 1] = (-1) ** s * boundary_measurement(net, ir, j)
-        rows.append(row)
-    return RationalMatrix(rows)
+    # u alternating (in, out, in, out): the first loop at u keeps the winding
+    # parity and each later one flips it, so M_12 = 1 + c/(1 + c) with
+    # c = cd/(1 + ef) = 1/2 at unit weights
+    edges = {e: (u, w, Fraction(1)) for e, (u, w, _) in edges.items()}
+    alt = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={**rot_ids, 10: [1, 3, 4, 2]})
+    assert boundary_measurement(alt, 1, 2) == 1 + Fraction(1, 2) / (1 + Fraction(1, 2)) == Fraction(4, 3)
 
 
 def test_acyclic_path_sum_matches_exhaustive_on_hook_networks():
@@ -472,33 +464,102 @@ def test_acyclic_path_sum_matches_exhaustive_on_hook_networks():
     assert done == 2365
 
 
-def test_cyclic_matrix_takes_exhaustive_path(monkeypatch):
-    import positroid.network as network
-    calls = []
-    exhaustive = network.boundary_measurement
-
-    def counted(net, i, j):
-        calls.append((i, j))
-        return exhaustive(net, i, j)
-
-    monkeypatch.setattr(network, "boundary_measurement", counted)
-    net = two_vertex_cycle(Fraction(2), Fraction(3), Fraction(5), Fraction(7))
-    assert not net.is_acyclic() and net.topological_order() is None
-    assert boundary_measurement_matrix(net).rows == ((1, exhaustive(net, 1, 2)),)
-    assert calls == [(1, 2)]
-    done = 0
-    for _ in range(10):
-        net = random_grid_network(rng, n=4, w=2, h=2, max_internal=6, require_cycle=True)
+def test_cyclic_matrix_matches_exhaustive_oracle():
+    """The Kasteleyn-signed solve against the exhaustive walk sum: on the
+    perfect trivalent form always, on the network itself when no vertex
+    alternates (at an alternating vertex the exhaustive evaluator's sign
+    rule fails; see test_cli's alternating-vertex network)."""
+    local = random.Random(707)
+    done = alternating = 0
+    while done < 220:
+        net = random_grid_network(local, n=local.randint(2, 5), w=3, h=2, max_internal=8,
+                                  require_cycle=True)
         if net is None:
             continue
-        calls.clear()
-        assert boundary_measurement_matrix(net) == exhaustive_matrix(net)
-        assert len(calls) == len(net.sources()) * len(net.sinks())
+        A = boundary_measurement_matrix(net)
+        assert A == exhaustive_matrix(perfect_and_trivalent(net))
+        if has_alternating_vertex(net):
+            alternating += 1
+        else:
+            assert A == exhaustive_matrix(net)
         done += 1
-    assert done >= 5
-    # an acyclic network never calls the exhaustive evaluator
+    assert alternating >= 20
+
+
+@pytest.mark.parametrize("L, M", [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)])
+def test_cyclic_matrix_on_manhattan_grids(L, M):
+    local = random.Random(100 * L + M)
+    done = 0
+    while done < 2:
+        east = tuple(local.random() < 0.5 for _ in range(L))
+        north = tuple(local.random() < 0.5 for _ in range(M))
+        net = manhattan_grid(local, L, M, east, north)
+        if net.is_acyclic():
+            continue
+        assert not has_alternating_vertex(net)
+        assert boundary_measurement_matrix(net) == exhaustive_matrix(net)
+        done += 1
+
+
+def _cyclic_perfect_networks(seed, count):
+    local = random.Random(seed)
+    out = []
+    while len(out) < count:
+        net = random_grid_network(local, n=local.randint(2, 5), w=3, h=2, max_internal=8,
+                                  require_cycle=True)
+        if net is not None:
+            out.append(perfect_and_trivalent(net))
+    return out
+
+
+def test_kasteleyn_signs_make_cycles_negative_and_paths_agree():
+    from positroid.network import _kasteleyn_signs
+    for P in _cyclic_perfect_networks(808, 30):
+        sign = _kasteleyn_signs(P)
+
+        def eps(eids):
+            out = 1
+            for e in eids:
+                out *= sign[e]
+            return out
+
+        for v in P.internal_vertices():
+            assert all(eps(c) == -1 for c in _simple_cycles_at(P, v, ()))
+        for i in P.sources():
+            for j in P.sinks():
+                assert len({eps(p) for p in _simple_paths(P, i, j)}) <= 1
+
+
+def test_one_flipped_sign_breaks_the_matrix(monkeypatch):
+    """Mutation check: flip eps on one edge of a directed cycle."""
+    import positroid.network as network
+    right = network._kasteleyn_signs
+    checked = 0
+    for P in _cyclic_perfect_networks(909, 10):
+        expected = exhaustive_matrix(P)
+        on_cycle = sorted({e for v in P.internal_vertices() for c in _simple_cycles_at(P, v, ()) for e in c})
+        for flip in on_cycle:
+            def wrong(Q, flip=flip):
+                sign = right(Q)
+                sign[flip] = -sign[flip]
+                return sign
+            monkeypatch.setattr(network, "_kasteleyn_signs", wrong)
+            try:
+                checked += boundary_measurement_matrix(P) != expected
+            except ZeroDivisionError:   # a zero pivot: some cycle family cancels
+                checked += 1
+            monkeypatch.setattr(network, "_kasteleyn_signs", right)
+            assert boundary_measurement_matrix(P) == expected
+    assert checked >= 10
+
+
+def test_acyclic_matrix_takes_path_sums(monkeypatch):
+    import positroid.network as network
+
+    def refuse(net):
+        raise AssertionError("acyclic network sent to the cyclic route")
+
+    monkeypatch.setattr(network, "perfect_and_trivalent", refuse)
     edges = {1: (1, 10, Fraction(2)), 2: (10, 2, Fraction(3)), 3: (1, 2, Fraction(5))}
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={1: [3, 1], 2: [2, 3], 10: [1, 2]})
-    calls.clear()
     assert boundary_measurement_matrix(net).rows == ((1, 11),)
-    assert calls == []
