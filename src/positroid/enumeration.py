@@ -8,13 +8,12 @@ are pinned by the requirement that the formula reproduce the table
 (e.g. row n = 2 is 1, 3, 1).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from math import comb, factorial
+from math import comb
 
 from .exactmath import partitions_in_box
-from .lediagram import le_count_poly, le_fills
+from .lediagram import le_count_poly
 
 
 @lru_cache(maxsize=None)
@@ -37,18 +36,6 @@ def eulerian(k, n):
         return (nn - m) * ang(nn - 1, m - 1) + (m + 1) * ang(nn - 1, m)
 
     return ang(n, k - 1)
-
-
-def eulerian_by_descents(k, n):
-    """Brute-force oracle: count descent sets directly (n <= 8)."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    count = 0
-    for w in iter_permutations(range(1, n + 1)):
-        des = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
-        if des == k - 1:
-            count += 1
-    return count
 
 
 def count_cells(k, n):
@@ -119,43 +106,3 @@ def bruhat_interval_count(lam, k, n):
         if all(u[m] <= w[m] for m in range(k)) and all(u[m] >= w[m] for m in range(k, n)):
             count += 1
     return count
-
-
-def staircase_check(n):
-    """Le-fills of the staircase (n, n-1, ..., 1) with empty corners.
-
-    The count equals n!.
-    """
-    shape = tuple(range(n, 0, -1))
-    count = 0
-    for fill in le_fills(shape):
-        if all(fill[r][-1] == 0 for r in range(n)):
-            count += 1
-    return count
-
-
-def williams_printed_formula(k, n, q):
-    """The printed closed form for N_kn(q), evaluated literally at q.
-
-    The source text sums i = 1..k-1 with bracket arguments like [i-k]_q,
-    which cannot be literally correct (the sum is empty for k = 1); this
-    helper exists to document the discrepancy, not to compute.
-    """
-    q = Fraction(q)
-
-    def bracket(m):
-        if q == 1:
-            return Fraction(m)
-        return (1 - q ** m) / (1 - q)
-
-    total = Fraction(0)
-    for i in range(1, k):
-        term = (bracket(i - k) ** i) * (bracket(k - i + 1) ** (n - i))
-        term -= (bracket(i - k + 1) ** i) * (bracket(k - i) ** (n - i))
-        total += comb(n, i) * q ** (-(k - i) ** 2) * term
-    return total
-
-
-def poly_eval(coeffs, q):
-    q = Fraction(q)
-    return sum(Fraction(c) * q ** e for e, c in enumerate(coeffs))

@@ -359,24 +359,6 @@ def matroid_of_plucker(p):
     return Matroid(p.k, p.n, p.support())
 
 
-def is_tnn(A):
-    """True iff A has rank k and every maximal minor is >= 0."""
-    rows, pivots = _row_reduce([list(r) for r in A.rows])
-    if len(pivots) != A.k:
-        return False
-    return all(maximal_minor(A, J) >= 0 for J in combinations(range(1, A.n + 1), A.k))
-
-
-def verify_exchange_axiom(M):
-    """Check the basis exchange axiom by direct enumeration."""
-    for I in M.bases:
-        for J in M.bases:
-            for i in I:
-                if not any(frozenset(I - {i} | {j}) in M.bases for j in J):
-                    return False
-    return True
-
-
 def shifted_key(subset, i, n):
     """Sorting key of a subset under the cyclic order i < i+1 < ... < i-1."""
     return tuple(sorted((x - i) % n for x in subset))

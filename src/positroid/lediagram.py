@@ -77,7 +77,7 @@ class LeTableau:
 
     __slots__ = ("k", "n", "shape", "rows")
 
-    def __init__(self, k, n, shape, rows, check=True):
+    def __init__(self, k, n, shape, rows):
         shape = tuple(shape) + (0,) * (k - len(tuple(shape)))
         self.k = k
         self.n = n
@@ -86,12 +86,11 @@ class LeTableau:
         if len(rows) < k:
             rows += [()] * (k - len(rows))
         self.rows = tuple(rows)
-        if check:
-            if len(self.rows) != k or any(len(r) != p for r, p in zip(self.rows, shape)):
-                raise ValueError("tableau rows do not match the shape")
-            if any(x < 0 for row in self.rows for x in row):
-                raise ValueError("tableau entries must be nonnegative")
-            self.diagram()  # validates the Le-property of the support
+        if len(self.rows) != k or any(len(r) != p for r, p in zip(self.rows, shape)):
+            raise ValueError("tableau rows do not match the shape")
+        if any(x < 0 for row in self.rows for x in row):
+            raise ValueError("tableau entries must be nonnegative")
+        self.diagram()  # validates the Le-property of the support
 
     def __eq__(self, other):
         return (self.k, self.n, self.shape, self.rows) == (other.k, other.n, other.shape, other.rows)

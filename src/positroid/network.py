@@ -33,9 +33,10 @@ All arithmetic is exact rational.
 import heapq
 from fractions import Fraction
 from itertools import count
+from math import prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import _DiskGraph, components, fresh_ids, parse_disk_text
+from .planarmaps import _DiskGraph, _dual_forest, _reanchor, components, fresh_ids, parse_disk_text
 
 
 class PlanarDirectedNetwork(_DiskGraph):
@@ -69,14 +70,12 @@ class PlanarDirectedNetwork(_DiskGraph):
         for e, (u, w, x) in self.edges.items():
             if x <= 0:
                 raise ValueError(f"edge {e} has nonpositive weight {x}")
-        for i in self.boundary:
-            for e, (u, w, _) in self.edges.items():
-                if u == w and u == i:
-                    raise ValueError(f"loop at boundary vertex {i}")
-                if self.source_flags[i - 1] and w == i:
-                    raise ValueError(f"source b_{i} has incoming edge {e}")
-                if not self.source_flags[i - 1] and u == i:
-                    raise ValueError(f"sink b_{i} has outgoing edge {e}")
+            if u == w and u in self.boundary:
+                raise ValueError(f"loop at boundary vertex {u}")
+            if w in self.boundary and self.source_flags[w - 1]:
+                raise ValueError(f"source b_{w} has incoming edge {e}")
+            if u in self.boundary and not self.source_flags[u - 1]:
+                raise ValueError(f"sink b_{u} has outgoing edge {e}")
 
     # -- basic views -----------------------------------------------------------
 
@@ -198,36 +197,26 @@ def _kasteleyn_signs(P):
     where transit f counts the corners of f between an in- and an
     out-edge, that is the consecutive darts of f with the same end.
     Every component of P reaches the boundary, so the faces are disks.
-    Edges off a dual spanning tree (rooted at the faces on the boundary
-    circle) keep +1; the tree edges are then fixed from the leaves in.
+    The faces on the boundary circle come first, so the dual forest is
+    rooted at one of them; edges off it keep +1, and each interior face
+    then fixes its forest edge, leaves first.
     """
-    faces = P.map.faces()
-    face_of = {d: f for f, orbit in enumerate(faces) for d in orbit}
-    order = [f for f, orbit in enumerate(faces) if any(isinstance(e, tuple) for e, _ in orbit)]
-    parent = {}
-    seen = set(order)
-    for f in order:
-        for e, end in faces[f]:
-            if isinstance(e, tuple):
-                continue            # a boundary arc
-            g = face_of[(e, 1 - end)]
-            if g not in seen:
-                seen.add(g)
-                parent[g] = e
-                order.append(g)
+    faces = sorted(P.map.faces(), key=lambda orbit: not _on_circle(orbit))
     sign = dict.fromkeys(P.edges, 1)
-    for f in reversed(order):
-        if f not in parent:
-            continue
+    for f, (e, _) in reversed(_dual_forest(faces)):
         orbit = faces[f]
+        if _on_circle(orbit):
+            continue
         transit = sum(1 for a, b in zip(orbit, orbit[1:] + orbit[:1]) if a[1] == b[1])
         want = (-1) ** (len(orbit) + (len(orbit) + transit) // 2 + 1)
-        have = 1
-        for e, _ in orbit:
-            have *= sign[e]
-        if have != want:
-            sign[parent[f]] = -1
+        if prod(sign[d] for d, _ in orbit) != want:
+            sign[e] = -sign[e]
     return sign
+
+
+def _on_circle(orbit):
+    """Whether a face holds a boundary arc dart."""
+    return any(isinstance(e, tuple) for e, _ in orbit)
 
 
 def _signed_walk_sums(P, sign):
@@ -422,6 +411,7 @@ def perfect_and_trivalent(net):
     high-degree vertices (same-direction neighbor pull-outs, and blow-up
     of alternating vertices into weight-1 cycles, doubling the weights of
     edges leaving the new cycle).  Boundary measurements are preserved exactly.
+    At a vertex v, the dart (e, 0) is an out-edge and (e, 1) an in-edge.
     """
     edges = dict(net.edges)
     rot = {v: list(ds) for v, ds in net.rot.items()}
@@ -432,114 +422,75 @@ def perfect_and_trivalent(net):
     new_id = ids.__next__
 
     def drop_vertex(v):
-        for e in [e for e, (a, b, _) in edges.items() if v in (a, b)]:
-            a, b, _ = edges.pop(e)
-            for u in {a, b}:
-                rot[u] = [d for d in rot[u] if d[0] != e]
-        del rot[v]
+        for e, end in rot.pop(v):
+            if e in edges:              # a loop lists e twice
+                u = edges.pop(e)[1 - end]
+                if u != v:
+                    rot[u] = [d for d in rot[u] if d[0] != e]
 
     # cascade removal of internal sources and sinks
-    changed = True
-    while changed:
-        changed = False
-        for v in list(rot):
-            if v in net.boundary or v not in rot:
-                continue
-            outs = [e for e, (a, b, _) in edges.items() if a == v]
-            ins = [e for e, (a, b, _) in edges.items() if b == v]
-            if not outs or not ins:
-                drop_vertex(v)
-                changed = True
+    stack = list(net.internal_vertices())
+    while stack:
+        v = stack.pop()
+        if v in rot and v not in net.boundary and {end for _, end in rot[v]} != {0, 1}:
+            stack += [edges[e][1 - end] for e, end in rot[v]]
+            drop_vertex(v)
 
     # components without a boundary vertex never touch a boundary path; a
     # cycle can lose its last boundary contact in the cascade above
-    seen = set()
     for comp in components(rot, [(a, b) for a, b, _ in edges.values()]):
-        if any(v in net.boundary for v in comp):
-            seen |= comp
-    for v in [v for v in rot if v not in seen]:
-        drop_vertex(v)
+        if not any(v in net.boundary for v in comp):
+            for v in comp:
+                drop_vertex(v)
 
-    # merge internal degree-2 vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in list(rot):
-            if v in net.boundary or v not in rot or len(rot[v]) != 2:
-                continue
-            ins = [e for e, (a, b, _) in edges.items() if b == v]
-            outs = [e for e, (a, b, _) in edges.items() if a == v]
-            if len(ins) != 1 or len(outs) != 1 or ins[0] == outs[0]:
-                continue
-            e1, e2 = ins[0], outs[0]
-            u, _, x1 = edges[e1]
-            _, w, x2 = edges[e2]
-            e = new_id()
-            edges[e] = (u, w, x1 * x2)
-            rot[u] = [(e, 0) if d == (e1, 0) else d for d in rot[u]]
-            rot[w] = [(e, 1) if d == (e2, 1) else d for d in rot[w]]
-            del edges[e1], edges[e2], rot[v]
-            changed = True
+    # merge internal degree-2 vertices; a merge keeps every degree, so one
+    # pass finds them all
+    for v in list(rot):
+        if v in net.boundary or len(rot[v]) != 2:
+            continue
+        (e1, end1), (e2, end2) = sorted(rot[v], key=lambda d: -d[1])   # the in-dart first
+        if (end1, end2) != (1, 0) or e1 == e2:
+            continue
+        u, _, x1 = edges[e1]
+        _, w, x2 = edges[e2]
+        e = new_id()
+        edges[e] = (u, w, x1 * x2)
+        rot[u] = [(e, 0) if d == (e1, 0) else d for d in rot[u]]
+        rot[w] = [(e, 1) if d == (e2, 1) else d for d in rot[w]]
+        del edges[e1], edges[e2], rot[v]
 
     # boundary vertices of degree != 1
-    for i in range(1, n + 1):
-        deg = len(rot[i])
-        if deg == 1:
-            continue
+    for i in [i for i in net.boundary if len(rot[i]) != 1]:
         vp = new_id()
         eb = new_id()
         src = flags[i - 1]
         edges[eb] = (i, vp, Fraction(1)) if src else (vp, i, Fraction(1))
         bdart = (eb, 1) if src else (eb, 0)
-        if deg == 0:
+        if not rot[i]:
             lp = new_id()
             edges[lp] = (vp, vp, Fraction(1))
             rot[vp] = [bdart, (lp, 0), (lp, 1)]
         else:
-            moved = []
-            for e, end in rot[i]:
-                a, b, x = edges[e]
-                edges[e] = (vp if a == i else a, vp if b == i else b, x)
-                moved.append((e, end))
-            rot[vp] = [bdart] + moved
+            _reanchor(edges, rot[i], vp)
+            rot[vp] = [bdart] + rot[i]
         rot[i] = [(eb, 0) if src else (eb, 1)]
 
-    # split internal vertices of degree > 3
-    work = True
-    while work:
-        work = False
-        for v in list(rot):
-            if v in net.boundary or v not in rot or len(rot[v]) <= 3:
-                continue
+    # split internal vertices of degree > 3, one pull-out per vertex per pass
+    while big := [v for v in rot if v not in net.boundary and len(rot[v]) > 3]:
+        for v in big:
             ds = rot[v]
             d = len(ds)
-
-            def outgoing(dart):
-                e, end = dart
-                return edges[e][0] == v and end == 0
-
-            pulled = False
-            for idx in range(d):
-                d1, d2 = ds[idx], ds[(idx + 1) % d]
-                if outgoing(d1) != outgoing(d2):
-                    continue
+            idx = next((t for t in range(d) if ds[t][1] == ds[(t + 1) % d][1]), None)
+            if idx is not None:
+                # two neighbouring darts of one direction move out to vp
+                d1, d2, *keep = ds[idx:] + ds[:idx]
+                out = 1 - d1[1]
                 vp = new_id()
                 ep = new_id()
-                out = outgoing(d1)
                 edges[ep] = (v, vp, Fraction(1)) if out else (vp, v, Fraction(1))
-                for dd in (d1, d2):
-                    e, end = dd
-                    a, b, x = edges[e]
-                    edges[e] = (vp if (end == 0) else a, vp if (end == 1) else b, x)
-                    if end == 0 and a != v or end == 1 and b != v:
-                        raise AssertionError("dart bookkeeping")
-                rot[vp] = [(ep, 1 if out else 0), d1, d2]
-                keep = [ds[(idx + 2 + t) % d] for t in range(d - 2)]
-                rot[v] = [(ep, 0 if out else 1)] + keep
-                pulled = True
-                work = True
-                break
-            if pulled:
+                _reanchor(edges, (d1, d2), vp)
+                rot[vp] = [(ep, out), d1, d2]
+                rot[v] = [(ep, 1 - out)] + keep
                 continue
             # perfectly alternating vertex: blow up into a clockwise cycle
             cyc_v = [new_id() for _ in range(d)]
@@ -547,13 +498,12 @@ def perfect_and_trivalent(net):
             for t in range(d):
                 edges[cyc_e[t]] = (cyc_v[t], cyc_v[(t + 1) % d], Fraction(1))
             for t, (e, end) in enumerate(ds):
-                a, b, x = edges[e]
-                if outgoing((e, end)):
-                    x = 2 * x
-                edges[e] = (cyc_v[t] if end == 0 else a, cyc_v[t] if end == 1 else b, x)
+                if end == 0:
+                    a, b, x = edges[e]
+                    edges[e] = (a, b, 2 * x)
+                _reanchor(edges, [(e, end)], cyc_v[t])
                 rot[cyc_v[t]] = [(e, end), (cyc_e[t], 0), (cyc_e[(t - 1) % d], 1)]
             del rot[v]
-            work = True
 
     out = PlanarDirectedNetwork(n, flags, edges, rot={v: tuple(ds) for v, ds in rot.items()})
     if not is_perfect(out) or any(out.degree(v) != 3 for v in out.internal_vertices()):

@@ -113,9 +113,9 @@ class GrassmannNecklace:
 
     __slots__ = ("subsets",)
 
-    def __init__(self, subsets, check=True):
+    def __init__(self, subsets):
         self.subsets = tuple(frozenset(s) for s in subsets)
-        if check and not self.is_valid():
+        if not self.is_valid():
             raise ValueError("sequence violates the necklace exchange law")
 
     @property
@@ -375,12 +375,29 @@ def circular_leq(pi, sigma):
     return all(rp[key] <= rs[key] for key in rp)
 
 
-def covers(sigma):
-    """All decorated permutations covered by sigma: undo one simple crossing.
+def _uncross(pi, i, j):
+    """The cell covered by pi where the crossing with roles (i, j) is
+    undone, or None when that crossing is not simple.
 
-    Undoing the crossing with roles (i, j) swaps the targets; a chord that
-    collapses to a loop is colored black at the i end and white at the j
-    end.  A 2-cycle crossing yields both role orders, hence both colorings.
+    Undoing it swaps the targets of i and j; a chord that collapses to a
+    loop is colored black at the i end and white at the j end.
+    """
+    if not _simple_crossing(pi, i, j):
+        return None
+    perm = list(pi.perm)
+    perm[i - 1], perm[j - 1] = pi(j), pi(i)
+    col = dict(pi.col)
+    if perm[i - 1] == i:
+        col[i] = BLACK
+    if perm[j - 1] == j:
+        col[j] = WHITE
+    return DecoratedPermutation(perm, col)
+
+
+def covers(sigma):
+    """All decorated permutations covered by sigma: undo one simple crossing
+    (`_uncross`).  A 2-cycle crossing yields both role orders, hence both
+    colorings of the new loops.
     """
     out = []
     seen = set()
@@ -391,17 +408,8 @@ def covers(sigma):
                 continue
             if not _crossing_cond(sigma.n, i, sigma(i), j, sigma(j)):
                 continue
-            if not _simple_crossing(sigma, i, j):
-                continue
-            perm = list(sigma.perm)
-            perm[i - 1], perm[j - 1] = sigma(j), sigma(i)
-            col = dict(sigma.col)
-            if perm[i - 1] == i:
-                col[i] = BLACK
-            if perm[j - 1] == j:
-                col[j] = WHITE
-            pi = DecoratedPermutation(perm, col)
-            if pi not in seen:
+            pi = _uncross(sigma, i, j)
+            if pi is not None and pi not in seen:
                 seen.add(pi)
                 out.append(pi)
     return out

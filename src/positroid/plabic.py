@@ -21,8 +21,8 @@ from itertools import combinations, islice
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
-from .permutations import BLACK, WHITE, DecoratedPermutation, crossing_roles, _simple_crossing
-from .planarmaps import _DiskGraph, fresh_ids, parse_disk_text, rev
+from .permutations import BLACK, WHITE, DecoratedPermutation, crossing_roles, _uncross
+from .planarmaps import _DiskGraph, _dual_forest, _reanchor, fresh_ids, parse_disk_text, rev
 
 
 class PlabicGraph(_DiskGraph):
@@ -449,10 +449,7 @@ def uncontract_vertex(G, v, i, j):
     e = next(fresh_ids(G.edges))
     edges = dict(G.edges)
     edges[e] = (v, m)
-    for dart in take:
-        f, end = dart
-        a, b = edges[f]
-        edges[f] = (m if (end == 0 and a == v) else a, m if (end == 1 and b == v) else b)
+    _reanchor(edges, take, m)
     rot = dict(G.rot)
     rot[v] = tuple([(e, 0)] + keep)   # the new dart sits where the block was
     rot[m] = tuple([(e, 1)] + take)
@@ -800,9 +797,7 @@ def apply_reduction(x, red):
         col = {x2: c for x2, c in G.col.items() if x2 not in (u, v)}
         others = [d for d in G.rot[v] if d[0] != e]
         for m, dart in zip(fresh_ids(G.rot, G.edges), others):
-            f, end = dart
-            aa, bb = edges[f]
-            edges[f] = (m if (end == 0 and aa == v) else aa, m if (end == 1 and bb == v) else bb)
+            _reanchor(edges, [dart], m)
             rot[m] = (dart,)
             col[m] = G.col[u]
         newG = PlabicGraph(G.n, col, edges, rot=rot)
@@ -1070,6 +1065,15 @@ def _square_search(start):
 # -- weights <-> edge weights ----------------------------------------------------------
 
 
+def _face_product(darts, x):
+    """Product around a face of x_e over the darts (e, 1) and 1/x_e over
+    the darts (e, 0): each edge with the face on its right counts x_e."""
+    y = Fraction(1)
+    for e, end in darts:
+        y *= x[e] if end else 1 / x[e]
+    return y
+
+
 def face_weights(net):
     """Face weights of a perfect directed network; the plabic quotient.
 
@@ -1086,83 +1090,32 @@ def face_weights(net):
         except ValueError:
             col[v] = WHITE  # degree-2 vertices may be colored either way
     G = PlabicGraph(net.n, col, {e: (u, w) for e, (u, w, _) in net.edges.items()}, rot=net.rot)
-    weights = {}
-    for darts in faces(G):
-        y = Fraction(1)
-        for e, end in darts:
-            x = net.weight(e)
-            y *= 1 / x if end == 0 else x  # face on the left of the travel
-        weights[face_key(darts)] = y
-    return PlabicNetwork(G, weights)
+    x = {e: w for e, (_, _, w) in net.edges.items()}
+    return PlabicNetwork(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
 
 
 def edge_weights_from_faces(N, orient):
     """A directed network in the gauge class reproducing the face weights.
 
-    Gauge fixed by weighting a boundary-rooted spanning forest (lowest
-    index first) with 1 and peeling the remaining edges off faces with a
-    single undetermined edge.
+    Edges off a spanning forest of the dual graph keep weight 1; each
+    forest edge is then set, leaves first, so that its face gets its
+    weight.  The first face of each part needs no edge of its own: the
+    weights multiply to 1, and an isolated tree's walk has weight 1
+    whatever its edges weigh.
     """
     G = N.graph
-    adj = {}
-    for e, (u, w) in G.edges.items():
-        adj.setdefault(u, []).append((e, w))
-        adj.setdefault(w, []).append((e, u))
-    # spanning forest by breadth-first search from the whole boundary, then
-    # from the first unreached vertex (str order) of each isolated component
-    seen, in_forest = set(), set()
-    for roots in [range(1, G.n + 1), *([v] for v in sorted(G.rot, key=str))]:
-        queue = [v for v in roots if v not in seen]
-        seen.update(queue)
-        for v in queue:
-            for e, w in sorted(adj.get(v, [])):
-                if w not in seen:
-                    seen.add(w)
-                    in_forest.add(e)
-                    queue.append(w)
-    x = {e: Fraction(1) for e in in_forest}
-    unknown = set(G.edges) - in_forest
-    fd = {face_key(darts): darts for darts in faces(G)}
-
-    def travel_sign(dart):
-        e, end = dart
-        u, w = G.edges[e]
-        travels = (u, w) if end == 0 else (w, u)
-        return -1 if travels == orient[e] else 1
-
-    while unknown:
-        progress = False
-        for key, darts in fd.items():
-            open_darts = [d for d in darts if d[0] in unknown]
-            if len(open_darts) != 1:
-                continue
-            (dart,) = open_darts
-            e = dart[0]
-            target = N.weights[key]
-            prod = Fraction(1)
-            for d in darts:
-                if d[0] == e:
-                    continue
-                prod *= x[d[0]] ** travel_sign(d)
-            val = target / prod
-            s = travel_sign(dart)
-            x[e] = val if s == 1 else 1 / val
-            unknown.discard(e)
-            progress = True
-        if not progress:
-            raise AssertionError("face peeling stalled; weights inconsistent?")
-    # assemble the directed network
-    edges = {}
-    rot = {}
     flips = {e for e, (u, w) in G.edges.items() if orient[e] != (u, w)}
-    for e, (u, w) in G.edges.items():
-        t, h = orient[e]
-        edges[e] = (t, h, x[e])
-    for v, ds in G.rot.items():
-        rot[v] = tuple((e, 1 - end) if e in flips else (e, end) for e, end in ds)
+    keys = [face_key(darts) for darts in faces(G)]
+    darts = [tuple((e, 1 - end) if e in flips else (e, end) for e, end in f) for f in faces(G)]
+    x = dict.fromkeys(G.edges, Fraction(1))
+    for f, (e, end) in reversed(_dual_forest(darts)):
+        r = N.weights[keys[f]] / _face_product(darts[f], x)
+        x[e] *= r if end else 1 / r
+    edges = {e: (*orient[e], x[e]) for e in G.edges}
+    rot = {v: tuple((e, 1 - end) if e in flips else (e, end) for e, end in ds)
+           for v, ds in G.rot.items()}
     flags = [i in orientation_sources(G, orient) for i in range(1, G.n + 1)]
-    net = PlanarDirectedNetwork(G.n, flags, edges, rot=rot)
-    return net
+    return PlanarDirectedNetwork(G.n, flags, edges, rot=rot)
 
 
 def measure_plabic(N):
@@ -1216,10 +1169,7 @@ def _perfect_gamma(net):
             v2 = fresh()
             ep = fresh()
             edges[ep] = (v, v2, Fraction(1))
-            for dart in (ds_, dw):
-                e, end = dart
-                a, b, xx = edges[e]
-                edges[e] = (v2 if end == 0 else a, v2 if end == 1 else b, xx)
+            _reanchor(edges, (ds_, dw), v2)
             rot[v] = [dn, de, (ep, 0)]
             rot[v2] = [(ep, 1), ds_, dw]
     for i in net.boundary:
@@ -1272,17 +1222,9 @@ def removable_edges(G):
         if i == j:
             continue
         roles = crossing_roles(pi, i, j)
-        if roles is None or not _simple_crossing(pi, *roles):
-            continue
-        ri, rj = roles
-        perm = list(pi.perm)
-        perm[ri - 1], perm[rj - 1] = pi(rj), pi(ri)
-        col = dict(pi.col)
-        if perm[ri - 1] == ri:
-            col[ri] = BLACK
-        if perm[rj - 1] == rj:
-            col[rj] = WHITE
-        out.append((e, DecoratedPermutation(perm, col)))
+        covered = _uncross(pi, *roles) if roles else None
+        if covered is not None:
+            out.append((e, covered))
     return out
 
 

@@ -221,6 +221,41 @@ def components(vertices, pairs):
     return comps
 
 
+def _dual_forest(faces):
+    """A spanning forest of the dual graph of `faces`, a list of dart tuples.
+
+    Grown breadth-first across real edges, never boundary arcs, from the
+    first face of each part.  Returns a (face index, dart) pair for every
+    face but the roots, where the dart is the face's dart whose edge was
+    crossed to reach it.  Reversed, the list puts every face after the
+    faces below it, so each face can fix its own edge last.
+    """
+    face_of = {d: f for f, orbit in enumerate(faces) for d in orbit}
+    seen, forest = set(), []
+    for root in range(len(faces)):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for f in queue:
+            for e, end in faces[f]:
+                if isinstance(e, tuple):
+                    continue            # a boundary arc
+                dart = (e, 1 - end)
+                g = face_of[dart]
+                if g not in seen:
+                    seen.add(g)
+                    forest.append((g, dart))
+                    queue.append(g)
+    return forest
+
+
+def _reanchor(edges, darts, v):
+    """Anchor every dart (e, end) of `darts` at v: edges[e][end] = v."""
+    for e, end in darts:
+        edges[e] = (v, *edges[e][1:]) if end == 0 else (edges[e][0], v, *edges[e][2:])
+
+
 def fresh_ids(*pools):
     """Unused ids, counting up from one above every integer id in the pools."""
     return count(1 + max((x for pool in pools for x in pool if isinstance(x, int)), default=0))

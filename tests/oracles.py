@@ -21,13 +21,20 @@ from path families.  These cross-check `network.boundary_measurement_matrix`,
 which agrees with them on the perfect trivalent form of a network (and on
 the network itself when no vertex alternates in, out, in, out).
 
+Cell counts and matrices: `eulerian_by_descents` and `staircase_check`
+count permutations and Le-fills directly, `williams_printed_formula` and
+`poly_eval` document a misprinted closed form, `is_tnn` checks every
+maximal minor and `verify_exchange_axiom` every basis pair.
+
 All of them are exponential; fine at desk scale.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
-from positroid.exactmath import Matroid, RationalMatrix
+from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
+from positroid.lediagram import le_fills
 from positroid.permutations import BLACK, _alignment_cond, _crossing_cond
 from positroid.plabic import orientation_sources
 
@@ -557,3 +564,76 @@ def rational_series(net, i, j, order):
             forbidden.add(v)
         coeffs = [a + b for a, b in zip(coeffs, term)]
     return coeffs
+
+
+# -- cell counts and matrices ---------------------------------------------------------
+
+
+def eulerian_by_descents(k, n):
+    """Brute-force oracle: count descent sets directly (n <= 8)."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    count = 0
+    for w in permutations(range(1, n + 1)):
+        des = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
+        if des == k - 1:
+            count += 1
+    return count
+
+
+def staircase_check(n):
+    """Le-fills of the staircase (n, n-1, ..., 1) with empty corners.
+
+    The count equals n!.
+    """
+    shape = tuple(range(n, 0, -1))
+    count = 0
+    for fill in le_fills(shape):
+        if all(fill[r][-1] == 0 for r in range(n)):
+            count += 1
+    return count
+
+
+def williams_printed_formula(k, n, q):
+    """The printed closed form for N_kn(q), evaluated literally at q.
+
+    The source text sums i = 1..k-1 with bracket arguments like [i-k]_q,
+    which cannot be literally correct (the sum is empty for k = 1); this
+    helper exists to document the discrepancy, not to compute.
+    """
+    q = Fraction(q)
+
+    def bracket(m):
+        if q == 1:
+            return Fraction(m)
+        return (1 - q ** m) / (1 - q)
+
+    total = Fraction(0)
+    for i in range(1, k):
+        term = (bracket(i - k) ** i) * (bracket(k - i + 1) ** (n - i))
+        term -= (bracket(i - k + 1) ** i) * (bracket(k - i) ** (n - i))
+        total += comb(n, i) * q ** (-(k - i) ** 2) * term
+    return total
+
+
+def poly_eval(coeffs, q):
+    q = Fraction(q)
+    return sum(Fraction(c) * q ** e for e, c in enumerate(coeffs))
+
+
+def is_tnn(A):
+    """True iff A has rank k and every maximal minor is >= 0."""
+    rows, pivots = _row_reduce([list(r) for r in A.rows])
+    if len(pivots) != A.k:
+        return False
+    return all(maximal_minor(A, J) >= 0 for J in combinations(range(1, A.n + 1), A.k))
+
+
+def verify_exchange_axiom(M):
+    """Check the basis exchange axiom by direct enumeration."""
+    for I in M.bases:
+        for J in M.bases:
+            for i in I:
+                if not any(frozenset(I - {i} | {j}) in M.bases for j in J):
+                    return False
+    return True

@@ -348,6 +348,17 @@ def test_sources_outside_boundary_exit_1(capsys, tmp_path):
     assert "boundary vertices 1..2" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n 2\nsources 1\nvertex 1 : 1 1 2\nedge 1 : 1 1 1\nedge 2 : 1 2 1\n",
+     "loop at boundary vertex 1"),
+    ("n 2\nsources 1\nedge 1 : 3 1 1\nedge 2 : 3 2 1\n", "source b_1 has incoming edge 1"),
+    ("n 2\nsources 1\nedge 1 : 1 3 1\nedge 2 : 2 3 1\n", "sink b_2 has outgoing edge 2"),
+], ids=["boundary-loop", "source-in-edge", "sink-out-edge"])
+def test_network_boundary_flag_errors_exit_1(capsys, tmp_path, text, message):
+    err = _one_line_error(capsys, tmp_path, text, "measure")
+    assert err == f"error: {message}\n"
+
+
 def test_vertex_without_color_exit_1(capsys, tmp_path):
     text = "n 2\nvertex 3 : 1 2\nedge 1 : 1 3\nedge 2 : 3 2\n"
     err = _one_line_error(capsys, tmp_path, text, "trips")

@@ -4,11 +4,11 @@ from itertools import combinations
 
 import pytest
 
+from oracles import is_tnn, verify_exchange_axiom
 from positroid.exactmath import (Matroid, RationalMatrix, det, echelon_form,
-                                 is_tnn, lambda_to_subset, lex_min_base,
+                                 lambda_to_subset, lex_min_base,
                                  matroid_of, maximal_minor, partitions_in_box,
-                                 plucker_vector, subset_to_lambda,
-                                 verify_exchange_axiom)
+                                 plucker_vector, subset_to_lambda)
 
 rng = random.Random(20240809)
 

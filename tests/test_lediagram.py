@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 
 from helpers import random_le_data, random_rational
-from positroid.exactmath import (RationalMatrix, echelon_form, is_tnn, lambda_to_subset,
+from oracles import is_tnn
+from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
 from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative,
                                  count_le_diagrams, diagram_to_tableau,

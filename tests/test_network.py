@@ -234,6 +234,34 @@ def test_perfection_blow_up_alternating():
     assert doubled == [6, 14]
 
 
+@pytest.mark.parametrize("ends", ["iiooo", "iioio", "iiiooo", "iioioo", "ioioio"])
+def test_perfection_splits_a_star_of_degree_5_or_6(ends):
+    # a star b_t - v: 'i' edges run into v, 'o' edges out; a run of like
+    # darts needs pull-outs over several passes, an alternating rest a
+    # blow-up, and the acyclic star is measured by path sums on itself
+    d = len(ends)
+    edges = {t: ((t, 10) if c == "i" else (10, t)) + (Fraction(t + 1, 2 * t + 1),)
+             for t, c in enumerate(ends, start=1)}
+    rot_ids = {10: list(range(1, d + 1))}
+    net = PlanarDirectedNetwork(d, [c == "i" for c in ends], edges, rot_ids=rot_ids)
+    perf = perfect_and_trivalent(net)
+    assert is_perfect(perf)
+    assert all(perf.degree(v) == 3 for v in perf.internal_vertices())
+    A = boundary_measurement_matrix(net)
+    assert boundary_measurement_matrix(perf) == A
+    assert exhaustive_matrix(perf) == A
+
+
+def test_cyclic_matrix_with_internal_ids_below_1():
+    # faces are traced from the vertex id that sorts first as a string, here
+    # an internal one; the Kasteleyn signs must still be rooted at a face on
+    # the boundary circle
+    edges = {1: (1, 0, 1), 2: (0, -3, 2), 3: (-3, 2, 3), 4: (-3, 0, 5)}
+    net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={0: [1, 2, 4], -3: [2, 3, 4]})
+    assert boundary_measurement(net, 1, 2) == Fraction(6, 11)
+    assert boundary_measurement_matrix(net) == exhaustive_matrix(net)
+
+
 def test_perfect_and_trivalent_idempotent_on_perfect():
     net = two_vertex_cycle(1, 2, 3, 4)
     perf = perfect_and_trivalent(net)
@@ -402,7 +430,7 @@ def test_switch_figure_parallel_paths():
 
 
 def test_random_measurement_matrices_are_tnn():
-    from positroid.exactmath import is_tnn
+    from oracles import is_tnn
     done = 0
     for _ in range(12):
         net = random_grid_network(rng, n=4, w=2, h=2, max_internal=6)

@@ -150,6 +150,25 @@ def test_edge_weights_round_trip():
             assert weights_by_travel(back) == weights_by_travel(N)
 
 
+def test_edge_weights_round_trip_with_isolated_dipoles():
+    # each dipole's walk is a part of the dual graph of its own, whose one
+    # face fixes no edge and keeps weight 1
+    from positroid.plabic import weights_by_travel
+    for _ in range(8):
+        G = random_plabic_network(rng, nmax=5, scrambles=2).graph
+        col, edges, rot = dict(G.col), dict(G.edges), dict(G.rot)
+        top = max([G.n, *G.rot, *G.edges])
+        for b, w in ((top + 1, top + 2), (top + 3, top + 4)):
+            col[b], col[w] = BLACK, WHITE
+            edges[b] = (b, w)
+            rot[b], rot[w] = ((b, 0),), ((b, 1),)
+        N = reweight(PlabicGraph(G.n, col, edges, rot=rot), rng)
+        assert len(N.graph.isolated_components()) == 2
+        for orient in perfect_orientations(N.graph)[:3]:
+            back = face_weights(edge_weights_from_faces(N, orient))
+            assert weights_by_travel(back) == weights_by_travel(N)
+
+
 def test_measure_independent_of_orientation_choice():
     # the gauge representative may differ but the measured point may not
     for _ in range(8):
