@@ -163,6 +163,13 @@ def cmd_leq(args):
     return 0
 
 
+def _check_size(n):
+    """n, a --n argument, when it is at least 0."""
+    if n < 0:
+        raise ValueError(f"--n must be at least 0, not {n}")
+    return n
+
+
 def cmd_poset(args):
     if args.covers:
         pi = permutations.DecoratedPermutation.parse(args.covers)
@@ -172,7 +179,7 @@ def cmd_poset(args):
         return 0
     if args.n is None:
         raise ValueError("poset needs --covers PERM or --n N (with an optional --k K)")
-    k, n = args.k, args.n
+    k, n = args.k, _check_size(args.n)
     cells = list(permutations.all_decorated_permutations(n, k))
     lines = []
     for pi in sorted(cells, key=lambda p: (-permutations.rank(p), p.perm)):
@@ -182,6 +189,7 @@ def cmd_poset(args):
 
 
 def cmd_count(args):
+    _check_size(args.n)
     if args.check_all:
         failures = []
         rows = enumeration.count_table(args.n)
@@ -225,6 +233,7 @@ def cmd_export_dot(args):
 
 
 def cmd_selfcheck(args):
+    _check_size(args.n)
     from .selfcheck import run_selfcheck
     ok = run_selfcheck(args.n, seed=args.seed)
     return 0 if ok else 2

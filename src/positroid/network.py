@@ -32,6 +32,7 @@ All arithmetic is exact rational.
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import prod
 
@@ -57,14 +58,20 @@ class PlanarDirectedNetwork(_DiskGraph):
         if len(self.source_flags) != n:
             raise ValueError("need one source/sink flag per boundary vertex")
         self.edges = {e: (u, w, rational(x)) for e, (u, w, x) in edges.items()}
-        shape = {e: (u, w) for e, (u, w, _) in self.edges.items()}
-        super().__init__(n, shape, set(range(1, n + 1)), rot_ids, rot)
+        super().__init__(n, self._shape(), set(range(1, n + 1)), rot_ids, rot)
         self._validate()
-        self._out = {}
-        self._in = {}
-        for e, (u, w, x) in self.edges.items():
-            self._out.setdefault(u, []).append(e)
-            self._in.setdefault(w, []).append(e)
+
+    def _shape(self):
+        return {e: (u, w) for e, (u, w, _) in self.edges.items()}
+
+    @cached_property
+    def _arcs(self):
+        """(out-edges, in-edges) of each vertex that has some."""
+        out, into = {}, {}
+        for e, (u, w, _) in self.edges.items():
+            out.setdefault(u, []).append(e)
+            into.setdefault(w, []).append(e)
+        return out, into
 
     def _validate(self):
         for e, (u, w, x) in self.edges.items():
@@ -95,10 +102,10 @@ class PlanarDirectedNetwork(_DiskGraph):
         return self.edges[e][1]
 
     def out_edges(self, v):
-        return self._out.get(v, [])
+        return self._arcs[0].get(v, [])
 
     def in_edges(self, v):
-        return self._in.get(v, [])
+        return self._arcs[1].get(v, [])
 
     def topological_order(self):
         """All vertices with every edge pointing forward, or None if cyclic.
@@ -141,7 +148,7 @@ class PlanarDirectedNetwork(_DiskGraph):
     def from_text(cls, text):
         sources = []
 
-        def other(toks):
+        def other(toks, number):
             if toks[0] != "sources":
                 raise ValueError("unrecognized line")
             sources[:] = [int(t) for t in toks[1:]]

@@ -124,7 +124,7 @@ class GrassmannNecklace:
 
     @property
     def k(self):
-        return len(self.subsets[0])
+        return len(self.subsets[0]) if self.subsets else 0     # n = 0: the empty necklace
 
     def __getitem__(self, i):
         return self.subsets[(i - 1) % self.n]
@@ -141,7 +141,7 @@ class GrassmannNecklace:
 
     def is_valid(self):
         n = self.n
-        if len({len(s) for s in self.subsets}) != 1:
+        if len({len(s) for s in self.subsets}) > 1:
             return False
         for i in range(1, n + 1):
             cur, nxt = self[i], self[i + 1]

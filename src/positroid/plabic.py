@@ -16,8 +16,8 @@ invariant of reduced graphs.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, islice
+from math import prod
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
@@ -68,13 +68,6 @@ class PlabicGraph(_DiskGraph):
             return v
         return None
 
-    @cached_property
-    def _interior_faces(self):
-        """faces(self), computed once per graph."""
-        outer = self.map.outer_face() if self.n else None   # n = 0: no boundary circle
-        return tuple(tuple(d for d in orbit if not isinstance(d[0], tuple))
-                     for idx, orbit in enumerate(self.map.faces()) if idx != outer)
-
     def __repr__(self):
         k, n = self.type()
         return f"PlabicGraph(type=({k},{n}), {len(self.edges)} edges, {len(self.internal_vertices())} internal)"
@@ -99,25 +92,31 @@ class PlabicGraph(_DiskGraph):
 
     @classmethod
     def from_text(cls, text):
-        weights = []
+        """The graph, or the network when a `faces` block follows: one line
+        `name : weight` per face, in canonical face order (see to_text)."""
+        lines = []                  # (line number, face name, weight)
         in_faces = False
 
-        def other(toks):
+        def other(toks, number):
             nonlocal in_faces
             if toks == ["faces"]:
                 in_faces = True
-            elif in_faces:
-                weights.append(rational(toks[-1]))
+            elif in_faces and len(toks) in (2, 3) and toks[1:-1] in ([], [":"]):
+                lines.append((number, toks[0], rational(toks[-1])))
             else:
-                raise ValueError("unrecognized line")
+                raise ValueError("expected 'name : weight'" if in_faces else "unrecognized line")
 
         n, col, rot_ids, edges = parse_disk_text(text, "plabic", _color, _no_tail, other)
         G = cls(n, col, edges, rot_ids=rot_ids)
-        if weights:
+        if lines:
             keys = sorted(face_weight_keys(G))
-            if len(weights) != len(keys):
-                raise ValueError(f"{len(weights)} face weights for {len(keys)} faces")
-            return PlabicNetwork(G, dict(zip(keys, weights)))
+            if len(lines) != len(keys):
+                raise ValueError(f"{len(lines)} face weights for {len(keys)} faces")
+            for (number, name, _), key in zip(lines, keys):
+                if name != _face_name(key):
+                    raise ValueError(f"plabic text line {number}: expected face "
+                                     f"{_face_name(key)!r}, not {name!r}")
+            return PlabicNetwork(G, {key: w for key, (_, _, w) in zip(keys, lines)})
         return G
 
 
@@ -143,7 +142,7 @@ def faces(G):
     The count satisfies |V| - |E| + |F| = 1 + c with c the number of
     isolated components, each contributing its outer walk as a face.
     """
-    return G._interior_faces
+    return G.map.inner_faces
 
 
 def face_key(darts):
@@ -152,6 +151,11 @@ def face_key(darts):
 
 def face_weight_keys(G):
     return [face_key(f) for f in faces(G)]
+
+
+def _face_name(key):
+    """The name of a face in plabic network text: `e.end` of its key dart, or `disk`."""
+    return "disk" if key == ("disk",) else f"{key[0]}.{key[1]}"
 
 
 def weights_by_travel(N):
@@ -208,8 +212,7 @@ class PlabicNetwork:
     def to_text(self):
         lines = [self.graph.to_text().rstrip("\n"), "faces"]
         for key in sorted(face_weight_keys(self.graph)):
-            name = f"{key[0]}.{key[1]}" if isinstance(key, tuple) and not isinstance(key[0], str) else "disk"
-            lines.append(f"{name} : {format_rational(self.weights[key])}")
+            lines.append(f"{_face_name(key)} : {format_rational(self.weights[key])}")
         return "\n".join(lines) + "\n"
 
 
@@ -428,13 +431,14 @@ def contract_edge(G, e):
     rw = list(G.rot[w])
     iu, iw = ru.index(du), rw.index(dw)
     merged = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
-    edges = {f: (a, b) for f, (a, b) in G.edges.items() if f != e}
-    edges = {f: (m if a in (u, w) else a, m if b in (u, w) else b) for f, (a, b) in edges.items()}
-    rot = {v: ds for v, ds in G.rot.items() if v not in (u, w)}
+    edges = dict(G.edges)
+    del edges[e]
+    _reanchor(edges, merged, m)
+    rot, col = dict(G.rot), dict(G.col)
+    del rot[u], rot[w], col[u], col[w]
     rot[m] = tuple(merged)
-    col = {v: c for v, c in G.col.items() if v not in (u, w)}
     col[m] = G.col[u]
-    return PlabicGraph(G.n, col, edges, rot=rot)
+    return G.replace(col=col, edges=edges, rot=rot)
 
 
 def uncontract_vertex(G, v, i, j):
@@ -455,7 +459,7 @@ def uncontract_vertex(G, v, i, j):
     rot[m] = tuple([(e, 1)] + take)
     col = dict(G.col)
     col[m] = G.col[v]
-    return PlabicGraph(G.n, col, edges, rot=rot)
+    return G.replace(col=col, edges=edges, rot=rot)
 
 
 def insert_vertex(G, e, colr):
@@ -466,7 +470,8 @@ def insert_vertex(G, e, colr):
     u, w = G.edges[e]
     m = next(fresh_ids(G.rot, G.edges))
     e1, e2 = islice(fresh_ids(G.edges), 2)
-    edges = {f: ab for f, ab in G.edges.items() if f != e}
+    edges = dict(G.edges)
+    del edges[e]
     edges[e1] = (u, m)
     edges[e2] = (m, w)
     rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
@@ -474,7 +479,7 @@ def insert_vertex(G, e, colr):
     rot[m] = ((e1, 1), (e2, 0))
     col = dict(G.col)
     col[m] = colr
-    return PlabicGraph(G.n, col, edges, rot=rot), rename
+    return G.replace(col=col, edges=edges, rot=rot), rename
 
 
 def remove_vertex(G, v):
@@ -492,13 +497,14 @@ def remove_vertex(G, v):
     a = G.other_end(e1, v)
     b = G.other_end(e2, v)
     e = next(fresh_ids(G.edges))
-    edges = {f: ab for f, ab in G.edges.items() if f not in (e1, e2)}
+    edges = dict(G.edges)
+    del edges[e1], edges[e2]
     edges[e] = (a, b)
     rename = {_far_dart(G, e1, v): (e, 0), _far_dart(G, e2, v): (e, 1)}
     rot = _renamed_rot(G, rename)
-    del rot[v]
-    col = {x: c for x, c in G.col.items() if x != v}
-    return PlabicGraph(G.n, col, edges, rot=rot), rename
+    col = dict(G.col)
+    del rot[v], col[v]
+    return G.replace(col=col, edges=edges, rot=rot), rename
 
 
 def _renamed_rot(G, rename):
@@ -583,38 +589,58 @@ def _bicolored(G, e):
 # -- moves with face weights -----------------------------------------------------------
 
 
-def _face_of(G):
-    """dart -> key of the interior face on its left."""
-    return {d: key for darts in faces(G) for key in [face_key(darts)] for d in darts}
+def _key_left_of(G, dart):
+    """Key of the interior face on the left of a real dart."""
+    return min(d for d in G.map.orbit(dart) if not isinstance(d[0], tuple))
 
 
 def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     """Carry face weights across a rewrite by matching surviving darts.
 
-    Every new face gets the product of the weights of the old faces that
-    share a dart with it; new faces without an old dart (fresh isolated
-    trees) get weight 1.
+    A face the rewrite left alone keeps its weight.  Each face that arrived
+    (is in faces(new_graph) but not in faces(old_net.graph)) gets the product
+    of the weights of the faces that left which share a dart with it; new
+    faces without an old dart (fresh isolated trees) get weight 1.
     adjust: dict old-face-key -> multiplicative correction.  A face whose
     region disappears must be scaled to weight 1 (its weight having gone
     to its neighbours); a lost face of any other weight is a bug.
     rename: dict old dart -> new dart for edges that were glued/split, so a
     face bounded only by rewritten edges still finds its region.
+    Only the faces that left, arrived or were adjusted are checked: their
+    weights stay positive and keep their product, so all still multiply to 1.
     """
     adjust = adjust or {}
     rename = rename or {}
-    new_key = _face_of(new_graph)
-    weights = dict.fromkeys(new_key.values(), Fraction(1))
-    for darts in faces(old_net.graph):
-        key = face_key(darts)
-        w = old_net.weights[key]
-        if key in adjust:
-            w *= adjust[key]
+    old_faces, new_faces = faces(old_net.graph), faces(new_graph)
+    left = {face_key(darts): darts for darts in set(old_faces).difference(new_faces)}
+    arrived = {face_key(darts): darts for darts in set(new_faces).difference(old_faces)}
+    new_key = {d: key for key, darts in arrived.items() for d in darts}
+    kept = [key for key in adjust if key not in left]
+    weights = dict(old_net.weights)
+    for key in left:
+        del weights[key]
+    for key, darts in left.items():
+        w = old_net.weights[key] * adjust[key] if key in adjust else old_net.weights[key]
         hit = {new_key[d] for d in (rename.get(d, d) for d in darts) if d in new_key}
         if not hit and w != 1:
             raise AssertionError(f"face {key} with weight {w} lost in the rewrite")
         for k in hit:
-            weights[k] *= w
-    return PlabicNetwork(new_graph, weights)
+            weights[k] = weights[k] * w if k in weights else w
+    for key in arrived:
+        weights.setdefault(key, Fraction(1))
+    for key in kept:
+        weights[key] *= adjust[key]
+    before = [old_net.weights[key] for key in (*left, *kept)]
+    after = [weights[key] for key in (*arrived, *kept)]
+    if any(x.numerator <= 0 for x in after):
+        raise ValueError("a rewrite made a face weight nonpositive")
+    # equal products, compared as a/b = c/d <=> ad = bc without reducing fractions
+    if (prod(x.numerator for x in after) * prod(x.denominator for x in before)
+            != prod(x.numerator for x in before) * prod(x.denominator for x in after)):
+        raise ValueError("a rewrite changed the product of the face weights")
+    net = object.__new__(PlabicNetwork)     # PlabicNetwork's checks hold: see above
+    net.graph, net.weights = new_graph, weights
+    return net
 
 
 def _neighbour_factors(G, darts, y0, adjust):
@@ -624,9 +650,8 @@ def _neighbour_factors(G, darts, y0, adjust):
     walked white -> black is multiplied by (1 + y0), black -> white divided
     by (1 + 1/y0).  Shared by the square move M1 and the bigon reduction R1.
     """
-    face_of = _face_of(G)
     for e, end in darts:
-        other = face_of[(e, 1 - end)]
+        other = _key_left_of(G, (e, 1 - end))
         factor = (1 + y0) if G.col[G.edges[e][end]] == WHITE else 1 / (1 + 1 / y0)
         adjust[other] = adjust.get(other, 1) * factor
     return adjust
@@ -770,13 +795,14 @@ def apply_reduction(x, red):
         za = G.other_end(a, u)
         zb = G.other_end(b, w)
         e = next(fresh_ids(G.edges))
-        edges = {f: ab for f, ab in G.edges.items() if f not in (e1, e2, a, b)}
+        edges = dict(G.edges)
+        del edges[e1], edges[e2], edges[a], edges[b]
         edges[e] = (za, zb)
         rename = {_far_dart(G, a, u): (e, 0), _far_dart(G, b, w): (e, 1)}
         rot = _renamed_rot(G, rename)
-        del rot[u], rot[w]
-        col = {v: c for v, c in G.col.items() if v not in (u, w)}
-        newG = PlabicGraph(G.n, col, edges, rot=rot)
+        col = dict(G.col)
+        del rot[u], rot[w], col[u], col[w]
+        newG = G.replace(col=col, edges=edges, rot=rot)
         if weighted:
             bigon = next(darts for darts in faces(G)
                          if {d[0] for d in darts} == {e1, e2} and len(darts) == 2)
@@ -792,25 +818,23 @@ def apply_reduction(x, red):
             raise ValueError("boundary leaves cannot be reduced")
         if G.col[u] == G.col[v] or G.degree(v) < 3:
             raise ValueError(f"leaf reduction does not apply at {u}")
-        edges = {f: ab for f, ab in G.edges.items() if f != e}
-        rot = {x2: ds for x2, ds in G.rot.items() if x2 not in (u, v)}
-        col = {x2: c for x2, c in G.col.items() if x2 not in (u, v)}
+        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        del edges[e], rot[u], rot[v], col[u], col[v]
         others = [d for d in G.rot[v] if d[0] != e]
         for m, dart in zip(fresh_ids(G.rot, G.edges), others):
             _reanchor(edges, [dart], m)
             rot[m] = (dart,)
             col[m] = G.col[u]
-        newG = PlabicGraph(G.n, col, edges, rot=rot)
+        newG = G.replace(col=col, edges=edges, rot=rot)
     elif kind == "R3":
         # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
         a = red[1]
         b = G.other_end(G.incident(a)[0], a) if G.degree(a) == 1 else None
         if b is None or b in G.boundary or G.degree(b) != 1 or G.col[a] == G.col[b]:
             raise ValueError(f"{a} is not in a bicolored dipole")
-        edges = {f: ab for f, ab in G.edges.items() if f != G.incident(a)[0]}
-        rot = {x2: ds for x2, ds in G.rot.items() if x2 not in (a, b)}
-        col = {x2: c for x2, c in G.col.items() if x2 not in (a, b)}
-        newG = PlabicGraph(G.n, col, edges, rot=rot)
+        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        del edges[G.incident(a)[0]], rot[a], rot[b], col[a], col[b]
+        newG = G.replace(col=col, edges=edges, rot=rot)
     elif kind == "Rloop":
         # lollipop removal: a trivalent vertex w carrying a loop is a dead
         # end for directed paths, so w, its loop, and its attaching edge
@@ -832,10 +856,9 @@ def apply_reduction(x, red):
         inner = next((darts for darts in faces(G) if len(darts) == 1 and darts[0][0] == e), None)
         if inner is None:
             raise ValueError("the loop encloses other structure; uncontract first")
-        edges = {f: ab for f, ab in G.edges.items() if f not in (e, e2)}
-        rot = {x2: tuple(d for d in ds if d[0] not in (e, e2))
-               for x2, ds in G.rot.items() if x2 != w}
-        col = {x2: c for x2, c in G.col.items() if x2 != w}
+        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        del edges[e], edges[e2], rot[w], col[w]
+        rot[u] = tuple(d for d in rot[u] if d[0] != e2)
         if boundary:
             lv = next(fresh_ids(G.rot, G.edges))
             eL = next(fresh_ids(G.edges))
@@ -844,10 +867,10 @@ def apply_reduction(x, red):
             rot[lv] = ((eL, 1),)
             col[lv] = -G.col[w]
             rename = {_far_dart(G, e2, w): (eL, 0)}
-        newG = PlabicGraph(G.n, col, edges, rot=rot)
+        newG = G.replace(col=col, edges=edges, rot=rot)
         if weighted:
             y = x.weight_of(inner)
-            adjust = {_face_of(G)[rev(inner[0])]: y, face_key(inner): 1 / y}
+            adjust = {_key_left_of(G, rev(inner[0])): y, face_key(inner): 1 / y}
     elif kind == "singleton":
         if G.degree(red[1]):
             raise ValueError(f"vertex {red[1]} is not a singleton")
@@ -864,13 +887,13 @@ def apply_site(x, site):
 
 def singletons(G):
     """Internal vertices without darts, in str order."""
-    return sorted((v for v in G.internal_vertices() if G.degree(v) == 0), key=str)
+    return sorted((v for v, ds in G.rot.items() if not ds and v not in G.boundary), key=str)
 
 
 def remove_singleton(G, v):
-    rot = {x: ds for x, ds in G.rot.items() if x != v}
-    col = {x: c for x, c in G.col.items() if x != v}
-    return PlabicGraph(G.n, col, dict(G.edges), rot=rot)
+    rot, col = dict(G.rot), dict(G.col)
+    del rot[v], col[v]
+    return G.replace(col=col, rot=rot)
 
 
 # -- the site-finder table ------------------------------------------------------------
@@ -1236,9 +1259,10 @@ def delete_edge(G, e, boundary_color=None):
     end (required then).
     """
     u, w = G.edges[e]
-    edges = {f: ab for f, ab in G.edges.items() if f != e}
-    rot = {v: tuple(d for d in ds if d[0] != e) for v, ds in G.rot.items()}
-    col = dict(G.col)
+    edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+    del edges[e]
+    for v in {u, w}:
+        rot[v] = tuple(d for d in rot[v] if d[0] != e)
     bdry = [v for v in (u, w) if v in G.boundary]
     if len(bdry) == 2:
         if boundary_color not in (BLACK, WHITE):
@@ -1254,7 +1278,7 @@ def delete_edge(G, e, boundary_color=None):
         rot[i] = ((enew, 0),)
         rot[leaf] = ((enew, 1),)
         col[leaf] = c
-    return PlabicGraph(G.n, col, edges, rot=rot)
+    return G.replace(col=col, edges=edges, rot=rot)
 
 
 def export_dot(x):

@@ -21,6 +21,8 @@ implied rotations, the connected components, the fresh-id rule and the
 tokenizer of their text formats.
 """
 
+from bisect import bisect
+from functools import cached_property
 from itertools import count
 
 
@@ -36,6 +38,11 @@ class DiskMap:
     edges: dict eid -> (tail, head).  eids must be integers.
     rot: dict vertex -> tuple of darts anchored there, clockwise as drawn.
           Every dart of every edge must appear exactly once.
+
+    Faces are traced when the map is built: the vertices are visited in str
+    order and each one's darts in rotation order, and every dart not yet on
+    a face starts the next one.  So each face starts at its least dart by
+    (str of its vertex, rotation position), and the faces come in that order.
     """
 
     def __init__(self, boundary, edges, rot):
@@ -44,10 +51,62 @@ class DiskMap:
         self.edges = dict(edges)
         self.rot = {v: tuple(ds) for v, ds in rot.items()}
         self._check_rotations()
-        self._aug_rot = self._augmented_rotations()
-        self._faces = None
-        self._face_of = None
+        self._at = {b: i for i, b in enumerate(self.boundary)}
+        self._aug_rot = {v: self._augmented(v) for v in (*self.rot, *self.boundary)}
+        self._faces, self._face_of = [], {}
+        for v in sorted(self._aug_rot, key=str):
+            for d in self._aug_rot[v]:
+                if d not in self._face_of:
+                    orbit = self._orbit(d)
+                    self._faces.append(orbit)
+                    for x in orbit:
+                        self._face_of[x] = orbit
         self.validate_planarity()
+
+    def derive(self, edges, rot):
+        """The map of a local rewrite of this graph, without re-validation.
+
+        edges and rot describe the rewritten graph on the same boundary and
+        are taken as they are.  A face none of whose darts arrives at a
+        vertex whose rotation changed is kept; only the faces through those
+        vertices are traced again, each placed and started where a fresh
+        trace would put it.  So faces(), face_left and inner_faces equal
+        those of DiskMap(self.boundary, edges, rot).
+        """
+        changed = {v for v, _ in self.rot.items() ^ rot.items()}
+        if not changed:
+            return self         # equal rotations: equal edges and faces
+        new = object.__new__(DiskMap)
+        new.boundary, new.n, new._at = self.boundary, self.n, self._at
+        new.edges, new.rot = edges, rot
+        new._aug_rot = aug = dict(self._aug_rot)
+        new._faces, new._face_of = list(self._faces), dict(self._face_of)
+        new._starts, new._inner = list(self._starts), list(self._inner)   # set, not lazy, here
+        gone = {id(f): f for f in (self._face_of[d] for v in changed for d in aug.get(v, ()))}
+        for orbit in gone.values():
+            i = new._faces.index(orbit)
+            del new._faces[i], new._starts[i], new._inner[i]
+            for d in orbit:
+                del new._face_of[d]
+        for v in changed:
+            if v in rot or v in self._at:
+                aug[v] = new._augmented(v)
+            else:
+                del aug[v]
+        for v in changed:
+            for d in aug.get(v, ()):
+                if d not in new._face_of:
+                    orbit = new._orbit(d)
+                    keys = [new._key(x) for x in orbit]
+                    first = keys.index(min(keys))
+                    orbit = orbit[first:] + orbit[:first]
+                    i = bisect(new._starts, keys[first])
+                    new._faces.insert(i, orbit)
+                    new._starts.insert(i, keys[first])
+                    new._inner.insert(i, _drop_arcs(orbit))
+                    for x in orbit:
+                        new._face_of[x] = orbit
+        return new
 
     # -- construction helpers ------------------------------------------------
 
@@ -76,72 +135,64 @@ class DiskMap:
         e, end = dart
         return self.edges[e][1 - end]
 
-    def _augmented_rotations(self):
-        """Splice the boundary arcs into the rotations.
+    def _augmented(self, v):
+        """The darts at v with the boundary arcs spliced in.
 
         At b_i the clockwise order is: arc towards b_{i+1}, then the real
         darts clockwise (pointing into the disk), then the arc from b_{i-1}.
         """
-        aug = {v: list(ds) for v, ds in self.rot.items()}
-        for v in self.boundary:
-            aug.setdefault(v, [])
-        n = self.n
-        for i in range(n):
-            bi = self.boundary[i]
-            arc = ("arc", i)  # runs b_i -> b_{i+1}
-            prev_arc = ("arc", (i - 1) % n)
-            aug[bi] = [(arc, 0)] + aug[bi] + [(prev_arc, 1)]
-        return {v: tuple(ds) for v, ds in aug.items()}
-
-    def _arc_anchor(self, dart):
-        (tag, i), end = dart
-        n = self.n
-        return self.boundary[i] if end == 0 else self.boundary[(i + 1) % n]
-
-    def dart_vertex(self, dart):
-        e, end = dart
-        if isinstance(e, tuple) and e[0] == "arc":
-            return self._arc_anchor(dart)
-        return self.anchor(dart)
-
-    def dart_target(self, dart):
-        return self.dart_vertex(rev(dart))
+        ds = self.rot.get(v, ())
+        i = self._at.get(v)
+        if i is None:
+            return ds
+        return ((("arc", i), 0), *ds, (("arc", (i - 1) % self.n), 1))
 
     # -- face tracing ---------------------------------------------------------
 
-    def next_dart(self, dart):
-        v = self.dart_target(dart)
-        ds = self._aug_rot[v]
-        i = ds.index(rev(dart))
-        return ds[(i + 1) % len(ds)]
+    def _orbit(self, dart):
+        """The face through the dart, from that dart: each step takes the
+        clockwise successor of the reversed dart at the vertex it travels to."""
+        aug, edges, b = self._aug_rot, self.edges, self.boundary
+        orbit, cur = [], dart
+        while True:
+            orbit.append(cur)
+            e, end = cur
+            if isinstance(e, tuple):        # arc e[1] runs b_j -> b_{j+1}
+                ds = aug[b[(e[1] + 1 - end) % self.n]]
+            else:
+                ds = aug[edges[e][1 - end]]
+            i = ds.index((e, 1 - end)) + 1
+            cur = ds[i] if i < len(ds) else ds[0]
+            if cur == dart:
+                return tuple(orbit)
+
+    def _key(self, dart):
+        """Where the face trace meets the dart: (str of its vertex, rotation position)."""
+        e, end = dart
+        v = self.boundary[(e[1] + end) % self.n] if isinstance(e, tuple) else self.edges[e][end]
+        return (str(v), self._aug_rot[v].index(dart))
+
+    @cached_property
+    def _starts(self):
+        """The _key of each face's first dart, in the order of faces()."""
+        return [self._key(orbit[0]) for orbit in self._faces]
+
+    @cached_property
+    def _inner(self):
+        """Each face of faces() with its boundary arcs dropped."""
+        return [_drop_arcs(orbit) for orbit in self._faces]
 
     def faces(self):
         """All dart orbits, each a tuple of darts with the face on the left."""
-        if self._faces is not None:
-            return self._faces
-        seen = set()
-        out = []
-        for v in sorted(self._aug_rot, key=str):
-            for d in self._aug_rot[v]:
-                if d in seen:
-                    continue
-                orbit = []
-                cur = d
-                while cur not in seen:
-                    seen.add(cur)
-                    orbit.append(cur)
-                    cur = self.next_dart(cur)
-                out.append(tuple(orbit))
-        self._faces = out
-        self._face_of = {}
-        for idx, orbit in enumerate(out):
-            for d in orbit:
-                self._face_of[d] = idx
-        return out
+        return self._faces
+
+    def orbit(self, dart):
+        """The face on the left of the dart, as its orbit."""
+        return self._face_of[dart]
 
     def face_left(self, dart):
-        self.faces()
-        return self._face_of[dart]
+        """The index in faces() of the face on the left of the dart."""
+        return self._faces.index(self._face_of[dart])
 
     def face_right(self, dart):
         return self.face_left(rev(dart))
@@ -152,11 +203,18 @@ class DiskMap:
             raise ValueError("no boundary circle")
         return self.face_left((("arc", 0), 0))
 
+    @cached_property
+    def inner_faces(self):
+        """Every face but the outer one, boundary arcs dropped, in the order of faces()."""
+        if self.n == 0:         # no boundary circle: every face is inside
+            return tuple(self._inner)
+        outer = self.outer_face()
+        return (*self._inner[:outer], *self._inner[outer + 1:])
+
     # -- validation ------------------------------------------------------------
 
     def validate_planarity(self):
         """Per-component Euler check V - E + F = 2 for the rotation data."""
-        self.faces()
         b = self.boundary
         arcs = [(b[i], b[(i + 1) % self.n]) for i in range(self.n)]
         for comp in components(self._aug_rot, [*self.edges.values(), *arcs]):
@@ -165,11 +223,15 @@ class DiskMap:
                 ne += self.n
             if ne == 0:
                 continue  # singleton components carry no embedding data
-            face_ids = {self._face_of[d] for v in comp for d in self._aug_rot[v]}
+            face_ids = {id(self._face_of[d]) for v in comp for d in self._aug_rot[v]}
             if len(comp) - ne + len(face_ids) != 2:
                 raise ValueError(
                     "rotation system is not a planar disk embedding "
                     f"(component with {len(comp)} vertices, {ne} edges, {len(face_ids)} faces)")
+
+
+def _drop_arcs(orbit):
+    return tuple(d for d in orbit if not isinstance(d[0], tuple))
 
 
 def rotations_from_edge_lists(edges, rot_ids):
@@ -308,10 +370,24 @@ class _DiskGraph:
     def components(self):
         return components(self.rot, self.map.edges.values())
 
+    def _shape(self):
+        """edges as the map takes them: eid -> (u, w)."""
+        return self.edges
+
     def replace(self, **kw):
-        args = {name: getattr(self, name) for name in self._fields}
-        args.update(kw)
-        return type(self)(**args)
+        """This graph with the fields in kw replaced: how every rewrite builds its result.
+
+        The new values are taken as they are, and the map is derived from
+        this one's (DiskMap.derive), so only the faces at the rewritten
+        vertices are traced again and nothing is validated: a rewrite of a
+        valid graph is valid.  Graphs from outside go through the constructor.
+        """
+        new = object.__new__(type(self))
+        for name in self._fields:
+            setattr(new, name, kw.get(name, getattr(self, name)))
+        new.boundary = self.boundary
+        new.map = self.map.derive(new._shape(), new.rot)
+        return new
 
 
 def parse_disk_text(text, what, vertex_label, edge_tail, other):
@@ -320,7 +396,8 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
     `#` starts a comment.  `n <count>` gives n; `vertex v [label] : ids`
     gives the clockwise edge ids at v and vertex_label(label tokens);
     `edge e : u w [more]` gives the edge (u, w, *edge_tail(more tokens)).
-    The colons may be left out.  Every other line goes to other(tokens).
+    The colons may be left out.  Every other line goes to
+    other(tokens, line number).
     Returns (n, labels, rot_ids, edges); every error is one ValueError
     naming the line number and the line.
     """
@@ -349,7 +426,7 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
                     raise ValueError("expected 'edge e : u w ...'")
                 edges[int(head[0])] = (int(body[0]), int(body[1]), *edge_tail(body[2:]))
             else:
-                other(toks)
+                other(toks, number)
         except ValueError as ex:
             raise ValueError(f"{what} text line {number}: {ex}: {line.strip()!r}") from None
     if n is None:

@@ -170,6 +170,21 @@ def test_selfcheck_small(capsys):
     assert "[FAIL]" not in out
 
 
+def test_selfcheck_empty_disk(capsys):
+    # n = 0: one cell, the empty permutation, whose necklace is empty with k = 0
+    code, out, _ = run(capsys, "selfcheck", "--n", "0")
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("argv", [["count", "--n", "-1"], ["poset", "--n", "-2"],
+                                  ["selfcheck", "--n", "-1"]], ids=["count", "poset", "selfcheck"])
+def test_negative_size_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: --n must be at least 0, not {argv[-1]}\n"
+
+
 def test_perfect_cli(capsys, tmp_path):
     # the two-vertex cycle network is already perfect and trivalent
     text = ("n 2\nsources 1\nvertex 3 internal : 1 2 3\nvertex 4 internal : 2 4 3\n"
@@ -324,6 +339,22 @@ def test_face_weight_1_over_0_exit_1(capsys, tmp_path):
     text = head + "faces\n" + faces.replace(": 1\n", ": 1/0\n", 1)
     err = _one_line_error(capsys, tmp_path, text, "reduce", "--json")
     assert "'1/0' is not a rational number" in err
+
+
+@pytest.mark.parametrize("damage, given", [
+    (lambda lines: lines[::-1], "4.0"),
+    (lambda lines: ["zzz : " + line.split(" : ")[1] for line in lines], "zzz"),
+], ids=["reversed", "renamed"])
+def test_face_lines_are_matched_by_name(capsys, tmp_path, damage, given):
+    # perm2graph "3 4 1 2" weighted 2, 1/2, 1, 1, 1; its first face line is line 17
+    from positroid.plabic import PlabicNetwork, face_weight_keys
+    G = graph_from_perm(DecoratedPermutation.parse("3 4 1 2"))
+    keys = sorted(face_weight_keys(G))
+    text = PlabicNetwork(G, dict(zip(keys, ["2", "1/2", "1", "1", "1"]))).to_text()
+    head, faces = text.split("faces\n")
+    text = head + "faces\n" + "\n".join(damage(faces.splitlines())) + "\n"
+    err = _one_line_error(capsys, tmp_path, text, "reduce")
+    assert err == f"error: plabic text line 17: expected face '1.0', not '{given}'\n"
 
 
 def test_tableau_entry_1_over_0_exit_1(capsys, tmp_path):

@@ -64,7 +64,7 @@ def test_necklace_invariant_random():
 
 
 def test_necklace_roundtrip_exhaustive():
-    for n in range(1, 7):
+    for n in range(7):          # n = 0: the empty necklace, k = 0
         for pi in all_decorated_permutations(n):
             assert perm_from_necklace(necklace_from_perm(pi)) == pi
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from helpers import (attach_leaf, chord_graph, insert_bigon, random_le_data,
                      random_plabic_network, random_rational, reweight)
 from oracles import path_matroid, perfect_orientations
+from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
 from positroid.network import measure
+from positroid.planarmaps import _DiskGraph
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
                                     minimal_permutation, rank, top_permutation)
@@ -546,13 +550,84 @@ def _rewrite_site(kind):
     return reweight(G, rng2), ("Rloop", 5)
 
 
-@pytest.mark.parametrize("kind", ["M1", "M2", "M2u", "M3", "M3r", "R1", "R2", "R3", "Rloop"])
+REWRITE_KINDS = ["M1", "M2", "M2u", "M3", "M3r", "R1", "R2", "R3", "Rloop"]
+
+
+@pytest.mark.parametrize("kind", REWRITE_KINDS)
 def test_weighted_rewrite_has_the_bare_rewrite_graph(kind):
     N, site = _rewrite_site(kind)
     apply = apply_reduction if kind[0] == "R" else apply_move
     weighted, bare = apply(N, site), apply(N.graph, site)
     assert isinstance(weighted, PlabicNetwork) and isinstance(bare, PlabicGraph)
     assert weighted.graph.canonical() == bare.canonical()
+
+
+@pytest.fixture
+def rewrite_oracle(monkeypatch):
+    """Check every rewrite against a fresh build of its result.
+
+    Each graph _DiskGraph.replace derives must have the face list, dart ->
+    face map and faces() of PlabicGraph(G.n, G.col, G.edges, rot=G.rot),
+    whose full validation must pass, and each weighting _transfer_weights
+    makes must pass PlabicNetwork's global checks.  Failures go through
+    pytest.fail, which the ValueError/AssertionError handlers of the
+    scrambling helpers do not catch.  Returns a Counter of the functions
+    that called replace.
+    """
+    callers = Counter()
+    replace, transfer = _DiskGraph.replace, plabic._transfer_weights
+
+    def checked_replace(G, **kw):
+        H = replace(G, **kw)
+        caller = sys._getframe(1).f_code.co_name
+        callers[caller] += 1
+        try:
+            fresh = PlabicGraph(H.n, H.col, H.edges, rot=H.rot)
+        except ValueError as ex:
+            pytest.fail(f"{caller} made an invalid graph: {ex}")
+        if (H.map.faces(), H.map._face_of, faces(H)) != (
+                fresh.map.faces(), fresh.map._face_of, faces(fresh)):
+            pytest.fail(f"the faces {caller} derived differ from a fresh trace of\n{H.to_text()}")
+        return H
+
+    def checked_transfer(*args, **kw):
+        N = transfer(*args, **kw)
+        try:
+            PlabicNetwork(N.graph, N.weights)
+        except ValueError as ex:
+            pytest.fail(f"transferred weights fail PlabicNetwork's checks: {ex}")
+        callers["_transfer_weights"] += 1
+        return N
+
+    monkeypatch.setattr(_DiskGraph, "replace", checked_replace)
+    monkeypatch.setattr(plabic, "_transfer_weights", checked_transfer)
+    return callers
+
+
+def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
+    # the chord corpus of test_reduce_chord_corpus, and its reduced graphs minus an edge
+    for seed in range(300):
+        r = random.Random(seed)
+        try:
+            red = reduce_graph(chord_graph(r, r.randint(5, 8), r.randint(1, 3)))[0]
+        except ReductionStuck:
+            continue
+        delete_edge(red, min(red.edges), BLACK)
+    # weighted networks scrambled by moves, with bigons for R1
+    for seed in range(20):
+        r = random.Random(seed)
+        G = random_plabic_network(r, nmax=7, scrambles=20).graph
+        for _ in range(2):
+            inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
+            if inner:
+                G, _ = insert_bigon(G, r.choice(inner), r)
+        reduce_graph(reweight(G, r))
+    for kind in REWRITE_KINDS:      # one weighted site of each kind
+        N, site = _rewrite_site(kind)
+        (apply_reduction if kind[0] == "R" else apply_move)(N, site)
+    assert set(rewrite_oracle) == {"contract_edge", "uncontract_vertex", "insert_vertex",
+                                   "remove_vertex", "apply_reduction", "remove_singleton",
+                                   "delete_edge", "apply_move", "_transfer_weights"}
 
 
 def test_transfer_weights_rejects_a_lost_face():
