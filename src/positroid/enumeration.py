@@ -18,24 +18,16 @@ from .lediagram import le_count_poly
 
 @lru_cache(maxsize=None)
 def eulerian(k, n):
-    """Number of permutations of [n] with k-1 descents; A(0,0) = 1."""
-    if k < 0 or n < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    # <n, m> = (n-m) <n-1, m-1> + (m+1) <n-1, m> with m = k-1
+    """Number of permutations of [n] with k-1 descents; A(0,0) = 1.
 
-    @lru_cache(maxsize=None)
-    def ang(nn, m):
-        if m < 0 or m >= nn:
-            return 1 if (nn == 0 and m == 0) else 0
-        if nn == 1:
-            return 1 if m == 0 else 0
-        return (nn - m) * ang(nn - 1, m - 1) + (m + 1) * ang(nn - 1, m)
-
-    return ang(n, k - 1)
+    A(k, n) = k A(k, n-1) + (n-k+1) A(k-1, n-1), and A(k, n) = 0 for
+    k <= 0 or k > n once n >= 1 (and for n < 0).
+    """
+    if n == 0 and k == 0:
+        return 1
+    if not 1 <= k <= n:
+        return 0
+    return k * eulerian(k, n - 1) + (n - k + 1) * eulerian(k - 1, n - 1)
 
 
 def count_cells(k, n):

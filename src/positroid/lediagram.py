@@ -33,20 +33,8 @@ class LeDiagram:
         self.shape = shape
         self.fill = tuple(tuple(int(bool(x)) for x in row) for row in fill)
         if check:
-            if len(shape) != k or any(shape[i] < shape[i + 1] for i in range(k - 1)):
-                raise ValueError(f"{shape} is not a partition with {k} parts")
-            if shape and shape[0] > n - k or any(p < 0 for p in shape):
-                raise ValueError(f"shape {shape} does not fit in {k} x {n - k}")
-            rows = [row for row in self.fill if row]
-            if len(rows) != sum(1 for p in shape if p) or any(
-                    len(row) != p for row, p in zip(rows, [p for p in shape if p])):
-                # allow fill rows to be given for all k rows or only nonempty ones
-                full = [tuple(row) for row in self.fill]
-                if len(full) == k and all(len(r) == p for r, p in zip(full, shape)):
-                    pass
-                else:
-                    raise ValueError("fill does not match shape")
-            if not is_le_fill(shape, self.fill):
+            lambda_to_subset(shape, k, n)           # a partition inside the k x (n-k) box
+            if not is_le_diagram(shape, self.fill):
                 raise ValueError("filling violates the Le-property")
         if len(self.fill) < k:
             self.fill = self.fill + ((),) * (k - len(self.fill))

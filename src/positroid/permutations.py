@@ -6,9 +6,18 @@ anti-exceedances, so the type (k, n) records k = #{i : pi^{-1}(i) > i or a
 white fixed point}.  These objects are in bijection with Grassmann
 necklaces, with Le-diagrams, and with the nonnegative Grassmann cells; the
 conversions and the containment order of the cells live here.
+
+Chord geometry rests on one clockwise-arc test, `_on_arc`.  The chords
+i -> pi(i) and j -> pi(j) form a crossing or an alignment by one rule
+each; every other pair is a misalignment, so the cell dimension
+k(n-k) - A(pi) counts alignments only.  One simplicity rule serves both
+crossings and alignments, and undoing a simple crossing gives a cover in
+the circular Bruhat order.  The necklace follows the step rule
+I_{i+1} = (I_i - {i}) | {pi(i)} from I_1 = I(pi).
 """
 
 from itertools import combinations, permutations as iter_permutations
+from typing import NamedTuple
 
 from .exactmath import Matroid, lambda_to_subset, lex_min_base, subset_to_lambda
 
@@ -64,14 +73,16 @@ class DecoratedPermutation:
         """Parse one-line notation with B/W suffixes, e.g. '3 1 5 4B 2 6W'."""
         perm = []
         col = {}
-        for pos, tok in enumerate(text.replace(",", " ").split(), start=1):
-            suffix = None
-            if tok and tok[-1] in "BWbw":
-                suffix = BLACK if tok[-1] in "Bb" else WHITE
+        for pos, entry in enumerate(text.replace(",", " ").split(), start=1):
+            tok = entry
+            if tok[-1] in "BWbw":
+                col[pos] = BLACK if tok[-1] in "Bb" else WHITE
                 tok = tok[:-1]
-            perm.append(int(tok))
-            if suffix is not None:
-                col[pos] = suffix
+            try:
+                perm.append(int(tok))
+            except ValueError:
+                raise ValueError(f"permutation entry {pos}: expected an integer with an "
+                                 f"optional B/W suffix, not {entry!r}") from None
         return cls(perm, col)
 
     def anti_exceedances(self):
@@ -162,25 +173,12 @@ class GrassmannNecklace:
         return cls(rows)
 
 
-def shifted_less(a, b, r, n):
-    """a <_r b in the cyclic order r < r+1 < ... < r-1."""
-    return (a - r) % n < (b - r) % n
-
-
 def necklace_from_perm(pi):
-    """I_r = anti-exceedance set of pi with respect to the order <_r."""
-    n = pi.n
-    subsets = []
-    for r in range(1, n + 1):
-        s = set()
-        for i in range(1, n + 1):
-            ii = pi.inverse(i)
-            if ii == i:
-                if pi.col[i] == WHITE:
-                    s.add(i)
-            elif shifted_less(i, ii, r, n):
-                s.add(i)
-        subsets.append(s)
+    """I_1 = I(pi), then I_{i+1} = (I_i - {i}) | {pi(i)} when i is in I_i, else I_i."""
+    subsets = [pi.anti_exceedances()] if pi.n else []
+    for i in range(1, pi.n):
+        cur = subsets[-1]
+        subsets.append(cur - {i} | {pi(i)} if i in cur else cur)
     return GrassmannNecklace(subsets)
 
 
@@ -210,47 +208,39 @@ def necklace_from_matroid(M):
 # -- chord geometry -----------------------------------------------------------------
 
 
-def cyclic_interval(a, b, n):
-    """{a, a+1, ..., b} clockwise (inclusive)."""
-    if a <= b:
-        return set(range(a, b + 1))
-    return set(range(a, n + 1)) | set(range(1, b + 1))
+def _on_arc(x, a, b, n):
+    """x lies on the clockwise arc a, a+1, ..., b of [n], both ends included."""
+    return (x - a) % n <= (b - a) % n
 
 
 def _crossing_cond(n, i, pi_i, j, pi_j):
     """Chord i -> pi_i crosses chord j -> pi_j, in the roles (i, j)."""
-    return pi_j in cyclic_interval(i, pi_i, n) and j in cyclic_interval(pi_i, i, n)
-
-
-def _alignment_cond(n, i, pi_i, j, pi_j):
-    """Chords i -> pi_i and j -> pi_j are aligned, in the roles (i, j)."""
-    return pi_i in cyclic_interval(i, pi_j, n) and j in cyclic_interval(pi_j, i, n)
+    return _on_arc(pi_j, i, pi_i, n) and _on_arc(j, pi_i, i, n)
 
 
 def _aligned(pi, i, j):
     """The chords of pi at i and j are aligned in the roles (i, j); a loop
     takes part only as i when black and only as j when white."""
-    if pi.is_loop(i) and pi.col[i] != BLACK:
+    if (pi.is_loop(i) and pi.col[i] != BLACK) or (pi.is_loop(j) and pi.col[j] != WHITE):
         return False
-    if pi.is_loop(j) and pi.col[j] != WHITE:
-        return False
-    return _alignment_cond(pi.n, i, pi(i), j, pi(j))
+    n, pi_i, pi_j = pi.n, pi(i), pi(j)
+    return _on_arc(pi_i, i, pi_j, n) and _on_arc(j, pi_j, i, n)
 
 
-class ChordPairClass:
+def _simple(pi, i, j, lo, hi):
+    """No chord leaving a point strictly between j and i (clockwise) ends
+    on the arc lo..hi: (lo, hi) = (pi(j), pi(i)) for a crossing with roles
+    (i, j), and (pi(i), pi(j)) for an alignment."""
+    n = pi.n
+    between = ((j + s - 1) % n + 1 for s in range(1, (i - j) % n))
+    return not any(_on_arc(pi(l), lo, hi, n) for l in between)
+
+
+class ChordPairClass(NamedTuple):
     """Mutual position of the chords at i and j, plus a simplicity flag."""
 
-    __slots__ = ("kind", "simple")
-
-    def __init__(self, kind, simple):
-        self.kind = kind
-        self.simple = simple
-
-    def __repr__(self):
-        return f"ChordPairClass({self.kind!r}, simple={self.simple})"
-
-    def __eq__(self, other):
-        return (self.kind, self.simple) == (other.kind, other.simple)
+    kind: str
+    simple: bool
 
 
 def crossing_roles(pi, i, j):
@@ -273,72 +263,19 @@ def is_alignment(pi, i, j):
     return _aligned(pi, i, j) or _aligned(pi, j, i)
 
 
-def _is_misalignment(pi, i, j):
-    # reversing one chord (flipping a loop's color) in either role must
-    # produce an alignment shape
-    def reversed_chord(x):
-        if pi.is_loop(x):
-            return (x, x, -pi.col[x])
-        return (pi(x), x, None)
-
-    def plain_chord(x):
-        if pi.is_loop(x):
-            return (x, x, pi.col[x])
-        return (x, pi(x), None)
-
-    def align_shape(a, b):
-        (x, px, cx), (y, py, cy) = a, b
-        n = pi.n
-        if x == px and cx != BLACK:
-            return False
-        if y == py and cy != WHITE:
-            return False
-        return _alignment_cond(n, x, px, y, py)
-
-    for ca in (plain_chord(i), reversed_chord(i)):
-        for cb in (plain_chord(j), reversed_chord(j)):
-            if (ca[0], ca[1]) == (i, pi(i)) and (cb[0], cb[1]) == (j, pi(j)) and ca[2] in (None, pi.col.get(i)) and cb[2] in (None, pi.col.get(j)):
-                continue  # at least one chord must actually be reversed
-            if align_shape(ca, cb) or align_shape(cb, ca):
-                return True
-    return False
-
-
-def _simple_crossing(pi, i, j):
-    """Simplicity of the crossing with roles (i, j) as in _crossing_cond."""
-    n = pi.n
-    for l in cyclic_interval(j, i, n):
-        if l in (i, j):
-            continue
-        if pi(l) in cyclic_interval(pi(j), pi(i), n):
-            return False
-    return True
-
-
-def _simple_alignment(pi, i, j):
-    n = pi.n
-    for l in cyclic_interval(j, i, n):
-        if l in (i, j):
-            continue
-        if pi(l) in cyclic_interval(pi(i), pi(j), n):
-            return False
-    return True
-
-
 def classify_pair(pi, i, j):
-    """Crossing / alignment / misalignment / other, with simplicity flag."""
+    """'crossing', 'alignment' or, for every other pair, 'misalignment',
+    with a simplicity flag (always False for a misalignment)."""
     if i == j:
         raise ValueError("need two distinct chords")
     roles = crossing_roles(pi, i, j)
     if roles is not None:
-        return ChordPairClass("crossing", _simple_crossing(pi, *roles))
-    if _aligned(pi, i, j):
-        return ChordPairClass("alignment", _simple_alignment(pi, i, j))
-    if _aligned(pi, j, i):
-        return ChordPairClass("alignment", _simple_alignment(pi, j, i))
-    if _is_misalignment(pi, i, j):
-        return ChordPairClass("misalignment", False)
-    return ChordPairClass("other", False)
+        a, b = roles
+        return ChordPairClass("crossing", _simple(pi, a, b, pi(b), pi(a)))
+    for a, b in ((i, j), (j, i)):
+        if _aligned(pi, a, b):
+            return ChordPairClass("alignment", _simple(pi, a, b, pi(a), pi(b)))
+    return ChordPairClass("misalignment", False)
 
 
 def alignment_number(pi):
@@ -363,7 +300,7 @@ def r_table(pi):
     for a in range(1, n + 1):
         Ia = neck[a]
         for b in range(1, n + 1):
-            table[(a, b)] = len(Ia & cyclic_interval(a, b, n))
+            table[(a, b)] = sum(1 for x in Ia if _on_arc(x, a, b, n))
     return table
 
 
@@ -382,7 +319,7 @@ def _uncross(pi, i, j):
     Undoing it swaps the targets of i and j; a chord that collapses to a
     loop is colored black at the i end and white at the j end.
     """
-    if not _simple_crossing(pi, i, j):
+    if not _simple(pi, i, j, pi(j), pi(i)):
         return None
     perm = list(pi.perm)
     perm[i - 1], perm[j - 1] = pi(j), pi(i)

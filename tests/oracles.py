@@ -21,6 +21,14 @@ from path families.  These cross-check `network.boundary_measurement_matrix`,
 which agrees with them on the perfect trivalent form of a network (and on
 the network itself when no vertex alternates in, out, in, out).
 
+Chords and necklaces: `chord_class` names the position of two chords by
+the cyclic order of their four endpoints, `aligned_pair` and
+`reversal_misaligned` give alignments and the reversal definition of a
+misalignment, `necklace_by_shifted_orders` reads each I_r as an
+anti-exceedance set in the shifted order <_r, and `r_table_by_walks`
+counts I_a on walked arcs.  They cross-check `permutations.classify_pair`,
+`necklace_from_perm` and `r_table`.
+
 Cell counts and matrices: `eulerian_by_descents` and `staircase_check`
 count permutations and Le-fills directly, `williams_printed_formula` and
 `poly_eval` document a misprinted closed form, `is_tnn` checks every
@@ -35,7 +43,7 @@ from math import comb
 
 from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
 from positroid.lediagram import le_fills
-from positroid.permutations import BLACK, _alignment_cond, _crossing_cond
+from positroid.permutations import BLACK, WHITE
 from positroid.plabic import orientation_sources
 
 
@@ -362,22 +370,86 @@ def exhaustive_matrix(net):
     return RationalMatrix(rows)
 
 
-# -- the general loop-erased minor formula ---------------------------------------
+# -- chords and necklaces ------------------------------------------------------------
 
 
 def chord_class(n, a, pa, b, pb):
     """Mutual position of directed chords a->pa and b->pb on the circle.
 
-    All four endpoints must be distinct.  Returns 'crossing', 'alignment'
-    or 'misalignment'.
+    All four endpoints must be distinct.  Walking clockwise from a, the
+    point met second decides: pa means the endpoints interleave, a
+    'crossing'; pb means the chords run side by side, an 'alignment'; b
+    means they run against each other, a 'misalignment'.
     """
     if len({a, pa, b, pb}) != 4:
         raise ValueError("chord endpoints must be distinct")
-    if _crossing_cond(n, a, pa, b, pb) or _crossing_cond(n, b, pb, a, pa):
-        return "crossing"
-    if _alignment_cond(n, a, pa, b, pb) or _alignment_cond(n, b, pb, a, pa):
-        return "alignment"
-    return "misalignment"
+    middle = sorted((pa, b, pb), key=lambda x: (x - a) % n)[1]
+    return {pa: "crossing", pb: "alignment", b: "misalignment"}[middle]
+
+
+def _clockwise(a, b, n):
+    """The points a, a+1, ..., b of [n] met walking clockwise, both ends included."""
+    points = [a]
+    while points[-1] != b:
+        points.append(points[-1] % n + 1)
+    return points
+
+
+def _aligned_chords(n, first, second):
+    """Chords (x, px, colour) in alignment in the roles (first, second):
+    clockwise from x lie px, then py, then y.  A loop takes part as the
+    first chord only when black and as the second only when white."""
+    (x, px, cx), (y, py, cy) = first, second
+    if (x == px and cx != BLACK) or (y == py and cy != WHITE):
+        return False
+    return px in _clockwise(x, py, n) and y in _clockwise(py, x, n)
+
+
+def _chord(pi, x, reverse=False):
+    """The chord of pi at x as (tail, head, colour); reversing a loop flips its colour."""
+    c = pi.col.get(x)
+    if reverse:
+        return (pi(x), x, -c if c else None)
+    return (x, pi(x), c)
+
+
+def aligned_pair(pi, i, j):
+    """The chords of pi at i and j are aligned in one of the two roles."""
+    a, b = _chord(pi, i), _chord(pi, j)
+    return _aligned_chords(pi.n, a, b) or _aligned_chords(pi.n, b, a)
+
+
+def reversal_misaligned(pi, i, j):
+    """The chords of pi at i and j are not aligned, but reversing the one at
+    i, the one at j, or both makes them aligned."""
+    if aligned_pair(pi, i, j):
+        return False
+    for ri, rj in ((True, False), (False, True), (True, True)):
+        a, b = _chord(pi, i, ri), _chord(pi, j, rj)
+        if _aligned_chords(pi.n, a, b) or _aligned_chords(pi.n, b, a):
+            return True
+    return False
+
+
+def necklace_by_shifted_orders(pi):
+    """I_r = the anti-exceedances of pi in the order r < r+1 < ... < r-1:
+    the i with pi^{-1}(i) after i in that order, plus the white loops."""
+    n = pi.n
+    inverse = {pi(i): i for i in range(1, n + 1)}
+    return [frozenset(i for i in range(1, n + 1)
+                      if (inverse[i] == i and pi.col[i] == WHITE)
+                      or (i - r) % n < (inverse[i] - r) % n)
+            for r in range(1, n + 1)]
+
+
+def r_table_by_walks(pi):
+    """r_ab = |I_a intersect {a, a+1, ..., b}| on the shifted-order necklace."""
+    n, neck = pi.n, necklace_by_shifted_orders(pi)
+    return {(a, b): len(neck[a - 1] & set(_clockwise(a, b, n)))
+            for a in range(1, n + 1) for b in range(1, n + 1)}
+
+
+# -- the general loop-erased minor formula ---------------------------------------
 
 
 def minor_loop_erased(net, J):

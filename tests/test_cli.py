@@ -137,6 +137,19 @@ def test_leq_and_poset(capsys):
     assert set(out.splitlines()) == {"1W 2B", "1B 2W"}
 
 
+@pytest.mark.parametrize("argv, pos, entry", [
+    (["perm2le", "3 x 1"], 2, "x"),
+    (["perm2graph", "2 1 B"], 3, "B"),
+    (["leq", "1b2", "1 2"], 1, "1b2"),
+    (["leq", "2 1", "2 1x"], 2, "1x"),
+], ids=["perm2le", "perm2graph", "leq-first", "leq-second"])
+def test_bad_permutation_entry_exit_1(capsys, argv, pos, entry):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: permutation entry {pos}: expected an integer with an "
+                   f"optional B/W suffix, not {entry!r}\n")
+
+
 def test_reduce_cli(capsys, tmp_path):
     import sys
     sys.path.insert(0, "tests")

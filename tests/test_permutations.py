@@ -3,17 +3,20 @@ from itertools import combinations, permutations as iperm
 
 import pytest
 
+from oracles import (aligned_pair, chord_class, necklace_by_shifted_orders, r_table_by_walks,
+                     reversal_misaligned)
 from positroid.exactmath import Matroid, partitions_in_box
 from positroid.lediagram import LeDiagram, le_fills
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation,
                                     GrassmannNecklace, all_decorated_permutations,
                                     alignment_number, bruhat_leq_grassmannian,
                                     circular_leq, classify_pair, covers,
-                                    inversions, le_from_perm, le_from_u,
+                                    crossing_roles, inversions, le_from_perm, le_from_u,
                                     minimal_permutation, necklace_from_matroid,
                                     necklace_from_perm, perm_from_le,
                                     perm_from_necklace, rank, r_table,
-                                    top_permutation, u_from_le, w_lambda)
+                                    top_permutation, u_from_le, w_lambda,
+                                    _uncross)
 
 rng = random.Random(999)
 
@@ -112,6 +115,71 @@ def test_classify_pair_basics():
     assert classify_pair(mini, 3, 1).kind == "alignment"
     # two white loops: not an alignment
     assert classify_pair(mini, 1, 2).kind != "alignment"
+
+
+def _ordered_pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def test_classify_pair_matches_the_four_point_oracle():
+    checked = 0
+    for n in range(7):
+        for pi in all_decorated_permutations(n):
+            for i, j in _ordered_pairs(n):
+                if len({i, pi(i), j, pi(j)}) == 4:
+                    assert classify_pair(pi, i, j).kind == chord_class(n, i, pi(i), j, pi(j))
+                    checked += 1
+    assert checked > 10000
+
+
+def test_every_pair_is_crossing_alignment_or_misalignment():
+    # a pair's kind depends only on the order and colours of i, pi(i), j,
+    # pi(j), so n <= 4 meets every kind of pair that any n has
+    kinds = set()
+    for n in range(5):
+        for pi in all_decorated_permutations(n):
+            for i, j in _ordered_pairs(n):
+                kind = classify_pair(pi, i, j).kind
+                kinds.add(kind)
+                if kind != "crossing":
+                    assert (kind == "alignment") == aligned_pair(pi, i, j)
+                    assert (kind == "misalignment") == reversal_misaligned(pi, i, j)
+    assert kinds == {"crossing", "alignment", "misalignment"}
+
+
+def _swap_targets(pi, a, b):
+    """pi with the targets of a and b swapped; a new loop is black at a and
+    white at b, and a loop that stops being one loses its colour."""
+    perm = list(pi.perm)
+    perm[a - 1], perm[b - 1] = pi(b), pi(a)
+    col = {x: c for x, c in pi.col.items() if x not in (a, b)}
+    col.update({x: c for x, c in ((a, BLACK), (b, WHITE)) if perm[x - 1] == x})
+    return DecoratedPermutation(perm, col)
+
+
+def test_simple_pairs_give_the_covers():
+    # undoing a crossing gives a cell below pi and crossing an alignment one
+    # above it; either is a cover exactly when the pair is simple
+    for n in range(6):
+        for pi in all_decorated_permutations(n):
+            below, r = covers(pi), rank(pi)
+            for i, j in _ordered_pairs(n):
+                pair = classify_pair(pi, i, j)
+                roles = crossing_roles(pi, i, j)
+                if roles is not None:
+                    lower = _swap_targets(pi, *roles)
+                    assert pair.simple == (lower in below) == (rank(lower) == r - 1)
+                    assert _uncross(pi, *roles) == (lower if pair.simple else None)
+                elif pair.kind == "alignment":
+                    upper = _swap_targets(pi, i, j)
+                    assert pair.simple == (pi in covers(upper)) == (rank(upper) == r + 1)
+
+
+def test_necklace_step_rule_matches_shifted_orders():
+    for n in range(7):
+        for pi in all_decorated_permutations(n):
+            assert list(necklace_from_perm(pi).subsets) == necklace_by_shifted_orders(pi)
+            assert r_table(pi) == r_table_by_walks(pi)
 
 
 def test_rank_equals_diagram_size():
