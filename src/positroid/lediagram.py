@@ -264,6 +264,17 @@ def gamma_network(T):
     entering it from the right carries the box entry, vertical edges
     carry weight 1, and everything points left or down.
     """
+    flags, edges, rot = _hook_layout(T)
+    return PlanarDirectedNetwork(T.n, flags, edges, rot=rot)
+
+
+def _hook_layout(T):
+    """The parts of gamma_network(T), unvalidated: (source flags, edges, rot).
+
+    edges: eid -> (tail, head, weight), numbered rows first, then columns;
+    rot: vertex -> clockwise darts, the vertices with edges first, in the
+    order their first edge was numbered, then the isolated boundary vertices.
+    """
     k, n, shape = T.k, T.n, T.shape
     width = n - k
     row_label, col_label = _boundary_labels(shape, k, n)
@@ -330,8 +341,7 @@ def gamma_network(T):
         rot[v] = tuple(sorted(darts, key=lambda d: heading(v, d)))
     for i in range(1, n + 1):
         rot.setdefault(i, ())
-
-    return PlanarDirectedNetwork(n, flags, edges, rot=rot)
+    return flags, edges, rot
 
 
 def meas_D(T):
@@ -342,59 +352,6 @@ def meas_D(T):
 def tableau_matrix(T):
     """Boundary measurement matrix of the tableau's network (echelon form)."""
     return boundary_measurement_matrix(gamma_network(T))
-
-
-def gamma_vertical_edges(net):
-    """The column (weight-1 by construction) edges of a gamma_network output.
-
-    Internal ids encode grid positions, so verticals are the edges between
-    internal vertices in one column plus the edges into boundary sinks.
-    Valid for any reweighting of such a network (gauge images included).
-    """
-    n = net.n
-    width = max(n - len(net.sources()), 1)
-
-    def column(v):
-        return (v - n - 1) % width + 1
-
-    verticals = []
-    for e, (u, w, _) in net.edges.items():
-        if u in net.boundary:
-            continue  # horizontal edge out of a boundary source
-        if w in net.boundary:
-            verticals.append(e)  # drops into a boundary sink
-        elif column(u) == column(w):
-            verticals.append(e)
-    return verticals
-
-
-def vertical_normalizing_gauge(net, vertical_eids):
-    """The unique gauge making the given downward tree of edges weight 1.
-
-    vertical_eids must form downward chains ending at boundary sinks, with
-    every internal vertex the tail of exactly one of them (as in a hook
-    network).  Returns the vertex -> factor map for gauge_transform.
-    """
-    t = {}
-    pending = set(vertical_eids)
-
-    def known(v):
-        return v in net.boundary or v in t
-
-    def value(v):
-        return Fraction(1) if v in net.boundary else t[v]
-
-    while pending:
-        progress = False
-        for e in list(pending):
-            u, w, x = net.edges[e]
-            if known(w):
-                t[u] = value(w) / x
-                pending.discard(e)
-                progress = True
-        if not progress:
-            raise ValueError("vertical edges do not form boundary-rooted chains")
-    return t
 
 
 # -- the inverse boundary procedure ------------------------------------------------

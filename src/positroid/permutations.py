@@ -34,10 +34,13 @@ class DecoratedPermutation:
         n = len(self.perm)
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError(f"{self.perm} is not a permutation of [{n}]")
-        fixed = {i for i in range(1, n + 1) if self.perm[i - 1] == i}
         col = dict(col or {})
-        if set(col) != fixed or any(c not in (BLACK, WHITE) for c in col.values()):
-            raise ValueError("colors must be +1/-1 exactly on the fixed points")
+        for i in col:
+            if not (1 <= i <= n and self.perm[i - 1] == i):
+                raise ValueError(f"entry {i} is not a fixed point, so it takes no B/W")
+        for i in range(1, n + 1):
+            if self.perm[i - 1] == i and col.get(i) not in (BLACK, WHITE):
+                raise ValueError(f"fixed point {i} needs a colour: {i}B or {i}W")
         self.col = col
 
     @property
@@ -126,6 +129,11 @@ class GrassmannNecklace:
 
     def __init__(self, subsets):
         self.subsets = tuple(frozenset(s) for s in subsets)
+        n = len(self.subsets)
+        for i, s in enumerate(self.subsets, 1):
+            for x in s:
+                if not 1 <= x <= n:
+                    raise ValueError(f"necklace subset I_{i} has entry {x}, outside 1..{n}")
         if not self.is_valid():
             raise ValueError("sequence violates the necklace exchange law")
 
@@ -169,7 +177,24 @@ class GrassmannNecklace:
 
     @classmethod
     def from_text(cls, text):
-        rows = [frozenset(int(t) for t in ln.split()) for ln in text.splitlines() if ln.strip()]
+        """One subset I_i per nonblank line, as distinct integers in 1..n."""
+        lines = [(number, line.split()) for number, line in enumerate(text.splitlines(), 1)
+                 if line.strip()]
+        rows = []
+        for number, toks in lines:
+            row = set()
+            for tok in toks:
+                try:
+                    x = int(tok)
+                except ValueError:
+                    x = None
+                if x is None or not 1 <= x <= len(lines):
+                    raise ValueError(f"necklace line {number}: expected an entry in "
+                                     f"1..{len(lines)}, not {tok!r}")
+                if x in row:
+                    raise ValueError(f"necklace line {number}: entry {x} is repeated")
+                row.add(x)
+            rows.append(row)
         return cls(rows)
 
 

@@ -1159,56 +1159,75 @@ def measure_plabic(N):
 def graph_from_le(D):
     """Reduced plabic graph of a Le-diagram.
 
-    Hook vertices with traffic from above become black, with traffic out
-    to the left white; four-valent crossings split into a black/white
-    pair; lonely corners stay degree 2.  Empty rows give white boundary
-    leaves, empty columns black ones.
+    Hook vertices with one edge out become black, the others white;
+    four-valent crossings split into a black/white pair; lonely corners
+    stay degree 2.  Empty rows give white boundary leaves, empty columns
+    black ones.  No weights are computed.
+
+    The ids, which `perm2graph` prints, are kept stable by one rule: the
+    hook network's ids are those of `lediagram.gamma_network`, and the new
+    ids count up from two above the largest of them (one id is skipped).
+    The split crossings draw a half and then an edge each, in the
+    iteration order of the hook network's `internal_vertices()` frozenset,
+    which is not always increasing id order, and the empty boundary
+    vertices a leaf and then an edge each, from 1 to n.
     """
     from .lediagram import diagram_to_tableau
-    return network_from_le(diagram_to_tableau(D)).graph
+    return _le_graph(diagram_to_tableau(D))[0]
 
 
 def network_from_le(T):
-    """Plabic network of a Le-tableau: face weights of its hook network."""
-    from .lediagram import gamma_network
-    net = gamma_network(T)
-    return face_weights(_perfect_gamma(net))
+    """Plabic network of a Le-tableau: the face weights of its hook network.
+
+    The graph, ids included, is graph_from_le's for T's diagram; each face
+    weighs the product of x_e over the edges with the face on their right
+    times 1/x_e over those with it on their left.
+    """
+    G, x = _le_graph(T)
+    return PlabicNetwork(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
 
 
-def _perfect_gamma(net):
-    """Split 4-valent hook vertices and leaf-pad isolated boundary vertices."""
-    edges = dict(net.edges)
-    rot = {v: list(ds) for v, ds in net.rot.items()}
-    flags = net.source_flags
-    n = net.n
+def _le_graph(T):
+    """The Le-graph of a tableau and its edge weights, built on one map.
+
+    The hook network's parts (`lediagram._hook_layout`) are made perfect in
+    place: a four-valent vertex, clockwise N-in, E-in, S-out, W-out, keeps
+    {N, E} and gives {S, W} to a new half behind a weight-1 edge, and an
+    isolated boundary vertex gets a leaf on a weight-1 edge out of a source
+    or into a sink.  Then a vertex with one out-edge is black and every
+    other one, having one in-edge, white.  Returns (graph, eid -> weight).
+    """
+    from .lediagram import _hook_layout
+    n, boundary = T.n, range(1, T.n + 1)
+    flags, edges, rot = _hook_layout(T)
     ids = fresh_ids(rot, edges)
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     fresh = ids.__next__
 
-    for v in list(net.internal_vertices()):
+    for v in frozenset(v for v in rot if v not in boundary):  # internal_vertices() order
         if len(rot[v]) == 4:
-            # clockwise order [N-in, E-in, S-out, W-out]; black keeps {N, E}
-            dn, de, ds_, dw = rot[v]
-            v2 = fresh()
-            ep = fresh()
+            dn, de, ds, dw = rot[v]
+            v2, ep = fresh(), fresh()
             edges[ep] = (v, v2, Fraction(1))
-            _reanchor(edges, (ds_, dw), v2)
-            rot[v] = [dn, de, (ep, 0)]
-            rot[v2] = [(ep, 1), ds_, dw]
-    for i in net.boundary:
+            _reanchor(edges, (ds, dw), v2)
+            rot[v] = (dn, de, (ep, 0))
+            rot[v2] = ((ep, 1), ds, dw)
+    for i in boundary:
         if rot[i]:
             continue
-        leaf = fresh()
-        e = fresh()
-        if flags[i - 1]:
-            edges[e] = (i, leaf, Fraction(1))
-            rot[i] = [(e, 0)]
-            rot[leaf] = [(e, 1)]
-        else:
-            edges[e] = (leaf, i, Fraction(1))
-            rot[i] = [(e, 1)]
-            rot[leaf] = [(e, 0)]
-    return PlanarDirectedNetwork(n, flags, edges, rot={v: tuple(d) for v, d in rot.items()})
+        leaf, e = fresh(), fresh()
+        end = 0 if flags[i - 1] else 1      # the end of e at i
+        edges[e] = (i, leaf, Fraction(1)) if end == 0 else (leaf, i, Fraction(1))
+        rot[i] = ((e, end),)
+        rot[leaf] = ((e, 1 - end),)
+
+    outs = {}
+    for u, _, _ in edges.values():
+        outs[u] = outs.get(u, 0) + 1
+    col = {v: BLACK if outs.get(v) == 1 else WHITE       # in internal_vertices() order
+           for v in frozenset(v for v in rot if v not in boundary)}
+    G = PlabicGraph(n, col, {e: (u, w) for e, (u, w, _) in edges.items()}, rot=rot)
+    return G, {e: x for e, (_, _, x) in edges.items()}
 
 
 def graph_from_perm(pi):

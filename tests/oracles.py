@@ -29,6 +29,13 @@ anti-exceedance set in the shifted order <_r, and `r_table_by_walks`
 counts I_a on walked arcs.  They cross-check `permutations.classify_pair`,
 `necklace_from_perm` and `r_table`.
 
+Le-networks: `le_network` takes a Le-tableau's plabic network the long
+way, through three validated maps (`gamma_network`, `perfect_gamma`,
+`face_weights`), to cross-check `plabic.network_from_le` and
+`graph_from_le`, which build it on one.  `gamma_vertical_edges` and
+`vertical_normalizing_gauge` decode the hook network's grid ids to undo
+a gauge transform.
+
 Cell counts and matrices: `eulerian_by_descents` and `staircase_check`
 count permutations and Le-fills directly, `williams_printed_formula` and
 `poly_eval` document a misprinted closed form, `is_tnn` checks every
@@ -42,9 +49,11 @@ from itertools import combinations, permutations
 from math import comb
 
 from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
-from positroid.lediagram import le_fills
+from positroid.lediagram import gamma_network, le_fills
+from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import BLACK, WHITE
-from positroid.plabic import orientation_sources
+from positroid.plabic import face_weights, orientation_sources
+from positroid.planarmaps import _reanchor, fresh_ids
 
 
 def perfect_orientations(G):
@@ -447,6 +456,104 @@ def r_table_by_walks(pi):
     n, neck = pi.n, necklace_by_shifted_orders(pi)
     return {(a, b): len(neck[a - 1] & set(_clockwise(a, b, n)))
             for a in range(1, n + 1) for b in range(1, n + 1)}
+
+
+# -- the Le-network by way of its hook network -------------------------------------
+
+
+def perfect_gamma(net):
+    """A gamma_network output made perfect: split the 4-valent hook vertices
+    and leaf-pad the isolated boundary vertices, on a new network."""
+    edges = dict(net.edges)
+    rot = {v: list(ds) for v, ds in net.rot.items()}
+    flags = net.source_flags
+    ids = fresh_ids(rot, edges)
+    next(ids)  # the first fresh id is skipped; the output's ids depend on it
+    fresh = ids.__next__
+
+    for v in list(net.internal_vertices()):
+        if len(rot[v]) == 4:
+            # clockwise order [N-in, E-in, S-out, W-out]; black keeps {N, E}
+            dn, de, ds_, dw = rot[v]
+            v2 = fresh()
+            ep = fresh()
+            edges[ep] = (v, v2, Fraction(1))
+            _reanchor(edges, (ds_, dw), v2)
+            rot[v] = [dn, de, (ep, 0)]
+            rot[v2] = [(ep, 1), ds_, dw]
+    for i in net.boundary:
+        if rot[i]:
+            continue
+        leaf = fresh()
+        e = fresh()
+        if flags[i - 1]:
+            edges[e] = (i, leaf, Fraction(1))
+            rot[i] = [(e, 0)]
+            rot[leaf] = [(e, 1)]
+        else:
+            edges[e] = (leaf, i, Fraction(1))
+            rot[i] = [(e, 1)]
+            rot[leaf] = [(e, 0)]
+    return PlanarDirectedNetwork(net.n, flags, edges, rot={v: tuple(d) for v, d in rot.items()})
+
+
+def le_network(T):
+    """The plabic network of a Le-tableau through three validated maps:
+    gamma_network, perfect_gamma, then face_weights."""
+    return face_weights(perfect_gamma(gamma_network(T)))
+
+
+def gamma_vertical_edges(net):
+    """The column (weight-1 by construction) edges of a gamma_network output.
+
+    Internal ids encode grid positions, so verticals are the edges between
+    internal vertices in one column plus the edges into boundary sinks.
+    Valid for any reweighting of such a network (gauge images included).
+    """
+    n = net.n
+    width = max(n - len(net.sources()), 1)
+
+    def column(v):
+        return (v - n - 1) % width + 1
+
+    verticals = []
+    for e, (u, w, _) in net.edges.items():
+        if u in net.boundary:
+            continue  # horizontal edge out of a boundary source
+        if w in net.boundary:
+            verticals.append(e)  # drops into a boundary sink
+        elif column(u) == column(w):
+            verticals.append(e)
+    return verticals
+
+
+def vertical_normalizing_gauge(net, vertical_eids):
+    """The unique gauge making the given downward tree of edges weight 1.
+
+    vertical_eids must form downward chains ending at boundary sinks, with
+    every internal vertex the tail of exactly one of them (as in a hook
+    network).  Returns the vertex -> factor map for gauge_transform.
+    """
+    t = {}
+    pending = set(vertical_eids)
+
+    def known(v):
+        return v in net.boundary or v in t
+
+    def value(v):
+        return Fraction(1) if v in net.boundary else t[v]
+
+    while pending:
+        progress = False
+        for e in list(pending):
+            u, w, x = net.edges[e]
+            if known(w):
+                t[u] = value(w) / x
+                pending.discard(e)
+                progress = True
+        if not progress:
+            raise ValueError("vertical edges do not form boundary-rooted chains")
+    return t
 
 
 # -- the general loop-erased minor formula ---------------------------------------

@@ -150,6 +150,17 @@ def test_bad_permutation_entry_exit_1(capsys, argv, pos, entry):
                    f"optional B/W suffix, not {entry!r}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["perm2graph", "1"], "fixed point 1 needs a colour: 1B or 1W"),
+    (["poset", "--covers", "2B 1"], "entry 1 is not a fixed point, so it takes no B/W"),
+    (["perm2le", "1 3B 2"], "entry 2 is not a fixed point, so it takes no B/W"),
+], ids=["uncoloured-loop", "coloured-non-loop", "coloured-non-loop-2"])
+def test_bad_colour_names_position_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_reduce_cli(capsys, tmp_path):
     import sys
     sys.path.insert(0, "tests")

@@ -5,15 +5,14 @@ from itertools import combinations, product
 import pytest
 
 from helpers import random_le_data, random_rational
-from oracles import is_tnn
+from oracles import gamma_vertical_edges, is_tnn, vertical_normalizing_gauge
 from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
 from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative,
                                  count_le_diagrams, diagram_to_tableau,
-                                 enumerate_le_diagrams, gamma_network, gamma_vertical_edges,
+                                 enumerate_le_diagrams, gamma_network,
                                  invert_measurement, is_le_diagram, le_count_poly,
-                                 le_fills, meas_D, tableau_matrix,
-                                 vertical_normalizing_gauge, witness_not_tnn)
+                                 le_fills, meas_D, tableau_matrix, witness_not_tnn)
 from positroid.network import boundary_measurement, gauge_transform, measure
 
 rng = random.Random(1234)

@@ -1,7 +1,7 @@
 """Total text parsers: a damaged text parses or raises ValueError, nothing else.
 
-Valid texts of the five formats (network, plabic with faces, matrix,
-tableau, permutation) get a few token deletions or replacements; the
+Valid texts of the six formats (network, plabic with faces, matrix,
+tableau, permutation, necklace) get a few token deletions or replacements; the
 parser must return an object, whose text then round-trips, or raise
 ValueError.
 """
@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from positroid.exactmath import RationalMatrix
 from positroid.lediagram import LeTableau
 from positroid.network import PlanarDirectedNetwork
-from positroid.permutations import DecoratedPermutation, top_permutation
+from positroid.permutations import (DecoratedPermutation, GrassmannNecklace,
+                                    necklace_from_perm, top_permutation)
 from positroid.plabic import PlabicGraph, PlabicNetwork, contracted, face_weight_keys, graph_from_perm
 
 
@@ -44,6 +45,10 @@ FORMATS = {
     ]),
     "permutation": (DecoratedPermutation.parse, lambda x: x.format(), [
         "3 1 5 4B 2 6W",
+    ]),
+    "necklace": (GrassmannNecklace.from_text, lambda x: x.to_text(), [
+        necklace_from_perm(DecoratedPermutation.parse("3 1 5 4B 2 6W")).to_text(),
+        "1 2\n2 4\n3 4\n1 4\n",
     ]),
 }
 

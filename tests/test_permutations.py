@@ -88,6 +88,31 @@ def test_invalid_necklace_rejected():
         GrassmannNecklace([{1, 2}, {3, 4}, {1, 2}, {1, 2}])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("7\n7\n7\n", "necklace line 1: expected an entry in 1..3, not '7'"),
+    ("1 1\n2\n3\n", "necklace line 1: entry 1 is repeated"),
+    ("1 2\n\n2 x\n", "necklace line 3: expected an entry in 1..2, not 'x'"),
+    ("1\n0\n", "necklace line 2: expected an entry in 1..2, not '0'"),
+], ids=["out-of-range", "repeated", "not-an-integer", "zero"])
+def test_necklace_text_names_line_and_entry(text, message):
+    with pytest.raises(ValueError) as err:
+        GrassmannNecklace.from_text(text)
+    assert str(err.value) == message
+
+
+def test_necklace_entries_lie_in_1_to_n():
+    with pytest.raises(ValueError, match="I_1 has entry 7, outside 1..3"):
+        GrassmannNecklace([{7}, {7}, {7}])
+
+
+def test_necklace_text_round_trip():
+    for n in range(1, 6):
+        for pi in all_decorated_permutations(n):
+            neck = necklace_from_perm(pi)
+            if neck.k:      # k = 0 prints blank lines, which the text skips
+                assert GrassmannNecklace.from_text(neck.to_text()) == neck
+
+
 def test_necklace_from_matroid_example():
     M = Matroid(2, 4, [{1, 4}, {1, 2}, {1, 3}, {2, 4}, {3, 4}])
     neck = necklace_from_matroid(M)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (attach_leaf, chord_graph, insert_bigon, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import path_matroid, perfect_orientations
+from oracles import le_network, path_matroid, perfect_gamma, perfect_orientations
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -124,15 +124,51 @@ def test_face_weights_pattern_example():
 def test_face_weights_gauge_invariant():
     from positroid.network import gauge_transform, is_perfect
     from positroid.lediagram import gamma_network
-    from positroid.plabic import _perfect_gamma
     for _ in range(6):
         D, T = random_le_data(rng, 2, 5)
-        net = _perfect_gamma(gamma_network(T))
+        net = perfect_gamma(gamma_network(T))
         assert is_perfect(net)
         N1 = face_weights(net)
         t = {v: random_rational(rng, 1, 9) for v in net.internal_vertices()}
         N2 = face_weights(gauge_transform(net, t))
         assert N1.weights == N2.weights
+
+
+def test_le_graph_matches_three_map_route():
+    # same vertex and edge ids, colours and rotations as the long route; in
+    # the n = 10 cell the crossings split in an order other than by id
+    from positroid.lediagram import diagram_to_tableau
+    cells = [pi for n in range(7) for pi in all_decorated_permutations(n)]
+    for pi in cells + [DecoratedPermutation.parse("5 1 4 3 9 2 6 7 10 8")]:
+        assert graph_from_perm(pi).to_text() == \
+            le_network(diagram_to_tableau(le_from_perm(pi))).graph.to_text()
+
+
+def test_le_network_matches_three_map_route():
+    wrng = random.Random(2024)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for _ in range(3):
+                _, T = random_le_data(wrng, k, n)
+                N, oracle = network_from_le(T), le_network(T)
+                assert N.graph.to_text() == oracle.graph.to_text()
+                assert N.weights == oracle.weights
+
+
+def test_graph_from_le_builds_one_map(monkeypatch):
+    built = []
+    init = _DiskGraph.__init__
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(_DiskGraph, "__init__", counted)
+    D = le_from_perm(top_permutation(3, 6))
+    G = graph_from_le(D)
+    assert built == ["PlabicGraph"]
+    # the graph passes the full validation again when read back from its text
+    assert PlabicGraph.from_text(G.to_text()).to_text() == G.to_text()
 
 
 def test_face_weights_product_one():
