@@ -63,14 +63,6 @@ def cell_poly(k, n):
     return tuple(out)
 
 
-def total_cells(n):
-    """N_n = n N_{n-1} + 1 with N_0 = 1; the total number of cells."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    value = 1
-    for m in range(1, n + 1):
-        value = m * value + 1
-    return value
 
 
 def count_table(nmax, q=False):

@@ -65,7 +65,8 @@ class LeTableau:
 
     __slots__ = ("k", "n", "shape", "rows")
 
-    def __init__(self, k, n, shape, rows):
+    def __init__(self, k, n, shape, rows, check=True):
+        """check=False takes the support to be a Le-diagram already."""
         shape = tuple(shape) + (0,) * (k - len(tuple(shape)))
         self.k = k
         self.n = n
@@ -78,7 +79,8 @@ class LeTableau:
             raise ValueError("tableau rows do not match the shape")
         if any(x < 0 for row in self.rows for x in row):
             raise ValueError("tableau entries must be nonnegative")
-        self.diagram()  # validates the Le-property of the support
+        if check:
+            self.diagram()  # validates the Le-property of the support
 
     def __eq__(self, other):
         return (self.k, self.n, self.shape, self.rows) == (other.k, other.n, other.shape, other.rows)
@@ -134,13 +136,15 @@ def _tableau_line(line, number, parse):
 
 
 def diagram_to_tableau(D, values=None):
-    """Tableau supported on D: all 1s, or the given box -> value map."""
+    """Tableau supported on D: all 1s, or the given box -> value map.
+
+    All 1s keep D as the support, so only given values are checked again."""
     rows = []
     for r, row in enumerate(D.fill):
         rows.append([
             (values[(r + 1, c + 1)] if values else Fraction(1)) if v else Fraction(0)
             for c, v in enumerate(row)])
-    return LeTableau(D.k, D.n, D.shape, rows)
+    return LeTableau(D.k, D.n, D.shape, rows, check=bool(values))
 
 
 def is_le_fill(shape, fill):
@@ -229,17 +233,6 @@ def le_count_poly(shape):
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     return tuple(total)
-
-
-def count_le_diagrams(shape):
-    return sum(le_count_poly(tuple(shape)))
-
-
-def enumerate_le_diagrams(k, n, shape):
-    """Stream of LeDiagram objects of the given shape in the (k, n) box."""
-    shape_full = tuple(shape) + (0,) * (k - len(tuple(shape)))
-    for fill in le_fills(shape_full):
-        yield LeDiagram(k, n, shape_full, fill, check=False)
 
 
 # -- the network of a tableau ------------------------------------------------------

@@ -357,7 +357,7 @@ def gauge_transform(net, t):
         return t.get(v, Fraction(1))
 
     edges = {e: (u, w, x * tv(u) / tv(w)) for e, (u, w, x) in net.edges.items()}
-    return net.replace(edges=edges)
+    return net.replace((), edges=edges)
 
 
 def is_perfect(net):

@@ -122,6 +122,10 @@ def all_decorated_permutations(n, k=None):
 # -- Grassmann necklaces -----------------------------------------------------------
 
 
+# the necklace text of an empty subset, which a blank line cannot be
+EMPTY = "-"
+
+
 class GrassmannNecklace:
     """Cyclic sequence I_1..I_n of k-subsets with the one-step exchange law."""
 
@@ -173,16 +177,20 @@ class GrassmannNecklace:
         return True
 
     def to_text(self):
-        return "\n".join(" ".join(str(x) for x in sorted(s)) for s in self.subsets) + "\n"
+        """One subset per line, its entries in increasing order; `-` for an empty one."""
+        return "\n".join(" ".join(str(x) for x in sorted(s)) or EMPTY for s in self.subsets) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        """One subset I_i per nonblank line, as distinct integers in 1..n."""
+        """One subset I_i per nonblank line, as distinct integers in 1..n, or
+        `-` alone for the empty subset (k = 0)."""
         lines = [(number, line.split()) for number, line in enumerate(text.splitlines(), 1)
                  if line.strip()]
         rows = []
         for number, toks in lines:
             row = set()
+            if toks == [EMPTY]:
+                toks = []
             for tok in toks:
                 try:
                     x = int(tok)
@@ -386,13 +394,6 @@ def top_permutation(k, n):
     return DecoratedPermutation(perm, col)
 
 
-def minimal_permutation(I, n):
-    """The identity with white fixed points on I, black elsewhere."""
-    I = frozenset(I)
-    return DecoratedPermutation(range(1, n + 1),
-                                {i: (WHITE if i in I else BLACK) for i in range(1, n + 1)})
-
-
 # -- Grassmannian permutations and pipe dreams ----------------------------------------
 
 
@@ -402,24 +403,27 @@ def w_lambda(lam, k, n):
     With I(lambda) = {i_1 < ... < i_k}, the complement {j_1 < ...} and
     x~ = n+1-x, this is (i~_k, ..., i~_1, j~_{n-k}, ..., j~_1).
     """
-    I = sorted(lambda_to_subset(lam, k, n))
+    return _w_of(sorted(lambda_to_subset(lam, k, n)), n)
+
+
+def _w_of(I, n):
+    """w_lambda of the shape whose vertical steps are the sorted list I."""
     J = [j for j in range(1, n + 1) if j not in I]
     return tuple(n + 1 - i for i in reversed(I)) + tuple(n + 1 - j for j in reversed(J))
 
 
 def bruhat_leq_grassmannian(u, lam, k, n):
     """u <= w_lambda, tested componentwise per the Grassmannian criterion."""
-    w = w_lambda(lam, k, n)
+    return _below(u, w_lambda(lam, k, n), k, n)
+
+
+def _below(u, w, k, n):
+    """bruhat_leq_grassmannian against the Grassmannian permutation w itself."""
     u = tuple(u)
     if sorted(u) != list(range(1, n + 1)):
         raise ValueError(f"{u} is not a permutation of [{n}]")
     return (all(u[m] <= w[m] for m in range(k))
             and all(u[m] >= w[m] for m in range(k, n)))
-
-
-def inversions(u):
-    u = tuple(u)
-    return sum(1 for a, b in combinations(range(len(u)), 2) if u[a] > u[b])
 
 
 def u_from_le(D):
@@ -472,9 +476,14 @@ def le_from_u(u, lam, k, n):
     selects the crossing set of the pipe dream, and the complement is the
     filling.
     """
-    from .lediagram import LeDiagram
-    u = tuple(u)
-    if not bruhat_leq_grassmannian(u, lam, k, n):
+    return _le_below(tuple(u), lam, k, n, w_lambda(lam, k, n))
+
+
+def _le_below(u, lam, k, n, w):
+    """le_from_u, with w = w_lambda(lam, k, n) given: lambda is taken as a
+    valid shape, and the filling is checked for the Le-property once."""
+    from .lediagram import LeDiagram, is_le_diagram
+    if not _below(u, w, k, n):
         raise ValueError(f"{u} is not below w_lambda in the Bruhat order")
     lam_full = tuple(lam) + (0,) * (k - len(tuple(lam)))
     boxes = sorted(((r, c) for r in range(1, k + 1) for c in range(1, lam_full[r - 1] + 1)),
@@ -491,7 +500,9 @@ def le_from_u(u, lam, k, n):
         raise AssertionError("greedy subword did not resolve to the identity")
     fill = [tuple(0 if (r, c) in crossings else 1 for c in range(1, lam_full[r - 1] + 1))
             for r in range(1, k + 1)]
-    return LeDiagram(k, n, lam_full, fill)
+    if not is_le_diagram(lam_full, fill):
+        raise AssertionError("greedy subword did not give a Le-diagram")
+    return LeDiagram(k, n, lam_full, fill, check=False)
 
 
 def perm_from_le(D):
@@ -531,4 +542,4 @@ def le_from_perm(pi):
         u[k - r] = n + 1 - pi.inverse(I[r - 1])
     for m in range(1, n - k + 1):
         u[n - m] = n + 1 - pi.inverse(J[m - 1])
-    return le_from_u(tuple(u), lam, k, n)
+    return _le_below(tuple(u), lam, k, n, _w_of(I, n))

@@ -16,6 +16,7 @@ invariant of reduced graphs.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
 from math import prod
 
@@ -59,6 +60,32 @@ class PlabicGraph(_DiskGraph):
 
     def isolated_components(self):
         return [c for c in self.components() if not any(v in self.boundary for v in c)]
+
+    @cached_property
+    def _sites(self):
+        """The candidates of the vertex and edge rows of SITE_FINDERS, by row:
+        internal vertices without darts (singleton), internal degree-2
+        vertices on two edges (M3r), internal leaves on an internal
+        neighbour (leaf), unicoloured edges (M2) and loops (loop)."""
+        sites = {row: set() for row in (*_VERTEX_ROWS, *_EDGE_ROWS)}
+        _index_sites(self, sites, self.rot, self.edges)
+        return sites
+
+    def _carry(self, parent, changed, edges):
+        super()._carry(parent, changed, edges)
+        sites = parent.__dict__.get("_sites")
+        if sites is not None:
+            # a vertex's row depends on its own darts and on whether their far
+            # ends are boundary vertices, which no rewrite changes for a kept
+            # vertex; an edge's row on its ends and their colours, and a
+            # rewrite moves edge ends only onto new vertices, which count as
+            # recoloured
+            recoloured = [v for v in changed if parent.col.get(v) != self.col.get(v)]
+            edges = edges.union(e for v in recoloured for e, _ in self.rot.get(v, ()))
+            now = {row: set() for row in sites}
+            _index_sites(self, now, changed, edges)
+            self._sites = {row: _redone(s, changed if row in _VERTEX_ROWS else edges, now[row])
+                           for row, s in sites.items()}
 
     def boundary_leaf(self, i):
         """The internal leaf at b_i, when the boundary edge ends in one."""
@@ -150,31 +177,13 @@ def face_key(darts):
 
 
 def face_weight_keys(G):
-    return [face_key(f) for f in faces(G)]
+    """The face_key of every interior face, in no fixed order."""
+    return [face_key(f) for f in G.map.inner_faces_unordered()]
 
 
 def _face_name(key):
     """The name of a face in plabic network text: `e.end` of its key dart, or `disk`."""
     return "disk" if key == ("disk",) else f"{key[0]}.{key[1]}"
-
-
-def weights_by_travel(N):
-    """Face weights keyed independently of the stored edge directions.
-
-    Each face is named by the travel pairs (eid, from, to) of its darts,
-    which survive reorientation of the underlying edges; loops keep their
-    dart end as a tiebreaker.
-    """
-    G = N.graph
-    out = {}
-    for darts in faces(G):
-        key = []
-        for e, end in darts:
-            u, w = G.edges[e]
-            a, b = (u, w) if end == 0 else (w, u)
-            key.append((e, a, b) if u != w else (e, a, b, end))
-        out[tuple(sorted(key))] = N.weights[face_key(darts)]
-    return out
 
 
 class PlabicNetwork:
@@ -423,7 +432,7 @@ def contract_edge(G, e):
         raise ValueError("cannot contract into the boundary")
     if G.col[u] != G.col[w]:
         raise ValueError(f"edge {e} is not unicolored")
-    m = next(fresh_ids(G.rot, G.edges))
+    m = next(G.unused_ids())
     du, dw = (e, 0), (e, 1)
     if G.edges[e][0] != u:
         du, dw = dw, du
@@ -431,14 +440,14 @@ def contract_edge(G, e):
     rw = list(G.rot[w])
     iu, iw = ru.index(du), rw.index(dw)
     merged = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
-    edges = dict(G.edges)
+    edges = G.edges.copy()
     del edges[e]
     _reanchor(edges, merged, m)
-    rot, col = dict(G.rot), dict(G.col)
+    rot, col = G.rot.copy(), G.col.copy()
     del rot[u], rot[w], col[u], col[w]
     rot[m] = tuple(merged)
     col[m] = G.col[u]
-    return G.replace(col=col, edges=edges, rot=rot)
+    return G.replace({u, w, m}, col=col, edges=edges, rot=rot)
 
 
 def uncontract_vertex(G, v, i, j):
@@ -449,17 +458,17 @@ def uncontract_vertex(G, v, i, j):
                         f"so i and j must lie in 0..{len(ds) - 1}")
     take = ds[i:j] if i <= j else ds[i:] + ds[:j]
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
-    m = next(fresh_ids(G.rot, G.edges))
-    e = next(fresh_ids(G.edges))
-    edges = dict(G.edges)
+    m = next(G.unused_ids())
+    e = next(G.unused_ids(vertices=False))
+    edges = G.edges.copy()
     edges[e] = (v, m)
     _reanchor(edges, take, m)
-    rot = dict(G.rot)
+    rot = G.rot.copy()
     rot[v] = tuple([(e, 0)] + keep)   # the new dart sits where the block was
     rot[m] = tuple([(e, 1)] + take)
-    col = dict(G.col)
+    col = G.col.copy()
     col[m] = G.col[v]
-    return G.replace(col=col, edges=edges, rot=rot)
+    return G.replace({v, m}, col=col, edges=edges, rot=rot)
 
 
 def insert_vertex(G, e, colr):
@@ -468,18 +477,18 @@ def insert_vertex(G, e, colr):
     Returns the new graph and the renaming {old dart: new dart} of e's darts.
     """
     u, w = G.edges[e]
-    m = next(fresh_ids(G.rot, G.edges))
-    e1, e2 = islice(fresh_ids(G.edges), 2)
-    edges = dict(G.edges)
+    m = next(G.unused_ids())
+    e1, e2 = islice(G.unused_ids(vertices=False), 2)
+    edges = G.edges.copy()
     del edges[e]
     edges[e1] = (u, m)
     edges[e2] = (m, w)
     rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
     rot = _renamed_rot(G, rename)
     rot[m] = ((e1, 1), (e2, 0))
-    col = dict(G.col)
+    col = G.col.copy()
     col[m] = colr
-    return G.replace(col=col, edges=edges, rot=rot), rename
+    return G.replace({u, w, m}, col=col, edges=edges, rot=rot), rename
 
 
 def remove_vertex(G, v):
@@ -496,20 +505,20 @@ def remove_vertex(G, v):
         raise ValueError("vertex carries a loop; remove the loop instead")
     a = G.other_end(e1, v)
     b = G.other_end(e2, v)
-    e = next(fresh_ids(G.edges))
-    edges = dict(G.edges)
+    e = next(G.unused_ids(vertices=False))
+    edges = G.edges.copy()
     del edges[e1], edges[e2]
     edges[e] = (a, b)
     rename = {_far_dart(G, e1, v): (e, 0), _far_dart(G, e2, v): (e, 1)}
     rot = _renamed_rot(G, rename)
-    col = dict(G.col)
+    col = G.col.copy()
     del rot[v], col[v]
-    return G.replace(col=col, edges=edges, rot=rot), rename
+    return G.replace({v, a, b}, col=col, edges=edges, rot=rot), rename
 
 
 def _renamed_rot(G, rename):
     """A copy of G's rotations with the darts in rename replaced."""
-    rot = dict(G.rot)
+    rot = G.rot.copy()
     for e, end in rename:
         x = G.edges[e][end]
         rot[x] = tuple(rename.get(d, d) for d in rot[x])
@@ -591,7 +600,10 @@ def _bicolored(G, e):
 
 def _key_left_of(G, dart):
     """Key of the interior face on the left of a real dart."""
-    return min(d for d in G.map.orbit(dart) if not isinstance(d[0], tuple))
+    return face_key(G.map._inside(G.map.orbit(dart)))
+
+
+_ONE = Fraction(1)
 
 
 def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
@@ -606,38 +618,44 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     to its neighbours); a lost face of any other weight is a bug.
     rename: dict old dart -> new dart for edges that were glued/split, so a
     face bounded only by rewritten edges still finds its region.
-    Only the faces that left, arrived or were adjusted are checked: their
-    weights stay positive and keep their product, so all still multiply to 1.
+    new_graph is a rewrite of old_net's graph (_DiskGraph.replace), so its
+    map records the faces that left and arrived.  Only they and the
+    adjusted faces are checked: their weights stay positive and keep their
+    product, so all still multiply to 1.
     """
     adjust = adjust or {}
     rename = rename or {}
-    old_faces, new_faces = faces(old_net.graph), faces(new_graph)
-    left = {face_key(darts): darts for darts in set(old_faces).difference(new_faces)}
-    arrived = {face_key(darts): darts for darts in set(new_faces).difference(old_faces)}
-    new_key = {d: key for key, darts in arrived.items() for d in darts}
+    new_map = new_graph.map
+    gone, came = new_map.face_changes(old_net.graph.map)
+    inside, face_of = new_map._inside, new_map._face_of
+    key_of = {id(f): face_key(inside(f)) for f in came}     # by the id of the orbit
+    left = {face_key(darts): darts for darts in map(inside, gone)}
     kept = [key for key in adjust if key not in left]
-    weights = dict(old_net.weights)
-    for key in left:
-        del weights[key]
-    for key, darts in left.items():
-        w = old_net.weights[key] * adjust[key] if key in adjust else old_net.weights[key]
-        hit = {new_key[d] for d in (rename.get(d, d) for d in darts) if d in new_key}
+    weights = old_net.weights.copy()
+    before = [weights.pop(key) for key in left]
+    for (key, darts), w in zip(left.items(), before):
+        if key in adjust:
+            w = w * adjust[key]
+        landed = set(map(id, map(face_of.get, map(rename.get, darts, darts))))
+        hit = {key_of[i] for i in landed.intersection(key_of)}
         if not hit and w != 1:
             raise AssertionError(f"face {key} with weight {w} lost in the rewrite")
         for k in hit:
             weights[k] = weights[k] * w if k in weights else w
-    for key in arrived:
-        weights.setdefault(key, Fraction(1))
+    for key in key_of.values():
+        weights.setdefault(key, _ONE)
+    before += [old_net.weights[key] for key in kept]
     for key in kept:
         weights[key] *= adjust[key]
-    before = [old_net.weights[key] for key in (*left, *kept)]
-    after = [weights[key] for key in (*arrived, *kept)]
-    if any(x.numerator <= 0 for x in after):
-        raise ValueError("a rewrite made a face weight nonpositive")
-    # equal products, compared as a/b = c/d <=> ad = bc without reducing fractions
-    if (prod(x.numerator for x in after) * prod(x.denominator for x in before)
-            != prod(x.numerator for x in before) * prod(x.denominator for x in after)):
-        raise ValueError("a rewrite changed the product of the face weights")
+    after = [weights[key] for key in {*key_of.values(), *kept}]
+    # weights that only moved keep their sign and product; else compare the
+    # products as a/b = c/d <=> ad = bc without reducing fractions
+    if sorted(map(id, before)) != sorted(map(id, after)):
+        if any(x.numerator <= 0 for x in after):
+            raise ValueError("a rewrite made a face weight nonpositive")
+        if (prod(x.numerator for x in after) * prod(x.denominator for x in before)
+                != prod(x.numerator for x in before) * prod(x.denominator for x in after)):
+            raise ValueError("a rewrite changed the product of the face weights")
     net = object.__new__(PlabicNetwork)     # PlabicNetwork's checks hold: see above
     net.graph, net.weights = new_graph, weights
     return net
@@ -650,10 +668,12 @@ def _neighbour_factors(G, darts, y0, adjust):
     walked white -> black is multiplied by (1 + y0), black -> white divided
     by (1 + 1/y0).  Shared by the square move M1 and the bigon reduction R1.
     """
+    up = 1 + y0
+    down = y0 / up          # 1 / (1 + 1/y0)
     for e, end in darts:
         other = _key_left_of(G, (e, 1 - end))
-        factor = (1 + y0) if G.col[G.edges[e][end]] == WHITE else 1 / (1 + 1 / y0)
-        adjust[other] = adjust.get(other, 1) * factor
+        factor = up if G.col[G.edges[e][end]] == WHITE else down
+        adjust[other] = adjust[other] * factor if other in adjust else factor
     return adjust
 
 
@@ -663,17 +683,23 @@ def _graph_of(obj):
 
 def square_faces(G):
     """Face keys where the square move applies."""
+    return [face_key(darts) for darts in _squares(G)]
+
+
+def _squares(G):
+    """The faces where the square move applies, in the order of faces(G).
+
+    A face with a boundary arc has a dart into a boundary vertex, which has
+    no colour, so only the map's faces of four real darts can qualify."""
     out = []
-    for darts in faces(G):
-        if len(darts) != 4:
-            continue
+    for darts in G.map.faces_of_length(4):
         vs = [G.edges[e][1 - end] for e, end in darts]
         cols = [G.col.get(v) for v in vs]
         if (len(set(vs)) == 4 and len({e for e, _ in darts}) == 4
                 and all(c is not None for c in cols)
                 and all(G.degree(v) == 3 for v in vs)
                 and all(cols[i] != cols[(i + 1) % 4] for i in range(4))):
-            out.append(face_key(darts))
+            out.append(darts)
     return out
 
 
@@ -731,13 +757,14 @@ def apply_move(x, move):
     adjust, rename = {}, {}
     if kind == "M1":
         key = move[1]
-        if key not in square_faces(G):
+        darts = next((f for f in _squares(G) if face_key(f) == key), None)
+        if darts is None:
             raise ValueError(f"face {key} is not a square-move site")
-        darts = next(f for f in faces(G) if face_key(f) == key)
-        col = dict(G.col)
-        for v in {G.edges[e][1 - end] for e, end in darts}:
+        col = G.col.copy()
+        square = {G.edges[e][1 - end] for e, end in darts}
+        for v in square:
             col[v] = -col[v]
-        newG = G.replace(col=col)
+        newG = G.replace(square, col=col)
         if weighted:
             y0 = x.weights[key]
             adjust = _neighbour_factors(G, darts, y0, {key: y0 ** -2})  # y0 -> 1/y0
@@ -757,20 +784,25 @@ def apply_move(x, move):
 def bigon_faces(G):
     """Two-dart faces of two bicolored edges, any degrees.
 
-    These become R1 sites once high-degree endpoints are uncontracted.
+    These become R1 sites once high-degree endpoints are uncontracted.  A
+    face with a boundary arc has only darts at the boundary, none of them
+    bicoloured, so only the map's faces of two real darts can qualify.
     """
-    return [darts for darts in faces(G)
-            if len(darts) == 2 and darts[0][0] != darts[1][0] and _bicolored(G, darts[0][0])]
+    return [darts for darts in G.map.faces_of_length(2)
+            if darts[0][0] != darts[1][0] and _bicolored(G, darts[0][0])]
 
 
 def parallel_pairs(G):
     """R1 sites: (e1, e2) bounding a bigon between trivalent bicolored vertices."""
-    out = set()
-    for (e1, _), (e2, _) in bigon_faces(G):
-        u, w = G.edges[e1]
-        if G.degree(u) == G.degree(w) == 3 and len(set(G.incident(u) + G.incident(w)) - {e1, e2}) == 2:
-            out.add((min(e1, e2), max(e1, e2)))
-    return sorted(out)
+    return sorted({(min(e1, e2), max(e1, e2))
+                   for (e1, _), (e2, _) in bigon_faces(G) if _parallel(G, e1, e2)})
+
+
+def _parallel(G, e1, e2):
+    """Whether the edges of a bigon of bigon_faces(G) join trivalent vertices
+    whose other two edges differ."""
+    u, w = G.edges[e1]
+    return G.degree(u) == G.degree(w) == 3 and len(set(G.incident(u) + G.incident(w)) - {e1, e2}) == 2
 
 
 def apply_reduction(x, red):
@@ -787,25 +819,24 @@ def apply_reduction(x, red):
     adjust, rename = {}, {}
     if kind == "R1":
         e1, e2 = red[1], red[2]
-        if (min(e1, e2), max(e1, e2)) not in parallel_pairs(G):
+        bigon = next((darts for darts in bigon_faces(G) if {d[0] for d in darts} == {e1, e2}), None)
+        if bigon is None or not _parallel(G, e1, e2):
             raise ValueError(f"edges {e1}, {e2} are not an R1 site")
         u, w = G.edges[e1]
         a = next(e for e in G.incident(u) if e not in (e1, e2))
         b = next(e for e in G.incident(w) if e not in (e1, e2))
         za = G.other_end(a, u)
         zb = G.other_end(b, w)
-        e = next(fresh_ids(G.edges))
-        edges = dict(G.edges)
+        e = next(G.unused_ids(vertices=False))
+        edges = G.edges.copy()
         del edges[e1], edges[e2], edges[a], edges[b]
         edges[e] = (za, zb)
         rename = {_far_dart(G, a, u): (e, 0), _far_dart(G, b, w): (e, 1)}
         rot = _renamed_rot(G, rename)
-        col = dict(G.col)
+        col = G.col.copy()
         del rot[u], rot[w], col[u], col[w]
-        newG = G.replace(col=col, edges=edges, rot=rot)
+        newG = G.replace({u, w, za, zb}, col=col, edges=edges, rot=rot)
         if weighted:
-            bigon = next(darts for darts in faces(G)
-                         if {d[0] for d in darts} == {e1, e2} and len(darts) == 2)
             y0 = x.weight_of(bigon)
             adjust = _neighbour_factors(G, bigon, y0, {face_key(bigon): 1 / y0})
     elif kind == "R2":
@@ -818,23 +849,25 @@ def apply_reduction(x, red):
             raise ValueError("boundary leaves cannot be reduced")
         if G.col[u] == G.col[v] or G.degree(v) < 3:
             raise ValueError(f"leaf reduction does not apply at {u}")
-        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
         del edges[e], rot[u], rot[v], col[u], col[v]
         others = [d for d in G.rot[v] if d[0] != e]
-        for m, dart in zip(fresh_ids(G.rot, G.edges), others):
+        changed = {u, v}
+        for m, dart in zip(G.unused_ids(), others):
             _reanchor(edges, [dart], m)
             rot[m] = (dart,)
             col[m] = G.col[u]
-        newG = G.replace(col=col, edges=edges, rot=rot)
+            changed.add(m)
+        newG = G.replace(changed, col=col, edges=edges, rot=rot)
     elif kind == "R3":
         # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
         a = red[1]
         b = G.other_end(G.incident(a)[0], a) if G.degree(a) == 1 else None
         if b is None or b in G.boundary or G.degree(b) != 1 or G.col[a] == G.col[b]:
             raise ValueError(f"{a} is not in a bicolored dipole")
-        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
         del edges[G.incident(a)[0]], rot[a], rot[b], col[a], col[b]
-        newG = G.replace(col=col, edges=edges, rot=rot)
+        newG = G.replace({a, b}, col=col, edges=edges, rot=rot)
     elif kind == "Rloop":
         # lollipop removal: a trivalent vertex w carrying a loop is a dead
         # end for directed paths, so w, its loop, and its attaching edge
@@ -853,21 +886,23 @@ def apply_reduction(x, red):
         boundary = u in G.boundary
         if not boundary and G.col[u] == G.col[w]:
             raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
-        inner = next((darts for darts in faces(G) if len(darts) == 1 and darts[0][0] == e), None)
+        inner = next((darts for darts in G.map.faces_of_length(1) if darts[0][0] == e), None)
         if inner is None:
             raise ValueError("the loop encloses other structure; uncontract first")
-        edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
         del edges[e], edges[e2], rot[w], col[w]
         rot[u] = tuple(d for d in rot[u] if d[0] != e2)
+        changed = {w, u}
         if boundary:
-            lv = next(fresh_ids(G.rot, G.edges))
-            eL = next(fresh_ids(G.edges))
+            lv = next(G.unused_ids())
+            eL = next(G.unused_ids(vertices=False))
             edges[eL] = (u, lv)
             rot[u] = ((eL, 0),)
             rot[lv] = ((eL, 1),)
             col[lv] = -G.col[w]
             rename = {_far_dart(G, e2, w): (eL, 0)}
-        newG = G.replace(col=col, edges=edges, rot=rot)
+            changed.add(lv)
+        newG = G.replace(changed, col=col, edges=edges, rot=rot)
         if weighted:
             y = x.weight_of(inner)
             adjust = {_key_left_of(G, rev(inner[0])): y, face_key(inner): 1 / y}
@@ -887,38 +922,74 @@ def apply_site(x, site):
 
 def singletons(G):
     """Internal vertices without darts, in str order."""
-    return sorted((v for v, ds in G.rot.items() if not ds and v not in G.boundary), key=str)
+    return sorted(G._sites["singleton"], key=str)
 
 
 def remove_singleton(G, v):
-    rot, col = dict(G.rot), dict(G.col)
+    rot, col = G.rot.copy(), G.col.copy()
     del rot[v], col[v]
-    return G.replace(col=col, rot=rot)
+    return G.replace({v}, col=col, rot=rot)
 
 
 # -- the site-finder table ------------------------------------------------------------
 
 
+# The rows of SITE_FINDERS whose candidates PlabicGraph._sites keeps, by
+# vertex and by edge.  _index_sites decides membership from a candidate's
+# own rotation, edges and colours and its neighbours' boundary status.
+_VERTEX_ROWS = ("singleton", "M3r", "leaf")
+_EDGE_ROWS = ("M2", "loop")
+
+
+def _index_sites(G, sites, vertices, edges):
+    """Add to sites the candidates among the given vertices and edges of G."""
+    rot, ends, col, boundary = G.rot, G.edges, G.col, G.map._at
+    for v in vertices:
+        ds = rot.get(v)
+        if ds is None or v in boundary:
+            continue
+        if not ds:
+            sites["singleton"].add(v)
+        elif len(ds) == 2 and ds[0][0] != ds[1][0]:
+            sites["M3r"].add(v)
+        elif len(ds) == 1 and G.other_end(ds[0][0], v) not in boundary:
+            sites["leaf"].add(v)
+    for e in edges:
+        u, w = ends.get(e, (None, None))
+        if u is not None and u == w:
+            sites["loop"].add(e)
+        elif col.get(u) is not None and col.get(u) == col.get(w):
+            sites["M2"].add(e)
+
+
+def _redone(members, redone, now):
+    """members with those among redone replaced by now (members itself when
+    that changes nothing: the sets are shared, never changed in place)."""
+    if not now and members.isdisjoint(redone):
+        return members
+    return members.difference(redone).union(now)
+
+
 def _m3r_sites(G):
-    """Internal degree-2 vertices on two distinct edges."""
-    return (v for v in G.internal_vertices() if G.degree(v) == 2 and G.rot[v][0][0] != G.rot[v][1][0])
+    """Internal degree-2 vertices on two distinct edges, in the order of
+    G.internal_vertices(), which is only built when there are two."""
+    bends = G._sites["M3r"]
+    return iter(bends) if len(bends) < 2 else filter(bends.__contains__, G.internal_vertices())
 
 
 def _m2_sites(G):
     """Unicolored edges by id."""
-    return (e for e, (u, w) in sorted(G.edges.items())
-            if u != w and G.col.get(u) is not None and G.col.get(u) == G.col.get(w))
+    return iter(sorted(G._sites["M2"]))
 
 
 def _loop_sites(G):
     """Loops whose two darts are rotation neighbours, so nothing hangs inside them."""
-    return (e for e, (u, w) in sorted(G.edges.items()) if u == w and _split_pair(G, u, (e,)))
+    return (e for e in sorted(G._sites["loop"]) if _split_pair(G, G.edges[e][0], (e,)))
 
 
 def _leaf_sites(G):
     """Internal leaves whose neighbor is internal, in str order."""
-    return (v for v in sorted(G.internal_vertices(), key=str)
-            if G.degree(v) == 1 and G.other_end(G.incident(v)[0], v) not in G.boundary)
+    return iter(sorted(G._sites["leaf"], key=str))
 
 
 def _split_pair(G, v, es):
@@ -995,7 +1066,7 @@ class ReductionStuck(ValueError):
 def _size(G):
     """Faces plus edges, a singleton counting as the face of its empty walk (the
     map's orbits, traced when G was built, add the outer face: a constant)."""
-    return len(G.map.faces()) + len(G.edges) + sum(1 for ds in G.rot.values() if not ds)
+    return G.map.face_count() + len(G.edges) + len(G._sites["singleton"])
 
 
 def _first_site(G, rows):
@@ -1278,8 +1349,9 @@ def delete_edge(G, e, boundary_color=None):
     end (required then).
     """
     u, w = G.edges[e]
-    edges, rot, col = dict(G.edges), dict(G.rot), dict(G.col)
+    edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
     del edges[e]
+    changed = {u, w}
     for v in {u, w}:
         rot[v] = tuple(d for d in rot[v] if d[0] != e)
     bdry = [v for v in (u, w) if v in G.boundary]
@@ -1297,7 +1369,8 @@ def delete_edge(G, e, boundary_color=None):
         rot[i] = ((enew, 0),)
         rot[leaf] = ((enew, 1),)
         col[leaf] = c
-    return G.replace(col=col, edges=edges, rot=rot)
+        changed.add(leaf)
+    return G.replace(changed, col=col, edges=edges, rot=rot)
 
 
 def export_dot(x):

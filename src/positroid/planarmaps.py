@@ -21,9 +21,13 @@ implied rotations, the connected components, the fresh-id rule and the
 tokenizer of their text formats.
 """
 
-from bisect import bisect
-from functools import cached_property
-from itertools import count
+from bisect import bisect_left, insort
+from functools import cached_property, lru_cache
+from itertools import chain, count, filterfalse, repeat
+from operator import itemgetter
+
+# DiskMap.faces_of_length serves faces of at most this many darts
+SMALL = 4
 
 
 def rev(dart):
@@ -42,8 +46,15 @@ class DiskMap:
     Faces are traced when the map is built: the vertices are visited in str
     order and each one's darts in rotation order, and every dart not yet on
     a face starts the next one.  So each face starts at its least dart by
-    (str of its vertex, rotation position), and the faces come in that order.
+    _key, (str of its vertex, rotation position), and faces() lists them in
+    that order.  A derived map (see derive) keeps its faces as traced and
+    puts them in that order and start only when faces() is first asked for.
     """
+
+    # _stamp is a token of the map.  The maps derived from it keep it as their
+    # _base: it stays unique while they hold it, and it does not keep this map
+    # alive as a reference to the map would.
+    _base = None
 
     def __init__(self, boundary, edges, rot):
         self.boundary = tuple(boundary)
@@ -52,6 +63,7 @@ class DiskMap:
         self.rot = {v: tuple(ds) for v, ds in rot.items()}
         self._check_rotations()
         self._at = {b: i for i, b in enumerate(self.boundary)}
+        self._arcs = _arc_darts(self.n)
         self._aug_rot = {v: self._augmented(v) for v in (*self.rot, *self.boundary)}
         self._faces, self._face_of = [], {}
         for v in sorted(self._aug_rot, key=str):
@@ -61,52 +73,85 @@ class DiskMap:
                     self._faces.append(orbit)
                     for x in orbit:
                         self._face_of[x] = orbit
+        self._count, self._stamp, self._of_length = len(self._faces), object(), {}
         self.validate_planarity()
 
-    def derive(self, edges, rot):
+    def derive(self, edges, rot, changed):
         """The map of a local rewrite of this graph, without re-validation.
 
         edges and rot describe the rewritten graph on the same boundary and
-        are taken as they are.  A face none of whose darts arrives at a
-        vertex whose rotation changed is kept; only the faces through those
-        vertices are traced again, each placed and started where a fresh
-        trace would put it.  So faces(), face_left and inner_faces equal
-        those of DiskMap(self.boundary, edges, rot).
+        are taken as they are.  changed names every vertex whose rotation
+        the rewrite changed (naming more is harmless).  Only a dart that
+        arrives at one of those vertices can get a new successor, and only
+        the faces with a dart whose successor did change are traced again;
+        the others are kept as they are, and their order and start are
+        found when faces() is asked for.  So faces(), orbit and inner_faces equal those of
+        DiskMap(self.boundary, edges, rot), and face_changes(self) returns
+        the faces that left and arrived.
         """
-        changed = {v for v, _ in self.rot.items() ^ rot.items()}
-        if not changed:
-            return self         # equal rotations: equal edges and faces
         new = object.__new__(DiskMap)
-        new.boundary, new.n, new._at = self.boundary, self.n, self._at
+        new.boundary, new.n, new._at, new._arcs = self.boundary, self.n, self._at, self._arcs
         new.edges, new.rot = edges, rot
-        new._aug_rot = aug = dict(self._aug_rot)
-        new._faces, new._face_of = list(self._faces), dict(self._face_of)
-        new._starts, new._inner = list(self._starts), list(self._inner)   # set, not lazy, here
-        gone = {id(f): f for f in (self._face_of[d] for v in changed for d in aug.get(v, ()))}
-        for orbit in gone.values():
-            i = new._faces.index(orbit)
-            del new._faces[i], new._starts[i], new._inner[i]
-            for d in orbit:
-                del new._face_of[d]
+        old_aug, at = self._aug_rot, self._at
+        aug, was_pairs, now_pairs = None, set(), set()      # (dart, its clockwise successor)
         for v in changed:
-            if v in rot or v in self._at:
-                aug[v] = new._augmented(v)
-            else:
+            was = old_aug.get(v)
+            now = new._augmented(v) if v in at else rot.get(v)
+            if now == was:
+                continue
+            if aug is None:
+                aug = old_aug.copy()
+            if was:
+                was_pairs.update(_cyclic_pairs(was))
+            if now is None:
                 del aug[v]
-        for v in changed:
-            for d in aug.get(v, ()):
-                if d not in new._face_of:
-                    orbit = new._orbit(d)
-                    keys = [new._key(x) for x in orbit]
-                    first = keys.index(min(keys))
-                    orbit = orbit[first:] + orbit[:first]
-                    i = bisect(new._starts, keys[first])
-                    new._faces.insert(i, orbit)
-                    new._starts.insert(i, keys[first])
-                    new._inner.insert(i, _drop_arcs(orbit))
-                    for x in orbit:
-                        new._face_of[x] = orbit
+            else:
+                aug[v] = now
+                now_pairs.update(_cyclic_pairs(now))
+        if aug is None:
+            return self         # equal rotations: equal edges and faces
+
+        # the dart arriving as the reverse of y leaves along y's successor,
+        # so where that successor changed, the face of the arriving dart did
+        lost, made = was_pairs - now_pairs, now_pairs - was_pairs
+        gone = {}
+        for (e, end), _ in lost:
+            f = self._face_of[(e, 1 - end)]
+            gone[id(f)] = f
+        succ, face_of = self._succ.copy(), self._face_of.copy()
+        succ.update(made)
+        lost_next, made_next = dict(lost), dict(made)
+        for d in lost_next.keys() - made_next.keys():       # the darts of removed edges
+            del succ[d], face_of[d]
+        new._aug_rot, new._succ, new._face_of = aug, succ, face_of
+        arrived = []
+        for (e, end), _ in made:
+            f = face_of.get((e, 1 - end))
+            if f is None or id(f) in gone:
+                orbit = _walk(succ, (e, 1 - end))
+                face_of.update(zip(orbit, repeat(orbit)))
+                arrived.append(orbit)
+        left, small = list(gone.values()), self._small
+        if min(map(len, chain(left, arrived)), default=SMALL + 1) <= SMALL:
+            small = small.difference(left).union(
+                f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f))
+        new._small, new._count = small, self._count - len(left) + len(arrived)
+        new._stamp, new._of_length = object(), {}       # faces_of_length(k) by k, as asked for
+        new._base, new._left, new._arrived = self._stamp, left, arrived
+        new._moved = lost_next.keys() ^ made_next.keys()   # the darts removed and added
         return new
+
+    def face_changes(self, base):
+        """(left, arrived): the faces of base, the map this one was derived
+        from (or this map itself), that are not faces of this map, and this
+        map's faces that are not base's, as orbit() gives them and as derive
+        recorded them.  A face is a dart cycle, whichever dart its tuple
+        starts at."""
+        if self is base:
+            return [], []
+        if self._base is None or self._base is not base._stamp:
+            raise ValueError("the map was not derived from this base")
+        return self._left, self._arrived
 
     # -- construction helpers ------------------------------------------------
 
@@ -151,7 +196,8 @@ class DiskMap:
 
     def _orbit(self, dart):
         """The face through the dart, from that dart: each step takes the
-        clockwise successor of the reversed dart at the vertex it travels to."""
+        clockwise successor of the reversed dart at the vertex it travels to,
+        found in that vertex's rotation (derive walks its table _succ)."""
         aug, edges, b = self._aug_rot, self.edges, self.boundary
         orbit, cur = [], dart
         while True:
@@ -166,33 +212,89 @@ class DiskMap:
             if cur == dart:
                 return tuple(orbit)
 
+    @cached_property
+    def _succ(self):
+        """Each dart's clockwise successor at its vertex."""
+        succ = {}
+        for ds in self._aug_rot.values():
+            succ.update(_cyclic_pairs(ds))
+        return succ
+
     def _key(self, dart):
         """Where the face trace meets the dart: (str of its vertex, rotation position)."""
         e, end = dart
         v = self.boundary[(e[1] + end) % self.n] if isinstance(e, tuple) else self.edges[e][end]
         return (str(v), self._aug_rot[v].index(dart))
 
+    def _started(self, orbit):
+        """The orbit started at its least dart by _key, and that key."""
+        key, i = min((self._key(d), i) for i, d in enumerate(orbit))
+        return (orbit[i:] + orbit[:i] if i else orbit), key
+
+    def _traced(self):
+        """Every face once, as orbit() gives it: started where it was traced."""
+        orbits = list(self._face_of.values())
+        return dict(zip(map(id, orbits), orbits)).values()
+
     @cached_property
-    def _starts(self):
-        """The _key of each face's first dart, in the order of faces()."""
-        return [self._key(orbit[0]) for orbit in self._faces]
+    def _layout(self):
+        """A derived map's faces, each started at its least dart, in order,
+        and the index there of each face by the id of its orbit() tuple."""
+        placed = sorted(((*self._started(f), id(f)) for f in self._traced()), key=itemgetter(1))
+        return [orbit for orbit, _, _ in placed], {i: at for at, (_, _, i) in enumerate(placed)}
+
+    @cached_property
+    def _faces(self):
+        """faces() of a derived map; a fresh map sets it as it traces."""
+        return self._layout[0]
+
+    @cached_property
+    def _index(self):
+        """The index in faces() of each face, by the id of its orbit() tuple."""
+        if self._base is None:      # traced in order: orbit() gives the tuples of faces()
+            return {id(f): i for i, f in enumerate(self._faces)}
+        return self._layout[1]
 
     @cached_property
     def _inner(self):
         """Each face of faces() with its boundary arcs dropped."""
-        return [_drop_arcs(orbit) for orbit in self._faces]
+        return [self._inside(orbit) for orbit in self._faces]
+
+    @cached_property
+    def _small(self):
+        """The faces of at most SMALL darts and no boundary arc."""
+        return {orbit for orbit in self._faces if len(orbit) <= SMALL and self._arcs.isdisjoint(orbit)}
+
+    def _inside(self, orbit):
+        """The face with its boundary arcs dropped."""
+        arcs = self._arcs
+        return orbit if arcs.isdisjoint(orbit) else tuple(filterfalse(arcs.__contains__, orbit))
 
     def faces(self):
         """All dart orbits, each a tuple of darts with the face on the left."""
         return self._faces
 
+    def face_count(self):
+        """len(faces()), without putting a derived map's faces in order."""
+        return self._count
+
+    def faces_of_length(self, k):
+        """The faces of k <= SMALL darts and no boundary arc, in the order of faces()."""
+        if k > SMALL:
+            raise ValueError(f"only faces of at most {SMALL} darts are indexed")
+        found = self._of_length.get(k)
+        if found is None:
+            placed = sorted((self._started(f) for f in self._small if len(f) == k), key=itemgetter(1))
+            found = self._of_length[k] = tuple(orbit for orbit, _ in placed)
+        return found
+
     def orbit(self, dart):
-        """The face on the left of the dart, as its orbit."""
+        """The face on the left of the dart, as its orbit (from any of its darts)."""
         return self._face_of[dart]
 
     def face_left(self, dart):
         """The index in faces() of the face on the left of the dart."""
-        return self._faces.index(self._face_of[dart])
+        return self._index[id(self._face_of[dart])]
 
     def face_right(self, dart):
         return self.face_left(rev(dart))
@@ -202,6 +304,14 @@ class DiskMap:
         if self.n == 0:
             raise ValueError("no boundary circle")
         return self.face_left((("arc", 0), 0))
+
+    def inner_faces_unordered(self):
+        """inner_faces in no fixed order, without putting a derived map's
+        faces in order; each face's darts come in their cyclic order."""
+        if "_faces" in self.__dict__:
+            return self.inner_faces
+        outer = self._face_of[(("arc", 0), 0)] if self.n else None
+        return [self._inside(f) for f in self._traced() if f is not outer]
 
     @cached_property
     def inner_faces(self):
@@ -230,8 +340,26 @@ class DiskMap:
                     f"(component with {len(comp)} vertices, {ne} edges, {len(face_ids)} faces)")
 
 
-def _drop_arcs(orbit):
-    return tuple(d for d in orbit if not isinstance(d[0], tuple))
+@lru_cache(maxsize=None)
+def _arc_darts(n):
+    """The darts of the boundary arcs of a disk with n boundary vertices."""
+    return frozenset((("arc", i), end) for i in range(n) for end in (0, 1))
+
+
+def _cyclic_pairs(ds):
+    """(ds[i], ds[i + 1]) for every i, cyclically: each dart of a rotation
+    with its clockwise successor."""
+    return zip(ds, ds[1:] + ds[:1])
+
+
+def _walk(succ, dart):
+    """The face through the dart, from that dart, by the successor table succ
+    (see DiskMap._succ): the same walk as DiskMap._orbit."""
+    orbit, cur = [dart], succ[(dart[0], 1 - dart[1])]
+    while cur != dart:
+        orbit.append(cur)
+        cur = succ[(cur[0], 1 - cur[1])]
+    return tuple(orbit)
 
 
 def rotations_from_edge_lists(edges, rot_ids):
@@ -312,6 +440,23 @@ def _dual_forest(faces):
     return forest
 
 
+def _updated(ids, xs, old, new):
+    """The sorted list ids of the integer keys of the dict old, updated for
+    the dict new: only the keys in the set xs can have come or gone."""
+    not_old, not_new = xs.difference(old), xs.difference(new)
+    came, went = not_old - not_new, not_new - not_old
+    if not (came or went):
+        return ids
+    ids = ids.copy()
+    for x in came:
+        if isinstance(x, int):
+            insort(ids, x)
+    for x in went:
+        if isinstance(x, int):
+            del ids[bisect_left(ids, x)]
+    return ids
+
+
 def _reanchor(edges, darts, v):
     """Anchor every dart (e, end) of `darts` at v: edges[e][end] = v."""
     for e, end in darts:
@@ -362,7 +507,7 @@ class _DiskGraph:
         self.rot = self.map.rot
 
     def internal_vertices(self):
-        return frozenset(v for v in self.rot if v not in self.boundary)
+        return frozenset(filterfalse(self.map._at.__contains__, self.rot))
 
     def degree(self, v):
         return len(self.rot[v])
@@ -374,20 +519,49 @@ class _DiskGraph:
         """edges as the map takes them: eid -> (u, w)."""
         return self.edges
 
-    def replace(self, **kw):
+    @cached_property
+    def _ids(self):
+        """The integer vertex ids and the integer edge ids, as two sorted lists."""
+        return (sorted(v for v in self.rot if isinstance(v, int)),
+                sorted(e for e in self.edges if isinstance(e, int)))
+
+    def unused_ids(self, vertices=True):
+        """Unused ids, counting up from one above every edge id and, when
+        vertices, every vertex id: fresh_ids(G.rot, G.edges) and
+        fresh_ids(G.edges) without looking at every id."""
+        vs, es = self._ids
+        top = max(es[-1:] + vs[-1:] if vertices else es[-1:], default=0)
+        return count(1 + top)
+
+    def replace(self, changed, **kw):
         """This graph with the fields in kw replaced: how every rewrite builds its result.
 
-        The new values are taken as they are, and the map is derived from
-        this one's (DiskMap.derive), so only the faces at the rewritten
-        vertices are traced again and nothing is validated: a rewrite of a
-        valid graph is valid.  Graphs from outside go through the constructor.
+        changed names every vertex the rewrite added, removed, or changed
+        the rotation or any other field of (naming more is harmless).  The
+        new values are taken as they are, and the map is derived from this
+        one's (DiskMap.derive), so only the faces at the changed vertices
+        are traced again and nothing is validated: a rewrite of a valid
+        graph is valid.  The bookkeeping that _carry keeps is updated at
+        the changed vertices and their edges.  Graphs from outside go
+        through the constructor.
         """
         new = object.__new__(type(self))
         for name in self._fields:
             setattr(new, name, kw.get(name, getattr(self, name)))
         new.boundary = self.boundary
-        new.map = self.map.derive(new._shape(), new.rot)
+        changed = set(changed)
+        new.map = self.map.derive(new._shape(), new.rot, changed)
+        moved = new.map._moved if new.map is not self.map else ()
+        new._carry(self, changed, set(map(itemgetter(0), moved)))
         return new
+
+    def _carry(self, parent, changed, edges):
+        """Update parent's bookkeeping for this graph, a rewrite of it that
+        changed only the vertices changed and added or removed only the
+        edges in edges."""
+        if "_ids" in parent.__dict__:
+            self._ids = (_updated(parent._ids[0], changed, parent.rot, self.rot),
+                         _updated(parent._ids[1], edges, parent.edges, self.edges))
 
 
 def parse_disk_text(text, what, vertex_label, edge_tail, other):

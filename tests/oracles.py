@@ -41,6 +41,12 @@ count permutations and Le-fills directly, `williams_printed_formula` and
 `poly_eval` document a misprinted closed form, `is_tnn` checks every
 maximal minor and `verify_exchange_axiom` every basis pair.
 
+Small helpers only tests call: `weights_by_travel` keys face weights by
+travel pairs, `count_le_diagrams` and `enumerate_le_diagrams` count and
+list the Le-diagrams of a shape, `total_cells` is the recursion for the
+number of cells, `inversions` counts inversions and
+`minimal_permutation` is the identity with given fixed-point colours.
+
 All of them are exponential; fine at desk scale.
 """
 
@@ -49,10 +55,10 @@ from itertools import combinations, permutations
 from math import comb
 
 from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
-from positroid.lediagram import gamma_network, le_fills
+from positroid.lediagram import LeDiagram, gamma_network, le_count_poly, le_fills
 from positroid.network import PlanarDirectedNetwork
-from positroid.permutations import BLACK, WHITE
-from positroid.plabic import face_weights, orientation_sources
+from positroid.permutations import BLACK, WHITE, DecoratedPermutation
+from positroid.plabic import face_key, face_weights, faces, orientation_sources
 from positroid.planarmaps import _reanchor, fresh_ids
 
 
@@ -816,3 +822,58 @@ def verify_exchange_axiom(M):
                 if not any(frozenset(I - {i} | {j}) in M.bases for j in J):
                     return False
     return True
+
+
+# -- small helpers only tests call ----------------------------------------------------
+
+
+def weights_by_travel(N):
+    """Face weights keyed independently of the stored edge directions.
+
+    Each face is named by the travel pairs (eid, from, to) of its darts,
+    which survive reorientation of the underlying edges; loops keep their
+    dart end as a tiebreaker.
+    """
+    G = N.graph
+    out = {}
+    for darts in faces(G):
+        key = []
+        for e, end in darts:
+            u, w = G.edges[e]
+            a, b = (u, w) if end == 0 else (w, u)
+            key.append((e, a, b) if u != w else (e, a, b, end))
+        out[tuple(sorted(key))] = N.weights[face_key(darts)]
+    return out
+
+
+def count_le_diagrams(shape):
+    return sum(le_count_poly(tuple(shape)))
+
+
+def enumerate_le_diagrams(k, n, shape):
+    """Stream of LeDiagram objects of the given shape in the (k, n) box."""
+    shape_full = tuple(shape) + (0,) * (k - len(tuple(shape)))
+    for fill in le_fills(shape_full):
+        yield LeDiagram(k, n, shape_full, fill, check=False)
+
+
+def total_cells(n):
+    """N_n = n N_{n-1} + 1 with N_0 = 1; the total number of cells."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    value = 1
+    for m in range(1, n + 1):
+        value = m * value + 1
+    return value
+
+
+def inversions(u):
+    u = tuple(u)
+    return sum(1 for a, b in combinations(range(len(u)), 2) if u[a] > u[b])
+
+
+def minimal_permutation(I, n):
+    """The identity with white fixed points on I, black elsewhere."""
+    I = frozenset(I)
+    return DecoratedPermutation(range(1, n + 1),
+                                {i: (WHITE if i in I else BLACK) for i in range(1, n + 1)})

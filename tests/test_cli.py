@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from helpers import insert_bigon, random_plabic_network, reweight
 from positroid.cli import main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
@@ -592,3 +594,30 @@ def test_move_removes_a_singleton(capsys, tmp_path):
     f.write_text(text + "vertex 9 black :\n")
     code, out, _ = run(capsys, "move", str(f), "--site", "singleton 9")
     assert (code, out) == (0, text)
+
+
+# sha256 prefixes of `reduce --json` on the scrambled networks of
+# _scrambled(seed): the output must not depend on how a rewrite finds the
+# faces it changed
+REDUCE_JSON_DIGESTS = ["8e2fe490c976938f", "d3e5300035fbe4f1", "de71d18b1abff6b5",
+                       "f739b452b55950be", "c260505dadbe648e", "1a329c5fa87861df"]
+
+
+def _scrambled(seed):
+    """A weighted plabic network scrambled by 30 or 90 moves, with two bigons."""
+    r = random.Random(seed)
+    G = random_plabic_network(r, nmax=8, scrambles=30 if seed < 3 else 90).graph
+    for _ in range(2):
+        inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
+        if inner:
+            G, _ = insert_bigon(G, r.choice(inner), r)
+    return reweight(G, r)
+
+
+@pytest.mark.parametrize("seed", range(len(REDUCE_JSON_DIGESTS)))
+def test_reduce_json_is_pinned(capsys, tmp_path, seed):
+    path = tmp_path / "net.txt"
+    path.write_text(_scrambled(seed).to_text())
+    code, out, _ = run(capsys, "reduce", str(path), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == REDUCE_JSON_DIGESTS[seed]

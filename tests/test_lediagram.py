@@ -5,13 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from helpers import random_le_data, random_rational
-from oracles import gamma_vertical_edges, is_tnn, vertical_normalizing_gauge
+from oracles import (count_le_diagrams, enumerate_le_diagrams, gamma_vertical_edges, is_tnn,
+                     vertical_normalizing_gauge)
 from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
 from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative,
-                                 count_le_diagrams, diagram_to_tableau,
-                                 enumerate_le_diagrams, gamma_network,
-                                 invert_measurement, is_le_diagram, le_count_poly,
+                                 diagram_to_tableau, gamma_network, invert_measurement, is_le_diagram, le_count_poly,
                                  le_fills, meas_D, tableau_matrix, witness_not_tnn)
 from positroid.network import boundary_measurement, gauge_transform, measure
 

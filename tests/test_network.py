@@ -475,7 +475,8 @@ def test_nested_cycle_measurement():
 def test_acyclic_path_sum_matches_exhaustive_on_hook_networks():
     # every Le-diagram with n <= 6, randomly weighted, and a random gauge
     # transform of its hook network
-    from positroid.lediagram import diagram_to_tableau, enumerate_le_diagrams, gamma_network
+    from oracles import enumerate_le_diagrams
+    from positroid.lediagram import diagram_to_tableau, gamma_network
     local = random.Random(606)
     done = 0
     for n in range(1, 7):

@@ -82,7 +82,7 @@ def test_perfect_orientation_iff_oracle_finds_one():
         G = scrambled_graph(rng, cells)
         fat = sorted((v for v in G.internal_vertices() if G.degree(v) >= 3), key=str)
         v = rng.choice(fat or sorted(G.internal_vertices(), key=str))
-        G = G.replace(col={**G.col, v: -G.col[v]})
+        G = G.replace({v}, col={**G.col, v: -G.col[v]})
         orient = perfect_orientation(G)
         seen[orient is not None] += 1
         if orient is None:
@@ -128,7 +128,7 @@ def test_dipoles():
     rot_ids = {10: [1], 11: [1], 1: [2], 2: [2]}
     G = PlabicGraph(2, {10: BLACK, 11: WHITE}, edges, rot_ids=rot_ids)
     assert perfect_orientation(G)[1] == (10, 11)
-    G = G.replace(col={10: BLACK, 11: BLACK})
+    G = G.replace({11}, col={10: BLACK, 11: BLACK})
     assert perfect_orientation(G) is None and perfect_orientations(G) == []
     with pytest.raises(ValueError, match="graph is not perfectly orientable"):
         matroid(G)

@@ -49,6 +49,7 @@ FORMATS = {
     "necklace": (GrassmannNecklace.from_text, lambda x: x.to_text(), [
         necklace_from_perm(DecoratedPermutation.parse("3 1 5 4B 2 6W")).to_text(),
         "1 2\n2 4\n3 4\n1 4\n",
+        "-\n-\n-\n",       # k = 0
     ]),
 }
 

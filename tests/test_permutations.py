@@ -3,16 +3,16 @@ from itertools import combinations, permutations as iperm
 
 import pytest
 
-from oracles import (aligned_pair, chord_class, necklace_by_shifted_orders, r_table_by_walks,
-                     reversal_misaligned)
+from oracles import (aligned_pair, chord_class, inversions, minimal_permutation,
+                     necklace_by_shifted_orders, r_table_by_walks, reversal_misaligned)
 from positroid.exactmath import Matroid, partitions_in_box
 from positroid.lediagram import LeDiagram, le_fills
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation,
                                     GrassmannNecklace, all_decorated_permutations,
                                     alignment_number, bruhat_leq_grassmannian,
                                     circular_leq, classify_pair, covers,
-                                    crossing_roles, inversions, le_from_perm, le_from_u,
-                                    minimal_permutation, necklace_from_matroid,
+                                    crossing_roles, le_from_perm, le_from_u,
+                                    necklace_from_matroid,
                                     necklace_from_perm, perm_from_le,
                                     perm_from_necklace, rank, r_table,
                                     top_permutation, u_from_le, w_lambda,
@@ -93,7 +93,8 @@ def test_invalid_necklace_rejected():
     ("1 1\n2\n3\n", "necklace line 1: entry 1 is repeated"),
     ("1 2\n\n2 x\n", "necklace line 3: expected an entry in 1..2, not 'x'"),
     ("1\n0\n", "necklace line 2: expected an entry in 1..2, not '0'"),
-], ids=["out-of-range", "repeated", "not-an-integer", "zero"])
+    ("- 1\n1\n", "necklace line 1: expected an entry in 1..2, not '-'"),
+], ids=["out-of-range", "repeated", "not-an-integer", "zero", "empty-mark-not-alone"])
 def test_necklace_text_names_line_and_entry(text, message):
     with pytest.raises(ValueError) as err:
         GrassmannNecklace.from_text(text)
@@ -106,11 +107,17 @@ def test_necklace_entries_lie_in_1_to_n():
 
 
 def test_necklace_text_round_trip():
-    for n in range(1, 6):
+    for n in range(6):          # k = 0 included: its subsets are written '-'
         for pi in all_decorated_permutations(n):
             neck = necklace_from_perm(pi)
-            if neck.k:      # k = 0 prints blank lines, which the text skips
-                assert GrassmannNecklace.from_text(neck.to_text()) == neck
+            assert GrassmannNecklace.from_text(neck.to_text()) == neck
+
+
+def test_k0_necklace_text():
+    neck = GrassmannNecklace([set()] * 3)
+    assert neck.to_text() == "-\n-\n-\n"
+    assert GrassmannNecklace.from_text(neck.to_text()) == neck
+    assert GrassmannNecklace.from_text(neck.to_text()).n == 3
 
 
 def test_necklace_from_matroid_example():

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from collections import Counter
@@ -7,15 +8,15 @@ import pytest
 
 from helpers import (attach_leaf, chord_graph, insert_bigon, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import le_network, path_matroid, perfect_gamma, perfect_orientations
+from oracles import le_network, minimal_permutation, path_matroid, perfect_gamma, perfect_orientations
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
 from positroid.network import measure
-from positroid.planarmaps import _DiskGraph
+from positroid.planarmaps import _DiskGraph, _cyclic_pairs
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
-                                    minimal_permutation, rank, top_permutation)
+                                    rank, top_permutation)
 from positroid.plabic import (PlabicGraph, PlabicNetwork, ReductionStuck, _transfer_weights,
                               apply_move, apply_reduction, contracted, delete_edge,
                               edge_weights_from_faces, export_dot, face_key,
@@ -181,7 +182,7 @@ def test_face_weights_product_one():
 
 
 def test_edge_weights_round_trip():
-    from positroid.plabic import weights_by_travel
+    from oracles import weights_by_travel
     for _ in range(8):
         N = random_plabic_network(rng, nmax=5, scrambles=2)
         for orient in perfect_orientations(N.graph)[:3]:
@@ -193,7 +194,7 @@ def test_edge_weights_round_trip():
 def test_edge_weights_round_trip_with_isolated_dipoles():
     # each dipole's walk is a part of the dual graph of its own, whose one
     # face fixes no edge and keeps weight 1
-    from positroid.plabic import weights_by_travel
+    from oracles import weights_by_travel
     for _ in range(8):
         G = random_plabic_network(rng, nmax=5, scrambles=2).graph
         col, edges, rot = dict(G.col), dict(G.edges), dict(G.rot)
@@ -598,32 +599,64 @@ def test_weighted_rewrite_has_the_bare_rewrite_graph(kind):
     assert weighted.graph.canonical() == bare.canonical()
 
 
+def _cycle(orbit):
+    """A face as a dart cycle, whatever dart its tuple starts at."""
+    return frozenset(_cyclic_pairs(orbit))
+
+
 @pytest.fixture
 def rewrite_oracle(monkeypatch):
     """Check every rewrite against a fresh build of its result.
 
-    Each graph _DiskGraph.replace derives must have the face list, dart ->
-    face map and faces() of PlabicGraph(G.n, G.col, G.edges, rot=G.rot),
-    whose full validation must pass, and each weighting _transfer_weights
-    makes must pass PlabicNetwork's global checks.  Failures go through
-    pytest.fail, which the ValueError/AssertionError handlers of the
-    scrambling helpers do not catch.  Returns a Counter of the functions
-    that called replace.
+    Each graph _DiskGraph.replace derives must have the rotations, dart
+    successors, faces, face order, dart -> face map, small faces, inner
+    faces and site candidates of PlabicGraph(G.n, G.col, G.edges,
+    rot=G.rot), whose full validation must pass; before its faces are put
+    in order, each face must already be the right dart cycle.  The
+    rewrite's changed set must name every vertex whose rotation or colour
+    differs, and the faces its map records as left and arrived must be the
+    set differences of fresh builds of the two graphs.  Each weighting
+    _transfer_weights makes must pass PlabicNetwork's global checks.
+    Failures go through pytest.fail, which the ValueError/AssertionError
+    handlers of the scrambling helpers do not catch.  Returns a Counter of
+    the functions that called replace, and of the bookkeeping carried.
     """
     callers = Counter()
     replace, transfer = _DiskGraph.replace, plabic._transfer_weights
 
-    def checked_replace(G, **kw):
-        H = replace(G, **kw)
+    def checked_replace(G, changed, **kw):
+        H = replace(G, changed, **kw)
         caller = sys._getframe(1).f_code.co_name
         callers[caller] += 1
         try:
             fresh = PlabicGraph(H.n, H.col, H.edges, rot=H.rot)
         except ValueError as ex:
             pytest.fail(f"{caller} made an invalid graph: {ex}")
-        if (H.map.faces(), H.map._face_of, faces(H)) != (
-                fresh.map.faces(), fresh.map._face_of, faces(fresh)):
-            pytest.fail(f"the faces {caller} derived differ from a fresh trace of\n{H.to_text()}")
+        differ = {v for v, _ in (G.rot.items() ^ H.rot.items()) | (G.col.items() ^ H.col.items())}
+        if not differ <= set(changed):
+            pytest.fail(f"{caller} changed {sorted(differ - set(changed))} without naming them")
+        m, f = H.map, fresh.map
+        cycles = {d: _cycle(o) for d, o in f._face_of.items()}
+        if ((m._aug_rot, m._succ, m.face_count()) != (f._aug_rot, f._succ, len(f.faces()))
+                or {d: _cycle(o) for d, o in m._face_of.items()} != cycles
+                or set(map(_cycle, m._small)) != set(map(_cycle, f._small))):
+            pytest.fail(f"the map {caller} derived differs from a fresh trace of\n{H.to_text()}")
+        s = copy.copy(m)      # putting a copy's faces in order leaves m as the next rewrite finds it
+        if ([s.face_left(d) for d in f._face_of], s.faces(), s.inner_faces) != (
+                [f.face_left(d) for d in f._face_of], f.faces(), f.inner_faces):
+            pytest.fail(f"the faces {caller} derived, put in order, differ from a fresh trace of\n{H.to_text()}")
+        if not (m is G.map or m._base is G.map._stamp):
+            pytest.fail(f"{caller} did not derive its map from its parent's")
+        before = set(map(_cycle, PlabicGraph(G.n, G.col, G.edges, rot=G.rot).map.faces()))
+        after = set(map(_cycle, f.faces()))
+        gone, came = m.face_changes(G.map)
+        if (set(map(_cycle, gone)), set(map(_cycle, came))) != (before - after, after - before):
+            pytest.fail(f"the faces {caller} recorded as left and arrived are not the changed ones")
+        for kept in ("_sites", "_ids"):
+            if kept in H.__dict__:
+                callers[kept] += 1
+                if H.__dict__[kept] != getattr(fresh, kept):
+                    pytest.fail(f"the {kept} {caller} carried differ from a fresh graph's")
         return H
 
     def checked_transfer(*args, **kw):
@@ -663,7 +696,8 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
         (apply_reduction if kind[0] == "R" else apply_move)(N, site)
     assert set(rewrite_oracle) == {"contract_edge", "uncontract_vertex", "insert_vertex",
                                    "remove_vertex", "apply_reduction", "remove_singleton",
-                                   "delete_edge", "apply_move", "_transfer_weights"}
+                                   "delete_edge", "apply_move", "_transfer_weights",
+                                   "_sites", "_ids"}
 
 
 def test_transfer_weights_rejects_a_lost_face():
