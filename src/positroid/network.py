@@ -37,7 +37,8 @@ from itertools import count
 from math import prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import _DiskGraph, _dual_forest, _reanchor, components, fresh_ids, parse_disk_text
+from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, components, fresh_ids,
+                         parse_disk_text)
 
 
 class PlanarDirectedNetwork(_DiskGraph):
@@ -137,7 +138,7 @@ class PlanarDirectedNetwork(_DiskGraph):
             if len(self.rot[v]) <= 1 and v in self.boundary:
                 continue
             kind = "boundary" if v in self.boundary else "internal"
-            ids = " ".join(str(e) for e, _ in self.rot[v])
+            ids = " ".join(map(str, _rotation_ids(v, self.rot[v])))
             lines.append(f"vertex {v} {kind} : {ids}")
         for e in sorted(self.edges):
             u, w, x = self.edges[e]
@@ -208,7 +209,7 @@ def _kasteleyn_signs(P):
     rooted at one of them; edges off it keep +1, and each interior face
     then fixes its forest edge, leaves first.
     """
-    faces = sorted(P.map.faces(), key=lambda orbit: not _on_circle(orbit))
+    faces = sorted(P.map.faces_unordered(), key=lambda orbit: not _on_circle(orbit))
     sign = dict.fromkeys(P.edges, 1)
     for f, (e, _) in reversed(_dual_forest(faces)):
         orbit = faces[f]

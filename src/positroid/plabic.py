@@ -23,7 +23,8 @@ from math import prod
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
 from .permutations import BLACK, WHITE, DecoratedPermutation, crossing_roles, _uncross
-from .planarmaps import _DiskGraph, _dual_forest, _reanchor, fresh_ids, parse_disk_text, rev
+from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids, parse_disk_text,
+                         rev)
 
 
 class PlabicGraph(_DiskGraph):
@@ -110,7 +111,7 @@ class PlabicGraph(_DiskGraph):
         lines = [f"n {self.n}"]
         for v in sorted(self.internal_vertices()):
             cname = "black" if self.col[v] == BLACK else "white"
-            ids = " ".join(str(e) for e, _ in self.rot[v])
+            ids = " ".join(map(str, _rotation_ids(v, self.rot[v])))
             lines.append(f"vertex {v} {cname} : {ids}")
         for e in sorted(self.edges):
             u, w = self.edges[e]
@@ -1208,8 +1209,8 @@ def edge_weights_from_faces(N, orient):
     edges = {e: (*orient[e], x[e]) for e in G.edges}
     rot = {v: tuple((e, 1 - end) if e in flips else (e, end) for e, end in ds)
            for v, ds in G.rot.items()}
-    flags = [i in orientation_sources(G, orient) for i in range(1, G.n + 1)]
-    return PlanarDirectedNetwork(G.n, flags, edges, rot=rot)
+    sources = orientation_sources(G, orient)
+    return PlanarDirectedNetwork(G.n, [i in sources for i in G.boundary], edges, rot=rot)
 
 
 def measure_plabic(N):

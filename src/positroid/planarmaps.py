@@ -13,7 +13,9 @@ the opposite end.  With clockwise rotations, the orbit rule
     next(d) = clockwise successor of rev(d) at the vertex d travels to
 
 walks every face keeping that face on the LEFT of the travel direction.
-Consequently face_left(d) = orbit(d) and face_right(d) = orbit(rev(d)).
+Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
+DiskMap walks it with one tracer, for a fresh map and for one derived
+from a rewrite alike, finding each successor in a vertex's rotation.
 
 `_DiskGraph` is the core that planar directed networks and plabic graphs
 share: boundary vertices 1..n, the rotation system and its DiskMap, the
@@ -23,7 +25,7 @@ tokenizer of their text formats.
 
 from bisect import bisect_left, insort
 from functools import cached_property, lru_cache
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, filterfalse
 from operator import itemgetter
 
 # DiskMap.faces_of_length serves faces of at most this many darts
@@ -43,12 +45,12 @@ class DiskMap:
     rot: dict vertex -> tuple of darts anchored there, clockwise as drawn.
           Every dart of every edge must appear exactly once.
 
-    Faces are traced when the map is built: the vertices are visited in str
-    order and each one's darts in rotation order, and every dart not yet on
-    a face starts the next one.  So each face starts at its least dart by
-    _key, (str of its vertex, rotation position), and faces() lists them in
-    that order.  A derived map (see derive) keeps its faces as traced and
-    puts them in that order and start only when faces() is first asked for.
+    Every map traces its faces with _trace, a fresh one all of them and a
+    derived one (see derive) those a rewrite changed, and keeps them as
+    traced: orbit(d) gives the face of d from whichever dart it was traced.
+    faces() starts each face at its least dart by _key, (str of its vertex,
+    rotation position), and lists them in that order, which it works out
+    when first asked for.
     """
 
     # _stamp is a token of the map.  The maps derived from it keep it as their
@@ -65,15 +67,9 @@ class DiskMap:
         self._at = {b: i for i, b in enumerate(self.boundary)}
         self._arcs = _arc_darts(self.n)
         self._aug_rot = {v: self._augmented(v) for v in (*self.rot, *self.boundary)}
-        self._faces, self._face_of = [], {}
-        for v in sorted(self._aug_rot, key=str):
-            for d in self._aug_rot[v]:
-                if d not in self._face_of:
-                    orbit = self._orbit(d)
-                    self._faces.append(orbit)
-                    for x in orbit:
-                        self._face_of[x] = orbit
-        self._count, self._stamp, self._of_length = len(self._faces), object(), {}
+        self._face_of = {}
+        self._count = len(self._trace(chain.from_iterable(self._aug_rot.values())))
+        self._stamp, self._of_length = object(), {}
         self.validate_planarity()
 
     def derive(self, edges, rot, changed):
@@ -83,9 +79,9 @@ class DiskMap:
         are taken as they are.  changed names every vertex whose rotation
         the rewrite changed (naming more is harmless).  Only a dart that
         arrives at one of those vertices can get a new successor, and only
-        the faces with a dart whose successor did change are traced again;
-        the others are kept as they are, and their order and start are
-        found when faces() is asked for.  So faces(), orbit and inner_faces equal those of
+        the faces with a dart whose successor did change leave: their darts
+        are traced again, and the other faces are kept as they are.  So
+        faces(), orbit and inner_faces equal those of
         DiskMap(self.boundary, edges, rot), and face_changes(self) returns
         the faces that left and arrived.
         """
@@ -118,27 +114,22 @@ class DiskMap:
         for (e, end), _ in lost:
             f = self._face_of[(e, 1 - end)]
             gone[id(f)] = f
-        succ, face_of = self._succ.copy(), self._face_of.copy()
-        succ.update(made)
-        lost_next, made_next = dict(lost), dict(made)
-        for d in lost_next.keys() - made_next.keys():       # the darts of removed edges
-            del succ[d], face_of[d]
-        new._aug_rot, new._succ, new._face_of = aug, succ, face_of
-        arrived = []
-        for (e, end), _ in made:
-            f = face_of.get((e, 1 - end))
-            if f is None or id(f) in gone:
-                orbit = _walk(succ, (e, 1 - end))
-                face_of.update(zip(orbit, repeat(orbit)))
-                arrived.append(orbit)
-        left, small = list(gone.values()), self._small
-        if min(map(len, chain(left, arrived)), default=SMALL + 1) <= SMALL:
-            small = small.difference(left).union(
-                f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f))
-        new._small, new._count = small, self._count - len(left) + len(arrived)
+        left, face_of = list(gone.values()), self._face_of.copy()
+        for f in left:      # the darts of removed edges are on faces that left
+            for d in f:
+                del face_of[d]
+        new._aug_rot, new._face_of = aug, face_of
+        arrived = new._trace((e, 1 - end) for (e, end), _ in made)
+        if "_small" in self.__dict__:
+            small = self._small
+            if any(len(f) <= SMALL for f in chain(left, arrived)):
+                small = small.difference(left).union(
+                    f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f))
+            new._small = small
+        new._count = self._count - len(left) + len(arrived)
         new._stamp, new._of_length = object(), {}       # faces_of_length(k) by k, as asked for
         new._base, new._left, new._arrived = self._stamp, left, arrived
-        new._moved = lost_next.keys() ^ made_next.keys()   # the darts removed and added
+        new._moved = dict(lost).keys() ^ dict(made).keys()     # the darts removed and added
         return new
 
     def face_changes(self, base):
@@ -176,10 +167,6 @@ class DiskMap:
         e, end = dart
         return self.edges[e][end]
 
-    def other_end(self, dart):
-        e, end = dart
-        return self.edges[e][1 - end]
-
     def _augmented(self, v):
         """The darts at v with the boundary arcs spliced in.
 
@@ -194,34 +181,37 @@ class DiskMap:
 
     # -- face tracing ---------------------------------------------------------
 
-    def _orbit(self, dart):
-        """The face through the dart, from that dart: each step takes the
-        clockwise successor of the reversed dart at the vertex it travels to,
-        found in that vertex's rotation (derive walks its table _succ)."""
-        aug, edges, b = self._aug_rot, self.edges, self.boundary
-        orbit, cur = [], dart
-        while True:
-            orbit.append(cur)
-            e, end = cur
-            if isinstance(e, tuple):        # arc e[1] runs b_j -> b_{j+1}
-                ds = aug[b[(e[1] + 1 - end) % self.n]]
-            else:
-                ds = aug[edges[e][1 - end]]
-            i = ds.index((e, 1 - end)) + 1
-            cur = ds[i] if i < len(ds) else ds[0]
-            if cur == dart:
-                return tuple(orbit)
-
-    @cached_property
-    def _succ(self):
-        """Each dart's clockwise successor at its vertex."""
-        succ = {}
-        for ds in self._aug_rot.values():
-            succ.update(_cyclic_pairs(ds))
-        return succ
+    def _trace(self, darts):
+        """Trace the face through each of the darts that is on no face in
+        _face_of yet, and record it there as traced: from that dart.  Each
+        step takes the clockwise successor of the reversed dart at the
+        vertex it travels to, found in that vertex's rotation.  Returns the
+        faces traced."""
+        aug, edges, b, n, face_of = self._aug_rot, self.edges, self.boundary, self.n, self._face_of
+        traced = []
+        for dart in darts:
+            if dart in face_of:
+                continue
+            orbit, cur = [], dart
+            while True:
+                orbit.append(cur)
+                e, end = cur
+                if isinstance(e, tuple):        # arc e[1] runs b_j -> b_{j+1}
+                    ds = aug[b[(e[1] + 1 - end) % n]]
+                else:
+                    ds = aug[edges[e][1 - end]]
+                i = ds.index((e, 1 - end)) + 1
+                cur = ds[i] if i < len(ds) else ds[0]
+                if cur == dart:
+                    break
+            orbit = tuple(orbit)
+            for d in orbit:
+                face_of[d] = orbit
+            traced.append(orbit)
+        return traced
 
     def _key(self, dart):
-        """Where the face trace meets the dart: (str of its vertex, rotation position)."""
+        """Where faces() may start a face: (str of the dart's vertex, rotation position)."""
         e, end = dart
         v = self.boundary[(e[1] + end) % self.n] if isinstance(e, tuple) else self.edges[e][end]
         return (str(v), self._aug_rot[v].index(dart))
@@ -231,39 +221,22 @@ class DiskMap:
         key, i = min((self._key(d), i) for i, d in enumerate(orbit))
         return (orbit[i:] + orbit[:i] if i else orbit), key
 
-    def _traced(self):
-        """Every face once, as orbit() gives it: started where it was traced."""
-        orbits = list(self._face_of.values())
-        return dict(zip(map(id, orbits), orbits)).values()
-
-    @cached_property
-    def _layout(self):
-        """A derived map's faces, each started at its least dart, in order,
-        and the index there of each face by the id of its orbit() tuple."""
-        placed = sorted(((*self._started(f), id(f)) for f in self._traced()), key=itemgetter(1))
-        return [orbit for orbit, _, _ in placed], {i: at for at, (_, _, i) in enumerate(placed)}
+    def faces_unordered(self):
+        """Every face once, as orbit() gives it, in no fixed order: each is
+        found at the dart _trace started it from, its first dart."""
+        return [f for d, f in self._face_of.items() if f[0] == d]
 
     @cached_property
     def _faces(self):
-        """faces() of a derived map; a fresh map sets it as it traces."""
-        return self._layout[0]
-
-    @cached_property
-    def _index(self):
-        """The index in faces() of each face, by the id of its orbit() tuple."""
-        if self._base is None:      # traced in order: orbit() gives the tuples of faces()
-            return {id(f): i for i, f in enumerate(self._faces)}
-        return self._layout[1]
-
-    @cached_property
-    def _inner(self):
-        """Each face of faces() with its boundary arcs dropped."""
-        return [self._inside(orbit) for orbit in self._faces]
+        """faces(), put in order when first asked for."""
+        placed = sorted(map(self._started, self.faces_unordered()), key=itemgetter(1))
+        return [orbit for orbit, _ in placed]
 
     @cached_property
     def _small(self):
-        """The faces of at most SMALL darts and no boundary arc."""
-        return {orbit for orbit in self._faces if len(orbit) <= SMALL and self._arcs.isdisjoint(orbit)}
+        """The faces of at most SMALL darts and no boundary arc, as traced."""
+        arcs = self._arcs
+        return {orbit for orbit in self.faces_unordered() if len(orbit) <= SMALL and arcs.isdisjoint(orbit)}
 
     def _inside(self, orbit):
         """The face with its boundary arcs dropped."""
@@ -271,15 +244,16 @@ class DiskMap:
         return orbit if arcs.isdisjoint(orbit) else tuple(filterfalse(arcs.__contains__, orbit))
 
     def faces(self):
-        """All dart orbits, each a tuple of darts with the face on the left."""
+        """All dart orbits, each a tuple of darts with the face on the left,
+        started at its least dart by _key, in the order of those keys."""
         return self._faces
 
     def face_count(self):
-        """len(faces()), without putting a derived map's faces in order."""
+        """len(faces()), without putting the faces in order."""
         return self._count
 
     def faces_of_length(self, k):
-        """The faces of k <= SMALL darts and no boundary arc, in the order of faces()."""
+        """The faces of k <= SMALL darts and no boundary arc, as in faces()."""
         if k > SMALL:
             raise ValueError(f"only faces of at most {SMALL} darts are indexed")
         found = self._of_length.get(k)
@@ -292,34 +266,18 @@ class DiskMap:
         """The face on the left of the dart, as its orbit (from any of its darts)."""
         return self._face_of[dart]
 
-    def face_left(self, dart):
-        """The index in faces() of the face on the left of the dart."""
-        return self._index[id(self._face_of[dart])]
-
-    def face_right(self, dart):
-        return self.face_left(rev(dart))
-
-    def outer_face(self):
-        """The face outside the disk boundary circle."""
-        if self.n == 0:
-            raise ValueError("no boundary circle")
-        return self.face_left((("arc", 0), 0))
-
     def inner_faces_unordered(self):
-        """inner_faces in no fixed order, without putting a derived map's
-        faces in order; each face's darts come in their cyclic order."""
-        if "_faces" in self.__dict__:
-            return self.inner_faces
-        outer = self._face_of[(("arc", 0), 0)] if self.n else None
-        return [self._inside(f) for f in self._traced() if f is not outer]
+        """inner_faces in no fixed order; each face's darts come in their cyclic order."""
+        outer = self._face_of.get((("arc", 0), 0))
+        return [self._inside(f) for f in self.faces_unordered() if f is not outer]
 
     @cached_property
     def inner_faces(self):
-        """Every face but the outer one, boundary arcs dropped, in the order of faces()."""
-        if self.n == 0:         # no boundary circle: every face is inside
-            return tuple(self._inner)
-        outer = self.outer_face()
-        return (*self._inner[:outer], *self._inner[outer + 1:])
+        """Every face but the outer one, boundary arcs dropped, in the order of
+        faces().  The outer face is known by the identity of its orbit()."""
+        face_of = self._face_of
+        outer = face_of.get((("arc", 0), 0))
+        return tuple(self._inside(f) for f in self.faces() if face_of[f[0]] is not outer)
 
     # -- validation ------------------------------------------------------------
 
@@ -352,16 +310,6 @@ def _cyclic_pairs(ds):
     return zip(ds, ds[1:] + ds[:1])
 
 
-def _walk(succ, dart):
-    """The face through the dart, from that dart, by the successor table succ
-    (see DiskMap._succ): the same walk as DiskMap._orbit."""
-    orbit, cur = [dart], succ[(dart[0], 1 - dart[1])]
-    while cur != dart:
-        orbit.append(cur)
-        cur = succ[(cur[0], 1 - cur[1])]
-    return tuple(orbit)
-
-
 def rotations_from_edge_lists(edges, rot_ids):
     """Turn per-vertex clockwise edge-id lists into dart rotations.
 
@@ -389,6 +337,21 @@ def rotations_from_edge_lists(edges, rot_ids):
             darts.append((e, end))
         rot[v] = tuple(darts)
     return rot
+
+
+def _rotation_ids(v, darts):
+    """The edge ids of the darts at v, clockwise, as text writes them for
+    rotations_from_edge_lists, which reads a loop's first id as its tail:
+    from the first dart that puts every loop's tail before its head."""
+    ids = [e for e, _ in darts]
+    if len(set(ids)) == len(ids):       # no loop
+        return ids
+    loops = [(darts.index((e, 0)), i) for i, (e, end) in enumerate(darts) if end and (e, 0) in darts]
+    k = len(ids)
+    s = next((s for s in range(k) if all((t - s) % k < (h - s) % k for t, h in loops)), None)
+    if s is None:
+        raise ValueError(f"vertex {v} has loops that no start of its rotation writes tail first")
+    return ids[s:] + ids[:s]
 
 
 def components(vertices, pairs):

@@ -184,22 +184,67 @@ def cycle_orientation(dmap, cycle_eids):
     cycle_eids: edge ids of a simple directed cycle of the DiskMap, traversed
     along the edge directions.  The cycle is counterclockwise exactly when
     the face on its right reaches the outer face without crossing the cycle
-    (a union-find over the faces, joined across every other edge and arc).
+    (a union-find over the faces, by the id of their orbit() tuples, joined
+    across every other edge and arc).
     """
-    parent = list(range(len(dmap.faces())))
+    parent = {}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+    def find(dart):
+        x = id(dmap.orbit(dart))
+        while x in parent:
             x = parent[x]
         return x
 
     cycle = set(cycle_eids)
     darts = [(e, 0) for e in dmap.edges if e not in cycle]
     for d in darts + [(("arc", i), 0) for i in range(dmap.n)]:
-        parent[find(dmap.face_left(d))] = find(dmap.face_right(d))
-    right = dmap.face_right((next(iter(cycle_eids)), 0))
-    return 1 if find(right) == find(dmap.outer_face()) else -1
+        left, right = find(d), find((d[0], 1 - d[1]))
+        if left != right:
+            parent[left] = right
+    right = find((next(iter(cycle_eids)), 1))
+    return 1 if right == find((("arc", 0), 0)) else -1
+
+
+def successor_faces(dmap):
+    """faces() of a DiskMap, traced by a table of clockwise successors.
+
+    The vertices are visited in str order and each one's darts in
+    clockwise order, with the boundary arcs spliced in at b_i: the arc
+    towards b_{i+1} first, the arc from b_{i-1} last.  Every dart not yet on
+    a face starts the next one, walked by next(d) = succ[rev(d)], the
+    clockwise successor of the reversed dart.  So each face starts at its
+    least dart by (str of its vertex, rotation position), in that order.
+    """
+    n, at = dmap.n, {b: i for i, b in enumerate(dmap.boundary)}
+    rot = {v: dmap.rot.get(v, ()) for v in (*dmap.rot, *dmap.boundary)}
+    for b, i in at.items():
+        rot[b] = ((("arc", i), 0), *rot[b], (("arc", (i - 1) % n), 1))
+    succ = {d: ds[(j + 1) % len(ds)] for ds in rot.values() for j, d in enumerate(ds)}
+    faces, seen = [], set()
+    for v in sorted(rot, key=str):
+        for d in rot[v]:
+            if d in seen:
+                continue
+            orbit, cur = [d], succ[(d[0], 1 - d[1])]
+            while cur != d:
+                orbit.append(cur)
+                cur = succ[(cur[0], 1 - cur[1])]
+            seen.update(orbit)
+            faces.append(tuple(orbit))
+    return faces
+
+
+def check_faces(dmap):
+    """Assert that the faces, inner faces, small faces and face count of a
+    DiskMap are those successor_faces traces."""
+    faces = successor_faces(dmap)
+    arcs = {d for f in faces for d in f if isinstance(d[0], tuple)}
+    inner = tuple(tuple(d for d in f if d not in arcs) for f in faces if (("arc", 0), 0) not in f)
+    assert dmap.faces() == faces
+    assert dmap.inner_faces == inner
+    assert dmap.face_count() == len(faces)
+    for k in range(1, 5):
+        assert dmap.faces_of_length(k) == tuple(f for f in faces if len(f) == k and arcs.isdisjoint(f))
 
 
 class Walk:

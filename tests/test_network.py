@@ -408,6 +408,18 @@ def test_network_text_roundtrip():
     assert back.source_flags == net.source_flags
 
 
+def test_network_text_round_trips_a_head_first_loop():
+    # a loop 5 at v = 3 of the running example, its head dart first
+    net = two_vertex_cycle(2, 3, 5, 7)
+    rot = {**net.rot, 3: (*net.rot[3], (5, 1), (5, 0))}
+    net = PlanarDirectedNetwork(2, [True, False], {**net.edges, 5: (3, 3, 11)}, rot=rot)
+    back = PlanarDirectedNetwork.from_text(net.to_text())
+    assert back.to_text() == net.to_text()
+    assert back.edges == net.edges
+    assert {v: set(zip(ds, ds[1:] + ds[:1])) for v, ds in back.rot.items()} == \
+        {v: set(zip(ds, ds[1:] + ds[:1])) for v, ds in net.rot.items()}
+
+
 def test_degenerate_no_path_measurement_zero():
     edges = {1: (1, 10, Fraction(2))}
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={1: [1], 10: [1], 2: []})

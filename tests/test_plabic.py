@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (attach_leaf, chord_graph, insert_bigon, random_le_data,
+from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import le_network, minimal_permutation, path_matroid, perfect_gamma, perfect_orientations
+from oracles import (check_faces, le_network, minimal_permutation, path_matroid, perfect_gamma,
+                     perfect_orientations)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -580,11 +581,17 @@ def _rewrite_site(kind):
         G = PlabicGraph(2, col, edges,
                         rot_ids={1: [1], 2: [3], 10: [1, 2, 3], 11: [2], 20: [4], 21: [4]})
         return reweight(G, rng2), ("R3", 20)
-    # a black lollipop (loop 5 at 12) hanging off the white vertex of the bridge
+    return reweight(_lollipop([(5, 0), (5, 1)]), rng2), ("Rloop", 5)
+
+
+def _lollipop(loop_darts):
+    """A black lollipop, loop 5 at 12, hanging off the white vertex of the
+    bridge, with the darts of the loops at 12 in the given order."""
     col = {10: WHITE, 11: BLACK, 12: BLACK}
     edges = {1: (1, 10), 2: (10, 11), 3: (11, 2), 4: (10, 12), 5: (12, 12)}
-    G = PlabicGraph(2, col, edges, rot_ids={10: [1, 4, 2], 12: [4, 5, 5]})
-    return reweight(G, rng2), ("Rloop", 5)
+    edges.update({e: (12, 12) for e, _ in loop_darts if e != 5})
+    rot = PlabicGraph(2, col, {e: uw for e, uw in edges.items() if e < 5}, rot_ids={10: [1, 4, 2]}).rot
+    return PlabicGraph(2, col, edges, rot={**rot, 12: ((4, 1), *loop_darts)})
 
 
 REWRITE_KINDS = ["M1", "M2", "M2u", "M3", "M3r", "R1", "R2", "R3", "Rloop"]
@@ -608,12 +615,13 @@ def _cycle(orbit):
 def rewrite_oracle(monkeypatch):
     """Check every rewrite against a fresh build of its result.
 
-    Each graph _DiskGraph.replace derives must have the rotations, dart
-    successors, faces, face order, dart -> face map, small faces, inner
-    faces and site candidates of PlabicGraph(G.n, G.col, G.edges,
-    rot=G.rot), whose full validation must pass; before its faces are put
-    in order, each face must already be the right dart cycle.  The
-    rewrite's changed set must name every vertex whose rotation or colour
+    Each graph _DiskGraph.replace derives must have the rotations, face
+    count, dart -> face map, small faces and site candidates of
+    PlabicGraph(G.n, G.col, G.edges, rot=G.rot), whose full validation
+    must pass; before its faces are put in order, each face must already
+    be the right dart cycle.  Put in order, its faces, inner faces and
+    faces of each small length must be those of oracles.successor_faces.
+    The rewrite's changed set must name every vertex whose rotation or colour
     differs, and the faces its map records as left and arrived must be the
     set differences of fresh builds of the two graphs.  Each weighting
     _transfer_weights makes must pass PlabicNetwork's global checks.
@@ -637,14 +645,17 @@ def rewrite_oracle(monkeypatch):
             pytest.fail(f"{caller} changed {sorted(differ - set(changed))} without naming them")
         m, f = H.map, fresh.map
         cycles = {d: _cycle(o) for d, o in f._face_of.items()}
-        if ((m._aug_rot, m._succ, m.face_count()) != (f._aug_rot, f._succ, len(f.faces()))
+        if ((m._aug_rot, m.face_count()) != (f._aug_rot, len(f.faces()))
                 or {d: _cycle(o) for d, o in m._face_of.items()} != cycles
                 or set(map(_cycle, m._small)) != set(map(_cycle, f._small))):
             pytest.fail(f"the map {caller} derived differs from a fresh trace of\n{H.to_text()}")
-        s = copy.copy(m)      # putting a copy's faces in order leaves m as the next rewrite finds it
-        if ([s.face_left(d) for d in f._face_of], s.faces(), s.inner_faces) != (
-                [f.face_left(d) for d in f._face_of], f.faces(), f.inner_faces):
-            pytest.fail(f"the faces {caller} derived, put in order, differ from a fresh trace of\n{H.to_text()}")
+        s = copy.copy(m)    # putting a copy's faces in order leaves m as the next rewrite finds it
+        s._of_length = {}
+        try:
+            check_faces(s)
+        except AssertionError:
+            pytest.fail(f"the faces {caller} derived, put in order, differ from a successor "
+                        f"trace of\n{H.to_text()}")
         if not (m is G.map or m._base is G.map._stamp):
             pytest.fail(f"{caller} did not derive its map from its parent's")
         before = set(map(_cycle, PlabicGraph(G.n, G.col, G.edges, rot=G.rot).map.faces()))
@@ -698,6 +709,19 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
                                    "remove_vertex", "apply_reduction", "remove_singleton",
                                    "delete_edge", "apply_move", "_transfer_weights",
                                    "_sites", "_ids"}
+
+
+def test_fresh_maps_have_the_faces_of_a_successor_trace():
+    for seed in range(100):     # the chord corpus of test_reduce_chord_corpus
+        r = random.Random(seed)
+        check_faces(chord_graph(r, r.randint(5, 8), r.randint(1, 3)).map)
+    for n in range(6):          # the Le-graph of every cell with n <= 5
+        for pi in all_decorated_permutations(n):
+            check_faces(graph_from_perm(pi).map)
+    r = random.Random(5)
+    for L, M in ((1, 1), (2, 3), (3, 3), (4, 5)):
+        check_faces(manhattan_grid(r, L, M, [r.random() < 0.5 for _ in range(L)],
+                                   [r.random() < 0.5 for _ in range(M)]).map)
 
 
 def test_transfer_weights_rejects_a_lost_face():
@@ -783,6 +807,52 @@ def test_plabic_text_roundtrip():
     G = N.graph
     back2 = PlabicGraph.from_text(G.to_text())
     assert back2.canonical() == G.canonical()
+
+
+def _rotations(G):
+    """Each vertex's rotation as a dart cycle, whichever dart it starts at."""
+    return {v: _cycle(ds) for v, ds in G.rot.items()}
+
+
+def test_plabic_text_round_trips_a_head_first_loop():
+    G = _lollipop([(5, 1), (5, 0)])
+    for obj in (G, reweight(G, random.Random(3))):
+        text = obj.to_text()
+        back = PlabicGraph.from_text(text)
+        assert back.to_text() == text
+        if obj is not G:
+            assert back.weights == obj.weights
+            back = back.graph
+        assert _rotations(back) == _rotations(G)
+
+
+def test_plabic_text_rejects_loops_no_start_writes_tail_first():
+    # loop 6 nested inside loop 5, the two running opposite ways
+    G = _lollipop([(5, 0), (6, 1), (6, 0), (5, 1)])
+    with pytest.raises(ValueError, match="vertex 12 has loops"):
+        G.to_text()
+
+
+def test_reduce_steps_round_trip_as_text(monkeypatch):
+    transfer, loops = plabic._transfer_weights, Counter()
+
+    def checked_transfer(*args, **kw):
+        N = transfer(*args, **kw)
+        try:
+            back = PlabicGraph.from_text(N.to_text())
+        except ValueError as ex:
+            pytest.fail(f"a rewrite's text does not read back: {ex}\n{N.to_text()}")
+        if back.weights != N.weights or _rotations(back.graph) != _rotations(N.graph):
+            pytest.fail(f"a rewrite's text reads back as another network:\n{N.to_text()}")
+        loops[any(u == w for u, w in N.graph.edges.values())] += 1
+        return N
+
+    monkeypatch.setattr(plabic, "_transfer_weights", checked_transfer)
+    for seed in range(20):
+        reduce_graph(random_plabic_network(random.Random(seed), nmax=7, scrambles=20))
+    for loop_darts in ([(5, 0), (5, 1)], [(5, 1), (5, 0)]):
+        reduce_graph(reweight(_lollipop(loop_darts), random.Random(3)))
+    assert loops[True] > 0
 
 
 def test_export_dot():
