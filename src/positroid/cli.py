@@ -49,8 +49,8 @@ def cmd_measure(args):
     net = network.PlanarDirectedNetwork.from_text(_read(args.file))
     if args.matrix:
         A = network.boundary_measurement_matrix(net)
-        _emit({"matrix": [[format_rational(x) for x in row] for row in A.rows],
-               "text": A.to_text()}, args.json)
+        matrix = [[format_rational(x) for x in row] for row in A.rows] if args.json else None
+        _emit({"matrix": matrix, "text": A.to_text()}, args.json)
     else:
         _emit(_plucker_payload(network.measure(net)), args.json)
     return 0
@@ -111,7 +111,10 @@ def cmd_trips(args):
 
 
 def _read_plabic_graph(path):
-    obj = plabic.PlabicGraph.from_text(_read(path))
+    return _graph_of(plabic.PlabicGraph.from_text(_read(path)))
+
+
+def _graph_of(obj):
     return obj.graph if isinstance(obj, plabic.PlabicNetwork) else obj
 
 
@@ -121,6 +124,12 @@ def cmd_reduce(args):
         red, nsing, trace = plabic.reduce_graph(obj)
     except plabic.ReductionStuck as ex:
         raise PreconditionError(str(ex))
+    except AssertionError as ex:
+        # a composite that did not shrink the graph, so far seen only on
+        # graphs without a perfect orientation
+        if plabic.perfect_orientation(_graph_of(obj)) is None:
+            raise PreconditionError(f"the graph has no perfect orientation ({ex})")
+        raise
     _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],
            "text": red.to_text()}, args.json)
     return 0

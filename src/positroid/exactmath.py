@@ -37,7 +37,8 @@ def rational(x):
 
 def format_rational(x):
     """Render a Rational as 'p' or 'p/q' (lowest terms, positive q)."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

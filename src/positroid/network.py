@@ -27,14 +27,19 @@ and one exact sparse elimination of I - W gives the whole matrix
 (Talaska's flow ratios as determinants, after Speyer's "Variations on a
 theme of Kasteleyn").
 
-All arithmetic is exact rational.
+All arithmetic is exact, and both routes run on plain integers: the
+elimination keeps each row of W as integer entries over one positive
+denominator, reduced by their gcd after every update, and the path sums
+carry (numerator, denominator) pairs.  Signs go on the integer
+numerators, and each output entry becomes one Fraction at the end.
 """
 
 import heapq
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import prod
+from math import gcd, lcm, prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
 from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, components, fresh_ids,
@@ -173,21 +178,37 @@ def _at_most_one(labels):
 # -- boundary measurements -------------------------------------------------------
 
 
-def _path_sums(net, order, src):
-    """Weighted path counts from src to every vertex of an acyclic network.
+def _path_sums(arcs, order, src):
+    """Weighted path counts from src to every vertex of an acyclic network,
+    as integer pairs (numerator, denominator > 0) in lowest terms.
 
-    One pass over a topological order: with no cycles there are no winding
-    signs and no excursion denominators, so M_ij is the plain path sum.
+    arcs maps each vertex to its out-edges as (head, numerator,
+    denominator) triples.  One pass over a topological order: with no
+    cycles there are no winding signs and no excursion denominators, so
+    M_ij is the plain path sum.
     """
-    total = {src: Fraction(1)}
+    total = {src: (1, 1)}
     for v in order:
         x = total.get(v)
         if x is None:
             continue
-        for e in net.out_edges(v):
-            w = net.head(e)
-            total[w] = total.get(w, 0) + x * net.weight(e)
+        a, b = x
+        for w, p, q in arcs[v]:
+            c, d = a * p, b * q
+            y = total.get(w)
+            if y is not None:
+                c, d = c * y[1] + y[0] * d, d * y[1]
+            g = gcd(c, d)
+            total[w] = (c // g, d // g)
     return total
+
+
+def _integer_arcs(net):
+    """The out-edges of each vertex as (head, numerator, denominator)."""
+    arcs = {v: [] for v in net.rot}
+    for u, w, x in net.edges.values():
+        arcs[u].append((w, x.numerator, x.denominator))
+    return arcs
 
 
 def _kasteleyn_signs(P):
@@ -229,7 +250,8 @@ def _on_circle(orbit):
 
 def _signed_walk_sums(P, sign):
     """[(I - W)^-1]_ij for every source i and sink j of P, where W_vw sums
-    sign_e x_e over the edges v -> w.
+    sign_e x_e over the edges v -> w, as integer rows: walks[i] is
+    (d, {j: a}) with [(I - W)^-1]_ij = a / d.
 
     Gaussian elimination of I - W one internal vertex at a time, which on
     the graph reads: every walk u -> v -> w through an eliminated v adds
@@ -237,12 +259,24 @@ def _signed_walk_sums(P, sign):
     directly.  Every principal minor of I - W is a positive sum over
     families of disjoint cycles (eps(C) = -1), so no pivot is zero.  The
     pivot order is Markowitz's: the fewest in- times out-neighbours next.
+
+    Each row u of W is held as integer entries a over one denominator
+    d_u > 0, starting at the lcm of the row's weight denominators, and
+    stays reduced: gcd(d_u, a) = 1 after every update (see `_eliminate`).
+    So no Fraction is made, and the bit sizes stay those of the exact
+    Schur complement.
     """
     out = {v: {} for v in P.rot}
+    den = dict.fromkeys(P.rot, 1)
     into = {v: set() for v in P.rot}
-    for e, (u, w, x) in P.edges.items():
-        out[u][w] = out[u].get(w, 0) + sign[e] * x
+    for u, w, x in P.edges.values():
+        den[u] = lcm(den[u], x.denominator)
         into[w].add(u)
+    for e, (u, w, x) in P.edges.items():
+        row = out[u]
+        row[w] = row.get(w, 0) + sign[e] * x.numerator * (den[u] // x.denominator)
+    for u, row in out.items():
+        den[u] = _reduce(den[u], row)
 
     def cost(v):
         return (len(into[v]) - (v in into[v])) * (len(out[v]) - (v in out[v]))
@@ -254,27 +288,58 @@ def _signed_walk_sums(P, sign):
         c, _, v = heapq.heappop(heap)
         if v not in into or c != cost(v):
             continue
-        succ, pred = out.pop(v), into.pop(v)
-        loop = succ.pop(v, 0)
-        pred.discard(v)
-        if loop:
-            succ = {w: b / (1 - loop) for w, b in succ.items()}
-        for w in succ:
-            into[w].discard(v)
-        for u in pred:
-            row = out[u]
-            a = row.pop(v)
-            for w, b in succ.items():
-                row[w] = row.get(w, 0) + a * b
-                into[w].add(u)
-        for t in pred | succ.keys():
+        for t in _eliminate(v, out, den, into):
             if t not in P.boundary:
                 heapq.heappush(heap, (cost(t), next(tick), t))
-    return out
+    return {i: (den[i], out[i]) for i in P.sources()}
+
+
+def _eliminate(v, out, den, into):
+    """Remove v from the integer rows of W; returns v's former neighbours.
+
+    With the loop entry l of v's row b / d_v, the pivot is p = d_v - l and
+    v's row becomes b / p; each predecessor row a / d_u becomes
+    (a_w p + a_v b_w) / (d_u p), reduced.  A zero pivot raises
+    ZeroDivisionError.
+    """
+    succ, pred = out.pop(v), into.pop(v)
+    p = den.pop(v) - succ.pop(v, 0)
+    if not p:
+        raise ZeroDivisionError(f"zero pivot at vertex {v}")
+    if p < 0:
+        p = -p
+        for w in succ:
+            succ[w] = -succ[w]
+    pred.discard(v)
+    for w in succ:
+        into[w].discard(v)
+    for u in pred:
+        row = out[u]
+        a = row.pop(v)
+        if p > 1:
+            for w in row:
+                row[w] *= p
+        for w, b in succ.items():
+            row[w] = row.get(w, 0) + a * b
+            into[w].add(u)
+        den[u] = _reduce(den[u] * p, row)
+    return pred | succ.keys()
+
+
+def _reduce(d, row):
+    """Divide the integer row (in place) and its denominator d > 0 by their
+    gcd; returns the new denominator."""
+    g = gcd(d, *row.values())
+    if g > 1:
+        for w in row:
+            row[w] //= g
+        d //= g
+    return d
 
 
 def _measurements(net, I):
-    """M_ij for each source i in I, as a dict sink -> value (0 left out).
+    """M_ij for each source i in I, as a dict sink -> (numerator,
+    denominator > 0); some zero entries may be left out.
 
     Acyclic networks: one path-sum pass per source.  Cyclic ones: one
     Kasteleyn-signed elimination on the perfect trivalent form P, and
@@ -283,22 +348,24 @@ def _measurements(net, I):
     """
     order = net.topological_order()
     if order is not None:
-        return {i: _path_sums(net, order, i) for i in I}
+        arcs = _integer_arcs(net)
+        return {i: _path_sums(arcs, order, i) for i in I}
     P = perfect_and_trivalent(net)
     sign = _kasteleyn_signs(P)
     walks = _signed_walk_sums(P, sign)
+    steps = {v: [(P.head(e), sign[e]) for e in P.out_edges(v)] for v in P.rot}
     out = {}
     for i in I:
         eps = {i: 1}
         stack = [i]
         while stack:
             v = stack.pop()
-            for e in P.out_edges(v):
-                w = P.head(e)
+            for w, s in steps[v]:
                 if w not in eps:
-                    eps[w] = eps[v] * sign[e]
+                    eps[w] = eps[v] * s
                     stack.append(w)
-        out[i] = {j: eps[j] * x for j, x in walks[i].items()}
+        d, row = walks[i]
+        out[i] = {j: (eps[j] * a, d) for j, a in row.items()}
     return out
 
 
@@ -308,7 +375,7 @@ def boundary_measurement(net, i, j):
         raise ValueError(f"b_{i} is not a source")
     if j not in net.sinks():
         raise ValueError(f"b_{j} is not a sink")
-    return _measurements(net, [i])[i].get(j, Fraction(0))
+    return Fraction(*_measurements(net, [i])[i].get(j, (0, 1)))
 
 
 def boundary_measurement_matrix(net):
@@ -323,13 +390,14 @@ def boundary_measurement_matrix(net):
         raise ValueError("network has no sources")
     k = len(I)
     M = _measurements(net, I)
+    left = {j: bisect(I, j) for j in net.sinks()}     # the sources left of j
     rows = [[Fraction(0)] * net.n for _ in range(k)]
     for r, ir in enumerate(I):
         rows[r][ir - 1] = Fraction(1)
-        for j in sorted(net.sinks()):
-            lo, hi = min(ir, j), max(ir, j)
-            s = sum(1 for x in I if lo < x < hi)
-            rows[r][j - 1] = (-1) ** s * M[ir].get(j, 0)
+        for j, q in left.items():
+            s = q - r - 1 if j > ir else r - q
+            a, d = M[ir].get(j, (0, 1))
+            rows[r][j - 1] = Fraction(-a if s % 2 else a, d)
     return RationalMatrix(rows)
 
 

@@ -20,6 +20,10 @@ walks themselves, signed by the parity of their erased cycles, and
 from path families.  These cross-check `network.boundary_measurement_matrix`,
 which agrees with them on the perfect trivalent form of a network (and on
 the network itself when no vertex alternates in, out, in, out).
+`fraction_walk_sums` and `fraction_path_sums` are the Kasteleyn-signed
+elimination and the acyclic path sums on Fraction entries; they
+cross-check the integer rows of `network._signed_walk_sums` and the
+integer pairs of `network._path_sums`.
 
 Chords and necklaces: `chord_class` names the position of two chords by
 the cyclic order of their four endpoints, `aligned_pair` and
@@ -50,8 +54,9 @@ number of cells, `inversions` counts inversions and
 All of them are exponential; fine at desk scale.
 """
 
+import heapq
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import comb
 
 from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
@@ -428,6 +433,60 @@ def exhaustive_matrix(net):
             row[j - 1] = (-1) ** s * exhaustive_measurement(net, ir, j)
         rows.append(row)
     return RationalMatrix(rows)
+
+
+def fraction_walk_sums(P, sign):
+    """[(I - W)^-1]_ij for every source i of P as a dict sink -> Fraction, by
+    Gaussian elimination on Fraction entries in the pivot order of
+    `network._signed_walk_sums`: eliminating v adds W_uv W_vw / (1 - W_vv)
+    to W_uw.  A zero pivot raises ZeroDivisionError."""
+    out = {v: {} for v in P.rot}
+    into = {v: set() for v in P.rot}
+    for e, (u, w, x) in P.edges.items():
+        out[u][w] = out[u].get(w, 0) + sign[e] * x
+        into[w].add(u)
+
+    def cost(v):
+        return (len(into[v]) - (v in into[v])) * (len(out[v]) - (v in out[v]))
+
+    tick = count()
+    heap = [(cost(v), next(tick), v) for v in P.internal_vertices()]
+    heapq.heapify(heap)
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if v not in into or c != cost(v):
+            continue
+        succ, pred = out.pop(v), into.pop(v)
+        loop = succ.pop(v, 0)
+        pred.discard(v)
+        scale = 1 / (1 - Fraction(loop))
+        succ = {w: b * scale for w, b in succ.items()}
+        for w in succ:
+            into[w].discard(v)
+        for u in pred:
+            row = out[u]
+            a = row.pop(v)
+            for w, b in succ.items():
+                row[w] = row.get(w, 0) + a * b
+                into[w].add(u)
+        for t in pred | succ.keys():
+            if t not in P.boundary:
+                heapq.heappush(heap, (cost(t), next(tick), t))
+    return {i: out[i] for i in P.sources()}
+
+
+def fraction_path_sums(net, order, src):
+    """Weighted path counts from src to every vertex of an acyclic network,
+    one Fraction pass over the topological order."""
+    total = {src: Fraction(1)}
+    for v in order:
+        x = total.get(v)
+        if x is None:
+            continue
+        for e in net.out_edges(v):
+            w = net.head(e)
+            total[w] = total.get(w, 0) + x * net.weight(e)
+    return total
 
 
 # -- chords and necklaces ------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import insert_bigon, random_plabic_network, reweight
+from helpers import attach_leaf, insert_bigon, manhattan_grid, random_plabic_network, reweight
 from positroid.cli import main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
@@ -107,6 +107,28 @@ def test_measure_plucker_json(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["coords"] == {"1": "1", "2": "5"}
+
+
+# `measure --matrix` of a cyclic 2 x 2 Manhattan grid (one block is a directed cycle)
+CYCLIC_GRID_MATRIX = """4 8
+1 63/46 0 -98/23 0 49/828 0 -196/207
+0 7/23 1 14/23 0 -7/828 0 28/207
+0 -63/115 0 196/115 1 7/460 0 -28/115
+0 135/46 0 -210/23 0 35/276 1 30/23
+"""
+
+
+def test_measure_matrix_text_and_json_are_pinned(capsys, tmp_path):
+    net = manhattan_grid(random.Random(5), 2, 2, (True, False), (False, True))
+    assert not net.is_acyclic()
+    f = tmp_path / "net.txt"
+    f.write_text(net.to_text())
+    code, out, _ = run(capsys, "measure", str(f), "--matrix")
+    assert (code, out) == (0, CYCLIC_GRID_MATRIX)
+    code, out, _ = run(capsys, "measure", str(f), "--matrix", "--json")
+    matrix = [line.split() for line in CYCLIC_GRID_MATRIX.splitlines()[1:]]
+    assert code == 0
+    assert out == json.dumps({"matrix": matrix, "text": CYCLIC_GRID_MATRIX}, indent=2) + "\n"
 
 
 def test_trips_and_matroid(capsys, tmp_path):
@@ -573,6 +595,43 @@ def test_reduce_stuck_exit_2_names_the_witness(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("precondition failed: ") and err.count("\n") == 1
     assert err.endswith("not reduced: bad double crossing of trips from b_5, b_6 at edges 21, 20\n")
+
+
+def _lollipop_graph(seed):
+    """A scrambled plabic graph with a stick to a new vertex carrying a loop."""
+    from positroid.plabic import PlabicGraph
+    r = random.Random(seed)
+    G = random_plabic_network(r, nmax=7, scrambles=20).graph
+    G, leaf = attach_leaf(G, r.choice(sorted(G.internal_vertices(), key=str)), r.choice((1, -1)))
+    e = max(G.edges) + 1
+    return PlabicGraph(G.n, G.col, {**G.edges, e: (leaf, leaf)},
+                       rot={**G.rot, leaf: G.rot[leaf] + ((e, 0), (e, 1))})
+
+
+@pytest.mark.parametrize("seed", [2, 10, 14, 18, 21])
+def test_reduce_without_perfect_orientation_exit_2(capsys, tmp_path, seed):
+    from positroid.plabic import perfect_orientation
+    G = _lollipop_graph(seed)
+    assert perfect_orientation(G) is None
+    f = tmp_path / "g.txt"
+    f.write_text(G.to_text())
+    code, out, err = run(capsys, "reduce", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition failed: the graph has no perfect orientation (the composite ending in ")
+    assert err.endswith(" did not shrink the graph)\n") and err.count("\n") == 1
+
+
+def test_reduce_reraises_a_failed_step_on_an_orientable_graph(monkeypatch, tmp_path):
+    import positroid.plabic as plabic
+
+    def broken(x):
+        raise AssertionError("step did not shrink")
+
+    monkeypatch.setattr(plabic, "reduce_graph", broken)
+    f = tmp_path / "g.txt"
+    f.write_text(graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text())
+    with pytest.raises(AssertionError, match="step did not shrink"):
+        main(["reduce", str(f)])
 
 
 @pytest.mark.parametrize("command", ["reduce", "moves"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -551,6 +552,132 @@ def _cyclic_perfect_networks(seed, count):
         if net is not None:
             out.append(perfect_and_trivalent(net))
     return out
+
+
+def _with_loop(net, local):
+    """net with one more edge, a loop at a random internal vertex, its two
+    darts side by side at a random place in the rotation and in either order."""
+    v = local.choice(sorted(v for v in net.internal_vertices() if net.rot[v]))
+    e = max(net.edges) + 1
+    ds = list(net.rot[v])
+    at = local.randrange(len(ds) + 1)
+    ds[at:at] = [(e, 0), (e, 1)] if local.random() < 0.5 else [(e, 1), (e, 0)]
+    edges = {**net.edges, e: (v, v, random_rational(local, 1, 9))}
+    return PlanarDirectedNetwork(net.n, net.source_flags, edges, rot={**net.rot, v: tuple(ds)})
+
+
+def _oracle_corpus():
+    """Perfect trivalent forms of cyclic networks: random grids (20 with
+    an alternating vertex among them), random grids with a loop, and
+    Manhattan grids."""
+    local = random.Random(515)
+    nets, alternating = [], 0
+    while len(nets) < 40 or alternating < 20:
+        net = random_grid_network(local, n=local.randint(2, 5), w=3, h=2, max_internal=8,
+                                  require_cycle=True)
+        if net is None or (len(nets) >= 40 and not has_alternating_vertex(net)):
+            continue
+        alternating += has_alternating_vertex(net)
+        nets.append(net)
+    nets += [_with_loop(net, local) for net in nets[:20]]
+    for L, M in [(2, 2), (2, 3), (3, 3)]:
+        grids = 0
+        while grids < 3:
+            east = tuple(local.random() < 0.5 for _ in range(L))
+            north = tuple(local.random() < 0.5 for _ in range(M))
+            net = manhattan_grid(local, L, M, east, north)
+            if not net.is_acyclic():
+                nets.append(net)
+                grids += 1
+    return [perfect_and_trivalent(net) for net in nets]
+
+
+def _random_signs(P, local):
+    return {e: local.choice((1, -1)) for e in sorted(P.edges)}
+
+
+def _walk_sums_or_zero_pivot(walk_sums, P, sign):
+    try:
+        return walk_sums(P, sign)
+    except ZeroDivisionError:
+        return "zero pivot"
+
+
+def test_integer_walk_sums_match_the_fraction_elimination():
+    """Kasteleyn signs, where the matrix is also checked exhaustively, and
+    random signs, where a pivot may be negative or zero."""
+    from oracles import fraction_walk_sums
+    from positroid.network import _kasteleyn_signs, _signed_walk_sums
+    local = random.Random(525)
+    loops = zero = 0
+    for P in _oracle_corpus():
+        loops += any(u == w for u, w, _ in P.edges.values())
+        for sign in (_kasteleyn_signs(P), _random_signs(P, local)):
+            got = _walk_sums_or_zero_pivot(_signed_walk_sums, P, sign)
+            want = _walk_sums_or_zero_pivot(fraction_walk_sums, P, sign)
+            if got == "zero pivot" or want == "zero pivot":
+                assert got == want
+                zero += 1
+                continue
+            got = {i: {j: Fraction(a, d) for j, a in row.items() if a} for i, (d, row) in got.items()}
+            assert got == {i: {j: x for j, x in row.items() if x} for i, row in want.items()}
+        assert boundary_measurement_matrix(P) == exhaustive_matrix(P)
+    assert loops >= 20 and zero >= 10
+
+
+def test_integer_rows_stay_reduced_during_elimination(monkeypatch):
+    """d_u > 0 and gcd(d_u, row) = 1 after every step, also under random
+    signs, where pivots can be negative."""
+    import positroid.network as network
+    step = network._eliminate
+    local = random.Random(535)
+    steps = 0
+
+    def checked(v, out, den, into):
+        nonlocal steps
+        touched = step(v, out, den, into)
+        steps += 1
+        assert out.keys() == den.keys()
+        for u, row in out.items():
+            assert den[u] > 0 and gcd(den[u], *row.values()) == 1
+        return touched
+
+    monkeypatch.setattr(network, "_eliminate", checked)
+    internal = 0
+    for P in _oracle_corpus():
+        boundary_measurement_matrix(P)
+        internal += len(P.internal_vertices())
+        _walk_sums_or_zero_pivot(network._signed_walk_sums, P, _random_signs(P, local))
+    assert steps >= internal
+
+
+def test_integer_path_sums_match_fraction_path_sums():
+    """On the hook networks of every Le-diagram with n <= 5 and on random
+    acyclic grids: equal values, each pair in lowest terms."""
+    from oracles import enumerate_le_diagrams, fraction_path_sums
+    from positroid.lediagram import diagram_to_tableau, gamma_network
+    from positroid.network import _integer_arcs, _path_sums
+    local = random.Random(616)
+    nets = []
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for lam in partitions_in_box(k, n - k):
+                for D in enumerate_le_diagrams(k, n, lam):
+                    T = diagram_to_tableau(D, {b: random_rational(local, 1, 30) for b in D.boxes()})
+                    nets.append(gamma_network(T))
+    grids = 0
+    while grids < 60:
+        net = random_grid_network(local, n=local.randint(2, 6), w=3, h=3)
+        if net is not None and net.is_acyclic():
+            nets.append(net)
+            grids += 1
+    for net in nets:
+        order = net.topological_order()
+        arcs = _integer_arcs(net)
+        for i in net.sources():
+            sums = _path_sums(arcs, order, i)
+            assert all(d > 0 and gcd(a, d) == 1 for a, d in sums.values())
+            assert {v: Fraction(a, d) for v, (a, d) in sums.items()} == fraction_path_sums(net, order, i)
 
 
 def test_kasteleyn_signs_make_cycles_negative_and_paths_agree():
