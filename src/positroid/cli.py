@@ -111,11 +111,7 @@ def cmd_trips(args):
 
 
 def _read_plabic_graph(path):
-    return _graph_of(plabic.PlabicGraph.from_text(_read(path)))
-
-
-def _graph_of(obj):
-    return obj.graph if isinstance(obj, plabic.PlabicNetwork) else obj
+    return plabic._graph_of(plabic.PlabicGraph.from_text(_read(path)))
 
 
 def cmd_reduce(args):
@@ -127,7 +123,7 @@ def cmd_reduce(args):
     except AssertionError as ex:
         # a composite that did not shrink the graph, so far seen only on
         # graphs without a perfect orientation
-        if plabic.perfect_orientation(_graph_of(obj)) is None:
+        if plabic.perfect_orientation(plabic._graph_of(obj)) is None:
             raise PreconditionError(f"the graph has no perfect orientation ({ex})")
         raise
     _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],

@@ -86,10 +86,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.rows)
         return f"RationalMatrix[{self.k}x{self.n}: {body}]"
 
-    def column(self, j):
-        """Column j, 1-indexed like everything boundary-facing."""
-        return tuple(r[j - 1] for r in self.rows)
-
     def submatrix_columns(self, cols):
         """Submatrix in the given 1-indexed column list (order kept)."""
         return RationalMatrix([[r[j - 1] for j in cols] for r in self.rows])
@@ -267,11 +263,6 @@ class PluckerVector:
             return False
         return self.normalized().coords == other.normalized().coords
 
-    def is_nonnegative(self):
-        """True iff some scalar multiple has all coordinates >= 0."""
-        p = self.normalized()
-        return all(v >= 0 for v in p.coords.values())
-
     def check_grassmann_plucker(self):
         """Brute-force check of the three-term relations over all index tuples.
 
@@ -328,13 +319,6 @@ class Matroid:
     def zeros(self):
         """Elements in no base."""
         return frozenset(range(1, self.n + 1)) - frozenset().union(*self.bases)
-
-    def cozeros(self):
-        """Elements in every base."""
-        out = None
-        for b in self.bases:
-            out = b if out is None else out & b
-        return frozenset(out)
 
     def to_text(self):
         lines = [f"{self.k} {self.n}"]

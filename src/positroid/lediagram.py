@@ -264,9 +264,12 @@ def gamma_network(T):
 def _hook_layout(T):
     """The parts of gamma_network(T), unvalidated: (source flags, edges, rot).
 
-    edges: eid -> (tail, head, weight), numbered rows first, then columns;
-    rot: vertex -> clockwise darts, the vertices with edges first, in the
-    order their first edge was numbered, then the isolated boundary vertices.
+    edges: eid -> (tail, head, weight), numbered rows first, then columns.
+    rot: vertex -> clockwise darts, read off the grid: a row edge leaves its
+    tail to the W and enters its head from the E, a column edge leaves to
+    the S and enters from the N, so each vertex fills slots N, E, S, W.  The
+    vertices with edges come first, in the order their first edge was
+    numbered, then the isolated boundary vertices.
     """
     k, n, shape = T.k, T.n, T.shape
     width = n - k
@@ -283,55 +286,26 @@ def _hook_layout(T):
         row = T.rows[r - 1]
         dots[r] = [c for c in range(len(row), 0, -1) if row[c - 1] != 0]  # right to left
 
-    edges = {}
-    eid = [0]
+    edges, slots = {}, {}
 
-    def add_edge(u, w, x):
-        eid[0] += 1
-        edges[eid[0]] = (u, w, rational(x))
+    def add_edge(u, w, x, out, into):      # u -> w leaves u at out, enters w at into
+        e = len(edges) + 1
+        edges[e] = (u, w, rational(x))
+        slots.setdefault(u, [None] * 4)[out] = (e, 0)
+        slots.setdefault(w, [None] * 4)[into] = (e, 1)
 
+    N, E, S, W = range(4)
     for r in range(1, k + 1):
         prev = row_label[r]
         for c in dots[r]:
-            add_edge(prev, vid(r, c), T.entry(r, c))
+            add_edge(prev, vid(r, c), T.entry(r, c), W, E)
             prev = vid(r, c)
     for c in range(1, width + 1):
-        col = sorted(r for r in range(1, k + 1) if c in dots[r])
-        if not col:
-            continue
-        for above, below in zip(col, col[1:]):
-            add_edge(vid(above, c), vid(below, c), 1)
-        add_edge(vid(col[-1], c), col_label[c], 1)
+        col = [vid(r, c) for r in range(1, k + 1) if c in dots[r]]
+        for above, below in zip(col, col[1:] + [col_label[c]]):
+            add_edge(above, below, 1, S, N)
 
-    # grid coordinates: dot (r,c) at (c, -r); the source of row r lies to its
-    # east, the sink of column c below it; all edges are axis-aligned
-    pos = {}
-    for r in range(1, k + 1):
-        for c in dots[r]:
-            pos[vid(r, c)] = (c, -r)
-        pos[row_label[r]] = (width + 1, -r)
-    for c in range(1, width + 1):
-        pos[col_label[c]] = (c, -(k + 1))
-
-    incident = {}
-    for e, (u, w, _) in edges.items():
-        incident.setdefault(u, []).append((e, 0))
-        incident.setdefault(w, []).append((e, 1))
-
-    compass = {"N": 0, "E": 1, "S": 2, "W": 3}  # clockwise from north
-
-    def heading(v, dart):
-        e, end = dart
-        u, w, _ = edges[e]
-        ox, oy = pos[w if end == 0 else u]
-        x, y = pos[v]
-        if oy == y:
-            return compass["E"] if ox > x else compass["W"]
-        return compass["N"] if oy > y else compass["S"]
-
-    rot = {}
-    for v, darts in incident.items():
-        rot[v] = tuple(sorted(darts, key=lambda d: heading(v, d)))
+    rot = {v: tuple(filter(None, darts)) for v, darts in slots.items()}
     for i in range(1, n + 1):
         rot.setdefault(i, ())
     return flags, edges, rot

@@ -230,7 +230,7 @@ def _kasteleyn_signs(P):
     rooted at one of them; edges off it keep +1, and each interior face
     then fixes its forest edge, leaves first.
     """
-    faces = sorted(P.map.faces_unordered(), key=lambda orbit: not _on_circle(orbit))
+    faces = sorted(P.map.faces(), key=lambda orbit: not _on_circle(orbit))
     sign = dict.fromkeys(P.edges, 1)
     for f, (e, _) in reversed(_dual_forest(faces)):
         orbit = faces[f]
@@ -492,7 +492,6 @@ def perfect_and_trivalent(net):
     edges = dict(net.edges)
     rot = {v: list(ds) for v, ds in net.rot.items()}
     flags = net.source_flags
-    n = net.n
     ids = fresh_ids(rot, edges)
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     new_id = ids.__next__
@@ -581,7 +580,8 @@ def perfect_and_trivalent(net):
                 rot[cyc_v[t]] = [(e, end), (cyc_e[t], 0), (cyc_e[(t - 1) % d], 1)]
             del rot[v]
 
-    out = PlanarDirectedNetwork(n, flags, edges, rot={v: tuple(ds) for v, ds in rot.items()})
+    rot = {v: tuple(ds) for v, ds in rot.items()}
+    out = net.replace(net.rot.keys() | rot.keys(), edges=edges, rot=rot)
     if not is_perfect(out) or any(out.degree(v) != 3 for v in out.internal_vertices()):
         raise AssertionError("perfection pipeline left a bad vertex")
     return out

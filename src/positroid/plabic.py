@@ -165,12 +165,12 @@ def _no_tail(toks):
 
 
 def faces(G):
-    """Interior faces as a tuple of tuples of real darts (arc darts dropped).
+    """Interior faces, in no fixed order, as tuples of real darts (arc darts dropped).
 
     The count satisfies |V| - |E| + |F| = 1 + c with c the number of
     isolated components, each contributing its outer walk as a face.
     """
-    return G.map.inner_faces
+    return G.map.inner_faces()
 
 
 def face_key(darts):
@@ -179,7 +179,7 @@ def face_key(darts):
 
 def face_weight_keys(G):
     """The face_key of every interior face, in no fixed order."""
-    return [face_key(f) for f in G.map.inner_faces_unordered()]
+    return [face_key(f) for f in G.map.inner_faces()]
 
 
 def _face_name(key):
@@ -688,7 +688,7 @@ def square_faces(G):
 
 
 def _squares(G):
-    """The faces where the square move applies, in the order of faces(G).
+    """The faces where the square move applies, in the order of faces_of_length(4).
 
     A face with a boundary arc has a dart into a boundary vertex, which has
     no colour, so only the map's faces of four real darts can qualify."""
@@ -1097,7 +1097,8 @@ def _reduce_directly(x, rows, trace):
         step(G, site, run)
         G = _graph_of(x)
         size, before = _size(G), size
-        assert size < before, f"the composite ending in {trace[-1]} did not shrink the graph"
+        if size >= before:
+            raise AssertionError(f"the composite ending in {trace[-1]} did not shrink the graph")
     return x
 
 
@@ -1178,14 +1179,13 @@ def face_weights(net):
     """
     if not is_perfect(net):
         raise ValueError("face weights need a perfect network")
-    col = {}
-    for v in net.internal_vertices():
-        try:
-            col[v] = net_color(net, v)
-        except ValueError:
-            col[v] = WHITE  # degree-2 vertices may be colored either way
+    col = {v: net_color(net, v) for v in net.internal_vertices()}
     G = PlabicGraph(net.n, col, {e: (u, w) for e, (u, w, _) in net.edges.items()}, rot=net.rot)
-    x = {e: w for e, (_, _, w) in net.edges.items()}
+    return _face_network(G, {e: w for e, (_, _, w) in net.edges.items()})
+
+
+def _face_network(G, x):
+    """The plabic network on G whose faces weigh _face_product of the edge weights x."""
     return PlabicNetwork(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
 
 
@@ -1200,8 +1200,9 @@ def edge_weights_from_faces(N, orient):
     """
     G = N.graph
     flips = {e for e, (u, w) in G.edges.items() if orient[e] != (u, w)}
-    keys = [face_key(darts) for darts in faces(G)]
-    darts = [tuple((e, 1 - end) if e in flips else (e, end) for e, end in f) for f in faces(G)]
+    fs = faces(G)
+    keys = [face_key(darts) for darts in fs]
+    darts = [tuple((e, 1 - end) if e in flips else (e, end) for e, end in f) for f in fs]
     x = dict.fromkeys(G.edges, Fraction(1))
     for f, (e, end) in reversed(_dual_forest(darts)):
         r = N.weights[keys[f]] / _face_product(darts[f], x)
@@ -1255,8 +1256,7 @@ def network_from_le(T):
     weighs the product of x_e over the edges with the face on their right
     times 1/x_e over those with it on their left.
     """
-    G, x = _le_graph(T)
-    return PlabicNetwork(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
+    return _face_network(*_le_graph(T))
 
 
 def _le_graph(T):

@@ -15,7 +15,8 @@ the opposite end.  With clockwise rotations, the orbit rule
 walks every face keeping that face on the LEFT of the travel direction.
 Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
 DiskMap walks it with one tracer, for a fresh map and for one derived
-from a rewrite alike, finding each successor in a vertex's rotation.
+from a rewrite alike, finding each successor in a vertex's rotation, and
+keeps the faces as traced, in no fixed order.
 
 `_DiskGraph` is the core that planar directed networks and plabic graphs
 share: boundary vertices 1..n, the rotation system and its DiskMap, the
@@ -47,10 +48,11 @@ class DiskMap:
 
     Every map traces its faces with _trace, a fresh one all of them and a
     derived one (see derive) those a rewrite changed, and keeps them as
-    traced: orbit(d) gives the face of d from whichever dart it was traced.
-    faces() starts each face at its least dart by _key, (str of its vertex,
-    rotation position), and lists them in that order, which it works out
-    when first asked for.
+    traced: orbit(d) gives the face of d from whichever dart it was traced,
+    and faces() and inner_faces() list them in no fixed order.  Only
+    faces_of_length, which the rewriting engine walks for sites, starts
+    each face at its least dart by _key, (str of its vertex, rotation
+    position), and lists them in that order.
     """
 
     # _stamp is a token of the map.  The maps derived from it keep it as their
@@ -81,9 +83,9 @@ class DiskMap:
         arrives at one of those vertices can get a new successor, and only
         the faces with a dart whose successor did change leave: their darts
         are traced again, and the other faces are kept as they are.  So
-        faces(), orbit and inner_faces equal those of
-        DiskMap(self.boundary, edges, rot), and face_changes(self) returns
-        the faces that left and arrived.
+        the faces of faces(), orbit and inner_faces() are the dart cycles of
+        DiskMap(self.boundary, edges, rot), faces_of_length equals its, and
+        face_changes(self) returns the faces that left and arrived.
         """
         new = object.__new__(DiskMap)
         new.boundary, new.n, new._at, new._arcs = self.boundary, self.n, self._at, self._arcs
@@ -211,7 +213,7 @@ class DiskMap:
         return traced
 
     def _key(self, dart):
-        """Where faces() may start a face: (str of the dart's vertex, rotation position)."""
+        """Where faces_of_length starts a face: (str of the dart's vertex, rotation position)."""
         e, end = dart
         v = self.boundary[(e[1] + end) % self.n] if isinstance(e, tuple) else self.edges[e][end]
         return (str(v), self._aug_rot[v].index(dart))
@@ -221,39 +223,29 @@ class DiskMap:
         key, i = min((self._key(d), i) for i, d in enumerate(orbit))
         return (orbit[i:] + orbit[:i] if i else orbit), key
 
-    def faces_unordered(self):
+    def faces(self):
         """Every face once, as orbit() gives it, in no fixed order: each is
         found at the dart _trace started it from, its first dart."""
         return [f for d, f in self._face_of.items() if f[0] == d]
 
     @cached_property
-    def _faces(self):
-        """faces(), put in order when first asked for."""
-        placed = sorted(map(self._started, self.faces_unordered()), key=itemgetter(1))
-        return [orbit for orbit, _ in placed]
-
-    @cached_property
     def _small(self):
         """The faces of at most SMALL darts and no boundary arc, as traced."""
         arcs = self._arcs
-        return {orbit for orbit in self.faces_unordered() if len(orbit) <= SMALL and arcs.isdisjoint(orbit)}
+        return {orbit for orbit in self.faces() if len(orbit) <= SMALL and arcs.isdisjoint(orbit)}
 
     def _inside(self, orbit):
         """The face with its boundary arcs dropped."""
         arcs = self._arcs
         return orbit if arcs.isdisjoint(orbit) else tuple(filterfalse(arcs.__contains__, orbit))
 
-    def faces(self):
-        """All dart orbits, each a tuple of darts with the face on the left,
-        started at its least dart by _key, in the order of those keys."""
-        return self._faces
-
     def face_count(self):
-        """len(faces()), without putting the faces in order."""
+        """len(faces()), without listing the faces."""
         return self._count
 
     def faces_of_length(self, k):
-        """The faces of k <= SMALL darts and no boundary arc, as in faces()."""
+        """The faces of k <= SMALL darts and no boundary arc, each started at
+        its least dart by _key, in the order of those keys."""
         if k > SMALL:
             raise ValueError(f"only faces of at most {SMALL} darts are indexed")
         found = self._of_length.get(k)
@@ -266,18 +258,11 @@ class DiskMap:
         """The face on the left of the dart, as its orbit (from any of its darts)."""
         return self._face_of[dart]
 
-    def inner_faces_unordered(self):
-        """inner_faces in no fixed order; each face's darts come in their cyclic order."""
-        outer = self._face_of.get((("arc", 0), 0))
-        return [self._inside(f) for f in self.faces_unordered() if f is not outer]
-
-    @cached_property
     def inner_faces(self):
-        """Every face but the outer one, boundary arcs dropped, in the order of
-        faces().  The outer face is known by the identity of its orbit()."""
-        face_of = self._face_of
-        outer = face_of.get((("arc", 0), 0))
-        return tuple(self._inside(f) for f in self.faces() if face_of[f[0]] is not outer)
+        """Every face but the outer one, boundary arcs dropped, in no fixed
+        order; each face's darts come in their cyclic order."""
+        outer = self._face_of.get((("arc", 0), 0))
+        return [self._inside(f) for f in self.faces() if f is not outer]
 
     # -- validation ------------------------------------------------------------
 

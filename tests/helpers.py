@@ -277,11 +277,16 @@ def chord_graph(rng, n, chords):
     crossings, bigons, loops (once unicolored edges are contracted) and
     vertices of high degree, which reduce_graph must undo.
     """
+    from oracles import successor_faces
     from positroid.permutations import BLACK, WHITE
-    from positroid.plabic import faces, graph_from_perm
+    from positroid.plabic import graph_from_perm
     G = graph_from_perm(random_decorated_permutation(rng, n))
     for _ in range(chords):
-        face = rng.choice([f for f in faces(G) if len({e for e, _ in f}) >= 2])
+        # the inner faces in successor_faces order, which fixes the corpus:
+        # plabic.faces(G) is in no fixed order
+        inner = [tuple(d for d in f if isinstance(d[0], int))
+                 for f in successor_faces(G.map) if (("arc", 0), 0) not in f]
+        face = rng.choice([f for f in inner if len({e for e, _ in f}) >= 2])
         d1 = rng.choice(face)
         d2 = rng.choice([d for d in face if d[0] != d1[0]])
         c = max(G.edges) + 5        # above the four edge ids the two M3 take

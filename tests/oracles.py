@@ -33,7 +33,10 @@ anti-exceedance set in the shifted order <_r, and `r_table_by_walks`
 counts I_a on walked arcs.  They cross-check `permutations.classify_pair`,
 `necklace_from_perm` and `r_table`.
 
-Le-networks: `le_network` takes a Le-tableau's plabic network the long
+Le-networks: `hook_layout_by_coordinates` lays the hook network out on
+grid coordinates and sorts each vertex's darts by compass heading, to
+cross-check `lediagram._hook_layout`, which reads the rotations off the
+grid.  `le_network` takes a Le-tableau's plabic network the long
 way, through three validated maps (`gamma_network`, `perfect_gamma`,
 `face_weights`), to cross-check `plabic.network_from_le` and
 `graph_from_le`, which build it on one.  `gamma_vertical_edges` and
@@ -60,7 +63,7 @@ from itertools import combinations, count, permutations
 from math import comb
 
 from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
-from positroid.lediagram import LeDiagram, gamma_network, le_count_poly, le_fills
+from positroid.lediagram import LeDiagram, _boundary_labels, gamma_network, le_count_poly, le_fills
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import BLACK, WHITE, DecoratedPermutation
 from positroid.plabic import face_key, face_weights, faces, orientation_sources
@@ -211,7 +214,7 @@ def cycle_orientation(dmap, cycle_eids):
 
 
 def successor_faces(dmap):
-    """faces() of a DiskMap, traced by a table of clockwise successors.
+    """The faces of a DiskMap, traced by a table of clockwise successors.
 
     The vertices are visited in str order and each one's darts in
     clockwise order, with the boundary arcs spliced in at b_i: the arc
@@ -239,14 +242,21 @@ def successor_faces(dmap):
     return faces
 
 
+def _cycles(faces):
+    """The number of faces and every dart's successor on its face: the
+    faces as dart cycles, whatever their order and first darts."""
+    return len(faces), {d: f[(i + 1) % len(f)] for f in faces for i, d in enumerate(f)}
+
+
 def check_faces(dmap):
-    """Assert that the faces, inner faces, small faces and face count of a
-    DiskMap are those successor_faces traces."""
+    """Assert that the faces, inner faces and face count of a DiskMap are
+    the dart cycles successor_faces traces, and that its small faces are
+    those faces, in their order."""
     faces = successor_faces(dmap)
     arcs = {d for f in faces for d in f if isinstance(d[0], tuple)}
-    inner = tuple(tuple(d for d in f if d not in arcs) for f in faces if (("arc", 0), 0) not in f)
-    assert dmap.faces() == faces
-    assert dmap.inner_faces == inner
+    inner = [tuple(d for d in f if d not in arcs) for f in faces if (("arc", 0), 0) not in f]
+    assert _cycles(dmap.faces()) == _cycles(faces)
+    assert _cycles(dmap.inner_faces()) == _cycles(inner)
     assert dmap.face_count() == len(faces)
     for k in range(1, 5):
         assert dmap.faces_of_length(k) == tuple(f for f in faces if len(f) == k and arcs.isdisjoint(f))
@@ -569,6 +579,63 @@ def r_table_by_walks(pi):
 
 
 # -- the Le-network by way of its hook network -------------------------------------
+
+
+def hook_layout_by_coordinates(T):
+    """lediagram._hook_layout(T) with rotations sorted by compass heading.
+
+    Every vertex gets grid coordinates, dot (r, c) at (c, -r), the source
+    of row r to its east and the sink of column c below it, and each
+    vertex's darts are sorted clockwise from north by the direction of the
+    other end.  Edges are numbered as the library numbers them: rows
+    right to left first, then columns top to bottom.
+    """
+    k, n = T.k, T.n
+    width = n - k
+    row_label, col_label = _boundary_labels(T.shape, k, n)
+    flags = [i + 1 in row_label.values() for i in range(n)]
+
+    def vid(r, c):
+        return n + (r - 1) * max(width, 1) + c
+
+    dots = {r: [c for c in range(len(row), 0, -1) if row[c - 1] != 0] for r, row in enumerate(T.rows, 1)}
+    edges = {}
+    for r in range(1, k + 1):
+        prev = row_label[r]
+        for c in dots[r]:
+            edges[len(edges) + 1] = (prev, vid(r, c), T.entry(r, c))
+            prev = vid(r, c)
+    for c in range(1, width + 1):
+        col = sorted(r for r in range(1, k + 1) if c in dots[r])
+        for above, below in zip(col, col[1:]):
+            edges[len(edges) + 1] = (vid(above, c), vid(below, c), Fraction(1))
+        if col:
+            edges[len(edges) + 1] = (vid(col[-1], c), col_label[c], Fraction(1))
+
+    pos = {}
+    for r in range(1, k + 1):
+        for c in dots[r]:
+            pos[vid(r, c)] = (c, -r)
+        pos[row_label[r]] = (width + 1, -r)
+    for c in range(1, width + 1):
+        pos[col_label[c]] = (c, -(k + 1))
+
+    incident = {}
+    for e, (u, w, _) in edges.items():
+        incident.setdefault(u, []).append((e, 0))
+        incident.setdefault(w, []).append((e, 1))
+
+    def heading(v, dart):           # 0, 1, 2, 3 for N, E, S, W
+        e, end = dart
+        (ox, oy), (x, y) = pos[edges[e][1 - end]], pos[v]
+        if oy == y:
+            return 1 if ox > x else 3
+        return 0 if oy > y else 2
+
+    rot = {v: tuple(sorted(darts, key=lambda d: heading(v, d))) for v, darts in incident.items()}
+    for i in range(1, n + 1):
+        rot.setdefault(i, ())
+    return flags, edges, rot
 
 
 def perfect_gamma(net):

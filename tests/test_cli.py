@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -619,6 +623,19 @@ def test_reduce_without_perfect_orientation_exit_2(capsys, tmp_path, seed):
     assert (code, out) == (2, "")
     assert err.startswith("precondition failed: the graph has no perfect orientation (the composite ending in ")
     assert err.endswith(" did not shrink the graph)\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [2, 10])
+def test_reduce_without_perfect_orientation_exit_2_under_optimize(capsys, tmp_path, seed):
+    """python -O drops assert statements; the check that stops reduce here is not one."""
+    import positroid
+    f = tmp_path / "g.txt"
+    f.write_text(_lollipop_graph(seed).to_text())
+    _, _, err = run(capsys, "reduce", str(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(positroid.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-O", "-m", "positroid.cli", "reduce", str(f)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
 
 def test_reduce_reraises_a_failed_step_on_an_orientable_graph(monkeypatch, tmp_path):

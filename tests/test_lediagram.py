@@ -5,11 +5,11 @@ from itertools import combinations, product
 import pytest
 
 from helpers import random_le_data, random_rational
-from oracles import (count_le_diagrams, enumerate_le_diagrams, gamma_vertical_edges, is_tnn,
-                     vertical_normalizing_gauge)
+from oracles import (count_le_diagrams, enumerate_le_diagrams, gamma_vertical_edges,
+                     hook_layout_by_coordinates, is_tnn, total_cells, vertical_normalizing_gauge)
 from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
-from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative,
+from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative, _hook_layout,
                                  diagram_to_tableau, gamma_network, invert_measurement, is_le_diagram, le_count_poly,
                                  le_fills, meas_D, tableau_matrix, witness_not_tnn)
 from positroid.network import boundary_measurement, gauge_transform, measure
@@ -92,6 +92,31 @@ def test_gamma_network_figure_source_set():
     net = gamma_network(T)
     assert sorted(net.sources()) == [3, 5, 6, 8, 10, 13]
     assert net.is_acyclic()
+
+
+def _same_layout(T):
+    flags, edges, rot = _hook_layout(T)
+    want_flags, want_edges, want_rot = hook_layout_by_coordinates(T)
+    assert (flags, edges) == (want_flags, want_edges)
+    assert list(rot.items()) == list(want_rot.items())       # the dict order too
+
+
+def test_hook_layout_matches_compass_sort():
+    """The rotations read off the grid equal those sorted by compass heading
+    on coordinates, with equal edge ids and rot order: every Le-tableau
+    with n <= 6, then the top cells up to n = 12."""
+    cells = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for lam in partitions_in_box(k, n - k):
+                for D in enumerate_le_diagrams(k, n, lam):
+                    _same_layout(diagram_to_tableau(D, {b: random_rational(rng) for b in D.boxes()}))
+                    cells += 1
+    assert cells == sum(map(total_cells, range(1, 7)))
+    for n in range(1, 13):
+        for k in range(n + 1):
+            top = LeDiagram(k, n, (n - k,) * k, [(1,) * (n - k)] * k)
+            _same_layout(diagram_to_tableau(top, {b: random_rational(rng) for b in top.boxes()}))
 
 
 def test_meas_D_zero_tableau():

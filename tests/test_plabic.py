@@ -618,9 +618,9 @@ def rewrite_oracle(monkeypatch):
     Each graph _DiskGraph.replace derives must have the rotations, face
     count, dart -> face map, small faces and site candidates of
     PlabicGraph(G.n, G.col, G.edges, rot=G.rot), whose full validation
-    must pass; before its faces are put in order, each face must already
-    be the right dart cycle.  Put in order, its faces, inner faces and
-    faces of each small length must be those of oracles.successor_faces.
+    must pass, with each face the right dart cycle.  Its faces and inner
+    faces must be the dart cycles of oracles.successor_faces, and its
+    faces of each small length those faces in their order.
     The rewrite's changed set must name every vertex whose rotation or colour
     differs, and the faces its map records as left and arrived must be the
     set differences of fresh builds of the two graphs.  Each weighting
@@ -649,12 +649,12 @@ def rewrite_oracle(monkeypatch):
                 or {d: _cycle(o) for d, o in m._face_of.items()} != cycles
                 or set(map(_cycle, m._small)) != set(map(_cycle, f._small))):
             pytest.fail(f"the map {caller} derived differs from a fresh trace of\n{H.to_text()}")
-        s = copy.copy(m)    # putting a copy's faces in order leaves m as the next rewrite finds it
+        s = copy.copy(m)    # listing a copy's small faces leaves m as the next rewrite finds it
         s._of_length = {}
         try:
             check_faces(s)
         except AssertionError:
-            pytest.fail(f"the faces {caller} derived, put in order, differ from a successor "
+            pytest.fail(f"the faces {caller} derived differ from a successor "
                         f"trace of\n{H.to_text()}")
         if not (m is G.map or m._base is G.map._stamp):
             pytest.fail(f"{caller} did not derive its map from its parent's")
