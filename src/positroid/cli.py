@@ -105,7 +105,7 @@ def cmd_perm2graph(args):
 
 def cmd_trips(args):
     G = _read_plabic_graph(args.file)
-    pi = plabic.trips(G).decorated(G)
+    pi = plabic.trip_permutation(G)
     _emit({"permutation": pi.format(), "text": pi.format()}, args.json)
     return 0
 

@@ -74,19 +74,3 @@ def count_table(nmax, q=False):
         else:
             rows.append([count_cells(k, n) for k in range(n + 1)])
     return rows
-
-
-def bruhat_interval_count(lam, k, n):
-    """|{u in S_n : u <= w_lambda}| by the componentwise criterion.
-
-    Brute force over S_n; guarded to n <= 9.
-    """
-    from .permutations import w_lambda
-    if n > 9:
-        raise ValueError("factorial enumeration guarded at n <= 9")
-    w = w_lambda(lam, k, n)
-    count = 0
-    for u in iter_permutations(range(1, n + 1)):
-        if all(u[m] <= w[m] for m in range(k)) and all(u[m] >= w[m] for m in range(k, n)):
-            count += 1
-    return count

@@ -7,7 +7,7 @@ tolerance anywhere: equality of values is exact equality of fractions.
 
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
 
 
@@ -263,24 +263,6 @@ class PluckerVector:
             return False
         return self.normalized().coords == other.normalized().coords
 
-    def check_grassmann_plucker(self):
-        """Brute-force check of the three-term relations over all index tuples.
-
-        Exponential in n; meant for n <= 5 sanity checking.
-        """
-        idx = range(1, self.n + 1)
-        for iseq in permutations(idx, self.k):
-            for jseq in permutations(idx, self.k):
-                lhs = self[iseq] * self[jseq]
-                rhs = Fraction(0)
-                for s in range(self.k):
-                    left = (jseq[s],) + iseq[1:]
-                    right = jseq[:s] + (iseq[0],) + jseq[s + 1:]
-                    rhs += self[left] * self[right]
-                if lhs != rhs:
-                    return False
-        return True
-
 
 def plucker_vector(A):
     """The Plucker embedding of a full-rank matrix: all C(n,k) minors."""
@@ -316,10 +298,6 @@ class Matroid:
     def __repr__(self):
         return f"Matroid(k={self.k}, n={self.n}, {len(self.bases)} bases)"
 
-    def zeros(self):
-        """Elements in no base."""
-        return frozenset(range(1, self.n + 1)) - frozenset().union(*self.bases)
-
     def to_text(self):
         lines = [f"{self.k} {self.n}"]
         for b in sorted(tuple(sorted(x)) for x in self.bases):
@@ -328,16 +306,30 @@ class Matroid:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        k, n = (int(t) for t in lines[0].split())
-        bases = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
-        return cls(k, n, bases)
+        """A 'k n' header line, then one base per nonblank line as k distinct
+        entries in 1..n (the one base of a rank-0 matroid, the empty set, may
+        be left out).  Malformed text raises one ValueError naming the line."""
+        lines = [(number, line.split()) for number, line in enumerate(text.splitlines(), 1)
+                 if line.strip()] or [(1, [])]
 
+        def bad(number, toks, what):
+            return ValueError(f"matroid text line {number}: expected {what}, not {' '.join(toks)!r}")
 
-def matroid_of(A):
-    """Matroid of column dependencies: bases are subsets with Delta != 0."""
-    p = plucker_vector(A)
-    return Matroid(A.k, A.n, p.support())
+        rows = []
+        for number, toks in lines:
+            try:
+                rows.append(tuple(int(t) for t in toks))
+            except ValueError:
+                raise bad(number, toks, "integers") from None
+        if len(rows[0]) != 2 or not 0 <= rows[0][0] <= rows[0][1]:
+            raise bad(*lines[0], "a 'k n' header with 0 <= k <= n")
+        k, n = rows[0]
+        for (number, toks), b in zip(lines[1:], rows[1:]):
+            if len(b) != k or len(set(b)) != k or not all(1 <= x <= n for x in b):
+                raise bad(number, toks, f"{k} distinct entries in 1..{n}")
+        if k and len(rows) == 1:
+            raise bad(*lines[0], "a base line after this header")
+        return cls(k, n, rows[1:] or [()])
 
 
 def matroid_of_plucker(p):

@@ -56,9 +56,6 @@ class LeDiagram:
     def boxes(self):
         return [(r + 1, c + 1) for r, row in enumerate(self.fill) for c, v in enumerate(row) if v]
 
-    def source_set(self):
-        return lambda_to_subset(self.shape, self.k, self.n)
-
 
 class LeTableau:
     """Positive rationals on the 1-boxes of a Le-diagram, zeros elsewhere."""

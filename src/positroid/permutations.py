@@ -19,7 +19,7 @@ I_{i+1} = (I_i - {i}) | {pi(i)} from I_1 = I(pi).
 from itertools import combinations, permutations as iter_permutations
 from typing import NamedTuple
 
-from .exactmath import Matroid, lambda_to_subset, lex_min_base, subset_to_lambda
+from .exactmath import lambda_to_subset, subset_to_lambda
 
 BLACK, WHITE = 1, -1
 
@@ -229,13 +229,6 @@ def perm_from_necklace(neck):
             j = next(iter(nxt - (cur - {i})))
             perm[i - 1] = j
     return DecoratedPermutation(perm, col)
-
-
-def necklace_from_matroid(M):
-    """I_i = lexicographically minimal base of M under the shift <_i."""
-    if not isinstance(M, Matroid):
-        raise TypeError("expected a Matroid")
-    return GrassmannNecklace([lex_min_base(M, i) for i in range(1, M.n + 1)])
 
 
 # -- chord geometry -----------------------------------------------------------------

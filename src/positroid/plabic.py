@@ -22,7 +22,7 @@ from math import prod
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
-from .permutations import BLACK, WHITE, DecoratedPermutation, crossing_roles, _uncross
+from .permutations import BLACK, WHITE, DecoratedPermutation
 from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids, parse_disk_text,
                          rev)
 
@@ -363,16 +363,6 @@ class TripDecomposition:
                     raise ValueError(f"trip at b_{i} is a fixed point without a boundary leaf")
                 col[i] = G.col[leaf]
         return DecoratedPermutation(perm, col)
-
-    def trip_through(self, dart):
-        """(label, position) of the trip traversing the given travel dart."""
-        for i, (_, darts) in self.one_way.items():
-            if dart in darts:
-                return ("one_way", i, darts.index(dart))
-        for t, darts in enumerate(self.round_trips):
-            if dart in darts:
-                return ("round", t, darts.index(dart))
-        raise KeyError(dart)
 
 
 def _trip_step(G, dart):
@@ -1306,72 +1296,6 @@ def graph_from_perm(pi):
     """Reduced plabic graph with the given decorated trip permutation."""
     from .permutations import le_from_perm
     return graph_from_le(le_from_perm(pi))
-
-
-def removable_edges(G):
-    """Edges whose removal covers a boundary cell, with the covered data.
-
-    G must be reduced and contracted.  An edge is removable exactly when
-    its two trips make a simple crossing; the covered cell's decorated
-    permutation replaces that crossing by the alignment.
-    """
-    ok, cert = reducedness_certificate(G)
-    if not ok:
-        raise ValueError(f"graph is not reduced: {cert}")
-    H = contracted(G)
-    if H.canonical() != G.canonical():
-        raise ValueError("graph is not contracted")
-    T = trips(G)
-    pi = T.decorated(G)
-    out = []
-    for e in sorted(G.edges):
-        u, w = G.edges[e]
-        if (u in G.boundary or w in G.boundary) and (G.degree(u) == 1 and G.degree(w) == 1):
-            continue  # boundary leaves cannot be removed
-        kind_a = T.trip_through((e, 0))
-        kind_b = T.trip_through((e, 1))
-        if kind_a[0] != "one_way" or kind_b[0] != "one_way":
-            continue
-        i, j = kind_a[1], kind_b[1]
-        if i == j:
-            continue
-        roles = crossing_roles(pi, i, j)
-        covered = _uncross(pi, *roles) if roles else None
-        if covered is not None:
-            out.append((e, covered))
-    return out
-
-
-def delete_edge(G, e, boundary_color=None):
-    """G minus edge e, adding opposite-color leaves at stranded boundary ends.
-
-    For an edge joining two boundary vertices the two new leaves take
-    opposite colors; boundary_color picks the color at the lower-numbered
-    end (required then).
-    """
-    u, w = G.edges[e]
-    edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
-    del edges[e]
-    changed = {u, w}
-    for v in {u, w}:
-        rot[v] = tuple(d for d in rot[v] if d[0] != e)
-    bdry = [v for v in (u, w) if v in G.boundary]
-    if len(bdry) == 2:
-        if boundary_color not in (BLACK, WHITE):
-            raise ValueError("removing a boundary-to-boundary edge needs boundary_color")
-        colors = {min(bdry): boundary_color, max(bdry): -boundary_color}
-    elif len(bdry) == 1:
-        other = w if bdry[0] == u else u
-        colors = {bdry[0]: -G.col[other]}
-    else:
-        colors = {}
-    for (i, c), leaf, enew in zip(colors.items(), fresh_ids(rot, edges), fresh_ids(edges)):
-        edges[enew] = (i, leaf)
-        rot[i] = ((enew, 0),)
-        rot[leaf] = ((enew, 1),)
-        col[leaf] = c
-        changed.add(leaf)
-    return G.replace(changed, col=col, edges=edges, rot=rot)
 
 
 def export_dot(x):

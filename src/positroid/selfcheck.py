@@ -17,7 +17,7 @@ from .network import boundary_measurement_matrix, perfect_and_trivalent, switch_
 from .permutations import (all_decorated_permutations, le_from_perm,
                            necklace_from_perm, perm_from_le, perm_from_necklace, rank,
                            top_permutation)
-from .plabic import graph_from_le, is_reduced, matroid, trips
+from .plabic import graph_from_le, is_reduced, matroid, trip_permutation
 
 
 def run_selfcheck(n, seed=0):
@@ -47,7 +47,7 @@ def run_selfcheck(n, seed=0):
     def graph_roundtrip():
         for pi in all_decorated_permutations(n):
             G = graph_from_le(le_from_perm(pi))
-            if not is_reduced(G) or trips(G).decorated(G) != pi:
+            if not is_reduced(G) or trip_permutation(G) != pi:
                 return False
         return True
 

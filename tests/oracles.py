@@ -33,6 +33,12 @@ anti-exceedance set in the shifted order <_r, and `r_table_by_walks`
 counts I_a on walked arcs.  They cross-check `permutations.classify_pair`,
 `necklace_from_perm` and `r_table`.
 
+Covers by edge removal (Postnikov §17-18): `removable_edges` lists the
+edges of a reduced contracted graph whose two trips make a simple
+crossing, with the cell that removing one covers, `delete_edge` removes
+one, and `trip_through` finds the trip of a travel dart.  They
+cross-check `permutations.covers`, which uncrosses chords.
+
 Le-networks: `hook_layout_by_coordinates` lays the hook network out on
 grid coordinates and sorts each vertex's darts by compass heading, to
 cross-check `lediagram._hook_layout`, which reads the rotations off the
@@ -47,6 +53,12 @@ Cell counts and matrices: `eulerian_by_descents` and `staircase_check`
 count permutations and Le-fills directly, `williams_printed_formula` and
 `poly_eval` document a misprinted closed form, `is_tnn` checks every
 maximal minor and `verify_exchange_axiom` every basis pair.
+`bruhat_interval_count` counts the u <= w_lambda in S_n, to match the
+Le-diagram counts, and `check_grassmann_plucker` tests every three-term
+Grassmann-Plucker relation of a Plucker vector.  `matroid_of` reads a
+matrix's matroid off all C(n,k) minors and `necklace_from_matroid` its
+Grassmann necklace off the shifted lex-min bases: the matrix-side route
+to a positroid, beside `plabic.matroid` and `necklace_from_perm`.
 
 Small helpers only tests call: `weights_by_travel` keys face weights by
 travel pairs, `count_le_diagrams` and `enumerate_le_diagrams` count and
@@ -62,11 +74,14 @@ from fractions import Fraction
 from itertools import combinations, count, permutations
 from math import comb
 
-from positroid.exactmath import Matroid, RationalMatrix, _row_reduce, maximal_minor
+from positroid.exactmath import (Matroid, RationalMatrix, _row_reduce, lex_min_base, maximal_minor,
+                                 plucker_vector)
 from positroid.lediagram import LeDiagram, _boundary_labels, gamma_network, le_count_poly, le_fills
 from positroid.network import PlanarDirectedNetwork
-from positroid.permutations import BLACK, WHITE, DecoratedPermutation
-from positroid.plabic import face_key, face_weights, faces, orientation_sources
+from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
+                                    _uncross, crossing_roles, w_lambda)
+from positroid.plabic import (contracted, face_key, face_weights, faces, orientation_sources,
+                              reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, fresh_ids
 
 
@@ -578,6 +593,88 @@ def r_table_by_walks(pi):
             for a in range(1, n + 1) for b in range(1, n + 1)}
 
 
+# -- covers by edge removal ----------------------------------------------------------
+
+
+def trip_through(T, dart):
+    """(kind, label, position) of the trip of the TripDecomposition T that
+    traverses the travel dart: kind 'one_way' with its start i, or 'round'
+    with its index."""
+    for i, (_, darts) in T.one_way.items():
+        if dart in darts:
+            return ("one_way", i, darts.index(dart))
+    for t, darts in enumerate(T.round_trips):
+        if dart in darts:
+            return ("round", t, darts.index(dart))
+    raise KeyError(dart)
+
+
+def removable_edges(G):
+    """Edges whose removal covers a boundary cell, with the covered data.
+
+    G must be reduced and contracted.  An edge is removable exactly when
+    its two trips make a simple crossing; the covered cell's decorated
+    permutation replaces that crossing by the alignment.
+    """
+    ok, cert = reducedness_certificate(G)
+    if not ok:
+        raise ValueError(f"graph is not reduced: {cert}")
+    H = contracted(G)
+    if H.canonical() != G.canonical():
+        raise ValueError("graph is not contracted")
+    T = trips(G)
+    pi = T.decorated(G)
+    out = []
+    for e in sorted(G.edges):
+        u, w = G.edges[e]
+        if (u in G.boundary or w in G.boundary) and (G.degree(u) == 1 and G.degree(w) == 1):
+            continue  # boundary leaves cannot be removed
+        kind_a = trip_through(T, (e, 0))
+        kind_b = trip_through(T, (e, 1))
+        if kind_a[0] != "one_way" or kind_b[0] != "one_way":
+            continue
+        i, j = kind_a[1], kind_b[1]
+        if i == j:
+            continue
+        roles = crossing_roles(pi, i, j)
+        covered = _uncross(pi, *roles) if roles else None
+        if covered is not None:
+            out.append((e, covered))
+    return out
+
+
+def delete_edge(G, e, boundary_color=None):
+    """G minus edge e, adding opposite-color leaves at stranded boundary ends.
+
+    For an edge joining two boundary vertices the two new leaves take
+    opposite colors; boundary_color picks the color at the lower-numbered
+    end (required then).
+    """
+    u, w = G.edges[e]
+    edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
+    del edges[e]
+    changed = {u, w}
+    for v in {u, w}:
+        rot[v] = tuple(d for d in rot[v] if d[0] != e)
+    bdry = [v for v in (u, w) if v in G.boundary]
+    if len(bdry) == 2:
+        if boundary_color not in (BLACK, WHITE):
+            raise ValueError("removing a boundary-to-boundary edge needs boundary_color")
+        colors = {min(bdry): boundary_color, max(bdry): -boundary_color}
+    elif len(bdry) == 1:
+        other = w if bdry[0] == u else u
+        colors = {bdry[0]: -G.col[other]}
+    else:
+        colors = {}
+    for (i, c), leaf, enew in zip(colors.items(), fresh_ids(rot, edges), fresh_ids(edges)):
+        edges[enew] = (i, leaf)
+        rot[i] = ((enew, 0),)
+        rot[leaf] = ((enew, 1),)
+        col[leaf] = c
+        changed.add(leaf)
+    return G.replace(changed, col=col, edges=edges, rot=rot)
+
+
 # -- the Le-network by way of its hook network -------------------------------------
 
 
@@ -993,6 +1090,53 @@ def verify_exchange_axiom(M):
                 if not any(frozenset(I - {i} | {j}) in M.bases for j in J):
                     return False
     return True
+
+
+def bruhat_interval_count(lam, k, n):
+    """|{u in S_n : u <= w_lambda}| by the componentwise criterion.
+
+    Brute force over S_n; guarded to n <= 9.
+    """
+    if n > 9:
+        raise ValueError("factorial enumeration guarded at n <= 9")
+    w = w_lambda(lam, k, n)
+    count = 0
+    for u in permutations(range(1, n + 1)):
+        if all(u[m] <= w[m] for m in range(k)) and all(u[m] >= w[m] for m in range(k, n)):
+            count += 1
+    return count
+
+
+def check_grassmann_plucker(p):
+    """Brute-force check of the three-term relations of the PluckerVector p
+    over all index tuples.
+
+    Exponential in n; meant for n <= 5 sanity checking.
+    """
+    idx = range(1, p.n + 1)
+    for iseq in permutations(idx, p.k):
+        for jseq in permutations(idx, p.k):
+            lhs = p[iseq] * p[jseq]
+            rhs = Fraction(0)
+            for s in range(p.k):
+                left = (jseq[s],) + iseq[1:]
+                right = jseq[:s] + (iseq[0],) + jseq[s + 1:]
+                rhs += p[left] * p[right]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def matroid_of(A):
+    """Matroid of column dependencies: bases are subsets with Delta != 0."""
+    return Matroid(A.k, A.n, plucker_vector(A).support())
+
+
+def necklace_from_matroid(M):
+    """I_i = lexicographically minimal base of M under the shift <_i."""
+    if not isinstance(M, Matroid):
+        raise TypeError("expected a Matroid")
+    return GrassmannNecklace([lex_min_base(M, i) for i in range(1, M.n + 1)])
 
 
 # -- small helpers only tests call ----------------------------------------------------

@@ -12,9 +12,9 @@ from itertools import combinations
 
 from helpers import (attach_leaf, insert_bigon, random_grid_network,
                      random_plabic_network, random_rational, reweight)
-from oracles import formal_series, perfect_orientations, rational_series, staircase_check
-from positroid.enumeration import (bruhat_interval_count, cell_poly, count_cells,
-                                   count_cells_by_permutations)
+from oracles import (bruhat_interval_count, formal_series, perfect_orientations, rational_series,
+                     staircase_check)
+from positroid.enumeration import cell_poly, count_cells, count_cells_by_permutations
 from positroid.exactmath import (lex_min_base, matroid_of_plucker, maximal_minor,
                                  partitions_in_box)
 from positroid.lediagram import (LeDiagram, diagram_to_tableau, invert_measurement,

@@ -1,9 +1,9 @@
 import pytest
 
-from oracles import (eulerian_by_descents, poly_eval, staircase_check, total_cells,
-                     williams_printed_formula)
-from positroid.enumeration import (bruhat_interval_count, cell_poly, count_cells,
-                                   count_cells_by_permutations, count_table, eulerian)
+from oracles import (bruhat_interval_count, eulerian_by_descents, poly_eval, staircase_check,
+                     total_cells, williams_printed_formula)
+from positroid.enumeration import (cell_poly, count_cells, count_cells_by_permutations,
+                                   count_table, eulerian)
 from positroid.exactmath import partitions_in_box
 from positroid.lediagram import le_count_poly
 

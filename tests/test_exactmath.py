@@ -4,10 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import is_tnn, verify_exchange_axiom
+from oracles import check_grassmann_plucker, is_tnn, matroid_of, verify_exchange_axiom
 from positroid.exactmath import (Matroid, RationalMatrix, det, echelon_form,
                                  lambda_to_subset, lex_min_base,
-                                 matroid_of, maximal_minor, partitions_in_box,
+                                 maximal_minor, partitions_in_box,
                                  plucker_vector, subset_to_lambda)
 
 rng = random.Random(20240809)
@@ -108,7 +108,7 @@ def test_grassmann_plucker_relations():
             p = plucker_vector(A)
         except ValueError:
             continue
-        assert p.check_grassmann_plucker()
+        assert check_grassmann_plucker(p)
 
 
 def test_plucker_sign_convention():

@@ -1,9 +1,9 @@
 """Total text parsers: a damaged text parses or raises ValueError, nothing else.
 
-Valid texts of the six formats (network, plabic with faces, matrix,
-tableau, permutation, necklace) get a few token deletions or replacements; the
-parser must return an object, whose text then round-trips, or raise
-ValueError.
+Valid texts of the seven formats (network, plabic with faces, matrix,
+tableau, permutation, necklace, matroid) get a few token deletions or
+replacements; the parser must return an object, whose text then round-trips,
+or raise ValueError.
 """
 
 from fractions import Fraction
@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from positroid.exactmath import RationalMatrix
+from positroid.exactmath import Matroid, RationalMatrix
 from positroid.lediagram import LeTableau
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (DecoratedPermutation, GrassmannNecklace,
                                     necklace_from_perm, top_permutation)
-from positroid.plabic import PlabicGraph, PlabicNetwork, contracted, face_weight_keys, graph_from_perm
+from positroid.plabic import (PlabicGraph, PlabicNetwork, contracted, face_weight_keys, graph_from_perm,
+                              matroid)
 
 
 def _plabic_with_faces():
@@ -50,6 +51,9 @@ FORMATS = {
         necklace_from_perm(DecoratedPermutation.parse("3 1 5 4B 2 6W")).to_text(),
         "1 2\n2 4\n3 4\n1 4\n",
         "-\n-\n-\n",       # k = 0
+    ]),
+    "matroid": (Matroid.from_text, lambda x: x.to_text(), [
+        matroid(graph_from_perm(top_permutation(2, 4))).to_text(),
     ]),
 }
 
@@ -88,3 +92,16 @@ def test_damaged_texts_parse_or_raise_value_error(fmt, data):
         return
     out = unparse(obj)
     assert unparse(parse(out)) == out
+
+
+@pytest.mark.parametrize("text", ["", "2", "a b", "2 4\n1 x", "2 4\n1 5", "2 4"])
+def test_matroid_text_errors_name_the_line(text):
+    with pytest.raises(ValueError, match=r"^matroid text line \d+: "):
+        Matroid.from_text(text)
+
+
+def test_rank_zero_matroid_text_round_trips():
+    # the one base of a rank-0 matroid is the empty set, an empty line that readers skip
+    M = matroid(graph_from_perm(DecoratedPermutation.parse("1B 2B 3B")))
+    assert (M.k, M.n, M.bases) == (0, 3, {frozenset()})
+    assert Matroid.from_text(M.to_text()) == Matroid.from_text("0 3\n") == M

@@ -4,15 +4,15 @@ from itertools import combinations, permutations as iperm
 import pytest
 
 from oracles import (aligned_pair, chord_class, inversions, minimal_permutation,
-                     necklace_by_shifted_orders, r_table_by_walks, reversal_misaligned)
-from positroid.exactmath import Matroid, partitions_in_box
+                     necklace_by_shifted_orders, necklace_from_matroid, r_table_by_walks,
+                     reversal_misaligned)
+from positroid.exactmath import Matroid, lambda_to_subset, partitions_in_box
 from positroid.lediagram import LeDiagram, le_fills
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation,
                                     GrassmannNecklace, all_decorated_permutations,
                                     alignment_number, bruhat_leq_grassmannian,
                                     circular_leq, classify_pair, covers,
                                     crossing_roles, le_from_perm, le_from_u,
-                                    necklace_from_matroid,
                                     necklace_from_perm, perm_from_le,
                                     perm_from_necklace, rank, r_table,
                                     top_permutation, u_from_le, w_lambda,
@@ -376,13 +376,13 @@ def test_perm_le_roundtrip_exhaustive():
         for pi in all_decorated_permutations(n):
             D = le_from_perm(pi)
             assert perm_from_le(D) == pi
-            assert sorted(pi.anti_exceedances()) == sorted(D.source_set())
+            assert sorted(pi.anti_exceedances()) == sorted(lambda_to_subset(D.shape, D.k, D.n))
 
 
 def test_all_zero_diagram_gives_identity():
     D = LeDiagram(2, 4, (2, 1), [(0, 0), (0,)])
     pi = perm_from_le(D)
-    I = D.source_set()
+    I = lambda_to_subset(D.shape, D.k, D.n)
     assert pi == minimal_permutation(I, 4)
 
 

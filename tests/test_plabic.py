@@ -8,8 +8,9 @@ import pytest
 
 from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import (check_faces, le_network, minimal_permutation, path_matroid, perfect_gamma,
-                     perfect_orientations)
+from oracles import (check_faces, delete_edge, le_network, minimal_permutation,
+                     necklace_from_matroid, path_matroid, perfect_gamma, perfect_orientations,
+                     removable_edges)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -19,13 +20,13 @@ from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, 
                                     le_from_perm, all_decorated_permutations,
                                     rank, top_permutation)
 from positroid.plabic import (PlabicGraph, PlabicNetwork, ReductionStuck, _transfer_weights,
-                              apply_move, apply_reduction, contracted, delete_edge,
+                              apply_move, apply_reduction, contracted,
                               edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, network_from_le,
                               parallel_pairs, perfect_orientation, reduce_graph,
-                              reducedness_certificate, removable_edges,
+                              reducedness_certificate,
                               singletons, square_faces, trip_permutation, trips)
 
 rng = random.Random(31337)
@@ -947,7 +948,7 @@ def test_unit_weights_support_is_matroid():
 
 def test_composite_matroid_identity():
     # matroid -> necklace -> permutation -> Le -> graph -> matroid
-    from positroid.permutations import necklace_from_matroid, perm_from_necklace
+    from positroid.permutations import perm_from_necklace
     for _ in range(6):
         D, T = random_le_data(rng, 2, 5)
         M = matroid_of_plucker(meas_D(T))
