@@ -72,20 +72,17 @@ class PlabicGraph(_DiskGraph):
         _index_sites(self, sites, self.rot, self.edges)
         return sites
 
-    def _carry(self, parent, changed, edges):
-        super()._carry(parent, changed, edges)
+    def _carry(self, parent, changed):
         sites = parent.__dict__.get("_sites")
         if sites is not None:
             # a vertex's row depends on its own darts and on whether their far
             # ends are boundary vertices, which no rewrite changes for a kept
-            # vertex; an edge's row on its ends and their colours, and a
-            # rewrite moves edge ends only onto new vertices, which count as
-            # recoloured
-            recoloured = [v for v in changed if parent.col.get(v) != self.col.get(v)]
-            edges = edges.union(e for v in recoloured for e, _ in self.rot.get(v, ()))
+            # vertex; an edge's row on its ends and their colours, so only an
+            # edge with an end at a changed vertex, before or after, can move
+            edges = {e for v in changed for rot in (parent.rot, self.rot) for e, _ in rot.get(v, ())}
             now = {row: set() for row in sites}
             _index_sites(self, now, changed, edges)
-            self._sites = {row: _redone(s, changed if row in _VERTEX_ROWS else edges, now[row])
+            self._sites = {row: s.difference(changed if row in _VERTEX_ROWS else edges).union(now[row])
                            for row, s in sites.items()}
 
     def boundary_leaf(self, i):
@@ -423,7 +420,7 @@ def contract_edge(G, e):
         raise ValueError("cannot contract into the boundary")
     if G.col[u] != G.col[w]:
         raise ValueError(f"edge {e} is not unicolored")
-    m = next(G.unused_ids())
+    m = next(fresh_ids(G.rot, G.edges))
     du, dw = (e, 0), (e, 1)
     if G.edges[e][0] != u:
         du, dw = dw, du
@@ -449,8 +446,8 @@ def uncontract_vertex(G, v, i, j):
                         f"so i and j must lie in 0..{len(ds) - 1}")
     take = ds[i:j] if i <= j else ds[i:] + ds[:j]
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
-    m = next(G.unused_ids())
-    e = next(G.unused_ids(vertices=False))
+    m = next(fresh_ids(G.rot, G.edges))
+    e = next(fresh_ids(G.edges))
     edges = G.edges.copy()
     edges[e] = (v, m)
     _reanchor(edges, take, m)
@@ -468,8 +465,8 @@ def insert_vertex(G, e, colr):
     Returns the new graph and the renaming {old dart: new dart} of e's darts.
     """
     u, w = G.edges[e]
-    m = next(G.unused_ids())
-    e1, e2 = islice(G.unused_ids(vertices=False), 2)
+    m = next(fresh_ids(G.rot, G.edges))
+    e1, e2 = islice(fresh_ids(G.edges), 2)
     edges = G.edges.copy()
     del edges[e]
     edges[e1] = (u, m)
@@ -496,7 +493,7 @@ def remove_vertex(G, v):
         raise ValueError("vertex carries a loop; remove the loop instead")
     a = G.other_end(e1, v)
     b = G.other_end(e2, v)
-    e = next(G.unused_ids(vertices=False))
+    e = next(fresh_ids(G.edges))
     edges = G.edges.copy()
     del edges[e1], edges[e2]
     edges[e] = (a, b)
@@ -639,14 +636,12 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     for key in kept:
         weights[key] *= adjust[key]
     after = [weights[key] for key in {*key_of.values(), *kept}]
-    # weights that only moved keep their sign and product; else compare the
-    # products as a/b = c/d <=> ad = bc without reducing fractions
-    if sorted(map(id, before)) != sorted(map(id, after)):
-        if any(x.numerator <= 0 for x in after):
-            raise ValueError("a rewrite made a face weight nonpositive")
-        if (prod(x.numerator for x in after) * prod(x.denominator for x in before)
-                != prod(x.numerator for x in before) * prod(x.denominator for x in after)):
-            raise ValueError("a rewrite changed the product of the face weights")
+    # compare the products as a/b = c/d <=> ad = bc without reducing fractions
+    if any(x.numerator <= 0 for x in after):
+        raise ValueError("a rewrite made a face weight nonpositive")
+    if (prod(x.numerator for x in after) * prod(x.denominator for x in before)
+            != prod(x.numerator for x in before) * prod(x.denominator for x in after)):
+        raise ValueError("a rewrite changed the product of the face weights")
     net = object.__new__(PlabicNetwork)     # PlabicNetwork's checks hold: see above
     net.graph, net.weights = new_graph, weights
     return net
@@ -818,7 +813,7 @@ def apply_reduction(x, red):
         b = next(e for e in G.incident(w) if e not in (e1, e2))
         za = G.other_end(a, u)
         zb = G.other_end(b, w)
-        e = next(G.unused_ids(vertices=False))
+        e = next(fresh_ids(G.edges))
         edges = G.edges.copy()
         del edges[e1], edges[e2], edges[a], edges[b]
         edges[e] = (za, zb)
@@ -844,7 +839,7 @@ def apply_reduction(x, red):
         del edges[e], rot[u], rot[v], col[u], col[v]
         others = [d for d in G.rot[v] if d[0] != e]
         changed = {u, v}
-        for m, dart in zip(G.unused_ids(), others):
+        for m, dart in zip(fresh_ids(G.rot, G.edges), others):
             _reanchor(edges, [dart], m)
             rot[m] = (dart,)
             col[m] = G.col[u]
@@ -877,16 +872,16 @@ def apply_reduction(x, red):
         boundary = u in G.boundary
         if not boundary and G.col[u] == G.col[w]:
             raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
-        inner = next((darts for darts in G.map.faces_of_length(1) if darts[0][0] == e), None)
-        if inner is None:
-            raise ValueError("the loop encloses other structure; uncontract first")
+        # the loop's two darts are neighbours in w's rotation of three, so
+        # one of them is a face of its own: the inside of the loop
+        inner = min(G.map.orbit((e, 0)), G.map.orbit((e, 1)), key=len)
         edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
         del edges[e], edges[e2], rot[w], col[w]
         rot[u] = tuple(d for d in rot[u] if d[0] != e2)
         changed = {w, u}
         if boundary:
-            lv = next(G.unused_ids())
-            eL = next(G.unused_ids(vertices=False))
+            lv = next(fresh_ids(G.rot, G.edges))
+            eL = next(fresh_ids(G.edges))
             edges[eL] = (u, lv)
             rot[u] = ((eL, 0),)
             rot[lv] = ((eL, 1),)
@@ -951,14 +946,6 @@ def _index_sites(G, sites, vertices, edges):
             sites["loop"].add(e)
         elif col.get(u) is not None and col.get(u) == col.get(w):
             sites["M2"].add(e)
-
-
-def _redone(members, redone, now):
-    """members with those among redone replaced by now (members itself when
-    that changes nothing: the sets are shared, never changed in place)."""
-    if not now and members.isdisjoint(redone):
-        return members
-    return members.difference(redone).union(now)
 
 
 def _m3r_sites(G):

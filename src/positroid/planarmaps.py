@@ -24,7 +24,6 @@ implied rotations, the connected components, the fresh-id rule and the
 tokenizer of their text formats.
 """
 
-from bisect import bisect_left, insort
 from functools import cached_property, lru_cache
 from itertools import chain, count, filterfalse
 from operator import itemgetter
@@ -71,7 +70,7 @@ class DiskMap:
         self._aug_rot = {v: self._augmented(v) for v in (*self.rot, *self.boundary)}
         self._face_of = {}
         self._count = len(self._trace(chain.from_iterable(self._aug_rot.values())))
-        self._stamp, self._of_length = object(), {}
+        self._stamp = object()
         self.validate_planarity()
 
     def derive(self, edges, rot, changed):
@@ -129,9 +128,7 @@ class DiskMap:
                     f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f))
             new._small = small
         new._count = self._count - len(left) + len(arrived)
-        new._stamp, new._of_length = object(), {}       # faces_of_length(k) by k, as asked for
-        new._base, new._left, new._arrived = self._stamp, left, arrived
-        new._moved = dict(lost).keys() ^ dict(made).keys()     # the darts removed and added
+        new._stamp, new._base, new._left, new._arrived = object(), self._stamp, left, arrived
         return new
 
     def face_changes(self, base):
@@ -248,11 +245,8 @@ class DiskMap:
         its least dart by _key, in the order of those keys."""
         if k > SMALL:
             raise ValueError(f"only faces of at most {SMALL} darts are indexed")
-        found = self._of_length.get(k)
-        if found is None:
-            placed = sorted((self._started(f) for f in self._small if len(f) == k), key=itemgetter(1))
-            found = self._of_length[k] = tuple(orbit for orbit, _ in placed)
-        return found
+        placed = sorted((self._started(f) for f in self._small if len(f) == k), key=itemgetter(1))
+        return tuple(orbit for orbit, _ in placed)
 
     def orbit(self, dart):
         """The face on the left of the dart, as its orbit (from any of its darts)."""
@@ -388,23 +382,6 @@ def _dual_forest(faces):
     return forest
 
 
-def _updated(ids, xs, old, new):
-    """The sorted list ids of the integer keys of the dict old, updated for
-    the dict new: only the keys in the set xs can have come or gone."""
-    not_old, not_new = xs.difference(old), xs.difference(new)
-    came, went = not_old - not_new, not_new - not_old
-    if not (came or went):
-        return ids
-    ids = ids.copy()
-    for x in came:
-        if isinstance(x, int):
-            insort(ids, x)
-    for x in went:
-        if isinstance(x, int):
-            del ids[bisect_left(ids, x)]
-    return ids
-
-
 def _reanchor(edges, darts, v):
     """Anchor every dart (e, end) of `darts` at v: edges[e][end] = v."""
     for e, end in darts:
@@ -412,8 +389,8 @@ def _reanchor(edges, darts, v):
 
 
 def fresh_ids(*pools):
-    """Unused ids, counting up from one above every integer id in the pools."""
-    return count(1 + max((x for pool in pools for x in pool if isinstance(x, int)), default=0))
+    """Unused ids, counting up from one above every id in the pools."""
+    return count(1 + max(chain(*pools), default=0))
 
 
 class _DiskGraph:
@@ -424,7 +401,9 @@ class _DiskGraph:
     when the rotation is unique: an internal vertex with at most two darts
     (a loop counts twice), or a boundary vertex with at most one, since the
     boundary arcs put the darts at b_i in a linear order.  `boundary` is
-    the range 1..n, so `v in G.boundary` is the boundary test.
+    the range 1..n, so `v in G.boundary` is the boundary test.  Vertex and
+    edge ids are integers, as every parser and builder makes them, and a
+    rewrite draws new ones from fresh_ids(G.rot, G.edges) or fresh_ids(G.edges).
     """
 
     def __init__(self, n, shape, verts, rot_ids, rot):
@@ -467,20 +446,6 @@ class _DiskGraph:
         """edges as the map takes them: eid -> (u, w)."""
         return self.edges
 
-    @cached_property
-    def _ids(self):
-        """The integer vertex ids and the integer edge ids, as two sorted lists."""
-        return (sorted(v for v in self.rot if isinstance(v, int)),
-                sorted(e for e in self.edges if isinstance(e, int)))
-
-    def unused_ids(self, vertices=True):
-        """Unused ids, counting up from one above every edge id and, when
-        vertices, every vertex id: fresh_ids(G.rot, G.edges) and
-        fresh_ids(G.edges) without looking at every id."""
-        vs, es = self._ids
-        top = max(es[-1:] + vs[-1:] if vertices else es[-1:], default=0)
-        return count(1 + top)
-
     def replace(self, changed, **kw):
         """This graph with the fields in kw replaced: how every rewrite builds its result.
 
@@ -490,8 +455,8 @@ class _DiskGraph:
         one's (DiskMap.derive), so only the faces at the changed vertices
         are traced again and nothing is validated: a rewrite of a valid
         graph is valid.  The bookkeeping that _carry keeps is updated at
-        the changed vertices and their edges.  Graphs from outside go
-        through the constructor.
+        the changed vertices.  Graphs from outside go through the
+        constructor.
         """
         new = object.__new__(type(self))
         for name in self._fields:
@@ -499,17 +464,12 @@ class _DiskGraph:
         new.boundary = self.boundary
         changed = set(changed)
         new.map = self.map.derive(new._shape(), new.rot, changed)
-        moved = new.map._moved if new.map is not self.map else ()
-        new._carry(self, changed, set(map(itemgetter(0), moved)))
+        new._carry(self, changed)
         return new
 
-    def _carry(self, parent, changed, edges):
+    def _carry(self, parent, changed):
         """Update parent's bookkeeping for this graph, a rewrite of it that
-        changed only the vertices changed and added or removed only the
-        edges in edges."""
-        if "_ids" in parent.__dict__:
-            self._ids = (_updated(parent._ids[0], changed, parent.rot, self.rot),
-                         _updated(parent._ids[1], edges, parent.edges, self.edges))
+        changed only the vertices changed.  A bare disk graph keeps none."""
 
 
 def parse_disk_text(text, what, vertex_label, edge_tail, other):

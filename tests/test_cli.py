@@ -12,7 +12,7 @@ from helpers import attach_leaf, insert_bigon, manhattan_grid, random_plabic_net
 from positroid.cli import main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
-from positroid.plabic import graph_from_perm
+from positroid.plabic import apply_reduction, graph_from_perm
 
 
 def run(capsys, *argv):
@@ -494,6 +494,45 @@ def test_move_unknown_or_boundary_id_exit_1(capsys, tmp_path, site, message):
     text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
     err = _one_line_error(capsys, tmp_path, text, "move", "--site", site)
     assert err == f"error: {message}\n"
+
+
+TOP_2_4 = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
+BOUNDARY_LOLLIPOP = "n 1\nvertex 2 black : 1 2 2\nedge 1 : 1 2\nedge 2 : 2 2\n"
+LOOSE_LOOP = "n 1\nvertex 2 white : 1\nvertex 3 black : 2 2\nedge 1 : 1 2\nedge 2 : 3 3\n"
+BLACK_LOLLIPOP = ("n 2\nvertex 3 black : 1 3 2\nvertex 4 black : 3 4 4\n"
+                  "edge 1 : 1 3\nedge 2 : 2 3\nedge 3 : 3 4\nedge 4 : 4 4\n")
+WHITE_LEAF = "n 2\nvertex 3 white : 1 3 2\nvertex 4 white : 3\nedge 1 : 1 3\nedge 2 : 2 3\nedge 3 : 3 4\n"
+
+
+# one site per rejection of contract_edge, remove_vertex and apply_reduction
+SITE_REJECTIONS = [
+    (BOUNDARY_LOLLIPOP, "M2 2", "cannot contract a loop"),
+    (TOP_2_4, "M2 1", "cannot contract into the boundary"),
+    (TOP_2_4, "M2 7", "edge 7 is not unicolored"),
+    (TOP_2_4, "M3r 7", "7 is not an internal degree-2 vertex"),
+    (LOOSE_LOOP, "M3r 3", "vertex carries a loop; remove the loop instead"),
+    (TOP_2_4, "R1 4 7", "edges 4, 7 are not an R1 site"),
+    (TOP_2_4, "R2 7", "7 is not an internal leaf"),
+    (LOOSE_LOOP, "R2 2", "boundary leaves cannot be reduced"),
+    (WHITE_LEAF, "R2 4", "leaf reduction does not apply at 4"),
+    (TOP_2_4, "R3 7", "7 is not in a bicolored dipole"),
+    (TOP_2_4, "Rloop 7", "edge 7 is not a loop"),
+    (LOOSE_LOOP, "Rloop 2", "loop vertex 3 is not trivalent"),
+    (BLACK_LOLLIPOP, "Rloop 4", "lollipop neighbor has the same color; insert a middle vertex first"),
+    (TOP_2_4 + "vertex 9 black :\n", "singleton 7", "vertex 7 is not a singleton"),
+]
+
+
+@pytest.mark.parametrize("text, site, message", SITE_REJECTIONS, ids=[site for _, site, _ in SITE_REJECTIONS])
+def test_move_rejects_a_site_that_does_not_apply(capsys, tmp_path, text, site, message):
+    err = _one_line_error(capsys, tmp_path, text, "move", "--site", site)
+    assert err == f"error: {message}\n"
+
+
+def test_apply_reduction_rejects_an_unknown_kind():
+    # parse_site knows every kind the command line can name, so only a caller gets here
+    with pytest.raises(ValueError, match=r"^unknown reduction \('R9', 1\)$"):
+        apply_reduction(graph_from_perm(DecoratedPermutation.parse("3 4 1 2")), ("R9", 1))
 
 
 @pytest.mark.parametrize("colour", ["purple", "b", "w", "blue"])

@@ -54,6 +54,7 @@ FORMATS = {
     ]),
     "matroid": (Matroid.from_text, lambda x: x.to_text(), [
         matroid(graph_from_perm(top_permutation(2, 4))).to_text(),
+        "0 3\n",          # rank 0: two tokens, fewer than the edits _damage may draw
     ]),
 }
 
@@ -64,6 +65,8 @@ def _damage(data, text):
     lines = [line.split() for line in text.splitlines()]
     for _ in range(data.draw(st.integers(1, 3))):
         spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+        if not spots:           # a short text can run out of tokens
+            break
         i, j = data.draw(st.sampled_from(spots))
         if data.draw(st.booleans()):
             del lines[i][j]
