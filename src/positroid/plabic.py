@@ -17,7 +17,7 @@ invariant of reduced graphs.
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, filterfalse, islice
 from math import prod
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
@@ -487,21 +487,57 @@ def remove_vertex(G, v):
     """
     if G.degree(v) != 2 or v in G.boundary:
         raise ValueError(f"{v} is not an internal degree-2 vertex")
-    (d1, d2) = G.rot[v]
-    e1, e2 = d1[0], d2[0]
-    if e1 == e2:
+    if G.rot[v][0][0] == G.rot[v][1][0]:
         raise ValueError("vertex carries a loop; remove the loop instead")
-    a = G.other_end(e1, v)
-    b = G.other_end(e2, v)
-    e = next(fresh_ids(G.edges))
-    edges = G.edges.copy()
-    del edges[e1], edges[e2]
-    edges[e] = (a, b)
-    rename = {_far_dart(G, e1, v): (e, 0), _far_dart(G, e2, v): (e, 1)}
-    rot = _renamed_rot(G, rename)
-    col = G.col.copy()
-    del rot[v], col[v]
+    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+    a, b, rename = _glue(rot, edges, col, v)
     return G.replace({v, a, b}, col=col, edges=edges, rot=rot), rename
+
+
+def glue_bends(G):
+    """(M3) remove every bend, an internal degree-2 vertex on two edges, as one rewrite.
+
+    The bends leave one at a time, each at the first site of the M3r row
+    (_bend_order) and with the ids remove_vertex gives, but on plain dicts:
+    only the result is built.  Returns the new graph, the renaming {old
+    dart: new dart} of G's darts on glued edges that survive, and the bends
+    in the order they left.
+    """
+    bends = set(G._sites["M3r"])
+    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+    at = G.map._at
+    order, changed, origin = [], set(), {}      # origin: current dart -> G's dart
+    while bends:
+        v = next(_bend_order(bends, rot, at))
+        a, b, step = _glue(rot, edges, col, v)
+        for old, new in step.items():
+            origin[new] = origin.pop(old, old)
+        # a far end keeps its degree, so it stays a bend unless both edges went to it
+        bends.difference_update((v, a) if a == b else (v,))
+        order.append(v)
+        changed.update((v, a, b))
+    H = G.replace(changed, col=col, edges=edges, rot=rot)
+    return H, {old: new for new, old in origin.items() if new[0] in edges}, order
+
+
+def _glue(rot, edges, col, v):
+    """Remove the bend v in place, gluing its two edges into a fresh one.
+
+    The new edge takes the id fresh_ids(edges) gives while the glued edges
+    still count, and runs from the far end of v's first dart to that of
+    its second.  Returns the two far ends and the renaming {old dart: new
+    dart} of the far darts of the glued edges.
+    """
+    (e1, end1), (e2, end2) = rot[v]
+    d1, d2 = (e1, 1 - end1), (e2, 1 - end2)
+    a, b = edges[e1][d1[1]], edges[e2][d2[1]]
+    e = next(fresh_ids(edges))
+    del edges[e1], edges[e2], rot[v], col[v]
+    edges[e] = (a, b)
+    rename = {d1: (e, 0), d2: (e, 1)}
+    for x in {a, b}:
+        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+    return a, b, rename
 
 
 def _renamed_rot(G, rename):
@@ -949,10 +985,17 @@ def _index_sites(G, sites, vertices, edges):
 
 
 def _m3r_sites(G):
-    """Internal degree-2 vertices on two distinct edges, in the order of
-    G.internal_vertices(), which is only built when there are two."""
-    bends = G._sites["M3r"]
-    return iter(bends) if len(bends) < 2 else filter(bends.__contains__, G.internal_vertices())
+    """Internal degree-2 vertices on two distinct edges, in _bend_order."""
+    return _bend_order(G._sites["M3r"], G.rot, G.map._at)
+
+
+def _bend_order(bends, rot, boundary):
+    """The bends, internal vertices of the rotations rot, in the order the M3r
+    row takes them: that of the frozenset of the internal vertices, as
+    internal_vertices() builds it, which is only built when there are two."""
+    if len(bends) < 2:
+        return iter(bends)
+    return filter(bends.__contains__, frozenset(filterfalse(boundary.__contains__, rot)))
 
 
 def _m2_sites(G):
@@ -1005,6 +1048,12 @@ def _loop_step(G, loop, run):
     run(("Rloop", loop))
 
 
+def _glue_step(G, v, run):
+    # the bends leave in one rewrite, v first; the trace names each of them
+    H, rename, bends = glue_bends(G)
+    run(*(("M3r", u) for u in bends), glued=(H, rename))
+
+
 def _leaf_step(G, leaf, run):
     # unicolored edges are contracted first, so a leaf ends a dipole (R3) or
     # hangs off a vertex of the other colour and of degree >= 3 (R2)
@@ -1017,10 +1066,12 @@ def _leaf_step(G, leaf, run):
 # them.  step(G, site, run) applies, through run, the whole composite that
 # removes the site: preparatory moves and the reduction together.  run(s)
 # applies the site s to the object being reduced, records s in the trace and
-# returns the new graph.  Every composite shrinks _size.
+# returns the new graph; run(*sites, glued=(graph, renaming)) records a run
+# of M3r sites and takes glue_bends's result for them as one rewrite.  Every
+# composite shrinks _size.
 SITE_FINDERS = {
     "singleton": (singletons, lambda G, v, run: run(("singleton", v))),
-    "M3r": (_m3r_sites, lambda G, v, run: run(("M3r", v))),
+    "M3r": (_m3r_sites, _glue_step),
     "bigon": (bigon_faces, _bigon_step),
     "M2": (_m2_sites, lambda G, e, run: run(("M2", e))),
     "loop": (_loop_sites, _loop_step),
@@ -1061,10 +1112,14 @@ def _reduce_directly(x, rows, trace):
 
     Each composite shrinks _size, so there are at most _size(x) of them.
     """
-    def run(site):
+    def run(*sites, glued=None):
         nonlocal x
-        trace.append(site)
-        x = apply_site(x, site)
+        trace.extend(sites)
+        if glued is None:
+            x = apply_site(x, *sites)
+        else:
+            H, rename = glued
+            x = _transfer_weights(x, H, rename=rename) if isinstance(x, PlabicNetwork) else H
         return _graph_of(x)
 
     G = _graph_of(x)
@@ -1083,7 +1138,7 @@ def move_sites(G):
     """The sites of M1, M2, M3r and R1; M2 lists every unicolored edge."""
     return {"M1": square_faces(G),
             "M2": list(_m2_sites(G)),
-            "M3r": sorted(_m3r_sites(G)),
+            "M3r": sorted(G._sites["M3r"]),
             "R1": parallel_pairs(G)}
 
 

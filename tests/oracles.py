@@ -39,6 +39,10 @@ crossing, with the cell that removing one covers, `delete_edge` removes
 one, and `trip_through` finds the trip of a travel dart.  They
 cross-check `permutations.covers`, which uncrosses chords.
 
+Runs of bends: `glue_bends_stepwise` removes every internal degree-2
+vertex on two edges one `M3r` move at a time, each a rewrite of its own,
+to cross-check `plabic.glue_bends`, which glues the whole run in one.
+
 Le-networks: `hook_layout_by_coordinates` lays the hook network out on
 grid coordinates and sorts each vertex's darts by compass heading, to
 cross-check `lediagram._hook_layout`, which reads the rotations off the
@@ -80,8 +84,9 @@ from positroid.lediagram import LeDiagram, _boundary_labels, gamma_network, le_c
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
-from positroid.plabic import (contracted, face_key, face_weights, faces, orientation_sources,
-                              reducedness_certificate, trips)
+from positroid.plabic import (PlabicNetwork, _m3r_sites, apply_move, contracted, face_key,
+                              face_weights, faces, orientation_sources, reducedness_certificate,
+                              trips)
 from positroid.planarmaps import _reanchor, fresh_ids
 
 
@@ -673,6 +678,19 @@ def delete_edge(G, e, boundary_color=None):
         col[leaf] = c
         changed.add(leaf)
     return G.replace(changed, col=col, edges=edges, rot=rot)
+
+
+# -- runs of bends -------------------------------------------------------------------
+
+
+def glue_bends_stepwise(x):
+    """apply_move(x, ("M3r", v)) at the first site v of the M3r row until none
+    is left; x a graph or a network.  Returns the result and the sites' vertices."""
+    order = []
+    while (v := next(_m3r_sites(x.graph if isinstance(x, PlabicNetwork) else x), None)) is not None:
+        x = apply_move(x, ("M3r", v))
+        order.append(v)
+    return x, order
 
 
 # -- the Le-network by way of its hook network -------------------------------------

@@ -8,21 +8,21 @@ import pytest
 
 from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import (check_faces, delete_edge, le_network, minimal_permutation,
-                     necklace_from_matroid, path_matroid, perfect_gamma, perfect_orientations,
-                     removable_edges)
+from oracles import (check_faces, delete_edge, glue_bends_stepwise, le_network,
+                     minimal_permutation, necklace_from_matroid, path_matroid, perfect_gamma,
+                     perfect_orientations, removable_edges)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
 from positroid.network import measure
-from positroid.planarmaps import _DiskGraph, _cyclic_pairs
+from positroid.planarmaps import DiskMap, _DiskGraph, _cyclic_pairs
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
                                     rank, top_permutation)
 from positroid.plabic import (PlabicGraph, PlabicNetwork, ReductionStuck, _transfer_weights,
                               apply_move, apply_reduction, contracted,
                               edge_weights_from_faces, export_dot, face_key,
-                              face_weight_keys, face_weights, faces,
+                              face_weight_keys, face_weights, faces, glue_bends,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, network_from_le,
                               parallel_pairs, perfect_orientation, reduce_graph,
@@ -747,9 +747,81 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
         N, site = _rewrite_site(kind)
         (apply_reduction if kind[0] == "R" else apply_move)(N, site)
     assert set(rewrite_oracle) == {"contract_edge", "uncontract_vertex", "insert_vertex",
-                                   "remove_vertex", "apply_reduction", "remove_singleton",
-                                   "delete_edge", "apply_move", "_transfer_weights",
-                                   "_sites"}
+                                   "remove_vertex", "glue_bends", "apply_reduction",
+                                   "remove_singleton", "delete_edge", "apply_move",
+                                   "_transfer_weights", "_sites"}
+
+
+def _glued(x):
+    """glue_bends on x's graph, the weights carried by its renaming: (result, bends)."""
+    G = x.graph if isinstance(x, PlabicNetwork) else x
+    H, rename, order = glue_bends(G)
+    return (H if x is G else _transfer_weights(x, H, rename=rename)), order
+
+
+def _hand_bends():
+    """Graphs whose runs of bends end in a loop, a boundary leaf or an isolated loop."""
+    return {
+        # the two bends of an isolated bigon: gluing one leaves a loop on the other
+        "bigon": PlabicGraph(0, {1: BLACK, 2: WHITE}, {1: (1, 2), 2: (2, 1)}),
+        # a bend on two edges to a trivalent vertex: gluing it leaves a loop there
+        "lollipop": PlabicGraph(1, {5: WHITE, 6: BLACK}, {1: (1, 5), 2: (5, 6), 3: (6, 5)},
+                                rot_ids={5: [1, 2, 3]}),
+        "chain": PlabicGraph(2, {5: BLACK, 6: WHITE, 7: BLACK},
+                             {1: (1, 5), 2: (5, 6), 3: (6, 7), 4: (7, 2)}),
+        # the leaf 6 hangs off a bend, and after the gluing off b1
+        "leaf": PlabicGraph(1, {5: BLACK, 6: WHITE}, {1: (1, 5), 2: (5, 6)}),
+        "ring": PlabicGraph(0, {1: BLACK, 2: WHITE, 3: BLACK}, {1: (1, 2), 2: (2, 3), 3: (3, 1)}),
+        # ids that a frozenset does not list in increasing order
+        "chain 9 17 3": PlabicGraph(2, {9: BLACK, 17: WHITE, 3: BLACK},
+                                    {1: (1, 9), 2: (9, 17), 3: (17, 3), 4: (3, 2)}),
+    }
+
+
+def test_glue_bends_equals_the_stepwise_run():
+    inputs = []
+    for seed in range(300):     # the chord corpus, bare and reweighted
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        inputs += [G, reweight(G, r)]
+    for seed in range(20):      # weighted scrambles with bigons
+        r = random.Random(seed)
+        G = random_plabic_network(r, nmax=7, scrambles=20).graph
+        for _ in range(2):
+            inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
+            if inner:
+                G, _ = insert_bigon(G, r.choice(inner), r)
+        inputs.append(reweight(G, r))
+    inputs += _hand_bends().values()
+    glued = 0
+    for x in inputs:        # a network's text carries its face weights
+        (y, order), (z, steps) = _glued(x), glue_bends_stepwise(x)
+        assert (y.to_text(), order) == (z.to_text(), steps)
+        glued += bool(order)
+    assert glued >= 600
+
+
+def test_glue_bends_on_hand_built_runs(monkeypatch):
+    G = _hand_bends()
+    H, rename, order = glue_bends(G["bigon"])
+    assert order == [1] and H.edges == {3: (2, 2)} and not H._sites["M3r"]
+    assert rename == {(1, 1): (3, 0), (2, 0): (3, 1)}
+    H, _, order = glue_bends(G["lollipop"])
+    assert order == [6] and H.edges[4] == (5, 5) and H._sites["loop"] == {4}
+    derived = Counter()
+    derive = DiskMap.derive
+    monkeypatch.setattr(DiskMap, "derive", lambda m, *a: derived.update(["map"]) or derive(m, *a))
+    red, _, trace = reduce_graph(reweight(G["chain"], rng))
+    assert trace == [("M3r", 5), ("M3r", 6), ("M3r", 7)] and derived["map"] == 1
+    assert red.graph.to_text() == "n 2\nedge 7 : 1 2\n"
+    assert G["leaf"]._sites["leaf"] == {6}
+    H, _, order = glue_bends(G["leaf"])
+    assert order == [5] and H.boundary_leaf(1) == 6 and not H._sites["leaf"]
+    H, _, order = glue_bends(G["ring"])
+    assert order == [1, 2] and H.edges == {5: (3, 3)}
+    with pytest.raises(ValueError, match="^no reduction removes the isolated loop 5$"):
+        reduce_graph(G["ring"])
+    assert glue_bends(G["chain 9 17 3"])[2] == [17, 9, 3]
 
 
 def test_fresh_maps_have_the_faces_of_a_successor_trace():
