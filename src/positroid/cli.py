@@ -137,9 +137,10 @@ def cmd_matroid(args):
         M = plabic.matroid(G)
     except ValueError as ex:
         raise PreconditionError(str(ex))
-    _emit({"k": M.k, "n": M.n,
-           "bases": [" ".join(str(i) for i in sorted(b)) for b in sorted(M.bases, key=sorted)],
-           "text": M.to_text()}, args.json)
+    text = M.to_text()
+    # the lines after the 'k n' header are the bases, sorted once by to_text
+    _emit({"k": M.k, "n": M.n, "bases": text.splitlines()[1:], "text": text} if args.json
+          else {"text": text}, args.json)
     return 0
 
 

@@ -9,10 +9,10 @@ Orientations in which every black vertex has one outgoing edge and every
 white vertex one incoming edge turn the graph into a perfect directed
 network; all such orientations measure to the same projective point, and
 their source sets form the graph's matroid.  None are enumerated: one is
-found by augmenting paths, and a k-subset is a basis when a unit-capacity
-flow on that one orientation reaches it.  Trips (turn right at black,
-left at white) give the decorated trip permutation, the complete move
-invariant of reduced graphs.
+found by augmenting paths, reversing paths in it walks it through the
+Grassmann necklace, and the bases follow from the necklace by Oh's
+theorem.  Trips (turn right at black, left at white) give the decorated
+trip permutation, the complete move invariant of reduced graphs.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from math import prod
 
 from .exactmath import Matroid, PluckerVector, format_rational, rational
 from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
-from .permutations import BLACK, WHITE, DecoratedPermutation
+from .permutations import BLACK, WHITE, DecoratedPermutation, GrassmannNecklace
 from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids, parse_disk_text,
                          rev)
 
@@ -264,11 +264,11 @@ def perfect_orientation(G):
         return False
 
     # a boundary vertex may take out-degree 0..1, an internal one exactly need[v]
-    for v in sorted(need, key=str):
+    for v in sorted(need):
         while out[v] > need[v]:
             if not reverse_path(v, True, lambda x: out[x] < need.get(x, 1)):
                 return None
-    for v in sorted(need, key=str):
+    for v in sorted(need):
         while out[v] < need[v]:
             if not reverse_path(v, False, lambda x: out[x] > need.get(x, 0)):
                 return None
@@ -280,60 +280,102 @@ def orientation_sources(G, orient):
     return frozenset(i for i in G.boundary if orient[G.rot[i][0][0]][0] == i)
 
 
-def matroid(G):
-    """Bases = source sets of the perfect orientations of G.
+def necklace(G):
+    """The Grassmann necklace I_1, ..., I_n of G's positroid (Postnikov §16-17).
 
-    With I the sources of one perfect orientation, a k-subset J is a basis
-    exactly when |I - J| edge-disjoint paths of that orientation lead from
-    I - J to J - I: reversing them gives an orientation with sources J, and
-    any orientation with sources J differs from the first by such paths
-    (and cycles).  Each J costs one unit-capacity max flow, O(k E).
+    I_i is the lex-min basis in the shifted order i < i+1 < ... < i-1.  In
+    a perfect orientation with sources B, B - b + j is a basis exactly when
+    a directed path leads from the source b to the sink j, and reversing
+    that path leaves a perfect orientation with sources B - b + j.
+
+    I_1: a basis is lex-min when no source b reaches a sink j < b (greedy
+    optimality).  One search from the sources in decreasing order, each
+    entering only vertices no larger source reached, finds the largest
+    source b that reaches each sink j.  While some j < b, the smallest such
+    j is swapped in and the search repeated; j then stays, so that happens
+    at most min(k, n - k) times.  I_{i+1} contains I_i - {i} (Lemma 16.3),
+    so when i is in I_i one search from i swaps it for the first sink after
+    i in the shifted order that i reaches, if there is one.  At most 2n
+    searches, O(n E) in all.
     """
     orient = perfect_orientation(G)
     if orient is None:
         raise ValueError("graph is not perfectly orientable")
     k, n = G.type()
-    base = orientation_sources(G, orient)
-    if len(base) != k:
+    sources = set(orientation_sources(G, orient))
+    if len(sources) != k:
         raise AssertionError("orientation source set disagrees with the type")
-    ahead = {v: [] for v in G.rot}      # residual arcs: (eid, next vertex)
-    behind = {v: [] for v in G.rot}
+    ahead = {v: {} for v in G.rot}      # ahead[t][e] = h for each arc t -> h
     for e, (t, h) in orient.items():
         if t != h:
-            ahead[t].append((e, h))
-            behind[h].append((e, t))
-    return Matroid(k, n, (J for J in combinations(range(1, n + 1), k)
-                          if _disjoint_paths(ahead, behind, base.difference(J), set(J) - base)))
+            ahead[t][e] = h
 
+    def search(starts):
+        """Breadth-first search from each start in turn, entering only vertices
+        no earlier start reached.  Returns the search tree {vertex: edge to
+        its parent} and the boundary vertices reached, as (start, j)."""
+        prev, found = {}, []
+        for s in starts:
+            prev[s] = None
+            queue = [s]
+            for x in queue:
+                for e, y in ahead[x].items():
+                    if y not in prev:
+                        prev[y] = e
+                        queue.append(y)
+                        if y in G.boundary:
+                            found.append((s, y))
+        return prev, found
 
-def _disjoint_paths(ahead, behind, sources, targets):
-    """Whether edge-disjoint directed paths join every source to its own target.
-
-    Augmenting paths of a unit-capacity flow: an arc is usable forward when
-    unused and backward when used.  Each target is a boundary sink, so a
-    path that reaches one fills it.
-    """
-    used = set()
-    for s in sources:
-        prev = {s: None}
-        queue = [s]
-        for x in queue:
-            if x in targets:
-                break
-            for e, y in ahead[x]:
-                if e not in used and y not in prev:
-                    prev[y] = (e, x)
-                    queue.append(y)
-            for e, y in behind[x]:
-                if e in used and y not in prev:
-                    prev[y] = (e, x)
-                    queue.append(y)
-        else:
-            return False
+    def swap(prev, j):
+        """Reverse the search-tree path to the sink j, whose source becomes a sink."""
+        x = j
         while prev[x] is not None:
-            e, x = prev[x]
-            used ^= {e}
-    return True
+            e = prev[x]
+            t = G.other_end(e, x)
+            del ahead[t][e]
+            ahead[x][e] = t
+            x = t
+        sources.symmetric_difference_update((x, j))
+
+    while True:
+        prev, found = search(sorted(sources, reverse=True))
+        better = [j for b, j in found if j < b]
+        if not better:
+            break
+        swap(prev, min(better))
+    subsets = []
+    for i in range(1, n + 1):
+        subsets.append(frozenset(sources))
+        if i in sources and i < n:
+            prev, found = search([i])
+            if found:
+                swap(prev, min((j for _, j in found), key=lambda j: (j - i) % n))
+    return GrassmannNecklace(subsets)
+
+
+def matroid(G):
+    """Bases = source sets of the perfect orientations of G, read off its necklace.
+
+    By Oh's theorem ("Positroids and Schubert matroids", JCTA 118, 2011) a
+    k-subset J is a basis exactly when J >=_i I_i in the Gale order of the
+    shifted order <_i, for every i: when a is the (s+1)-th element of I_i
+    in <_i, J has at most s elements in the cyclic interval [i, a).  Only
+    the caps with s below the interval's length can fail.  The necklace
+    costs O(n E) and the listing tests C(n, k) subsets against at most nk
+    caps.
+    """
+    neck = necklace(G)
+    k, n = neck.k, neck.n
+    caps = []                           # (bitmask of [i, a), s)
+    for i in range(1, n + 1):
+        # d is the place of a in <_i, so [i, a) holds the d places before it
+        for s, d in enumerate(sorted((a - i) % n for a in neck[i])):
+            if s < d:
+                caps.append((sum(1 << x for x in range(1, n + 1) if (x - i) % n < d), s))
+    masks = map(sum, combinations([1 << x for x in range(1, n + 1)], k))
+    return Matroid(k, n, (J for J, mask in zip(combinations(range(1, n + 1), k), masks)
+                          if all((mask & m).bit_count() <= c for m, c in caps)))
 
 
 # -- trips ---------------------------------------------------------------------------

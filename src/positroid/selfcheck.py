@@ -131,7 +131,7 @@ def run_selfcheck(n, seed=0):
     check("graph/trips round trip", graph_roundtrip)
     check("inverse boundary round trip", inverse_boundary)
     check("cyclic measurement", cyclic_measurement)
-    if n <= 5:
+    if n <= 6:
         check("matroid coherence", matroid_coherence)
     check("rank = |D|", rank_consistency)
     check("three-way counts", counts)

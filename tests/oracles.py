@@ -1,9 +1,11 @@
 """Exhaustive oracles, kept out of the library.
 
 Plabic matroid: `perfect_orientations` lists every perfect orientation by
-backtracking and `path_matroid` finds the bases reachable from one
-orientation by searching families of vertex-disjoint paths.  The tests use
-them to cross-check `plabic.perfect_orientation` and `plabic.matroid`.
+backtracking, `path_matroid` finds the bases reachable from one
+orientation by searching families of vertex-disjoint paths, and
+`flow_matroid` tests each k-subset by one unit-capacity flow on one
+orientation.  The tests use them to cross-check `plabic.perfect_orientation`
+and `plabic.matroid`, which reads the bases off `plabic.necklace`.
 
 Boundary measurement: `exhaustive_measurement` sums every entry over
 self-avoiding paths with nested excursion denominators,
@@ -85,8 +87,8 @@ from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
 from positroid.plabic import (PlabicNetwork, _m3r_sites, apply_move, contracted, face_key,
-                              face_weights, faces, orientation_sources, reducedness_certificate,
-                              trips)
+                              face_weights, faces, orientation_sources, perfect_orientation,
+                              reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, fresh_ids
 
 
@@ -201,6 +203,61 @@ def path_matroid(G, orient):
         if not K or next(vertex_disjoint_families(K, L), None) is not None:
             bases.add(J)
     return Matroid(k, n, bases)
+
+
+def flow_matroid(G):
+    """Bases by one unit-capacity max flow per k-subset, O(C(n, k) k E).
+
+    With I the sources of one perfect orientation, a k-subset J is a basis
+    exactly when |I - J| edge-disjoint paths of that orientation lead from
+    I - J to J - I: reversing them gives an orientation with sources J, and
+    any orientation with sources J differs from the first by such paths
+    (and cycles).  Cross-checks `plabic.matroid`, which reads the bases off
+    the Grassmann necklace.
+    """
+    orient = perfect_orientation(G)
+    if orient is None:
+        raise ValueError("graph is not perfectly orientable")
+    k, n = G.type()
+    base = orientation_sources(G, orient)
+    ahead = {v: [] for v in G.rot}      # residual arcs: (eid, next vertex)
+    behind = {v: [] for v in G.rot}
+    for e, (t, h) in orient.items():
+        if t != h:
+            ahead[t].append((e, h))
+            behind[h].append((e, t))
+    return Matroid(k, n, (J for J in combinations(range(1, n + 1), k)
+                          if _disjoint_paths(ahead, behind, base.difference(J), set(J) - base)))
+
+
+def _disjoint_paths(ahead, behind, sources, targets):
+    """Whether edge-disjoint directed paths join every source to its own target.
+
+    Augmenting paths of a unit-capacity flow: an arc is usable forward when
+    unused and backward when used.  Each target is a boundary sink, so a
+    path that reaches one fills it.
+    """
+    used = set()
+    for s in sources:
+        prev = {s: None}
+        queue = [s]
+        for x in queue:
+            if x in targets:
+                break
+            for e, y in ahead[x]:
+                if e not in used and y not in prev:
+                    prev[y] = (e, x)
+                    queue.append(y)
+            for e, y in behind[x]:
+                if e in used and y not in prev:
+                    prev[y] = (e, x)
+                    queue.append(y)
+        else:
+            return False
+        while prev[x] is not None:
+            e, x = prev[x]
+            used ^= {e}
+    return True
 
 
 # -- walks and winding ---------------------------------------------------------

@@ -664,6 +664,14 @@ def test_reduce_without_perfect_orientation_exit_2(capsys, tmp_path, seed):
     assert err.endswith(" did not shrink the graph)\n") and err.count("\n") == 1
 
 
+def test_matroid_without_perfect_orientation_exit_2(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text(_lollipop_graph(2).to_text())
+    for flags in ([], ["--json"]):
+        assert run(capsys, "matroid", str(f), *flags) == (
+            2, "", "precondition failed: graph is not perfectly orientable\n")
+
+
 @pytest.mark.parametrize("seed", [2, 10])
 def test_reduce_without_perfect_orientation_exit_2_under_optimize(capsys, tmp_path, seed):
     """python -O drops assert statements; the check that stops reduce here is not one."""

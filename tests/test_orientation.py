@@ -1,15 +1,16 @@
-"""The polynomial perfect orientation and matroid against the exhaustive oracles."""
+"""The polynomial perfect orientation, necklace and matroid against the oracles."""
 
 import random
 
 import pytest
 
-from helpers import insert_bigon, random_le_data
-from oracles import exhaustive_matroid, perfect_orientations
-from positroid.permutations import BLACK, WHITE, all_decorated_permutations
+from helpers import chord_graph, insert_bigon, random_le_data
+from oracles import exhaustive_matroid, flow_matroid, necklace_from_matroid, perfect_orientations
+from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, all_decorated_permutations,
+                                    necklace_from_perm, top_permutation)
 from positroid.lediagram import meas_D
 from positroid.plabic import (PlabicGraph, apply_move, graph_from_perm, matroid, measure_plabic,
-                              network_from_le, orientation_sources, perfect_orientation)
+                              necklace, network_from_le, orientation_sources, perfect_orientation)
 
 
 def assert_perfect(G, orient):
@@ -61,6 +62,44 @@ def test_matroid_equals_oracle_on_every_cell_up_to_n6():
             assert matroid(G) == M == matroid(reversed_edges(G)), pi.format()
             cells += 1
     assert cells == 2371
+
+
+def test_necklace_equals_the_permutations_on_every_cell_up_to_n6():
+    # the stored directions of graph_from_perm already have sources I_1;
+    # reversed, they start the search for I_1 elsewhere
+    cells = 0
+    for n in range(7):
+        for pi in all_decorated_permutations(n):
+            G = graph_from_perm(pi)
+            assert necklace(G) == necklace(reversed_edges(G)) == necklace_from_perm(pi), pi.format()
+            cells += 1
+    assert cells == 2372        # n = 0 included
+
+
+def test_necklace_of_the_top_cell_20_40():
+    pi = top_permutation(20, 40)
+    assert necklace(graph_from_perm(pi)) == necklace_from_perm(pi)
+
+
+@pytest.mark.parametrize("perm, base", [("1B 2B 3B", frozenset()), ("1W 2W 3W", frozenset({1, 2, 3}))],
+                         ids=["rank-0", "k=n"])
+def test_necklace_and_matroid_of_a_cell_with_one_base(perm, base):
+    G = graph_from_perm(DecoratedPermutation.parse(perm))
+    assert necklace(G).subsets == (base,) * 3
+    assert matroid(G).bases == {base}
+
+
+def test_flow_oracle_agrees_on_the_orientable_chord_corpus():
+    orientable = 0
+    for seed in range(300):
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        if perfect_orientation(G) is None:
+            continue
+        orientable += 1
+        M = flow_matroid(G)
+        assert matroid(G) == M and necklace_from_matroid(M) == necklace(G), seed
+    assert orientable == 287
 
 
 def test_matroid_equals_oracle_on_non_reduced_graphs():

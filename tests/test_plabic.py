@@ -18,13 +18,13 @@ from positroid.network import measure
 from positroid.planarmaps import DiskMap, _DiskGraph, _cyclic_pairs
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
-                                    rank, top_permutation)
+                                    perm_from_necklace, rank, top_permutation)
 from positroid.plabic import (PlabicGraph, PlabicNetwork, ReductionStuck, _transfer_weights,
                               apply_move, apply_reduction, contracted,
                               edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces, glue_bends,
                               graph_from_le, graph_from_perm, is_reduced,
-                              matroid, measure_plabic, network_from_le,
+                              matroid, measure_plabic, necklace, network_from_le,
                               parallel_pairs, perfect_orientation, reduce_graph,
                               reducedness_certificate,
                               singletons, square_faces, trip_permutation, trips)
@@ -588,6 +588,7 @@ def test_reduce_chord_corpus():
         assert cur.to_text() == red.to_text()
         if perfect_orientation(G) is not None:
             assert matroid(red) == matroid(G)
+            assert trip_permutation(red) == perm_from_necklace(necklace(G)), seed
     assert reduced >= 290
 
 
