@@ -56,14 +56,14 @@ def sort_sign(seq):
 
 
 class RationalMatrix:
-    """An immutable k x n matrix of Rationals, row-major."""
+    """An immutable k x n matrix of Rationals, row-major; n is read off the rows if any."""
 
     __slots__ = ("k", "n", "rows")
 
-    def __init__(self, rows):
+    def __init__(self, rows, n=0):
         rows = tuple(tuple(rational(x) for x in row) for row in rows)
         self.k = len(rows)
-        self.n = len(rows[0]) if rows else 0
+        self.n = len(rows[0]) if rows else n
         if any(len(r) != self.n for r in rows):
             raise ValueError("ragged matrix")
         self.rows = rows
@@ -77,10 +77,10 @@ class RationalMatrix:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return isinstance(other, RationalMatrix) and (self.n, self.rows) == (other.n, other.rows)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, self.rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.rows)
@@ -88,7 +88,7 @@ class RationalMatrix:
 
     def submatrix_columns(self, cols):
         """Submatrix in the given 1-indexed column list (order kept)."""
-        return RationalMatrix([[r[j - 1] for j in cols] for r in self.rows])
+        return RationalMatrix([[r[j - 1] for j in cols] for r in self.rows], len(cols))
 
     def rank(self):
         return len(_row_reduce(list(list(r) for r in self.rows))[1])
@@ -112,7 +112,7 @@ class RationalMatrix:
         vals = toks[2:]
         if len(vals) != k * n:
             raise ValueError(f"expected {k * n} entries, got {len(vals)}")
-        return cls([[_parse_entry(vals[i * n + j], i, j) for j in range(n)] for i in range(k)])
+        return cls([[_parse_entry(vals[i * n + j], i, j) for j in range(n)] for i in range(k)], n)
 
 
 def _parse_entry(tok, i, j):
@@ -186,7 +186,8 @@ def _row_reduce(rows):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
         for i in range(k):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -208,7 +209,7 @@ def echelon_form(A):
     rows, pivots = _row_reduce([list(r) for r in A.rows])
     if len(pivots) != A.k:
         raise ValueError(f"matrix has rank {len(pivots)} < {A.k}")
-    return RationalMatrix(rows), tuple(c + 1 for c in pivots)
+    return RationalMatrix(rows, A.n), tuple(c + 1 for c in pivots)
 
 
 class PluckerVector:

@@ -9,12 +9,14 @@ Le-tableau replaces the 1s by positive rationals.
 A tableau of shape lambda inside the k x (n-k) rectangle determines an
 acyclic network in the disk whose boundary measurement matrix is in
 I(lambda)-echelon form; `invert_measurement` recovers the tableau from
-any totally nonnegative matrix, column by column.
+any totally nonnegative matrix, reading it off the echelon form in one
+bottom-up sweep of the hook grid.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .exactmath import (RationalMatrix, echelon_form, format_rational,
                         lambda_to_subset, maximal_minor, rational, subset_to_lambda)
@@ -318,81 +320,75 @@ def tableau_matrix(T):
     return boundary_measurement_matrix(gamma_network(T))
 
 
-# -- the inverse boundary procedure ------------------------------------------------
+# -- the inverse boundary problem --------------------------------------------------
 
 
-def _pivot_columns(rows):
-    out = []
-    for row in rows:
-        for c, x in enumerate(row):
-            if x != 0:
-                out.append(c)
-                break
-    return out
+def _peel(B, I, n):
+    """The rows of the nonnegative filling T of the shape lambda(I) whose
+    hook grid measures to the I-echelon matrix B, read off B from the
+    bottom row up; ValueError when there is none.  When T is a Le-tableau
+    that says tableau_matrix(T) == B.
 
-
-def _procedure(rows, n):
-    """Recursive core of the inverse map; rows are echelon, tnn.
-
-    Returns the tableau rows (lists of Fractions) for the shape carved out
-    by the pivots of the current matrix.
+    down[c] holds the path sums, by sink column, of the paths that start
+    down column c below the current row: they go on down or turn left at
+    each dot and pass empty boxes straight, so down[c][c] = 1 and down[c]
+    has no sink right of c.  A path from
+    source r runs left along row r and turns down at one dot (r, c), so
+    row r's unsigned measurements are M(r, .) = sum of y_c down[c], with
+    y_c the product of row r's entries at its dots in columns >= c.  That
+    system is triangular: scanning c = lambda_r, ..., 1, the residual at c
+    is y_c, zero where (r, c) holds no dot.  Every entry of B is matched:
+    the pivot columns are the identity, each in-shape entry is a y_c or a
+    residual zero, and the sink columns right of row r's shape are the
+    matrix columns left of its pivot, zero in echelon form.  So the rows
+    measure to B exactly.  If the support breaks the Le-property, a row's
+    hook crosses a column's hook at an empty box, the grid is not planar
+    and B need not be tnn.  Path sums are integer pairs (numerator,
+    denominator > 0) in lowest terms, as in network._path_sums.
     """
-    k = len(rows)
-    if k == 0:
-        return []
-    if n == k:
-        return [[] for _ in range(k)]
-    pivots = _pivot_columns(rows)
-    d = 0
-    while d < k and pivots[d] == d:
-        d += 1
-    if d < k and d == n:
-        raise AssertionError("echelon bookkeeping broke")
-    if d == 0:
-        if any(row[0] != 0 for row in rows):
-            raise AssertionError("column 1 should be zero when 1 is not a pivot")
-        return _procedure([row[1:] for row in rows], n - 1)
-    x = [(-1) ** (d - 1 - i) * rows[i][d] for i in range(d)]
-    if any(v < 0 for v in x):
-        raise ValueError("matrix is not totally nonnegative")
-    blocked = [r for r in range(d) if x[r] == 0 and any(x[i] != 0 for i in range(r))]
-    if blocked:
-        flip = [sum(1 for r in blocked if r > i) % 2 for i in range(k)]
-        keep = [i for i in range(k) if i not in blocked]
-        cols = [c for c in range(n) if c not in blocked]
-        sub = []
-        for i in keep:
-            row = [rows[i][c] * (-1 if flip[i] and c >= d else 1) for c in cols]
-            sub.append(row)
-        inner = _procedure(sub, n - len(blocked))
-        width = n - k
-        out = []
-        ptr = 0
-        for i in range(k):
-            if i in blocked:
-                out.append([Fraction(0)] * width)
-            else:
-                out.append(inner[ptr])
-                ptr += 1
-        return out
-    s = 0
-    while s < d and x[s] == 0:
-        s += 1
-    sub = []
-    for i in range(k):
-        row = [Fraction(1) if c == i else Fraction(0) for c in range(d)]
-        for j in range(d + 1, n):
-            if i < s or i >= d:
-                row.append(rows[i][j])
-            elif i < d - 1:
-                row.append(rows[i][j] / x[i] + rows[i + 1][j] / x[i + 1])
-            else:
-                row.append(rows[i][j] / x[i])
-        sub.append(row)
-    inner = _procedure(sub, n - 1)
-    for i in range(d):
-        inner[i] = inner[i] + [x[i]]
-    return inner
+    k = len(I)
+    shape = subset_to_lambda(I, n)
+    _, col_label = _boundary_labels(shape, k, n)
+    height = {c: sum(1 for p in shape if p >= c) for c in col_label}
+    down = {c: {c: (1, 1)} for c in col_label}
+    rows = [None] * k
+    for r in range(k, 0, -1):
+        b, lam = B.rows[r - 1], shape[r - 1]
+        # undo the sign (-1)^s of boundary_measurement_matrix: the s sources
+        # strictly between row r's and column c's sink are rows r+1..height[c]
+        res = {}
+        for c in range(1, lam + 1):
+            x = b[col_label[c] - 1]
+            res[c] = (-x.numerator if (height[c] - r) % 2 else x.numerator, x.denominator)
+        row, dots, prev = [Fraction(0)] * lam, [], (1, 1)
+        for c in range(lam, 0, -1):
+            y = res[c]
+            if not y[0]:
+                continue
+            if y[0] < 0:
+                raise ValueError(f"negative path sum at box ({r}, {c})")
+            for j, v in down[c].items():
+                if j != c:
+                    res[j] = _plus_product(res[j], -y[0], y[1], v)
+            row[c - 1] = Fraction(y[0] * prev[1], y[1] * prev[0])
+            dots.append(c)
+            prev = y
+        # a path at dot (r, c) goes down, or left to the next dot c' at x_{r,c'}
+        for c, left in zip(dots[-2::-1], dots[::-1]):
+            x, out = row[left - 1], dict(down[c])
+            for j, v in down[left].items():
+                out[j] = _plus_product(out.get(j, (0, 1)), x.numerator, x.denominator, v)
+            down[c] = out
+        rows[r - 1] = row
+    return rows
+
+
+def _plus_product(z, a, b, v):
+    """z + (a / b) v on integer pairs (numerator, denominator > 0), in lowest terms."""
+    (u, w), (p, q) = z, v
+    u, w = u * b * q + a * p * w, w * b * q
+    g = gcd(u, w)
+    return u // g, w // g
 
 
 class NotTotallyNonnegative(ValueError):
@@ -402,17 +398,19 @@ class NotTotallyNonnegative(ValueError):
 def invert_measurement(A):
     """Recover the Le-tableau of a totally nonnegative full-rank matrix.
 
-    The result T satisfies tableau_matrix(T) == echelon_form(A)[0]; shapes
-    come from the pivot set, entries are extracted column by column with
-    the sign bookkeeping of the removal steps applied eagerly.
+    The shape comes from the pivot set I of (B, I) = echelon_form(A), and
+    `_peel` reads the entries off B in one bottom-up sweep of the hook grid,
+    so the result T satisfies tableau_matrix(T) == B.
 
     Total nonnegativity is certified rather than checked minor by minor:
-    with (B, I) = echelon_form(A) we have A = C B for C = A restricted to
-    the columns I, so Delta_J(A) = Delta_I(A) Delta_J(B).  A positive
-    Delta_I(A), a valid Le-tableau T and tableau_matrix(T) == B (B is then
-    the measurement of a positively weighted planar network, hence tnn)
-    together prove A tnn.  Failing any of them raises NotTotallyNonnegative
-    carrying witness_not_tnn(A).
+    A = C B for C = A restricted to the columns I, so Delta_J(A) =
+    Delta_I(A) Delta_J(B).  The sweep uses every entry of B and LeTableau
+    checks that the support is a Le-diagram, so B is the measurement of
+    the positively weighted planar network gamma_network(T), hence tnn; a
+    positive Delta_I(A) carries this to A.  If Delta_I(A) <= 0, if the
+    sweep finds no nonnegative filling or if its support is not a
+    Le-diagram, this raises NotTotallyNonnegative carrying
+    witness_not_tnn(A).
     """
     if not isinstance(A, RationalMatrix):
         A = RationalMatrix(A)
@@ -420,14 +418,8 @@ def invert_measurement(A):
         B, pivots = echelon_form(A)
         if maximal_minor(A, pivots) <= 0:
             raise ValueError(f"Delta_I(A) <= 0 at the pivot set I = {pivots}")
-        shape = subset_to_lambda(pivots, A.n)
-        rows = _procedure([list(r) for r in B.rows], A.n)
-        if [len(r) for r in rows] != list(shape):
-            raise AssertionError("procedure produced rows of the wrong shape")
-        T = LeTableau(A.k, A.n, shape, rows)
-        if A.k and tableau_matrix(T) != B:
-            raise ValueError("the recovered tableau does not measure to the echelon form")
-    except (ValueError, AssertionError) as ex:
+        T = LeTableau(A.k, A.n, subset_to_lambda(pivots, A.n), _peel(B, pivots, A.n))
+    except ValueError as ex:
         witness = _tnn_witness(A)
         if witness is None:
             raise AssertionError(f"certificate rejected a totally nonnegative matrix: {ex}") from ex

@@ -53,7 +53,7 @@ def run_selfcheck(n, seed=0):
 
     def inverse_boundary():
         for _ in range(25 if n else 0):     # cells with k >= 1: none when n = 0
-            k = rng.randint(1, n - 1) if n > 1 else 1
+            k = rng.randint(1, n)
             shapes = list(partitions_in_box(k, n - k))
             lam = rng.choice(shapes)
             fills = list(le_fills(tuple(lam) + (0,) * (k - len(lam))))

@@ -59,6 +59,10 @@ Cell counts and matrices: `eulerian_by_descents` and `staircase_check`
 count permutations and Le-fills directly, `williams_printed_formula` and
 `poly_eval` document a misprinted closed form, `is_tnn` checks every
 maximal minor and `verify_exchange_axiom` every basis pair.
+`procedure_tableau` is Postnikov's recursive inverse, which peels one
+column off the echelon form per level; with a re-measurement of its
+tableau it cross-checks `lediagram.invert_measurement`, which reads the
+tableau off in one sweep of the hook grid.
 `bruhat_interval_count` counts the u <= w_lambda in S_n, to match the
 Le-diagram counts, and `check_grassmann_plucker` tests every three-term
 Grassmann-Plucker relation of a Plucker vector.  `matroid_of` reads a
@@ -80,9 +84,10 @@ from fractions import Fraction
 from itertools import combinations, count, permutations
 from math import comb
 
-from positroid.exactmath import (Matroid, RationalMatrix, _row_reduce, lex_min_base, maximal_minor,
-                                 plucker_vector)
-from positroid.lediagram import LeDiagram, _boundary_labels, gamma_network, le_count_poly, le_fills
+from positroid.exactmath import (Matroid, RationalMatrix, _row_reduce, echelon_form, lex_min_base,
+                                 maximal_minor, plucker_vector, subset_to_lambda)
+from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_network, le_count_poly,
+                                 le_fills)
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
@@ -1155,6 +1160,95 @@ def is_tnn(A):
     if len(pivots) != A.k:
         return False
     return all(maximal_minor(A, J) >= 0 for J in combinations(range(1, A.n + 1), A.k))
+
+
+def _pivot_columns(rows):
+    out = []
+    for row in rows:
+        for c, x in enumerate(row):
+            if x != 0:
+                out.append(c)
+                break
+    return out
+
+
+def _procedure(rows, n):
+    """Recursive core of the inverse map; rows are echelon, tnn.
+
+    Returns the tableau rows (lists of Fractions) for the shape carved out
+    by the pivots of the current matrix.
+    """
+    k = len(rows)
+    if k == 0:
+        return []
+    if n == k:
+        return [[] for _ in range(k)]
+    pivots = _pivot_columns(rows)
+    d = 0
+    while d < k and pivots[d] == d:
+        d += 1
+    if d < k and d == n:
+        raise AssertionError("echelon bookkeeping broke")
+    if d == 0:
+        if any(row[0] != 0 for row in rows):
+            raise AssertionError("column 1 should be zero when 1 is not a pivot")
+        return _procedure([row[1:] for row in rows], n - 1)
+    x = [(-1) ** (d - 1 - i) * rows[i][d] for i in range(d)]
+    if any(v < 0 for v in x):
+        raise ValueError("matrix is not totally nonnegative")
+    blocked = [r for r in range(d) if x[r] == 0 and any(x[i] != 0 for i in range(r))]
+    if blocked:
+        flip = [sum(1 for r in blocked if r > i) % 2 for i in range(k)]
+        keep = [i for i in range(k) if i not in blocked]
+        cols = [c for c in range(n) if c not in blocked]
+        sub = []
+        for i in keep:
+            row = [rows[i][c] * (-1 if flip[i] and c >= d else 1) for c in cols]
+            sub.append(row)
+        inner = _procedure(sub, n - len(blocked))
+        width = n - k
+        out = []
+        ptr = 0
+        for i in range(k):
+            if i in blocked:
+                out.append([Fraction(0)] * width)
+            else:
+                out.append(inner[ptr])
+                ptr += 1
+        return out
+    s = 0
+    while s < d and x[s] == 0:
+        s += 1
+    sub = []
+    for i in range(k):
+        row = [Fraction(1) if c == i else Fraction(0) for c in range(d)]
+        for j in range(d + 1, n):
+            if i < s or i >= d:
+                row.append(rows[i][j])
+            elif i < d - 1:
+                row.append(rows[i][j] / x[i] + rows[i + 1][j] / x[i + 1])
+            else:
+                row.append(rows[i][j] / x[i])
+        sub.append(row)
+    inner = _procedure(sub, n - 1)
+    for i in range(d):
+        inner[i] = inner[i] + [x[i]]
+    return inner
+
+
+def procedure_tableau(A):
+    """Postnikov's recursive inverse on the echelon form of a full-rank A.
+
+    Column 1 is either not a pivot, and is dropped, or heads a run of d
+    pivots whose entries in column d + 1 (signs undone) are the last
+    entries of the first d rows; the rows are rescaled and the recursion
+    goes on with one column fewer.  The tableau is not checked against A:
+    a matrix that is not tnn can still give a valid-looking one, so a
+    caller re-measures it.  Raises ValueError or AssertionError when the
+    recursion breaks down.
+    """
+    B, I = echelon_form(A)
+    return LeTableau(A.k, A.n, subset_to_lambda(I, A.n), _procedure([list(r) for r in B.rows], A.n))
 
 
 def verify_exchange_axiom(M):

@@ -65,6 +65,14 @@ def test_invert_witness_text_exit_2(capsys, tmp_path):
     assert (code, err) == (2, "precondition failed: matrix has rank 1 < 2\n")
 
 
+def test_invert_k0_keeps_the_width(capsys, tmp_path):
+    # a matrix with no rows still has n columns: the one cell of Gr(0, 3)
+    f = tmp_path / "m.txt"
+    f.write_text("0 3\n")
+    code, out, err = run(capsys, "invert", str(f))
+    assert (code, out, err) == (0, "0 3\n", "")
+
+
 @pytest.mark.parametrize("entry", ["1/0", "x", "1e9", "--1", "nan"])
 def test_invert_bad_entry_exit_1(capsys, tmp_path, entry):
     f = tmp_path / "m.txt"

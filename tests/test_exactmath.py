@@ -71,6 +71,14 @@ def test_echelon_forced():
     assert B.rows == ((0, 1, 0), (0, 0, 1))
 
 
+def test_rowless_matrix_keeps_its_width():
+    A = RationalMatrix.from_text("0 3\n")
+    assert (A.k, A.n) == (0, 3) and A.to_text() == "0 3\n"
+    assert A != RationalMatrix([], 4)
+    B, I = echelon_form(A)
+    assert (B, I) == (A, ())
+
+
 def test_echelon_rank_deficient():
     with pytest.raises(ValueError):
         echelon_form(RationalMatrix([[1, 2], [2, 4]]))

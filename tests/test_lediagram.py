@@ -6,7 +6,8 @@ import pytest
 
 from helpers import random_le_data, random_rational
 from oracles import (count_le_diagrams, enumerate_le_diagrams, gamma_vertical_edges,
-                     hook_layout_by_coordinates, is_tnn, total_cells, vertical_normalizing_gauge)
+                     hook_layout_by_coordinates, is_tnn, procedure_tableau, total_cells,
+                     vertical_normalizing_gauge)
 from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
 from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative, _hook_layout,
@@ -291,23 +292,81 @@ def test_invert_certificate_matches_tnn_oracle():
 
 
 def test_invert_remeasurement_catches_a_valid_looking_tableau():
-    # Delta_I > 0 and the procedure returns a valid tableau, but the tableau
-    # measures to a different echelon form: only the re-measurement rejects
+    # Delta_I > 0 and the recursive procedure returns a valid tableau, but the
+    # tableau measures to a different echelon form; the sweep finds no tableau
     from positroid.exactmath import subset_to_lambda
-    from positroid.lediagram import _procedure
+    from positroid.lediagram import _peel
     A = RationalMatrix([[-1, 2, 1, -1], [-1, 1, 1, 1]])
     B, I = echelon_form(A)
     assert maximal_minor(A, I) > 0
-    T = LeTableau(2, 4, subset_to_lambda(I, 4), _procedure([list(r) for r in B.rows], 4))
+    T = procedure_tableau(A)
+    assert T.shape == subset_to_lambda(I, 4)
     assert tableau_matrix(T) != B
+    with pytest.raises(ValueError):
+        _peel(B, I, 4)
     with pytest.raises(NotTotallyNonnegative, match=r"^minor Delta_\{1,4\} = -2 < 0$"):
         invert_measurement(A)
+
+
+def test_invert_le_check_is_part_of_the_certificate():
+    # the sweep reads a positive filling off B, but its support breaks the
+    # Le-property: the hooks of (1,2) and (2,1) cross at the empty box
+    # (2,2), the network is not planar and B is not tnn
+    from positroid.lediagram import _peel
+    B = RationalMatrix([[1, 0, -1, -1], [0, 1, 0, 1]])
+    assert _peel(B, (1, 2), 4) == [[1, 1], [1, 0]]
+    with pytest.raises(NotTotallyNonnegative, match=r"^minor Delta_\{3,4\} = -1 < 0$"):
+        invert_measurement(B)
 
 
 def test_invert_certificate_failure_on_tnn_input_is_a_bug(monkeypatch):
     import positroid.lediagram as lediagram
     T = LeTableau(2, 4, (2, 1), [(2, 3), (5,)])
     A = tableau_matrix(T)
-    monkeypatch.setattr(lediagram, "tableau_matrix", lambda T: RationalMatrix.identity(2))
+
+    def fail(B, I, n):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(lediagram, "_peel", fail)
     with pytest.raises(AssertionError, match="totally nonnegative"):
         invert_measurement(A)
+
+
+def _procedure_route(A):
+    """The recursive procedure plus a re-measurement: its tableau, or None."""
+    try:
+        B, I = echelon_form(A)
+        if maximal_minor(A, I) <= 0:
+            return None
+        T = procedure_tableau(A)
+    except (ValueError, AssertionError):
+        return None
+    return T if tableau_matrix(T) == B else None
+
+
+def test_invert_sweep_matches_procedure_on_every_cell_up_to_6():
+    # every Le-tableau with 1 <= k <= n <= 6, random weights, and one
+    # perturbed entry of each matrix: same tableau, or the same rejection
+    local = random.Random(20)
+    cells = rejected = 0
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for lam in partitions_in_box(k, n - k):
+                for D in enumerate_le_diagrams(k, n, lam):
+                    T = diagram_to_tableau(D, {b: random_rational(local, 1, 9) for b in D.boxes()})
+                    A = tableau_matrix(T)
+                    assert invert_measurement(A) == _procedure_route(A) == T
+                    rows = [list(r) for r in A.rows]
+                    i, j = local.randrange(k), local.randrange(n)
+                    rows[i][j] += local.choice((-1, 1)) * random_rational(local, 1, 4)
+                    M = RationalMatrix(rows)
+                    S = _procedure_route(M)
+                    if S is None:
+                        with pytest.raises(NotTotallyNonnegative) as info:
+                            invert_measurement(M)
+                        assert str(info.value) == witness_not_tnn(M) == lex_first_witness(M)
+                        rejected += 1
+                    else:
+                        assert invert_measurement(M) == S
+                    cells += 1
+    assert cells == 2365 and rejected > 500

@@ -40,6 +40,7 @@ FORMATS = {
     ]),
     "matrix": (RationalMatrix.from_text, lambda x: x.to_text(), [
         "2 4\n1 0 -1/2 -3\n0 1 1 2/5\n",
+        "0 3\n",          # k = 0: no rows, still three columns
     ]),
     "tableau": (LeTableau.from_text, lambda x: x.to_text(), [
         "2 5\n3 2\n1 0 2/3\n4 1\n",
