@@ -118,14 +118,8 @@ def cmd_reduce(args):
     obj = plabic.PlabicGraph.from_text(_read(args.file))
     try:
         red, nsing, trace = plabic.reduce_graph(obj)
-    except plabic.ReductionStuck as ex:
+    except plabic.NotPerfectlyOrientable as ex:
         raise PreconditionError(str(ex))
-    except AssertionError as ex:
-        # a composite that did not shrink the graph, so far seen only on
-        # graphs without a perfect orientation
-        if plabic.perfect_orientation(plabic._graph_of(obj)) is None:
-            raise PreconditionError(f"the graph has no perfect orientation ({ex})")
-        raise
     _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],
            "text": red.to_text()}, args.json)
     return 0

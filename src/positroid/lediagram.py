@@ -146,20 +146,19 @@ def diagram_to_tableau(D, values=None):
     return LeTableau(D.k, D.n, D.shape, rows, check=bool(values))
 
 
-def is_le_fill(shape, fill):
-    """The raw Le-property test on a shape and a 0/1 (or sparse) filling."""
-    rows = [tuple(row) for row in fill]
-    rows += [()] * (len(shape) - len(rows))
-    for ip in range(len(shape)):            # lower row i' (0-indexed)
-        for i in range(ip):                 # upper row i
-            for j in range(len(rows[ip])):  # left column j
-                if not rows[ip][j]:
-                    continue
-                for jp in range(j + 1, len(rows[ip])):
-                    if rows[ip][jp]:
-                        continue
-                    if jp < len(rows[i]) and rows[i][jp]:
-                        return False        # a and c nonzero but b zero
+def is_le_fill(fill):
+    """The Le-property of a 0/1 (or sparse) filling, rows top to bottom: no
+    zero box has a nonzero box above it in its column and one left of it in
+    its row.  One pass per row, O(k (n-k))."""
+    above = set()       # the columns with a nonzero box in the rows so far
+    for row in fill:
+        left = False    # a nonzero box left of this one in its row
+        for j, x in enumerate(row):
+            if x:
+                left = True
+                above.add(j)
+            elif left and j in above:
+                return False
     return True
 
 
@@ -173,7 +172,7 @@ def is_le_diagram(shape, fill):
     wanted = [p for p in shape if p]
     if [len(r) for r in given] != wanted and [len(r) for r in rows] != list(shape):
         raise ValueError("fill does not match shape")
-    return is_le_fill(shape, rows)
+    return is_le_fill(rows)
 
 
 # -- enumeration by the last-column recursion -------------------------------------

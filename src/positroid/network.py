@@ -384,10 +384,11 @@ def boundary_measurement_matrix(net):
     Row r (for the r-th source i_r) has entry (-1)^s M_{i_r, j} in each sink
     column j, where s counts sources strictly between i_r and j.  Both the
     acyclic and the cyclic route take polynomial time (see `_measurements`).
+    A network without sources (k = 0) gives the 0 x n matrix.
     """
     I = sorted(net.sources())
     if not I:
-        raise ValueError("network has no sources")
+        return RationalMatrix([], net.n)
     k = len(I)
     M = _measurements(net, I)
     left = {j: bisect(I, j) for j in net.sinks()}     # the sources left of j

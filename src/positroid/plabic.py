@@ -20,9 +20,12 @@ from functools import cached_property
 from itertools import combinations, filterfalse, islice
 from math import prod
 
-from .exactmath import Matroid, PluckerVector, format_rational, rational
-from .network import PlanarDirectedNetwork, is_perfect, color as net_color, measure
-from .permutations import BLACK, WHITE, DecoratedPermutation, GrassmannNecklace
+from .exactmath import Matroid, format_rational, rational
+from .lediagram import _hook_layout, diagram_to_tableau, invert_measurement
+from .network import (PlanarDirectedNetwork, boundary_measurement_matrix, is_perfect, color as net_color,
+                      measure)
+from .permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace, le_from_perm,
+                           perm_from_necklace)
 from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids, parse_disk_text,
                          rev)
 
@@ -97,13 +100,6 @@ class PlabicGraph(_DiskGraph):
         k, n = self.type()
         return f"PlabicGraph(type=({k},{n}), {len(self.edges)} edges, {len(self.internal_vertices())} internal)"
 
-    def canonical(self):
-        """Hashable encoding up to nothing (ids kept); used for search memo."""
-        return (self.n,
-                tuple(sorted(self.col.items())),
-                tuple(sorted((e, min(uw), max(uw)) for e, uw in self.edges.items())),
-                tuple(sorted((v, self.rot[v]) for v in self.rot if not isinstance(v, tuple))))
-
     def to_text(self):
         lines = [f"n {self.n}"]
         for v in sorted(self.internal_vertices()):
@@ -118,7 +114,7 @@ class PlabicGraph(_DiskGraph):
     @classmethod
     def from_text(cls, text):
         """The graph, or the network when a `faces` block follows: one line
-        `name : weight` per face, in canonical face order (see to_text)."""
+        `name : weight` per face, in the sorted order of to_text."""
         lines = []                  # (line number, face name, weight)
         in_faces = False
 
@@ -275,6 +271,19 @@ def perfect_orientation(G):
     return orient
 
 
+class NotPerfectlyOrientable(ValueError):
+    """The graph has no perfect orientation, which its necklace, its
+    measurement and its reduction need."""
+
+
+def _oriented(G):
+    """perfect_orientation(G), or NotPerfectlyOrientable when there is none."""
+    orient = perfect_orientation(G)
+    if orient is None:
+        raise NotPerfectlyOrientable("graph is not perfectly orientable")
+    return orient
+
+
 def orientation_sources(G, orient):
     """Boundary vertices whose single edge points into the disk."""
     return frozenset(i for i in G.boundary if orient[G.rot[i][0][0]][0] == i)
@@ -298,9 +307,7 @@ def necklace(G):
     i in the shifted order that i reaches, if there is one.  At most 2n
     searches, O(n E) in all.
     """
-    orient = perfect_orientation(G)
-    if orient is None:
-        raise ValueError("graph is not perfectly orientable")
+    orient = _oriented(G)
     k, n = G.type()
     sources = set(orientation_sources(G, orient))
     if len(sources) != k:
@@ -769,18 +776,19 @@ def _squares(G):
 
 # The arguments of each kind of site: e an edge id, v an internal vertex, i a
 # rotation index, c a colour, f a face key (two integers in site text).
-# Kinds that start with "M" are moves, the others reductions.
+# Kinds that start with "M" are moves; construct (see reduce_graph) takes no
+# arguments; the others are reductions.
 SITE_ARGS = {"M1": "f", "M2": "e", "M2u": "vii", "M3": "ec", "M3r": "v",
-             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e", "singleton": "v"}
+             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e", "singleton": "v", "construct": ""}
 
 
 def parse_site(text):
-    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black' or 'R1 2 3'."""
+    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct'."""
     kind, *toks = text.split() or [""]
-    args = SITE_ARGS.get(kind, "")
-    if not args or len(toks) != len(args) + args.count("f"):
+    args = SITE_ARGS.get(kind)
+    if args is None or len(toks) != len(args) + args.count("f"):
         raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
-    if args[-1] == "c":
+    if args.endswith("c"):
         toks[-1] = _COLOURS.get(toks[-1].lower())
         if toks[-1] is None:
             raise ValueError(f"bad site {text!r}: the colour must be black or white")
@@ -980,7 +988,9 @@ def apply_reduction(x, red):
 
 
 def apply_site(x, site):
-    """apply_move at a move site, apply_reduction at any other."""
+    """apply_move at a move site, _construct at ("construct",), apply_reduction at any other."""
+    if site == ("construct",):
+        return _construct(x)
     return (apply_move if site[0][0] == "M" else apply_reduction)(x, site)
 
 
@@ -1120,20 +1130,6 @@ SITE_FINDERS = {
     "leaf": (_leaf_sites, _leaf_step),
 }
 
-# the longest square-move sequence reduce_graph searches for a hidden site
-SQUARE_DEPTH = 6
-
-
-class ReductionStuck(ValueError):
-    """reduce_graph found no reduction, not even behind SQUARE_DEPTH square moves,
-    yet the graph is not reduced; witness is reducedness_certificate's reason."""
-
-    def __init__(self, witness):
-        super().__init__(f"no reduction within {SQUARE_DEPTH} square moves, "
-                         f"but the graph is not reduced: {witness}")
-        self.witness = witness
-
-
 def _size(G):
     """Faces plus edges, a singleton counting as the face of its empty walk (the
     map's orbits, traced when G was built, add the outer face: a constant)."""
@@ -1188,48 +1184,34 @@ def reduce_graph(x):
     """Transform into a reduced plabic graph/network plus removed singletons.
 
     Returns (reduced object, singleton count, trace).  The trace lists the
-    applied sites and replays with apply_move/apply_reduction.  Direct sites
-    come from SITE_FINDERS, and each composite lowers _size (faces + edges
-    + singletons), so the loop ends after at most _size(x) composites plus
-    the square moves.  Hidden sites are searched for with a breadth-first
-    sweep of square moves (the only structure-preserving move that can
-    expose one); when that finds none, ReductionStuck names the
-    reducedness witness.
+    applied sites and replays with apply_site.  Direct sites come from
+    SITE_FINDERS, and each composite lowers _size (faces + edges +
+    singletons), so there are at most _size(x) composites.  When none is
+    left and the graph is still not reduced, the trace ends in one
+    ("construct",) step: the reduced graph or network of the cell and the
+    point, built by _construct.  The singletons go first (none can be
+    oriented); then the graph must have a perfect orientation, or
+    NotPerfectlyOrientable is raised before any other rewrite.
     """
     trace = []
-    while True:
-        x = _reduce_directly(x, SITE_FINDERS.values(), trace)
-        ok, witness = reducedness_certificate(_graph_of(x))
-        if ok:
-            return x, sum(site[0] == "singleton" for site in trace), trace
-        found = _square_search(_graph_of(x))
-        if found is None:
-            raise ReductionStuck(witness)
-        for key in found:
-            trace.append(("M1", key))
-            x = apply_move(x, ("M1", key))
+    x = _reduce_directly(x, [SITE_FINDERS["singleton"]], trace)
+    _oriented(_graph_of(x))
+    x = _reduce_directly(x, SITE_FINDERS.values(), trace)
+    if not is_reduced(_graph_of(x)):
+        trace.append(("construct",))
+        x = _construct(x)
+    return x, sum(site[0] == "singleton" for site in trace), trace
 
 
-def _square_search(start):
-    """Shortest square-move sequence after which a direct site appears."""
-    seen = {start.canonical()}
-    frontier = [(start, [])]
-    for _ in range(SQUARE_DEPTH):
-        nxt = []
-        for G, path in frontier:
-            for key in square_faces(G):
-                H = apply_move(G, ("M1", key))
-                c = H.canonical()
-                if c in seen:
-                    continue
-                seen.add(c)
-                if _first_site(H, SITE_FINDERS.values()) is not None:
-                    return path + [key]
-                nxt.append((H, path + [key]))
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+def _construct(x):
+    """The reduced plabic graph of x's cell, or network of its point: graph_from_perm
+    of the permutation of its necklace, or network_from_le of the Le-tableau that
+    invert_measurement reads off its boundary measurement matrix."""
+    G = _graph_of(x)
+    if isinstance(x, PlabicNetwork):
+        A = boundary_measurement_matrix(edge_weights_from_faces(x, _oriented(G)))
+        return network_from_le(invert_measurement(A))
+    return graph_from_perm(perm_from_necklace(necklace(G)))
 
 
 # -- weights <-> edge weights ----------------------------------------------------------
@@ -1290,14 +1272,7 @@ def edge_weights_from_faces(N, orient):
 
 def measure_plabic(N):
     """Plucker point of a plabic network via any perfect orientation."""
-    orient = perfect_orientation(N.graph)
-    if orient is None:
-        raise ValueError("network is not perfectly orientable")
-    k, n = N.graph.type()
-    if k == 0:
-        return PluckerVector(0, n, {(): 1})
-    net = edge_weights_from_faces(N, orient)
-    return measure(net)
+    return measure(edge_weights_from_faces(N, _oriented(N.graph)))
 
 
 # -- conversions --------------------------------------------------------------------
@@ -1319,7 +1294,6 @@ def graph_from_le(D):
     which is not always increasing id order, and the empty boundary
     vertices a leaf and then an edge each, from 1 to n.
     """
-    from .lediagram import diagram_to_tableau
     return _le_graph(diagram_to_tableau(D))[0]
 
 
@@ -1343,7 +1317,6 @@ def _le_graph(T):
     or into a sink.  Then a vertex with one out-edge is black and every
     other one, having one in-edge, white.  Returns (graph, eid -> weight).
     """
-    from .lediagram import _hook_layout
     n, boundary = T.n, range(1, T.n + 1)
     flags, edges, rot = _hook_layout(T)
     ids = fresh_ids(rot, edges)
@@ -1378,7 +1351,6 @@ def _le_graph(T):
 
 def graph_from_perm(pi):
     """Reduced plabic graph with the given decorated trip permutation."""
-    from .permutations import le_from_perm
     return graph_from_le(le_from_perm(pi))
 
 

@@ -70,7 +70,11 @@ matrix's matroid off all C(n,k) minors and `necklace_from_matroid` its
 Grassmann necklace off the shifted lex-min bases: the matrix-side route
 to a positroid, beside `plabic.matroid` and `necklace_from_perm`.
 
-Small helpers only tests call: `weights_by_travel` keys face weights by
+`le_fill_by_quadruples` tests the Le-property box by box, four nested
+loops, to cross-check `lediagram.is_le_fill`, which takes one pass per row.
+
+Small helpers only tests call: `canonical` encodes a plabic graph, ids
+kept, for equality tests, `weights_by_travel` keys face weights by
 travel pairs, `count_le_diagrams` and `enumerate_le_diagrams` count and
 list the Le-diagrams of a shape, `total_cells` is the recursion for the
 number of cells, `inversions` counts inversions and
@@ -676,6 +680,15 @@ def trip_through(T, dart):
     raise KeyError(dart)
 
 
+def canonical(G):
+    """A hashable encoding of a plabic graph, ids kept: equal exactly when the
+    graphs have the same colours, edges and rotations."""
+    return (G.n,
+            tuple(sorted(G.col.items())),
+            tuple(sorted((e, min(uw), max(uw)) for e, uw in G.edges.items())),
+            tuple(sorted((v, G.rot[v]) for v in G.rot if not isinstance(v, tuple))))
+
+
 def removable_edges(G):
     """Edges whose removal covers a boundary cell, with the covered data.
 
@@ -687,7 +700,7 @@ def removable_edges(G):
     if not ok:
         raise ValueError(f"graph is not reduced: {cert}")
     H = contracted(G)
-    if H.canonical() != G.canonical():
+    if canonical(H) != canonical(G):
         raise ValueError("graph is not contracted")
     T = trips(G)
     pi = T.decorated(G)
@@ -1328,6 +1341,24 @@ def weights_by_travel(N):
             key.append((e, a, b) if u != w else (e, a, b, end))
         out[tuple(sorted(key))] = N.weights[face_key(darts)]
     return out
+
+
+def le_fill_by_quadruples(shape, fill):
+    """The Le-property by its definition: for every zero box b, every nonzero
+    box a left of it in its row and every nonzero box c above it in its column."""
+    rows = [tuple(row) for row in fill]
+    rows += [()] * (len(shape) - len(rows))
+    for ip in range(len(shape)):            # lower row i' (0-indexed)
+        for i in range(ip):                 # upper row i
+            for j in range(len(rows[ip])):  # left column j
+                if not rows[ip][j]:
+                    continue
+                for jp in range(j + 1, len(rows[ip])):
+                    if rows[ip][jp]:
+                        continue
+                    if jp < len(rows[i]) and rows[i][jp]:
+                        return False        # a and c nonzero but b zero
+    return True
 
 
 def count_le_diagrams(shape):

@@ -6,13 +6,13 @@ import pytest
 
 from helpers import random_le_data, random_rational
 from oracles import (count_le_diagrams, enumerate_le_diagrams, gamma_vertical_edges,
-                     hook_layout_by_coordinates, is_tnn, procedure_tableau, total_cells,
-                     vertical_normalizing_gauge)
+                     hook_layout_by_coordinates, is_tnn, le_fill_by_quadruples, procedure_tableau,
+                     total_cells, vertical_normalizing_gauge)
 from positroid.exactmath import (RationalMatrix, echelon_form, lambda_to_subset,
                                  matroid_of_plucker, maximal_minor, partitions_in_box)
 from positroid.lediagram import (LeDiagram, LeTableau, NotTotallyNonnegative, _hook_layout,
-                                 diagram_to_tableau, gamma_network, invert_measurement, is_le_diagram, le_count_poly,
-                                 le_fills, meas_D, tableau_matrix, witness_not_tnn)
+                                 diagram_to_tableau, gamma_network, invert_measurement, is_le_diagram,
+                                 is_le_fill, le_count_poly, le_fills, meas_D, tableau_matrix, witness_not_tnn)
 from positroid.network import boundary_measurement, gauge_transform, measure
 
 rng = random.Random(1234)
@@ -36,6 +36,39 @@ def test_is_le_violating_triple():
 def test_is_le_shape_mismatch():
     with pytest.raises(ValueError):
         is_le_diagram((2, 1), [(1,)])
+
+
+def test_is_le_fill_equals_the_box_by_box_test():
+    # every 0/1 filling of every shape in a 3 x 4 box
+    seen = {True: 0, False: 0}
+    for lam in partitions_in_box(3, 4):
+        for bits in product((0, 1), repeat=sum(lam)):
+            it = iter(bits)
+            rows = [tuple(next(it) for _ in range(p)) for p in lam]
+            fast = is_le_fill(rows)
+            assert fast == le_fill_by_quadruples(lam, rows), (lam, rows)
+            seen[fast] += 1
+    # random fillings of larger shapes; a Le-diagram made by filling every box
+    # with a 1 left of it and above it, and one box of it flipped
+    r = random.Random(8)
+    for _ in range(300):
+        k = r.randint(1, 7)
+        lam = sorted((r.randint(0, 9) for _ in range(k)), reverse=True)
+        density = r.random() / 2
+        rows = [[int(r.random() < density) for _ in range(p)] for p in lam]
+        if r.random() < 0.5:
+            above = set()
+            for row in rows:
+                for j in range(len(row)):
+                    row[j] |= j in above and any(row[:j])
+                    above.update(j for j, x in enumerate(row) if x)
+            if sum(lam) and r.random() < 0.5:
+                i = r.choice([i for i, p in enumerate(lam) if p])
+                rows[i][r.randrange(lam[i])] ^= 1
+        fast = is_le_fill(rows)
+        assert fast == le_fill_by_quadruples(lam, rows), (lam, rows)
+        seen[fast] += 1
+    assert min(seen.values()) >= 100
 
 
 def test_enumerate_single_box():
