@@ -39,7 +39,7 @@ def _emit(payload, as_json):
 
 
 def _plucker_payload(p):
-    coords = {"".join(str(i) for i in key): format_rational(v)
+    coords = {"".join(str(i) for i in key) or permutations.EMPTY: format_rational(v)
               for key, v in sorted(p.coords.items()) if v != 0}
     text = "\n".join(f"{key} {val}" for key, val in sorted(coords.items()))
     return {"k": p.k, "n": p.n, "coords": coords, "text": text}

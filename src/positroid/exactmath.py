@@ -11,26 +11,32 @@ from itertools import combinations
 from math import lcm
 
 
-_TOKEN = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
 def rational(x):
     """Coerce ints, Fractions or rational tokens to an exact Rational.
 
-    The one rule for text: a token is an integer, a fraction p/q with
-    q != 0 or a plain decimal; anything else (1/0, nan, exponent forms,
-    which Fraction would expand) raises ValueError.
+    The one rule for text is one match of _TOKEN: an integer, a fraction
+    p/q with q != 0, both built from the matched digits, or a plain
+    decimal, which Fraction parses; anything else (1/0, nan, exponent
+    forms, which Fraction would expand) raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if _TOKEN.fullmatch(x):
-            try:
+        m = _TOKEN.fullmatch(x)
+        if m:
+            p, q = m.groups()
+            if p is None:
                 return Fraction(x)
-            except ZeroDivisionError:
-                pass
+            if q is None:
+                return Fraction(int(p))
+            p, q = int(p), int(q)
+            if q:
+                return Fraction(p, q)
         raise ValueError(f"{x!r} is not a rational number")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

@@ -539,7 +539,7 @@ def remove_vertex(G, v):
     if G.rot[v][0][0] == G.rot[v][1][0]:
         raise ValueError("vertex carries a loop; remove the loop instead")
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    a, b, rename = _glue(rot, edges, col, v)
+    a, b, rename = _glue(rot, edges, col, v, next(fresh_ids(edges)))
     return G.replace({v, a, b}, col=col, edges=edges, rot=rot), rename
 
 
@@ -554,11 +554,11 @@ def glue_bends(G):
     """
     bends = set(G._sites["M3r"])
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    at = G.map._at
+    at, ids = G.map._at, fresh_ids(edges)
     order, changed, origin = [], set(), {}      # origin: current dart -> G's dart
     while bends:
         v = next(_bend_order(bends, rot, at))
-        a, b, step = _glue(rot, edges, col, v)
+        a, b, step = _glue(rot, edges, col, v, next(ids))
         for old, new in step.items():
             origin[new] = origin.pop(old, old)
         # a far end keeps its degree, so it stays a bend unless both edges went to it
@@ -569,18 +569,18 @@ def glue_bends(G):
     return H, {old: new for new, old in origin.items() if new[0] in edges}, order
 
 
-def _glue(rot, edges, col, v):
-    """Remove the bend v in place, gluing its two edges into a fresh one.
+def _glue(rot, edges, col, v, e):
+    """Remove the bend v in place, gluing its two edges into the edge e.
 
-    The new edge takes the id fresh_ids(edges) gives while the glued edges
-    still count, and runs from the far end of v's first dart to that of
-    its second.  Returns the two far ends and the renaming {old dart: new
-    dart} of the far darts of the glued edges.
+    e is the id fresh_ids(edges) gives while the glued edges still count:
+    each glue makes its edge the largest id, so one fresh_ids iterator
+    serves a whole run of glues.  The new edge runs from the far end of
+    v's first dart to that of its second.  Returns the two far ends and
+    the renaming {old dart: new dart} of the far darts of the glued edges.
     """
     (e1, end1), (e2, end2) = rot[v]
     d1, d2 = (e1, 1 - end1), (e2, 1 - end2)
     a, b = edges[e1][d1[1]], edges[e2][d2[1]]
-    e = next(fresh_ids(edges))
     del edges[e1], edges[e2], rot[v], col[v]
     edges[e] = (a, b)
     rename = {d1: (e, 0), d2: (e, 1)}

@@ -16,7 +16,10 @@ walks every face keeping that face on the LEFT of the travel direction.
 Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
 DiskMap walks it with one tracer, for a fresh map and for one derived
 from a rewrite alike, finding each successor in a vertex's rotation, and
-keeps the faces as traced, in no fixed order.
+keeps the faces as traced, in no fixed order.  A fresh map is planar when
+one Euler sum over the whole map gives V - E + F = 2 per component: no
+component of a rotation system exceeds 2, so none can make up for another
+(Mohar and Thomassen, Graphs on Surfaces, 2001, sections 3-4).
 
 `_DiskGraph` is the core that planar directed networks and plabic graphs
 share: boundary vertices 1..n, the rotation system and its DiskMap, the
@@ -146,25 +149,22 @@ class DiskMap:
     # -- construction helpers ------------------------------------------------
 
     def _check_rotations(self):
-        seen = {}
+        edges, seen = self.edges, set()
         for v, ds in self.rot.items():
             for d in ds:
                 e, end = d
-                if e not in self.edges or end not in (0, 1):
+                if e not in edges or end not in (0, 1):
                     raise ValueError(f"unknown dart {d} at vertex {v}")
-                if self.anchor(d) != v:
-                    raise ValueError(f"dart {d} listed at {v} but anchored at {self.anchor(d)}")
+                if edges[e][end] != v:
+                    raise ValueError(f"dart {d} listed at {v} but anchored at {edges[e][end]}")
                 if d in seen:
                     raise ValueError(f"dart {d} appears twice")
-                seen[d] = v
-        for e, (u, w) in self.edges.items():
-            for d in ((e, 0), (e, 1)):
-                if d not in seen:
-                    raise ValueError(f"dart {d} of edge {e}=({u},{w}) missing from rotations")
-
-    def anchor(self, dart):
-        e, end = dart
-        return self.edges[e][end]
+                seen.add(d)
+        if len(seen) < 2 * len(edges):     # the darts seen are distinct darts of edges
+            for e, (u, w) in edges.items():
+                for d in ((e, 0), (e, 1)):
+                    if d not in seen:
+                        raise ValueError(f"dart {d} of edge {e}=({u},{w}) missing from rotations")
 
     def _augmented(self, v):
         """The darts at v with the boundary arcs spliced in.
@@ -261,20 +261,22 @@ class DiskMap:
     # -- validation ------------------------------------------------------------
 
     def validate_planarity(self):
-        """Per-component Euler check V - E + F = 2 for the rotation data."""
-        b = self.boundary
-        arcs = [(b[i], b[(i + 1) % self.n]) for i in range(self.n)]
-        for comp in components(self._aug_rot, [*self.edges.values(), *arcs]):
-            ne = sum(1 for (u, w) in self.edges.values() if u in comp)
-            if comp & set(self.boundary):
-                ne += self.n
-            if ne == 0:
-                continue  # singleton components carry no embedding data
-            face_ids = {id(self._face_of[d]) for v in comp for d in self._aug_rot[v]}
-            if len(comp) - ne + len(face_ids) != 2:
-                raise ValueError(
-                    "rotation system is not a planar disk embedding "
-                    f"(component with {len(comp)} vertices, {ne} edges, {len(face_ids)} faces)")
+        """One Euler sum V - E + F = 2 * (components) for the rotation data.
+
+        V counts the vertices with darts, boundary arcs included among the
+        edges, and F the traced faces.  Each component of a rotation system
+        has V - E + F = 2 - 2g with genus g >= 0, so the sum over the
+        components reaches twice their number exactly when each is planar.
+        """
+        b, n = self.boundary, self.n
+        live = [v for v, ds in self._aug_rot.items() if ds]
+        arcs = [(b[i], b[(i + 1) % n]) for i in range(n)]
+        chi = len(live) - len(self.edges) - n + self._count
+        comps = len(components(live, [*self.edges.values(), *arcs]))
+        if chi != 2 * comps:
+            raise ValueError(
+                "rotation system is not a planar disk embedding "
+                f"(V - E + F = {chi} over {comps} components)")
 
 
 @lru_cache(maxsize=None)

@@ -73,6 +73,12 @@ to a positroid, beside `plabic.matroid` and `necklace_from_perm`.
 `le_fill_by_quadruples` tests the Le-property box by box, four nested
 loops, to cross-check `lediagram.is_le_fill`, which takes one pass per row.
 
+Readers: `two_pass_rational` gates a token with a pattern and then parses
+it again with `Fraction(str)`, to cross-check `exactmath.rational`, which
+builds integers and fractions from its one match.  `planar_by_components`
+runs the Euler check V - E + F = 2 on each component of a map, to
+cross-check `DiskMap.validate_planarity`, which sums over all of them.
+
 Small helpers only tests call: `canonical` encodes a plabic graph, ids
 kept, for equality tests, `weights_by_travel` keys face weights by
 travel pairs, `count_le_diagrams` and `enumerate_le_diagrams` count and
@@ -84,6 +90,7 @@ All of them are exponential; fine at desk scale.
 """
 
 import heapq
+import re
 from fractions import Fraction
 from itertools import combinations, count, permutations
 from math import comb
@@ -98,7 +105,7 @@ from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, Grassman
 from positroid.plabic import (PlabicNetwork, _m3r_sites, apply_move, contracted, face_key,
                               face_weights, faces, orientation_sources, perfect_orientation,
                               reducedness_certificate, trips)
-from positroid.planarmaps import _reanchor, fresh_ids
+from positroid.planarmaps import _reanchor, components, fresh_ids
 
 
 def perfect_orientations(G):
@@ -1392,3 +1399,33 @@ def minimal_permutation(I, n):
     I = frozenset(I)
     return DecoratedPermutation(range(1, n + 1),
                                 {i: (WHITE if i in I else BLACK) for i in range(1, n + 1)})
+
+
+_TWO_PASS_TOKEN = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
+def two_pass_rational(x):
+    """A rational token read twice: the pattern decides, Fraction(str) parses."""
+    if _TWO_PASS_TOKEN.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{x!r} is not a rational number")
+
+
+def planar_by_components(dmap):
+    """Whether every component of the map, boundary arcs included, has
+    V - E + F = 2; a component without edges carries no embedding."""
+    b, aug, face_of = dmap.boundary, dmap._aug_rot, dmap._face_of
+    arcs = [(b[i], b[(i + 1) % dmap.n]) for i in range(dmap.n)]
+    for comp in components(aug, [*dmap.edges.values(), *arcs]):
+        ne = sum(1 for (u, w) in dmap.edges.values() if u in comp)
+        if comp & set(b):
+            ne += dmap.n
+        if ne == 0:
+            continue
+        face_ids = {id(face_of[d]) for v in comp for d in aug[v]}
+        if len(comp) - ne + len(face_ids) != 2:
+            return False
+    return True

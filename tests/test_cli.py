@@ -84,6 +84,17 @@ def test_k0_tableau_round_trips_through_its_measurement(capsys, tmp_path):
     assert out == "0 3\n"
 
 
+def test_measure_k0_writes_the_empty_subset_as_a_dash(capsys, tmp_path):
+    # the one Plucker coordinate of Gr(0, 3) is Delta_{} = 1, written as necklace text writes {}
+    f = tmp_path / "t.txt"
+    f.write_text("0 3\n")
+    _, net, _ = run(capsys, "le2net", str(f))
+    f.write_text(net)
+    assert run(capsys, "measure", str(f)) == (0, "- 1\n", "")
+    code, out, _ = run(capsys, "measure", str(f), "--json")
+    assert (code, json.loads(out)["coords"]) == (0, {"-": "1"})
+
+
 @pytest.mark.parametrize("entry", ["1/0", "x", "1e9", "--1", "nan"])
 def test_invert_bad_entry_exit_1(capsys, tmp_path, entry):
     f = tmp_path / "m.txt"

@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import check_grassmann_plucker, is_tnn, matroid_of, verify_exchange_axiom
+from oracles import check_grassmann_plucker, is_tnn, matroid_of, two_pass_rational, verify_exchange_axiom
 from positroid.exactmath import (Matroid, RationalMatrix, det, echelon_form,
                                  lambda_to_subset, lex_min_base,
                                  maximal_minor, partitions_in_box,
-                                 plucker_vector, subset_to_lambda)
+                                 plucker_vector, rational, subset_to_lambda)
 
 rng = random.Random(20240809)
 
@@ -242,3 +243,24 @@ def test_bareiss_det_matches_fraction_gauss():
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
                 for _ in range(m)]
         assert det(rows) == det_cofactor(rows)
+
+
+def _outcome(read, token):
+    try:
+        value = read(token)
+    except Exception as ex:
+        return type(ex), str(ex)
+    return type(value), value
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="0123456789+-/.e_\u0663 ", max_size=8))
+def test_rational_reads_a_token_as_the_two_pass_rule(token):
+    assert _outcome(rational, token) == _outcome(two_pass_rational, token)
+
+
+@pytest.mark.parametrize("token", ["1/0", "0/0", "+0/5", "-4/6", ".5", "5.", "1e3", "1_0", "\u0663/\u0664",
+                                   pytest.param("7" * 5000, id="5000-digit integer"),
+                                   pytest.param("-7/" + "3" * 5000, id="5000-digit denominator")])
+def test_rational_token_edge_cases(token):
+    assert _outcome(rational, token) == _outcome(two_pass_rational, token)

@@ -10,7 +10,7 @@ from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, ran
                      random_plabic_network, random_rational, reweight)
 from oracles import (canonical, check_faces, delete_edge, glue_bends_stepwise, le_network,
                      minimal_permutation, necklace_from_matroid, path_matroid, perfect_gamma,
-                     perfect_orientations, removable_edges)
+                     perfect_orientations, planar_by_components, removable_edges)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -852,6 +852,56 @@ def test_fresh_maps_have_the_faces_of_a_successor_trace():
     for L, M in ((1, 1), (2, 3), (3, 3), (4, 5)):
         check_faces(manhattan_grid(r, L, M, [r.random() < 0.5 for _ in range(L)],
                                    [r.random() < 0.5 for _ in range(M)]).map)
+
+
+def _random_rotation_system(r):
+    """n <= 4 boundary vertices, at most 5 internal ones and 6 edges, loops
+    allowed, each vertex's darts in a shuffled clockwise order."""
+    n, m = r.randint(0, 4), r.randint(0, 5)
+    verts = range(1, n + m + 1) or [1]
+    edges = {e: (r.choice(verts), r.choice(verts)) for e in range(1, r.randint(0, 6) + 1)}
+    rot = {v: [] for v in verts}
+    for e, (u, w) in edges.items():
+        rot[u].append((e, 0))
+        rot[w].append((e, 1))
+    for ds in rot.values():
+        r.shuffle(ds)
+    return n, edges, rot
+
+
+def test_planarity_is_one_euler_sum_over_the_components(monkeypatch):
+    validate = DiskMap.validate_planarity
+    monkeypatch.setattr(DiskMap, "validate_planarity", lambda m: None)
+    r, verdicts = random.Random(2001), Counter()
+    for _ in range(20000):
+        n, edges, rot = _random_rotation_system(r)
+        dmap = DiskMap(range(1, n + 1), edges, rot)
+        try:
+            validate(dmap)
+            planar = True
+        except ValueError:
+            planar = False
+        assert planar == planar_by_components(dmap)
+        verdicts[planar] += 1
+    assert min(verdicts.values()) > 2000
+    # a planar boundary component beside a vertex whose two loops interleave,
+    # a torus: V - E + F is 2 + 0, which only the component count exposes
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^rotation system is not a planar disk embedding "
+                                         r"\(V - E \+ F = 2 over 2 components\)$"):
+        DiskMap((1, 2), {1: (1, 2), 2: (3, 3), 3: (3, 3)},
+                {1: ((1, 0),), 2: ((1, 1),), 3: ((2, 0), (3, 0), (2, 1), (3, 1))})
+
+
+@pytest.mark.parametrize("rot, message", [
+    ({1: ((1, 0),), 2: ((1, 1),), 3: ((2, 0), (4, 1))}, r"unknown dart \(4, 1\) at vertex 3"),
+    ({1: ((1, 0),), 2: ((1, 1),), 3: ((2, 1), (2, 0))}, r"dart \(2, 1\) listed at 3 but anchored at 2"),
+    ({1: ((1, 0),), 2: ((1, 1), (2, 1)), 3: ((2, 0), (2, 0))}, r"dart \(2, 0\) appears twice"),
+    ({1: ((1, 0),), 2: ((1, 1),), 3: ((2, 0),)}, r"dart \(2, 1\) of edge 2=\(3,2\) missing from rotations"),
+])
+def test_rotations_name_the_bad_dart(rot, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DiskMap((1, 2), {1: (1, 2), 2: (3, 2)}, rot)
 
 
 def test_transfer_weights_rejects_a_lost_face():
