@@ -7,19 +7,25 @@ when isolated.  Internal vertices are any other integer ids.
 
 The boundary measurement M_ij sums over all directed walks from b_i to
 b_j, each weighted by its edge-weight product and signed by the parity of
-its winding index.  The walk sum is evaluated on the perfect trivalent
-form of the network (`perfect_and_trivalent` preserves it).  There every
-internal vertex has its in-edges side by side, so every walk is smooth at
-every vertex and erasing a simple cycle from a walk flips its winding
-parity; at a vertex whose edges run in, out, in, out, erasing a loop need
-not.
+its winding index.
 
 Acyclic networks have no cycles and no signs: M_ij is a path sum, one
-pass per source in topological order.  On a cyclic network, edge signs
-eps_e = +-1 with eps(C) = -1 on every simple directed cycle C (Kasteleyn
-signs of the network with each vertex split into in- and out-halves)
-turn the winding sign of a walk into eps(walk) eps(P_ij), by loop
-erasure, where P_ij is any path from b_i to b_j.  So
+pass per source in topological order.  A cyclic network is measured on
+its split form (`_split_form`), which keeps every M_ij: internal sources
+and sinks are dropped, cascading, then the components without a boundary
+vertex, and each internal vertex whose in-darts are not side by side is
+split by pull-outs and a blow-up, as in `perfect_and_trivalent`.  Nothing
+else changes, whatever the degrees; where no step applies, as on every
+Manhattan grid, the split form is the network itself.  At a vertex whose
+in-darts sit side by side every walk is smooth, and the vertex splits
+planarly into v_in -> v_out (in-edges at v_in, out-edges at v_out), so
+erasing a simple cycle from a walk flips its winding parity; at a vertex
+whose edges run in, out, in, out, erasing a loop need not.
+
+On the split form, edge signs eps_e = +-1 with eps(C) = -1 on every
+simple directed cycle C (Kasteleyn signs of the form with each internal
+vertex halved) turn the winding sign of a walk into eps(walk) eps(P_ij),
+by loop erasure, where P_ij is any path from b_i to b_j.  So
 
     M_ij = eps(P_ij) [(I - W)^-1]_ij,   W_vw = sum of eps_e x_e over e: v -> w,
 
@@ -42,7 +48,7 @@ from itertools import count
 from math import gcd, lcm, prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, components, fresh_ids,
+from .planarmaps import (_cyclic_pairs, _DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids,
                          parse_disk_text)
 
 
@@ -81,7 +87,7 @@ class PlanarDirectedNetwork(_DiskGraph):
 
     def _validate(self):
         for e, (u, w, x) in self.edges.items():
-            if x <= 0:
+            if x.numerator <= 0:
                 raise ValueError(f"edge {e} has nonpositive weight {x}")
             if u == w and u in self.boundary:
                 raise ValueError(f"loop at boundary vertex {u}")
@@ -212,40 +218,43 @@ def _integer_arcs(net):
 
 
 def _kasteleyn_signs(P):
-    """Edge signs eps_e = +-1 of a perfect trivalent network P with
+    """Edge signs eps_e = +-1 of a split form P (see `_split_form`) with
     eps(C) = -1 on every simple directed cycle C.
 
-    Split every vertex v into v_in - v_out (in-edges at v_in, out-edges at
-    v_out; the split stays planar because the in-darts of a trivalent
-    vertex are consecutive) and sign the identity edges +1.  Kasteleyn's
-    rule on that bipartite graph, with eps = -kappa on the edges of P,
-    asks each interior face f (no boundary arc) for
+    Halve every internal vertex v into v_in - v_out, in-edges at v_in and
+    out-edges at v_out, whatever its degree, and sign the identity edges
+    +1.  The halving is planar because the in-darts of every internal
+    vertex of P sit side by side, and it leaves no pendant half because
+    every internal vertex has in- and out-edges.  A boundary vertex is one
+    half already: a source has only out-edges, a sink only in-edges.
+    Kasteleyn's rule on that bipartite graph, with eps = -kappa on the
+    edges of P, asks each interior face f (no boundary arc) for
 
         prod over e in f of eps_e = (-1)^(len f + (len f + transit f)/2 + 1),
 
     where transit f counts the corners of f between an in- and an
-    out-edge, that is the consecutive darts of f with the same end.
-    Every component of P reaches the boundary, so the faces are disks.
-    The faces on the boundary circle come first, so the dual forest is
-    rooted at one of them; edges off it keep +1, and each interior face
-    then fixes its forest edge, leaves first.
+    out-edge, the consecutive darts of f with the same end: each crosses
+    one identity edge.  No directed cycle meets the boundary, so the faces
+    on the boundary circle need no rule.  Every component of P reaches the
+    boundary, so the faces are disks.  The faces on the boundary circle
+    come first, so the dual forest is rooted at one of them; edges off it
+    keep +1, and each interior face then fixes its forest edge, leaves
+    first.
     """
-    faces = sorted(P.map.faces(), key=lambda orbit: not _on_circle(orbit))
+    arcs, circle, inner = P.map._arcs, [], []
+    for orbit in P.map.faces():
+        (inner if arcs.isdisjoint(orbit) else circle).append(orbit)
+    faces = circle + inner
     sign = dict.fromkeys(P.edges, 1)
     for f, (e, _) in reversed(_dual_forest(faces)):
-        orbit = faces[f]
-        if _on_circle(orbit):
+        if f < len(circle):
             continue
+        orbit = faces[f]
         transit = sum(1 for a, b in zip(orbit, orbit[1:] + orbit[:1]) if a[1] == b[1])
         want = (-1) ** (len(orbit) + (len(orbit) + transit) // 2 + 1)
         if prod(sign[d] for d, _ in orbit) != want:
             sign[e] = -sign[e]
     return sign
-
-
-def _on_circle(orbit):
-    """Whether a face holds a boundary arc dart."""
-    return any(isinstance(e, tuple) for e, _ in orbit)
 
 
 def _signed_walk_sums(P, sign):
@@ -342,7 +351,7 @@ def _measurements(net, I):
     denominator > 0); some zero entries may be left out.
 
     Acyclic networks: one path-sum pass per source.  Cyclic ones: one
-    Kasteleyn-signed elimination on the perfect trivalent form P, and
+    Kasteleyn-signed elimination on the split form P of the network, and
     M_ij = eps(P_ij) [(I - W)^-1]_ij for any directed path P_ij from b_i
     to b_j, found by one search per source; all such paths have one sign.
     """
@@ -350,10 +359,12 @@ def _measurements(net, I):
     if order is not None:
         arcs = _integer_arcs(net)
         return {i: _path_sums(arcs, order, i) for i in I}
-    P = perfect_and_trivalent(net)
+    P = _split_form(net)
     sign = _kasteleyn_signs(P)
     walks = _signed_walk_sums(P, sign)
-    steps = {v: [(P.head(e), sign[e]) for e in P.out_edges(v)] for v in P.rot}
+    steps = {v: [] for v in P.rot}
+    for e, (u, w, _) in P.edges.items():
+        steps[u].append((w, sign[e]))
     out = {}
     for i in I:
         eps = {i: 1}
@@ -489,71 +500,115 @@ def perfect_and_trivalent(net):
     of alternating vertices into weight-1 cycles, doubling the weights of
     edges leaving the new cycle).  Boundary measurements are preserved exactly.
     At a vertex v, the dart (e, 0) is an out-edge and (e, 1) an in-edge.
+    The pruning and the splits are those of the split form (`_split_form`).
+    """
+    out = _split_form(net, perfect=True)
+    if not is_perfect(out) or any(out.degree(v) != 3 for v in out.internal_vertices()):
+        raise AssertionError("perfection pipeline left a bad vertex")
+    return out
+
+
+def _apart(ds):
+    """Whether the in-darts of a rotation are not side by side: its darts
+    change direction more than twice around it."""
+    return sum(a[1] != b[1] for a, b in _cyclic_pairs(ds)) > 2
+
+
+def _split_form(net, perfect=False):
+    """The split form of net, on which the Kasteleyn route measures, or
+    with perfect, its perfect trivalent form.
+
+    Both drop internal sources and sinks, cascading, and then the
+    components without a boundary vertex.  The split form then splits the
+    internal vertices whose in-darts are not side by side, and only those;
+    the perfect form merges internal degree-2 vertices, pulls boundary
+    vertices to degree 1 and splits every internal vertex of degree > 3.
+    A split is a run of pull-outs of two neighbouring darts of one
+    direction, then a blow-up once the vertex alternates.  Where no step
+    applies, the form is net itself.
     """
     edges = dict(net.edges)
-    rot = {v: list(ds) for v, ds in net.rot.items()}
+    rot = dict(net.rot)
     flags = net.source_flags
     ids = fresh_ids(rot, edges)
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     new_id = ids.__next__
+    changed = set()
 
     def drop_vertex(v):
+        changed.add(v)
         for e, end in rot.pop(v):
             if e in edges:              # a loop lists e twice
                 u = edges.pop(e)[1 - end]
                 if u != v:
                     rot[u] = [d for d in rot[u] if d[0] != e]
+                    changed.add(u)
 
-    # cascade removal of internal sources and sinks
-    stack = list(net.internal_vertices())
+    # cascade removal of internal sources and sinks, from the vertices
+    # that lack in- or out-edges
+    outs, ins = net._arcs
+    stack = [v for v in rot if v not in outs or v not in ins]
     while stack:
         v = stack.pop()
         if v in rot and v not in net.boundary and {end for _, end in rot[v]} != {0, 1}:
             stack += [edges[e][1 - end] for e, end in rot[v]]
             drop_vertex(v)
 
-    # components without a boundary vertex never touch a boundary path; a
-    # cycle can lose its last boundary contact in the cascade above
-    for comp in components(rot, [(a, b) for a, b, _ in edges.values()]):
-        if not any(v in net.boundary for v in comp):
-            for v in comp:
-                drop_vertex(v)
+    # components without a boundary vertex, the vertices that no search
+    # from the boundary reaches, never touch a boundary path; a cycle can
+    # lose its last boundary contact in the cascade above
+    reached = set(net.boundary)
+    stack = list(reached)
+    while stack:
+        for e, end in rot[stack.pop()]:
+            w = edges[e][1 - end]
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    for v in [v for v in rot if v not in reached]:
+        drop_vertex(v)
 
-    # merge internal degree-2 vertices; a merge keeps every degree, so one
-    # pass finds them all
-    for v in list(rot):
-        if v in net.boundary or len(rot[v]) != 2:
-            continue
-        (e1, end1), (e2, end2) = sorted(rot[v], key=lambda d: -d[1])   # the in-dart first
-        if (end1, end2) != (1, 0) or e1 == e2:
-            continue
-        u, _, x1 = edges[e1]
-        _, w, x2 = edges[e2]
-        e = new_id()
-        edges[e] = (u, w, x1 * x2)
-        rot[u] = [(e, 0) if d == (e1, 0) else d for d in rot[u]]
-        rot[w] = [(e, 1) if d == (e2, 1) else d for d in rot[w]]
-        del edges[e1], edges[e2], rot[v]
+    if perfect:
+        # merge internal degree-2 vertices; a merge keeps every degree, so
+        # one pass finds them all
+        for v in list(rot):
+            if v in net.boundary or len(rot[v]) != 2:
+                continue
+            (e1, end1), (e2, end2) = sorted(rot[v], key=lambda d: -d[1])   # the in-dart first
+            if (end1, end2) != (1, 0) or e1 == e2:
+                continue
+            u, _, x1 = edges[e1]
+            _, w, x2 = edges[e2]
+            e = new_id()
+            edges[e] = (u, w, x1 * x2)
+            rot[u] = [(e, 0) if d == (e1, 0) else d for d in rot[u]]
+            rot[w] = [(e, 1) if d == (e2, 1) else d for d in rot[w]]
+            del edges[e1], edges[e2], rot[v]
+            changed.update((u, v, w))
 
-    # boundary vertices of degree != 1
-    for i in [i for i in net.boundary if len(rot[i]) != 1]:
-        vp = new_id()
-        eb = new_id()
-        src = flags[i - 1]
-        edges[eb] = (i, vp, Fraction(1)) if src else (vp, i, Fraction(1))
-        bdart = (eb, 1) if src else (eb, 0)
-        if not rot[i]:
-            lp = new_id()
-            edges[lp] = (vp, vp, Fraction(1))
-            rot[vp] = [bdart, (lp, 0), (lp, 1)]
-        else:
-            _reanchor(edges, rot[i], vp)
-            rot[vp] = [bdart] + rot[i]
-        rot[i] = [(eb, 0) if src else (eb, 1)]
+        # boundary vertices of degree != 1
+        for i in [i for i in net.boundary if len(rot[i]) != 1]:
+            vp = new_id()
+            eb = new_id()
+            src = flags[i - 1]
+            edges[eb] = (i, vp, Fraction(1)) if src else (vp, i, Fraction(1))
+            bdart = (eb, 1) if src else (eb, 0)
+            if not rot[i]:
+                lp = new_id()
+                edges[lp] = (vp, vp, Fraction(1))
+                rot[vp] = [bdart, (lp, 0), (lp, 1)]
+            else:
+                _reanchor(edges, rot[i], vp)
+                rot[vp] = [bdart, *rot[i]]
+            rot[i] = [(eb, 0) if src else (eb, 1)]
+            changed.update((i, vp))
 
-    # split internal vertices of degree > 3, one pull-out per vertex per pass
-    while big := [v for v in rot if v not in net.boundary and len(rot[v]) > 3]:
-        for v in big:
+    # split, one pull-out per vertex per pass; the vertices a split makes
+    # have degree 3, so none of them needs one
+    splits = (lambda ds: len(ds) > 3) if perfect else _apart
+    todo = [v for v in rot if v not in net.boundary and splits(rot[v])]
+    while todo:
+        for v in todo:
             ds = rot[v]
             d = len(ds)
             idx = next((t for t in range(d) if ds[t][1] == ds[(t + 1) % d][1]), None)
@@ -567,6 +622,7 @@ def perfect_and_trivalent(net):
                 _reanchor(edges, (d1, d2), vp)
                 rot[vp] = [(ep, out), d1, d2]
                 rot[v] = [(ep, 1 - out)] + keep
+                changed.update((v, vp))
                 continue
             # perfectly alternating vertex: blow up into a clockwise cycle
             cyc_v = [new_id() for _ in range(d)]
@@ -580,9 +636,11 @@ def perfect_and_trivalent(net):
                 _reanchor(edges, [(e, end)], cyc_v[t])
                 rot[cyc_v[t]] = [(e, end), (cyc_e[t], 0), (cyc_e[(t - 1) % d], 1)]
             del rot[v]
+            changed.add(v)
+            changed.update(cyc_v)
+        todo = [v for v in todo if v in rot and splits(rot[v])]
 
+    if not changed:
+        return net
     rot = {v: tuple(ds) for v, ds in rot.items()}
-    out = net.replace(net.rot.keys() | rot.keys(), edges=edges, rot=rot)
-    if not is_perfect(out) or any(out.degree(v) != 3 for v in out.internal_vertices()):
-        raise AssertionError("perfection pipeline left a bad vertex")
-    return out
+    return net.replace(changed, edges=edges, rot=rot)

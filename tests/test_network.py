@@ -180,6 +180,12 @@ def test_loop_erased_minor_oracle():
             assert minor_by_bijections(net, J) == direct
 
 
+@pytest.mark.parametrize("x, shown", [(0, "0"), (-1, "-1"), ("-3/4", "-3/4"), ("0/5", "0")])
+def test_network_rejects_a_nonpositive_weight(x, shown):
+    with pytest.raises(ValueError, match=f"^edge 1 has nonpositive weight {shown}$"):
+        PlanarDirectedNetwork(2, [True, False], {1: (1, 2, x)})
+
+
 def test_gauge_identity():
     net = two_vertex_cycle(2, 3, 5, 7)
     same = gauge_transform(net, {})
@@ -543,6 +549,98 @@ def test_cyclic_matrix_on_manhattan_grids(L, M):
         done += 1
 
 
+CASCADE_NETWORK = """n 3
+sources 1
+vertex 1 boundary : 7 11
+vertex 2 boundary : 2 1
+vertex 4 internal : 4 3 2
+vertex 5 internal : 6 5 4
+vertex 6 internal : 6
+vertex 7 internal : 1 8 7
+vertex 8 internal : 3 9 8
+vertex 9 internal : 5 10 9
+vertex 10 internal : 13 12 11
+vertex 11 internal : 10 15 14 13
+vertex 12 internal : 12 16
+vertex 13 internal : 14 16
+edge 1 : 7 2 23/32
+edge 2 : 4 2 5/6
+edge 3 : 8 4 12/35
+edge 4 : 5 4 38/23
+edge 5 : 9 5 23/26
+edge 6 : 6 5 7/6
+edge 7 : 1 7 8/11
+edge 8 : 8 7 23/24
+edge 9 : 8 9 17/26
+edge 10 : 11 9 14/5
+edge 11 : 1 10 1/40
+edge 12 : 10 12 11/39
+edge 13 : 11 10 19/12
+edge 14 : 13 11 23/26
+edge 15 : 11 3 23/40
+edge 16 : 12 13 31/19
+"""
+
+
+def test_cyclic_split_form_drops_internal_sources_first():
+    """Vertices 6 and 8 are internal sources, and the one directed cycle
+    is 10 -> 12 -> 13 -> 11 -> 10.  Halved, an internal source leaves a
+    pendant in-half that the Kasteleyn face rule does not count; with the
+    two kept, M_12 comes out as -28708623/57231460."""
+    from positroid.network import _split_form
+    net = PlanarDirectedNetwork.from_text(CASCADE_NETWORK)
+    assert _split_form(net).rot.keys() == net.rot.keys() - {6, 8}
+    assert boundary_measurement(net, 1, 2) == Fraction(31124267, 57231460)
+    A = boundary_measurement_matrix(net)
+    P = perfect_and_trivalent(net)
+    assert A == boundary_measurement_matrix(P) == exhaustive_matrix(P)
+
+
+def _with_island(net, local):
+    """net with a directed triangle of three new vertices that no edge joins
+    to the rest."""
+    v, e = max(net.rot) + 1, max(net.edges) + 1
+    edges, rot = dict(net.edges), dict(net.rot)
+    for t in range(3):
+        edges[e + t] = (v + t, v + (t + 1) % 3, random_rational(local, 1, 9))
+        rot[v + t] = ((e + t, 0), (e + (t - 1) % 3, 1))
+    return PlanarDirectedNetwork(net.n, net.source_flags, edges, rot=rot)
+
+
+def test_cyclic_split_form_measures_as_the_perfect_form():
+    """The Kasteleyn route on the split form against the same route on the
+    perfect trivalent form, on random grids (with alternating vertices,
+    with vertices dropped although they have in- and out-edges, with boundary
+    vertices of degree other than 1), the same with a loop and with a
+    detached directed triangle.  Every split form has in- and out-edges
+    at each internal vertex, the in-darts side by side, a boundary vertex
+    in each component, and the faces of a freshly traced map."""
+    from positroid.network import _apart, _split_form
+    from positroid.planarmaps import DiskMap
+    local = random.Random(919)
+    seen = dict.fromkeys(("alternating", "pruned through", "boundary degree", "loop alternating"), 0)
+    for _ in range(150):
+        net = None
+        while net is None:
+            net = random_grid_network(local, n=local.randint(2, 6), w=local.randint(2, 4),
+                                      h=local.randint(2, 3), max_internal=10, require_cycle=True)
+        loop = _with_loop(net, local)
+        seen["alternating"] += has_alternating_vertex(net)
+        seen["loop alternating"] += has_alternating_vertex(loop) and not has_alternating_vertex(net)
+        seen["boundary degree"] += any(net.degree(i) != 1 for i in net.boundary)
+        for N in (net, loop, _with_island(net, local)):
+            P = _split_form(N)
+            for v in P.internal_vertices():
+                assert P.in_edges(v) and P.out_edges(v) and not _apart(P.rot[v])
+            assert all(any(v in P.boundary for v in comp) for comp in P.components())
+            fresh = DiskMap(P.boundary, P.map.edges, P.rot)
+            assert {frozenset(f) for f in P.map.faces()} == {frozenset(f) for f in fresh.faces()}
+            assert boundary_measurement_matrix(N) == boundary_measurement_matrix(perfect_and_trivalent(N))
+        dropped = net.rot.keys() - _split_form(net).rot.keys()
+        seen["pruned through"] += any(net.in_edges(v) and net.out_edges(v) for v in dropped)
+    assert min(seen.values()) >= 20, seen
+
+
 def _cyclic_perfect_networks(seed, count):
     local = random.Random(seed)
     out = []
@@ -728,6 +826,23 @@ def test_acyclic_matrix_takes_path_sums(monkeypatch):
         raise AssertionError("acyclic network sent to the cyclic route")
 
     monkeypatch.setattr(network, "perfect_and_trivalent", refuse)
+    monkeypatch.setattr(network, "_split_form", refuse)
     edges = {1: (1, 10, Fraction(2)), 2: (10, 2, Fraction(3)), 3: (1, 2, Fraction(5))}
     net = PlanarDirectedNetwork(2, [True, False], edges, rot_ids={1: [3, 1], 2: [2, 3], 10: [1, 2]})
     assert boundary_measurement_matrix(net).rows == ((1, 11),)
+
+
+def test_cyclic_route_signs_a_manhattan_grid_on_its_own_map(monkeypatch):
+    """No vertex of a Manhattan grid needs a step of the split form, so the
+    Kasteleyn signs read the faces traced when the grid was built."""
+    from positroid.planarmaps import DiskMap
+
+    def refuse(*args):
+        raise AssertionError("the cyclic route derived a map")
+
+    local = random.Random(33)
+    net = manhattan_grid(local, 3, 3, (True, False, True), (False, True, False))
+    assert not net.is_acyclic()
+    want = boundary_measurement_matrix(perfect_and_trivalent(net))
+    monkeypatch.setattr(DiskMap, "derive", refuse)
+    assert boundary_measurement_matrix(net) == want
