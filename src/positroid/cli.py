@@ -128,12 +128,13 @@ def cmd_reduce(args):
 def cmd_matroid(args):
     G = _read_plabic_graph(args.file)
     try:
-        M = plabic.matroid(G)
+        neck = plabic.necklace(G)
     except ValueError as ex:
         raise PreconditionError(str(ex))
-    text = M.to_text()
-    # the lines after the 'k n' header are the bases, sorted once by to_text
-    _emit({"k": M.k, "n": M.n, "bases": text.splitlines()[1:], "text": text} if args.json
+    # the bases come in lex order, Matroid.to_text's lines without its set or sort
+    lines = [" ".join(map(str, J)) for J in plabic.positroid_bases(neck)]
+    text = "\n".join([f"{neck.k} {neck.n}", *lines]) + "\n"
+    _emit({"k": neck.k, "n": neck.n, "bases": lines, "text": text} if args.json
           else {"text": text}, args.json)
     return 0
 

@@ -246,7 +246,7 @@ def _kasteleyn_signs(P):
         (inner if arcs.isdisjoint(orbit) else circle).append(orbit)
     faces = circle + inner
     sign = dict.fromkeys(P.edges, 1)
-    for f, (e, _) in reversed(_dual_forest(faces)):
+    for f, (e, _) in reversed(_dual_forest(faces, P.map._face_of)):
         if f < len(circle):
             continue
         orbit = faces[f]

@@ -362,17 +362,24 @@ def necklace(G):
 
 
 def matroid(G):
-    """Bases = source sets of the perfect orientations of G, read off its necklace.
+    """Bases = source sets of the perfect orientations of G, read off its
+    necklace (O(n E)) by positroid_bases."""
+    neck = necklace(G)
+    return Matroid(neck.k, neck.n, positroid_bases(neck))
+
+
+def positroid_bases(neck):
+    """The bases of the positroid of a Grassmann necklace, as increasing
+    k-tuples in lex order.
 
     By Oh's theorem ("Positroids and Schubert matroids", JCTA 118, 2011) a
     k-subset J is a basis exactly when J >=_i I_i in the Gale order of the
     shifted order <_i, for every i: when a is the (s+1)-th element of I_i
     in <_i, J has at most s elements in the cyclic interval [i, a).  Only
-    the caps with s below the interval's length can fail.  The necklace
-    costs O(n E) and the listing tests C(n, k) subsets against at most nk
-    caps.
+    the caps with s below the interval's length can fail.  The listing
+    tests the C(n, k) subsets, which combinations gives in lex order,
+    against at most nk caps.
     """
-    neck = necklace(G)
     k, n = neck.k, neck.n
     caps = []                           # (bitmask of [i, a), s)
     for i in range(1, n + 1):
@@ -381,8 +388,8 @@ def matroid(G):
             if s < d:
                 caps.append((sum(1 << x for x in range(1, n + 1) if (x - i) % n < d), s))
     masks = map(sum, combinations([1 << x for x in range(1, n + 1)], k))
-    return Matroid(k, n, (J for J, mask in zip(combinations(range(1, n + 1), k), masks)
-                          if all((mask & m).bit_count() <= c for m, c in caps)))
+    return (J for J, mask in zip(combinations(range(1, n + 1), k), masks)
+            if all((mask & m).bit_count() <= c for m, c in caps))
 
 
 # -- trips ---------------------------------------------------------------------------
@@ -598,12 +605,9 @@ def _renamed_rot(G, rename):
     return rot
 
 
-def _far_dart(G, e, v):
-    """The dart of e anchored at the endpoint other than v."""
-    u, w = G.edges[e]
-    if u == v:
-        return (e, 1)
-    return (e, 0)
+def _far_dart(edges, e, v):
+    """The dart of the edge e, of the edges, anchored at the endpoint other than v."""
+    return (e, 1) if edges[e][0] == v else (e, 0)
 
 
 def contracted(G):
@@ -617,9 +621,30 @@ def contracted(G):
 def reducedness_certificate(G):
     """(True, None) when G is reduced, else (False, reason).
 
-    Works on the contracted form; the criterion: no round trips, no
-    essential self-intersections, no bad double crossings, fixed points
-    only at boundary leaves, no isolated components.
+    Works on the contracted form; the criterion (Postnikov Thm 13.2): no
+    isolated components, no round trips, no essential self-intersections,
+    no bad double crossings, fixed points only at boundary leaves.
+
+    The last condition follows from the others on the contracted form H,
+    which has no bends, no unicolored edges but loops and, past the leaf
+    check, no internal leaf on an internal vertex.  Draw each trip as a
+    strand beside its edges that passes each vertex in the corner between
+    the two edges it turns between: on its left at white, on its right at
+    black.  Two strands meet only where they cross, at the middle of a
+    bicolored edge, which carries one strand each way.  Let the trip T
+    from b_i come back to b_i, through b_i's edge e to v.  With no
+    essential self-intersection, T is a simple closed curve through b_i,
+    and the disk R inside it holds e and v and no other boundary vertex.
+    A strand in R is therefore T, a round trip, or a trip that crosses
+    into R and out.  If T crosses no strand, every strand along v's edges
+    is T, so they are e and loops; an innermost loop, its darts rotation
+    neighbours, carries a round trip of one dart, so v is a leaf.
+    Otherwise T first crosses a strand S on a bicolored edge from v's
+    colour to the other.  R lies on T's right when v is white and on its
+    left when v is black, and S crosses T from T's left to its right where
+    T runs white to black and the other way where T runs black to white,
+    so S enters R there.  S leaves R at a later crossing of T, and T and S
+    cross at two edges in the same order: a bad double crossing.
     """
     if G.isolated_components():
         return False, "isolated component"
@@ -651,10 +676,6 @@ def reducedness_certificate(G):
             for e2, a2, b2 in meets:
                 if e1 != e2 and a1 < a2 and b1 < b2:
                     return False, f"bad double crossing of trips from b_{i}, b_{j} at edges {e1}, {e2}"
-    perm = T.permutation()
-    for i in range(1, H.n + 1):
-        if perm[i - 1] == i and H.boundary_leaf(i) is None:
-            return False, f"fixed point at b_{i} without a boundary leaf"
     return True, None
 
 
@@ -867,14 +888,74 @@ def bigon_faces(G):
 def parallel_pairs(G):
     """R1 sites: (e1, e2) bounding a bigon between trivalent bicolored vertices."""
     return sorted({(min(e1, e2), max(e1, e2))
-                   for (e1, _), (e2, _) in bigon_faces(G) if _parallel(G, e1, e2)})
+                   for (e1, _), (e2, _) in bigon_faces(G) if _parallel(G.rot, G.edges, e1, e2)})
 
 
-def _parallel(G, e1, e2):
-    """Whether the edges of a bigon of bigon_faces(G) join trivalent vertices
-    whose other two edges differ."""
-    u, w = G.edges[e1]
-    return G.degree(u) == G.degree(w) == 3 and len(set(G.incident(u) + G.incident(w)) - {e1, e2}) == 2
+def _parallel(rot, edges, e1, e2):
+    """Whether the edges of a bigon of bigon_faces, in the graph of the rotations
+    rot and the edges, join trivalent vertices whose other two edges differ."""
+    u, w = edges[e1]
+    return len(rot[u]) == len(rot[w]) == 3 and len({e for v in (u, w) for e, _ in rot[v]} - {e1, e2}) == 2
+
+
+def remove_bigons(G, bigons):
+    """(R1) remove a run of parallel pairs, bigons of G in bigon_faces order, as one rewrite.
+
+    R1 applies at each bigon in turn, with the ids apply_reduction gives,
+    on plain dicts: between the ends u, w of the bigon's smaller edge, it
+    deletes the bigon and u's and w's third edges a and b, and joins their
+    far ends by a new edge from a's to b's.  The run stops before a bigon
+    that is no R1 site of the graph as it stands, and after an R1 that
+    shortens a neighbour face without boundary arcs to two darts, a
+    possible new bigon that may come first: so it takes the sites one R1
+    at a time would.  No bigon is a neighbour face of an R1 site (they
+    would share an edge, a third one between the site's ends), so each
+    face of G beside a removed bigon stays a face, two darts shorter per
+    side of each such bigon.  Returns the new graph, the renaming {old
+    dart: new dart} of G's darts on glued edges that survive, and the
+    bigons removed, in order: none when the first is no R1 site.
+    """
+    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+    orbit, arcs, ids = G.map.orbit, G.map._arcs, fresh_ids(edges)
+    removed, changed, origin = [], set(), {}    # origin: current dart -> G's dart
+    length = {}                                 # id of a face of G beside a removed bigon -> darts left
+    for darts in bigons:
+        e1, e2 = sorted(e for e, _ in darts)
+        if not _parallel(rot, edges, e1, e2):
+            break
+        u, w = edges[e1]
+        a, b = (next(x for x, _ in rot[v] if x not in (e1, e2)) for v in (u, w))
+        da, db = _far_dart(edges, a, u), _far_dart(edges, b, w)
+        za, zb = edges[a][da[1]], edges[b][db[1]]
+        e = next(ids)
+        del edges[e1], edges[e2], edges[a], edges[b], rot[u], rot[w], col[u], col[w]
+        edges[e] = (za, zb)
+        step = {da: (e, 0), db: (e, 1)}
+        for x in {za, zb}:
+            rot[x] = tuple(step.get(d, d) for d in rot[x])
+        for old, new in step.items():
+            origin[new] = origin.pop(old, old)
+        removed.append(darts)
+        changed.update((u, w, za, zb))
+        sides = [orbit(rev(d)) for d in darts]
+        for f in sides:
+            length[id(f)] = length.get(id(f), len(f)) - 2
+        if any(length[id(f)] == 2 and arcs.isdisjoint(f) for f in sides):
+            break
+    H = G.replace(changed, col=col, edges=edges, rot=rot) if removed else G
+    return H, {old: new for new, old in origin.items() if new[0] in edges}, removed
+
+
+def _bigon_adjust(N, bigons):
+    """The adjust of _transfer_weights for R1 at each of the bigons of N's graph:
+    the neighbour factors of each bigon's weight y0 (_neighbour_factors), and
+    1/y0, which takes the bigon to weight 1."""
+    G, adjust = N.graph, {}
+    for darts in bigons:
+        y0 = N.weight_of(darts)
+        adjust[face_key(darts)] = 1 / y0
+        _neighbour_factors(G, darts, y0, adjust)
+    return adjust
 
 
 def apply_reduction(x, red):
@@ -892,25 +973,11 @@ def apply_reduction(x, red):
     if kind == "R1":
         e1, e2 = red[1], red[2]
         bigon = next((darts for darts in bigon_faces(G) if {d[0] for d in darts} == {e1, e2}), None)
-        if bigon is None or not _parallel(G, e1, e2):
-            raise ValueError(f"edges {e1}, {e2} are not an R1 site")
-        u, w = G.edges[e1]
-        a = next(e for e in G.incident(u) if e not in (e1, e2))
-        b = next(e for e in G.incident(w) if e not in (e1, e2))
-        za = G.other_end(a, u)
-        zb = G.other_end(b, w)
-        e = next(fresh_ids(G.edges))
-        edges = G.edges.copy()
-        del edges[e1], edges[e2], edges[a], edges[b]
-        edges[e] = (za, zb)
-        rename = {_far_dart(G, a, u): (e, 0), _far_dart(G, b, w): (e, 1)}
-        rot = _renamed_rot(G, rename)
-        col = G.col.copy()
-        del rot[u], rot[w], col[u], col[w]
-        newG = G.replace({u, w, za, zb}, col=col, edges=edges, rot=rot)
+        newG, rename, removed = remove_bigons(G, [bigon] if bigon else [])
+        if not removed:
+            raise _no_r1_site(e1, e2)
         if weighted:
-            y0 = x.weight_of(bigon)
-            adjust = _neighbour_factors(G, bigon, y0, {face_key(bigon): 1 / y0})
+            adjust = _bigon_adjust(x, removed)
     elif kind == "R2":
         u = red[1]
         if G.degree(u) != 1:
@@ -972,7 +1039,7 @@ def apply_reduction(x, red):
             rot[u] = ((eL, 0),)
             rot[lv] = ((eL, 1),)
             col[lv] = -G.col[w]
-            rename = {_far_dart(G, e2, w): (eL, 0)}
+            rename = {_far_dart(G.edges, e2, w): (eL, 0)}
             changed.add(lv)
         newG = G.replace(changed, col=col, edges=edges, rot=rot)
         if weighted:
@@ -1076,12 +1143,24 @@ def _split_pair(G, v, es):
 
 
 def _bigon_step(G, darts, run):
-    # split the bigon's darts off each endpoint of degree above 3, then R1
+    # split the bigon's darts off each endpoint of degree above 3; then R1
+    # there and, in the same rewrite, at the bigons one R1 at a time would
+    # take next; the trace names each of them
     es = {e for e, _ in darts}
     for v in sorted(set(G.edges[min(es)]), key=str):
         if G.degree(v) > 3:
             G = run(_split_pair(G, v, es))
-    run(("R1", min(es), max(es)))
+    bigons = bigon_faces(G)
+    first = next(f for f in bigons if f[0][0] in es)
+    H, rename, removed = remove_bigons(G, [first, *(f for f in bigons if f is not first)])
+    if not removed:     # trivalent endpoints whose third edge is one edge
+        raise _no_r1_site(*sorted(es))
+    run(*(("R1", *sorted(e for e, _ in f)) for f in removed), rewritten=(H, rename),
+        adjust=lambda N: _bigon_adjust(N, removed))
+
+
+def _no_r1_site(e1, e2):
+    return ValueError(f"edges {e1}, {e2} are not an R1 site")
 
 
 def _loop_step(G, loop, run):
@@ -1103,7 +1182,7 @@ def _loop_step(G, loop, run):
 def _glue_step(G, v, run):
     # the bends leave in one rewrite, v first; the trace names each of them
     H, rename, bends = glue_bends(G)
-    run(*(("M3r", u) for u in bends), glued=(H, rename))
+    run(*(("M3r", u) for u in bends), rewritten=(H, rename))
 
 
 def _leaf_step(G, leaf, run):
@@ -1118,9 +1197,10 @@ def _leaf_step(G, leaf, run):
 # them.  step(G, site, run) applies, through run, the whole composite that
 # removes the site: preparatory moves and the reduction together.  run(s)
 # applies the site s to the object being reduced, records s in the trace and
-# returns the new graph; run(*sites, glued=(graph, renaming)) records a run
-# of M3r sites and takes glue_bends's result for them as one rewrite.  Every
-# composite shrinks _size.
+# returns the new graph; run(*sites, rewritten=(graph, renaming), adjust=f)
+# records a run of sites and takes one rewrite's result for them, glue_bends's
+# or remove_bigons's, with the face weights carried by the renaming and f(the
+# network), _transfer_weights's adjust.  Every composite shrinks _size.
 SITE_FINDERS = {
     "singleton": (singletons, lambda G, v, run: run(("singleton", v))),
     "M3r": (_m3r_sites, _glue_step),
@@ -1150,14 +1230,16 @@ def _reduce_directly(x, rows, trace):
 
     Each composite shrinks _size, so there are at most _size(x) of them.
     """
-    def run(*sites, glued=None):
+    def run(*sites, rewritten=None, adjust=None):
         nonlocal x
         trace.extend(sites)
-        if glued is None:
+        if rewritten is None:
             x = apply_site(x, *sites)
+        elif isinstance(x, PlabicNetwork):
+            H, rename = rewritten
+            x = _transfer_weights(x, H, adjust and adjust(x), rename)
         else:
-            H, rename = glued
-            x = _transfer_weights(x, H, rename=rename) if isinstance(x, PlabicNetwork) else H
+            x = rewritten[0]
         return _graph_of(x)
 
     G = _graph_of(x)

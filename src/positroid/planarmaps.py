@@ -355,16 +355,21 @@ def components(vertices, pairs):
     return comps
 
 
-def _dual_forest(faces):
+def _dual_forest(faces, face_of=None):
     """A spanning forest of the dual graph of `faces`, a list of dart tuples.
 
     Grown breadth-first across real edges, never boundary arcs, from the
     first face of each part.  Returns a (face index, dart) pair for every
     face but the roots, where the dart is the face's dart whose edge was
     crossed to reach it.  Reversed, the list puts every face after the
-    faces below it, so each face can fix its own edge last.
+    faces below it, so each face can fix its own edge last.  face_of maps
+    every real dart to its face, the very tuple of `faces`, as the
+    _face_of of the DiskMap that traced them does; without it, that index
+    is built here.
     """
-    face_of = {d: f for f, orbit in enumerate(faces) for d in orbit}
+    if face_of is None:
+        face_of = {d: orbit for orbit in faces for d in orbit}
+    index = {id(orbit): f for f, orbit in enumerate(faces)}
     seen, forest = set(), []
     for root in range(len(faces)):
         if root in seen:
@@ -376,7 +381,7 @@ def _dual_forest(faces):
                 if isinstance(e, tuple):
                     continue            # a boundary arc
                 dart = (e, 1 - end)
-                g = face_of[dart]
+                g = index[id(face_of[dart])]
                 if g not in seen:
                     seen.add(g)
                     forest.append((g, dart))

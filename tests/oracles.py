@@ -44,6 +44,9 @@ cross-check `permutations.covers`, which uncrosses chords.
 Runs of bends: `glue_bends_stepwise` removes every internal degree-2
 vertex on two edges one `M3r` move at a time, each a rewrite of its own,
 to cross-check `plabic.glue_bends`, which glues the whole run in one.
+Runs of parallel pairs: `reduce_one_r1_at_a_time` reduces with each `R1`
+a rewrite of its own (`bigon_step_one_r1`, the bigon row's step before
+`plabic.remove_bigons` took a run of them in one rewrite).
 
 Le-networks: `hook_layout_by_coordinates` lays the hook network out on
 grid coordinates and sorts each vertex's darts by compass heading, to
@@ -102,9 +105,9 @@ from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_n
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
-from positroid.plabic import (PlabicNetwork, _m3r_sites, apply_move, contracted, face_key,
-                              face_weights, faces, orientation_sources, perfect_orientation,
-                              reducedness_certificate, trips)
+from positroid.plabic import (SITE_FINDERS, PlabicNetwork, _m3r_sites, _split_pair, apply_move,
+                              contracted, face_key, face_weights, faces, orientation_sources,
+                              perfect_orientation, reduce_graph, reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, components, fresh_ids
 
 
@@ -773,6 +776,27 @@ def glue_bends_stepwise(x):
         x = apply_move(x, ("M3r", v))
         order.append(v)
     return x, order
+
+
+def bigon_step_one_r1(G, darts, run):
+    """The bigon row's step with one R1 per step: an M2u split of the bigon's
+    darts off each endpoint of degree above 3, then R1 there."""
+    es = {e for e, _ in darts}
+    for v in sorted(set(G.edges[min(es)]), key=str):
+        if G.degree(v) > 3:
+            G = run(_split_pair(G, v, es))
+    run(("R1", min(es), max(es)))
+
+
+def reduce_one_r1_at_a_time(x):
+    """reduce_graph(x) with bigon_step_one_r1 as the bigon row's step, so that
+    every R1 is a rewrite of its own, at the first bigon of the graph then."""
+    row = SITE_FINDERS["bigon"]
+    SITE_FINDERS["bigon"] = (row[0], bigon_step_one_r1)
+    try:
+        return reduce_graph(x)
+    finally:
+        SITE_FINDERS["bigon"] = row
 
 
 # -- the Le-network by way of its hook network -------------------------------------

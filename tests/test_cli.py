@@ -178,6 +178,27 @@ def test_trips_and_matroid(capsys, tmp_path):
     assert len(out.splitlines()) == 6  # header + five bases
 
 
+def test_matroid_text_is_the_matroid_text_on_every_small_cell(capsys, monkeypatch):
+    # the bases are written as Oh's listing yields them, with no Matroid built
+    import io
+    from positroid.permutations import all_decorated_permutations
+    from positroid.plabic import matroid
+    ranks = set()
+    for n in range(7):
+        for pi in all_decorated_permutations(n):
+            G = graph_from_perm(pi)
+            text = matroid(G).to_text()
+            k, n_ = map(int, text.split("\n", 1)[0].split())
+            # _emit prints the text without its trailing newlines, then one
+            for flags, expected in (([], text.rstrip("\n") + "\n"),
+                                    (["--json"], json.dumps({"k": k, "n": n_, "bases": text.splitlines()[1:],
+                                                             "text": text}, indent=2) + "\n")):
+                monkeypatch.setattr("sys.stdin", io.StringIO(G.to_text()))   # the graph file "-"
+                assert run(capsys, "matroid", "-", *flags) == (0, expected, "")
+            ranks.add((k == 0, k == n))
+    assert ranks == {(False, False), (True, False), (False, True), (True, True)}
+
+
 def test_perm2graph_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "perm2graph", "3 1 5 4B 2 6W")
     assert code == 0

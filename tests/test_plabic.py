@@ -10,7 +10,8 @@ from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, ran
                      random_plabic_network, random_rational, reweight)
 from oracles import (canonical, check_faces, delete_edge, glue_bends_stepwise, le_network,
                      minimal_permutation, necklace_from_matroid, path_matroid, perfect_gamma,
-                     perfect_orientations, planar_by_components, removable_edges)
+                     perfect_orientations, planar_by_components, reduce_one_r1_at_a_time,
+                     removable_edges)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -20,7 +21,7 @@ from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, 
                                     le_from_perm, all_decorated_permutations,
                                     perm_from_necklace, rank, top_permutation)
 from positroid.plabic import (SITE_FINDERS, NotPerfectlyOrientable, PlabicGraph, PlabicNetwork,
-                              _graph_of, _reduce_directly, _transfer_weights, apply_move,
+                              _graph_of, _key_left_of, _reduce_directly, _transfer_weights, apply_move,
                               apply_reduction, apply_site, contracted,
                               edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces, glue_bends,
@@ -325,6 +326,45 @@ def test_reducedness_certificate_names_the_reason(seed, reason):
     r = random.Random(seed)
     G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
     assert reducedness_certificate(G) == (False, reason)
+
+
+def _random_plabic_graph(r):
+    """A plabic graph on n <= 3 boundary vertices and at most 5 internal
+    ones, with up to 6 internal edges, loops among them, or None when the
+    shuffled rotations are not planar."""
+    n, m = r.randint(1, 3), r.randint(1, 5)
+    inner = range(n + 1, n + m + 1)
+    edges = {i: (i, r.choice(inner)) for i in range(1, n + 1)}
+    for e in range(n + 1, n + 1 + r.randint(0, 6)):
+        u = r.choice(inner)
+        edges[e] = (u, u if r.random() < 0.3 else r.choice(inner))
+    rot = {v: [] for v in range(1, n + m + 1)}
+    for e, (u, w) in edges.items():
+        rot[u].append((e, 0))
+        rot[w].append((e, 1))
+    for ds in rot.values():
+        r.shuffle(ds)
+    try:
+        return PlabicGraph(n, {v: r.choice((BLACK, WHITE)) for v in inner}, edges, rot=rot)
+    except ValueError:
+        return None
+
+
+def test_certified_graphs_have_boundary_leaves_at_their_fixed_points():
+    # reducedness_certificate does not check the fixed points: its docstring
+    # shows that the checks it makes leave them only at boundary leaves
+    r, fixed = random.Random(2024), Counter()
+    for _ in range(30000):
+        G = _random_plabic_graph(r)
+        if G is not None and is_reduced(G):
+            H = contracted(G)
+            perm = trips(H).permutation()
+            for i in H.boundary:
+                if perm[i - 1] == i:
+                    assert H.boundary_leaf(i) is not None
+                    fixed["fixed"] += 1
+            fixed["graphs"] += 1
+    assert fixed["graphs"] >= 1000 and fixed["fixed"] >= 500
 
 
 def _boundary_lollipops():
@@ -741,6 +781,18 @@ def rewrite_oracle(monkeypatch):
     return callers
 
 
+def _scrambled_with_bigons(seed, bigons):
+    """A graph scrambled by moves with the given number of bigons inserted on
+    internal edges, and the random source of the seed, to draw weights from."""
+    r = random.Random(seed)
+    G = random_plabic_network(r, nmax=7, scrambles=20).graph
+    for _ in range(bigons):
+        inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
+        if inner:
+            G, _ = insert_bigon(G, r.choice(inner), r)
+    return G, r
+
+
 def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
     # the chord corpus of test_reduce_chord_corpus, and its reduced graphs minus an edge
     for seed in range(300):
@@ -753,18 +805,13 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
         delete_edge(red, min(red.edges), BLACK)
     # weighted networks scrambled by moves, with bigons for R1
     for seed in range(20):
-        r = random.Random(seed)
-        G = random_plabic_network(r, nmax=7, scrambles=20).graph
-        for _ in range(2):
-            inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
-            if inner:
-                G, _ = insert_bigon(G, r.choice(inner), r)
+        G, r = _scrambled_with_bigons(seed, 2)
         reduce_graph(reweight(G, r))
     for kind in REWRITE_KINDS:      # one weighted site of each kind
         N, site = _rewrite_site(kind)
         (apply_reduction if kind[0] == "R" else apply_move)(N, site)
     assert set(rewrite_oracle) == {"contract_edge", "uncontract_vertex", "insert_vertex",
-                                   "remove_vertex", "glue_bends", "apply_reduction",
+                                   "remove_vertex", "glue_bends", "remove_bigons", "apply_reduction",
                                    "remove_singleton", "delete_edge", "apply_move",
                                    "_transfer_weights", "_sites"}
 
@@ -802,12 +849,7 @@ def test_glue_bends_equals_the_stepwise_run():
         G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
         inputs += [G, reweight(G, r)]
     for seed in range(20):      # weighted scrambles with bigons
-        r = random.Random(seed)
-        G = random_plabic_network(r, nmax=7, scrambles=20).graph
-        for _ in range(2):
-            inner = [e for e, uw in sorted(G.edges.items()) if not set(uw) & set(G.boundary)]
-            if inner:
-                G, _ = insert_bigon(G, r.choice(inner), r)
+        G, r = _scrambled_with_bigons(seed, 2)
         inputs.append(reweight(G, r))
     inputs += _hand_bends().values()
     glued = 0
@@ -839,6 +881,128 @@ def test_glue_bends_on_hand_built_runs(monkeypatch):
     with pytest.raises(ValueError, match="^no reduction removes the isolated loop 5$"):
         reduce_graph(G["ring"])
     assert glue_bends(G["chain 9 17 3"])[2] == [17, 9, 3]
+
+
+def _hand_bigons():
+    """Graphs whose R1 runs show each way a run ends or carries over.
+
+    "chain": b1 - 3 = 4 - 5 = 6 - b2, two bigons in a row on one path, one
+    run; the second R1 glues again the edge the first one made, and both
+    multiply the two faces beside the path.  "lens": the bigon 4 = 5 on a
+    path from 3 to 6 beside the edge 2 from 3 to 6; its R1 leaves a bigon
+    of edge 2 and the new edge, so the run ends there.  "split": the chain
+    with a third boundary vertex on 7, which the second bigon must be
+    split off in its own step, between two runs.
+    """
+    chain = {1: (1, 3), 2: (3, 4), 3: (3, 4), 4: (4, 5), 5: (5, 6), 6: (5, 6), 7: (6, 2)}
+    return {
+        "chain": PlabicGraph(2, {3: WHITE, 4: BLACK, 5: WHITE, 6: BLACK}, chain,
+                             rot_ids={3: [1, 2, 3], 4: [2, 4, 3], 5: [4, 5, 6], 6: [5, 7, 6]}),
+        "lens": PlabicGraph(2, {3: WHITE, 4: BLACK, 5: WHITE, 6: BLACK, 7: WHITE, 8: BLACK},
+                            {1: (1, 3), 2: (3, 6), 3: (3, 4), 4: (4, 5), 5: (4, 5), 6: (5, 6), 7: (6, 7),
+                             8: (7, 8), 9: (7, 8), 10: (8, 2)},
+                            rot_ids={3: [1, 2, 3], 4: [3, 4, 5], 5: [4, 6, 5], 6: [2, 7, 6], 7: [7, 8, 9],
+                                     8: [8, 10, 9]}),
+        "split": PlabicGraph(3, {4: WHITE, 5: BLACK, 6: WHITE, 7: BLACK},
+                             {1: (1, 4), 2: (4, 5), 3: (4, 5), 4: (5, 6), 5: (6, 7), 6: (6, 7),
+                              7: (7, 2), 8: (3, 7)},
+                             rot_ids={4: [1, 2, 3], 5: [2, 4, 3], 6: [4, 5, 6], 7: [5, 7, 8, 6]}),
+    }
+
+
+@pytest.fixture
+def r1_runs(monkeypatch):
+    """The lengths of the runs plabic.remove_bigons removes, in order."""
+    lengths = []
+    remove = plabic.remove_bigons
+
+    def counted(G, bigons):
+        H, rename, removed = remove(G, bigons)
+        lengths.append(len(removed))
+        return H, rename, removed
+
+    monkeypatch.setattr(plabic, "remove_bigons", counted)
+    return lengths
+
+
+def _reduced(reduce, x):
+    """reduce(x) as (text, singletons, trace), or the ValueError it raised."""
+    try:
+        red, nsing, trace = reduce(x)
+    except ValueError as ex:
+        return type(ex), str(ex)
+    return red.to_text(), nsing, trace
+
+
+def test_r1_runs_equal_one_r1_at_a_time(r1_runs):
+    inputs = []
+    for seed in range(300):     # the chord corpus, bare and reweighted
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        inputs += [G, reweight(G, r)]
+    for seed in range(40):      # scrambles with five bigons, bare and weighted
+        G, r = _scrambled_with_bigons(seed, 5)
+        inputs += [G, reweight(G, r)]
+    inputs += [x for G in _hand_bigons().values() for x in (G, reweight(G, rng))]
+    runs = Counter()
+    for x in inputs:        # a network's text carries its face weights
+        expected = _reduced(reduce_one_r1_at_a_time, x)
+        r1_runs.clear()
+        assert _reduced(reduce_graph, x) == expected
+        runs.update(r1_runs)
+    assert sum(runs.values()) >= 900 and sum(n for length, n in runs.items() if length > 1) >= 100
+
+
+def test_r1_runs_on_hand_built_graphs(r1_runs, monkeypatch):
+    G = _hand_bigons()
+    b1, b2 = plabic.bigon_faces(G["chain"])
+    H, rename, removed = plabic.remove_bigons(G["chain"], [b1, b2])
+    assert removed == [b1, b2] and H.edges == {9: (1, 2)}
+    assert rename == {(1, 0): (9, 0), (7, 1): (9, 1)}      # edge 8, made by the first R1, glued again
+    N = reweight(G["chain"], rng, special={face_key(b1): Fraction(3), face_key(b2): Fraction(5)})
+    both, one, two = (plabic._bigon_adjust(N, bs) for bs in ([b1, b2], [b1], [b2]))
+    sides = {_key_left_of(G["chain"], (e, 1 - end)) for e, end in b1}
+    assert sides == {_key_left_of(G["chain"], (e, 1 - end)) for e, end in b2} and len(sides) == 2
+    for key in sides:       # the faces beside both bigons take both factors
+        assert both[key] == one[key] * two[key] != 1
+    derived = Counter()
+    derive = DiskMap.derive
+    monkeypatch.setattr(DiskMap, "derive", lambda m, *a: derived.update(["map"]) or derive(m, *a))
+    # (graph, trace, R1 runs, derived maps: one per rewrite)
+    for name, trace, runs, maps in (("chain", [("R1", 2, 3), ("R1", 5, 6)], [2], 1),
+                                    ("lens", [("R1", 4, 5), ("R1", 2, 11), ("R1", 8, 9)], [1, 2], 2),
+                                    ("split", [("R1", 2, 3), ("M2u", 7, 3, 1), ("R1", 5, 6)], [1, 1], 3)):
+        for x in (G[name], N if name == "chain" else reweight(G[name], rng)):
+            r1_runs.clear()
+            derived.clear()
+            red, _, got = reduce_graph(x)
+            assert (got, r1_runs, derived["map"]) == (trace, runs, maps)
+            assert _reduced(reduce_one_r1_at_a_time, x) == (red.to_text(), 0, trace)
+
+
+def test_r1_joins_the_far_ends_from_the_tail_of_the_smaller_edge():
+    # edges 2 and 3 of the bigon run opposite ways; whichever way the site
+    # names them, the new edge 5 runs from the far end at edge 2's tail
+    for rot in ({3: [1, 2, 3], 4: [2, 4, 3]}, {3: [1, 3, 2], 4: [3, 4, 2]}):
+        for ends in ({2: (3, 4), 3: (4, 3)}, {2: (4, 3), 3: (3, 4)}):
+            G = PlabicGraph(2, {3: WHITE, 4: BLACK}, {1: (1, 3), 4: (4, 2), **ends}, rot_ids=rot)
+            new = (1, 2) if ends[2] == (3, 4) else (2, 1)
+            for site in (("R1", 2, 3), ("R1", 3, 2)):
+                assert apply_reduction(G, site).edges == {5: new}
+            assert reduce_graph(G)[0].edges == {5: new}
+
+
+def test_a_bigon_whose_endpoints_share_their_third_edge_is_no_r1_site():
+    # a theta: three parallel edges between two trivalent vertices
+    G = PlabicGraph(0, {1: BLACK, 2: WHITE}, {1: (1, 2), 2: (1, 2), 3: (1, 2)},
+                    rot_ids={1: [1, 2, 3], 2: [3, 2, 1]})
+    assert len(plabic.bigon_faces(G)) == 3 and parallel_pairs(G) == []
+    first = tuple(sorted(e for e, _ in plabic.bigon_faces(G)[0]))
+    message = "edges {}, {} are not an R1 site"
+    assert (_reduced(reduce_graph, G) == _reduced(reduce_one_r1_at_a_time, G)
+            == (ValueError, message.format(*first)))
+    with pytest.raises(ValueError, match=f"^{message.format(3, 1)}$"):
+        apply_reduction(G, ("R1", 3, 1))
 
 
 def test_fresh_maps_have_the_faces_of_a_successor_trace():
