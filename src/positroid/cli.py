@@ -181,6 +181,8 @@ def cmd_poset(args):
     if args.n is None:
         raise ValueError("poset needs --covers PERM or --n N (with an optional --k K)")
     k, n = args.k, _check_size(args.n)
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"--k must lie in 0..{n}, not {k}")
     cells = list(permutations.all_decorated_permutations(n, k))
     lines = []
     for pi in sorted(cells, key=lambda p: (-permutations.rank(p), p.perm)):

@@ -182,16 +182,25 @@ def maximal_minor(A, J):
 
 def _row_reduce(rows):
     """Gauss-Jordan in place; returns (rows, pivot column 0-indexed list)."""
+    return _gauss_jordan(rows)[:2]
+
+
+def _gauss_jordan(rows):
+    """_row_reduce, and the product of the pivots signed by the row swaps,
+    which is Delta_I of the input at its pivot columns I when it has full
+    row rank: the pass turns those columns into the identity."""
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
+    pivots, delta, r = [], 1, 0
     for c in range(n):
         pr = next((i for i in range(r, k) if rows[i][c] != 0), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            delta = -delta
         pv = rows[r][c]
+        delta *= pv
         if pv != 1:
             rows[r] = [x / pv for x in rows[r]]
         for i in range(k):
@@ -202,7 +211,7 @@ def _row_reduce(rows):
         r += 1
         if r == k:
             break
-    return rows, pivots
+    return rows, pivots, delta
 
 
 def echelon_form(A):
@@ -212,10 +221,15 @@ def echelon_form(A):
     pivot set I form the identity, and the span of the rows is unchanged.
     Raises on rank-deficient input.
     """
-    rows, pivots = _row_reduce([list(r) for r in A.rows])
+    return _echelon(A)[:2]
+
+
+def _echelon(A):
+    """echelon_form(A) and Delta_I(A), read off the same pass."""
+    rows, pivots, delta = _gauss_jordan([list(r) for r in A.rows])
     if len(pivots) != A.k:
         raise ValueError(f"matrix has rank {len(pivots)} < {A.k}")
-    return RationalMatrix(rows, A.n), tuple(c + 1 for c in pivots)
+    return RationalMatrix(rows, A.n), tuple(c + 1 for c in pivots), delta
 
 
 class PluckerVector:
@@ -272,12 +286,19 @@ class PluckerVector:
 
 
 def plucker_vector(A):
-    """The Plucker embedding of a full-rank matrix: all C(n,k) minors."""
-    B, _ = echelon_form(A)  # rank check; minors taken on A itself
-    del B
+    """The Plucker embedding of a full-rank matrix: all C(n,k) minors, read
+    off its echelon form (B, I).  Delta_J(A) = Delta_I(A) Delta_J(B), and
+    expanding Delta_J(B) along its unit columns, those in I, leaves the
+    determinant on the rows of I - J and the columns of J - I, signed by
+    the positions in J and the rows of the columns in both."""
+    B, I, delta = _echelon(A)
+    row = {c: r for r, c in enumerate(I)}      # the row of B with its 1 in column c
     coords = {}
     for J in combinations(range(1, A.n + 1), A.k):
-        coords[J] = maximal_minor(A, J)
+        sign = (-1) ** sum(p + row[c] for p, c in enumerate(J) if c in row)
+        out = [c - 1 for c in J if c not in row]
+        rows = [r for c, r in row.items() if c not in J]
+        coords[J] = sign * delta * det([[B.rows[r][c] for c in out] for r in rows])
     return PluckerVector(A.k, A.n, coords)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .exactmath import (RationalMatrix, echelon_form, format_rational,
+from .exactmath import (RationalMatrix, _echelon, format_rational,
                         lambda_to_subset, maximal_minor, rational, subset_to_lambda)
 from .network import PlanarDirectedNetwork, boundary_measurement_matrix, measure
 
@@ -403,19 +403,20 @@ def invert_measurement(A):
 
     Total nonnegativity is certified rather than checked minor by minor:
     A = C B for C = A restricted to the columns I, so Delta_J(A) =
-    Delta_I(A) Delta_J(B).  The sweep uses every entry of B and LeTableau
-    checks that the support is a Le-diagram, so B is the measurement of
-    the positively weighted planar network gamma_network(T), hence tnn; a
-    positive Delta_I(A) carries this to A.  If Delta_I(A) <= 0, if the
-    sweep finds no nonnegative filling or if its support is not a
-    Le-diagram, this raises NotTotallyNonnegative carrying
+    Delta_I(A) Delta_J(B), where Delta_I(A) = det C is the product of the
+    echelon pass's pivots, negated once per row swap.  The sweep uses every
+    entry of B and LeTableau checks that the support is a Le-diagram, so B
+    is the measurement of the positively weighted planar network
+    gamma_network(T), hence tnn; a positive Delta_I(A) carries this to A.
+    If Delta_I(A) <= 0, if the sweep finds no nonnegative filling or if its
+    support is not a Le-diagram, this raises NotTotallyNonnegative carrying
     witness_not_tnn(A).
     """
     if not isinstance(A, RationalMatrix):
         A = RationalMatrix(A)
     try:
-        B, pivots = echelon_form(A)
-        if maximal_minor(A, pivots) <= 0:
+        B, pivots, delta = _echelon(A)
+        if delta <= 0:
             raise ValueError(f"Delta_I(A) <= 0 at the pivot set I = {pivots}")
         T = LeTableau(A.k, A.n, subset_to_lambda(pivots, A.n), _peel(B, pivots, A.n))
     except ValueError as ex:

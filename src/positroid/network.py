@@ -31,7 +31,8 @@ by loop erasure, where P_ij is any path from b_i to b_j.  So
 
 and one exact sparse elimination of I - W gives the whole matrix
 (Talaska's flow ratios as determinants, after Speyer's "Variations on a
-theme of Kasteleyn").
+theme of Kasteleyn").  M_ij is subtraction-free in the positive weights
+(Postnikov, Lemma 4.3), so M_ij >= 0 and M_ij = |[(I - W)^-1]_ij|.
 
 All arithmetic is exact, and both routes run on plain integers: the
 elimination keeps each row of W as integer entries over one positive
@@ -48,8 +49,8 @@ from itertools import count
 from math import gcd, lcm, prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import (_cyclic_pairs, _DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids,
-                         parse_disk_text)
+from .planarmaps import (_cyclic_pairs, _DiskGraph, _dual_forest, _reach, _reanchor, _rotation_ids,
+                         fresh_ids, parse_disk_text)
 
 
 class PlanarDirectedNetwork(_DiskGraph):
@@ -267,7 +268,8 @@ def _signed_walk_sums(P, sign):
     W_uv W_vw / (1 - W_vv) to W_uw.  What is left joins sources to sinks
     directly.  Every principal minor of I - W is a positive sum over
     families of disjoint cycles (eps(C) = -1), so no pivot is zero.  The
-    pivot order is Markowitz's: the fewest in- times out-neighbours next.
+    pivot order is Markowitz's: the fewest in- times out-neighbours next,
+    ties to the earliest pushed; a vertex is pushed again when its cost changes.
 
     Each row u of W is held as integer entries a over one denominator
     d_u > 0, starting at the lcm of the row's weight denominators, and
@@ -291,15 +293,18 @@ def _signed_walk_sums(P, sign):
         return (len(into[v]) - (v in into[v])) * (len(out[v]) - (v in out[v]))
 
     tick = count()
-    heap = [(cost(v), next(tick), v) for v in P.internal_vertices()]
+    now = {v: cost(v) for v in P.internal_vertices()}
+    heap = [(c, next(tick), v) for v, c in now.items()]
     heapq.heapify(heap)
     while heap:
         c, _, v = heapq.heappop(heap)
-        if v not in into or c != cost(v):
+        if now.get(v) != c:
             continue
+        del now[v]
         for t in _eliminate(v, out, den, into):
-            if t not in P.boundary:
-                heapq.heappush(heap, (cost(t), next(tick), t))
+            if t in now and now[t] != (c := cost(t)):
+                now[t] = c
+                heapq.heappush(heap, (c, next(tick), t))
     return {i: (den[i], out[i]) for i in P.sources()}
 
 
@@ -353,31 +358,16 @@ def _measurements(net, I):
     Acyclic networks: one path-sum pass per source.  Cyclic ones: one
     Kasteleyn-signed elimination on the split form P of the network, and
     M_ij = eps(P_ij) [(I - W)^-1]_ij for any directed path P_ij from b_i
-    to b_j, found by one search per source; all such paths have one sign.
+    to b_j.  M_ij is subtraction-free in the weights, so never negative,
+    and M_ij = |[(I - W)^-1]_ij| needs no path.
     """
     order = net.topological_order()
     if order is not None:
         arcs = _integer_arcs(net)
         return {i: _path_sums(arcs, order, i) for i in I}
     P = _split_form(net)
-    sign = _kasteleyn_signs(P)
-    walks = _signed_walk_sums(P, sign)
-    steps = {v: [] for v in P.rot}
-    for e, (u, w, _) in P.edges.items():
-        steps[u].append((w, sign[e]))
-    out = {}
-    for i in I:
-        eps = {i: 1}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w, s in steps[v]:
-                if w not in eps:
-                    eps[w] = eps[v] * s
-                    stack.append(w)
-        d, row = walks[i]
-        out[i] = {j: (eps[j] * a, d) for j, a in row.items()}
-    return out
+    walks = _signed_walk_sums(P, _kasteleyn_signs(P))
+    return {i: {j: (abs(a), walks[i][0]) for j, a in walks[i][1].items()} for i in I}
 
 
 def boundary_measurement(net, i, j):
@@ -556,17 +546,12 @@ def _split_form(net, perfect=False):
 
     # components without a boundary vertex, the vertices that no search
     # from the boundary reaches, never touch a boundary path; a cycle can
-    # lose its last boundary contact in the cascade above
-    reached = set(net.boundary)
-    stack = list(reached)
-    while stack:
-        for e, end in rot[stack.pop()]:
-            w = edges[e][1 - end]
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    for v in [v for v in rot if v not in reached]:
-        drop_vertex(v)
+    # lose its last boundary contact in the cascade above, and if that dropped
+    # nothing, only an isolated component of the network holds such vertices
+    if changed or net.isolated_components():
+        reached = _reach(set(net.boundary), rot, edges)
+        for v in [v for v in rot if v not in reached]:
+            drop_vertex(v)
 
     if perfect:
         # merge internal degree-2 vertices; a merge keeps every degree, so

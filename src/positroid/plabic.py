@@ -62,9 +62,6 @@ class PlabicGraph(_DiskGraph):
             raise ValueError("graph has no consistent type")
         return ((s + self.n) // 2, self.n)
 
-    def isolated_components(self):
-        return [c for c in self.components() if not any(v in self.boundary for v in c)]
-
     @cached_property
     def _sites(self):
         """The candidates of the vertex and edge rows of SITE_FINDERS, by row:

@@ -57,6 +57,9 @@ class DiskMap:
     position), and lists them in that order.
     """
 
+    # the components without a boundary vertex that a fresh map's planarity check found
+    _isolated = None
+
     # _stamp is a token of the map.  The maps derived from it keep it as their
     # _base: it stays unique while they hold it, and it does not keep this map
     # alive as a reference to the map would.
@@ -267,12 +270,19 @@ class DiskMap:
         edges, and F the traced faces.  Each component of a rotation system
         has V - E + F = 2 - 2g with genus g >= 0, so the sum over the
         components reaches twice their number exactly when each is planar.
+        The components are walked once over the rotations, the boundary,
+        which the arcs join, as one block, and those without a boundary
+        vertex are kept, singletons included, for isolated_components.
         """
-        b, n = self.boundary, self.n
-        live = [v for v, ds in self._aug_rot.items() if ds]
-        arcs = [(b[i], b[(i + 1) % n]) for i in range(n)]
-        chi = len(live) - len(self.edges) - n + self._count
-        comps = len(components(live, [*self.edges.values(), *arcs]))
+        edges, rot = self.edges, self.rot
+        seen, self._isolated = _reach(set(self.boundary), rot, edges), []
+        for v in rot:
+            if v not in seen:
+                self._isolated.append(_reach({v}, rot, edges))
+                seen |= self._isolated[-1]
+        bare = sum(1 for ds in self._aug_rot.values() if not ds)
+        chi = len(self._aug_rot) - bare - len(edges) - self.n + self._count
+        comps = (self.n > 0) + len(self._isolated) - bare
         if chi != 2 * comps:
             raise ValueError(
                 "rotation system is not a planar disk embedding "
@@ -335,24 +345,17 @@ def _rotation_ids(v, darts):
     return ids[s:] + ids[:s]
 
 
-def components(vertices, pairs):
-    """Connected components, as sets, of the graph on `vertices` with edges `pairs`."""
-    adj = {v: set() for v in vertices}
-    for u, w in pairs:
-        adj[u].add(w)
-        adj[w].add(u)
-    comps, left = [], set(adj)
-    while left:
-        start = left.pop()
-        comp, stack = {start}, [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        left -= comp
-        comps.append(comp)
-    return comps
+def _reach(comp, rot, edges):
+    """The vertex set comp, grown in place by every vertex joined to it in
+    the rotation system rot of edges (eid -> (tail, head, ...))."""
+    stack = list(comp)
+    while stack:
+        for e, end in rot.get(stack.pop(), ()):
+            w = edges[e][1 - end]
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return comp
 
 
 def _dual_forest(faces, face_of=None):
@@ -447,7 +450,21 @@ class _DiskGraph:
         return len(self.rot[v])
 
     def components(self):
-        return components(self.rot, self.map.edges.values())
+        """The connected components, as vertex sets."""
+        comps, left = [], set(self.rot)
+        while left:
+            comps.append(_reach({left.pop()}, self.rot, self.map.edges))
+            left -= comps[-1]
+        return comps
+
+    def isolated_components(self):
+        """The components without a boundary vertex, singletons included:
+        those the planarity check of a fresh map recorded, or on a derived
+        map those found here."""
+        m = self.map
+        if m._isolated is None:
+            m._isolated = [c for c in self.components() if m._at.keys().isdisjoint(c)]
+        return m._isolated
 
     def _shape(self):
         """edges as the map takes them: eid -> (u, w)."""

@@ -25,7 +25,10 @@ the network itself when no vertex alternates in, out, in, out).
 `fraction_walk_sums` and `fraction_path_sums` are the Kasteleyn-signed
 elimination and the acyclic path sums on Fraction entries; they
 cross-check the integer rows of `network._signed_walk_sums` and the
-integer pairs of `network._path_sums`.
+integer pairs of `network._path_sums`.  `path_signs` finds eps(P_ij) by
+one search per source, to check that every nonzero entry of (I - W)^-1
+has the sign of the paths, which `network._measurements` takes for granted
+when it reads M_ij as the entry's absolute value.
 
 Chords and necklaces: `chord_class` names the position of two chords by
 the cyclic order of their four endpoints, `aligned_pair` and
@@ -68,7 +71,8 @@ tableau it cross-checks `lediagram.invert_measurement`, which reads the
 tableau off in one sweep of the hook grid.
 `bruhat_interval_count` counts the u <= w_lambda in S_n, to match the
 Le-diagram counts, and `check_grassmann_plucker` tests every three-term
-Grassmann-Plucker relation of a Plucker vector.  `matroid_of` reads a
+Grassmann-Plucker relation of a Plucker vector, and `plucker_by_minors`
+takes every maximal minor as a determinant of its own.  `matroid_of` reads a
 matrix's matroid off all C(n,k) minors and `necklace_from_matroid` its
 Grassmann necklace off the shifted lex-min bases: the matrix-side route
 to a positroid, beside `plabic.matroid` and `necklace_from_perm`.
@@ -80,7 +84,8 @@ Readers: `two_pass_rational` gates a token with a pattern and then parses
 it again with `Fraction(str)`, to cross-check `exactmath.rational`, which
 builds integers and fractions from its one match.  `planar_by_components`
 runs the Euler check V - E + F = 2 on each component of a map, to
-cross-check `DiskMap.validate_planarity`, which sums over all of them.
+cross-check `DiskMap.validate_planarity`, which sums over all of them;
+`components` finds the components from an edge list.
 
 Small helpers only tests call: `canonical` encodes a plabic graph, ids
 kept, for equality tests, `weights_by_travel` keys face weights by
@@ -98,8 +103,8 @@ from fractions import Fraction
 from itertools import combinations, count, permutations
 from math import comb
 
-from positroid.exactmath import (Matroid, RationalMatrix, _row_reduce, echelon_form, lex_min_base,
-                                 maximal_minor, plucker_vector, subset_to_lambda)
+from positroid.exactmath import (Matroid, PluckerVector, RationalMatrix, _row_reduce, echelon_form,
+                                 lex_min_base, maximal_minor, plucker_vector, subset_to_lambda)
 from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_network, le_count_poly,
                                  le_fills)
 from positroid.network import PlanarDirectedNetwork
@@ -108,7 +113,7 @@ from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, Grassman
 from positroid.plabic import (SITE_FINDERS, PlabicNetwork, _m3r_sites, _split_pair, apply_move,
                               contracted, face_key, face_weights, faces, orientation_sources,
                               perfect_orientation, reduce_graph, reducedness_certificate, trips)
-from positroid.planarmaps import _reanchor, components, fresh_ids
+from positroid.planarmaps import _reanchor, fresh_ids
 
 
 def perfect_orientations(G):
@@ -556,12 +561,14 @@ def fraction_walk_sums(P, sign):
         return (len(into[v]) - (v in into[v])) * (len(out[v]) - (v in out[v]))
 
     tick = count()
-    heap = [(cost(v), next(tick), v) for v in P.internal_vertices()]
+    now = {v: cost(v) for v in P.internal_vertices()}
+    heap = [(c, next(tick), v) for v, c in now.items()]
     heapq.heapify(heap)
     while heap:
         c, _, v = heapq.heappop(heap)
-        if v not in into or c != cost(v):
+        if now.get(v) != c:
             continue
+        del now[v]
         succ, pred = out.pop(v), into.pop(v)
         loop = succ.pop(v, 0)
         pred.discard(v)
@@ -576,9 +583,28 @@ def fraction_walk_sums(P, sign):
                 row[w] = row.get(w, 0) + a * b
                 into[w].add(u)
         for t in pred | succ.keys():
-            if t not in P.boundary:
-                heapq.heappush(heap, (cost(t), next(tick), t))
+            if t in now and now[t] != cost(t):
+                now[t] = cost(t)
+                heapq.heappush(heap, (now[t], next(tick), t))
     return {i: out[i] for i in P.sources()}
+
+
+def path_signs(P, sign, i):
+    """eps(P_ij) for every vertex j that a directed path from b_i reaches in
+    the split form P: the product of the signs along the path that one
+    depth-first search from b_i takes."""
+    steps = {v: [] for v in P.rot}
+    for e, (u, w, _) in P.edges.items():
+        steps[u].append((w, sign[e]))
+    eps = {i: 1}
+    stack = [i]
+    while stack:
+        v = stack.pop()
+        for w, s in steps[v]:
+            if w not in eps:
+                eps[w] = eps[v] * s
+                stack.append(w)
+    return eps
 
 
 def fraction_path_sums(net, order, src):
@@ -1340,6 +1366,14 @@ def check_grassmann_plucker(p):
     return True
 
 
+def plucker_by_minors(A):
+    """The Plucker vector of a full-rank A, one determinant per maximal
+    minor, to cross-check `exactmath.plucker_vector`, which reads them off
+    the echelon form."""
+    echelon_form(A)     # the rank check
+    return PluckerVector(A.k, A.n, {J: maximal_minor(A, J) for J in combinations(range(1, A.n + 1), A.k)})
+
+
 def matroid_of(A):
     """Matroid of column dependencies: bases are subsets with Delta != 0."""
     return Matroid(A.k, A.n, plucker_vector(A).support())
@@ -1436,6 +1470,27 @@ def two_pass_rational(x):
         except ZeroDivisionError:
             pass
     raise ValueError(f"{x!r} is not a rational number")
+
+
+def components(vertices, pairs):
+    """Connected components, as sets, of the graph on `vertices` with edges
+    `pairs`, to cross-check the rotation walks of `planarmaps._reach`."""
+    adj = {v: set() for v in vertices}
+    for u, w in pairs:
+        adj[u].add(w)
+        adj[w].add(u)
+    comps, left = [], set(adj)
+    while left:
+        start = left.pop()
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        left -= comp
+        comps.append(comp)
+    return comps
 
 
 def planar_by_components(dmap):

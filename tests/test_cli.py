@@ -505,6 +505,19 @@ def test_poset_without_n_exit_1(capsys):
     assert err.startswith("error: poset needs") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, k", [(3, 9), (3, -1), (0, 1), (3, 4)])
+def test_poset_k_outside_0_to_n_exit_1(capsys, n, k):
+    code, out, err = run(capsys, "poset", "--n", str(n), "--k", str(k))
+    assert (code, out) == (1, "")
+    assert err == f"error: --k must lie in 0..{n}, not {k}\n"
+
+
+def test_poset_k_at_the_ends_of_0_to_n(capsys):
+    for k, count in ((0, 1), (3, 1)):
+        code, out, _ = run(capsys, "poset", "--n", "3", "--k", str(k), "--json")
+        assert code == 0 and json.loads(out)["count"] == count
+
+
 def test_network_degree_two_vertex_needs_no_vertex_line(capsys, tmp_path):
     f = tmp_path / "net.txt"
     f.write_text("n 2\nsources 1\nedge 1 : 1 3 2\nedge 2 : 3 2 3/4\n")

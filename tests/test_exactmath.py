@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,6 +94,66 @@ def test_echelon_projectively_equal_pluckers():
         except ValueError:
             continue
         assert plucker_vector(A).projectively_equal(plucker_vector(B))
+
+
+def _sparse_matrix(r, k, n):
+    """Entries a/b with |a| <= 9, b <= 5, zero four times in ten, so the
+    echelon pass swaps rows and some matrices lose rank."""
+    return RationalMatrix([[0 if r.random() < 0.4 else Fraction(r.randint(-9, 9), r.randint(1, 5))
+                            for _ in range(n)] for _ in range(k)], n)
+
+
+def _tnn_matrix(r, k, n):
+    """g B for the matrix B of a random Le-tableau and a random k x k g with
+    det g > 0: totally nonnegative, and rarely in echelon form."""
+    from helpers import random_le_data
+    from positroid.lediagram import tableau_matrix
+    B = tableau_matrix(random_le_data(r, k, n)[1])
+    g = _sparse_matrix(r, k, k)
+    while det(g) <= 0:
+        g = _sparse_matrix(r, k, k)
+    return RationalMatrix([[sum(g[i, t] * B[t, j] for t in range(k)) for j in range(n)]
+                           for i in range(k)])
+
+
+def _mixed_matrices(seed, count):
+    r = random.Random(seed)
+    for t in range(count):
+        k = r.randint(0, 4)
+        n = r.randint(max(k, 1), 7)
+        yield _tnn_matrix(r, k, n) if t % 2 and k else _sparse_matrix(r, k, n)
+
+
+def test_delta_I_is_the_signed_pivot_product():
+    """Delta_I(A) at the pivot set I, read off the echelon pass, against
+    maximal_minor on random matrices, totally nonnegative or not."""
+    from positroid.exactmath import _echelon
+    seen = Counter()
+    for A in _mixed_matrices(4242, 2000):
+        try:
+            B, I, delta = _echelon(A)
+        except ValueError:
+            seen["rank deficient"] += 1
+            continue
+        assert (B, I) == echelon_form(A)
+        assert delta == maximal_minor(A, I)
+        seen["tnn" if is_tnn(A) else "negative" if delta < 0 else "other"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_plucker_vector_equals_one_determinant_per_minor():
+    from oracles import plucker_by_minors
+    full = 0
+    for A in _mixed_matrices(4343, 600):
+        try:
+            want = plucker_by_minors(A)
+        except ValueError as ex:
+            with pytest.raises(ValueError, match=f"^{ex}$"):
+                plucker_vector(A)
+            continue
+        assert plucker_vector(A) == want
+        full += 1
+    assert full >= 300
 
 
 def test_plucker_padded_identity():

@@ -796,6 +796,44 @@ def test_kasteleyn_signs_make_cycles_negative_and_paths_agree():
                 assert len({eps(p) for p in _simple_paths(P, i, j)}) <= 1
 
 
+def test_cyclic_entry_signs_match_path_signs():
+    """sign([(I - W)^-1]_ij) = eps(P_ij) at every nonzero entry, so
+    M_ij = |[(I - W)^-1]_ij|: on Manhattan grids, on the networks the
+    exhaustive oracle checks and on split forms of networks with an
+    alternating vertex."""
+    from oracles import path_signs
+    from positroid.network import _kasteleyn_signs, _signed_walk_sums, _split_form
+    local = random.Random(545)
+    nets, alternating = [], 0
+    for L, M in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]:
+        grids = 0
+        while grids < 4:
+            east = tuple(local.random() < 0.5 for _ in range(L))
+            north = tuple(local.random() < 0.5 for _ in range(M))
+            net = manhattan_grid(local, L, M, east, north)
+            if not net.is_acyclic():
+                nets.append(net)
+                grids += 1
+    nets += _oracle_corpus()
+    while alternating < 30:
+        net = random_grid_network(local, n=local.randint(2, 6), w=local.randint(2, 4),
+                                  h=local.randint(2, 3), max_internal=10, require_cycle=True)
+        if net is not None and has_alternating_vertex(net):
+            nets.append(net)
+            alternating += 1
+    signs = {1: 0, -1: 0}
+    for net in nets:
+        P = _split_form(net)
+        sign = _kasteleyn_signs(P)
+        for i, (_, row) in _signed_walk_sums(P, sign).items():
+            eps = path_signs(P, sign, i)
+            for j, a in row.items():
+                if a:
+                    assert (a > 0) == (eps[j] > 0), (net.to_text(), i, j)
+                    signs[eps[j]] += 1
+    assert min(signs.values()) >= 100, signs
+
+
 def test_one_flipped_sign_breaks_the_matrix(monkeypatch):
     """Mutation check: flip eps on one edge of a directed cycle."""
     import positroid.network as network

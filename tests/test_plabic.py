@@ -8,10 +8,10 @@ import pytest
 
 from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_le_data,
                      random_plabic_network, random_rational, reweight)
-from oracles import (canonical, check_faces, delete_edge, glue_bends_stepwise, le_network,
-                     minimal_permutation, necklace_from_matroid, path_matroid, perfect_gamma,
-                     perfect_orientations, planar_by_components, reduce_one_r1_at_a_time,
-                     removable_edges)
+from oracles import (canonical, check_faces, components, delete_edge, glue_bends_stepwise,
+                     le_network, minimal_permutation, necklace_from_matroid, path_matroid,
+                     perfect_gamma, perfect_orientations, planar_by_components,
+                     reduce_one_r1_at_a_time, removable_edges)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
@@ -760,6 +760,10 @@ def rewrite_oracle(monkeypatch):
         gone, came = m.face_changes(G.map)
         if (set(map(_cycle, gone)), set(map(_cycle, came))) != (before - after, after - before):
             pytest.fail(f"the faces {caller} recorded as left and arrived are not the changed ones")
+        if not ({frozenset(c) for c in fresh.map._isolated} == _isolated_by_filter(f)
+                == {frozenset(c) for c in H.isolated_components()}):
+            pytest.fail(f"the isolated components of a fresh build or of the graph {caller} "
+                        "derived are not the components without a boundary vertex")
         for kept in ("_sites",):
             if kept in H.__dict__:
                 callers[kept] += 1
@@ -1055,6 +1059,49 @@ def test_planarity_is_one_euler_sum_over_the_components(monkeypatch):
                                          r"\(V - E \+ F = 2 over 2 components\)$"):
         DiskMap((1, 2), {1: (1, 2), 2: (3, 3), 3: (3, 3)},
                 {1: ((1, 0),), 2: ((1, 1),), 3: ((2, 0), (3, 0), (2, 1), (3, 1))})
+
+
+def _isolated_by_filter(dmap):
+    """The components of the map's graph without a boundary vertex, by the
+    components() filter."""
+    return {frozenset(c) for c in components(dmap.rot, dmap.edges.values())
+            if dmap._at.keys().isdisjoint(c)}
+
+
+def test_recorded_isolated_components_are_the_filtered_components():
+    """The components a fresh map's planarity check records are those
+    without a boundary vertex, singletons included; a derived map has no
+    record and finds them when asked."""
+    r, isolated = random.Random(2003), Counter()
+    for _ in range(4000):
+        n, edges, rot = _random_rotation_system(r)
+        try:
+            dmap = DiskMap(range(1, n + 1), edges, rot)
+        except ValueError:
+            continue
+        want = _isolated_by_filter(dmap)
+        assert {frozenset(c) for c in dmap._isolated} == want
+        assert len(dmap._isolated) == len(want)
+        isolated[min(len(want), 2), n == 0] += 1
+    assert min(isolated.values()) >= 50, isolated
+    hand = {        # graph -> the isolated components as (vertex count, edge count)
+        "singleton": (PlabicGraph(2, {3: BLACK, 4: WHITE}, {1: (1, 2)}), [(1, 0), (1, 0)]),
+        "tree": (PlabicGraph(2, {3: BLACK, 4: WHITE, 5: BLACK},
+                             {1: (1, 2), 2: (3, 4), 3: (4, 5)}), [(3, 2)]),
+        "cycle": (PlabicGraph(1, {2: BLACK, 3: WHITE, 4: BLACK, 5: WHITE},
+                              {1: (1, 2), 2: (3, 4), 3: (4, 5), 4: (5, 3)},
+                              rot_ids={2: [1], 3: [2, 4], 4: [3, 2], 5: [4, 3]}), [(3, 3)]),
+        "n = 0": (PlabicGraph(0, {1: BLACK, 2: WHITE, 3: WHITE}, {1: (1, 2), 2: (2, 1)}),
+                  [(1, 0), (2, 2)]),
+    }
+    for name, (G, shapes) in hand.items():
+        got = G.isolated_components()
+        assert {frozenset(c) for c in got} == _isolated_by_filter(G.map), name
+        assert sorted((len(c), sum(u in c for u, _ in G.edges.values())) for c in got) == shapes, name
+    G = hand["tree"][0]         # cut the tree's edge 4 - 5
+    H = G.replace((4, 5), edges={1: (1, 2), 2: (3, 4)}, rot={**G.rot, 4: ((2, 1),), 5: ()})
+    assert H.map._isolated is None
+    assert {frozenset(c) for c in H.isolated_components()} == {frozenset((3, 4)), frozenset((5,))}
 
 
 @pytest.mark.parametrize("rot, message", [
