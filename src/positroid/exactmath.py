@@ -161,13 +161,13 @@ def det(matrix):
     if any(len(r) != m for r in rows):
         raise ValueError("determinant of a non-square matrix")
     # clear denominators row by row, run integer Bareiss, divide back
-    scale = Fraction(1)
+    scale = 1
     int_rows = []
     for r in rows:
         d = lcm(*(x.denominator for x in r))
         scale *= d
-        int_rows.append([int(x * d) for x in r])
-    return Fraction(_det_bareiss(int_rows)) / scale
+        int_rows.append([x.numerator * (d // x.denominator) for x in r])
+    return Fraction(_det_bareiss(int_rows), scale)
 
 
 def maximal_minor(A, J):

@@ -146,7 +146,7 @@ class PlanarDirectedNetwork(_DiskGraph):
 
     def to_text(self):
         lines = [f"n {self.n}", "sources " + " ".join(str(i) for i in sorted(self.sources()))]
-        for v in sorted(self.rot, key=lambda x: (isinstance(x, str), x)):
+        for v in sorted(self.rot):
             if len(self.rot[v]) <= 1 and v in self.boundary:
                 continue
             kind = "boundary" if v in self.boundary else "internal"

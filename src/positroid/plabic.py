@@ -17,7 +17,7 @@ trip permutation, the complete move invariant of reduced graphs.
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, filterfalse, islice
+from itertools import combinations, islice
 from math import prod
 
 from .exactmath import Matroid, format_rational, rational
@@ -443,7 +443,7 @@ def trips(G):
                 break
             cur = _trip_step(G, cur)
     round_trips = []
-    for v in sorted(G.rot, key=str):
+    for v in sorted(G.rot):
         for dart in G.rot[v]:
             if dart in used:
                 continue
@@ -551,22 +551,25 @@ def glue_bends(G):
     """(M3) remove every bend, an internal degree-2 vertex on two edges, as one rewrite.
 
     The bends leave one at a time, each at the first site of the M3r row
-    (_bend_order) and with the ids remove_vertex gives, but on plain dicts:
-    only the result is built.  Returns the new graph, the renaming {old
-    dart: new dart} of G's darts on glued edges that survive, and the bends
-    in the order they left.
+    (by id) and with the ids remove_vertex gives, but on plain dicts: only
+    the result is built.  No glue makes a bend, so one pass over G's bends
+    by id takes them in that order.  Returns the new graph, the renaming
+    {old dart: new dart} of G's darts on glued edges that survive, and the
+    bends in the order they left.
     """
     bends = set(G._sites["M3r"])
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    at, ids = G.map._at, fresh_ids(edges)
+    ids = fresh_ids(edges)
     order, changed, origin = [], set(), {}      # origin: current dart -> G's dart
-    while bends:
-        v = next(_bend_order(bends, rot, at))
+    for v in sorted(bends):
+        if v not in bends:
+            continue
         a, b, step = _glue(rot, edges, col, v, next(ids))
         for old, new in step.items():
             origin[new] = origin.pop(old, old)
         # a far end keeps its degree, so it stays a bend unless both edges went to it
-        bends.difference_update((v, a) if a == b else (v,))
+        if a == b:
+            bends.discard(a)
         order.append(v)
         changed.update((v, a, b))
     H = G.replace(changed, col=col, edges=edges, rot=rot)
@@ -646,7 +649,7 @@ def reducedness_certificate(G):
     if G.isolated_components():
         return False, "isolated component"
     H = contracted(G)
-    leaf = next(_leaf_sites(H), None)
+    leaf = min(H._sites["leaf"], default=None)
     if leaf is not None:
         return False, f"internal leaf at vertex {leaf} (leaf reduction applies)"
     T = trips(H)
@@ -1058,11 +1061,6 @@ def apply_site(x, site):
     return (apply_move if site[0][0] == "M" else apply_reduction)(x, site)
 
 
-def singletons(G):
-    """Internal vertices without darts, in str order."""
-    return sorted(G._sites["singleton"], key=str)
-
-
 def remove_singleton(G, v):
     rot, col = G.rot.copy(), G.col.copy()
     del rot[v], col[v]
@@ -1100,33 +1098,14 @@ def _index_sites(G, sites, vertices, edges):
             sites["M2"].add(e)
 
 
-def _m3r_sites(G):
-    """Internal degree-2 vertices on two distinct edges, in _bend_order."""
-    return _bend_order(G._sites["M3r"], G.rot, G.map._at)
-
-
-def _bend_order(bends, rot, boundary):
-    """The bends, internal vertices of the rotations rot, in the order the M3r
-    row takes them: that of the frozenset of the internal vertices, as
-    internal_vertices() builds it, which is only built when there are two."""
-    if len(bends) < 2:
-        return iter(bends)
-    return filter(bends.__contains__, frozenset(filterfalse(boundary.__contains__, rot)))
-
-
-def _m2_sites(G):
-    """Unicolored edges by id."""
-    return iter(sorted(G._sites["M2"]))
+def _by_id(row):
+    """The finder of a row that PlabicGraph._sites keeps: its candidates by id."""
+    return lambda G: sorted(G._sites[row])
 
 
 def _loop_sites(G):
     """Loops whose two darts are rotation neighbours, so nothing hangs inside them."""
     return (e for e in sorted(G._sites["loop"]) if _split_pair(G, G.edges[e][0], (e,)))
-
-
-def _leaf_sites(G):
-    """Internal leaves whose neighbor is internal, in str order."""
-    return iter(sorted(G._sites["leaf"], key=str))
 
 
 def _split_pair(G, v, es):
@@ -1144,7 +1123,7 @@ def _bigon_step(G, darts, run):
     # there and, in the same rewrite, at the bigons one R1 at a time would
     # take next; the trace names each of them
     es = {e for e, _ in darts}
-    for v in sorted(set(G.edges[min(es)]), key=str):
+    for v in sorted(set(G.edges[min(es)])):
         if G.degree(v) > 3:
             G = run(_split_pair(G, v, es))
     bigons = bigon_faces(G)
@@ -1199,12 +1178,12 @@ def _leaf_step(G, leaf, run):
 # or remove_bigons's, with the face weights carried by the renaming and f(the
 # network), _transfer_weights's adjust.  Every composite shrinks _size.
 SITE_FINDERS = {
-    "singleton": (singletons, lambda G, v, run: run(("singleton", v))),
-    "M3r": (_m3r_sites, _glue_step),
+    "singleton": (_by_id("singleton"), lambda G, v, run: run(("singleton", v))),
+    "M3r": (_by_id("M3r"), _glue_step),
     "bigon": (bigon_faces, _bigon_step),
-    "M2": (_m2_sites, lambda G, e, run: run(("M2", e))),
+    "M2": (_by_id("M2"), lambda G, e, run: run(("M2", e))),
     "loop": (_loop_sites, _loop_step),
-    "leaf": (_leaf_sites, _leaf_step),
+    "leaf": (_by_id("leaf"), _leaf_step),
 }
 
 def _size(G):
@@ -1254,7 +1233,7 @@ def _reduce_directly(x, rows, trace):
 def move_sites(G):
     """The sites of M1, M2, M3r and R1; M2 lists every unicolored edge."""
     return {"M1": square_faces(G),
-            "M2": list(_m2_sites(G)),
+            "M2": sorted(G._sites["M2"]),
             "M3r": sorted(G._sites["M3r"]),
             "R1": parallel_pairs(G)}
 
@@ -1368,10 +1347,8 @@ def graph_from_le(D):
     The ids, which `perm2graph` prints, are kept stable by one rule: the
     hook network's ids are those of `lediagram.gamma_network`, and the new
     ids count up from two above the largest of them (one id is skipped).
-    The split crossings draw a half and then an edge each, in the
-    iteration order of the hook network's `internal_vertices()` frozenset,
-    which is not always increasing id order, and the empty boundary
-    vertices a leaf and then an edge each, from 1 to n.
+    The split crossings draw a half and then an edge each, by id, and the
+    empty boundary vertices a leaf and then an edge each, from 1 to n.
     """
     return _le_graph(diagram_to_tableau(D))[0]
 
@@ -1402,8 +1379,8 @@ def _le_graph(T):
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     fresh = ids.__next__
 
-    for v in frozenset(v for v in rot if v not in boundary):  # internal_vertices() order
-        if len(rot[v]) == 4:
+    for v in sorted(rot):
+        if len(rot[v]) == 4:        # a crossing: a boundary vertex has at most one edge
             dn, de, ds, dw = rot[v]
             v2, ep = fresh(), fresh()
             edges[ep] = (v, v2, Fraction(1))
@@ -1422,8 +1399,7 @@ def _le_graph(T):
     outs = {}
     for u, _, _ in edges.values():
         outs[u] = outs.get(u, 0) + 1
-    col = {v: BLACK if outs.get(v) == 1 else WHITE       # in internal_vertices() order
-           for v in frozenset(v for v in rot if v not in boundary)}
+    col = {v: BLACK if outs.get(v) == 1 else WHITE for v in rot if v not in boundary}
     G = PlabicGraph(n, col, {e: (u, w) for e, (u, w, _) in edges.items()}, rot=rot)
     return G, {e: x for e, (_, _, x) in edges.items()}
 
@@ -1439,7 +1415,7 @@ def export_dot(x):
     lines = ["graph plabic {"]
     for i in range(1, G.n + 1):
         lines.append(f'  b{i} [shape=plaintext, label="b{i}"];')
-    for v in sorted(G.internal_vertices(), key=str):
+    for v in sorted(G.internal_vertices()):
         fill = "black" if G.col[v] == BLACK else "white"
         lines.append(f'  v{v} [shape=circle, style=filled, fillcolor={fill}, label=""];')
 

@@ -8,7 +8,11 @@ and left/right sides of an edge are all well defined without coordinates.
 
 Darts.  An edge e = (tail, head) has two darts: (e, 0) anchored at the
 tail and (e, 1) anchored at the head.  A dart travels from its anchor to
-the opposite end.  With clockwise rotations, the orbit rule
+the opposite end.  Edge ids are nonnegative integers, and the boundary
+arc ~i = -i - 1, which runs b_i -> b_{i+1}, has the darts (~i, 0) and
+(~i, 1): every dart is a pair of integers, and a dart is an arc's
+exactly when its first entry is negative.  With clockwise rotations, the
+orbit rule
 
     next(d) = clockwise successor of rev(d) at the vertex d travels to
 
@@ -16,7 +20,9 @@ walks every face keeping that face on the LEFT of the travel direction.
 Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
 DiskMap walks it with one tracer, for a fresh map and for one derived
 from a rewrite alike, finding each successor in a vertex's rotation, and
-keeps the faces as traced, in no fixed order.  A fresh map is planar when
+keeps the faces as traced, in no fixed order.  The one order the library
+puts faces in is that of faces_of_length: each small face started at its
+least dart, the faces by those darts.  A fresh map is planar when
 one Euler sum over the whole map gives V - E + F = 2 per component: no
 component of a rotation system exceeds 2, so none can make up for another
 (Mohar and Thomassen, Graphs on Surfaces, 2001, sections 3-4).
@@ -29,7 +35,6 @@ tokenizer of their text formats.
 
 from functools import cached_property, lru_cache
 from itertools import chain, count, filterfalse
-from operator import itemgetter
 
 # DiskMap.faces_of_length serves faces of at most this many darts
 SMALL = 4
@@ -44,7 +49,8 @@ class DiskMap:
     """Rotation-system embedding of a graph with n boundary vertices.
 
     boundary: tuple of vertex ids b_1..b_n in clockwise order.
-    edges: dict eid -> (tail, head).  eids must be integers.
+    edges: dict eid -> (tail, head).  eids must be nonnegative integers:
+          the negative ones name the boundary arcs.
     rot: dict vertex -> tuple of darts anchored there, clockwise as drawn.
           Every dart of every edge must appear exactly once.
 
@@ -53,8 +59,7 @@ class DiskMap:
     traced: orbit(d) gives the face of d from whichever dart it was traced,
     and faces() and inner_faces() list them in no fixed order.  Only
     faces_of_length, which the rewriting engine walks for sites, starts
-    each face at its least dart by _key, (str of its vertex, rotation
-    position), and lists them in that order.
+    each face at its least dart and lists them in the order of those darts.
     """
 
     # the components without a boundary vertex that a fresh map's planarity check found
@@ -153,6 +158,8 @@ class DiskMap:
 
     def _check_rotations(self):
         edges, seen = self.edges, set()
+        if min(edges, default=0) < 0:
+            raise ValueError(f"edge id {min(edges)} is negative; negative ids name the boundary arcs")
         for v, ds in self.rot.items():
             for d in ds:
                 e, end = d
@@ -179,7 +186,7 @@ class DiskMap:
         i = self._at.get(v)
         if i is None:
             return ds
-        return ((("arc", i), 0), *ds, (("arc", (i - 1) % self.n), 1))
+        return ((~i, 0), *ds, (~((i - 1) % self.n), 1))
 
     # -- face tracing ---------------------------------------------------------
 
@@ -198,8 +205,8 @@ class DiskMap:
             while True:
                 orbit.append(cur)
                 e, end = cur
-                if isinstance(e, tuple):        # arc e[1] runs b_j -> b_{j+1}
-                    ds = aug[b[(e[1] + 1 - end) % n]]
+                if e < 0:           # the arc ~j runs b_j -> b_{j+1}
+                    ds = aug[b[(~e + 1 - end) % n]]
                 else:
                     ds = aug[edges[e][1 - end]]
                 i = ds.index((e, 1 - end)) + 1
@@ -211,17 +218,6 @@ class DiskMap:
                 face_of[d] = orbit
             traced.append(orbit)
         return traced
-
-    def _key(self, dart):
-        """Where faces_of_length starts a face: (str of the dart's vertex, rotation position)."""
-        e, end = dart
-        v = self.boundary[(e[1] + end) % self.n] if isinstance(e, tuple) else self.edges[e][end]
-        return (str(v), self._aug_rot[v].index(dart))
-
-    def _started(self, orbit):
-        """The orbit started at its least dart by _key, and that key."""
-        key, i = min((self._key(d), i) for i, d in enumerate(orbit))
-        return (orbit[i:] + orbit[:i] if i else orbit), key
 
     def faces(self):
         """Every face once, as orbit() gives it, in no fixed order: each is
@@ -245,11 +241,15 @@ class DiskMap:
 
     def faces_of_length(self, k):
         """The faces of k <= SMALL darts and no boundary arc, each started at
-        its least dart by _key, in the order of those keys."""
+        its least dart, in the order of those darts."""
         if k > SMALL:
             raise ValueError(f"only faces of at most {SMALL} darts are indexed")
-        placed = sorted((self._started(f) for f in self._small if len(f) == k), key=itemgetter(1))
-        return tuple(orbit for orbit, _ in placed)
+        placed = []
+        for f in self._small:
+            if len(f) == k:
+                i = f.index(min(f))
+                placed.append(f[i:] + f[:i])
+        return tuple(sorted(placed))
 
     def orbit(self, dart):
         """The face on the left of the dart, as its orbit (from any of its darts)."""
@@ -258,7 +258,7 @@ class DiskMap:
     def inner_faces(self):
         """Every face but the outer one, boundary arcs dropped, in no fixed
         order; each face's darts come in their cyclic order."""
-        outer = self._face_of.get((("arc", 0), 0))
+        outer = self._face_of.get((~0, 0))
         return [self._inside(f) for f in self.faces() if f is not outer]
 
     # -- validation ------------------------------------------------------------
@@ -292,7 +292,7 @@ class DiskMap:
 @lru_cache(maxsize=None)
 def _arc_darts(n):
     """The darts of the boundary arcs of a disk with n boundary vertices."""
-    return frozenset((("arc", i), end) for i in range(n) for end in (0, 1))
+    return frozenset((~i, end) for i in range(n) for end in (0, 1))
 
 
 def _cyclic_pairs(ds):
@@ -381,7 +381,7 @@ def _dual_forest(faces, face_of=None):
         queue = [root]
         for f in queue:
             for e, end in faces[f]:
-                if isinstance(e, tuple):
+                if e < 0:
                     continue            # a boundary arc
                 dart = (e, 1 - end)
                 g = index[id(face_of[dart])]

@@ -284,8 +284,8 @@ def chord_graph(rng, n, chords):
     for _ in range(chords):
         # the inner faces in successor_faces order, which fixes the corpus:
         # plabic.faces(G) is in no fixed order
-        inner = [tuple(d for d in f if isinstance(d[0], int))
-                 for f in successor_faces(G.map) if (("arc", 0), 0) not in f]
+        inner = [tuple(d for d in f if d[0] >= 0)
+                 for f in successor_faces(G.map) if (~0, 0) not in f]
         face = rng.choice([f for f in inner if len({e for e, _ in f}) >= 2])
         d1 = rng.choice(face)
         d2 = rng.choice([d for d in face if d[0] != d1[0]])

@@ -88,7 +88,8 @@ cross-check `DiskMap.validate_planarity`, which sums over all of them;
 `components` finds the components from an edge list.
 
 Small helpers only tests call: `canonical` encodes a plabic graph, ids
-kept, for equality tests, `weights_by_travel` keys face weights by
+kept, for equality tests, `singletons` lists its internal vertices
+without darts by id, `weights_by_travel` keys face weights by
 travel pairs, `count_le_diagrams` and `enumerate_le_diagrams` count and
 list the Le-diagrams of a shape, `total_cells` is the recursion for the
 number of cells, `inversions` counts inversions and
@@ -110,7 +111,7 @@ from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_n
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
-from positroid.plabic import (SITE_FINDERS, PlabicNetwork, _m3r_sites, _split_pair, apply_move,
+from positroid.plabic import (SITE_FINDERS, PlabicNetwork, _split_pair, apply_move,
                               contracted, face_key, face_weights, faces, orientation_sources,
                               perfect_orientation, reduce_graph, reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, fresh_ids
@@ -306,12 +307,12 @@ def cycle_orientation(dmap, cycle_eids):
 
     cycle = set(cycle_eids)
     darts = [(e, 0) for e in dmap.edges if e not in cycle]
-    for d in darts + [(("arc", i), 0) for i in range(dmap.n)]:
+    for d in darts + [(~i, 0) for i in range(dmap.n)]:
         left, right = find(d), find((d[0], 1 - d[1]))
         if left != right:
             parent[left] = right
     right = find((next(iter(cycle_eids)), 1))
-    return 1 if right == find((("arc", 0), 0)) else -1
+    return 1 if right == find((~0, 0)) else -1
 
 
 def successor_faces(dmap):
@@ -323,11 +324,14 @@ def successor_faces(dmap):
     a face starts the next one, walked by next(d) = succ[rev(d)], the
     clockwise successor of the reversed dart.  So each face starts at its
     least dart by (str of its vertex, rotation position), in that order.
+    This str-ordered walk is not the library's order (faces_of_length
+    starts each face at its least dart and sorts by it); it now only fixes
+    the chord corpus that helpers.chord_graph draws.
     """
     n, at = dmap.n, {b: i for i, b in enumerate(dmap.boundary)}
     rot = {v: dmap.rot.get(v, ()) for v in (*dmap.rot, *dmap.boundary)}
     for b, i in at.items():
-        rot[b] = ((("arc", i), 0), *rot[b], (("arc", (i - 1) % n), 1))
+        rot[b] = ((~i, 0), *rot[b], (~((i - 1) % n), 1))
     succ = {d: ds[(j + 1) % len(ds)] for ds in rot.values() for j, d in enumerate(ds)}
     faces, seen = [], set()
     for v in sorted(rot, key=str):
@@ -352,15 +356,16 @@ def _cycles(faces):
 def check_faces(dmap):
     """Assert that the faces, inner faces and face count of a DiskMap are
     the dart cycles successor_faces traces, and that its small faces are
-    those faces, in their order."""
+    those faces, each started at its least dart, in the order of those darts."""
     faces = successor_faces(dmap)
-    arcs = {d for f in faces for d in f if isinstance(d[0], tuple)}
-    inner = [tuple(d for d in f if d not in arcs) for f in faces if (("arc", 0), 0) not in f]
+    arcs = {d for f in faces for d in f if d[0] < 0}
+    inner = [tuple(d for d in f if d not in arcs) for f in faces if (~0, 0) not in f]
     assert _cycles(dmap.faces()) == _cycles(faces)
     assert _cycles(dmap.inner_faces()) == _cycles(inner)
     assert dmap.face_count() == len(faces)
+    small = [f[f.index(min(f)):] + f[:f.index(min(f))] for f in faces if arcs.isdisjoint(f)]
     for k in range(1, 5):
-        assert dmap.faces_of_length(k) == tuple(f for f in faces if len(f) == k and arcs.isdisjoint(f))
+        assert dmap.faces_of_length(k) == tuple(sorted(f for f in small if len(f) == k))
 
 
 class Walk:
@@ -716,13 +721,18 @@ def trip_through(T, dart):
     raise KeyError(dart)
 
 
+def singletons(G):
+    """The internal vertices without darts of a plabic graph, by id."""
+    return sorted(G._sites["singleton"])
+
+
 def canonical(G):
     """A hashable encoding of a plabic graph, ids kept: equal exactly when the
     graphs have the same colours, edges and rotations."""
     return (G.n,
             tuple(sorted(G.col.items())),
             tuple(sorted((e, min(uw), max(uw)) for e, uw in G.edges.items())),
-            tuple(sorted((v, G.rot[v]) for v in G.rot if not isinstance(v, tuple))))
+            tuple(sorted(G.rot.items())))
 
 
 def removable_edges(G):
@@ -797,8 +807,8 @@ def delete_edge(G, e, boundary_color=None):
 def glue_bends_stepwise(x):
     """apply_move(x, ("M3r", v)) at the first site v of the M3r row until none
     is left; x a graph or a network.  Returns the result and the sites' vertices."""
-    order = []
-    while (v := next(_m3r_sites(x.graph if isinstance(x, PlabicNetwork) else x), None)) is not None:
+    order, first = [], SITE_FINDERS["M3r"][0]
+    while (v := next(iter(first(x.graph if isinstance(x, PlabicNetwork) else x)), None)) is not None:
         x = apply_move(x, ("M3r", v))
         order.append(v)
     return x, order
@@ -808,7 +818,7 @@ def bigon_step_one_r1(G, darts, run):
     """The bigon row's step with one R1 per step: an M2u split of the bigon's
     darts off each endpoint of degree above 3, then R1 there."""
     es = {e for e, _ in darts}
-    for v in sorted(set(G.edges[min(es)]), key=str):
+    for v in sorted(set(G.edges[min(es)])):
         if G.degree(v) > 3:
             G = run(_split_pair(G, v, es))
     run(("R1", min(es), max(es)))
@@ -895,7 +905,7 @@ def perfect_gamma(net):
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     fresh = ids.__next__
 
-    for v in list(net.internal_vertices()):
+    for v in sorted(net.internal_vertices()):
         if len(rot[v]) == 4:
             # clockwise order [N-in, E-in, S-out, W-out]; black keeps {N, E}
             dn, de, ds_, dw = rot[v]

@@ -300,10 +300,19 @@ def test_phi_minor_correspondence():
 
 
 def test_bareiss_det_matches_fraction_gauss():
-    for m in range(1, 5):
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-                for _ in range(m)]
-        assert det(rows) == det_cofactor(rows)
+    # eight matrices per size, denominators up to 50, each also with a zero row and with two equal rows
+    r = random.Random(5)
+    for m in range(6):
+        for _ in range(8):
+            rows = [[Fraction(r.randint(-9, 9), r.randint(1, 50)) for _ in range(m)] for _ in range(m)]
+            assert det(rows) == det_cofactor(rows)
+            for i in range(m):
+                zero = rows[:i] + [[Fraction(0)] * m] + rows[i + 1:]
+                assert det(zero) == det_cofactor(zero) == 0
+            if m > 1:
+                i, j = r.sample(range(m), 2)
+                equal = [rows[i] if t == j else row for t, row in enumerate(rows)]
+                assert det(equal) == det_cofactor(equal) == 0
 
 
 def _outcome(read, token):

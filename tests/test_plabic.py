@@ -11,11 +11,11 @@ from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, ran
 from oracles import (canonical, check_faces, components, delete_edge, glue_bends_stepwise,
                      le_network, minimal_permutation, necklace_from_matroid, path_matroid,
                      perfect_gamma, perfect_orientations, planar_by_components,
-                     reduce_one_r1_at_a_time, removable_edges)
+                     reduce_one_r1_at_a_time, removable_edges, singletons)
 from positroid import plabic
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
-from positroid.network import measure
+from positroid.network import PlanarDirectedNetwork, measure
 from positroid.planarmaps import DiskMap, _DiskGraph, _cyclic_pairs
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
@@ -28,8 +28,7 @@ from positroid.plabic import (SITE_FINDERS, NotPerfectlyOrientable, PlabicGraph,
                               graph_from_le, graph_from_perm, is_reduced,
                               matroid, measure_plabic, necklace, network_from_le,
                               parallel_pairs, perfect_orientation, reduce_graph,
-                              reducedness_certificate,
-                              singletons, square_faces, trip_permutation, trips)
+                              reducedness_certificate, square_faces, trip_permutation, trips)
 
 rng = random.Random(31337)
 
@@ -840,7 +839,7 @@ def _hand_bends():
         # the leaf 6 hangs off a bend, and after the gluing off b1
         "leaf": PlabicGraph(1, {5: BLACK, 6: WHITE}, {1: (1, 5), 2: (5, 6)}),
         "ring": PlabicGraph(0, {1: BLACK, 2: WHITE, 3: BLACK}, {1: (1, 2), 2: (2, 3), 3: (3, 1)}),
-        # ids that a frozenset does not list in increasing order
+        # ids out of increasing order along the chain
         "chain 9 17 3": PlabicGraph(2, {9: BLACK, 17: WHITE, 3: BLACK},
                                     {1: (1, 9), 2: (9, 17), 3: (17, 3), 4: (3, 2)}),
     }
@@ -884,7 +883,7 @@ def test_glue_bends_on_hand_built_runs(monkeypatch):
     assert order == [1, 2] and H.edges == {5: (3, 3)}
     with pytest.raises(ValueError, match="^no reduction removes the isolated loop 5$"):
         reduce_graph(G["ring"])
-    assert glue_bends(G["chain 9 17 3"])[2] == [17, 9, 3]
+    assert glue_bends(G["chain 9 17 3"])[2] == [3, 9, 17]
 
 
 def _hand_bigons():
@@ -1115,6 +1114,14 @@ def test_rotations_name_the_bad_dart(rot, message):
         DiskMap((1, 2), {1: (1, 2), 2: (3, 2)}, rot)
 
 
+@pytest.mark.parametrize("parse, text", [(PlabicGraph.from_text, "n 2\nedge -1 : 1 2\n"),
+                                         (PlanarDirectedNetwork.from_text, "n 2\nsources 1\nedge -1 : 1 2 1\n")])
+def test_negative_edge_ids_are_refused(parse, text):
+    # the boundary arcs take the negative ids: arc ~i has the darts (~i, 0) and (~i, 1)
+    with pytest.raises(ValueError, match="^edge id -1 is negative; negative ids name the boundary arcs$"):
+        parse(text)
+
+
 def test_transfer_weights_rejects_a_lost_face():
     N, site = _rewrite_site("R1")
     newG = apply_reduction(N.graph, site)
@@ -1123,14 +1130,41 @@ def test_transfer_weights_rejects_a_lost_face():
         _transfer_weights(N, newG)
 
 
-def test_singletons_removed_in_str_order():
+def test_singletons_removed_in_id_order():
     B = bridge_graph()
     G = PlabicGraph(2, {**B.col, 9: BLACK, 12: WHITE}, B.edges)
-    assert singletons(G) == [12, 9]
+    assert singletons(G) == [9, 12]
     rest = reduce_graph(B)[2]
     for x in (G, reweight(G, rng)):
         red, nsing, trace = reduce_graph(x)
-        assert nsing == 2 and trace == [("singleton", 12), ("singleton", 9)] + rest
+        assert nsing == 2 and trace == [("singleton", 9), ("singleton", 12)] + rest
+
+
+def _rows_at_9_and_12():
+    """row -> a graph whose first sites are in that row of SITE_FINDERS, at
+    the candidates 9 and 12 (vertices, or edges in the M2 row): ids whose
+    str order and id order differ.  The singleton row's case is
+    test_singletons_removed_in_id_order."""
+    return {
+        "M3r": PlabicGraph(2, {9: BLACK, 12: WHITE}, {1: (1, 9), 2: (9, 12), 3: (12, 2)}),
+        # a black path 6 - 7 - 8 on the unicoloured edges 9 and 12, each vertex trivalent
+        "M2": PlabicGraph(5, {6: BLACK, 7: BLACK, 8: BLACK},
+                          {1: (1, 6), 2: (2, 6), 3: (3, 7), 4: (4, 8), 5: (5, 8), 9: (6, 7), 12: (7, 8)},
+                          rot_ids={6: [1, 2, 9], 7: [9, 3, 12], 8: [12, 4, 5]}),
+        # the white leaves 9 and 12 on trivalent black vertices
+        "leaf": PlabicGraph(4, {5: BLACK, 6: BLACK, 9: WHITE, 12: WHITE},
+                            {1: (1, 5), 2: (2, 5), 3: (3, 6), 4: (4, 6), 7: (5, 9), 8: (6, 12)},
+                            rot_ids={5: [1, 2, 7], 6: [3, 4, 8]}),
+    }
+
+
+@pytest.mark.parametrize("row, first", [("M3r", "M3r"), ("M2", "M2"), ("leaf", "R2")])
+def test_rows_take_their_sites_by_id(row, first):
+    G = _rows_at_9_and_12()[row]
+    assert sorted(G._sites[row]) == [9, 12]
+    assert reduce_graph(G)[2][:2] == [(first, 9), (first, 12)]
+    if row == "leaf":
+        assert reducedness_certificate(G) == (False, "internal leaf at vertex 9 (leaf reduction applies)")
 
 
 def test_equal_trips_implies_equal_matroid():
