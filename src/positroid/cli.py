@@ -172,7 +172,7 @@ def _check_size(n):
 
 
 def cmd_poset(args):
-    if args.covers:
+    if args.covers is not None:
         pi = permutations.DecoratedPermutation.parse(args.covers)
         cov = permutations.covers(pi)
         text = "\n".join(c.format() for c in cov) or "(none)"

@@ -11,41 +11,38 @@ from itertools import combinations
 from math import lcm
 
 
-_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]*\.[0-9]+|[0-9]+\.)")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
 def rational(x):
     """Coerce ints, Fractions or rational tokens to an exact Rational.
 
-    The one rule for text is one match of _TOKEN: an integer, a fraction
-    p/q with q != 0, both built from the matched digits, or a plain
-    decimal, which Fraction parses; anything else (1/0, nan, exponent
-    forms, which Fraction would expand) raises ValueError.
+    The one rule for text is one language, however it is matched: an
+    integer [+-]d or fraction [+-]d/d with q != 0, built from its digits,
+    or a plain decimal [+-]d.d, [+-]d. or [+-].d, which Fraction parses,
+    where d is a run of ASCII digits; anything else (1/0, nan, exponent
+    forms, which Fraction would expand, other digits) raises ValueError.
     """
+    if isinstance(x, str):
+        p, slash, q = x.partition("/")
+        if x.isascii() and (p[1:] if p[:1] in "+-" else p).isdigit() and (q.isdigit() or not slash):
+            if not slash:
+                return Fraction(int(p))
+            if q.strip("0"):       # a nonzero denominator
+                return Fraction(int(p), int(q))
+        elif _DECIMAL.fullmatch(x):
+            return Fraction(x)
+        raise ValueError(f"{x!r} is not a rational number")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        m = _TOKEN.fullmatch(x)
-        if m:
-            p, q = m.groups()
-            if p is None:
-                return Fraction(x)
-            if q is None:
-                return Fraction(int(p))
-            p, q = int(p), int(q)
-            if q:
-                return Fraction(p, q)
-        raise ValueError(f"{x!r} is not a rational number")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def format_rational(x):
     """Render a Rational as 'p' or 'p/q' (lowest terms, positive q)."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def sort_sign(seq):
@@ -67,7 +64,7 @@ class RationalMatrix:
     __slots__ = ("k", "n", "rows")
 
     def __init__(self, rows, n=0):
-        rows = tuple(tuple(rational(x) for x in row) for row in rows)
+        rows = tuple(tuple([x if isinstance(x, Fraction) else rational(x) for x in row]) for row in rows)
         self.k = len(rows)
         self.n = len(rows[0]) if rows else n
         if any(len(r) != self.n for r in rows):
@@ -102,7 +99,7 @@ class RationalMatrix:
     def to_text(self):
         lines = [f"{self.k} {self.n}"]
         for r in self.rows:
-            lines.append(" ".join(format_rational(x) for x in r))
+            lines.append(" ".join(map(str, r)))     # format_rational of a Fraction
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -70,7 +70,7 @@ class PlanarDirectedNetwork(_DiskGraph):
         self.source_flags = tuple(bool(b) for b in source_flags)
         if len(self.source_flags) != n:
             raise ValueError("need one source/sink flag per boundary vertex")
-        self.edges = {e: (u, w, rational(x)) for e, (u, w, x) in edges.items()}
+        self.edges = {e: (u, w, x if isinstance(x, Fraction) else rational(x)) for e, (u, w, x) in edges.items()}
         super().__init__(n, self._shape(), set(range(1, n + 1)), rot_ids, rot)
         self._validate()
 
@@ -390,16 +390,17 @@ def boundary_measurement_matrix(net):
     I = sorted(net.sources())
     if not I:
         return RationalMatrix([], net.n)
-    k = len(I)
     M = _measurements(net, I)
     left = {j: bisect(I, j) for j in net.sinks()}     # the sources left of j
-    rows = [[Fraction(0)] * net.n for _ in range(k)]
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * net.n for _ in I]
     for r, ir in enumerate(I):
-        rows[r][ir - 1] = Fraction(1)
+        rows[r][ir - 1] = one
         for j, q in left.items():
-            s = q - r - 1 if j > ir else r - q
             a, d = M[ir].get(j, (0, 1))
-            rows[r][j - 1] = Fraction(-a if s % 2 else a, d)
+            if a:
+                s = q - r - 1 if j > ir else r - q
+                rows[r][j - 1] = Fraction(-a if s % 2 else a, d)
     return RationalMatrix(rows)
 
 
@@ -517,6 +518,11 @@ def _split_form(net, perfect=False):
     direction, then a blow-up once the vertex alternates.  Where no step
     applies, the form is net itself.
     """
+    outs, ins = net._arcs
+    stack = [v for v in net.rot if v not in net.boundary and (v not in outs or v not in ins)]
+    if not (perfect or stack or net.isolated_components()
+            or any(_apart(ds) for v, ds in net.rot.items() if v not in net.boundary)):
+        return net
     edges = dict(net.edges)
     rot = dict(net.rot)
     flags = net.source_flags
@@ -534,10 +540,7 @@ def _split_form(net, perfect=False):
                     rot[u] = [d for d in rot[u] if d[0] != e]
                     changed.add(u)
 
-    # cascade removal of internal sources and sinks, from the vertices
-    # that lack in- or out-edges
-    outs, ins = net._arcs
-    stack = [v for v in rot if v not in outs or v not in ins]
+    # cascade removal of internal sources and sinks
     while stack:
         v = stack.pop()
         if v in rot and v not in net.boundary and {end for _, end in rot[v]} != {0, 1}:

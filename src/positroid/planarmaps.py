@@ -53,6 +53,8 @@ class DiskMap:
           the negative ones name the boundary arcs.
     rot: dict vertex -> tuple of darts anchored there, clockwise as drawn.
           Every dart of every edge must appear exactly once.
+    rot_ids: in place of rot, dict vertex -> clockwise edge ids, read and
+          checked in one pass by rotations_from_edge_lists.
 
     Every map traces its faces with _trace, a fresh one all of them and a
     derived one (see derive) those a rewrite changed, and keeps them as
@@ -70,17 +72,22 @@ class DiskMap:
     # alive as a reference to the map would.
     _base = None
 
-    def __init__(self, boundary, edges, rot):
-        self.boundary = tuple(boundary)
-        self.n = len(self.boundary)
+    def __init__(self, boundary, edges, rot=None, rot_ids=None):
         self.edges = dict(edges)
-        self.rot = {v: tuple(ds) for v, ds in rot.items()}
-        self._check_rotations()
+        if rot is None:
+            self.rot = rotations_from_edge_lists(self.edges, rot_ids)
+        else:
+            self.rot = {v: tuple(ds) for v, ds in rot.items()}
+            _check_darts(self.edges, self.rot)
+        self.boundary = tuple(boundary)
+        self.n = n = len(self.boundary)
         self._at = {b: i for i, b in enumerate(self.boundary)}
-        self._arcs = _arc_darts(self.n)
-        self._aug_rot = {v: self._augmented(v) for v in (*self.rot, *self.boundary)}
+        self._arcs = _arc_darts(n)
+        self._aug_rot = aug = self.rot.copy()
+        for i, b in enumerate(self.boundary):
+            aug[b] = _spliced(i, aug.get(b, ()), n)
         self._face_of = {}
-        self._count = len(self._trace(chain.from_iterable(self._aug_rot.values())))
+        self._count = len(self._trace(chain.from_iterable(aug.values())))
         self._stamp = object()
         self.validate_planarity()
 
@@ -104,7 +111,7 @@ class DiskMap:
         aug, was_pairs, now_pairs = None, set(), set()      # (dart, its clockwise successor)
         for v in changed:
             was = old_aug.get(v)
-            now = new._augmented(v) if v in at else rot.get(v)
+            now = rot.get(v) if v not in at else _spliced(at[v], rot.get(v, ()), self.n)
             if now == was:
                 continue
             if aug is None:
@@ -153,40 +160,6 @@ class DiskMap:
         if self._base is None or self._base is not base._stamp:
             raise ValueError("the map was not derived from this base")
         return self._left, self._arrived
-
-    # -- construction helpers ------------------------------------------------
-
-    def _check_rotations(self):
-        edges, seen = self.edges, set()
-        if min(edges, default=0) < 0:
-            raise ValueError(f"edge id {min(edges)} is negative; negative ids name the boundary arcs")
-        for v, ds in self.rot.items():
-            for d in ds:
-                e, end = d
-                if e not in edges or end not in (0, 1):
-                    raise ValueError(f"unknown dart {d} at vertex {v}")
-                if edges[e][end] != v:
-                    raise ValueError(f"dart {d} listed at {v} but anchored at {edges[e][end]}")
-                if d in seen:
-                    raise ValueError(f"dart {d} appears twice")
-                seen.add(d)
-        if len(seen) < 2 * len(edges):     # the darts seen are distinct darts of edges
-            for e, (u, w) in edges.items():
-                for d in ((e, 0), (e, 1)):
-                    if d not in seen:
-                        raise ValueError(f"dart {d} of edge {e}=({u},{w}) missing from rotations")
-
-    def _augmented(self, v):
-        """The darts at v with the boundary arcs spliced in.
-
-        At b_i the clockwise order is: arc towards b_{i+1}, then the real
-        darts clockwise (pointing into the disk), then the arc from b_{i-1}.
-        """
-        ds = self.rot.get(v, ())
-        i = self._at.get(v)
-        if i is None:
-            return ds
-        return ((~i, 0), *ds, (~((i - 1) % self.n), 1))
 
     # -- face tracing ---------------------------------------------------------
 
@@ -295,38 +268,71 @@ def _arc_darts(n):
     return frozenset((~i, end) for i in range(n) for end in (0, 1))
 
 
+def _spliced(i, ds, n):
+    """The darts ds at b_i with the boundary arcs spliced in, clockwise: the
+    arc towards b_{i+1}, ds (into the disk), then the arc from b_{i-1}."""
+    return ((~i, 0), *ds, (~((i - 1) % n), 1))
+
+
 def _cyclic_pairs(ds):
     """(ds[i], ds[i + 1]) for every i, cyclically: each dart of a rotation
     with its clockwise successor."""
     return zip(ds, ds[1:] + ds[:1])
 
 
+def _check_darts(edges, rot):
+    """Check that the edge ids are nonnegative and that rot lists each dart
+    once, at its anchor; the error names the first fault, in rot's order."""
+    seen = set()
+    if min(edges, default=0) < 0:
+        raise ValueError(f"edge id {min(edges)} is negative; negative ids name the boundary arcs")
+    for v, ds in rot.items():
+        for d in ds:
+            e, end = d
+            if e not in edges or end not in (0, 1):
+                raise ValueError(f"unknown dart {d} at vertex {v}")
+            if edges[e][end] != v:
+                raise ValueError(f"dart {d} listed at {v} but anchored at {edges[e][end]}")
+            if d in seen:
+                raise ValueError(f"dart {d} appears twice")
+            seen.add(d)
+    if len(seen) < 2 * len(edges):     # the darts seen are distinct darts of edges
+        for e, (u, w) in edges.items():
+            for d in ((e, 0), (e, 1)):
+                if d not in seen:
+                    raise ValueError(f"dart {d} of edge {e}=({u},{w}) missing from rotations")
+
+
 def rotations_from_edge_lists(edges, rot_ids):
-    """Turn per-vertex clockwise edge-id lists into dart rotations.
+    """Turn per-vertex clockwise edge-id lists into dart rotations, checked.
 
     A loop's id appears twice in its vertex's list; the first occurrence is
-    taken to be the tail end.
+    taken to be the tail end.  An id of no edge, or of an edge not at its
+    vertex, raises as it is read; unless the darts read are then every
+    dart once, at its anchor, _check_darts names the first fault.
     """
-    rot = {}
+    rot, seen, listed, loose = {}, set(), 0, False
     for v, ids in rot_ids.items():
-        seen_loop = set()
         darts = []
         for e in ids:
             if e not in edges:
                 raise ValueError(f"vertex {v} lists unknown edge {e}")
             u, w = edges[e]
             if u == w:
-                end = 0 if e not in seen_loop else 1
-                seen_loop.add(e)
+                end = 1 if (e, 0) in darts else 0
+                loose = loose or u != v
+            elif u == v:
+                end = 0
+            elif w == v:
+                end = 1
             else:
-                if u == v:
-                    end = 0
-                elif w == v:
-                    end = 1
-                else:
-                    raise ValueError(f"edge {e} not incident to vertex {v}")
+                raise ValueError(f"edge {e} not incident to vertex {v}")
             darts.append((e, end))
-        rot[v] = tuple(darts)
+        rot[v] = darts = tuple(darts)
+        seen.update(darts)
+        listed += len(darts)
+    if loose or not len(seen) == listed == 2 * len(edges) or min(edges, default=0) < 0:
+        _check_darts(edges, rot)
     return rot
 
 
@@ -421,26 +427,25 @@ class _DiskGraph:
         any vertex without edges (the end vertices are added to it)."""
         self.n = n
         self.boundary = range(1, n + 1)
-        for u, w in shape.values():
-            verts.add(u)
-            verts.add(w)
+        verts.update(chain.from_iterable(shape.values()))
         if rot is None:
             rot_ids = dict(rot_ids or {})
-            incident = {}
+            incident = {v: [] for v in verts if v not in rot_ids}
             for e, (u, w) in shape.items():
-                incident.setdefault(u, []).append(e)
-                incident.setdefault(w, []).append(e)
-            for v in verts:
-                if v not in rot_ids:
-                    rot_ids[v] = incident.get(v, [])
-                    if len(rot_ids[v]) > (1 if v in self.boundary else 2):
-                        raise ValueError(f"vertex {v} has degree {len(rot_ids[v])}; "
-                                         "give its rotation explicitly")
-            rot = rotations_from_edge_lists(shape, rot_ids)
-        missing = [v for v in verts if v not in rot]
-        if missing:
-            rot = {**rot, **dict.fromkeys(missing, ())}
-        self.map = DiskMap(self.boundary, shape, rot)
+                if u in incident:
+                    incident[u].append(e)
+                if w in incident:
+                    incident[w].append(e)
+            for v, ids in incident.items():
+                if len(ids) > (1 if v in self.boundary else 2):
+                    raise ValueError(f"vertex {v} has degree {len(ids)}; give its rotation explicitly")
+            rot_ids.update(incident)
+            self.map = DiskMap(self.boundary, shape, rot_ids=rot_ids)
+        else:
+            missing = [v for v in verts if v not in rot]
+            if missing:
+                rot = {**rot, **dict.fromkeys(missing, ())}
+            self.map = DiskMap(self.boundary, shape, rot)
         self.rot = self.map.rot
 
     def internal_vertices(self):
@@ -505,39 +510,54 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
     The colons may be left out.  Every other line goes to
     other(tokens, line number).
     Returns (n, labels, rot_ids, edges); every error is one ValueError
-    naming the line number and the line.
+    naming the line number and the line.  Each line is split once, and a
+    colon is looked for where the canonical form puts it first.
     """
     n = None
     labels, rot_ids, edges = {}, {}, {}
-    for number, line in enumerate(text.splitlines(), 1):
-        toks = line.split("#", 1)[0].split()
-        if not toks:
-            continue
-        try:
-            colon = toks.index(":") if ":" in toks else None
-            if toks[0] == "n":
-                if len(toks) != 2 or int(toks[1]) < 0:
-                    raise ValueError("expected 'n <count>' with a count >= 0")
-                n = int(toks[1])
-            elif toks[0] == "vertex":
-                head, ids = (toks[1:3], toks[3:]) if colon is None else (toks[1:colon], toks[colon + 1:])
+    try:
+        for number, line in enumerate(text.splitlines(), 1):
+            toks = (line.split("#", 1)[0] if "#" in line else line).split()
+            if not toks:
+                continue
+            key = toks[0]
+            if key == "edge":
+                if len(toks) < 5 or toks[2] != ":" or toks[1] == ":":     # not the canonical form
+                    head, body = _around_colon(toks, 2)
+                    if len(head) != 1 or len(body) < 2:
+                        raise ValueError("expected 'edge e : u w ...'")
+                    toks = [key, *head, ":", *body]
+                edges[int(toks[1])] = (int(toks[3]), int(toks[4]), *edge_tail(toks[5:]))
+            elif key == "vertex":
+                if len(toks) > 3 and toks[3] == ":" and ":" not in (toks[1], toks[2]):
+                    head, ids = toks[1:3], toks[4:]
+                else:
+                    head, ids = _around_colon(toks, 3)
                 if not head:
                     raise ValueError("a vertex line needs an id")
                 v = int(head[0])
                 labels[v] = vertex_label(head[1:])
-                rot_ids[v] = [int(t) for t in ids]
-            elif toks[0] == "edge":
-                head, body = (toks[1:2], toks[2:]) if colon is None else (toks[1:colon], toks[colon + 1:])
-                if len(head) != 1 or len(body) < 2:
-                    raise ValueError("expected 'edge e : u w ...'")
-                edges[int(head[0])] = (int(body[0]), int(body[1]), *edge_tail(body[2:]))
+                rot_ids[v] = list(map(int, ids))
+            elif key == "n":
+                if len(toks) != 2 or int(toks[1]) < 0:
+                    raise ValueError("expected 'n <count>' with a count >= 0")
+                n = int(toks[1])
             else:
                 other(toks, number)
-        except ValueError as ex:
-            raise ValueError(f"{what} text line {number}: {ex}: {line.strip()!r}") from None
+    except ValueError as ex:
+        raise ValueError(f"{what} text line {number}: {ex}: {line.strip()!r}") from None
     if n is None:
         raise ValueError(f"{what} text needs an 'n <count>' line")
     return n, labels, rot_ids, edges
+
+
+def _around_colon(toks, at):
+    """The tokens after the keyword before and after the first ':', or
+    without one, those before toks[at] and from it."""
+    if ":" in toks:
+        at = toks.index(":")
+        return toks[1:at], toks[at + 1:]
+    return toks[1:at], toks[at:]
 
 
 def rotations_from_coordinates(edges, pos):

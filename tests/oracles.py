@@ -82,7 +82,7 @@ loops, to cross-check `lediagram.is_le_fill`, which takes one pass per row.
 
 Readers: `two_pass_rational` gates a token with a pattern and then parses
 it again with `Fraction(str)`, to cross-check `exactmath.rational`, which
-builds integers and fractions from its one match.  `planar_by_components`
+builds integers and fractions from their digits.  `planar_by_components`
 runs the Euler check V - E + F = 2 on each component of a map, to
 cross-check `DiskMap.validate_planarity`, which sums over all of them;
 `components` finds the components from an edge list.

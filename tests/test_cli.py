@@ -216,6 +216,16 @@ def test_leq_and_poset(capsys):
     assert set(out.splitlines()) == {"1W 2B", "1B 2W"}
 
 
+def test_poset_covers_of_the_empty_permutation(capsys):
+    # the empty permutation is the one cell of n = 0, and nothing lies below it
+    assert run(capsys, "poset", "--covers", "") == (0, "(none)\n", "")
+
+
+def test_leq_of_two_types_exit_2(capsys):
+    assert run(capsys, "leq", "1W 2B", "2 1 3B") == (
+        2, "", "precondition failed: types differ: (1, 2) vs (1, 3)\n")
+
+
 @pytest.mark.parametrize("argv, pos, entry", [
     (["perm2le", "3 x 1"], 2, "x"),
     (["perm2graph", "2 1 B"], 3, "B"),
@@ -420,6 +430,68 @@ def _one_line_error(capsys, tmp_path, text, *argv):
     return err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("measure", "sources 1\nedge 1 : 1 2 1\n", "network text needs an 'n <count>' line"),
+    ("measure", "n x\n", "network text line 1: invalid literal for int() with base 10: 'x': 'n x'"),
+    ("measure", "n 2 3\n", "network text line 1: expected 'n <count>' with a count >= 0: 'n 2 3'"),
+    ("measure", "n -1\n", "network text line 1: expected 'n <count>' with a count >= 0: 'n -1'"),
+    ("measure", "n 2\nsources 1\nfoo 1\n", "network text line 3: unrecognized line: 'foo 1'"),
+    ("measure", "n 2\nsources x\n",
+     "network text line 2: invalid literal for int() with base 10: 'x': 'sources x'"),
+    ("measure", "n 2\nsources 1\nvertex : 1\nedge 1 : 1 2 1\n",
+     "network text line 3: a vertex line needs an id: 'vertex : 1'"),
+    ("measure", "n 2\nsources 1\nvertex a : 1\nedge 1 : 1 2 1\n",
+     "network text line 3: invalid literal for int() with base 10: 'a': 'vertex a : 1'"),
+    ("measure", "n 2\nsources 1\nvertex 3 internal : 1 z\nedge 1 : 1 2 1\n",
+     "network text line 3: invalid literal for int() with base 10: 'z': 'vertex 3 internal : 1 z'"),
+    ("measure", "n 2\nsources 1\nvertex 3 : : 1\nedge 1 : 1 2 1\n",
+     "network text line 3: invalid literal for int() with base 10: ':': 'vertex 3 : : 1'"),
+    ("measure", "n 2\nsources 1\nvertex 1 boundary internal : 1\nedge 1 : 1 2 1\n",
+     "network text line 3: expected 'vertex v [kind] : edge ids': 'vertex 1 boundary internal : 1'"),
+    ("trips", "n 2\nvertex 3 green : 1 2\nedge 1 : 1 3\nedge 2 : 3 2\n",
+     "plabic text line 2: expected 'vertex v black|white : edge ids': 'vertex 3 green : 1 2'"),
+    ("measure", "n 2\nsources 1\nedge 1 : 1 2\n",
+     "network text line 3: expected 'edge e : u w weight': 'edge 1 : 1 2'"),
+    ("measure", "n 2\nsources 1\nedge 1 : 1 2 1 1\n",
+     "network text line 3: expected 'edge e : u w weight': 'edge 1 : 1 2 1 1'"),
+    ("measure", "n 2\nsources 1\nedge : 1 2 1\n", "network text line 3: expected 'edge e : u w ...': 'edge : 1 2 1'"),
+    ("measure", "n 2\nsources 1\nedge : : 1 2 1\n",
+     "network text line 3: expected 'edge e : u w ...': 'edge : : 1 2 1'"),
+    ("measure", "n 2\nsources 1\nedge 1 2 : 1 2 1\n",
+     "network text line 3: expected 'edge e : u w ...': 'edge 1 2 : 1 2 1'"),
+    ("measure", "n 2\nsources 1\nedge x : 1 2 1\n",
+     "network text line 3: invalid literal for int() with base 10: 'x': 'edge x : 1 2 1'"),
+    ("measure", "n 2\nsources 1\nedge 1 : 1 y 1\n",
+     "network text line 3: invalid literal for int() with base 10: 'y': 'edge 1 : 1 y 1'"),
+    ("trips", "n 2\nedge 1 : 1\n", "plabic text line 2: expected 'edge e : u w ...': 'edge 1 : 1'"),
+    ("trips", "n 2\nedge 1 : 1 2 3\n", "plabic text line 2: expected 'edge e : u w': 'edge 1 : 1 2 3'"),
+    ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : x\n", "plabic text line 4: 'x' is not a rational number: '1.0 : x'"),
+    ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : 1 2\n", "plabic text line 4: expected 'name : weight': '1.0 : 1 2'"),
+    ("measure", "n 2\nsources 1\nedge 1 : 1 2 x\n",
+     "network text line 3: 'x' is not a rational number: 'edge 1 : 1 2 x'"),
+], ids=["no-n", "n-word", "n-two-counts", "n-negative", "unknown-line", "sources-word", "vertex-no-id",
+        "vertex-word-id", "vertex-word-edge", "vertex-two-colons", "vertex-two-kinds", "bad-colour", "short-edge",
+        "long-edge", "edge-no-id", "edge-two-colons", "edge-two-ids", "edge-word-id", "edge-word-end", "plabic-short-edge",
+        "plabic-long-edge", "bad-face-weight", "long-face-line", "bad-edge-weight"])
+def test_graph_text_errors_are_pinned(capsys, tmp_path, command, text, message):
+    assert _one_line_error(capsys, tmp_path, text, command) == f"error: {message}\n"
+
+
+def test_colons_and_comments_do_not_change_the_graph():
+    from positroid.network import PlanarDirectedNetwork
+    from positroid.plabic import PlabicNetwork, face_weight_keys
+
+    def loose(text):        # colons dropped, a comment after every line, blank lines between
+        return "".join(line.replace(" :", "") + "  # note: 1 2\n\n" for line in text.splitlines())
+
+    N = manhattan_grid(random.Random(5), 2, 3, (True, False), (False, True, True))
+    G = graph_from_perm(DecoratedPermutation.parse("3 4 1 2"))
+    W = PlabicNetwork(G, dict(zip(sorted(face_weight_keys(G)), ["2", "1/2", "3/4", "4/3", "1"])))
+    for parse, obj in ((PlanarDirectedNetwork.from_text, N), (G.from_text, G), (G.from_text, W)):
+        text = obj.to_text()
+        assert " : " in text and parse(loose(text)).to_text() == text
+
+
 def test_short_edge_line_exit_1(capsys, tmp_path):
     err = _one_line_error(capsys, tmp_path, "n 2\nsources 1\nedge 1 : 1 2\n", "measure")
     assert err == "error: network text line 3: expected 'edge e : u w weight': 'edge 1 : 1 2'\n"
@@ -430,7 +502,7 @@ def test_short_edge_line_exit_1(capsys, tmp_path):
 def test_network_weight_1_over_0_exit_1(capsys, tmp_path):
     text = "n 2\nsources 1\nedge 1 : 1 3 1/0\nedge 2 : 3 2 1\n"
     err = _one_line_error(capsys, tmp_path, text, "measure")
-    assert "'1/0' is not a rational number" in err
+    assert err == "error: network text line 3: '1/0' is not a rational number: 'edge 1 : 1 3 1/0'\n"
 
 
 def test_face_weight_1_over_0_exit_1(capsys, tmp_path):

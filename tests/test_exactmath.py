@@ -324,7 +324,7 @@ def _outcome(read, token):
 
 
 @settings(max_examples=2000, deadline=None)
-@given(st.text(alphabet="0123456789+-/.e_\u0663 ", max_size=8))
+@given(st.text(alphabet="0123456789+-/.e_\u0663\u00b2\uff13 ", max_size=8))
 def test_rational_reads_a_token_as_the_two_pass_rule(token):
     assert _outcome(rational, token) == _outcome(two_pass_rational, token)
 

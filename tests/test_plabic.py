@@ -1114,6 +1114,26 @@ def test_rotations_name_the_bad_dart(rot, message):
         DiskMap((1, 2), {1: (1, 2), 2: (3, 2)}, rot)
 
 
+_PATH = {1: (1, 2), 2: (3, 2)}
+
+
+@pytest.mark.parametrize("edges, rot_ids, message", [
+    (_PATH, {1: [1], 2: [1, 2], 3: [9]}, "vertex 3 lists unknown edge 9"),
+    (_PATH, {1: [1], 2: [1, 2], 3: [1]}, "edge 1 not incident to vertex 3"),
+    (_PATH, {1: [1], 2: [1, 2], 3: [2, 2]}, r"dart \(2, 0\) appears twice"),
+    (_PATH, {1: [1], 2: [1], 3: [2]}, r"dart \(2, 1\) of edge 2=\(3,2\) missing from rotations"),
+    ({1: (1, 2), 2: (3, 3)}, {1: [1], 2: [1, 2, 2], 3: []}, r"dart \(2, 0\) listed at 2 but anchored at 3"),
+    (_PATH, {1: [1, 1], 2: [1, 2], 3: [9]}, "vertex 3 lists unknown edge 9"),
+    ({1: (1, 2), -1: (3, 2)}, {1: [1], 2: [1, -1], 3: [-1, -1]},
+     "edge id -1 is negative; negative ids name the boundary arcs"),
+], ids=["unknown-edge", "not-incident", "twice", "missing", "loop-elsewhere", "read-before-twice", "negative-id"])
+def test_edge_lists_name_the_first_fault(edges, rot_ids, message):
+    # edge-id rotations are checked as they are read, and name the fault that
+    # converting them and then checking the darts would name
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DiskMap((1, 2), edges, rot_ids=rot_ids)
+
+
 @pytest.mark.parametrize("parse, text", [(PlabicGraph.from_text, "n 2\nedge -1 : 1 2\n"),
                                          (PlanarDirectedNetwork.from_text, "n 2\nsources 1\nedge -1 : 1 2 1\n")])
 def test_negative_edge_ids_are_refused(parse, text):
