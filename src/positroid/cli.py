@@ -82,8 +82,8 @@ def cmd_le2net(args):
 
 def cmd_le2perm(args):
     T = lediagram.LeTableau.from_text(_read(args.file))
-    pi = permutations.perm_from_le(T.diagram())
-    _emit({"permutation": pi.format(), "text": pi.format()}, args.json)
+    text = permutations.perm_from_le(T.diagram()).format()
+    _emit({"permutation": text, "text": text}, args.json)
     return 0
 
 
@@ -105,8 +105,8 @@ def cmd_perm2graph(args):
 
 def cmd_trips(args):
     G = _read_plabic_graph(args.file)
-    pi = plabic.trip_permutation(G)
-    _emit({"permutation": pi.format(), "text": pi.format()}, args.json)
+    text = plabic.trip_permutation(G).format()
+    _emit({"permutation": text, "text": text}, args.json)
     return 0
 
 
@@ -174,9 +174,8 @@ def _check_size(n):
 def cmd_poset(args):
     if args.covers is not None:
         pi = permutations.DecoratedPermutation.parse(args.covers)
-        cov = permutations.covers(pi)
-        text = "\n".join(c.format() for c in cov) or "(none)"
-        _emit({"covers": [c.format() for c in cov], "text": text}, args.json)
+        cov = [c.format() for c in permutations.covers(pi)]
+        _emit({"covers": cov, "text": "\n".join(cov) or "(none)"}, args.json)
         return 0
     if args.n is None:
         raise ValueError("poset needs --covers PERM or --n N (with an optional --k K)")

@@ -152,8 +152,12 @@ def _det_bareiss(rows):
 
 
 def det(matrix):
-    """Exact determinant of a square RationalMatrix or row list."""
-    rows = matrix.rows if isinstance(matrix, RationalMatrix) else [tuple(rational(x) for x in r) for r in matrix]
+    """Exact determinant of a square RationalMatrix or row list; the entries
+    of a row list go through rational unless they are Fractions already."""
+    if isinstance(matrix, RationalMatrix):
+        rows = matrix.rows
+    else:
+        rows = [[x if isinstance(x, Fraction) else rational(x) for x in r] for r in matrix]
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("determinant of a non-square matrix")
@@ -242,7 +246,8 @@ class PluckerVector:
     def __init__(self, k, n, coords):
         self.k = k
         self.n = n
-        self.coords = {tuple(sorted(key)): rational(v) for key, v in coords.items()}
+        self.coords = {tuple(sorted(key)): v if isinstance(v, Fraction) else rational(v)
+                       for key, v in coords.items()}
         for key in combinations(range(1, n + 1), k):
             self.coords.setdefault(key, Fraction(0))
         if all(v == 0 for v in self.coords.values()):

@@ -168,9 +168,8 @@ def is_le_diagram(shape, fill):
     rows = [tuple(int(bool(x)) for x in row) for row in fill]
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or any(p < 0 for p in shape):
         raise ValueError(f"{shape} is not a partition")
-    given = [r for r in rows if r]
-    wanted = [p for p in shape if p]
-    if [len(r) for r in given] != wanted and [len(r) for r in rows] != list(shape):
+    lens = [len(r) for r in rows]       # the first parts; the parts left out are zero
+    if lens != list(shape[:len(lens)]) or any(shape[len(lens):]):
         raise ValueError("fill does not match shape")
     return is_le_fill(rows)
 
@@ -255,12 +254,17 @@ def gamma_network(T):
     entering it from the right carries the box entry, vertical edges
     carry weight 1, and everything points left or down.
     """
-    flags, edges, rot = _hook_layout(T)
+    flags, edges, rot = _hook_layout(T.k, T.n, T.shape, T.rows)
     return PlanarDirectedNetwork(T.n, flags, edges, rot=rot)
 
 
-def _hook_layout(T):
-    """The parts of gamma_network(T), unvalidated: (source flags, edges, rot).
+def _hook_layout(k, n, shape, rows):
+    """The parts of the hook network of the filling `rows` of the shape,
+    unvalidated: (source flags, edges, rot).
+
+    rows: a Le-tableau's rows, whose entries are Fractions, or a diagram's
+    0/1 fill when only the graph is wanted.  A row edge weighs the value
+    of the box it enters, as handed; column edges share one Fraction(1).
 
     edges: eid -> (tail, head, weight), numbered rows first, then columns.
     rot: vertex -> clockwise darts, read off the grid: a row edge leaves its
@@ -269,8 +273,7 @@ def _hook_layout(T):
     vertices with edges come first, in the order their first edge was
     numbered, then the isolated boundary vertices.
     """
-    k, n, shape = T.k, T.n, T.shape
-    width = n - k
+    width, one = n - k, Fraction(1)
     row_label, col_label = _boundary_labels(shape, k, n)
     flags = [False] * n
     for r in range(1, k + 1):
@@ -281,27 +284,27 @@ def _hook_layout(T):
 
     dots = {}
     for r in range(1, k + 1):
-        row = T.rows[r - 1]
+        row = rows[r - 1]
         dots[r] = [c for c in range(len(row), 0, -1) if row[c - 1] != 0]  # right to left
 
     edges, slots = {}, {}
 
     def add_edge(u, w, x, out, into):      # u -> w leaves u at out, enters w at into
         e = len(edges) + 1
-        edges[e] = (u, w, rational(x))
+        edges[e] = (u, w, x)
         slots.setdefault(u, [None] * 4)[out] = (e, 0)
         slots.setdefault(w, [None] * 4)[into] = (e, 1)
 
     N, E, S, W = range(4)
     for r in range(1, k + 1):
-        prev = row_label[r]
+        prev, row = row_label[r], rows[r - 1]
         for c in dots[r]:
-            add_edge(prev, vid(r, c), T.entry(r, c), W, E)
+            add_edge(prev, vid(r, c), row[c - 1], W, E)
             prev = vid(r, c)
     for c in range(1, width + 1):
         col = [vid(r, c) for r in range(1, k + 1) if c in dots[r]]
         for above, below in zip(col, col[1:] + [col_label[c]]):
-            add_edge(above, below, 1, S, N)
+            add_edge(above, below, one, S, N)
 
     rot = {v: tuple(filter(None, darts)) for v, darts in slots.items()}
     for i in range(1, n + 1):

@@ -7,7 +7,8 @@ white fixed point}.  These objects are in bijection with Grassmann
 necklaces, with Le-diagrams, and with the nonnegative Grassmann cells; the
 conversions and the containment order of the cells live here.
 
-Chord geometry rests on one clockwise-arc test, `_on_arc`.  The chords
+Chord geometry rests on one clockwise-arc test, `_on_arc`, which
+`_simple` applies in its scan without a call per chord.  The chords
 i -> pi(i) and j -> pi(j) form a crossing or an alignment by one rule
 each; every other pair is a misalignment, so the cell dimension
 k(n-k) - A(pi) counts alignments only.  One simplicity rule serves both
@@ -256,10 +257,16 @@ def _aligned(pi, i, j):
 def _simple(pi, i, j, lo, hi):
     """No chord leaving a point strictly between j and i (clockwise) ends
     on the arc lo..hi: (lo, hi) = (pi(j), pi(i)) for a crossing with roles
-    (i, j), and (pi(i), pi(j)) for an alignment."""
-    n = pi.n
-    between = ((j + s - 1) % n + 1 for s in range(1, (i - j) % n))
-    return not any(_on_arc(pi(l), lo, hi, n) for l in between)
+    (i, j), and (pi(i), pi(j)) for an alignment.  The points are j + 1,
+    ..., i - 1 modulo n, read off pi.perm at the 0-based places t % n, and
+    each end x is tested as _on_arc(x, lo, hi, n) does."""
+    perm = pi.perm
+    n = len(perm)
+    span = (hi - lo) % n
+    for t in range(j, j + (i - j) % n - 1):
+        if (perm[t % n] - lo) % n <= span:
+            return False
+    return True
 
 
 class ChordPairClass(NamedTuple):
@@ -345,10 +352,11 @@ def _uncross(pi, i, j):
     Undoing it swaps the targets of i and j; a chord that collapses to a
     loop is colored black at the i end and white at the j end.
     """
-    if not _simple(pi, i, j, pi(j), pi(i)):
+    pi_i, pi_j = pi.perm[i - 1], pi.perm[j - 1]
+    if not _simple(pi, i, j, pi_j, pi_i):
         return None
     perm = list(pi.perm)
-    perm[i - 1], perm[j - 1] = pi(j), pi(i)
+    perm[i - 1], perm[j - 1] = pi_j, pi_i
     col = dict(pi.col)
     if perm[i - 1] == i:
         col[i] = BLACK
@@ -364,12 +372,13 @@ def covers(sigma):
     """
     out = []
     seen = set()
-    n = sigma.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j or sigma.is_loop(i) or sigma.is_loop(j):
-                continue
-            if not _crossing_cond(sigma.n, i, sigma(i), j, sigma(j)):
+    perm = sigma.perm
+    n = len(perm)
+    for i, pi_i in enumerate(perm, 1):
+        if pi_i == i:
+            continue
+        for j, pi_j in enumerate(perm, 1):
+            if pi_j == j or j == i or not _crossing_cond(n, i, pi_i, j, pi_j):
                 continue
             pi = _uncross(sigma, i, j)
             if pi is not None and pi not in seen:

@@ -21,7 +21,7 @@ from itertools import combinations, islice
 from math import prod
 
 from .exactmath import Matroid, format_rational, rational
-from .lediagram import _hook_layout, diagram_to_tableau, invert_measurement
+from .lediagram import _hook_layout, invert_measurement
 from .network import (PlanarDirectedNetwork, boundary_measurement_matrix, is_perfect, color as net_color,
                       measure)
 from .permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace, le_from_perm,
@@ -313,6 +313,7 @@ def necklace(G):
     for e, (t, h) in orient.items():
         if t != h:
             ahead[t][e] = h
+    boundary, edges = G.boundary, G.edges
 
     def search(starts):
         """Breadth-first search from each start in turn, entering only vertices
@@ -327,19 +328,19 @@ def necklace(G):
                     if y not in prev:
                         prev[y] = e
                         queue.append(y)
-                        if y in G.boundary:
+                        if y in boundary:
                             found.append((s, y))
         return prev, found
 
     def swap(prev, j):
         """Reverse the search-tree path to the sink j, whose source becomes a sink."""
-        x = j
-        while prev[x] is not None:
-            e = prev[x]
-            t = G.other_end(e, x)
+        x, e = j, prev[j]
+        while e is not None:
+            u, w = edges[e]
+            t = w if u == x else u          # the tail of the arc t -> x
             del ahead[t][e]
             ahead[x][e] = t
-            x = t
+            x, e = t, prev[t]
         sources.symmetric_difference_update((x, j))
 
     while True:
@@ -415,45 +416,32 @@ class TripDecomposition:
         return DecoratedPermutation(perm, col)
 
 
-def _trip_step(G, dart):
-    """Next travel dart by the rules of the road (right at black, left at white)."""
-    e, end = dart
-    v = G.edges[e][1 - end]
-    arrival = rev(dart)
-    ds = G.rot[v]
-    idx = ds.index(arrival)
-    return ds[(idx - G.col[v]) % len(ds)]
-
-
 def trips(G):
-    """All trips of the plabic graph; every travel dart is used exactly once."""
+    """All trips of the plabic graph; every travel dart is used exactly once.
+
+    The rules of the road (right at black, left at white) are applied in
+    the walk: the dart (e, end) arrives at v as (e, 1 - end) and leaves
+    along the dart col[v] places before that one in v's clockwise rotation.
+    """
+    edges, rot, col, boundary = G.edges, G.rot, G.col, G.boundary
     used = set()
-    one_way = {}
-    for i in range(1, G.n + 1):
-        (dart,) = G.rot[i]
-        cur = dart
+
+    def walk(cur):
+        """(the boundary vertex or None, the darts from cur up to it or up to a used dart)."""
         path = []
-        while True:
+        while cur not in used:
             path.append(cur)
             used.add(cur)
             e, end = cur
-            v = G.edges[e][1 - end]
-            if v in G.boundary:
-                one_way[i] = (v, path)
-                break
-            cur = _trip_step(G, cur)
-    round_trips = []
-    for v in sorted(G.rot):
-        for dart in G.rot[v]:
-            if dart in used:
-                continue
-            cur = dart
-            path = []
-            while cur not in used:
-                path.append(cur)
-                used.add(cur)
-                cur = _trip_step(G, cur)
-            round_trips.append(path)
+            v = edges[e][1 - end]
+            if v in boundary:
+                return v, path
+            ds = rot[v]
+            cur = ds[(ds.index((e, 1 - end)) - col[v]) % len(ds)]
+        return None, path
+
+    one_way = {i: walk(rot[i][0]) for i in boundary}
+    round_trips = [walk(dart)[1] for v in sorted(rot) for dart in rot[v] if dart not in used]
     return TripDecomposition(one_way, round_trips, G.n)
 
 
@@ -1342,7 +1330,9 @@ def graph_from_le(D):
     Hook vertices with one edge out become black, the others white;
     four-valent crossings split into a black/white pair; lonely corners
     stay degree 2.  Empty rows give white boundary leaves, empty columns
-    black ones.  No weights are computed.
+    black ones.  No weights are computed: the hook layout is built on D's
+    0/1 fill, whose 1s it keeps as row-edge weights that are thrown away,
+    and no tableau is made.
 
     The ids, which `perm2graph` prints, are kept stable by one rule: the
     hook network's ids are those of `lediagram.gamma_network`, and the new
@@ -1350,7 +1340,7 @@ def graph_from_le(D):
     The split crossings draw a half and then an edge each, by id, and the
     empty boundary vertices a leaf and then an edge each, from 1 to n.
     """
-    return _le_graph(diagram_to_tableau(D))[0]
+    return _le_graph(D.k, D.n, D.shape, D.fill)[0]
 
 
 def network_from_le(T):
@@ -1360,21 +1350,23 @@ def network_from_le(T):
     weighs the product of x_e over the edges with the face on their right
     times 1/x_e over those with it on their left.
     """
-    return _face_network(*_le_graph(T))
+    return _face_network(*_le_graph(T.k, T.n, T.shape, T.rows))
 
 
-def _le_graph(T):
-    """The Le-graph of a tableau and its edge weights, built on one map.
+def _le_graph(k, n, shape, rows):
+    """The Le-graph of a filling and its edge weights, built on one map.
 
     The hook network's parts (`lediagram._hook_layout`) are made perfect in
     place: a four-valent vertex, clockwise N-in, E-in, S-out, W-out, keeps
     {N, E} and gives {S, W} to a new half behind a weight-1 edge, and an
     isolated boundary vertex gets a leaf on a weight-1 edge out of a source
     or into a sink.  Then a vertex with one out-edge is black and every
-    other one, having one in-edge, white.  Returns (graph, eid -> weight).
+    other one, having one in-edge, white.  Returns (graph, eid -> weight):
+    for a tableau's rows the weights are Fractions, as _face_product needs.
     """
-    n, boundary = T.n, range(1, T.n + 1)
-    flags, edges, rot = _hook_layout(T)
+    boundary = range(1, n + 1)
+    flags, edges, rot = _hook_layout(k, n, shape, rows)
+    one = Fraction(1)
     ids = fresh_ids(rot, edges)
     next(ids)  # the first fresh id is skipped; the output's ids depend on it
     fresh = ids.__next__
@@ -1383,7 +1375,7 @@ def _le_graph(T):
         if len(rot[v]) == 4:        # a crossing: a boundary vertex has at most one edge
             dn, de, ds, dw = rot[v]
             v2, ep = fresh(), fresh()
-            edges[ep] = (v, v2, Fraction(1))
+            edges[ep] = (v, v2, one)
             _reanchor(edges, (ds, dw), v2)
             rot[v] = (dn, de, (ep, 0))
             rot[v2] = ((ep, 1), ds, dw)
@@ -1392,7 +1384,7 @@ def _le_graph(T):
             continue
         leaf, e = fresh(), fresh()
         end = 0 if flags[i - 1] else 1      # the end of e at i
-        edges[e] = (i, leaf, Fraction(1)) if end == 0 else (leaf, i, Fraction(1))
+        edges[e] = (i, leaf, one) if end == 0 else (leaf, i, one)
         rot[i] = ((e, end),)
         rot[leaf] = ((e, 1 - end),)
 

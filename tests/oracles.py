@@ -839,7 +839,7 @@ def reduce_one_r1_at_a_time(x):
 
 
 def hook_layout_by_coordinates(T):
-    """lediagram._hook_layout(T) with rotations sorted by compass heading.
+    """lediagram._hook_layout of T's rows with rotations sorted by compass heading.
 
     Every vertex gets grid coordinates, dot (r, c) at (c, -r), the source
     of row r to its east and the sink of column c below it, and each

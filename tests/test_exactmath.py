@@ -315,6 +315,20 @@ def test_bareiss_det_matches_fraction_gauss():
                 assert det(equal) == det_cofactor(equal) == 0
 
 
+def test_det_reads_int_and_str_rows_and_refuses_a_bad_token():
+    # Fractions pass through as they are; every other entry goes through rational
+    assert det([[1, "1/2"], ["3", Fraction(2)]]) == Fraction(1, 2)
+    assert det([[True, 0], [0, "-2.5"]]) == Fraction(-5, 2)
+    assert det([]) == 1
+    for bad in ("1/0", "x", "1e3"):
+        with pytest.raises(ValueError, match="is not a rational number"):
+            det([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        det([[1.5]])
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2]])
+
+
 def _outcome(read, token):
     try:
         value = read(token)

@@ -36,6 +36,12 @@ def test_is_le_violating_triple():
 def test_is_le_shape_mismatch():
     with pytest.raises(ValueError):
         is_le_diagram((2, 1), [(1,)])
+    # the rows are those of the first parts: no row may be skipped or added
+    for fill in ([(1, 1), (), (1, 1)], [(1, 1), (1, 1), ()], [(), (1, 1)]):
+        with pytest.raises(ValueError, match="fill does not match shape"):
+            LeDiagram(2, 4, (2, 2), fill)
+    assert LeDiagram(2, 4, (2, 0), [(1, 1)]).fill == ((1, 1), ())
+    assert is_le_diagram((2, 0), [(1, 1), ()])
 
 
 def test_is_le_fill_equals_the_box_by_box_test():
@@ -129,7 +135,7 @@ def test_gamma_network_figure_source_set():
 
 
 def _same_layout(T):
-    flags, edges, rot = _hook_layout(T)
+    flags, edges, rot = _hook_layout(T.k, T.n, T.shape, T.rows)
     want_flags, want_edges, want_rot = hook_layout_by_coordinates(T)
     assert (flags, edges) == (want_flags, want_edges)
     assert list(rot.items()) == list(want_rot.items())       # the dict order too

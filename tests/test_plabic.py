@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -146,6 +147,19 @@ def test_le_graph_matches_three_map_route():
     for pi in cells + [DecoratedPermutation.parse("5 1 4 3 9 2 6 7 10 8")]:
         assert graph_from_perm(pi).to_text() == \
             le_network(diagram_to_tableau(le_from_perm(pi))).graph.to_text()
+
+
+def test_perm2graph_text_is_pinned():
+    """`perm2graph` prints graph_from_perm(pi).to_text(), ids included, and
+    no other check fixes those ids: hash the texts of all 2,372 decorated
+    permutations with n <= 6, concatenated."""
+    h, cells = hashlib.sha256(), 0
+    for n in range(7):
+        for pi in all_decorated_permutations(n):
+            h.update(graph_from_perm(pi).to_text().encode())
+            cells += 1
+    assert cells == 2372
+    assert h.hexdigest() == "ee43a440fd02ba39d45f69696458dfc6eceaa5bb6f793fe3c07d5b354f45b5a0"
 
 
 def test_le_network_matches_three_map_route():
