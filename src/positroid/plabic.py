@@ -16,7 +16,8 @@ trip permutation, the complete move invariant of reduced graphs.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from heapq import heappop, heappush
 from itertools import combinations, islice
 from math import prod
 
@@ -110,8 +111,8 @@ class PlabicGraph(_DiskGraph):
 
     @classmethod
     def from_text(cls, text):
-        """The graph, or the network when a `faces` block follows: one line
-        `name : weight` per face, in the sorted order of to_text."""
+        """The graph, or the network when a `faces` header follows: then one
+        line `name : weight` per face, in the sorted order of to_text."""
         lines = []                  # (line number, face name, weight)
         in_faces = False
 
@@ -126,7 +127,7 @@ class PlabicGraph(_DiskGraph):
 
         n, col, rot_ids, edges = parse_disk_text(text, "plabic", _color, _no_tail, other)
         G = cls(n, col, edges, rot_ids=rot_ids)
-        if lines:
+        if in_faces:
             keys = sorted(face_weight_keys(G))
             if len(lines) != len(keys):
                 raise ValueError(f"{len(lines)} face weights for {len(keys)} faces")
@@ -134,7 +135,7 @@ class PlabicGraph(_DiskGraph):
                 if name != _face_name(key):
                     raise ValueError(f"plabic text line {number}: expected face "
                                      f"{_face_name(key)!r}, not {name!r}")
-            return PlabicNetwork(G, {key: w for key, (_, _, w) in zip(keys, lines)})
+            return PlabicNetwork._of_faces(G, {key: w for key, (_, _, w) in zip(keys, lines)})
         return G
 
 
@@ -155,11 +156,9 @@ def _no_tail(toks):
 
 
 def faces(G):
-    """Interior faces, in no fixed order, as tuples of real darts (arc darts dropped).
-
-    The count satisfies |V| - |E| + |F| = 1 + c with c the number of
-    isolated components, each contributing its outer walk as a face.
-    """
+    """Interior faces, in no fixed order, as tuples of real darts (arc darts
+    dropped): |V| - |E| + |F| = 1 + c, each of the c isolated components
+    adding its outer walk as a face."""
     return G.map.inner_faces()
 
 
@@ -183,16 +182,27 @@ class PlabicNetwork:
     def __init__(self, graph, weights):
         self.graph = graph
         self.weights = {k: rational(x) for k, x in weights.items()}
-        keys = set(face_weight_keys(graph))
-        if set(self.weights) != keys:
+        if self.weights.keys() != set(face_weight_keys(graph)):
             raise ValueError("weights do not match the faces of the graph")
-        if any(x <= 0 for x in self.weights.values()):
+        self._check()
+
+    @classmethod
+    def _of_faces(cls, graph, weights):
+        """The constructor for Fractions keyed by exactly graph's face keys, taken as they are."""
+        net = object.__new__(cls)
+        net.graph, net.weights = graph, weights
+        net._check()
+        return net
+
+    def _check(self):
+        """Positive weights, multiplying to 1, and weight 1 on each isolated tree."""
+        graph, ws = self.graph, self.weights.values()
+        if any(x <= 0 for x in ws):
             raise ValueError("face weights must be positive")
-        prod = Fraction(1)
-        for x in self.weights.values():
-            prod *= x
-        if prod != 1:
-            raise ValueError(f"face weights multiply to {prod}, not 1")
+        # in lowest terms, a product of positive fractions is 1 when the integer products agree
+        num, den = prod(x.numerator for x in ws), prod(x.denominator for x in ws)
+        if num != den:
+            raise ValueError(f"face weights multiply to {Fraction(num, den)}, not 1")
         for comp in graph.isolated_components():
             comp_edges = [e for e, (u, w) in graph.edges.items() if u in comp]
             if len(comp_edges) >= len(comp):
@@ -485,19 +495,26 @@ def uncontract_vertex(G, v, i, j):
     if not (0 <= i < len(ds) and 0 <= j < len(ds)):
         raise _bad_site(("M2u", v, i, j), f"vertex {v} has degree {len(ds)}, "
                         f"so i and j must lie in 0..{len(ds) - 1}")
+    m = next(fresh_ids(G.rot, G.edges))
+    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+    _split(rot, edges, col, v, i, j, m, next(fresh_ids(G.edges)))
+    return G.replace({v, m}, col=col, edges=edges, rot=rot)
+
+
+def _split(rot, edges, col, v, i, j, m, e):
+    """(M2u) in place: move the darts rot[v][i:j] (cyclically) to the new vertex
+    m of v's colour, behind the new edge e, (e, 0) in the block's place at
+    v.  Returns the darts moved and kept; (e, 0) and (e, 1) are on the faces
+    of the first of each."""
+    ds = rot[v]
     take = ds[i:j] if i <= j else ds[i:] + ds[:j]
     keep = (ds[j:] + ds[:i]) if i <= j else ds[j:i]
-    m = next(fresh_ids(G.rot, G.edges))
-    e = next(fresh_ids(G.edges))
-    edges = G.edges.copy()
     edges[e] = (v, m)
     _reanchor(edges, take, m)
-    rot = G.rot.copy()
-    rot[v] = tuple([(e, 0)] + keep)   # the new dart sits where the block was
-    rot[m] = tuple([(e, 1)] + take)
-    col = G.col.copy()
-    col[m] = G.col[v]
-    return G.replace({v, m}, col=col, edges=edges, rot=rot)
+    rot[v] = ((e, 0), *keep)
+    rot[m] = ((e, 1), *take)
+    col[m] = col[v]
+    return take, keep
 
 
 def insert_vertex(G, e, colr):
@@ -538,12 +555,10 @@ def remove_vertex(G, v):
 def glue_bends(G):
     """(M3) remove every bend, an internal degree-2 vertex on two edges, as one rewrite.
 
-    The bends leave one at a time, each at the first site of the M3r row
-    (by id) and with the ids remove_vertex gives, but on plain dicts: only
-    the result is built.  No glue makes a bend, so one pass over G's bends
-    by id takes them in that order.  Returns the new graph, the renaming
-    {old dart: new dart} of G's darts on glued edges that survive, and the
-    bends in the order they left.
+    The bends leave one at a time, in the order (by id) and with the ids
+    of one remove_vertex at a time, on plain dicts; no glue makes a bend.
+    Returns the new graph, the renaming {old dart: new dart} of G's darts
+    on glued edges that survive, and the bends in the order they left.
     """
     bends = set(G._sites["M3r"])
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
@@ -565,14 +580,11 @@ def glue_bends(G):
 
 
 def _glue(rot, edges, col, v, e):
-    """Remove the bend v in place, gluing its two edges into the edge e.
-
-    e is the id fresh_ids(edges) gives while the glued edges still count:
-    each glue makes its edge the largest id, so one fresh_ids iterator
-    serves a whole run of glues.  The new edge runs from the far end of
-    v's first dart to that of its second.  Returns the two far ends and
-    the renaming {old dart: new dart} of the far darts of the glued edges.
-    """
+    """Remove the bend v in place, gluing its two edges into the edge e, from
+    the far end of v's first dart to that of its second.  e is the id
+    fresh_ids(edges) gives while the glued edges still count, the largest,
+    so one iterator serves a run.  Returns the two far ends and the
+    renaming {old dart: new dart} of the far darts of the glued edges."""
     (e1, end1), (e2, end2) = rot[v]
     d1, d2 = (e1, 1 - end1), (e2, 1 - end2)
     a, b = edges[e1][d1[1]], edges[e2][d2[1]]
@@ -692,18 +704,16 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     """Carry face weights across a rewrite by matching surviving darts.
 
     A face the rewrite left alone keeps its weight.  Each face that arrived
-    (is in faces(new_graph) but not in faces(old_net.graph)) gets the product
-    of the weights of the faces that left which share a dart with it; new
-    faces without an old dart (fresh isolated trees) get weight 1.
-    adjust: dict old-face-key -> multiplicative correction.  A face whose
-    region disappears must be scaled to weight 1 (its weight having gone
-    to its neighbours); a lost face of any other weight is a bug.
-    rename: dict old dart -> new dart for edges that were glued/split, so a
-    face bounded only by rewritten edges still finds its region.
-    new_graph is a rewrite of old_net's graph (_DiskGraph.replace), so its
-    map records the faces that left and arrived.  Only they and the
-    adjusted faces are checked: their weights stay positive and keep their
-    product, so all still multiply to 1.
+    gets the product of the weights of the faces that left which share a
+    dart with it, or 1 without one (a fresh isolated tree).  adjust: dict
+    old face key -> factor; a face whose region disappears must be scaled
+    to weight 1, and a lost face of any other weight is a bug.  rename:
+    dict old dart -> a new dart on the same face (by face, not by which
+    dart replaced which), so a face bounded only by rewritten edges still
+    finds its region.  new_graph's map, derived by _DiskGraph.replace,
+    records the faces that left and arrived; only they and the adjusted
+    faces are checked: positive, with their product kept, so all still
+    multiply to 1.
     """
     adjust = adjust or {}
     rename = rename or {}
@@ -741,18 +751,19 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     return net
 
 
-def _neighbour_factors(G, darts, y0, adjust):
-    """Multiply into adjust the factor of each face across `darts`, a face of weight y0.
+def _sides(darts, key, edges, col):
+    """For each dart of a face: key(its reverse), the face across, and its anchor's colour."""
+    return [(key(rev(d)), col[edges[d[0]][d[1]]]) for d in darts]
 
-    The orbit walks with the face on the left; the face across an edge
-    walked white -> black is multiplied by (1 + y0), black -> white divided
-    by (1 + 1/y0).  Shared by the square move M1 and the bigon reduction R1.
-    """
+
+def _neighbour_factors(sides, y0, adjust):
+    """Multiply into adjust the factor of each face across a face of weight y0,
+    given by the face's _sides: across an edge walked white -> black it is
+    1 + y0, black -> white 1 / (1 + 1/y0).  Shared by M1 and R1."""
     up = 1 + y0
     down = y0 / up          # 1 / (1 + 1/y0)
-    for e, end in darts:
-        other = _key_left_of(G, (e, 1 - end))
-        factor = up if G.col[G.edges[e][end]] == WHITE else down
+    for other, colour in sides:
+        factor = up if colour == WHITE else down
         adjust[other] = adjust[other] * factor if other in adjust else factor
     return adjust
 
@@ -848,7 +859,8 @@ def apply_move(x, move):
         newG = G.replace(square, col=col)
         if weighted:
             y0 = x.weights[key]
-            adjust = _neighbour_factors(G, darts, y0, {key: y0 ** -2})  # y0 -> 1/y0
+            sides = _sides(darts, partial(_key_left_of, G), G.edges, G.col)
+            adjust = _neighbour_factors(sides, y0, {key: y0 ** -2})  # y0 -> 1/y0
     elif kind == "M2":
         newG = contract_edge(G, move[1])
     elif kind == "M2u":
@@ -863,12 +875,10 @@ def apply_move(x, move):
 
 
 def bigon_faces(G):
-    """Two-dart faces of two bicolored edges, any degrees.
-
-    These become R1 sites once high-degree endpoints are uncontracted.  A
-    face with a boundary arc has only darts at the boundary, none of them
-    bicoloured, so only the map's faces of two real darts can qualify.
-    """
+    """Two-dart faces of two bicolored edges, any degrees: R1 sites once their
+    high-degree endpoints are uncontracted.  A face with a boundary arc has
+    only darts at the boundary, none bicoloured, so only the map's faces of
+    two real darts can qualify."""
     return [darts for darts in G.map.faces_of_length(2)
             if darts[0][0] != darts[1][0] and _bicolored(G, darts[0][0])]
 
@@ -886,63 +896,100 @@ def _parallel(rot, edges, e1, e2):
     return len(rot[u]) == len(rot[w]) == 3 and len({e for v in (u, w) for e, _ in rot[v]} - {e1, e2}) == 2
 
 
-def remove_bigons(G, bigons):
-    """(R1) remove a run of parallel pairs, bigons of G in bigon_faces order, as one rewrite.
+def _r1(rot, edges, col, e1, e2, e):
+    """(R1) in place at the bigon of the edges e1 < e2, if it is an R1 site
+    (_parallel; else None, the dicts untouched): between the ends u, w of
+    e1, delete the bigon and u's and w's third edges a and b, and join
+    their far ends by the new edge e, from a's to b's.  Returns the changed
+    vertices and the renaming {far dart of a: (e, 0), of b: (e, 1)}, each
+    new dart on the face of the old one."""
+    if not _parallel(rot, edges, e1, e2):
+        return None
+    u, w = edges[e1]
+    a, b = (next(x for x, _ in rot[v] if x not in (e1, e2)) for v in (u, w))
+    da, db = _far_dart(edges, a, u), _far_dart(edges, b, w)
+    za, zb = edges[a][da[1]], edges[b][db[1]]
+    del edges[e1], edges[e2], edges[a], edges[b], rot[u], rot[w], col[u], col[w]
+    edges[e] = (za, zb)
+    step = {da: (e, 0), db: (e, 1)}
+    for x in {za, zb}:
+        rot[x] = tuple(step.get(d, d) for d in rot[x])
+    return {u, w, za, zb}, step
 
-    R1 applies at each bigon in turn, with the ids apply_reduction gives,
-    on plain dicts: between the ends u, w of the bigon's smaller edge, it
-    deletes the bigon and u's and w's third edges a and b, and joins their
-    far ends by a new edge from a's to b's.  The run stops before a bigon
-    that is no R1 site of the graph as it stands, and after an R1 that
-    shortens a neighbour face without boundary arcs to two darts, a
-    possible new bigon that may come first: so it takes the sites one R1
-    at a time would.  No bigon is a neighbour face of an R1 site (they
-    would share an edge, a third one between the site's ends), so each
-    face of G beside a removed bigon stays a face, two darts shorter per
-    side of each such bigon.  Returns the new graph, the renaming {old
-    dart: new dart} of G's darts on glued edges that survive, and the
-    bigons removed, in order: none when the first is no R1 site.
+
+def remove_bigons(G):
+    """The bigon row in one rewrite, on plain dicts: each bigon of G, and each
+    one its R1 sites make, split off its endpoints of degree above 3 (M2u)
+    and removed (R1), with the sites, order and ids of one site at a time.
+
+    The bigons wait by their least dart; one whose edge an earlier R1
+    removed is skipped.  Only an R1 makes bigons, of the two faces of its
+    new edge, so those are walked after it.  Each dart the row makes keeps
+    a dart of G on the face to its left, taken over from the dart its rule
+    names (_split, _r1).  Returns the new graph, the renaming {dart of G: a
+    dart made on its face} for _transfer_weights, the sites, and for each
+    R1 the record _bigon_adjust reads: its bigon's face key and _sides, the
+    faces keyed in G.  Raises _no_r1_site at a bigon that is no R1 site.
     """
-    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    orbit, arcs, ids = G.map.orbit, G.map._arcs, fresh_ids(edges)
-    removed, changed, origin = [], set(), {}    # origin: current dart -> G's dart
-    length = {}                                 # id of a face of G beside a removed bigon -> darts left
-    for darts in bigons:
+    rot, edges, col, boundary = G.rot.copy(), G.edges.copy(), G.col.copy(), G.map._at
+    pending = list(bigon_faces(G))      # sorted, so a heap
+    origin = {}         # a dart the row made -> a dart of G on the face to its left
+    sites, records, changed = [], [], set()
+    top_v, top_e = max(rot), max(edges)     # the largest ids, as fresh_ids reads them
+
+    def key(d):
+        return _key_left_of(G, origin.get(d, d))
+
+    while pending:
+        darts = heappop(pending)
         e1, e2 = sorted(e for e, _ in darts)
-        if not _parallel(rot, edges, e1, e2):
-            break
-        u, w = edges[e1]
-        a, b = (next(x for x, _ in rot[v] if x not in (e1, e2)) for v in (u, w))
-        da, db = _far_dart(edges, a, u), _far_dart(edges, b, w)
-        za, zb = edges[a][da[1]], edges[b][db[1]]
-        e = next(ids)
-        del edges[e1], edges[e2], edges[a], edges[b], rot[u], rot[w], col[u], col[w]
-        edges[e] = (za, zb)
-        step = {da: (e, 0), db: (e, 1)}
-        for x in {za, zb}:
-            rot[x] = tuple(step.get(d, d) for d in rot[x])
-        for old, new in step.items():
-            origin[new] = origin.pop(old, old)
-        removed.append(darts)
-        changed.update((u, w, za, zb))
-        sides = [orbit(rev(d)) for d in darts]
-        for f in sides:
-            length[id(f)] = length.get(id(f), len(f)) - 2
-        if any(length[id(f)] == 2 and arcs.isdisjoint(f) for f in sides):
-            break
-    H = G.replace(changed, col=col, edges=edges, rot=rot) if removed else G
-    return H, {old: new for new, old in origin.items() if new[0] in edges}, removed
+        if e1 not in edges or e2 not in edges:
+            continue
+        for v in sorted(set(edges[e1])):
+            if len(rot[v]) > 3:
+                site = _split_pair(rot, v, (e1, e2))
+                top_v, top_e = 1 + max(top_v, top_e), top_e + 1
+                take, keep = _split(rot, edges, col, v, *site[2:], top_v, top_e)
+                origin[(top_e, 0)], origin[(top_e, 1)] = (origin.get(d, d) for d in (take[0], keep[0]))
+                sites.append(site)
+                changed.update((v, top_v))
+        records.append((key(darts[0]), _sides(darts, key, edges, col)))
+        top_e += 1
+        ends = _r1(rot, edges, col, e1, e2, top_e)
+        if ends is None:        # trivalent endpoints whose third edge is one edge
+            raise _no_r1_site(e1, e2)
+        changed |= ends[0]
+        origin.update((d, origin.get(old, old)) for old, d in ends[1].items())
+        if top_v not in rot:
+            top_v = max(rot)
+        sites.append(("R1", e1, e2))
+        za, zb = edges[top_e]
+        if za not in boundary and zb not in boundary and col[za] != col[zb]:
+            for d in ends[1].values():
+                after = _face_step(rot, edges, d)
+                if after[0] != top_e and _face_step(rot, edges, after) == d:
+                    heappush(pending, (after, d))      # after's edge is the older one
+    H = G.replace(changed, col=col, edges=edges, rot=rot)
+    return H, {old: new for new, old in origin.items() if new[0] in edges}, sites, records
 
 
-def _bigon_adjust(N, bigons):
-    """The adjust of _transfer_weights for R1 at each of the bigons of N's graph:
-    the neighbour factors of each bigon's weight y0 (_neighbour_factors), and
-    1/y0, which takes the bigon to weight 1."""
-    G, adjust = N.graph, {}
-    for darts in bigons:
-        y0 = N.weight_of(darts)
-        adjust[face_key(darts)] = 1 / y0
-        _neighbour_factors(G, darts, y0, adjust)
+def _face_step(rot, edges, dart):
+    """The next dart on the face left of dart: its reverse's successor where it arrives."""
+    e, end = dart
+    ds = rot[edges[e][1 - end]]
+    return ds[(ds.index((e, 1 - end)) + 1) % len(ds)]
+
+
+def _bigon_adjust(N, records):
+    """The adjust of _transfer_weights for the R1 sites of remove_bigons's
+    records, in order: a bigon's y0 is its weight in N times the factors of
+    the earlier sites, its neighbours take y0's factors (_neighbour_factors),
+    and its adjust ends at 1 / (its weight in N), to weight 1."""
+    adjust = {}
+    for key, sides in records:
+        w = N.weights[key]
+        _neighbour_factors(sides, w * adjust[key] if key in adjust else w, adjust)
+        adjust[key] = 1 / w
     return adjust
 
 
@@ -961,11 +1008,15 @@ def apply_reduction(x, red):
     if kind == "R1":
         e1, e2 = red[1], red[2]
         bigon = next((darts for darts in bigon_faces(G) if {d[0] for d in darts} == {e1, e2}), None)
-        newG, rename, removed = remove_bigons(G, [bigon] if bigon else [])
-        if not removed:
+        rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+        ends = bigon and _r1(rot, edges, col, *sorted((e1, e2)), next(fresh_ids(G.edges)))
+        if not ends:
             raise _no_r1_site(e1, e2)
+        changed, rename = ends
+        newG = G.replace(changed, col=col, edges=edges, rot=rot)
         if weighted:
-            adjust = _bigon_adjust(x, removed)
+            sides = _sides(bigon, partial(_key_left_of, G), G.edges, G.col)
+            adjust = _bigon_adjust(x, [(face_key(bigon), sides)])
     elif kind == "R2":
         u = red[1]
         if G.degree(u) != 1:
@@ -1021,11 +1072,9 @@ def apply_reduction(x, red):
         rot[u] = tuple(d for d in rot[u] if d[0] != e2)
         changed = {w, u}
         if boundary:
-            lv = next(fresh_ids(G.rot, G.edges))
-            eL = next(fresh_ids(G.edges))
+            lv, eL = next(fresh_ids(G.rot, G.edges)), next(fresh_ids(G.edges))
             edges[eL] = (u, lv)
-            rot[u] = ((eL, 0),)
-            rot[lv] = ((eL, 1),)
+            rot[u], rot[lv] = ((eL, 0),), ((eL, 1),)
             col[lv] = -G.col[w]
             rename = {_far_dart(G.edges, e2, w): (eL, 0)}
             changed.add(lv)
@@ -1093,34 +1142,24 @@ def _by_id(row):
 
 def _loop_sites(G):
     """Loops whose two darts are rotation neighbours, so nothing hangs inside them."""
-    return (e for e in sorted(G._sites["loop"]) if _split_pair(G, G.edges[e][0], (e,)))
+    return (e for e in sorted(G._sites["loop"]) if _split_pair(G.rot, G.edges[e][0], (e,)))
 
 
-def _split_pair(G, v, es):
-    """The M2u site moving the two darts of the edges es off v, or None when
-    they are not rotation neighbours (the darts of a bigon always are)."""
-    d = G.degree(v)
-    a, b = (t for t, (e, _) in enumerate(G.rot[v]) if e in es)
+def _split_pair(rot, v, es):
+    """The M2u site moving the two darts of the edges es off v in the rotations
+    rot, or None when they are no rotation neighbours (a bigon's always are)."""
+    d = len(rot[v])
+    a, b = (t for t, (e, _) in enumerate(rot[v]) if e in es)
     if (a - b) % d == 1:
         a, b = b, a
     return ("M2u", v, a, (b + 1) % d) if (b - a) % d == 1 else None
 
 
 def _bigon_step(G, darts, run):
-    # split the bigon's darts off each endpoint of degree above 3; then R1
-    # there and, in the same rewrite, at the bigons one R1 at a time would
-    # take next; the trace names each of them
-    es = {e for e, _ in darts}
-    for v in sorted(set(G.edges[min(es)])):
-        if G.degree(v) > 3:
-            G = run(_split_pair(G, v, es))
-    bigons = bigon_faces(G)
-    first = next(f for f in bigons if f[0][0] in es)
-    H, rename, removed = remove_bigons(G, [first, *(f for f in bigons if f is not first)])
-    if not removed:     # trivalent endpoints whose third edge is one edge
-        raise _no_r1_site(*sorted(es))
-    run(*(("R1", *sorted(e for e, _ in f)) for f in removed), rewritten=(H, rename),
-        adjust=lambda N: _bigon_adjust(N, removed))
+    # the whole bigon row, darts its first bigon, in one rewrite; the trace
+    # names each of its M2u and R1 sites
+    H, rename, sites, records = remove_bigons(G)
+    run(*sites, rewritten=(H, rename), adjust=lambda N: _bigon_adjust(N, records))
 
 
 def _no_r1_site(e1, e2):
@@ -1132,7 +1171,7 @@ def _loop_step(G, loop, run):
     # the loop's colour by an M3 vertex of the other colour, then Rloop
     v = G.edges[loop][0]
     if G.degree(v) > 3:
-        G = run(_split_pair(G, v, (loop,)))
+        G = run(_split_pair(G.rot, v, (loop,)))
         v = G.edges[loop][0]
     e2 = next((f for f, _ in G.rot[v] if f != loop), None)
     if e2 is None:
@@ -1157,14 +1196,13 @@ def _leaf_step(G, leaf, run):
 
 
 # The direct sites of reduce_graph in priority order: row -> (finder, step).
-# A finder yields the row's sites of a graph in the order reduce_graph takes
-# them.  step(G, site, run) applies, through run, the whole composite that
-# removes the site: preparatory moves and the reduction together.  run(s)
-# applies the site s to the object being reduced, records s in the trace and
-# returns the new graph; run(*sites, rewritten=(graph, renaming), adjust=f)
-# records a run of sites and takes one rewrite's result for them, glue_bends's
-# or remove_bigons's, with the face weights carried by the renaming and f(the
-# network), _transfer_weights's adjust.  Every composite shrinks _size.
+# A finder yields the row's sites in the order reduce_graph takes them.
+# step(G, site, run) applies, through run, the whole composite that removes
+# the site, preparatory moves included.  run(s) applies the site s, records
+# it in the trace and returns the new graph; run(*sites, rewritten=(graph,
+# renaming), adjust=f) records sites and takes one rewrite's result for them
+# (glue_bends, remove_bigons), the face weights carried by the renaming and
+# f(network), _transfer_weights's adjust.  Every composite shrinks _size.
 SITE_FINDERS = {
     "singleton": (_by_id("singleton"), lambda G, v, run: run(("singleton", v))),
     "M3r": (_by_id("M3r"), _glue_step),
@@ -1190,10 +1228,8 @@ def _first_site(G, rows):
 
 
 def _reduce_directly(x, rows, trace):
-    """Apply the composite at the first site of the rows until none is left.
-
-    Each composite shrinks _size, so there are at most _size(x) of them.
-    """
+    """Apply the composite at the first site of the rows until none is left:
+    at most _size(x) composites, as each shrinks _size."""
     def run(*sites, rewritten=None, adjust=None):
         nonlocal x
         trace.extend(sites)
@@ -1227,17 +1263,15 @@ def move_sites(G):
 
 
 def reduce_graph(x):
-    """Transform into a reduced plabic graph/network plus removed singletons.
+    """(reduced plabic graph or network, singletons removed, trace).
 
-    Returns (reduced object, singleton count, trace).  The trace lists the
-    applied sites and replays with apply_site.  Direct sites come from
-    SITE_FINDERS, and each composite lowers _size (faces + edges +
-    singletons), so there are at most _size(x) composites.  When none is
-    left and the graph is still not reduced, the trace ends in one
-    ("construct",) step: the reduced graph or network of the cell and the
-    point, built by _construct.  The singletons go first (none can be
-    oriented); then the graph must have a perfect orientation, or
-    NotPerfectlyOrientable is raised before any other rewrite.
+    The trace lists the applied sites and replays with apply_site.  The
+    composites of SITE_FINDERS each lower _size (faces + edges +
+    singletons); when none is left and the graph is not reduced, the trace
+    ends in one ("construct",) step, _construct's object of the cell and
+    the point.  The singletons go first (none can be oriented); then the
+    graph must have a perfect orientation, or NotPerfectlyOrientable is
+    raised before any other rewrite.
     """
     trace = []
     x = _reduce_directly(x, [SITE_FINDERS["singleton"]], trace)
@@ -1288,7 +1322,7 @@ def face_weights(net):
 
 def _face_network(G, x):
     """The plabic network on G whose faces weigh _face_product of the edge weights x."""
-    return PlabicNetwork(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
+    return PlabicNetwork._of_faces(G, {face_key(darts): _face_product(darts, x) for darts in faces(G)})
 
 
 def edge_weights_from_faces(N, orient):
@@ -1330,9 +1364,7 @@ def graph_from_le(D):
     Hook vertices with one edge out become black, the others white;
     four-valent crossings split into a black/white pair; lonely corners
     stay degree 2.  Empty rows give white boundary leaves, empty columns
-    black ones.  No weights are computed: the hook layout is built on D's
-    0/1 fill, whose 1s it keeps as row-edge weights that are thrown away,
-    and no tableau is made.
+    black ones.  The hook layout is built on D's 0/1 fill: no tableau.
 
     The ids, which `perm2graph` prints, are kept stable by one rule: the
     hook network's ids are those of `lediagram.gamma_network`, and the new

@@ -47,9 +47,14 @@ cross-check `permutations.covers`, which uncrosses chords.
 Runs of bends: `glue_bends_stepwise` removes every internal degree-2
 vertex on two edges one `M3r` move at a time, each a rewrite of its own,
 to cross-check `plabic.glue_bends`, which glues the whole run in one.
-Runs of parallel pairs: `reduce_one_r1_at_a_time` reduces with each `R1`
-a rewrite of its own (`bigon_step_one_r1`, the bigon row's step before
-`plabic.remove_bigons` took a run of them in one rewrite).
+Bigon rows: `reduce_one_r1_at_a_time` reduces with each `M2u` split and
+each `R1` a rewrite of its own (`bigon_step_one_r1`), to cross-check
+`plabic.remove_bigons`, which removes the whole row in one.
+
+Symmetries of the disk: `swap_colours`, `turn_boundary` (b_i renamed
+b_{i+1}) and `mirror` (b_i renamed b_{n+1-i}, every rotation reversed)
+act on plabic graphs, and `conjugated` on decorated permutations, to
+check that trips and `reduce` commute with them.
 
 Le-networks: `hook_layout_by_coordinates` lays the hook network out on
 grid coordinates and sorts each vertex's darts by compass heading, to
@@ -111,7 +116,7 @@ from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_n
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
-from positroid.plabic import (SITE_FINDERS, PlabicNetwork, _split_pair, apply_move,
+from positroid.plabic import (SITE_FINDERS, PlabicGraph, PlabicNetwork, _split_pair, apply_move,
                               contracted, face_key, face_weights, faces, orientation_sources,
                               perfect_orientation, reduce_graph, reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, fresh_ids
@@ -815,12 +820,12 @@ def glue_bends_stepwise(x):
 
 
 def bigon_step_one_r1(G, darts, run):
-    """The bigon row's step with one R1 per step: an M2u split of the bigon's
-    darts off each endpoint of degree above 3, then R1 there."""
+    """The bigon row's step with one rewrite per site: an M2u split of the
+    bigon's darts off each endpoint of degree above 3, then R1 there."""
     es = {e for e, _ in darts}
     for v in sorted(set(G.edges[min(es)])):
         if G.degree(v) > 3:
-            G = run(_split_pair(G, v, es))
+            G = run(_split_pair(G.rot, v, es))
     run(("R1", min(es), max(es)))
 
 
@@ -833,6 +838,43 @@ def reduce_one_r1_at_a_time(x):
         return reduce_graph(x)
     finally:
         SITE_FINDERS["bigon"] = row
+
+
+# -- symmetries of the disk -------------------------------------------------------
+
+
+def swap_colours(G):
+    """The plabic graph G with black and white swapped."""
+    return PlabicGraph(G.n, {v: -c for v, c in G.col.items()}, G.edges, rot=G.rot)
+
+
+def turn_boundary(G):
+    """G with each boundary vertex i renamed i + 1, and n renamed 1."""
+    return _boundary_renamed(G, {i: i % G.n + 1 for i in G.boundary}, 1)
+
+
+def mirror(G):
+    """G reflected: each boundary vertex i renamed n + 1 - i, every rotation reversed."""
+    return _boundary_renamed(G, {i: G.n + 1 - i for i in G.boundary}, -1)
+
+
+def _boundary_renamed(G, name, step):
+    """G with the boundary vertices renamed by the dict name and each
+    rotation read with the given step, 1 or -1."""
+    edges = {e: (name.get(u, u), name.get(w, w)) for e, (u, w) in G.edges.items()}
+    rot = {name.get(v, v): ds[::step] for v, ds in G.rot.items()}
+    return PlabicGraph(G.n, G.col, edges, rot=rot)
+
+
+def conjugated(pi, g, invert=False, swap=False):
+    """g pi g^-1, or g pi^-1 g^-1 when invert, for a bijection g of [n]: the
+    decorated permutation that sends g(i) to g(pi(i)), or g(pi(i)) to g(i).
+    The fixed point i becomes g(i), with its colour swapped when swap."""
+    perm = [0] * pi.n
+    for i, j in enumerate(pi.perm, 1):
+        a, b = (j, i) if invert else (i, j)
+        perm[g(a) - 1] = g(b)
+    return DecoratedPermutation(perm, {g(i): -c if swap else c for i, c in pi.col.items()})
 
 
 # -- the Le-network by way of its hook network -------------------------------------

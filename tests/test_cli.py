@@ -532,6 +532,15 @@ def test_face_lines_are_matched_by_name(capsys, tmp_path, damage, given):
     assert err == f"error: plabic text line 17: expected face '1.0', not '{given}'\n"
 
 
+def test_a_faces_header_without_weight_lines_is_a_network(capsys, tmp_path):
+    text = "n 2\nvertex 3 black : 1 2\nedge 1 : 1 3\nedge 2 : 3 2\nfaces\n"
+    assert _one_line_error(capsys, tmp_path, text, "reduce") == "error: 0 face weights for 2 faces\n"
+    f = tmp_path / "empty.txt"
+    f.write_text("n 0\nvertex 5 black : \nfaces\n")      # a network without inner faces
+    code, out, _ = run(capsys, "reduce", str(f), "--json")
+    assert (code, json.loads(out)["text"], json.loads(out)["singletons"]) == (0, "n 0\nfaces\n", 1)
+
+
 def test_tableau_entry_1_over_0_exit_1(capsys, tmp_path):
     err = _one_line_error(capsys, tmp_path, "1 2\n1\n1/0\n", "le2net")
     assert "'1/0' is not a rational number" in err

@@ -901,15 +901,24 @@ def test_glue_bends_on_hand_built_runs(monkeypatch):
 
 
 def _hand_bigons():
-    """Graphs whose R1 runs show each way a run ends or carries over.
+    """Graphs whose bigon rows show each way a row carries over.
 
-    "chain": b1 - 3 = 4 - 5 = 6 - b2, two bigons in a row on one path, one
-    run; the second R1 glues again the edge the first one made, and both
-    multiply the two faces beside the path.  "lens": the bigon 4 = 5 on a
-    path from 3 to 6 beside the edge 2 from 3 to 6; its R1 leaves a bigon
-    of edge 2 and the new edge, so the run ends there.  "split": the chain
-    with a third boundary vertex on 7, which the second bigon must be
-    split off in its own step, between two runs.
+    "chain": b1 - 3 = 4 - 5 = 6 - b2, two bigons in a row on one path; the
+    second R1 glues again the edge the first one made, and both multiply
+    the two faces beside the path.  "lens": the bigon 4 = 5 on a path from
+    3 to 6 beside the edge 2 from 3 to 6; its R1 leaves a new bigon of
+    edge 2 and the new edge, which comes before the bigon 8 = 9.  "split":
+    the chain with a third boundary vertex on 7, which the second bigon is
+    split off.  "shared": three parallel edges 2, 3, 4 between two
+    vertices of degree 4, so the bigons {2, 3} and {3, 4} share edge 3;
+    the R1 at the first removes the second, and leaves a new bigon of edge
+    4 and the new edge.  "cascade": the bigon 4 = 5 between the black 3,
+    of degree 6, and the white 4, whose third edge 7 goes to the white 5,
+    tied to 3 by the edges 3 and 6 on either side of the bigon.  The R1
+    at 4 = 5, after a split off 3, leaves the new bigons {3, 9} and
+    {6, 9}; the R1 at {3, 9} uses a split edge as its third edge, glues
+    6 into a loop at 3, and the face of {6, 9}, whose darts the row all
+    removed, lives on inside that loop.
     """
     chain = {1: (1, 3), 2: (3, 4), 3: (3, 4), 4: (4, 5), 5: (5, 6), 6: (5, 6), 7: (6, 2)}
     return {
@@ -924,19 +933,24 @@ def _hand_bigons():
                              {1: (1, 4), 2: (4, 5), 3: (4, 5), 4: (5, 6), 5: (6, 7), 6: (6, 7),
                               7: (7, 2), 8: (3, 7)},
                              rot_ids={4: [1, 2, 3], 5: [2, 4, 3], 6: [4, 5, 6], 7: [5, 7, 8, 6]}),
+        "shared": PlabicGraph(2, {3: WHITE, 4: BLACK}, {1: (1, 3), 2: (3, 4), 3: (3, 4), 4: (3, 4), 5: (4, 2)},
+                              rot_ids={3: [1, 2, 3, 4], 4: [5, 4, 3, 2]}),
+        "cascade": PlabicGraph(2, {3: BLACK, 4: WHITE, 5: WHITE},
+                               {1: (1, 3), 2: (3, 2), 3: (5, 3), 4: (3, 4), 5: (3, 4), 6: (5, 3), 7: (4, 5)},
+                               rot_ids={3: [6, 4, 5, 3, 2, 1], 4: [5, 4, 7], 5: [7, 6, 3]}),
     }
 
 
 @pytest.fixture
 def r1_runs(monkeypatch):
-    """The lengths of the runs plabic.remove_bigons removes, in order."""
+    """The number of R1 sites of each bigon row plabic.remove_bigons removes, in order."""
     lengths = []
     remove = plabic.remove_bigons
 
-    def counted(G, bigons):
-        H, rename, removed = remove(G, bigons)
-        lengths.append(len(removed))
-        return H, rename, removed
+    def counted(G):
+        H, rename, sites, records = remove(G)
+        lengths.append(sum(site[0] == "R1" for site in sites))
+        return H, rename, sites, records
 
     monkeypatch.setattr(plabic, "remove_bigons", counted)
     return lengths
@@ -967,29 +981,41 @@ def test_r1_runs_equal_one_r1_at_a_time(r1_runs):
         r1_runs.clear()
         assert _reduced(reduce_graph, x) == expected
         runs.update(r1_runs)
-    assert sum(runs.values()) >= 900 and sum(n for length, n in runs.items() if length > 1) >= 100
+    # 1,248 R1 sites in 848 rows, 152 of them with more than one R1
+    assert (sum(length * n for length, n in runs.items()) >= 1200
+            and sum(n for length, n in runs.items() if length > 1) >= 150)
 
 
 def test_r1_runs_on_hand_built_graphs(r1_runs, monkeypatch):
     G = _hand_bigons()
     b1, b2 = plabic.bigon_faces(G["chain"])
-    H, rename, removed = plabic.remove_bigons(G["chain"], [b1, b2])
-    assert removed == [b1, b2] and H.edges == {9: (1, 2)}
+    H, rename, sites, records = plabic.remove_bigons(G["chain"])
+    assert sites == [("R1", 2, 3), ("R1", 5, 6)] and H.edges == {9: (1, 2)}
     assert rename == {(1, 0): (9, 0), (7, 1): (9, 1)}      # edge 8, made by the first R1, glued again
     N = reweight(G["chain"], rng, special={face_key(b1): Fraction(3), face_key(b2): Fraction(5)})
-    both, one, two = (plabic._bigon_adjust(N, bs) for bs in ([b1, b2], [b1], [b2]))
+    both, one, two = (plabic._bigon_adjust(N, rs) for rs in (records, records[:1], records[1:]))
+    # the second bigon's record, taken after the first R1, names the faces of G
+    assert [key for key, _ in records] == [face_key(b1), face_key(b2)]
     sides = {_key_left_of(G["chain"], (e, 1 - end)) for e, end in b1}
     assert sides == {_key_left_of(G["chain"], (e, 1 - end)) for e, end in b2} and len(sides) == 2
+    assert all({key for key, _ in r[1]} == sides for r in records)
     for key in sides:       # the faces beside both bigons take both factors
         assert both[key] == one[key] * two[key] != 1
     derived = Counter()
     derive = DiskMap.derive
     monkeypatch.setattr(DiskMap, "derive", lambda m, *a: derived.update(["map"]) or derive(m, *a))
-    # (graph, trace, R1 runs, derived maps: one per rewrite)
+    # (graph, trace, R1 sites of each bigon row, derived maps: one per rewrite)
+    cascade = [("M2u", 3, 1, 3), ("R1", 4, 5), ("M2u", 3, 0, 2), ("R1", 3, 9),
+               ("M2u", 3, 3, 1), ("M3", 12, WHITE), ("Rloop", 11), ("R2", 13)]
     for name, trace, runs, maps in (("chain", [("R1", 2, 3), ("R1", 5, 6)], [2], 1),
-                                    ("lens", [("R1", 4, 5), ("R1", 2, 11), ("R1", 8, 9)], [1, 2], 2),
-                                    ("split", [("R1", 2, 3), ("M2u", 7, 3, 1), ("R1", 5, 6)], [1, 1], 3)):
-        for x in (G[name], N if name == "chain" else reweight(G[name], rng)):
+                                    ("lens", [("R1", 4, 5), ("R1", 2, 11), ("R1", 8, 9)], [3], 1),
+                                    ("split", [("R1", 2, 3), ("M2u", 7, 3, 1), ("R1", 5, 6)], [2], 1),
+                                    ("shared", [("M2u", 3, 1, 3), ("M2u", 4, 2, 0), ("R1", 2, 3), ("R1", 4, 8)],
+                                     [2], 1),
+                                    ("cascade", cascade, [2], 5)):
+        # the face (4, 0) of "cascade" is the one that lives on inside the loop
+        special = {(4, 0): Fraction(3)} if name == "cascade" else None
+        for x in (G[name], N if name == "chain" else reweight(G[name], rng, special)):
             r1_runs.clear()
             derived.clear()
             red, _, got = reduce_graph(x)
@@ -1271,6 +1297,28 @@ def test_plabic_text_roundtrip():
 def _rotations(G):
     """Each vertex's rotation as a dart cycle, whichever dart it starts at."""
     return {v: _cycle(ds) for v, ds in G.rot.items()}
+
+
+def test_network_text_reads_back_as_an_equal_network():
+    # the `faces` header makes the text a network's, with or without weight
+    # lines: a network without inner faces reads back as a network too
+    nets = [PlabicNetwork(PlabicGraph(0, {}, {}), {}),
+            PlabicNetwork(PlabicGraph(0, {5: BLACK}, {}), {}),
+            PlabicNetwork(PlabicGraph(0, {5: BLACK, 6: WHITE, 7: WHITE}, {1: (6, 7)}), {(1, 0): 1})]
+    for seed in range(40):
+        r = random.Random(seed)
+        nets.append(random_plabic_network(r, nmax=7, scrambles=5))
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        nets.append(reweight(G, r))
+    assert nets[0].to_text() == "n 0\nfaces\n"
+    assert nets[1].to_text() == "n 0\nvertex 5 black : \nfaces\n"
+    for N in nets:
+        text = N.to_text()
+        back = PlabicGraph.from_text(text)
+        assert type(back) is PlabicNetwork and back.to_text() == text
+        assert back.weights == N.weights
+        G, H = N.graph, back.graph
+        assert (H.n, H.col, H.edges, _rotations(H)) == (G.n, G.col, G.edges, _rotations(G))
 
 
 def test_plabic_text_round_trips_a_head_first_loop():
