@@ -57,11 +57,7 @@ def cmd_measure(args):
 
 
 def cmd_invert(args):
-    A = RationalMatrix.from_text(_read(args.file))
-    try:
-        T = lediagram.invert_measurement(A)
-    except lediagram.NotTotallyNonnegative as ex:
-        raise PreconditionError(str(ex))
+    T = lediagram.invert_measurement(RationalMatrix.from_text(_read(args.file)))
     _emit({"k": T.k, "n": T.n, "shape": list(T.shape), "text": T.to_text()}, args.json)
     return 0
 
@@ -115,22 +111,14 @@ def _read_plabic_graph(path):
 
 
 def cmd_reduce(args):
-    obj = plabic.PlabicGraph.from_text(_read(args.file))
-    try:
-        red, nsing, trace = plabic.reduce_graph(obj)
-    except plabic.NotPerfectlyOrientable as ex:
-        raise PreconditionError(str(ex))
+    red, nsing, trace = plabic.reduce_graph(plabic.PlabicGraph.from_text(_read(args.file)))
     _emit({"singletons": nsing, "trace": [list(map(str, t)) for t in trace],
            "text": red.to_text()}, args.json)
     return 0
 
 
 def cmd_matroid(args):
-    G = _read_plabic_graph(args.file)
-    try:
-        neck = plabic.necklace(G)
-    except ValueError as ex:
-        raise PreconditionError(str(ex))
+    neck = plabic.necklace(_read_plabic_graph(args.file))
     # the bases come in lex order, Matroid.to_text's lines without its set or sort
     lines = [" ".join(map(str, J)) for J in plabic.positroid_bases(neck)]
     text = "\n".join([f"{neck.k} {neck.n}", *lines]) + "\n"
@@ -320,7 +308,7 @@ def main(argv=None):
     fn = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
         return fn(args)
-    except PreconditionError as ex:
+    except (PreconditionError, plabic.NotPerfectlyOrientable, lediagram.NotTotallyNonnegative) as ex:
         print(f"precondition failed: {ex}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as ex:

@@ -13,6 +13,12 @@ found by augmenting paths, reversing paths in it walks it through the
 Grassmann necklace, and the bases follow from the necklace by Oh's
 theorem.  Trips (turn right at black, left at white) give the decorated
 trip permutation, the complete move invariant of reduced graphs.
+
+The moves M1-M3 and reductions R1-R3 (Postnikov §12) are one rule per
+site kind on plain dicts, in one table, SITE_RULES, applied by one
+applier that derives the new graph once and carries the face weights.
+reduce_graph takes its sites from a second table, SITE_FINDERS, whose
+batched rows (glue_bends, remove_bigons) run the same dict rules.
 """
 
 from fractions import Fraction
@@ -462,45 +468,6 @@ def trip_permutation(G):
 # -- contraction and normalization ----------------------------------------------------
 
 
-def contract_edge(G, e):
-    """(M2) contract a unicolored non-loop edge into one vertex."""
-    u, w = G.edges[e]
-    if u == w:
-        raise ValueError("cannot contract a loop")
-    if u in G.boundary or w in G.boundary:
-        raise ValueError("cannot contract into the boundary")
-    if G.col[u] != G.col[w]:
-        raise ValueError(f"edge {e} is not unicolored")
-    m = next(fresh_ids(G.rot, G.edges))
-    du, dw = (e, 0), (e, 1)
-    if G.edges[e][0] != u:
-        du, dw = dw, du
-    ru = list(G.rot[u])
-    rw = list(G.rot[w])
-    iu, iw = ru.index(du), rw.index(dw)
-    merged = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
-    edges = G.edges.copy()
-    del edges[e]
-    _reanchor(edges, merged, m)
-    rot, col = G.rot.copy(), G.col.copy()
-    del rot[u], rot[w], col[u], col[w]
-    rot[m] = tuple(merged)
-    col[m] = G.col[u]
-    return G.replace({u, w, m}, col=col, edges=edges, rot=rot)
-
-
-def uncontract_vertex(G, v, i, j):
-    """(M2) split v into an edge; darts rot[v][i:j] (cyclically) move out."""
-    ds = list(G.rot[v])
-    if not (0 <= i < len(ds) and 0 <= j < len(ds)):
-        raise _bad_site(("M2u", v, i, j), f"vertex {v} has degree {len(ds)}, "
-                        f"so i and j must lie in 0..{len(ds) - 1}")
-    m = next(fresh_ids(G.rot, G.edges))
-    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    _split(rot, edges, col, v, i, j, m, next(fresh_ids(G.edges)))
-    return G.replace({v, m}, col=col, edges=edges, rot=rot)
-
-
 def _split(rot, edges, col, v, i, j, m, e):
     """(M2u) in place: move the darts rot[v][i:j] (cyclically) to the new vertex
     m of v's colour, behind the new edge e, (e, 0) in the block's place at
@@ -517,46 +484,11 @@ def _split(rot, edges, col, v, i, j, m, e):
     return take, keep
 
 
-def insert_vertex(G, e, colr):
-    """(M3) insert a middle vertex of the given color into edge e.
-
-    Returns the new graph and the renaming {old dart: new dart} of e's darts.
-    """
-    u, w = G.edges[e]
-    m = next(fresh_ids(G.rot, G.edges))
-    e1, e2 = islice(fresh_ids(G.edges), 2)
-    edges = G.edges.copy()
-    del edges[e]
-    edges[e1] = (u, m)
-    edges[e2] = (m, w)
-    rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
-    rot = _renamed_rot(G, rename)
-    rot[m] = ((e1, 1), (e2, 0))
-    col = G.col.copy()
-    col[m] = colr
-    return G.replace({u, w, m}, col=col, edges=edges, rot=rot), rename
-
-
-def remove_vertex(G, v):
-    """(M3) remove an internal degree-2 vertex, gluing its edges.
-
-    Returns the new graph and the renaming {old dart: new dart} of the two
-    far darts of the glued edges.
-    """
-    if G.degree(v) != 2 or v in G.boundary:
-        raise ValueError(f"{v} is not an internal degree-2 vertex")
-    if G.rot[v][0][0] == G.rot[v][1][0]:
-        raise ValueError("vertex carries a loop; remove the loop instead")
-    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    a, b, rename = _glue(rot, edges, col, v, next(fresh_ids(edges)))
-    return G.replace({v, a, b}, col=col, edges=edges, rot=rot), rename
-
-
 def glue_bends(G):
     """(M3) remove every bend, an internal degree-2 vertex on two edges, as one rewrite.
 
     The bends leave one at a time, in the order (by id) and with the ids
-    of one remove_vertex at a time, on plain dicts; no glue makes a bend.
+    of one M3r site at a time, on plain dicts; no glue makes a bend.
     Returns the new graph, the renaming {old dart: new dart} of G's darts
     on glued edges that survive, and the bends in the order they left.
     """
@@ -594,15 +526,6 @@ def _glue(rot, edges, col, v, e):
     for x in {a, b}:
         rot[x] = tuple(rename.get(d, d) for d in rot[x])
     return a, b, rename
-
-
-def _renamed_rot(G, rename):
-    """A copy of G's rotations with the darts in rename replaced."""
-    rot = G.rot.copy()
-    for e, end in rename:
-        x = G.edges[e][end]
-        rot[x] = tuple(rename.get(d, d) for d in rot[x])
-    return rot
 
 
 def _far_dart(edges, e, v):
@@ -794,86 +717,6 @@ def _squares(G):
     return out
 
 
-# The arguments of each kind of site: e an edge id, v an internal vertex, i a
-# rotation index, c a colour, f a face key (two integers in site text).
-# Kinds that start with "M" are moves; construct (see reduce_graph) takes no
-# arguments; the others are reductions.
-SITE_ARGS = {"M1": "f", "M2": "e", "M2u": "vii", "M3": "ec", "M3r": "v",
-             "R1": "ee", "R2": "v", "R3": "v", "Rloop": "e", "singleton": "v", "construct": ""}
-
-
-def parse_site(text):
-    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct'."""
-    kind, *toks = text.split() or [""]
-    args = SITE_ARGS.get(kind)
-    if args is None or len(toks) != len(args) + args.count("f"):
-        raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
-    if args.endswith("c"):
-        toks[-1] = _COLOURS.get(toks[-1].lower())
-        if toks[-1] is None:
-            raise ValueError(f"bad site {text!r}: the colour must be black or white")
-    try:
-        ids = [int(t) for t in toks]
-    except ValueError:
-        raise ValueError(f"bad site {text!r}: ids and indices must be integers") from None
-    return (kind, tuple(ids)) if args == "f" else (kind, *ids)
-
-
-def _bad_site(site, why):
-    return ValueError(f"bad {site[0]} site ({', '.join(map(str, site[1:]))}): {why}")
-
-
-def _check_site_ids(G, site):
-    """Reject a site that names an unknown edge or vertex, or a boundary vertex."""
-    for what, x in zip(SITE_ARGS.get(site[0], ""), site[1:]):
-        if what == "e" and x not in G.edges:
-            raise _bad_site(site, f"no edge {x}")
-        if what == "v" and x not in G.rot:
-            raise _bad_site(site, f"no vertex {x}")
-        if what == "v" and x in G.boundary:
-            raise _bad_site(site, f"{x} is a boundary vertex")
-
-
-def apply_move(x, move):
-    """Apply M1 (square, site=face key), M2 (contract edge / uncontract
-    vertex), or M3 (insert into edge / remove degree-2 vertex).
-
-    x may be a PlabicGraph or PlabicNetwork; the same kind is returned.
-    Sites: ("M1", face_key), ("M2", eid), ("M2u", v, i, j),
-    ("M3", eid, color), ("M3r", v).
-    """
-    G = _graph_of(x)
-    _check_site_ids(G, move)
-    weighted = isinstance(x, PlabicNetwork)
-    kind = move[0]
-    adjust, rename = {}, {}
-    if kind == "M1":
-        key = move[1]
-        darts = next((f for f in _squares(G) if face_key(f) == key), None)
-        if darts is None:
-            raise ValueError(f"face {key} is not a square-move site")
-        col = G.col.copy()
-        square = {G.edges[e][1 - end] for e, end in darts}
-        for v in square:
-            col[v] = -col[v]
-        newG = G.replace(square, col=col)
-        if weighted:
-            y0 = x.weights[key]
-            sides = _sides(darts, partial(_key_left_of, G), G.edges, G.col)
-            adjust = _neighbour_factors(sides, y0, {key: y0 ** -2})  # y0 -> 1/y0
-    elif kind == "M2":
-        newG = contract_edge(G, move[1])
-    elif kind == "M2u":
-        newG = uncontract_vertex(G, *move[1:])
-    elif kind == "M3":
-        newG, rename = insert_vertex(G, move[1], move[2])
-    elif kind == "M3r":
-        newG, rename = remove_vertex(G, move[1])
-    else:
-        raise ValueError(f"unknown move {move!r}")
-    return _transfer_weights(x, newG, adjust, rename) if weighted else newG
-
-
 def bigon_faces(G):
     """Two-dart faces of two bicolored edges, any degrees: R1 sites once their
     high-degree endpoints are uncontracted.  A face with a boundary arc has
@@ -993,6 +836,252 @@ def _bigon_adjust(N, records):
     return adjust
 
 
+# -- one rule per site kind ------------------------------------------------------------
+
+
+def _square_move(G, rot, edges, col, key):
+    """(M1) the square move at the face key: its four vertices change colour,
+    its weight y0 becomes 1 / y0 and each face across takes a factor of y0."""
+    darts = next((f for f in _squares(G) if face_key(f) == key), None)
+    if darts is None:
+        raise ValueError(f"face {key} is not a square-move site")
+    square = {G.edges[e][1 - end] for e, end in darts}
+    for v in square:
+        col[v] = -col[v]
+
+    def adjust(N):
+        y0 = N.weights[key]
+        sides = _sides(darts, partial(_key_left_of, G), G.edges, G.col)
+        return _neighbour_factors(sides, y0, {key: y0 ** -2})  # y0 -> 1/y0
+    return square, None, adjust
+
+
+def _contract(G, rot, edges, col, e):
+    """(M2) contract the unicolored non-loop edge e into one new vertex."""
+    u, w = G.edges[e]
+    if u == w:
+        raise ValueError("cannot contract a loop")
+    if u in G.boundary or w in G.boundary:
+        raise ValueError("cannot contract into the boundary")
+    if G.col[u] != G.col[w]:
+        raise ValueError(f"edge {e} is not unicolored")
+    m = next(fresh_ids(G.rot, G.edges))
+    ru, rw = rot.pop(u), rot.pop(w)
+    iu, iw = ru.index((e, 0)), rw.index((e, 1))
+    merged = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
+    del edges[e]
+    _reanchor(edges, merged, m)
+    rot[m] = merged
+    col[m] = col.pop(u)
+    del col[w]
+    return {u, w, m}, None, None
+
+
+def _uncontract(G, rot, edges, col, v, i, j):
+    """(M2u) split v into an edge: the darts rot[v][i:j] (cyclically) move out (_split)."""
+    d = len(rot[v])
+    if not (0 <= i < d and 0 <= j < d):
+        raise _bad_site(("M2u", v, i, j), f"vertex {v} has degree {d}, so i and j must lie in 0..{d - 1}")
+    m = next(fresh_ids(G.rot, G.edges))
+    _split(rot, edges, col, v, i, j, m, next(fresh_ids(G.edges)))
+    return {v, m}, None, None
+
+
+def _insert(G, rot, edges, col, e, colr):
+    """(M3) insert a middle vertex of the colour colr into the edge e."""
+    u, w = edges.pop(e)
+    m = next(fresh_ids(G.rot, G.edges))
+    e1, e2 = islice(fresh_ids(G.edges), 2)
+    edges[e1] = (u, m)
+    edges[e2] = (m, w)
+    rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
+    for x in {u, w}:
+        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+    rot[m] = ((e1, 1), (e2, 0))
+    col[m] = colr
+    return {u, w, m}, rename, None
+
+
+def _unbend(G, rot, edges, col, v):
+    """(M3r) remove the internal degree-2 vertex v, gluing its edges (_glue)."""
+    if G.degree(v) != 2:
+        raise ValueError(f"{v} is not an internal degree-2 vertex")
+    if rot[v][0][0] == rot[v][1][0]:
+        raise ValueError("vertex carries a loop; remove the loop instead")
+    a, b, rename = _glue(rot, edges, col, v, next(fresh_ids(G.edges)))
+    return {v, a, b}, rename, None
+
+
+def _parallel_pair(G, rot, edges, col, e1, e2):
+    """(R1) remove the bigon of the edges e1 and e2 (_r1); it goes to weight 1."""
+    bigon = next((darts for darts in bigon_faces(G) if {d[0] for d in darts} == {e1, e2}), None)
+    ends = bigon and _r1(rot, edges, col, *sorted((e1, e2)), next(fresh_ids(G.edges)))
+    if not ends:
+        raise _no_r1_site(e1, e2)
+
+    def adjust(N):
+        sides = _sides(bigon, partial(_key_left_of, G), G.edges, G.col)
+        return _bigon_adjust(N, [(face_key(bigon), sides)])
+    return *ends, adjust
+
+
+def _leaf(G, rot, edges, col, u):
+    """(R2) remove the internal leaf u and its neighbour v, of the other colour
+    and of degree at least 3; each other edge at v ends in a new leaf of u's colour."""
+    if G.degree(u) != 1:
+        raise ValueError(f"{u} is not an internal leaf")
+    e = G.incident(u)[0]
+    v = G.other_end(e, u)
+    if v in G.boundary:
+        raise ValueError("boundary leaves cannot be reduced")
+    if G.col[u] == G.col[v] or G.degree(v) < 3:
+        raise ValueError(f"leaf reduction does not apply at {u}")
+    del edges[e], rot[u], rot[v], col[u], col[v]
+    others = [d for d in G.rot[v] if d[0] != e]
+    changed = {u, v}
+    for m, dart in zip(fresh_ids(G.rot, G.edges), others):
+        _reanchor(edges, [dart], m)
+        rot[m] = (dart,)
+        col[m] = G.col[u]
+        changed.add(m)
+    return changed, None, None
+
+
+def _dipole(G, rot, edges, col, a):
+    """(R3) remove the bicoloured dipole of a; its walk carries weight 1 (a tree
+    orbit), so it just vanishes."""
+    b = G.other_end(G.incident(a)[0], a) if G.degree(a) == 1 else None
+    if b is None or b in G.boundary or G.degree(b) != 1 or G.col[a] == G.col[b]:
+        raise ValueError(f"{a} is not in a bicolored dipole")
+    del edges[G.incident(a)[0]], rot[a], rot[b], col[a], col[b]
+    return {a, b}, None, None
+
+
+def _lollipop(G, rot, edges, col, e):
+    """(Rloop) lollipop removal: a trivalent vertex w carrying the loop e is a
+    dead end for directed paths, so w, its loop, and its attaching edge
+    vanish together; the loop's inside face folds into the ambient face.  A
+    boundary lollipop leaves an oppositely colored leaf (the vertex colors
+    swap roles of source and sink there)."""
+    w, w1 = G.edges[e]
+    if w != w1:
+        raise ValueError(f"edge {e} is not a loop")
+    if G.degree(w) != 3:
+        raise ValueError(f"loop vertex {w} is not trivalent")
+    e2 = next(f for f, _ in G.rot[w] if f != e)
+    u = G.other_end(e2, w)
+    boundary = u in G.boundary
+    if not boundary and G.col[u] == G.col[w]:
+        raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
+    del edges[e], edges[e2], rot[w], col[w]
+    rot[u] = tuple(d for d in rot[u] if d[0] != e2)
+    changed, rename = {w, u}, None
+    if boundary:
+        lv, eL = next(fresh_ids(G.rot, G.edges)), next(fresh_ids(G.edges))
+        edges[eL] = (u, lv)
+        rot[u], rot[lv] = ((eL, 0),), ((eL, 1),)
+        col[lv] = -G.col[w]
+        rename = {_far_dart(G.edges, e2, w): (eL, 0)}
+        changed.add(lv)
+
+    def adjust(N):
+        # the loop's two darts are neighbours in w's rotation of three, so
+        # one of them is a face of its own: the inside of the loop
+        inner = min(G.map.orbit((e, 0)), G.map.orbit((e, 1)), key=len)
+        y = N.weight_of(inner)
+        return {_key_left_of(G, rev(inner[0])): y, face_key(inner): 1 / y}
+    return changed, rename, adjust
+
+
+def _singleton(G, rot, edges, col, v):
+    """Remove the vertex v, which has no edges."""
+    if G.degree(v):
+        raise ValueError(f"vertex {v} is not a singleton")
+    del rot[v], col[v]
+    return {v}, None, None
+
+
+# Each kind of site: (its arguments, its rule).  The arguments: e an edge
+# id, v an internal vertex, i a rotation index, c a colour, f a face key
+# (two integers in site text).  Kinds that start with "M" are moves;
+# construct (see reduce_graph) takes no arguments and has no rule; the
+# others are reductions.  rule(G, rot, edges, col, *args) checks its site
+# on G and rewrites rot, edges and col, copies of G's, in place, drawing
+# fresh ids from G's own; it returns the changed vertices (replace's), the
+# renaming {old dart: new dart on the same face} or None, and
+# _transfer_weights's adjust as a function of the network, or None.
+SITE_RULES = {"M1": ("f", _square_move), "M2": ("e", _contract), "M2u": ("vii", _uncontract),
+              "M3": ("ec", _insert), "M3r": ("v", _unbend), "R1": ("ee", _parallel_pair),
+              "R2": ("v", _leaf), "R3": ("v", _dipole), "Rloop": ("e", _lollipop),
+              "singleton": ("v", _singleton), "construct": ("", None)}
+
+
+def parse_site(text):
+    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct'."""
+    kind, *toks = text.split() or [""]
+    args = SITE_RULES.get(kind, (None,))[0]
+    if args is None or len(toks) != len(args) + args.count("f"):
+        raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
+    if args.endswith("c"):
+        toks[-1] = _COLOURS.get(toks[-1].lower())
+        if toks[-1] is None:
+            raise ValueError(f"bad site {text!r}: the colour must be black or white")
+    try:
+        ids = [int(t) for t in toks]
+    except ValueError:
+        raise ValueError(f"bad site {text!r}: ids and indices must be integers") from None
+    return (kind, tuple(ids)) if args == "f" else (kind, *ids)
+
+
+def _bad_site(site, why):
+    return ValueError(f"bad {site[0]} site ({', '.join(map(str, site[1:]))}): {why}")
+
+
+def _check_site_ids(G, site):
+    """Reject a site that names an unknown edge or vertex, or a boundary vertex."""
+    for what, x in zip(SITE_RULES.get(site[0], ("",))[0], site[1:]):
+        if what == "e" and x not in G.edges:
+            raise _bad_site(site, f"no edge {x}")
+        if what == "v" and x not in G.rot:
+            raise _bad_site(site, f"no vertex {x}")
+        if what == "v" and x in G.boundary:
+            raise _bad_site(site, f"{x} is a boundary vertex")
+
+
+def _apply(x, site, what):
+    """The rule of SITE_RULES at the site, applied to x, a PlabicGraph or
+    PlabicNetwork, as the same kind: the ids checked, G's dicts copied once,
+    the rule run on the copies, one replace, and the weights carried
+    (_carried).  what names the kinds taken: "move" (M...) or "reduction"."""
+    G = _graph_of(x)
+    _check_site_ids(G, site)
+    rule = SITE_RULES.get(site[0], (None, None))[1]
+    if rule is None or site[0].startswith("M") != (what == "move"):
+        raise ValueError(f"unknown {what} {site!r}")
+    rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
+    changed, rename, adjust = rule(G, rot, edges, col, *site[1:])
+    return _carried(x, G.replace(changed, col=col, edges=edges, rot=rot), rename, adjust)
+
+
+def _carried(x, H, rename, adjust):
+    """H, a rewrite of x's graph, or when x is a network H weighted by
+    _transfer_weights with the renaming and adjust(x)."""
+    if isinstance(x, PlabicNetwork):
+        return _transfer_weights(x, H, adjust and adjust(x), rename)
+    return H
+
+
+def apply_move(x, move):
+    """Apply M1 (square, site=face key), M2 (contract edge / uncontract
+    vertex), or M3 (insert into edge / remove degree-2 vertex).
+
+    x may be a PlabicGraph or PlabicNetwork; the same kind is returned.
+    Sites: ("M1", face_key), ("M2", eid), ("M2u", v, i, j),
+    ("M3", eid, color), ("M3r", v).
+    """
+    return _apply(x, move, "move")
+
+
 def apply_reduction(x, red):
     """Apply R1 (parallel pair), R2 (leaf), R3 (dipole), Rloop (loop), or
     remove a vertex without edges.
@@ -1000,95 +1089,7 @@ def apply_reduction(x, red):
     Sites: ("R1", e1, e2), ("R2", leaf vertex), ("R3", vertex in dipole),
     ("Rloop", eid), ("singleton", v).
     """
-    G = _graph_of(x)
-    _check_site_ids(G, red)
-    weighted = isinstance(x, PlabicNetwork)
-    kind = red[0]
-    adjust, rename = {}, {}
-    if kind == "R1":
-        e1, e2 = red[1], red[2]
-        bigon = next((darts for darts in bigon_faces(G) if {d[0] for d in darts} == {e1, e2}), None)
-        rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-        ends = bigon and _r1(rot, edges, col, *sorted((e1, e2)), next(fresh_ids(G.edges)))
-        if not ends:
-            raise _no_r1_site(e1, e2)
-        changed, rename = ends
-        newG = G.replace(changed, col=col, edges=edges, rot=rot)
-        if weighted:
-            sides = _sides(bigon, partial(_key_left_of, G), G.edges, G.col)
-            adjust = _bigon_adjust(x, [(face_key(bigon), sides)])
-    elif kind == "R2":
-        u = red[1]
-        if G.degree(u) != 1:
-            raise ValueError(f"{u} is not an internal leaf")
-        e = G.incident(u)[0]
-        v = G.other_end(e, u)
-        if v in G.boundary:
-            raise ValueError("boundary leaves cannot be reduced")
-        if G.col[u] == G.col[v] or G.degree(v) < 3:
-            raise ValueError(f"leaf reduction does not apply at {u}")
-        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
-        del edges[e], rot[u], rot[v], col[u], col[v]
-        others = [d for d in G.rot[v] if d[0] != e]
-        changed = {u, v}
-        for m, dart in zip(fresh_ids(G.rot, G.edges), others):
-            _reanchor(edges, [dart], m)
-            rot[m] = (dart,)
-            col[m] = G.col[u]
-            changed.add(m)
-        newG = G.replace(changed, col=col, edges=edges, rot=rot)
-    elif kind == "R3":
-        # the dipole's walk carries weight 1 (tree orbit), so it just vanishes
-        a = red[1]
-        b = G.other_end(G.incident(a)[0], a) if G.degree(a) == 1 else None
-        if b is None or b in G.boundary or G.degree(b) != 1 or G.col[a] == G.col[b]:
-            raise ValueError(f"{a} is not in a bicolored dipole")
-        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
-        del edges[G.incident(a)[0]], rot[a], rot[b], col[a], col[b]
-        newG = G.replace({a, b}, col=col, edges=edges, rot=rot)
-    elif kind == "Rloop":
-        # lollipop removal: a trivalent vertex w carrying a loop is a dead
-        # end for directed paths, so w, its loop, and its attaching edge
-        # vanish together; the loop's inside face folds into the ambient
-        # face.  A boundary lollipop leaves an oppositely colored leaf
-        # (the vertex colors swap roles of source and sink there).
-        e = red[1]
-        w0, w1 = G.edges[e]
-        if w0 != w1:
-            raise ValueError(f"edge {e} is not a loop")
-        w = w0
-        if G.degree(w) != 3:
-            raise ValueError(f"loop vertex {w} is not trivalent")
-        e2 = next(f for f, _ in G.rot[w] if f != e)
-        u = G.other_end(e2, w)
-        boundary = u in G.boundary
-        if not boundary and G.col[u] == G.col[w]:
-            raise ValueError("lollipop neighbor has the same color; insert a middle vertex first")
-        # the loop's two darts are neighbours in w's rotation of three, so
-        # one of them is a face of its own: the inside of the loop
-        inner = min(G.map.orbit((e, 0)), G.map.orbit((e, 1)), key=len)
-        edges, rot, col = G.edges.copy(), G.rot.copy(), G.col.copy()
-        del edges[e], edges[e2], rot[w], col[w]
-        rot[u] = tuple(d for d in rot[u] if d[0] != e2)
-        changed = {w, u}
-        if boundary:
-            lv, eL = next(fresh_ids(G.rot, G.edges)), next(fresh_ids(G.edges))
-            edges[eL] = (u, lv)
-            rot[u], rot[lv] = ((eL, 0),), ((eL, 1),)
-            col[lv] = -G.col[w]
-            rename = {_far_dart(G.edges, e2, w): (eL, 0)}
-            changed.add(lv)
-        newG = G.replace(changed, col=col, edges=edges, rot=rot)
-        if weighted:
-            y = x.weight_of(inner)
-            adjust = {_key_left_of(G, rev(inner[0])): y, face_key(inner): 1 / y}
-    elif kind == "singleton":
-        if G.degree(red[1]):
-            raise ValueError(f"vertex {red[1]} is not a singleton")
-        newG = remove_singleton(G, red[1])
-    else:
-        raise ValueError(f"unknown reduction {red!r}")
-    return _transfer_weights(x, newG, adjust, rename) if weighted else newG
+    return _apply(x, red, "reduction")
 
 
 def apply_site(x, site):
@@ -1099,9 +1100,8 @@ def apply_site(x, site):
 
 
 def remove_singleton(G, v):
-    rot, col = G.rot.copy(), G.col.copy()
-    del rot[v], col[v]
-    return G.replace({v}, col=col, rot=rot)
+    """G without the vertex v, which has no edges."""
+    return _apply(G, ("singleton", v), "reduction")
 
 
 # -- the site-finder table ------------------------------------------------------------
@@ -1159,7 +1159,7 @@ def _bigon_step(G, darts, run):
     # the whole bigon row, darts its first bigon, in one rewrite; the trace
     # names each of its M2u and R1 sites
     H, rename, sites, records = remove_bigons(G)
-    run(*sites, rewritten=(H, rename), adjust=lambda N: _bigon_adjust(N, records))
+    run(*sites, rewritten=(H, rename, lambda N: _bigon_adjust(N, records)))
 
 
 def _no_r1_site(e1, e2):
@@ -1185,7 +1185,7 @@ def _loop_step(G, loop, run):
 def _glue_step(G, v, run):
     # the bends leave in one rewrite, v first; the trace names each of them
     H, rename, bends = glue_bends(G)
-    run(*(("M3r", u) for u in bends), rewritten=(H, rename))
+    run(*(("M3r", u) for u in bends), rewritten=(H, rename, None))
 
 
 def _leaf_step(G, leaf, run):
@@ -1200,9 +1200,9 @@ def _leaf_step(G, leaf, run):
 # step(G, site, run) applies, through run, the whole composite that removes
 # the site, preparatory moves included.  run(s) applies the site s, records
 # it in the trace and returns the new graph; run(*sites, rewritten=(graph,
-# renaming), adjust=f) records sites and takes one rewrite's result for them
-# (glue_bends, remove_bigons), the face weights carried by the renaming and
-# f(network), _transfer_weights's adjust.  Every composite shrinks _size.
+# renaming, adjust)) records sites and takes one rewrite's result for them
+# (glue_bends, remove_bigons), the face weights carried as the applier
+# carries a rule's result (_carried).  Every composite shrinks _size.
 SITE_FINDERS = {
     "singleton": (_by_id("singleton"), lambda G, v, run: run(("singleton", v))),
     "M3r": (_by_id("M3r"), _glue_step),
@@ -1230,16 +1230,10 @@ def _first_site(G, rows):
 def _reduce_directly(x, rows, trace):
     """Apply the composite at the first site of the rows until none is left:
     at most _size(x) composites, as each shrinks _size."""
-    def run(*sites, rewritten=None, adjust=None):
+    def run(*sites, rewritten=None):
         nonlocal x
         trace.extend(sites)
-        if rewritten is None:
-            x = apply_site(x, *sites)
-        elif isinstance(x, PlabicNetwork):
-            H, rename = rewritten
-            x = _transfer_weights(x, H, adjust and adjust(x), rename)
-        else:
-            x = rewritten[0]
+        x = apply_site(x, *sites) if rewritten is None else _carried(x, *rewritten)
         return _graph_of(x)
 
     G = _graph_of(x)

@@ -262,8 +262,8 @@ def _middle_vertex(G, dart, colr, chord):
     chord's dart on the dart's left: the face on the left of the dart then
     turns into the chord at m.
     """
-    from positroid.plabic import insert_vertex
-    H, _ = insert_vertex(G, dart[0], colr)
+    from positroid.plabic import apply_move
+    H = apply_move(G, ("M3", dart[0], colr))
     (m,) = set(H.rot) - set(G.rot)
     first, second = H.rot[m]        # towards the edge's tail, towards its head
     return H, m, (first, chord, second) if dart[1] == 0 else (first, second, chord)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -7,12 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import attach_leaf, insert_bigon, manhattan_grid, random_plabic_network, reweight
+from helpers import attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_plabic_network, reweight
 from positroid.cli import main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
-from positroid.plabic import apply_reduction, graph_from_perm
+from positroid.plabic import _graph_of, apply_reduction, graph_from_perm
 
 
 def run(capsys, *argv):
@@ -649,7 +651,7 @@ BLACK_LOLLIPOP = ("n 2\nvertex 3 black : 1 3 2\nvertex 4 black : 3 4 4\n"
 WHITE_LEAF = "n 2\nvertex 3 white : 1 3 2\nvertex 4 white : 3\nedge 1 : 1 3\nedge 2 : 2 3\nedge 3 : 3 4\n"
 
 
-# one site per rejection of contract_edge, remove_vertex and apply_reduction
+# one site per rejection of the rules of plabic.SITE_RULES, beyond the id checks
 SITE_REJECTIONS = [
     (BOUNDARY_LOLLIPOP, "M2 2", "cannot contract a loop"),
     (TOP_2_4, "M2 1", "cannot contract into the boundary"),
@@ -678,6 +680,53 @@ def test_apply_reduction_rejects_an_unknown_kind():
     # parse_site knows every kind the command line can name, so only a caller gets here
     with pytest.raises(ValueError, match=r"^unknown reduction \('R9', 1\)$"):
         apply_reduction(graph_from_perm(DecoratedPermutation.parse("3 4 1 2")), ("R9", 1))
+
+
+# the argument letters of each site kind, as parse_site reads them: e an edge, v a
+# vertex, i a rotation index, c a colour, f a face key (two integers)
+FUZZ_KINDS = {"M1": "f", "M2": "e", "M2u": "vii", "M3": "ec", "M3r": "v", "R1": "ee", "R2": "v",
+              "R3": "v", "Rloop": "e", "singleton": "v", "construct": ""}
+
+
+@functools.cache
+def _fuzz_objects():
+    """Chord graphs, weighted scrambles and a graph with no perfect orientation,
+    as text with the graph's edge and vertex ids."""
+    objects = [_lollipop_graph(2)]
+    for seed in range(4):
+        r = random.Random(seed)
+        objects += [chord_graph(r, r.randint(5, 8), r.randint(1, 3)),
+                    random_plabic_network(r, nmax=6, scrambles=10)]
+    return [(x.to_text(), sorted(_graph_of(x).edges), sorted(_graph_of(x).rot)) for x in objects]
+
+
+def _fuzz_token(data, what, edges, vertices):
+    small = st.integers(-3, 40)
+    if what == "c":
+        return data.draw(st.sampled_from(["black", "white", "White"]))
+    if what == "i":
+        return str(data.draw(st.integers(-2, 6)))
+    if what == "f":
+        return f"{data.draw(st.sampled_from(edges) | small)} {data.draw(st.integers(-1, 1))}"
+    return str(data.draw(st.sampled_from(edges if what == "e" else vertices) | small))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_move_site_fuzz_has_a_total_contract(capsys, tmp_path, data):
+    # any kind at ids of the graph or small integers: exit 0, 1 or 2, one line on stderr
+    text, edges, vertices = data.draw(st.sampled_from(_fuzz_objects()))
+    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)))
+    site = " ".join([kind, *(_fuzz_token(data, what, edges, vertices) for what in FUZZ_KINDS[kind])])
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "move", str(f), "--site", site)
+    assert code in (0, 1, 2), site
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (site, err)
+    else:
+        assert err == "" and out, site
 
 
 @pytest.mark.parametrize("colour", ["purple", "b", "w", "blue"])
@@ -824,8 +873,9 @@ def test_reduce_without_perfect_orientation_exit_2(capsys, tmp_path, case):
     f = tmp_path / "g.txt"
     for x in (G, reweight(G, random.Random(case))):
         f.write_text(x.to_text())
-        assert run(capsys, "reduce", str(f)) == (
-            2, "", "precondition failed: graph is not perfectly orientable\n")
+        for argv in (["reduce", str(f)], ["move", str(f), "--site", "construct"]):
+            assert run(capsys, *argv) == (
+                2, "", "precondition failed: graph is not perfectly orientable\n")
 
 
 def test_matroid_without_perfect_orientation_exit_2(capsys, tmp_path):

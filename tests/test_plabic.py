@@ -23,7 +23,7 @@ from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, 
                                     perm_from_necklace, rank, top_permutation)
 from positroid.plabic import (SITE_FINDERS, NotPerfectlyOrientable, PlabicGraph, PlabicNetwork,
                               _graph_of, _key_left_of, _reduce_directly, _transfer_weights, apply_move,
-                              apply_reduction, apply_site, contracted,
+                              apply_reduction, apply_site, bigon_faces, contracted,
                               edge_weights_from_faces, export_dot, face_key,
                               face_weight_keys, face_weights, faces, glue_bends,
                               graph_from_le, graph_from_perm, is_reduced,
@@ -708,6 +708,51 @@ def _lollipop(loop_darts):
 REWRITE_KINDS = ["M1", "M2", "M2u", "M3", "M3r", "R1", "R2", "R3", "Rloop"]
 
 
+def _every_site(G):
+    """Every site of every kind on G, whether the rewrite applies there or not."""
+    inner = sorted(G.internal_vertices())
+    col = G.col.get
+    sites = [("M1", key) for key in square_faces(G)]
+    sites += [("M2", e) for e, (u, w) in sorted(G.edges.items()) if col(u) is not None and col(u) == col(w)]
+    sites += [("M2u", v, 0, 2) for v in inner if G.degree(v) >= 4]
+    sites += [("M3", e, (BLACK, WHITE)[t % 2]) for t, e in enumerate(sorted(G.edges))]
+    sites += [("M3r", v) for v in inner if G.degree(v) == 2]
+    sites += [("R1", *sorted(e for e, _ in darts)) for darts in bigon_faces(G)]
+    sites += [(kind, v) for v in inner if G.degree(v) == 1 for kind in ("R2", "R3")]
+    sites += [("Rloop", e) for e, (u, w) in sorted(G.edges.items()) if u == w]
+    sites += [("singleton", v) for v in inner if G.degree(v) == 0]
+    return sites
+
+
+def test_every_kind_of_rewrite_is_pinned():
+    """The text of every rewrite of every kind, ids included, or its error:
+    on chord graphs, their contracted forms with a singleton added, both
+    reweighted, and the networks of _rewrite_site and their graphs, at
+    every site of _every_site, hashed in one sha256."""
+    h, kinds, objects = hashlib.sha256(), Counter(), []
+    for seed in range(30):
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        H = contracted(G)
+        s = max(H.rot) + 1
+        H = PlabicGraph(H.n, {**H.col, s: BLACK}, H.edges, rot={**H.rot, s: ()})
+        objects += [G, H, reweight(G, r), reweight(H, r)]
+    for kind in REWRITE_KINDS:
+        N, _ = _rewrite_site(kind)
+        objects += [N.graph, N]
+    for x in objects:
+        for site in _every_site(_graph_of(x)):
+            try:
+                out = apply_site(x, site).to_text()
+                kinds[site[0]] += 1
+            except ValueError as ex:
+                out = f"error: {ex}\n"
+            h.update(f"{site}\n{out}".encode())
+    assert kinds == {"M1": 16, "M2": 330, "M2u": 122, "M3": 2040, "M3r": 100, "R1": 8, "R2": 4,
+                     "R3": 4, "Rloop": 2, "singleton": 58}
+    assert h.hexdigest() == "bf575900d2ad32616e57f2ebf1f91316f7d9a1c13603ea4072eb2a229c83af7b"
+
+
 @pytest.mark.parametrize("kind", REWRITE_KINDS)
 def test_weighted_rewrite_has_the_bare_rewrite_graph(kind):
     N, site = _rewrite_site(kind)
@@ -738,14 +783,18 @@ def rewrite_oracle(monkeypatch):
     _transfer_weights makes must pass PlabicNetwork's global checks.
     Failures go through pytest.fail, which the ValueError/AssertionError
     handlers of the scrambling helpers do not catch.  Returns a Counter of
-    the functions that called replace, and of the bookkeeping carried.
+    the functions that called replace, the applier by the kind of its site,
+    and of the bookkeeping carried.
     """
     callers = Counter()
     replace, transfer = _DiskGraph.replace, plabic._transfer_weights
 
     def checked_replace(G, changed, **kw):
         H = replace(G, changed, **kw)
-        caller = sys._getframe(1).f_code.co_name
+        frame = sys._getframe(1)
+        caller = frame.f_code.co_name
+        if caller == "_apply":
+            caller += f" {frame.f_locals['site'][0]}"
         callers[caller] += 1
         try:
             fresh = PlabicGraph(H.n, H.col, H.edges, rot=H.rot)
@@ -827,9 +876,9 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
     for kind in REWRITE_KINDS:      # one weighted site of each kind
         N, site = _rewrite_site(kind)
         (apply_reduction if kind[0] == "R" else apply_move)(N, site)
-    assert set(rewrite_oracle) == {"contract_edge", "uncontract_vertex", "insert_vertex",
-                                   "remove_vertex", "glue_bends", "remove_bigons", "apply_reduction",
-                                   "remove_singleton", "delete_edge", "apply_move",
+    # every rule of SITE_RULES ran through the applier, and each batched row
+    rules = {f"_apply {kind}" for kind, (_, rule) in plabic.SITE_RULES.items() if rule}
+    assert set(rewrite_oracle) == {*rules, "glue_bends", "remove_bigons", "delete_edge",
                                    "_transfer_weights", "_sites"}
 
 
