@@ -4,14 +4,14 @@ Subcommands convert between the artifact's objects (networks, matrices,
 Le-tableaux, plabic graphs, decorated permutations), run the rewriting
 engine, enumerate cells, and run the invariant self-check suite.
 
-Exit codes: 0 success, 1 input/validation error, 2 mathematical
-precondition failure (e.g. a non-tnn matrix fed to `invert`).
+Exit codes: 0 success or help (`-h` lists the commands), 1 input, validation
+or usage error, 2 mathematical precondition failure (e.g. a non-tnn matrix fed
+to `invert`); every error is one line on stderr.  Options are not abbreviated.
 """
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import enumeration, lediagram, network, permutations, plabic
 from .exactmath import RationalMatrix, format_rational
@@ -161,6 +161,8 @@ def _check_size(n):
 
 def cmd_poset(args):
     if args.covers is not None:
+        if args.n is not None or args.k is not None:
+            raise ValueError("poset takes --covers PERM or --n N (with an optional --k K), not both")
         pi = permutations.DecoratedPermutation.parse(args.covers)
         cov = [c.format() for c in permutations.covers(pi)]
         _emit({"covers": cov, "text": "\n".join(cov) or "(none)"}, args.json)
@@ -229,85 +231,93 @@ def cmd_selfcheck(args):
     return 0 if ok else 2
 
 
-@functools.cache
-def _build_parser():
-    """The argument parser, built once per process; subcommand `x-y` runs `cmd_x_y`."""
-    ap = argparse.ArgumentParser(prog="positroid",
-                                 description="exact combinatorics of nonnegative Grassmann cells")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+_JSON = {"--json": (bool, False)}
 
-    p = sub.add_parser("measure", help="boundary measurements of a network file")
-    p.add_argument("file")
-    p.add_argument("--matrix", action="store_true", help="print A(N) instead of Plucker coordinates")
-    p.add_argument("--json", action="store_true")
+# name -> (help, positionals, options); subcommand `x-y` runs `cmd_x_y`.  Options map
+# --flag to (type, default): bool is a switch, and a default of ... makes it required.
+COMMANDS = {
+    "measure": ("boundary measurements of a network file; --matrix prints A(N) instead of "
+                "Plucker coordinates", ("file",), {"--matrix": (bool, False), **_JSON}),
+    "invert": ("recover the Le-tableau of a tnn matrix", ("file",), _JSON),
+    "perfect": ("perfect trivalent form of a network", ("file",), _JSON),
+    "le2net": ("hook network of a Le-tableau", ("file",), _JSON),
+    "le2perm": ("decorated permutation of a Le-tableau", ("file",), _JSON),
+    "perm2le": ("Le-diagram of a decorated permutation", ("perm",), _JSON),
+    "perm2graph": ("reduced plabic graph of a decorated permutation", ("perm",), _JSON),
+    "trips": ("decorated trip permutation", ("file",), _JSON),
+    "reduce": ("reduce a plabic graph/network", ("file",), _JSON),
+    "matroid": ("matroid of perfect orientations", ("file",), _JSON),
+    "moves": ("list applicable move/reduction sites", ("file",), _JSON),
+    "move": ("apply a move/reduction at a site, e.g. 'M1 4 1', 'M2 7', 'R1 2 3'", ("file",),
+             {"--site": (str, ...), **_JSON}),
+    "leq": ("circular Bruhat comparison of two permutations", ("perm1", "perm2"), _JSON),
+    "poset": ("the cells a decorated permutation covers, or every cell of [n] (of type k)", (),
+              {"--covers": (str, None), "--k": (int, None), "--n": (int, None), **_JSON}),
+    "count": ("cell-count table; --q gives q-polynomials by dimension", (),
+              {"--n": (int, ...), "--q": (bool, False), "--check-all": (bool, False),
+               "--csv": (bool, False)}),
+    "export-dot": ("DOT rendering of a plabic file", ("file",), {}),
+    "selfcheck": ("run the invariant suite at size n", (), {"--n": (int, 4), "--seed": (int, 0)}),
+}
 
-    p = sub.add_parser("invert", help="recover the Le-tableau of a tnn matrix")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("perfect", help="perfect trivalent form of a network")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+def _usage(name):
+    """Two lines: how subcommand `name` is called, then what it does."""
+    helptext, positionals, options = COMMANDS[name]
+    words = [name, *(p.upper() for p in positionals)]
+    for flag, (kind, default) in options.items():
+        word = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+        words.append(word if default is ... else f"[{word}]")
+    return f"positroid {' '.join(words)}\n    {helptext}"
 
-    for name, helptext in [("le2net", "hook network of a Le-tableau"),
-                           ("le2perm", "decorated permutation of a Le-tableau")]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("perm2le", help="Le-diagram of a decorated permutation")
-    p.add_argument("perm")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("perm2graph", help="reduced plabic graph of a decorated permutation")
-    p.add_argument("perm")
-    p.add_argument("--json", action="store_true")
-
-    for name, helptext in [("trips", "decorated trip permutation"),
-                           ("reduce", "reduce a plabic graph/network"),
-                           ("matroid", "matroid of perfect orientations"),
-                           ("moves", "list applicable move/reduction sites")]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("move", help="apply a move/reduction at a site")
-    p.add_argument("file")
-    p.add_argument("--site", required=True, help="e.g. 'M1 4 1', 'M2 7', 'R1 2 3'")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("leq", help="circular Bruhat comparison of two permutations")
-    p.add_argument("perm1")
-    p.add_argument("perm2")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("poset", help="covers or full cell list")
-    p.add_argument("--covers", help="decorated permutation")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("count", help="cell-count table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", action="store_true", help="q-polynomials by dimension")
-    p.add_argument("--check-all", action="store_true", dest="check_all")
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("export-dot", help="DOT rendering of a plabic file")
-    p.add_argument("file")
-
-    p = sub.add_parser("selfcheck", help="run the invariant suite at size n")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    return ap
+def _parse(argv):
+    """`cmd` and one field per positional and option of a command line, or `cmd` None and
+    the `help` text that -h asks for.  Misuse raises ValueError; a value is the next token."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return SimpleNamespace(cmd=None, help="\n".join(map(_usage, COMMANDS)))
+    if name not in COMMANDS:
+        what = f"unknown command {name!r}" if argv else "no command given"
+        raise ValueError(f"{what}; positroid --help lists the commands")
+    _, positionals, options = COMMANDS[name]
+    fields = {flag: default for flag, (_, default) in options.items()}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":        # a lone - names stdin
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in ("-h", "--help"):
+            return SimpleNamespace(cmd=None, help=_usage(name))
+        if flag not in options:
+            raise ValueError(f"{name} has no option {flag}; positroid {name} --help lists them")
+        kind = options[flag][0]
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+        if value is None or kind is bool and eq:
+            raise ValueError(f"{flag} {'takes no' if eq else 'needs a'} value")
+        try:
+            fields[flag] = True if kind is bool else kind(value)
+        except ValueError:
+            raise ValueError(f"{flag} needs an integer, not {value!r}") from None
+    missing = [flag for flag, value in fields.items() if value is ...]
+    if len(given) != len(positionals) or missing:
+        problem = (f"{missing[0]} is required" if missing
+                   else f"{name} takes {len(positionals)} argument(s), not {len(given)}")
+        raise ValueError(f"{problem}; positroid {name} --help shows the usage")
+    return SimpleNamespace(cmd=name, **dict(zip(positionals, given)),
+                           **{flag[2:].replace("-", "_"): value for flag, value in fields.items()})
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    # looked up at call time, so that rebinding a cmd_* function takes effect
-    fn = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return fn(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args.cmd is None:
+            print(args.help)
+            return 0
+        # looked up at call time, so that rebinding a cmd_* function takes effect
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except (PreconditionError, plabic.NotPerfectlyOrientable, lediagram.NotTotallyNonnegative) as ex:
         print(f"precondition failed: {ex}", file=sys.stderr)
         return 2

@@ -92,6 +92,10 @@ runs the Euler check V - E + F = 2 on each component of a map, to
 cross-check `DiskMap.validate_planarity`, which sums over all of them;
 `components` finds the components from an edge list.
 
+Command line: `argparse_cli` is the argparse parser the CLI used before
+its command table, kept to check that `cli._parse` fills the same fields
+on every command line both accept.
+
 Small helpers only tests call: `canonical` encodes a plabic graph, ids
 kept, for equality tests, `singletons` lists its internal vertices
 without darts by id, `weights_by_travel` keys face weights by
@@ -103,6 +107,8 @@ number of cells, `inversions` counts inversions and
 All of them are exponential; fine at desk scale.
 """
 
+import argparse
+import functools
 import heapq
 import re
 from fractions import Fraction
@@ -1560,3 +1566,76 @@ def planar_by_components(dmap):
         if len(comp) - ne + len(face_ids) != 2:
             return False
     return True
+
+
+@functools.cache
+def argparse_cli():
+    """The argparse parser that `cli._parse` replaced, built once per process."""
+    ap = argparse.ArgumentParser(prog="positroid",
+                                 description="exact combinatorics of nonnegative Grassmann cells")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+
+    p = sub.add_parser("measure", help="boundary measurements of a network file")
+    p.add_argument("file")
+    p.add_argument("--matrix", action="store_true", help="print A(N) instead of Plucker coordinates")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("invert", help="recover the Le-tableau of a tnn matrix")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("perfect", help="perfect trivalent form of a network")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+
+    for name, helptext in [("le2net", "hook network of a Le-tableau"),
+                           ("le2perm", "decorated permutation of a Le-tableau")]:
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("perm2le", help="Le-diagram of a decorated permutation")
+    p.add_argument("perm")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("perm2graph", help="reduced plabic graph of a decorated permutation")
+    p.add_argument("perm")
+    p.add_argument("--json", action="store_true")
+
+    for name, helptext in [("trips", "decorated trip permutation"),
+                           ("reduce", "reduce a plabic graph/network"),
+                           ("matroid", "matroid of perfect orientations"),
+                           ("moves", "list applicable move/reduction sites")]:
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("move", help="apply a move/reduction at a site")
+    p.add_argument("file")
+    p.add_argument("--site", required=True, help="e.g. 'M1 4 1', 'M2 7', 'R1 2 3'")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("leq", help="circular Bruhat comparison of two permutations")
+    p.add_argument("perm1")
+    p.add_argument("perm2")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("poset", help="covers or full cell list")
+    p.add_argument("--covers", help="decorated permutation")
+    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("count", help="cell-count table")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", action="store_true", help="q-polynomials by dimension")
+    p.add_argument("--check-all", action="store_true", dest="check_all")
+    p.add_argument("--csv", action="store_true")
+
+    p = sub.add_parser("export-dot", help="DOT rendering of a plabic file")
+    p.add_argument("file")
+
+    p = sub.add_parser("selfcheck", help="run the invariant suite at size n")
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
+    return ap

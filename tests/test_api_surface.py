@@ -4,12 +4,11 @@ A name is reached when an `ast.Name` or `ast.Attribute` in `src/positroid`,
 outside the name's own definition, refers to it, or when README's "Public
 API" section lists it as `module.name`.  Docstrings and comments are not
 references.  `cli.main` looks a `cmd_*` function up by its subcommand's
-name, so `cmd_x_y` is reached when the parser has the subcommand `x-y`.
+name, so `cmd_x_y` is reached when `cli.COMMANDS` has the subcommand `x-y`.
 Second routes and brute-force checks with no caller belong in
 `tests/oracles.py`.
 """
 
-import argparse
 import ast
 import importlib
 import re
@@ -37,8 +36,7 @@ def _public_api():
 
 
 def _subcommand_functions():
-    (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {"cmd_" + name.replace("-", "_") for name in sub.choices}
+    return {"cmd_" + name.replace("-", "_") for name in cli.COMMANDS}
 
 
 def test_every_public_name_is_reached():

@@ -1,8 +1,10 @@
 import functools
 import hashlib
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_plabic_network, reweight
-from positroid.cli import main
+from oracles import argparse_cli
+from positroid.cli import COMMANDS, _parse, main
 from positroid.lediagram import LeTableau
 from positroid.permutations import DecoratedPermutation
 from positroid.plabic import _graph_of, apply_reduction, graph_from_perm
@@ -298,6 +301,81 @@ def test_negative_size_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: --n must be at least 0, not {argv[-1]}\n"
+
+
+def _readme_examples():
+    """The argument lists of README's command line examples, one per pipeline stage."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(stage, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("positroid ") for stage in line.split(" | ")]
+
+
+def _least_argv(name):
+    """Subcommand `name` with each positional and required option given once."""
+    _, positionals, options = COMMANDS[name]
+    required = [[flag, "3"] for flag, (_, default) in options.items() if default is ...]
+    return [name, *("x" for _ in positionals), *sum(required, [])]
+
+
+# the argument lists the benchmark sends, options before positionals, --opt=value,
+# values that start with -, and the defaults of selfcheck and poset
+PARITY_ARGV = [
+    ["measure", "F", "--matrix"], ["measure", "-", "--matrix"], ["le2net", "F"], ["invert", "-"],
+    ["perm2graph", "3 1 5 4B 2 6W"], ["trips", "-"], ["matroid", "-"], ["poset", "--covers", "3 4 1 2"],
+    ["reduce", "F", "--json"], ["measure", "--matrix", "--json", "F"], ["move", "--site", "M1 4 1", "F"],
+    ["leq", "--json", "1W 2B", "2 1"], ["count", "--csv", "--n", "5", "--q"], ["count", "--n=3"],
+    ["move", "F", "--site=M2 7"], ["poset", "--covers=2 1", "--json"], ["selfcheck", "--seed=5"],
+    ["count", "--n", "-1"], ["poset", "--n", "-1", "--k", "-2"], ["selfcheck", "--n", "-1"],
+    ["poset", "--covers", ""], ["perm2le", "-"], ["count", "--n", "2", "--n", "4", "--check-all"],
+    ["selfcheck"], ["poset"],
+]
+
+
+@pytest.mark.parametrize("argv", _readme_examples() + PARITY_ARGV + [_least_argv(c) for c in COMMANDS],
+                         ids=" ".join)
+def test_parse_fills_the_fields_of_the_argparse_parser(argv):
+    assert vars(_parse(argv)) == vars(argparse_cli().parse_args(argv))
+
+
+def test_readme_examples_cover_every_subcommand():
+    assert {argv[0] for argv in _readme_examples()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given; positroid --help lists the commands"),
+    (["frob"], "unknown command 'frob'; positroid --help lists the commands"),
+    (["--json", "measure"], "unknown command '--json'; positroid --help lists the commands"),
+    (["measure"], "measure takes 1 argument(s), not 0; positroid measure --help shows the usage"),
+    (["leq", "2 1", "1 2", "x"], "leq takes 2 argument(s), not 3; positroid leq --help shows the usage"),
+    (["count"], "--n is required; positroid count --help shows the usage"),
+    (["move", "F", "--json"], "--site is required; positroid move --help shows the usage"),
+    (["count", "--n"], "--n needs a value"),
+    (["count", "--n", "x"], "--n needs an integer, not 'x'"),
+    (["selfcheck", "--seed=1.5"], "--seed needs an integer, not '1.5'"),
+    (["measure", "F", "--json=yes"], "--json takes no value"),
+    (["measure", "F", "--mat"], "measure has no option --mat; positroid measure --help lists them"),
+    (["count", "--n", "3", "-q"], "count has no option -q; positroid count --help lists them"),
+    (["export-dot", "F", "--json"], "export-dot has no option --json; positroid export-dot --help lists them"),
+])
+def test_usage_errors_are_one_line_exit_1(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["count", "-h"], ["measure", "F", "--help"],
+                                  ["move", "--site", "M1 4 1", "-h"]])
+def test_help_lists_the_commands_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    names = COMMANDS if len(argv) == 1 else [argv[0]]
+    assert [line.split()[1] for line in out.splitlines()[::2]] == list(names)
+
+
+def test_an_option_value_may_start_with_a_dash(capsys, tmp_path):
+    # --site takes -h as its value, so it is a bad site, not a help request
+    text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
+    err = _one_line_error(capsys, tmp_path, text, "move", "--site", "-h")
+    assert "-h" in err
 
 
 def test_perfect_cli(capsys, tmp_path):
@@ -595,6 +673,14 @@ def test_poset_k_outside_0_to_n_exit_1(capsys, n, k):
     assert err == f"error: --k must lie in 0..{n}, not {k}\n"
 
 
+@pytest.mark.parametrize("option", [["--n", "3"], ["--k", "2"], ["--n", "4", "--k", "2"]])
+def test_poset_covers_with_n_or_k_exit_1(capsys, option):
+    # --n and --k would be ignored beside --covers
+    code, out, err = run(capsys, "poset", "--covers", "3 4 1 2", *option)
+    assert (code, out) == (1, "")
+    assert err == "error: poset takes --covers PERM or --n N (with an optional --k K), not both\n"
+
+
 def test_poset_k_at_the_ends_of_0_to_n(capsys):
     for k, count in ((0, 1), (3, 1)):
         code, out, _ = run(capsys, "poset", "--n", "3", "--k", str(k), "--json")
@@ -727,6 +813,64 @@ def test_move_site_fuzz_has_a_total_contract(capsys, tmp_path, data):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (site, err)
     else:
         assert err == "" and out, site
+
+
+@functools.cache
+def _fuzz_texts():
+    """A tableau, its network and matrix, a plabic graph, one with no perfect
+    orientation, and junk: small inputs of every kind the subcommands read."""
+    from positroid.lediagram import diagram_to_tableau, gamma_network
+    from positroid.network import boundary_measurement_matrix
+    from positroid.permutations import le_from_perm
+    pi = DecoratedPermutation.parse("3 4 1 2")
+    T = diagram_to_tableau(le_from_perm(pi))
+    net = gamma_network(T)
+    return [T.to_text(), net.to_text(), boundary_measurement_matrix(net).to_text(),
+            graph_from_perm(pi).to_text(), _lollipop_graph(2).to_text(), "n 2\njunk\n"]
+
+
+FUZZ_PERMS = ["3 4 1 2", "2 1", "1W 2B", "3 1 5 4B 2 6W", "", "-", "2 2", "x"]
+FUZZ_VALUES = {int: [str(i) for i in range(-2, 5)] * 2 + ["x", "", "1.5", "-h"],
+               str: FUZZ_PERMS + ["M1 4 1", "M2 7", "R1 2 3", "R2 5", "-h", "--json"]}
+
+
+def _fuzz_option(data, flag, kind):
+    """The tokens of one option: --flag, --flag value, --flag=value, or a value left out."""
+    if kind is bool:
+        return data.draw(st.sampled_from([[flag]] * 9 + [[f"{flag}=1"]]))
+    value = data.draw(st.sampled_from(FUZZ_VALUES[kind]))
+    return data.draw(st.sampled_from([[flag, value]] * 3 + [[f"{flag}={value}"], [flag]]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_fuzz_has_a_total_contract(capsys, tmp_path, monkeypatch, data):
+    # names, options and values of the table, junk, missing values and extra positionals
+    paths = [str(tmp_path / f"in{i}.txt") for i in range(len(_fuzz_texts()))]
+    for path, text in zip(paths, _fuzz_texts()):
+        Path(path).write_text(text)
+    words = {"file": paths * 2 + ["-", "-", str(tmp_path / "missing.txt"), "x"], "perm": FUZZ_PERMS}
+    name = data.draw(st.sampled_from(sorted(COMMANDS) * 2 + ["frob", "", "-h", "--n"]))
+    # a junk command name still gets a positional and an option after it
+    _, positionals, options = COMMANDS.get(name, ("", ("file",), {"--n": (int, None)}))
+    pools = [words[p.rstrip("12")] for p in positionals] + [words["file"] + words["perm"]]
+    count = data.draw(st.sampled_from([len(positionals)] * 6 + [len(positionals) + 1, len(positionals) - 1]))
+    groups = [[data.draw(st.sampled_from(pool))] for pool in pools[:max(count, 0)]]
+    required = [flag for flag, (_, default) in options.items() if default is ...]
+    flags = data.draw(st.sampled_from([required] * 4 + [[]]))
+    flags += data.draw(st.lists(st.sampled_from(list(options)), max_size=3)) if options else []
+    for flag in flags + data.draw(st.sampled_from([[]] * 8 + [["--frob"], ["--mat"]])):
+        groups.append(_fuzz_option(data, flag, options.get(flag, (str,))[0]))
+    argv = [name, *sum(data.draw(st.permutations(groups)), [])]
+    argv = data.draw(st.sampled_from([argv] * 20 + [[]]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data.draw(st.sampled_from(_fuzz_texts()))))
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "" and out, argv
 
 
 @pytest.mark.parametrize("colour", ["purple", "b", "w", "blue"])
