@@ -145,7 +145,7 @@ class PlanarDirectedNetwork(_DiskGraph):
     # -- serialization ---------------------------------------------------------
 
     def to_text(self):
-        lines = [f"n {self.n}", "sources " + " ".join(str(i) for i in sorted(self.sources()))]
+        lines = [f"n {self.n}", " ".join(["sources", *map(str, sorted(self.sources()))])]
         for v in sorted(self.rot):
             if len(self.rot[v]) <= 1 and v in self.boundary:
                 continue

@@ -24,7 +24,7 @@ batched rows (glue_bends, remove_bigons) run the same dict rules.
 from fractions import Fraction
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import prod
 
 from .exactmath import Matroid, format_rational, rational
@@ -489,8 +489,10 @@ def glue_bends(G):
 
     The bends leave one at a time, in the order (by id) and with the ids
     of one M3r site at a time, on plain dicts; no glue makes a bend.
-    Returns the new graph, the renaming {old dart: new dart} of G's darts
-    on glued edges that survive, and the bends in the order they left.
+    Every face is kept, so the new graph's map is G's relabelled by the
+    renaming.  Returns the new graph, the renaming {old dart: new dart} of
+    G's darts on glued edges that survive, and the bends in the order they
+    left.
     """
     bends = set(G._sites["M3r"])
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
@@ -507,8 +509,8 @@ def glue_bends(G):
             bends.discard(a)
         order.append(v)
         changed.update((v, a, b))
-    H = G.replace(changed, col=col, edges=edges, rot=rot)
-    return H, {old: new for new, old in origin.items() if new[0] in edges}, order
+    rename = {old: new for new, old in origin.items() if new[0] in edges}
+    return G.replace(changed, rename, col=col, edges=edges, rot=rot), rename, order
 
 
 def _glue(rot, edges, col, v, e):
@@ -624,17 +626,19 @@ _ONE = Fraction(1)
 
 
 def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
-    """Carry face weights across a rewrite by matching surviving darts.
+    """Carry face weights across a rewrite, from the faces that left to those
+    that arrived, as new_graph's map (made by _DiskGraph.replace) records them.
 
-    A face the rewrite left alone keeps its weight.  Each face that arrived
-    gets the product of the weights of the faces that left which share a
-    dart with it, or 1 without one (a fresh isolated tree).  adjust: dict
-    old face key -> factor; a face whose region disappears must be scaled
-    to weight 1, and a lost face of any other weight is a bug.  rename:
-    dict old dart -> a new dart on the same face (by face, not by which
-    dart replaced which), so a face bounded only by rewritten edges still
-    finds its region.  new_graph's map, derived by _DiskGraph.replace,
-    records the faces that left and arrived; only they and the adjusted
+    A face the rewrite left alone keeps its weight.  On a relabelled map
+    (DiskMap.relabel) each face that left has one image, which takes its
+    weight, or vanished.  On a derived map each face that arrived gets the
+    product of the weights of the faces that left which share a dart with
+    it, or 1 without one (a fresh isolated tree); rename: dict old dart ->
+    a new dart on the same face (by face, not by which dart replaced
+    which), so a face bounded only by rewritten edges still finds its
+    region.  adjust: dict old face key -> factor; a face whose region
+    disappears must be scaled to weight 1, and a lost face of any other
+    weight is a bug.  Only the faces that left and arrived and the adjusted
     faces are checked: positive, with their product kept, so all still
     multiply to 1.
     """
@@ -642,17 +646,20 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     rename = rename or {}
     new_map = new_graph.map
     gone, came = new_map.face_changes(old_net.graph.map)
-    inside, face_of = new_map._inside, new_map._face_of
+    inside, face_of, images = new_map._inside, new_map._face_of, new_map._images
     key_of = {id(f): face_key(inside(f)) for f in came}     # by the id of the orbit
     left = {face_key(darts): darts for darts in map(inside, gone)}
     kept = [key for key in adjust if key not in left]
     weights = old_net.weights.copy()
     before = [weights.pop(key) for key in left]
-    for (key, darts), w in zip(left.items(), before):
+    for (key, darts), w, image in zip(left.items(), before, images or repeat(None)):
         if key in adjust:
             w = w * adjust[key]
-        landed = set(map(id, map(face_of.get, map(rename.get, darts, darts))))
-        hit = {key_of[i] for i in landed.intersection(key_of)}
+        if images is not None:
+            hit = [key_of[id(image)]] if image else []
+        else:
+            landed = set(map(id, map(face_of.get, map(rename.get, darts, darts))))
+            hit = {key_of[i] for i in landed.intersection(key_of)}
         if not hit and w != 1:
             raise AssertionError(f"face {key} with weight {w} lost in the rewrite")
         for k in hit:
@@ -1015,6 +1022,11 @@ SITE_RULES = {"M1": ("f", _square_move), "M2": ("e", _contract), "M2u": ("vii", 
               "R2": ("v", _leaf), "R3": ("v", _dipole), "Rloop": ("e", _lollipop),
               "singleton": ("v", _singleton), "construct": ("", None)}
 
+# The kinds whose rules keep every face, and so every face weight, and only
+# drop and rename darts: the applier relabels their maps (DiskMap.relabel)
+# by the renaming the rule returns.
+_FACE_KEEPING = frozenset({"M2", "M3r"})
+
 
 def parse_site(text):
     """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct'."""
@@ -1051,8 +1063,9 @@ def _check_site_ids(G, site):
 def _apply(x, site, what):
     """The rule of SITE_RULES at the site, applied to x, a PlabicGraph or
     PlabicNetwork, as the same kind: the ids checked, G's dicts copied once,
-    the rule run on the copies, one replace, and the weights carried
-    (_carried).  what names the kinds taken: "move" (M...) or "reduction"."""
+    the rule run on the copies, one replace (which relabels the map for the
+    kinds of _FACE_KEEPING), and the weights carried (_carried).  what names
+    the kinds taken: "move" (M...) or "reduction"."""
     G = _graph_of(x)
     _check_site_ids(G, site)
     rule = SITE_RULES.get(site[0], (None, None))[1]
@@ -1060,7 +1073,8 @@ def _apply(x, site, what):
         raise ValueError(f"unknown {what} {site!r}")
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
     changed, rename, adjust = rule(G, rot, edges, col, *site[1:])
-    return _carried(x, G.replace(changed, col=col, edges=edges, rot=rot), rename, adjust)
+    kept = (rename or {}) if site[0] in _FACE_KEEPING else None
+    return _carried(x, G.replace(changed, kept, col=col, edges=edges, rot=rot), rename, adjust)
 
 
 def _carried(x, H, rename, adjust):

@@ -19,13 +19,16 @@ orbit rule
 walks every face keeping that face on the LEFT of the travel direction.
 Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
 DiskMap walks it with one tracer, for a fresh map and for one derived
-from a rewrite alike, finding each successor in a vertex's rotation, and
-keeps the faces as traced, in no fixed order.  The one order the library
-puts faces in is that of faces_of_length: each small face started at its
-least dart, the faces by those darts.  A fresh map is planar when
-one Euler sum over the whole map gives V - E + F = 2 per component: no
-component of a rotation system exceeds 2, so none can make up for another
-(Mohar and Thomassen, Graphs on Surfaces, 2001, sections 3-4).
+from a rewrite alike, finding each successor in a vertex's rotation.  A
+rewrite that keeps every face, contracting an edge or gluing a bend, is
+not traced: its map relabels the faces it touched, taking the darts of
+the removed edges out or renaming them.  The faces are kept as traced or
+relabelled, in no fixed order.  The one order the library puts faces in
+is that of faces_of_length: each small face started at its least dart,
+the faces by those darts.  A fresh map is planar when one Euler sum over
+the whole map gives V - E + F = 2 per component: no component of a
+rotation system exceeds 2, so none can make up for another (Mohar and
+Thomassen, Graphs on Surfaces, 2001, sections 3-4).
 
 `_DiskGraph` is the core that planar directed networks and plabic graphs
 share: boundary vertices 1..n, the rotation system and its DiskMap, the
@@ -34,7 +37,7 @@ tokenizer of their text formats.
 """
 
 from functools import cached_property, lru_cache
-from itertools import chain, count, filterfalse
+from itertools import chain, count, filterfalse, product
 
 # DiskMap.faces_of_length serves faces of at most this many darts
 SMALL = 4
@@ -58,10 +61,13 @@ class DiskMap:
 
     Every map traces its faces with _trace, a fresh one all of them and a
     derived one (see derive) those a rewrite changed, and keeps them as
-    traced: orbit(d) gives the face of d from whichever dart it was traced,
-    and faces() and inner_faces() list them in no fixed order.  Only
-    faces_of_length, which the rewriting engine walks for sites, starts
-    each face at its least dart and lists them in the order of those darts.
+    traced; a relabelled one (see relabel) traces none and keeps each face
+    a rewrite touched as its dart cycle with the darts of removed edges
+    taken out or renamed.  orbit(d) gives the face of d from whichever dart
+    it was traced or relabelled, and faces() and inner_faces() list them in
+    no fixed order.  Only faces_of_length, which the rewriting engine walks
+    for sites, starts each face at its least dart and lists them in the
+    order of those darts.
     """
 
     # the components without a boundary vertex that a fresh map's planarity check found
@@ -71,6 +77,10 @@ class DiskMap:
     # _base: it stays unique while they hold it, and it does not keep this map
     # alive as a reference to the map would.
     _base = None
+
+    # On a map relabel made, the image of each face that left, in the order
+    # of face_changes, () where the face vanished; None on any other map.
+    _images = None
 
     def __init__(self, boundary, edges, rot=None, rot_ids=None):
         self.edges = dict(edges)
@@ -104,9 +114,6 @@ class DiskMap:
         DiskMap(self.boundary, edges, rot), faces_of_length equals its, and
         face_changes(self) returns the faces that left and arrived.
         """
-        new = object.__new__(DiskMap)
-        new.boundary, new.n, new._at, new._arcs = self.boundary, self.n, self._at, self._arcs
-        new.edges, new.rot = edges, rot
         old_aug, at = self._aug_rot, self._at
         aug, was_pairs, now_pairs = None, set(), set()      # (dart, its clockwise successor)
         for v in changed:
@@ -137,24 +144,79 @@ class DiskMap:
         for f in left:      # the darts of removed edges are on faces that left
             for d in f:
                 del face_of[d]
-        new._aug_rot, new._face_of = aug, face_of
-        arrived = new._trace((e, 1 - end) for (e, end), _ in made)
+        new = self._successor(edges, rot, aug, face_of)
+        return self._changed(new, left, new._trace((e, 1 - end) for (e, end), _ in made))
+
+    def relabel(self, edges, rot, changed, rename):
+        """The map of a local rewrite that keeps every face, without tracing.
+
+        edges, rot and changed are derive's.  The rewrite removes the edges
+        of this map that edges lacks, and may make new ones under ids no
+        removed edge had; rename maps each dart of a removed edge that lives
+        on to its new dart, on the same face, and the other darts of removed
+        edges are dropped.  Gluing a bend (M3r) renames the far darts of its
+        two edges and drops the near ones; contracting an edge (M2) renames
+        none and drops both of its darts.  Each face with a dart of a
+        removed edge becomes the same dart cycle with the dropped darts
+        taken out and the renamed ones renamed, and vanishes when no dart is
+        left; every other face is kept.  So the result is derive's, with no
+        face traced and no rotations compared, and face_changes(self)
+        returns the faces that left and arrived, and _images each left
+        face's image.
+        """
+        at, n = self._at, self.n
+        aug = self._aug_rot.copy()
+        for v in changed:
+            now = rot.get(v)
+            if now is None:
+                aug.pop(v, None)
+            else:
+                aug[v] = now if v not in at else _spliced(at[v], now, n)
+        # each dart of a removed edge -> its new dart, or None where it is dropped
+        image = dict.fromkeys(product(self.edges.keys() - edges.keys(), (0, 1)))
+        face_of = self._face_of
+        fs = list(map(face_of.__getitem__, image))
+        left = list(dict(zip(map(id, fs), fs)).values())
+        face_of = face_of.copy()
+        for d in image:
+            del face_of[d]
+        image.update(rename)
+        images = []
+        for f in left:
+            g = tuple(filter(None, map(image.get, f, f)))
+            face_of.update(dict.fromkeys(g, g))
+            images.append(g)
+        new = self._successor(edges, rot, aug, face_of)
+        new._images = images
+        return self._changed(new, left, [g for g in images if g])
+
+    def _successor(self, edges, rot, aug, face_of):
+        """A map of edges and rot on this map's boundary, with the given
+        spliced rotations and dart -> face table."""
+        new = object.__new__(DiskMap)
+        new.boundary, new.n, new._at, new._arcs = self.boundary, self.n, self._at, self._arcs
+        new.edges, new.rot, new._aug_rot, new._face_of = edges, rot, aug, face_of
+        return new
+
+    def _changed(self, new, left, arrived):
+        """new, a map derived or relabelled from this one, with the faces left
+        and arrived recorded and its face count and small faces updated from
+        them."""
         if "_small" in self.__dict__:
-            small = self._small
-            if any(len(f) <= SMALL for f in chain(left, arrived)):
-                small = small.difference(left).union(
-                    f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f))
-            new._small = small
+            # only a face of at most SMALL darts can be in _small, or join it
+            gone = [f for f in left if len(f) <= SMALL]
+            came = [f for f in arrived if len(f) <= SMALL and self._arcs.isdisjoint(f)]
+            new._small = self._small.difference(gone).union(came) if gone or came else self._small
         new._count = self._count - len(left) + len(arrived)
         new._stamp, new._base, new._left, new._arrived = object(), self._stamp, left, arrived
         return new
 
     def face_changes(self, base):
         """(left, arrived): the faces of base, the map this one was derived
-        from (or this map itself), that are not faces of this map, and this
-        map's faces that are not base's, as orbit() gives them and as derive
-        recorded them.  A face is a dart cycle, whichever dart its tuple
-        starts at."""
+        or relabelled from (or this map itself), that are not faces of this
+        map, and this map's faces that are not base's, as orbit() gives them
+        and as derive or relabel recorded them.  A face is a dart cycle,
+        whichever dart its tuple starts at."""
         if self is base:
             return [], []
         if self._base is None or self._base is not base._stamp:
@@ -475,24 +537,30 @@ class _DiskGraph:
         """edges as the map takes them: eid -> (u, w)."""
         return self.edges
 
-    def replace(self, changed, **kw):
+    def replace(self, changed, kept=None, **kw):
         """This graph with the fields in kw replaced: how every rewrite builds its result.
 
         changed names every vertex the rewrite added, removed, or changed
         the rotation or any other field of (naming more is harmless).  The
-        new values are taken as they are, and the map is derived from this
-        one's (DiskMap.derive), so only the faces at the changed vertices
-        are traced again and nothing is validated: a rewrite of a valid
-        graph is valid.  The bookkeeping that _carry keeps is updated at
-        the changed vertices.  Graphs from outside go through the
-        constructor.
+        new values are taken as they are, and the map is made from this
+        one's: when the rewrite keeps every face, kept is its renaming of
+        the darts of removed edges that live on ({} when it renames none)
+        and the map is relabelled (DiskMap.relabel), with nothing traced;
+        otherwise it is derived (DiskMap.derive), and only the faces at
+        the changed vertices are traced again.  Nothing is validated: a
+        rewrite of a valid graph is valid.  The bookkeeping that _carry
+        keeps is updated at the changed vertices.  Graphs from outside go
+        through the constructor.
         """
         new = object.__new__(type(self))
         for name in self._fields:
             setattr(new, name, kw.get(name, getattr(self, name)))
         new.boundary = self.boundary
         changed = set(changed)
-        new.map = self.map.derive(new._shape(), new.rot, changed)
+        if kept is None:
+            new.map = self.map.derive(new._shape(), new.rot, changed)
+        else:
+            new.map = self.map.relabel(new._shape(), new.rot, changed, kept)
         new._carry(self, changed)
         return new
 

@@ -85,6 +85,7 @@ def test_k0_tableau_round_trips_through_its_measurement(capsys, tmp_path):
     for command in ("le2net", "measure", "invert"):
         code, out, err = run(capsys, command, str(f), *(["--matrix"] if command == "measure" else []))
         assert (code, err) == (0, "")
+        assert not [line for line in out.splitlines() if line.endswith(" ")], out
         f.write_text(out)
     assert out == "0 3\n"
 

@@ -491,6 +491,18 @@ def test_moves_m2_m3_weights_unchanged():
     N1 = apply_move(N, ("M3", e, BLACK))
     assert sorted(N1.weights.values()) == sorted(N.weights.values())
     assert measure_plabic(N1).projectively_equal(measure_plabic(N))
+    # M2 keeps every face but that of an isolated edge, which weighs 1 and vanishes
+    for name, (G, e) in _hand_contractions().items():
+        N = reweight(G, rng)
+        gone = {(e, 0)} if name == "isolated" else set()
+        assert all(N.weights[key] == 1 for key in gone)
+        for x in (G, N):
+            H = _graph_of(apply_move(x, ("M2", e)))
+            assert H.map.face_count() == G.map.face_count() - len(gone)
+        N1 = apply_move(N, ("M2", e))
+        assert sorted(N1.weights.values()) == sorted(w for key, w in N.weights.items() if key not in gone)
+        if not gone:
+            assert measure_plabic(N1).projectively_equal(measure_plabic(N))
 
 
 def test_move_errors():
@@ -780,22 +792,30 @@ def rewrite_oracle(monkeypatch):
     The rewrite's changed set must name every vertex whose rotation or colour
     differs, and the faces its map records as left and arrived must be the
     set differences of fresh builds of the two graphs.  Each weighting
-    _transfer_weights makes must pass PlabicNetwork's global checks.
-    Failures go through pytest.fail, which the ValueError/AssertionError
-    handlers of the scrambling helpers do not catch.  Returns a Counter of
-    the functions that called replace, the applier by the kind of its site,
-    and of the bookkeeping carried.
+    _transfer_weights makes must pass PlabicNetwork's global checks, and
+    on a relabelled map (DiskMap.relabel) equal the weighting of a map
+    derived for the same rewrite.  Failures go through pytest.fail, which
+    the ValueError/AssertionError handlers of the scrambling helpers do not
+    catch.  Returns a Counter of the functions that called replace, the
+    applier by the kind of its site, of those whose maps were relabelled,
+    as "relabel <caller>", and of the bookkeeping carried.
     """
     callers = Counter()
     replace, transfer = _DiskGraph.replace, plabic._transfer_weights
 
-    def checked_replace(G, changed, **kw):
-        H = replace(G, changed, **kw)
+    def relabelled(G, H):
+        """Whether H's map is G's relabelled (a map derive leaves equal is G's own)."""
+        return H.map is not G.map and H.map._images is not None
+
+    def checked_replace(G, changed, *args, **kw):
+        H = replace(G, changed, *args, **kw)
         frame = sys._getframe(1)
         caller = frame.f_code.co_name
         if caller == "_apply":
             caller += f" {frame.f_locals['site'][0]}"
         callers[caller] += 1
+        if relabelled(G, H):
+            callers[f"relabel {caller}"] += 1
         try:
             fresh = PlabicGraph(H.n, H.col, H.edges, rot=H.rot)
         except ValueError as ex:
@@ -833,12 +853,17 @@ def rewrite_oracle(monkeypatch):
                     pytest.fail(f"the {kept} {caller} carried differ from a fresh graph's")
         return H
 
-    def checked_transfer(*args, **kw):
-        N = transfer(*args, **kw)
+    def checked_transfer(old, H, adjust=None, rename=None):
+        N = transfer(old, H, adjust, rename)
         try:
             PlabicNetwork(N.graph, N.weights)
         except ValueError as ex:
             pytest.fail(f"transferred weights fail PlabicNetwork's checks: {ex}")
+        if relabelled(old.graph, H):
+            derived = copy.copy(H)
+            derived.map = old.graph.map.derive(H.edges, H.rot, old.graph.rot.keys() | H.rot.keys())
+            if transfer(old, derived, adjust, rename).weights != N.weights:
+                pytest.fail("the weights carried on a relabelled map differ from those on a derived one")
         callers["_transfer_weights"] += 1
         return N
 
@@ -876,10 +901,36 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
     for kind in REWRITE_KINDS:      # one weighted site of each kind
         N, site = _rewrite_site(kind)
         (apply_reduction if kind[0] == "R" else apply_move)(N, site)
+    # the glue runs of _hand_bends and the contractions of _hand_contractions,
+    # bare and, where no isolated cycle forbids weights, weighted
+    for G in _hand_bends().values():
+        for x in (G, reweight(G, rng)) if G.n else (G,):
+            _glued(x)
+    for G, e in _hand_contractions().values():
+        for x in (G, reweight(G, rng)):
+            apply_move(x, ("M2", e))
     # every rule of SITE_RULES ran through the applier, and each batched row
     rules = {f"_apply {kind}" for kind, (_, rule) in plabic.SITE_RULES.items() if rule}
+    relabelled = {f"relabel {caller}" for caller in ("glue_bends", "_apply M2", "_apply M3r")}
     assert set(rewrite_oracle) == {*rules, "glue_bends", "remove_bigons", "delete_edge",
-                                   "_transfer_weights", "_sites"}
+                                   "_transfer_weights", "_sites", *relabelled}
+
+
+def _hand_contractions():
+    """(graph, unicoloured edge) pairs whose contraction drops darts of one face.
+
+    "isolated": the bridge beside the isolated black edge 4 = 20 - 21, whose
+    one face, of its two darts, vanishes.  "bridge": the black edge 4 from
+    the bridge's 11 to 12, which holds the black leaves 13 and 14, so both
+    darts of 4 are on one face.
+    """
+    bridge = bridge_graph()
+    return {
+        "isolated": (PlabicGraph(2, {**bridge.col, 20: BLACK, 21: BLACK}, {**bridge.edges, 4: (20, 21)}), 4),
+        "bridge": (PlabicGraph(2, {**bridge.col, 12: BLACK, 13: BLACK, 14: BLACK},
+                               {**bridge.edges, 4: (11, 12), 5: (12, 13), 6: (12, 14)},
+                               rot_ids={11: [2, 4, 3], 12: [4, 5, 6]}), 4),
+    }
 
 
 def _glued(x):
@@ -926,18 +977,29 @@ def test_glue_bends_equals_the_stepwise_run():
     assert glued >= 600
 
 
-def test_glue_bends_on_hand_built_runs(monkeypatch):
+@pytest.fixture
+def map_updates(monkeypatch):
+    """A Counter of the calls of DiskMap.derive and DiskMap.relabel, by name:
+    each rewrite updates its map by one of them."""
+    updates = Counter()
+    for name in ("derive", "relabel"):
+        update = getattr(DiskMap, name)
+        monkeypatch.setattr(DiskMap, name, lambda m, *a, name=name, update=update:
+                            updates.update([name]) or update(m, *a))
+    return updates
+
+
+def test_glue_bends_on_hand_built_runs(map_updates):
     G = _hand_bends()
     H, rename, order = glue_bends(G["bigon"])
     assert order == [1] and H.edges == {3: (2, 2)} and not H._sites["M3r"]
     assert rename == {(1, 1): (3, 0), (2, 0): (3, 1)}
     H, _, order = glue_bends(G["lollipop"])
     assert order == [6] and H.edges[4] == (5, 5) and H._sites["loop"] == {4}
-    derived = Counter()
-    derive = DiskMap.derive
-    monkeypatch.setattr(DiskMap, "derive", lambda m, *a: derived.update(["map"]) or derive(m, *a))
+    map_updates.clear()
     red, _, trace = reduce_graph(reweight(G["chain"], rng))
-    assert trace == [("M3r", 5), ("M3r", 6), ("M3r", 7)] and derived["map"] == 1
+    # the row of three bends updates the map once, relabelling it
+    assert trace == [("M3r", 5), ("M3r", 6), ("M3r", 7)] and map_updates == {"relabel": 1}
     assert red.graph.to_text() == "n 2\nedge 7 : 1 2\n"
     assert G["leaf"]._sites["leaf"] == {6}
     H, _, order = glue_bends(G["leaf"])
@@ -1035,7 +1097,7 @@ def test_r1_runs_equal_one_r1_at_a_time(r1_runs):
             and sum(n for length, n in runs.items() if length > 1) >= 150)
 
 
-def test_r1_runs_on_hand_built_graphs(r1_runs, monkeypatch):
+def test_r1_runs_on_hand_built_graphs(r1_runs, map_updates):
     G = _hand_bigons()
     b1, b2 = plabic.bigon_faces(G["chain"])
     H, rename, sites, records = plabic.remove_bigons(G["chain"])
@@ -1050,10 +1112,7 @@ def test_r1_runs_on_hand_built_graphs(r1_runs, monkeypatch):
     assert all({key for key, _ in r[1]} == sides for r in records)
     for key in sides:       # the faces beside both bigons take both factors
         assert both[key] == one[key] * two[key] != 1
-    derived = Counter()
-    derive = DiskMap.derive
-    monkeypatch.setattr(DiskMap, "derive", lambda m, *a: derived.update(["map"]) or derive(m, *a))
-    # (graph, trace, R1 sites of each bigon row, derived maps: one per rewrite)
+    # (graph, trace, R1 sites of each bigon row, map updates: one per rewrite)
     cascade = [("M2u", 3, 1, 3), ("R1", 4, 5), ("M2u", 3, 0, 2), ("R1", 3, 9),
                ("M2u", 3, 3, 1), ("M3", 12, WHITE), ("Rloop", 11), ("R2", 13)]
     for name, trace, runs, maps in (("chain", [("R1", 2, 3), ("R1", 5, 6)], [2], 1),
@@ -1066,9 +1125,9 @@ def test_r1_runs_on_hand_built_graphs(r1_runs, monkeypatch):
         special = {(4, 0): Fraction(3)} if name == "cascade" else None
         for x in (G[name], N if name == "chain" else reweight(G[name], rng, special)):
             r1_runs.clear()
-            derived.clear()
+            map_updates.clear()
             red, _, got = reduce_graph(x)
-            assert (got, r1_runs, derived["map"]) == (trace, runs, maps)
+            assert (got, r1_runs, sum(map_updates.values())) == (trace, runs, maps)
             assert _reduced(reduce_one_r1_at_a_time, x) == (red.to_text(), 0, trace)
 
 
