@@ -318,7 +318,8 @@ def main(argv=None):
             return 0
         # looked up at call time, so that rebinding a cmd_* function takes effect
         return globals()["cmd_" + args.cmd.replace("-", "_")](args)
-    except (PreconditionError, plabic.NotPerfectlyOrientable, lediagram.NotTotallyNonnegative) as ex:
+    except (PreconditionError, plabic.NotPerfectlyOrientable, plabic.FixedPointWithoutLeaf,
+            lediagram.NotTotallyNonnegative) as ex:
         print(f"precondition failed: {ex}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as ex:

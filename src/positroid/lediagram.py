@@ -212,7 +212,7 @@ def le_fills(shape):
 
 @lru_cache(maxsize=None)
 def le_count_poly(shape):
-    """Coefficient tuple of sum q^{|D|} over Le-fills of the shape."""
+    """Coefficient tuple of sum q^{|D|} over Le-fills of the shape, degrees 0 to |shape|."""
     shape = _positive(shape)
     if not shape:
         return (1,)
@@ -227,8 +227,6 @@ def le_count_poly(shape):
         tilde = tuple([width - 1] * (d - blocked)) + rest
         for e, coef in enumerate(le_count_poly(tilde)):
             total[e + ones] += coef
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
     return tuple(total)
 
 

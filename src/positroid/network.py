@@ -49,7 +49,7 @@ from itertools import count
 from math import gcd, lcm, prod
 
 from .exactmath import RationalMatrix, format_rational, plucker_vector, rational
-from .planarmaps import (_cyclic_pairs, _DiskGraph, _dual_forest, _reach, _reanchor, _rotation_ids,
+from .planarmaps import (_cyclic_pairs, _DiskGraph, _dual_forest, _glue, _reach, _reanchor, _rotation_ids,
                          fresh_ids, parse_disk_text)
 
 
@@ -557,22 +557,15 @@ def _split_form(net, perfect=False):
             drop_vertex(v)
 
     if perfect:
-        # merge internal degree-2 vertices; a merge keeps every degree, so
-        # one pass finds them all
-        for v in list(rot):
-            if v in net.boundary or len(rot[v]) != 2:
-                continue
-            (e1, end1), (e2, end2) = sorted(rot[v], key=lambda d: -d[1])   # the in-dart first
-            if (end1, end2) != (1, 0) or e1 == e2:
-                continue
-            u, _, x1 = edges[e1]
-            _, w, x2 = edges[e2]
+        # merge internal degree-2 vertices, one in-dart and one out-dart of two edges
+        # after the pruning; a merge keeps every degree, so one pass finds them all
+        for v in [v for v in rot if v not in net.boundary and len(rot[v]) == 2]:
+            rot[v] = sorted(rot[v], key=lambda d: -d[1])    # the in-dart first, so the glue runs forward
+            x = prod(edges[e][2] for e, _ in rot[v])
             e = new_id()
-            edges[e] = (u, w, x1 * x2)
-            rot[u] = [(e, 0) if d == (e1, 0) else d for d in rot[u]]
-            rot[w] = [(e, 1) if d == (e2, 1) else d for d in rot[w]]
-            del edges[e1], edges[e2], rot[v]
-            changed.update((u, v, w))
+            a, b, _ = _glue(rot, edges, v, e)
+            edges[e] += (x,)
+            changed.update((v, a, b))
 
         # boundary vertices of degree != 1
         for i in [i for i in net.boundary if len(rot[i]) != 1]:

@@ -17,8 +17,9 @@ trip permutation, the complete move invariant of reduced graphs.
 The moves M1-M3 and reductions R1-R3 (Postnikov §12) are one rule per
 site kind on plain dicts, in one table, SITE_RULES, applied by one
 applier that derives the new graph once and carries the face weights.
-reduce_graph takes its sites from a second table, SITE_FINDERS, whose
-batched rows (glue_bends, remove_bigons) run the same dict rules.
+reduce_graph runs the rows of REDUCE_ROWS, each of which finds its own
+first site and removes it through that applier; the batched rows
+(glue_bends, remove_bigons) run the same dict rules.
 """
 
 from fractions import Fraction
@@ -33,8 +34,8 @@ from .network import (PlanarDirectedNetwork, boundary_measurement_matrix, is_per
                       measure)
 from .permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace, le_from_perm,
                            perm_from_necklace)
-from .planarmaps import (_DiskGraph, _dual_forest, _reanchor, _rotation_ids, fresh_ids, parse_disk_text,
-                         rev)
+from .planarmaps import (_DiskGraph, _dual_forest, _glue, _reanchor, _rename_far, _rotation_ids, fresh_ids,
+                         parse_disk_text, rev)
 
 
 class PlabicGraph(_DiskGraph):
@@ -71,9 +72,9 @@ class PlabicGraph(_DiskGraph):
 
     @cached_property
     def _sites(self):
-        """The candidates of the vertex and edge rows of SITE_FINDERS, by row:
-        internal vertices without darts (singleton), internal degree-2
-        vertices on two edges (M3r), internal leaves on an internal
+        """The candidates that the rows of REDUCE_ROWS take their sites from,
+        by kind: internal vertices without darts (singleton), internal
+        degree-2 vertices on two edges (M3r), internal leaves on an internal
         neighbour (leaf), unicoloured edges (M2) and loops (loop)."""
         sites = {row: set() for row in (*_VERTEX_ROWS, *_EDGE_ROWS)}
         _index_sites(self, sites, self.rot, self.edges)
@@ -409,6 +410,10 @@ def positroid_bases(neck):
 # -- trips ---------------------------------------------------------------------------
 
 
+class FixedPointWithoutLeaf(ValueError):
+    """A trip fixes b_i, whose edge ends in no leaf to colour the fixed point."""
+
+
 class TripDecomposition:
     """One-way trips, round trips, and the decorated trip permutation."""
 
@@ -427,7 +432,7 @@ class TripDecomposition:
             if perm[i - 1] == i:
                 leaf = G.boundary_leaf(i)
                 if leaf is None:
-                    raise ValueError(f"trip at b_{i} is a fixed point without a boundary leaf")
+                    raise FixedPointWithoutLeaf(f"trip at b_{i} is a fixed point without a boundary leaf")
                 col[i] = G.col[leaf]
         return DecoratedPermutation(perm, col)
 
@@ -496,12 +501,13 @@ def glue_bends(G):
     """
     bends = set(G._sites["M3r"])
     rot, edges, col = G.rot.copy(), G.edges.copy(), G.col.copy()
-    ids = fresh_ids(edges)
+    ids = fresh_ids(edges)      # each glue's new edge takes the largest id: one iterator serves the run
     order, changed, origin = [], set(), {}      # origin: current dart -> G's dart
     for v in sorted(bends):
         if v not in bends:
             continue
-        a, b, step = _glue(rot, edges, col, v, next(ids))
+        a, b, step = _glue(rot, edges, v, next(ids))
+        del col[v]
         for old, new in step.items():
             origin[new] = origin.pop(old, old)
         # a far end keeps its degree, so it stays a bend unless both edges went to it
@@ -513,23 +519,6 @@ def glue_bends(G):
     return G.replace(changed, rename, col=col, edges=edges, rot=rot), rename, order
 
 
-def _glue(rot, edges, col, v, e):
-    """Remove the bend v in place, gluing its two edges into the edge e, from
-    the far end of v's first dart to that of its second.  e is the id
-    fresh_ids(edges) gives while the glued edges still count, the largest,
-    so one iterator serves a run.  Returns the two far ends and the
-    renaming {old dart: new dart} of the far darts of the glued edges."""
-    (e1, end1), (e2, end2) = rot[v]
-    d1, d2 = (e1, 1 - end1), (e2, 1 - end2)
-    a, b = edges[e1][d1[1]], edges[e2][d2[1]]
-    del edges[e1], edges[e2], rot[v], col[v]
-    edges[e] = (a, b)
-    rename = {d1: (e, 0), d2: (e, 1)}
-    for x in {a, b}:
-        rot[x] = tuple(rename.get(d, d) for d in rot[x])
-    return a, b, rename
-
-
 def _far_dart(edges, e, v):
     """The dart of the edge e, of the edges, anchored at the endpoint other than v."""
     return (e, 1) if edges[e][0] == v else (e, 0)
@@ -537,7 +526,7 @@ def _far_dart(edges, e, v):
 
 def contracted(G):
     """Repeatedly remove degree-2 vertices and contract unicolored edges."""
-    return _reduce_directly(G, [SITE_FINDERS["M3r"], SITE_FINDERS["M2"]], [])
+    return _reduce_directly(G, (_bends, partial(_least, "M2")), [])
 
 
 # -- reducedness ---------------------------------------------------------------------
@@ -762,8 +751,7 @@ def _r1(rot, edges, col, e1, e2, e):
     del edges[e1], edges[e2], edges[a], edges[b], rot[u], rot[w], col[u], col[w]
     edges[e] = (za, zb)
     step = {da: (e, 0), db: (e, 1)}
-    for x in {za, zb}:
-        rot[x] = tuple(step.get(d, d) for d in rot[x])
+    _rename_far(rot, step, (za, zb))
     return {u, w, za, zb}, step
 
 
@@ -902,20 +890,20 @@ def _insert(G, rot, edges, col, e, colr):
     edges[e1] = (u, m)
     edges[e2] = (m, w)
     rename = {(e, 0): (e1, 0), (e, 1): (e2, 1)}
-    for x in {u, w}:
-        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+    _rename_far(rot, rename, (u, w))
     rot[m] = ((e1, 1), (e2, 0))
     col[m] = colr
     return {u, w, m}, rename, None
 
 
 def _unbend(G, rot, edges, col, v):
-    """(M3r) remove the internal degree-2 vertex v, gluing its edges (_glue)."""
+    """(M3r) remove the internal degree-2 vertex v, gluing its edges (planarmaps._glue)."""
     if G.degree(v) != 2:
         raise ValueError(f"{v} is not an internal degree-2 vertex")
     if rot[v][0][0] == rot[v][1][0]:
         raise ValueError("vertex carries a loop; remove the loop instead")
-    a, b, rename = _glue(rot, edges, col, v, next(fresh_ids(G.edges)))
+    a, b, rename = _glue(rot, edges, v, next(fresh_ids(G.edges)))
+    del col[v]
     return {v, a, b}, rename, None
 
 
@@ -1118,12 +1106,12 @@ def remove_singleton(G, v):
     return _apply(G, ("singleton", v), "reduction")
 
 
-# -- the site-finder table ------------------------------------------------------------
+# -- the rows of reduce ---------------------------------------------------------------
 
 
-# The rows of SITE_FINDERS whose candidates PlabicGraph._sites keeps, by
-# vertex and by edge.  _index_sites decides membership from a candidate's
-# own rotation, edges and colours and its neighbours' boundary status.
+# The sets of candidates that PlabicGraph._sites keeps, by vertex and by
+# edge.  _index_sites decides membership from a candidate's own rotation,
+# edges and colours and its neighbours' boundary status.
 _VERTEX_ROWS = ("singleton", "M3r", "leaf")
 _EDGE_ROWS = ("M2", "loop")
 
@@ -1149,16 +1137,6 @@ def _index_sites(G, sites, vertices, edges):
             sites["M2"].add(e)
 
 
-def _by_id(row):
-    """The finder of a row that PlabicGraph._sites keeps: its candidates by id."""
-    return lambda G: sorted(G._sites[row])
-
-
-def _loop_sites(G):
-    """Loops whose two darts are rotation neighbours, so nothing hangs inside them."""
-    return (e for e in sorted(G._sites["loop"]) if _split_pair(G.rot, G.edges[e][0], (e,)))
-
-
 def _split_pair(rot, v, es):
     """The M2u site moving the two darts of the edges es off v in the rotations
     rot, or None when they are no rotation neighbours (a bigon's always are)."""
@@ -1169,20 +1147,44 @@ def _split_pair(rot, v, es):
     return ("M2u", v, a, (b + 1) % d) if (b - a) % d == 1 else None
 
 
-def _bigon_step(G, darts, run):
-    # the whole bigon row, darts its first bigon, in one rewrite; the trace
-    # names each of its M2u and R1 sites
-    H, rename, sites, records = remove_bigons(G)
-    run(*sites, rewritten=(H, rename, lambda N: _bigon_adjust(N, records)))
-
-
 def _no_r1_site(e1, e2):
     return ValueError(f"edges {e1}, {e2} are not an R1 site")
 
 
-def _loop_step(G, loop, run):
-    # split the loop off a vertex of degree above 3, separate a neighbour of
-    # the loop's colour by an M3 vertex of the other colour, then Rloop
+def _least(kind, G, run):
+    """Apply the site (kind, c) at the candidate c of least id of its kind:
+    the singleton row, and the M2 row, which contracts unicoloured edges."""
+    c = min(G._sites[kind], default=None)
+    if c is not None:
+        run((kind, c))
+    return c is not None
+
+
+def _bends(G, run):
+    """Glue every bend in one rewrite (glue_bends); the trace names each M3r site."""
+    if not G._sites["M3r"]:
+        return False
+    H, rename, bends = glue_bends(G)
+    run(*(("M3r", v) for v in bends), rewritten=(H, rename, None))
+    return True
+
+
+def _bigons(G, run):
+    """Remove the whole bigon row in one rewrite (remove_bigons); the trace names its M2u and R1 sites."""
+    if not bigon_faces(G):
+        return False
+    H, rename, sites, records = remove_bigons(G)
+    run(*sites, rewritten=(H, rename, lambda N: _bigon_adjust(N, records)))
+    return True
+
+
+def _loops(G, run):
+    """At the least loop whose two darts are rotation neighbours (nothing hangs
+    inside it): split it off a vertex of degree above 3, separate a neighbour
+    of its colour by an M3 vertex of the other colour, then Rloop."""
+    loop = next((e for e in sorted(G._sites["loop"]) if _split_pair(G.rot, G.edges[e][0], (e,))), None)
+    if loop is None:
+        return False
     v = G.edges[loop][0]
     if G.degree(v) > 3:
         G = run(_split_pair(G.rot, v, (loop,)))
@@ -1194,69 +1196,47 @@ def _loop_step(G, loop, run):
     if u not in G.boundary and G.col[u] == G.col[v]:
         run(("M3", e2, -G.col[v]))
     run(("Rloop", loop))
+    return True
 
 
-def _glue_step(G, v, run):
-    # the bends leave in one rewrite, v first; the trace names each of them
-    H, rename, bends = glue_bends(G)
-    run(*(("M3r", u) for u in bends), rewritten=(H, rename, None))
+def _leaves(G, run):
+    """Remove the internal leaf of least id on an internal neighbour.
+    Unicoloured edges are contracted first, so the leaf ends a dipole (R3)
+    or hangs off a vertex of the other colour and of degree >= 3 (R2)."""
+    leaf = min(G._sites["leaf"], default=None)
+    if leaf is not None:
+        run(("R3" if G.degree(G.other_end(G.incident(leaf)[0], leaf)) == 1 else "R2", leaf))
+    return leaf is not None
 
 
-def _leaf_step(G, leaf, run):
-    # unicolored edges are contracted first, so a leaf ends a dipole (R3) or
-    # hangs off a vertex of the other colour and of degree >= 3 (R2)
-    w = G.other_end(G.incident(leaf)[0], leaf)
-    run(("R3" if G.degree(w) == 1 else "R2", leaf))
+# The rows of reduce_graph in priority order.  row(G, run) finds the row's
+# first site, removes it through run with the composite that removes it,
+# preparatory moves included, and returns whether it acted.  run(s) applies
+# the site s, records it in the trace and returns the new graph; run(*sites,
+# rewritten=(graph, renaming, adjust)) records sites and takes one rewrite's
+# result for them (glue_bends, remove_bigons), weighted as _carried weights
+# a rule's.
+REDUCE_ROWS = (partial(_least, "singleton"), _bends, _bigons, partial(_least, "M2"), _loops, _leaves)
 
-
-# The direct sites of reduce_graph in priority order: row -> (finder, step).
-# A finder yields the row's sites in the order reduce_graph takes them.
-# step(G, site, run) applies, through run, the whole composite that removes
-# the site, preparatory moves included.  run(s) applies the site s, records
-# it in the trace and returns the new graph; run(*sites, rewritten=(graph,
-# renaming, adjust)) records sites and takes one rewrite's result for them
-# (glue_bends, remove_bigons), the face weights carried as the applier
-# carries a rule's result (_carried).  Every composite shrinks _size.
-SITE_FINDERS = {
-    "singleton": (_by_id("singleton"), lambda G, v, run: run(("singleton", v))),
-    "M3r": (_by_id("M3r"), _glue_step),
-    "bigon": (bigon_faces, _bigon_step),
-    "M2": (_by_id("M2"), lambda G, e, run: run(("M2", e))),
-    "loop": (_loop_sites, _loop_step),
-    "leaf": (_by_id("leaf"), _leaf_step),
-}
 
 def _size(G):
     """Faces plus edges, a singleton counting as the face of its empty walk (the
-    map's orbits, traced when G was built, add the outer face: a constant)."""
+    map's orbits add the outer face: a constant); each acting row lowers it."""
     return G.map.face_count() + len(G.edges) + len(G._sites["singleton"])
 
 
-def _first_site(G, rows):
-    """(step, site) at the first site of the first row that has one, or None."""
-    for find, step in rows:
-        site = next(iter(find(G)), None)
-        if site is not None:
-            return step, site
-    return None
-
-
 def _reduce_directly(x, rows, trace):
-    """Apply the composite at the first site of the rows until none is left:
-    at most _size(x) composites, as each shrinks _size."""
+    """Apply the first of the rows that acts until none does: at most _size(x)
+    composites, as each shrinks _size."""
     def run(*sites, rewritten=None):
         nonlocal x
         trace.extend(sites)
         x = apply_site(x, *sites) if rewritten is None else _carried(x, *rewritten)
         return _graph_of(x)
 
-    G = _graph_of(x)
-    size = _size(G)
-    while (found := _first_site(G, rows)) is not None:
-        step, site = found
-        step(G, site, run)
-        G = _graph_of(x)
-        size, before = _size(G), size
+    size = _size(_graph_of(x))
+    while any(row(_graph_of(x), run) for row in rows):
+        size, before = _size(_graph_of(x)), size
         if size >= before:
             raise AssertionError(f"the composite ending in {trace[-1]} did not shrink the graph")
     return x
@@ -1274,17 +1254,18 @@ def reduce_graph(x):
     """(reduced plabic graph or network, singletons removed, trace).
 
     The trace lists the applied sites and replays with apply_site.  The
-    composites of SITE_FINDERS each lower _size (faces + edges +
-    singletons); when none is left and the graph is not reduced, the trace
-    ends in one ("construct",) step, _construct's object of the cell and
-    the point.  The singletons go first (none can be oriented); then the
-    graph must have a perfect orientation, or NotPerfectlyOrientable is
-    raised before any other rewrite.
+    rows of REDUCE_ROWS run, the first that finds a site each time, and
+    each lowers _size (faces + edges + singletons); when none acts and the
+    graph is not reduced, the trace ends in one ("construct",) step,
+    _construct's object of the cell and the point.  The singleton row goes
+    first (no singleton can be oriented); then the graph must have a
+    perfect orientation, or NotPerfectlyOrientable is raised before any
+    other rewrite.
     """
     trace = []
-    x = _reduce_directly(x, [SITE_FINDERS["singleton"]], trace)
+    x = _reduce_directly(x, REDUCE_ROWS[:1], trace)
     _oriented(_graph_of(x))
-    x = _reduce_directly(x, SITE_FINDERS.values(), trace)
+    x = _reduce_directly(x, REDUCE_ROWS, trace)
     if not is_reduced(_graph_of(x)):
         trace.append(("construct",))
         x = _construct(x)

@@ -466,6 +466,26 @@ def _reanchor(edges, darts, v):
         edges[e] = (v, *edges[e][1:]) if end == 0 else (edges[e][0], v, *edges[e][2:])
 
 
+def _rename_far(rot, rename, ends):
+    """Rename in place, by rename {old dart: new dart}, the darts at the far ends, each end once."""
+    for x in set(ends):
+        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+
+
+def _glue(rot, edges, v, e):
+    """Remove the bend v (two darts of two edges) in place, gluing its edges
+    into the new edge e = (a, b), from the far end a of v's first dart to
+    that of its second.  Returns a, b and the renaming {old dart: new
+    dart} of the far darts of the glued edges."""
+    (e1, end1), (e2, end2) = rot.pop(v)
+    d1, d2 = (e1, 1 - end1), (e2, 1 - end2)
+    a, b = edges.pop(e1)[d1[1]], edges.pop(e2)[d2[1]]
+    edges[e] = (a, b)
+    rename = {d1: (e, 0), d2: (e, 1)}
+    _rename_far(rot, rename, (a, b))
+    return a, b, rename
+
+
 def fresh_ids(*pools):
     """Unused ids, counting up from one above every id in the pools."""
     return count(1 + max(chain(*pools), default=0))

@@ -48,7 +48,7 @@ Runs of bends: `glue_bends_stepwise` removes every internal degree-2
 vertex on two edges one `M3r` move at a time, each a rewrite of its own,
 to cross-check `plabic.glue_bends`, which glues the whole run in one.
 Bigon rows: `reduce_one_r1_at_a_time` reduces with each `M2u` split and
-each `R1` a rewrite of its own (`bigon_step_one_r1`), to cross-check
+each `R1` a rewrite of its own (`bigon_row_one_r1`), to cross-check
 `plabic.remove_bigons`, which removes the whole row in one.
 
 Symmetries of the disk: `swap_colours`, `turn_boundary` (b_i renamed
@@ -122,9 +122,10 @@ from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_n
 from positroid.network import PlanarDirectedNetwork
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
-from positroid.plabic import (SITE_FINDERS, PlabicGraph, PlabicNetwork, _split_pair, apply_move,
-                              contracted, face_key, face_weights, faces, orientation_sources,
-                              perfect_orientation, reduce_graph, reducedness_certificate, trips)
+from positroid import plabic
+from positroid.plabic import (PlabicGraph, PlabicNetwork, _split_pair, apply_move, bigon_faces, contracted,
+                              face_key, face_weights, faces, orientation_sources, perfect_orientation,
+                              reduce_graph, reducedness_certificate, trips)
 from positroid.planarmaps import _reanchor, fresh_ids
 
 
@@ -816,34 +817,40 @@ def delete_edge(G, e, boundary_color=None):
 
 
 def glue_bends_stepwise(x):
-    """apply_move(x, ("M3r", v)) at the first site v of the M3r row until none
-    is left; x a graph or a network.  Returns the result and the sites' vertices."""
-    order, first = [], SITE_FINDERS["M3r"][0]
-    while (v := next(iter(first(x.graph if isinstance(x, PlabicNetwork) else x)), None)) is not None:
+    """apply_move(x, ("M3r", v)) at the least bend v until none is left; x a
+    graph or a network.  Returns the result and the sites' vertices."""
+    order = []
+    while (v := min((x.graph if isinstance(x, PlabicNetwork) else x)._sites["M3r"], default=None)) is not None:
         x = apply_move(x, ("M3r", v))
         order.append(v)
     return x, order
 
 
-def bigon_step_one_r1(G, darts, run):
-    """The bigon row's step with one rewrite per site: an M2u split of the
-    bigon's darts off each endpoint of degree above 3, then R1 there."""
+def bigon_row_one_r1(G, run):
+    """The bigon row with one rewrite per site: at the first bigon of G, an
+    M2u split of its darts off each endpoint of degree above 3, then R1
+    there.  Returns whether G had a bigon."""
+    darts = next(iter(bigon_faces(G)), None)
+    if darts is None:
+        return False
     es = {e for e, _ in darts}
     for v in sorted(set(G.edges[min(es)])):
         if G.degree(v) > 3:
             G = run(_split_pair(G.rot, v, es))
     run(("R1", min(es), max(es)))
+    return True
 
 
 def reduce_one_r1_at_a_time(x):
-    """reduce_graph(x) with bigon_step_one_r1 as the bigon row's step, so that
-    every R1 is a rewrite of its own, at the first bigon of the graph then."""
-    row = SITE_FINDERS["bigon"]
-    SITE_FINDERS["bigon"] = (row[0], bigon_step_one_r1)
+    """reduce_graph(x) with bigon_row_one_r1 in place of the bigon row of
+    plabic.REDUCE_ROWS, so that every R1 is a rewrite of its own, at the
+    first bigon of the graph then."""
+    rows = plabic.REDUCE_ROWS
+    plabic.REDUCE_ROWS = tuple(bigon_row_one_r1 if row is plabic._bigons else row for row in rows)
     try:
         return reduce_graph(x)
     finally:
-        SITE_FINDERS["bigon"] = row
+        plabic.REDUCE_ROWS = rows
 
 
 # -- symmetries of the disk -------------------------------------------------------

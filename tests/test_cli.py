@@ -502,6 +502,13 @@ def test_move_cli_roundtrip(capsys, tmp_path):
 # -- total text parsers: each malformed input exits 1 with one line ---------------------
 
 
+# plabic networks, the faces block left open, with an isolated black-white
+# edge or an isolated 2-cycle beside the boundary edge 1
+ISOLATED_EDGE = "n 2\nvertex 3 black : 3\nvertex 4 white : 3\nedge 1 : 1 2\nedge 3 : 3 4\nfaces\n"
+ISOLATED_2_CYCLE = ("n 2\nvertex 3 black : 3 4\nvertex 4 white : 4 3\nedge 1 : 1 2\nedge 3 : 3 4\nedge 4 : 4 3\n"
+                    "faces\n")
+
+
 def _one_line_error(capsys, tmp_path, text, *argv):
     f = tmp_path / "in.txt"
     f.write_text(text)
@@ -550,10 +557,20 @@ def _one_line_error(capsys, tmp_path, text, *argv):
     ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : 1 2\n", "plabic text line 4: expected 'name : weight': '1.0 : 1 2'"),
     ("measure", "n 2\nsources 1\nedge 1 : 1 2 x\n",
      "network text line 3: 'x' is not a rational number: 'edge 1 : 1 2 x'"),
+    ("trips", "n 1\nvertex 1 black : 1\nvertex 2 white : 1\nedge 1 : 1 2\n", "boundary vertices are not colored"),
+    ("trips", "n 2\nedge 1 : 1 3\nedge 2 : 3 2\n", "internal vertex 3 has no color"),
+    ("trips", "n 1\n", "boundary vertex 1 has degree 0, need 1"),
+    ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : 0\n1.1 : 1\n", "face weights must be positive"),
+    ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : 2\n1.1 : 1\n", "face weights multiply to 2, not 1"),
+    ("reduce", ISOLATED_EDGE + "1.0 : 1\n1.1 : 1/2\n3.0 : 2\n", "isolated tree component must carry face weight 1"),
+    ("reduce", ISOLATED_2_CYCLE + "1.0 : 1\n1.1 : 1\n3.0 : 1\n3.1 : 1\n",
+     "isolated component with a cycle: containment is ambiguous"),
 ], ids=["no-n", "n-word", "n-two-counts", "n-negative", "unknown-line", "sources-word", "vertex-no-id",
         "vertex-word-id", "vertex-word-edge", "vertex-two-colons", "vertex-two-kinds", "bad-colour", "short-edge",
         "long-edge", "edge-no-id", "edge-two-colons", "edge-two-ids", "edge-word-id", "edge-word-end", "plabic-short-edge",
-        "plabic-long-edge", "bad-face-weight", "long-face-line", "bad-edge-weight"])
+        "plabic-long-edge", "bad-face-weight", "long-face-line", "bad-edge-weight", "coloured-boundary",
+        "uncoloured-vertex", "boundary-degree-0", "zero-face-weight", "face-product-2", "weighted-isolated-tree",
+        "isolated-2-cycle"])
 def test_graph_text_errors_are_pinned(capsys, tmp_path, command, text, message):
     assert _one_line_error(capsys, tmp_path, text, command) == f"error: {message}\n"
 
@@ -636,6 +653,15 @@ def test_tableau_entry_1_over_0_exit_1(capsys, tmp_path):
 def test_tableau_error_names_line_and_entry(capsys, tmp_path, text, message):
     err = _one_line_error(capsys, tmp_path, text, "le2net")
     assert err == f"error: tableau text {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 3\n1\n-1\n", "tableau entries must be nonnegative"),
+    ("1 3\n5\n1 1 1 1 1\n", "(5,) does not fit in a 1 x 2 box"),
+    ("2 4\n1 2\n1\n1 1\n", "(1, 2) is not a partition with at most 2 parts"),
+], ids=["negative-entry", "shape-too-wide", "shape-not-a-partition"])
+def test_tableau_validation_errors_exit_1(capsys, tmp_path, text, message):
+    assert _one_line_error(capsys, tmp_path, text, "le2net") == f"error: {message}\n"
 
 
 def test_sources_outside_boundary_exit_1(capsys, tmp_path):
@@ -1029,6 +1055,19 @@ def test_matroid_without_perfect_orientation_exit_2(capsys, tmp_path):
     for flags in ([], ["--json"]):
         assert run(capsys, "matroid", str(f), *flags) == (
             2, "", "precondition failed: graph is not perfectly orientable\n")
+
+
+def test_trips_of_a_boundary_lollipop_exit_2(capsys, tmp_path):
+    # the trip at b_1 runs round the loop back to b_1, whose edge ends in no
+    # leaf to colour the fixed point; reduce leaves that leaf, and the
+    # matroid needs no colour
+    f = tmp_path / "g.txt"
+    f.write_text("n 1\nvertex 2 white : 1 2 2\nedge 1 : 1 2\nedge 2 : 2 2\n")
+    for flags in ([], ["--json"]):
+        assert run(capsys, "trips", str(f), *flags) == (
+            2, "", "precondition failed: trip at b_1 is a fixed point without a boundary leaf\n")
+    assert run(capsys, "matroid", str(f)) == (0, "0 1\n", "")
+    assert run(capsys, "reduce", str(f)) == (0, "n 1\nvertex 3 black : 3\nedge 3 : 1 3\n", "")
 
 
 @pytest.mark.parametrize("seed", [2, 10])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,15 +6,17 @@ from math import gcd
 
 import pytest
 
-from helpers import has_alternating_vertex, manhattan_grid, random_grid_network, random_rational
+from helpers import has_alternating_vertex, manhattan_grid, random_grid_network, random_le_data, random_rational
 from oracles import (Walk, _erasable_cycles, _path_weight, _simple_cycles_at, _simple_paths,
                      exhaustive_matrix, formal_series, minor_by_bijections, minor_loop_erased,
                      rational_series, winding_index)
 from positroid.exactmath import maximal_minor, partitions_in_box
+from positroid.lediagram import gamma_network
 from positroid.network import (PlanarDirectedNetwork, boundary_measurement,
                                boundary_measurement_matrix, color,
                                gauge_transform, is_perfect, measure,
                                perfect_and_trivalent, switch_orientation)
+from positroid.plabic import face_weights
 
 rng = random.Random(77)
 
@@ -275,6 +278,41 @@ def test_perfect_and_trivalent_idempotent_on_perfect():
     again = perfect_and_trivalent(perf)
     assert measure(again).projectively_equal(measure(perf))
     assert len(again.edges) == len(perf.edges)
+
+
+PERFECT_FORM_DIGEST = "7dbbd87f8ed3d95ac2f3587e457cc657fd62017df2a652919fd297a7319b438e"
+
+
+def test_perfect_form_is_pinned():
+    """The text of the perfect trivalent form, ids included, of 400 seeded
+    grid networks and 30 hook networks of Le-tableaux, in one sha256.  The
+    corpus merges about 700 internal degree-2 vertices and pulls about 200
+    pairs of darts out, of both directions."""
+    h, count = hashlib.sha256(), 0
+    for seed in range(400):
+        r = random.Random(seed)
+        net = random_grid_network(r, n=r.randint(2, 6), keep=0.9)
+        if net is not None:
+            h.update(perfect_and_trivalent(net).to_text().encode())
+            count += 1
+    for seed in range(30):
+        r = random.Random(seed)
+        n = r.randint(2, 7)
+        h.update(perfect_and_trivalent(gamma_network(random_le_data(r, r.randint(1, n - 1), n)[1]))
+                 .to_text().encode())
+        count += 1
+    assert (count, h.hexdigest()) == (430, PERFECT_FORM_DIGEST)
+
+
+def test_is_perfect_refuses_a_bad_vertex():
+    # b_1 of degree 2, and an internal vertex with two in-edges and two out-edges
+    wide = PlanarDirectedNetwork(3, [True, False, False], {1: (1, 2, 1), 2: (1, 3, 1)},
+                                 rot_ids={1: [1, 2], 2: [1], 3: [2]})
+    edges = {1: (1, 5, 1), 2: (2, 5, 1), 3: (5, 3, 1), 4: (5, 4, 1)}
+    cross = PlanarDirectedNetwork(4, [True, True, False, False], edges, rot_ids={5: [1, 2, 3, 4]})
+    assert not is_perfect(wide) and not is_perfect(cross)
+    with pytest.raises(ValueError, match="^face weights need a perfect network$"):
+        face_weights(cross)
 
 
 def test_color_sum_identity():

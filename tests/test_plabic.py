@@ -21,7 +21,7 @@ from positroid.planarmaps import DiskMap, _DiskGraph, _cyclic_pairs
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, covers, rank,
                                     le_from_perm, all_decorated_permutations,
                                     perm_from_necklace, rank, top_permutation)
-from positroid.plabic import (SITE_FINDERS, NotPerfectlyOrientable, PlabicGraph, PlabicNetwork,
+from positroid.plabic import (REDUCE_ROWS, NotPerfectlyOrientable, PlabicGraph, PlabicNetwork,
                               _graph_of, _key_left_of, _reduce_directly, _transfer_weights, apply_move,
                               apply_reduction, apply_site, bigon_faces, contracted,
                               edge_weights_from_faces, export_dot, face_key,
@@ -890,7 +890,7 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
         r = random.Random(seed)
         G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
         if perfect_orientation(G) is None:     # reduce_graph refuses it; its rewrites still run
-            _reduce_directly(G, SITE_FINDERS.values(), [])
+            _reduce_directly(G, REDUCE_ROWS, [])
             continue
         red = reduce_graph(G)[0]
         delete_edge(red, min(red.edges), BLACK)
@@ -1309,7 +1309,7 @@ def test_singletons_removed_in_id_order():
 
 
 def _rows_at_9_and_12():
-    """row -> a graph whose first sites are in that row of SITE_FINDERS, at
+    """row -> a graph whose first sites are in that row of REDUCE_ROWS, at
     the candidates 9 and 12 (vertices, or edges in the M2 row): ids whose
     str order and id order differ.  The singleton row's case is
     test_singletons_removed_in_id_order."""
@@ -1327,7 +1327,7 @@ def _rows_at_9_and_12():
 
 
 @pytest.mark.parametrize("row, first", [("M3r", "M3r"), ("M2", "M2"), ("leaf", "R2")])
-def test_rows_take_their_sites_by_id(row, first):
+def test_rows_take_their_sites_in_id_order(row, first):
     G = _rows_at_9_and_12()[row]
     assert sorted(G._sites[row]) == [9, 12]
     assert reduce_graph(G)[2][:2] == [(first, 9), (first, 12)]
