@@ -159,12 +159,18 @@ class PlanarDirectedNetwork(_DiskGraph):
 
     @classmethod
     def from_text(cls, text):
-        sources = []
+        sources = None
 
         def other(toks, number):
+            nonlocal sources
             if toks[0] != "sources":
                 raise ValueError("unrecognized line")
-            sources[:] = [int(t) for t in toks[1:]]
+            if sources is not None:
+                raise ValueError("a second 'sources' line")
+            sources = [int(t) for t in toks[1:]]
+            twice = next((i for i in sources if sources.count(i) > 1), None)
+            if twice is not None:
+                raise ValueError(f"source {twice} is listed twice")
 
         def weight(toks):
             if len(toks) != 1:
@@ -172,6 +178,7 @@ class PlanarDirectedNetwork(_DiskGraph):
             return (rational(toks[0]),)
 
         n, _, rot_ids, edges = parse_disk_text(text, "network", _at_most_one, weight, other)
+        sources = sources or []
         if any(i not in range(1, n + 1) for i in sources):
             raise ValueError(f"sources {sources} are not all boundary vertices 1..{n}")
         return cls(n, [i in sources for i in range(1, n + 1)], edges, rot_ids=rot_ids)

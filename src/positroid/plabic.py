@@ -86,8 +86,11 @@ class PlabicGraph(_DiskGraph):
             # a vertex's row depends on its own darts and on whether their far
             # ends are boundary vertices, which no rewrite changes for a kept
             # vertex; an edge's row on its ends and their colours, so only an
-            # edge with an end at a changed vertex, before or after, can move
-            edges = {e for v in changed for rot in (parent.rot, self.rot) for e, _ in rot.get(v, ())}
+            # edge with an end at a changed vertex, before or after, can move:
+            # one there now, or one the rewrite removed (an edge it kept that
+            # ended at a changed vertex before ends at one now)
+            edges = parent.edges.keys() - self.edges.keys()
+            edges.update(e for v in changed for e, _ in self.rot.get(v, ()))
             now = {row: set() for row in sites}
             _index_sites(self, now, changed, edges)
             self._sites = {row: s.difference(changed if row in _VERTEX_ROWS else edges).union(now[row])
@@ -126,6 +129,8 @@ class PlabicGraph(_DiskGraph):
         def other(toks, number):
             nonlocal in_faces
             if toks == ["faces"]:
+                if in_faces:
+                    raise ValueError("a second 'faces' header")
                 in_faces = True
             elif in_faces and len(toks) in (2, 3) and toks[1:-1] in ([], [":"]):
                 lines.append((number, toks[0], rational(toks[-1])))
@@ -174,8 +179,10 @@ def face_key(darts):
 
 
 def face_weight_keys(G):
-    """The face_key of every interior face, in no fixed order."""
-    return [face_key(f) for f in G.map.inner_faces()]
+    """The face_key of every interior face, in no fixed order, as the map keys them."""
+    m = G.map
+    outer = m._face_of.get((~0, 0))
+    return [m.face_key(f) for f in m.faces() if f is not outer]
 
 
 def _face_name(key):
@@ -599,8 +606,9 @@ def is_reduced(G):
 
 def _bicolored(G, e):
     """Whether edge e joins internal vertices of opposite colours."""
-    cu, cw = (G.col.get(x) for x in G.edges[e])
-    return None not in (cu, cw) and cu != cw
+    u, w = G.edges[e]
+    cu, cw = G.col.get(u), G.col.get(w)
+    return cu is not None and cw is not None and cu != cw
 
 
 # -- moves with face weights -----------------------------------------------------------
@@ -608,7 +616,7 @@ def _bicolored(G, e):
 
 def _key_left_of(G, dart):
     """Key of the interior face on the left of a real dart."""
-    return face_key(G.map._inside(G.map.orbit(dart)))
+    return G.map.face_key(G.map.orbit(dart))
 
 
 _ONE = Fraction(1)
@@ -618,35 +626,36 @@ def _transfer_weights(old_net, new_graph, adjust=None, rename=None):
     """Carry face weights across a rewrite, from the faces that left to those
     that arrived, as new_graph's map (made by _DiskGraph.replace) records them.
 
-    A face the rewrite left alone keeps its weight.  On a relabelled map
-    (DiskMap.relabel) each face that left has one image, which takes its
-    weight, or vanished.  On a derived map each face that arrived gets the
-    product of the weights of the faces that left which share a dart with
-    it, or 1 without one (a fresh isolated tree); rename: dict old dart ->
-    a new dart on the same face (by face, not by which dart replaced
-    which), so a face bounded only by rewritten edges still finds its
-    region.  adjust: dict old face key -> factor; a face whose region
-    disappears must be scaled to weight 1, and a lost face of any other
-    weight is a bug.  Only the faces that left and arrived and the adjusted
-    faces are checked: positive, with their product kept, so all still
-    multiply to 1.
+    A face the rewrite left alone keeps its weight.  Every face is keyed
+    as the maps key it (DiskMap.face_key), once per face.  On a relabelled
+    map (DiskMap.relabel) each face that left has one image, which takes
+    its weight, or vanished, and rename is not read.  On a derived map each
+    face that arrived gets the product of the weights of the faces that
+    left which share a real dart with it, or 1 without one (a fresh
+    isolated tree); rename: dict old dart -> a new dart on the same face
+    (by face, not by which dart replaced which), so a face bounded only by
+    rewritten edges still finds its region.  adjust: dict old face key ->
+    factor; a face whose region disappears must be scaled to weight 1, and
+    a lost face of any other weight is a bug.  Only the faces that left and
+    arrived and the adjusted faces are checked: positive, with their
+    product kept, so all still multiply to 1.
     """
     adjust = adjust or {}
-    rename = rename or {}
-    new_map = new_graph.map
-    gone, came = new_map.face_changes(old_net.graph.map)
-    inside, face_of, images = new_map._inside, new_map._face_of, new_map._images
-    key_of = {id(f): face_key(inside(f)) for f in came}     # by the id of the orbit
-    left = {face_key(darts): darts for darts in map(inside, gone)}
+    new_map, old_map = new_graph.map, old_net.graph.map
+    gone, came = new_map.face_changes(old_map)
+    key_of = {id(f): new_map.face_key(f) for f in came}     # by the id of the orbit
+    left = {old_map.face_key(f): f for f in gone}
     kept = [key for key in adjust if key not in left]
     weights = old_net.weights.copy()
     before = [weights.pop(key) for key in left]
-    for (key, darts), w, image in zip(left.items(), before, images or repeat(None)):
+    images, face_of, rename = new_map._images, new_map._face_of, rename or {}
+    for (key, f), w, image in zip(left.items(), before, images or repeat(None)):
         if key in adjust:
             w = w * adjust[key]
         if images is not None:
             hit = [key_of[id(image)]] if image else []
         else:
+            darts = new_map._inside(f)
             landed = set(map(id, map(face_of.get, map(rename.get, darts, darts))))
             hit = {key_of[i] for i in landed.intersection(key_of)}
         if not hit and w != 1:
@@ -764,10 +773,13 @@ def remove_bigons(G):
     removed is skipped.  Only an R1 makes bigons, of the two faces of its
     new edge, so those are walked after it.  Each dart the row makes keeps
     a dart of G on the face to its left, taken over from the dart its rule
-    names (_split, _r1).  Returns the new graph, the renaming {dart of G: a
-    dart made on its face} for _transfer_weights, the sites, and for each
-    R1 the record _bigon_adjust reads: its bigon's face key and _sides, the
-    faces keyed in G.  Raises _no_r1_site at a bigon that is no R1 site.
+    names (_split, _r1).  Each split edge is the third edge of the R1 after
+    it, so the row keeps every face of G but its bigons, which it empties,
+    and the new graph's map is G's relabelled by the renaming {dart of G: a
+    dart made on its face}, the one _transfer_weights gets too.  Returns the
+    new graph, that renaming, the sites, and for each R1 the record
+    _bigon_adjust reads: its bigon's face key and _sides, the faces keyed
+    in G.  Raises _no_r1_site at a bigon that is no R1 site.
     """
     rot, edges, col, boundary = G.rot.copy(), G.edges.copy(), G.col.copy(), G.map._at
     pending = list(bigon_faces(G))      # sorted, so a heap
@@ -807,8 +819,8 @@ def remove_bigons(G):
                 after = _face_step(rot, edges, d)
                 if after[0] != top_e and _face_step(rot, edges, after) == d:
                     heappush(pending, (after, d))      # after's edge is the older one
-    H = G.replace(changed, col=col, edges=edges, rot=rot)
-    return H, {old: new for new, old in origin.items() if new[0] in edges}, sites, records
+    rename = {old: new for new, old in origin.items() if new[0] in edges}
+    return G.replace(changed, rename, col=col, edges=edges, rot=rot), rename, sites, records
 
 
 def _face_step(rot, edges, dart):
@@ -1010,10 +1022,11 @@ SITE_RULES = {"M1": ("f", _square_move), "M2": ("e", _contract), "M2u": ("vii", 
               "R2": ("v", _leaf), "R3": ("v", _dipole), "Rloop": ("e", _lollipop),
               "singleton": ("v", _singleton), "construct": ("", None)}
 
-# The kinds whose rules keep every face, and so every face weight, and only
+# The kinds whose rules keep every face but those they empty, and so every
+# face weight but a face's that goes to 1 first (the bigon of R1), and only
 # drop and rename darts: the applier relabels their maps (DiskMap.relabel)
 # by the renaming the rule returns.
-_FACE_KEEPING = frozenset({"M2", "M3r"})
+_FACE_KEEPING = frozenset({"M2", "M3r", "R1"})
 
 
 def parse_site(text):

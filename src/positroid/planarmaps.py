@@ -20,10 +20,12 @@ walks every face keeping that face on the LEFT of the travel direction.
 Consequently the face on the left of d is orbit(d), on its right orbit(rev(d)).
 DiskMap walks it with one tracer, for a fresh map and for one derived
 from a rewrite alike, finding each successor in a vertex's rotation.  A
-rewrite that keeps every face, contracting an edge or gluing a bend, is
-not traced: its map relabels the faces it touched, taking the darts of
-the removed edges out or renaming them.  The faces are kept as traced or
-relabelled, in no fixed order.  The one order the library puts faces in
+rewrite that keeps every face but those it empties (contracting an
+edge, gluing a bend, removing a bigon) is not traced: its map relabels
+the faces it touched, taking the darts of the removed edges out or
+renaming them.  The faces are kept as traced or relabelled, in no fixed
+order, and each face's key (face_key) is found once and kept with the
+face.  The one order the library puts faces in
 is that of faces_of_length: each small face started at its least dart,
 the faces by those darts.  A fresh map is planar when one Euler sum over
 the whole map gives V - E + F = 2 per component: no component of a
@@ -67,7 +69,9 @@ class DiskMap:
     it was traced or relabelled, and faces() and inner_faces() list them in
     no fixed order.  Only faces_of_length, which the rewriting engine walks
     for sites, starts each face at its least dart and lists them in the
-    order of those darts.
+    order of those darts.  A map and the maps derived or relabelled from
+    it share one table of face keys (face_key), so a face that a rewrite
+    keeps keeps its key, and each face is keyed once.
     """
 
     # the components without a boundary vertex that a fresh map's planarity check found
@@ -96,7 +100,7 @@ class DiskMap:
         self._aug_rot = aug = self.rot.copy()
         for i, b in enumerate(self.boundary):
             aug[b] = _spliced(i, aug.get(b, ()), n)
-        self._face_of = {}
+        self._face_of, self._keys = {}, {}
         self._count = len(self._trace(chain.from_iterable(aug.values())))
         self._stamp = object()
         self.validate_planarity()
@@ -148,7 +152,8 @@ class DiskMap:
         return self._changed(new, left, new._trace((e, 1 - end) for (e, end), _ in made))
 
     def relabel(self, edges, rot, changed, rename):
-        """The map of a local rewrite that keeps every face, without tracing.
+        """The map of a local rewrite that keeps every face it does not
+        empty, without tracing.
 
         edges, rot and changed are derive's.  The rewrite removes the edges
         of this map that edges lacks, and may make new ones under ids no
@@ -156,7 +161,9 @@ class DiskMap:
         on to its new dart, on the same face, and the other darts of removed
         edges are dropped.  Gluing a bend (M3r) renames the far darts of its
         two edges and drops the near ones; contracting an edge (M2) renames
-        none and drops both of its darts.  Each face with a dart of a
+        none and drops both of its darts; removing a bigon (R1) renames the
+        far darts of its ends' third edges and drops the other darts of its
+        four edges, the bigon's among them.  Each face with a dart of a
         removed edge becomes the same dart cycle with the dropped darts
         taken out and the renamed ones renamed, and vanishes when no dart is
         left; every other face is kept.  So the result is derive's, with no
@@ -196,6 +203,7 @@ class DiskMap:
         new = object.__new__(DiskMap)
         new.boundary, new.n, new._at, new._arcs = self.boundary, self.n, self._at, self._arcs
         new.edges, new.rot, new._aug_rot, new._face_of = edges, rot, aug, face_of
+        new._keys = self._keys
         return new
 
     def _changed(self, new, left, arrived):
@@ -270,6 +278,17 @@ class DiskMap:
         arcs = self._arcs
         return orbit if arcs.isdisjoint(orbit) else tuple(filterfalse(arcs.__contains__, orbit))
 
+    def face_key(self, orbit):
+        """The key of the face orbit, as traced or relabelled: its least
+        dart that is no boundary arc, or ("disk",) when it has none.  The
+        key is found once per face and kept in the table the maps of one
+        fresh build share, by the id of the orbit; the table holds the
+        orbit, so no other face can take that id."""
+        entry = self._keys.get(id(orbit))
+        if entry is None:
+            entry = self._keys[id(orbit)] = orbit, _least_real(orbit, self._arcs)
+        return entry[1]
+
     def face_count(self):
         """len(faces()), without listing the faces."""
         return self._count
@@ -328,6 +347,12 @@ class DiskMap:
 def _arc_darts(n):
     """The darts of the boundary arcs of a disk with n boundary vertices."""
     return frozenset((~i, end) for i in range(n) for end in (0, 1))
+
+
+def _least_real(orbit, arcs):
+    """The least dart of the orbit that is not in arcs, or ("disk",) when every one is."""
+    least = min(orbit)
+    return least if least[0] >= 0 else min(filterfalse(arcs.__contains__, orbit), default=("disk",))
 
 
 def _spliced(i, ds, n):
@@ -469,7 +494,8 @@ def _reanchor(edges, darts, v):
 def _rename_far(rot, rename, ends):
     """Rename in place, by rename {old dart: new dart}, the darts at the far ends, each end once."""
     for x in set(ends):
-        rot[x] = tuple(rename.get(d, d) for d in rot[x])
+        ds = rot[x]
+        rot[x] = tuple(map(rename.get, ds, ds))
 
 
 def _glue(rot, edges, v, e):
@@ -563,14 +589,14 @@ class _DiskGraph:
         changed names every vertex the rewrite added, removed, or changed
         the rotation or any other field of (naming more is harmless).  The
         new values are taken as they are, and the map is made from this
-        one's: when the rewrite keeps every face, kept is its renaming of
-        the darts of removed edges that live on ({} when it renames none)
-        and the map is relabelled (DiskMap.relabel), with nothing traced;
-        otherwise it is derived (DiskMap.derive), and only the faces at
-        the changed vertices are traced again.  Nothing is validated: a
-        rewrite of a valid graph is valid.  The bookkeeping that _carry
-        keeps is updated at the changed vertices.  Graphs from outside go
-        through the constructor.
+        one's: when the rewrite keeps every face it does not empty, kept is
+        its renaming of the darts of removed edges that live on ({} when it
+        renames none) and the map is relabelled (DiskMap.relabel), with
+        nothing traced; otherwise it is derived (DiskMap.derive), and only
+        the faces at the changed vertices are traced again.  Nothing is
+        validated: a rewrite of a valid graph is valid.  The bookkeeping
+        that _carry keeps is updated at the changed vertices and the removed
+        edges.  Graphs from outside go through the constructor.
         """
         new = object.__new__(type(self))
         for name in self._fields:
@@ -595,8 +621,8 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
     `#` starts a comment.  `n <count>` gives n; `vertex v [label] : ids`
     gives the clockwise edge ids at v and vertex_label(label tokens);
     `edge e : u w [more]` gives the edge (u, w, *edge_tail(more tokens)).
-    The colons may be left out.  Every other line goes to
-    other(tokens, line number).
+    The colons may be left out, and n, a vertex or an edge given twice is
+    an error.  Every other line goes to other(tokens, line number).
     Returns (n, labels, rot_ids, edges); every error is one ValueError
     naming the line number and the line.  Each line is split once, and a
     colon is looked for where the canonical form puts it first.
@@ -615,7 +641,10 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
                     if len(head) != 1 or len(body) < 2:
                         raise ValueError("expected 'edge e : u w ...'")
                     toks = [key, *head, ":", *body]
-                edges[int(toks[1])] = (int(toks[3]), int(toks[4]), *edge_tail(toks[5:]))
+                e = int(toks[1])
+                if e in edges:
+                    raise ValueError(f"edge {e} is given twice")
+                edges[e] = (int(toks[3]), int(toks[4]), *edge_tail(toks[5:]))
             elif key == "vertex":
                 if len(toks) > 3 and toks[3] == ":" and ":" not in (toks[1], toks[2]):
                     head, ids = toks[1:3], toks[4:]
@@ -624,9 +653,13 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
                 if not head:
                     raise ValueError("a vertex line needs an id")
                 v = int(head[0])
+                if v in labels:
+                    raise ValueError(f"vertex {v} is given twice")
                 labels[v] = vertex_label(head[1:])
                 rot_ids[v] = list(map(int, ids))
             elif key == "n":
+                if n is not None:
+                    raise ValueError("a second 'n' line")
                 if len(toks) != 2 or int(toks[1]) < 0:
                     raise ValueError("expected 'n <count>' with a count >= 0")
                 n = int(toks[1])

@@ -575,6 +575,24 @@ def test_graph_text_errors_are_pinned(capsys, tmp_path, command, text, message):
     assert _one_line_error(capsys, tmp_path, text, command) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("trips", "n 1\nvertex 2 white : 1\nvertex 2 black : 1\nedge 1 : 1 2\n",
+     "plabic text line 3: vertex 2 is given twice: 'vertex 2 black : 1'"),
+    ("measure", "n 2\nsources 1\nedge 1 : 1 3 1\nedge 2 : 3 2 5\nedge 2 : 3 2 7\n",
+     "network text line 5: edge 2 is given twice: 'edge 2 : 3 2 7'"),
+    ("trips", "n 3\nn 2\nedge 1 : 1 2\n", "plabic text line 2: a second 'n' line: 'n 2'"),
+    ("measure", "n 2\nsources 1\nsources 2\nedge 1 : 1 3 1\nedge 2 : 3 2 1\n",
+     "network text line 3: a second 'sources' line: 'sources 2'"),
+    ("measure", "n 2\nsources 1 1\nedge 1 : 1 3 1\nedge 2 : 3 2 1\n",
+     "network text line 2: source 1 is listed twice: 'sources 1 1'"),
+    ("reduce", "n 2\nedge 1 : 1 2\nfaces\n1.0 : 1\nfaces\n1.1 : 1\n",
+     "plabic text line 5: a second 'faces' header: 'faces'"),
+], ids=["vertex-twice", "edge-twice", "n-twice", "sources-twice", "source-listed-twice", "faces-twice"])
+def test_a_repeated_definition_line_exit_1(capsys, tmp_path, command, text, message):
+    # each of these inputs was read with the last definition winning
+    assert _one_line_error(capsys, tmp_path, text, command) == f"error: {message}\n"
+
+
 def test_colons_and_comments_do_not_change_the_graph():
     from positroid.network import PlanarDirectedNetwork
     from positroid.plabic import PlabicNetwork, face_weight_keys

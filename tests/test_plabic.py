@@ -13,7 +13,7 @@ from oracles import (canonical, check_faces, components, delete_edge, glue_bends
                      le_network, minimal_permutation, necklace_from_matroid, path_matroid,
                      perfect_gamma, perfect_orientations, planar_by_components,
                      reduce_one_r1_at_a_time, removable_edges, singletons)
-from positroid import plabic
+from positroid import plabic, planarmaps
 from positroid.exactmath import matroid_of_plucker, partitions_in_box
 from positroid.lediagram import LeDiagram, diagram_to_tableau, le_fills, meas_D
 from positroid.network import PlanarDirectedNetwork, measure
@@ -837,6 +837,10 @@ def rewrite_oracle(monkeypatch):
                         f"trace of\n{H.to_text()}")
         if not (m is G.map or m._base is G.map._stamp):
             pytest.fail(f"{caller} did not derive its map from its parent's")
+        for o in m.faces():     # the keys the map holds, found on this map or carried to it
+            entry = m._keys.get(id(o))
+            if entry is not None and entry[1] != face_key(m._inside(o)):
+                pytest.fail(f"{caller} left face {o} with the key {entry[1]}")
         before = set(map(_cycle, PlabicGraph(G.n, G.col, G.edges, rot=G.rot).map.faces()))
         after = set(map(_cycle, f.faces()))
         gone, came = m.face_changes(G.map)
@@ -909,11 +913,57 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
     for G, e in _hand_contractions().values():
         for x in (G, reweight(G, rng)):
             apply_move(x, ("M2", e))
+    # the bigon rows of _hand_bigons, bare and weighted: a face whose input
+    # darts the row all removes lives on ("cascade"), and a split precedes
+    # its R1 ("split")
+    for G in _hand_bigons().values():
+        for x in (G, reweight(G, rng)):
+            reduce_graph(x)
     # every rule of SITE_RULES ran through the applier, and each batched row
     rules = {f"_apply {kind}" for kind, (_, rule) in plabic.SITE_RULES.items() if rule}
-    relabelled = {f"relabel {caller}" for caller in ("glue_bends", "_apply M2", "_apply M3r")}
+    relabelled = {f"relabel {caller}"
+                  for caller in ("glue_bends", "remove_bigons", "_apply M2", "_apply M3r", "_apply R1")}
     assert set(rewrite_oracle) == {*rules, "glue_bends", "remove_bigons", "delete_edge",
                                    "_transfer_weights", "_sites", *relabelled}
+
+
+def test_each_face_is_keyed_once(monkeypatch):
+    """DiskMap.face_key finds a face's key once in a chain of maps, one
+    fresh build and the maps made from it, and _transfer_weights reads the
+    keys on a relabelled map without dropping boundary arcs (_inside)."""
+    keyed, transfers, insides = [], Counter(), Counter()
+    now = [None]        # whether the running transfer's map is relabelled; None outside one
+    least_real, inside, transfer = planarmaps._least_real, DiskMap._inside, plabic._transfer_weights
+
+    def counted_least_real(orbit, arcs):
+        keyed.append(orbit)         # held, so no two orbits of one chain share an id
+        return least_real(orbit, arcs)
+
+    def counted_inside(m, orbit):
+        insides[now[0]] += 1
+        return inside(m, orbit)
+
+    def watched_transfer(old, H, adjust=None, rename=None):
+        now[0] = H.map is not old.graph.map and H.map._images is not None
+        transfers[now[0]] += 1
+        try:
+            return transfer(old, H, adjust, rename)
+        finally:
+            now[0] = None
+
+    monkeypatch.setattr(planarmaps, "_least_real", counted_least_real)
+    monkeypatch.setattr(DiskMap, "_inside", counted_inside)
+    monkeypatch.setattr(plabic, "_transfer_weights", watched_transfer)
+    during = 0
+    for seed in range(20):
+        G, r = _scrambled_with_bigons(seed, 2)
+        keyed.clear()
+        N = reweight(G, r)      # keys every inner face of G
+        before = len(keyed)
+        reduce_graph(N)
+        assert len(set(map(id, keyed))) == len(keyed)
+        during += len(keyed) - before
+    assert during >= 50 and transfers[True] >= 100 and insides[True] == 0
 
 
 def _hand_contractions():
