@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import enumeration, lediagram, network, permutations, plabic
-from .exactmath import RationalMatrix, format_rational
+from .exactmath import RationalMatrix, format_rational, integer
 
 
 class PreconditionError(Exception):
@@ -234,7 +234,8 @@ def cmd_selfcheck(args):
 _JSON = {"--json": (bool, False)}
 
 # name -> (help, positionals, options); subcommand `x-y` runs `cmd_x_y`.  Options map
-# --flag to (type, default): bool is a switch, and a default of ... makes it required.
+# --flag to (type, default): bool is a switch, int is read by exactmath.integer, and a
+# default of ... makes it required.
 COMMANDS = {
     "measure": ("boundary measurements of a network file; --matrix prints A(N) instead of "
                 "Plucker coordinates", ("file",), {"--matrix": (bool, False), **_JSON}),
@@ -298,7 +299,7 @@ def _parse(argv):
         if value is None or kind is bool and eq:
             raise ValueError(f"{flag} {'takes no' if eq else 'needs a'} value")
         try:
-            fields[flag] = True if kind is bool else kind(value)
+            fields[flag] = True if kind is bool else integer(value) if kind is int else value
         except ValueError:
             raise ValueError(f"{flag} needs an integer, not {value!r}") from None
     missing = [flag for flag, value in fields.items() if value is ...]

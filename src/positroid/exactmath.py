@@ -40,6 +40,29 @@ def rational(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def integer(x, nonnegative=False):
+    """The int that the token x writes: an optional sign (no '-' when
+    nonnegative) and ASCII digits, the integers of rational().  Anything
+    else int() would take (other digits, '_', spaces) raises ValueError."""
+    if x.isascii() and (x[1:] if x[:1] in ("+" if nonnegative else "+-") else x).isdigit():
+        return int(x)
+    raise ValueError(f"{x!r} is not {'a nonnegative' if nonnegative else 'an'} integer")
+
+
+def parse_tokens(parse, toks, where):
+    """tuple(map(parse, toks)); a token that parse rejects raises one
+    ValueError, its message prefixed by where(the token's index)."""
+    try:
+        return tuple(map(parse, toks))
+    except ValueError:
+        for i, tok in enumerate(toks):
+            try:
+                parse(tok)
+            except ValueError as ex:
+                raise ValueError(f"{where(i)}: {ex}") from None
+        raise
+
+
 def format_rational(x):
     """Render a Rational as 'p' or 'p/q' (lowest terms, positive q)."""
     return str(x if isinstance(x, Fraction) else Fraction(x))
@@ -72,6 +95,13 @@ class RationalMatrix:
         self.rows = rows
 
     @classmethod
+    def _of_rows(cls, rows, n):
+        """The constructor for a tuple of rows that are tuples of n Fractions, taken as they are."""
+        A = object.__new__(cls)
+        A.k, A.n, A.rows = len(rows), n, rows
+        return A
+
+    @classmethod
     def identity(cls, k):
         return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
@@ -91,7 +121,7 @@ class RationalMatrix:
 
     def submatrix_columns(self, cols):
         """Submatrix in the given 1-indexed column list (order kept)."""
-        return RationalMatrix([[r[j - 1] for j in cols] for r in self.rows], len(cols))
+        return RationalMatrix._of_rows(tuple(tuple([r[j - 1] for j in cols]) for r in self.rows), len(cols))
 
     def rank(self):
         return len(_row_reduce(list(list(r) for r in self.rows))[1])
@@ -109,21 +139,14 @@ class RationalMatrix:
         Entries are integers, fractions p/q or plain decimals (no exponent).
         """
         toks = text.split()
-        if len(toks) < 2 or not all(t.isdecimal() for t in toks[:2]):
-            raise ValueError("matrix text needs a 'k n' header of nonnegative integers")
-        k, n = int(toks[0]), int(toks[1])
-        vals = toks[2:]
-        if len(vals) != k * n:
-            raise ValueError(f"expected {k * n} entries, got {len(vals)}")
-        return cls([[_parse_entry(vals[i * n + j], i, j) for j in range(n)] for i in range(k)], n)
-
-
-def _parse_entry(tok, i, j):
-    """The exact value of a matrix-text token at 0-indexed row i, column j."""
-    try:
-        return rational(tok)
-    except ValueError as ex:
-        raise ValueError(f"row {i + 1}, column {j + 1}: {ex}") from None
+        try:
+            k, n = (integer(t, nonnegative=True) for t in toks[:2])
+        except ValueError:
+            raise ValueError("matrix text needs a 'k n' header of nonnegative integers") from None
+        if len(toks) - 2 != k * n:
+            raise ValueError(f"expected {k * n} entries, got {len(toks) - 2}")
+        vals = parse_tokens(rational, toks[2:], lambda i: f"row {i // n + 1}, column {i % n + 1}")
+        return cls._of_rows(tuple(vals[i * n:i * n + n] for i in range(k)), n)
 
 
 def _det_bareiss(rows):
@@ -230,7 +253,7 @@ def _echelon(A):
     rows, pivots, delta = _gauss_jordan([list(r) for r in A.rows])
     if len(pivots) != A.k:
         raise ValueError(f"matrix has rank {len(pivots)} < {A.k}")
-    return RationalMatrix(rows, A.n), tuple(c + 1 for c in pivots), delta
+    return RationalMatrix._of_rows(tuple(map(tuple, rows)), A.n), tuple(c + 1 for c in pivots), delta
 
 
 class PluckerVector:
@@ -348,7 +371,7 @@ class Matroid:
         rows = []
         for number, toks in lines:
             try:
-                rows.append(tuple(int(t) for t in toks))
+                rows.append(tuple(map(integer, toks)))
             except ValueError:
                 raise bad(number, toks, "integers") from None
         if len(rows[0]) != 2 or not 0 <= rows[0][0] <= rows[0][1]:

@@ -14,12 +14,12 @@ bottom-up sweep of the hook grid.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import chain, combinations
 from math import gcd
 
-from .exactmath import (RationalMatrix, _echelon, format_rational,
-                        lambda_to_subset, maximal_minor, rational, subset_to_lambda)
+from .exactmath import (RationalMatrix, _echelon, format_rational, integer, lambda_to_subset, maximal_minor,
+                        parse_tokens, rational, subset_to_lambda)
 from .network import PlanarDirectedNetwork, boundary_measurement_matrix, measure
 
 
@@ -65,21 +65,22 @@ class LeTableau:
     __slots__ = ("k", "n", "shape", "rows")
 
     def __init__(self, k, n, shape, rows, check=True):
-        """check=False takes the support to be a Le-diagram already."""
+        """The entries become Fractions, checked on one integer support, their
+        numerators; check=False takes the support to be a Le-diagram already."""
         shape = tuple(shape) + (0,) * (k - len(tuple(shape)))
-        self.k = k
-        self.n = n
-        self.shape = shape
-        rows = [tuple(rational(x) for x in row) for row in rows]
-        if len(rows) < k:
-            rows += [()] * (k - len(rows))
+        self.k, self.n, self.shape = k, n, shape
+        rows = [tuple([x if isinstance(x, Fraction) else rational(x) for x in row]) for row in rows]
+        rows += [()] * (k - len(rows))
         self.rows = tuple(rows)
-        if len(self.rows) != k or any(len(r) != p for r, p in zip(self.rows, shape)):
+        if len(rows) != k or any(len(r) != p for r, p in zip(rows, shape)):
             raise ValueError("tableau rows do not match the shape")
-        if any(x < 0 for row in self.rows for x in row):
+        support = [[x.numerator for x in row] for row in rows]
+        if min(chain.from_iterable(support), default=0) < 0:
             raise ValueError("tableau entries must be nonnegative")
         if check:
-            self.diagram()  # validates the Le-property of the support
+            lambda_to_subset(shape, k, n)           # a partition inside the k x (n-k) box
+            if not is_le_fill(support):
+                raise ValueError("filling violates the Le-property")
 
     def __eq__(self, other):
         return (self.k, self.n, self.shape, self.rows) == (other.k, other.n, other.shape, other.rows)
@@ -92,7 +93,7 @@ class LeTableau:
         return f"LeTableau(k={self.k}, n={self.n}, {body})"
 
     def diagram(self):
-        return LeDiagram(self.k, self.n, self.shape, [[1 if x else 0 for x in row] for row in self.rows])
+        return LeDiagram(self.k, self.n, self.shape, self.rows, check=False)
 
     def entry(self, r, c):
         return self.rows[r - 1][c - 1]
@@ -107,31 +108,21 @@ class LeTableau:
     @classmethod
     def from_text(cls, text):
         lines = text.splitlines()
-        head = lines[0].split() if lines else []
-        if len(head) != 2 or not all(t.isdecimal() for t in head) or int(head[0]) > int(head[1]):
+        try:
+            k, n = map(integer, lines[0].split() if lines else ())
+        except ValueError:
+            k = n = -1
+        if not 0 <= k <= n:
             raise ValueError("tableau text needs a 'k n' header with 0 <= k <= n")
-        k, n = int(head[0]), int(head[1])
-        shape = tuple(_tableau_line(lines[1], 2, _part)) if len(lines) > 1 else ()
-        rows = [_tableau_line(ln, number, rational)
-                for number, ln in enumerate(lines[2:], 3) if ln.strip()]
+        shape = _tableau_line(lines[1].split(), 2, partial(integer, nonnegative=True)) if len(lines) > 1 else ()
+        rows = [_tableau_line(toks, number, rational) for number, toks in enumerate(map(str.split, lines[2:]), 3)
+                if toks]
         return cls(k, n, shape, rows)
 
 
-def _part(tok):
-    if not tok.isdecimal():
-        raise ValueError(f"{tok!r} is not a nonnegative integer")
-    return int(tok)
-
-
-def _tableau_line(line, number, parse):
+def _tableau_line(toks, number, parse):
     """The parsed tokens of line `number` of tableau text; errors name the line and entry."""
-    out = []
-    for pos, tok in enumerate(line.split(), 1):
-        try:
-            out.append(parse(tok))
-        except ValueError as ex:
-            raise ValueError(f"tableau text line {number}, entry {pos}: {ex}") from None
-    return out
+    return parse_tokens(parse, toks, lambda i: f"tableau text line {number}, entry {i + 1}")
 
 
 def diagram_to_tableau(D, values=None):
@@ -163,15 +154,15 @@ def is_le_fill(fill):
 
 
 def is_le_diagram(shape, fill):
-    """True iff the 0/1 filling of the shape has the Le-property."""
+    """True iff the 0/1 (or sparse) filling of the shape has the Le-property."""
     shape = tuple(shape)
-    rows = [tuple(int(bool(x)) for x in row) for row in fill]
+    fill = list(fill)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or any(p < 0 for p in shape):
         raise ValueError(f"{shape} is not a partition")
-    lens = [len(r) for r in rows]       # the first parts; the parts left out are zero
+    lens = [len(r) for r in fill]       # the first parts; the parts left out are zero
     if lens != list(shape[:len(lens)]) or any(shape[len(lens):]):
         raise ValueError("fill does not match shape")
-    return is_le_fill(rows)
+    return is_le_fill(fill)
 
 
 # -- enumeration by the last-column recursion -------------------------------------

@@ -71,11 +71,8 @@ class PlanarDirectedNetwork(_DiskGraph):
         if len(self.source_flags) != n:
             raise ValueError("need one source/sink flag per boundary vertex")
         self.edges = {e: (u, w, x if isinstance(x, Fraction) else rational(x)) for e, (u, w, x) in edges.items()}
-        super().__init__(n, self._shape(), set(range(1, n + 1)), rot_ids, rot)
+        super().__init__(n, (), rot_ids, rot)
         self._validate()
-
-    def _shape(self):
-        return {e: (u, w) for e, (u, w, _) in self.edges.items()}
 
     @cached_property
     def _arcs(self):
@@ -150,7 +147,7 @@ class PlanarDirectedNetwork(_DiskGraph):
             if len(self.rot[v]) <= 1 and v in self.boundary:
                 continue
             kind = "boundary" if v in self.boundary else "internal"
-            ids = " ".join(map(str, _rotation_ids(v, self.rot[v])))
+            ids = " ".join(map(str, _rotation_ids(self.rot[v])))
             lines.append(f"vertex {v} {kind} : {ids}")
         for e in sorted(self.edges):
             u, w, x = self.edges[e]
@@ -396,7 +393,7 @@ def boundary_measurement_matrix(net):
     """
     I = sorted(net.sources())
     if not I:
-        return RationalMatrix([], net.n)
+        return RationalMatrix._of_rows((), net.n)
     M = _measurements(net, I)
     left = {j: bisect(I, j) for j in net.sinks()}     # the sources left of j
     zero, one = Fraction(0), Fraction(1)
@@ -408,7 +405,7 @@ def boundary_measurement_matrix(net):
             if a:
                 s = q - r - 1 if j > ir else r - q
                 rows[r][j - 1] = Fraction(-a if s % 2 else a, d)
-    return RationalMatrix(rows)
+    return RationalMatrix._of_rows(tuple(map(tuple, rows)), net.n)
 
 
 def measure(net):

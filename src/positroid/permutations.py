@@ -20,7 +20,7 @@ I_{i+1} = (I_i - {i}) | {pi(i)} from I_1 = I(pi).
 from itertools import combinations, permutations as iter_permutations
 from typing import NamedTuple
 
-from .exactmath import lambda_to_subset, subset_to_lambda
+from .exactmath import integer, lambda_to_subset, subset_to_lambda
 
 BLACK, WHITE = 1, -1
 
@@ -83,7 +83,7 @@ class DecoratedPermutation:
                 col[pos] = BLACK if tok[-1] in "Bb" else WHITE
                 tok = tok[:-1]
             try:
-                perm.append(int(tok))
+                perm.append(integer(tok))
             except ValueError:
                 raise ValueError(f"permutation entry {pos}: expected an integer with an "
                                  f"optional B/W suffix, not {entry!r}") from None
@@ -194,7 +194,7 @@ class GrassmannNecklace:
                 toks = []
             for tok in toks:
                 try:
-                    x = int(tok)
+                    x = integer(tok)
                 except ValueError:
                     x = None
                 if x is None or not 1 <= x <= len(lines):

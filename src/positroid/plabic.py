@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from itertools import combinations, islice, repeat
 from math import prod
 
-from .exactmath import Matroid, format_rational, rational
+from .exactmath import Matroid, format_rational, integer, rational
 from .lediagram import _hook_layout, invert_measurement
 from .network import (PlanarDirectedNetwork, boundary_measurement_matrix, is_perfect, color as net_color,
                       measure)
@@ -46,7 +46,7 @@ class PlabicGraph(_DiskGraph):
     def __init__(self, n, col, edges, rot_ids=None, rot=None):
         self.col = dict(col)
         self.edges = {e: (u, w) for e, (u, w) in edges.items()}
-        super().__init__(n, self.edges, set(range(1, n + 1)) | set(self.col), rot_ids, rot)
+        super().__init__(n, self.col, rot_ids, rot)
         for i in self.boundary:
             if len(self.rot[i]) != 1:
                 raise ValueError(f"boundary vertex {i} has degree {len(self.rot[i])}, need 1")
@@ -112,7 +112,7 @@ class PlabicGraph(_DiskGraph):
         lines = [f"n {self.n}"]
         for v in sorted(self.internal_vertices()):
             cname = "black" if self.col[v] == BLACK else "white"
-            ids = " ".join(map(str, _rotation_ids(v, self.rot[v])))
+            ids = " ".join(map(str, _rotation_ids(self.rot[v])))
             lines.append(f"vertex {v} {cname} : {ids}")
         for e in sorted(self.edges):
             u, w = self.edges[e]
@@ -1035,12 +1035,13 @@ def parse_site(text):
     args = SITE_RULES.get(kind, (None,))[0]
     if args is None or len(toks) != len(args) + args.count("f"):
         raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
+    colours = []
     if args.endswith("c"):
-        toks[-1] = _COLOURS.get(toks[-1].lower())
-        if toks[-1] is None:
+        colours = [_COLOURS.get(toks.pop().lower())]
+        if colours == [None]:
             raise ValueError(f"bad site {text!r}: the colour must be black or white")
     try:
-        ids = [int(t) for t in toks]
+        ids = [*map(integer, toks), *colours]
     except ValueError:
         raise ValueError(f"bad site {text!r}: ids and indices must be integers") from None
     return (kind, tuple(ids)) if args == "f" else (kind, *ids)

@@ -54,12 +54,13 @@ class DiskMap:
     """Rotation-system embedding of a graph with n boundary vertices.
 
     boundary: tuple of vertex ids b_1..b_n in clockwise order.
-    edges: dict eid -> (tail, head).  eids must be nonnegative integers:
-          the negative ones name the boundary arcs.
+    edges: dict eid -> (tail, head, ...), kept as it is.  eids must be
+          nonnegative integers: the negative ones name the boundary arcs.
     rot: dict vertex -> tuple of darts anchored there, clockwise as drawn.
           Every dart of every edge must appear exactly once.
     rot_ids: in place of rot, dict vertex -> clockwise edge ids, read and
           checked in one pass by rotations_from_edge_lists.
+    verts: vertices besides the boundary that may have no darts (given ()).
 
     Every map traces its faces with _trace, a fresh one all of them and a
     derived one (see derive) those a rewrite changed, and keeps them as
@@ -86,13 +87,15 @@ class DiskMap:
     # of face_changes, () where the face vanished; None on any other map.
     _images = None
 
-    def __init__(self, boundary, edges, rot=None, rot_ids=None):
-        self.edges = dict(edges)
+    def __init__(self, boundary, edges, rot=None, rot_ids=None, verts=()):
         if rot is None:
-            self.rot = rotations_from_edge_lists(self.edges, rot_ids)
+            rot = rotations_from_edge_lists(edges, rot_ids, boundary, verts)
         else:
-            self.rot = {v: tuple(ds) for v, ds in rot.items()}
-            _check_darts(self.edges, self.rot)
+            rot = {v: tuple(ds) for v, ds in rot.items()}
+            _check_darts(edges, rot)
+            for v in chain(boundary, verts):
+                rot.setdefault(v, ())
+        self.edges, self.rot = edges, rot
         self.boundary = tuple(boundary)
         self.n = n = len(self.boundary)
         self._at = {b: i for i, b in enumerate(self.boundary)}
@@ -384,27 +387,44 @@ def _check_darts(edges, rot):
                 raise ValueError(f"dart {d} appears twice")
             seen.add(d)
     if len(seen) < 2 * len(edges):     # the darts seen are distinct darts of edges
-        for e, (u, w) in edges.items():
+        for e, uw in edges.items():
             for d in ((e, 0), (e, 1)):
                 if d not in seen:
-                    raise ValueError(f"dart {d} of edge {e}=({u},{w}) missing from rotations")
+                    raise ValueError(f"dart {d} of edge {e}=({uw[0]},{uw[1]}) missing from rotations")
 
 
-def rotations_from_edge_lists(edges, rot_ids):
-    """Turn per-vertex clockwise edge-id lists into dart rotations, checked.
-
-    A loop's id appears twice in its vertex's list; the first occurrence is
-    taken to be the tail end.  An id of no edge, or of an edge not at its
-    vertex, raises as it is read; unless the darts read are then every
-    dart once, at its anchor, _check_darts names the first fault.
+def rotations_from_edge_lists(edges, rot_ids, boundary=(), verts=()):
+    """Turn per-vertex clockwise edge-id lists into dart rotations, checked
+    in one pass, for each vertex of rot_ids, boundary and verts and each end
+    of an edge (eid -> (tail, head, ...)).  A vertex without a list takes its
+    edges, first checked to have one rotation (see _DiskGraph).  A loop's id
+    appears twice in a list, the first time as its tail, unless a list names
+    a dart (e, end) outright, as text names (e, 1) e'.  An id of no edge, or
+    of an edge not at its vertex, raises as it is read; unless the darts read
+    are then every dart once, at its anchor, _check_darts names the first fault.
     """
+    free = {v: [] for v in chain(boundary, verts) if v not in rot_ids}
+    for e, uw in edges.items():
+        if uw[0] not in rot_ids:
+            free.setdefault(uw[0], []).append(e)
+        if uw[1] not in rot_ids:
+            free.setdefault(uw[1], []).append(e)
+    for v, ids in free.items():
+        if len(ids) > (1 if v in boundary else 2):
+            raise ValueError(f"vertex {v} has degree {len(ids)}; give its rotation explicitly")
     rot, seen, listed, loose = {}, set(), 0, False
-    for v, ids in rot_ids.items():
+    for v, ids in chain(rot_ids.items(), free.items()):
         darts = []
         for e in ids:
-            if e not in edges:
-                raise ValueError(f"vertex {v} lists unknown edge {e}")
-            u, w = edges[e]
+            uw = edges.get(e)
+            if uw is None:      # no edge id: unknown, or a dart named outright
+                d = e if e.__class__ is tuple else (e, 0)
+                if d[0] not in edges:
+                    raise ValueError(f"vertex {v} lists unknown edge {d[0]}")
+                darts.append(d)
+                loose = True
+                continue
+            u, w = uw[0], uw[1]
             if u == w:
                 end = 1 if (e, 0) in darts else 0
                 loose = loose or u != v
@@ -423,10 +443,12 @@ def rotations_from_edge_lists(edges, rot_ids):
     return rot
 
 
-def _rotation_ids(v, darts):
-    """The edge ids of the darts at v, clockwise, as text writes them for
+def _rotation_ids(darts):
+    """The edge ids of the darts at a vertex, clockwise, as text writes them for
     rotations_from_edge_lists, which reads a loop's first id as its tail:
-    from the first dart that puts every loop's tail before its head."""
+    from the first dart that puts every loop's tail before its head, or
+    where no start does, from the first dart with each loop's head that
+    comes first written e', which names the dart (e, 1)."""
     ids = [e for e, _ in darts]
     if len(set(ids)) == len(ids):       # no loop
         return ids
@@ -434,7 +456,10 @@ def _rotation_ids(v, darts):
     k = len(ids)
     s = next((s for s in range(k) if all((t - s) % k < (h - s) % k for t, h in loops)), None)
     if s is None:
-        raise ValueError(f"vertex {v} has loops that no start of its rotation writes tail first")
+        for t, h in loops:
+            if h < t:
+                ids[h] = f"{ids[h]}'"
+        return ids
     return ids[s:] + ids[:s]
 
 
@@ -530,30 +555,11 @@ class _DiskGraph:
     rewrite draws new ones from fresh_ids(G.rot, G.edges) or fresh_ids(G.edges).
     """
 
-    def __init__(self, n, shape, verts, rot_ids, rot):
-        """shape: eid -> (u, w); verts: a fresh set of the boundary and of
-        any vertex without edges (the end vertices are added to it)."""
+    def __init__(self, n, verts, rot_ids, rot):
+        """The map of self.edges and rot_ids or rot, with the vertices verts (see DiskMap)."""
         self.n = n
         self.boundary = range(1, n + 1)
-        verts.update(chain.from_iterable(shape.values()))
-        if rot is None:
-            rot_ids = dict(rot_ids or {})
-            incident = {v: [] for v in verts if v not in rot_ids}
-            for e, (u, w) in shape.items():
-                if u in incident:
-                    incident[u].append(e)
-                if w in incident:
-                    incident[w].append(e)
-            for v, ids in incident.items():
-                if len(ids) > (1 if v in self.boundary else 2):
-                    raise ValueError(f"vertex {v} has degree {len(ids)}; give its rotation explicitly")
-            rot_ids.update(incident)
-            self.map = DiskMap(self.boundary, shape, rot_ids=rot_ids)
-        else:
-            missing = [v for v in verts if v not in rot]
-            if missing:
-                rot = {**rot, **dict.fromkeys(missing, ())}
-            self.map = DiskMap(self.boundary, shape, rot)
+        self.map = DiskMap(self.boundary, self.edges, rot, rot_ids or {}, verts)
         self.rot = self.map.rot
 
     def internal_vertices(self):
@@ -579,10 +585,6 @@ class _DiskGraph:
             m._isolated = [c for c in self.components() if m._at.keys().isdisjoint(c)]
         return m._isolated
 
-    def _shape(self):
-        """edges as the map takes them: eid -> (u, w)."""
-        return self.edges
-
     def replace(self, changed, kept=None, **kw):
         """This graph with the fields in kw replaced: how every rewrite builds its result.
 
@@ -604,9 +606,9 @@ class _DiskGraph:
         new.boundary = self.boundary
         changed = set(changed)
         if kept is None:
-            new.map = self.map.derive(new._shape(), new.rot, changed)
+            new.map = self.map.derive(new.edges, new.rot, changed)
         else:
-            new.map = self.map.relabel(new._shape(), new.rot, changed, kept)
+            new.map = self.map.relabel(new.edges, new.rot, changed, kept)
         new._carry(self, changed)
         return new
 
@@ -618,20 +620,27 @@ class _DiskGraph:
 def parse_disk_text(text, what, vertex_label, edge_tail, other):
     """Read the lines that network and plabic text share.
 
-    `#` starts a comment.  `n <count>` gives n; `vertex v [label] : ids`
-    gives the clockwise edge ids at v and vertex_label(label tokens);
+    `#` starts a comment; the rest of a line must be ASCII without `_`, one
+    check per line, so int() reads exactly the integers of exactmath.integer.
+    `n <count>` gives n; `vertex v [label] : ids` gives the clockwise edge
+    ids at v, e' naming the dart (e, 1), and vertex_label(label tokens);
     `edge e : u w [more]` gives the edge (u, w, *edge_tail(more tokens)).
     The colons may be left out, and n, a vertex or an edge given twice is
     an error.  Every other line goes to other(tokens, line number).
-    Returns (n, labels, rot_ids, edges); every error is one ValueError
-    naming the line number and the line.  Each line is split once, and a
-    colon is looked for where the canonical form puts it first.
+    Returns (n, labels, rot_ids, edges), which the constructor's rotation
+    pass (rotations_from_edge_lists) turns into checked dart rotations;
+    every error is one ValueError naming the line number and the line.
+    Each line is split once, and a colon is looked for where the canonical
+    form puts it first.
     """
     n = None
     labels, rot_ids, edges = {}, {}, {}
     try:
         for number, line in enumerate(text.splitlines(), 1):
-            toks = (line.split("#", 1)[0] if "#" in line else line).split()
+            cut = line.split("#", 1)[0] if "#" in line else line
+            if not cut.isascii() or "_" in cut:
+                raise ValueError("expected ASCII text without '_'")
+            toks = cut.split()
             if not toks:
                 continue
             key = toks[0]
@@ -656,7 +665,8 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
                 if v in labels:
                     raise ValueError(f"vertex {v} is given twice")
                 labels[v] = vertex_label(head[1:])
-                rot_ids[v] = list(map(int, ids))
+                rot_ids[v] = ([(int(t[:-1]), 1) if t[-1] == "'" else int(t) for t in ids] if "'" in cut
+                              else list(map(int, ids)))
             elif key == "n":
                 if n is not None:
                     raise ValueError("a second 'n' line")

@@ -92,6 +92,18 @@ runs the Euler check V - E + F = 2 on each component of a map, to
 cross-check `DiskMap.validate_planarity`, which sums over all of them;
 `components` finds the components from an edge list.
 
+Text readers as they were before each object was read and checked once:
+`reference_network_from_text`, `reference_plabic_from_text`,
+`reference_tableau_from_text` and `reference_matrix_from_text` read
+the graph text into edge-id lists, give each vertex without a list its
+incident edges, turn the lists into darts in a second pass and build
+the object through its validating constructor; the tableau reader
+checks the entries as Fractions and the support through a LeDiagram,
+and the matrix reader parses each entry through a helper of its own.
+They are the reference of the parity test in `tests/test_parsers.py`
+for `PlanarDirectedNetwork.from_text`, `PlabicGraph.from_text`,
+`LeTableau.from_text` and `RationalMatrix.from_text`.
+
 Command line: `argparse_cli` is the argparse parser the CLI used before
 its command table, kept to check that `cli._parse` fills the same fields
 on every command line both accept.
@@ -112,21 +124,22 @@ import functools
 import heapq
 import re
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import chain, combinations, count, permutations
 from math import comb
 
 from positroid.exactmath import (Matroid, PluckerVector, RationalMatrix, _row_reduce, echelon_form,
-                                 lex_min_base, maximal_minor, plucker_vector, subset_to_lambda)
+                                 lex_min_base, maximal_minor, plucker_vector, rational, subset_to_lambda)
 from positroid.lediagram import (LeDiagram, LeTableau, _boundary_labels, gamma_network, le_count_poly,
                                  le_fills)
-from positroid.network import PlanarDirectedNetwork
+from positroid.network import PlanarDirectedNetwork, _at_most_one
 from positroid.permutations import (BLACK, WHITE, DecoratedPermutation, GrassmannNecklace,
                                     _uncross, crossing_roles, w_lambda)
 from positroid import plabic
-from positroid.plabic import (PlabicGraph, PlabicNetwork, _split_pair, apply_move, bigon_faces, contracted,
-                              face_key, face_weights, faces, orientation_sources, perfect_orientation,
-                              reduce_graph, reducedness_certificate, trips)
-from positroid.planarmaps import _reanchor, fresh_ids
+from positroid.plabic import (PlabicGraph, PlabicNetwork, _color, _face_name, _no_tail, _split_pair, apply_move,
+                              bigon_faces, contracted, face_key, face_weight_keys, face_weights, faces,
+                              orientation_sources, perfect_orientation, reduce_graph, reducedness_certificate,
+                              trips)
+from positroid.planarmaps import _around_colon, _check_darts, _reanchor, fresh_ids
 
 
 def perfect_orientations(G):
@@ -1646,3 +1659,212 @@ def argparse_cli():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     return ap
+
+
+# -- text readers as they were -----------------------------------------------------
+
+
+def _reference_parse_disk_text(text, what, vertex_label, edge_tail, other):
+    """The lines network and plabic text share, read into (n, labels,
+    rot_ids, edges) as planarmaps.parse_disk_text read them before its
+    one check per line and the e' mark."""
+    n = None
+    labels, rot_ids, edges = {}, {}, {}
+    try:
+        for number, line in enumerate(text.splitlines(), 1):
+            toks = (line.split("#", 1)[0] if "#" in line else line).split()
+            if not toks:
+                continue
+            key = toks[0]
+            if key == "edge":
+                if len(toks) < 5 or toks[2] != ":" or toks[1] == ":":     # not the canonical form
+                    head, body = _around_colon(toks, 2)
+                    if len(head) != 1 or len(body) < 2:
+                        raise ValueError("expected 'edge e : u w ...'")
+                    toks = [key, *head, ":", *body]
+                e = int(toks[1])
+                if e in edges:
+                    raise ValueError(f"edge {e} is given twice")
+                edges[e] = (int(toks[3]), int(toks[4]), *edge_tail(toks[5:]))
+            elif key == "vertex":
+                if len(toks) > 3 and toks[3] == ":" and ":" not in (toks[1], toks[2]):
+                    head, ids = toks[1:3], toks[4:]
+                else:
+                    head, ids = _around_colon(toks, 3)
+                if not head:
+                    raise ValueError("a vertex line needs an id")
+                v = int(head[0])
+                if v in labels:
+                    raise ValueError(f"vertex {v} is given twice")
+                labels[v] = vertex_label(head[1:])
+                rot_ids[v] = list(map(int, ids))
+            elif key == "n":
+                if n is not None:
+                    raise ValueError("a second 'n' line")
+                if len(toks) != 2 or int(toks[1]) < 0:
+                    raise ValueError("expected 'n <count>' with a count >= 0")
+                n = int(toks[1])
+            else:
+                other(toks, number)
+    except ValueError as ex:
+        raise ValueError(f"{what} text line {number}: {ex}: {line.strip()!r}") from None
+    if n is None:
+        raise ValueError(f"{what} text needs an 'n <count>' line")
+    return n, labels, rot_ids, edges
+
+
+def _reference_rotations(n, shape, verts, rot_ids):
+    """The dart rotations of the edge-id lists rot_ids of shape (eid -> (u, w)):
+    each vertex of verts or an edge without a list first gets its incident
+    edges, then every list is turned into darts in a pass of its own."""
+    verts.update(chain.from_iterable(shape.values()))
+    rot_ids = dict(rot_ids)
+    incident = {v: [] for v in verts if v not in rot_ids}
+    for e, (u, w) in shape.items():
+        if u in incident:
+            incident[u].append(e)
+        if w in incident:
+            incident[w].append(e)
+    for v, ids in incident.items():
+        if len(ids) > (1 if v in range(1, n + 1) else 2):
+            raise ValueError(f"vertex {v} has degree {len(ids)}; give its rotation explicitly")
+    rot_ids.update(incident)
+    rot, seen, listed, loose = {}, set(), 0, False
+    for v, ids in rot_ids.items():
+        darts = []
+        for e in ids:
+            if e not in shape:
+                raise ValueError(f"vertex {v} lists unknown edge {e}")
+            u, w = shape[e]
+            if u == w:
+                end = 1 if (e, 0) in darts else 0
+                loose = loose or u != v
+            elif u == v:
+                end = 0
+            elif w == v:
+                end = 1
+            else:
+                raise ValueError(f"edge {e} not incident to vertex {v}")
+            darts.append((e, end))
+        rot[v] = darts = tuple(darts)
+        seen.update(darts)
+        listed += len(darts)
+    if loose or not len(seen) == listed == 2 * len(shape) or min(shape, default=0) < 0:
+        _check_darts(shape, rot)
+    return rot
+
+
+def reference_network_from_text(text):
+    """PlanarDirectedNetwork.from_text as it read before the rotation pass."""
+    sources = None
+
+    def other(toks, number):
+        nonlocal sources
+        if toks[0] != "sources":
+            raise ValueError("unrecognized line")
+        if sources is not None:
+            raise ValueError("a second 'sources' line")
+        sources = [int(t) for t in toks[1:]]
+        twice = next((i for i in sources if sources.count(i) > 1), None)
+        if twice is not None:
+            raise ValueError(f"source {twice} is listed twice")
+
+    def weight(toks):
+        if len(toks) != 1:
+            raise ValueError("expected 'edge e : u w weight'")
+        return (rational(toks[0]),)
+
+    n, _, rot_ids, edges = _reference_parse_disk_text(text, "network", _at_most_one, weight, other)
+    sources = sources or []
+    if any(i not in range(1, n + 1) for i in sources):
+        raise ValueError(f"sources {sources} are not all boundary vertices 1..{n}")
+    rot = _reference_rotations(n, {e: (u, w) for e, (u, w, _) in edges.items()}, set(range(1, n + 1)), rot_ids)
+    return PlanarDirectedNetwork(n, [i in sources for i in range(1, n + 1)], edges, rot=rot)
+
+
+def reference_plabic_from_text(text):
+    """PlabicGraph.from_text as it read before the rotation pass."""
+    lines = []                  # (line number, face name, weight)
+    in_faces = False
+
+    def other(toks, number):
+        nonlocal in_faces
+        if toks == ["faces"]:
+            if in_faces:
+                raise ValueError("a second 'faces' header")
+            in_faces = True
+        elif in_faces and len(toks) in (2, 3) and toks[1:-1] in ([], [":"]):
+            lines.append((number, toks[0], rational(toks[-1])))
+        else:
+            raise ValueError("expected 'name : weight'" if in_faces else "unrecognized line")
+
+    n, col, rot_ids, edges = _reference_parse_disk_text(text, "plabic", _color, _no_tail, other)
+    G = PlabicGraph(n, col, edges, rot=_reference_rotations(n, dict(edges), set(range(1, n + 1)) | set(col),
+                                                           rot_ids))
+    if in_faces:
+        keys = sorted(face_weight_keys(G))
+        if len(lines) != len(keys):
+            raise ValueError(f"{len(lines)} face weights for {len(keys)} faces")
+        for (number, name, _), key in zip(lines, keys):
+            if name != _face_name(key):
+                raise ValueError(f"plabic text line {number}: expected face "
+                                 f"{_face_name(key)!r}, not {name!r}")
+        return PlabicNetwork(G, {key: w for key, (_, _, w) in zip(keys, lines)})
+    return G
+
+
+def _reference_line(line, number, parse):
+    out = []
+    for pos, tok in enumerate(line.split(), 1):
+        try:
+            out.append(parse(tok))
+        except ValueError as ex:
+            raise ValueError(f"tableau text line {number}, entry {pos}: {ex}") from None
+    return out
+
+
+def _reference_part(tok):
+    if not tok.isdecimal():
+        raise ValueError(f"{tok!r} is not a nonnegative integer")
+    return int(tok)
+
+
+def reference_tableau_from_text(text):
+    """LeTableau.from_text as it read before the integer support: each
+    entry parsed on its own, the entries checked as Fractions and the
+    support through a validated LeDiagram."""
+    lines = text.splitlines()
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or not all(t.isdecimal() for t in head) or int(head[0]) > int(head[1]):
+        raise ValueError("tableau text needs a 'k n' header with 0 <= k <= n")
+    k, n = int(head[0]), int(head[1])
+    shape = tuple(_reference_line(lines[1], 2, _reference_part)) if len(lines) > 1 else ()
+    rows = [_reference_line(ln, number, rational) for number, ln in enumerate(lines[2:], 3) if ln.strip()]
+    shape = shape + (0,) * (k - len(shape))
+    rows = [tuple(row) for row in rows] + [()] * (k - len(rows))
+    if len(rows) != k or any(len(r) != p for r, p in zip(rows, shape)):
+        raise ValueError("tableau rows do not match the shape")
+    if any(x < 0 for row in rows for x in row):
+        raise ValueError("tableau entries must be nonnegative")
+    LeDiagram(k, n, shape, [[1 if x else 0 for x in row] for row in rows])
+    return LeTableau(k, n, shape, rows, check=False)
+
+
+def reference_matrix_from_text(text):
+    """RationalMatrix.from_text as it read before the constructor for rows
+    of Fractions: each entry parsed on its own and coerced again."""
+    toks = text.split()
+    if len(toks) < 2 or not all(t.isdecimal() for t in toks[:2]):
+        raise ValueError("matrix text needs a 'k n' header of nonnegative integers")
+    k, n = int(toks[0]), int(toks[1])
+    vals = toks[2:]
+    if len(vals) != k * n:
+        raise ValueError(f"expected {k * n} entries, got {len(vals)}")
+
+    def entry(i, j):
+        try:
+            return rational(vals[i * n + j])
+        except ValueError as ex:
+            raise ValueError(f"row {i + 1}, column {j + 1}: {ex}") from None
+
+    return RationalMatrix([[entry(i, j) for j in range(n)] for i in range(k)], n)

@@ -363,6 +363,39 @@ def test_usage_errors_are_one_line_exit_1(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["perm2graph", "\u0662 \u0661"],
+     "permutation entry 1: expected an integer with an optional B/W suffix, not '\u0662'"),
+    (["leq", "2 1", "2_1 1"], "permutation entry 1: expected an integer with an optional B/W suffix, not '2_1'"),
+    (["count", "--n", "1_0"], "--n needs an integer, not '1_0'"),
+    (["poset", "--n", "\uff13"], "--n needs an integer, not '\uff13'"),
+    (["selfcheck", "--n", " 3"], "--n needs an integer, not ' 3'"),
+], ids=["arabic-indic-perm", "underscore-perm", "underscore-option", "full-width-option", "spaced-option"])
+def test_integers_are_a_sign_and_ascii_digits_exit_1(capsys, argv, message):
+    # int() reads each of these values; the one integer rule of the formats does not
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["trips"], "n 1_0\n", "plabic text line 1: expected ASCII text without '_': 'n 1_0'"),
+    (["measure"], "n 2\nsources 1\nedge 1 : 1 \uff13 1\nedge 2 : 3 2 1\n",
+     "network text line 3: expected ASCII text without '_': 'edge 1 : 1 \uff13 1'"),
+    (["le2net"], "\uff12 \uff13\n1\n1\n", "tableau text needs a 'k n' header with 0 <= k <= n"),
+    (["le2net"], "1 3\n1_0\n1\n", "tableau text line 2, entry 1: '1_0' is not a nonnegative integer"),
+    (["invert"], "\uff11 2\n1 1\n", "matrix text needs a 'k n' header of nonnegative integers"),
+    (["move", "--site", "M2 2_3"], "n 1\nedge 1 : 1 2\nvertex 2 black : 1\n",
+     "bad site 'M2 2_3': ids and indices must be integers"),
+], ids=["plabic-n", "network-edge-end", "tableau-header", "tableau-part", "matrix-header", "site-id"])
+def test_integers_in_text_are_a_sign_and_ascii_digits_exit_1(capsys, tmp_path, command, text, message):
+    assert _one_line_error(capsys, tmp_path, text, *command) == f"error: {message}\n"
+
+
+def test_a_graph_text_comment_may_hold_any_text(capsys, tmp_path):
+    f = tmp_path / "in.txt"
+    f.write_text("n 2  # \u00e9t\u00e9 1_0\nvertex 3 black : 1 2\nedge 1 : 1 3\nedge 2 : 3 2\n")
+    assert run(capsys, "trips", str(f)) == (0, "2 1\n", "")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["count", "-h"], ["measure", "F", "--help"],
                                   ["move", "--site", "M1 4 1", "-h"]])
 def test_help_lists_the_commands_and_exits_0(capsys, argv):
@@ -679,6 +712,14 @@ def test_tableau_error_names_line_and_entry(capsys, tmp_path, text, message):
     ("2 4\n1 2\n1\n1 1\n", "(1, 2) is not a partition with at most 2 parts"),
 ], ids=["negative-entry", "shape-too-wide", "shape-not-a-partition"])
 def test_tableau_validation_errors_exit_1(capsys, tmp_path, text, message):
+    assert _one_line_error(capsys, tmp_path, text, "le2net") == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 4\n2 2\n1 1\n1 0\n", "filling violates the Le-property"),
+    ("1 3\n2\n1\n", "tableau rows do not match the shape"),
+], ids=["le-property", "row-too-short"])
+def test_tableau_support_errors_exit_1(capsys, tmp_path, text, message):
     assert _one_line_error(capsys, tmp_path, text, "le2net") == f"error: {message}\n"
 
 

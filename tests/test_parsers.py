@@ -3,13 +3,17 @@
 Valid texts of the seven formats (network, plabic with faces, matrix,
 tableau, permutation, necklace, matroid) get a few token deletions or
 replacements; the parser must return an object, whose text then round-trips,
-or raise ValueError.
+or raise ValueError.  The network, plabic, tableau and matrix readers must
+also do what the reference readers of tests/oracles.py do on each text:
+return an equal object, or raise ValueError with the same message.
 """
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import (reference_matrix_from_text, reference_network_from_text, reference_plabic_from_text,
+                     reference_tableau_from_text)
 
 from positroid.exactmath import Matroid, RationalMatrix
 from positroid.lediagram import LeTableau
@@ -109,3 +113,45 @@ def test_rank_zero_matroid_text_round_trips():
     M = matroid(graph_from_perm(DecoratedPermutation.parse("1B 2B 3B")))
     assert (M.k, M.n, M.bases) == (0, 3, {frozenset()})
     assert Matroid.from_text(M.to_text()) == Matroid.from_text("0 3\n") == M
+
+
+# format -> (the library's reader, the reference reader it must agree with)
+READERS = {
+    "network": (PlanarDirectedNetwork.from_text, reference_network_from_text),
+    "plabic": (PlabicGraph.from_text, reference_plabic_from_text),
+    "matrix": (RationalMatrix.from_text, reference_matrix_from_text),
+    "tableau": (LeTableau.from_text, reference_tableau_from_text),
+}
+
+
+def _fields(x):
+    """An object read from text, as what equality should compare: a graph's fields."""
+    if isinstance(x, PlabicNetwork):
+        return _fields(x.graph), x.weights
+    if isinstance(x, (PlanarDirectedNetwork, PlabicGraph)):
+        return type(x), {name: getattr(x, name) for name in x._fields}
+    return x
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the object's fields, or the error's class and message."""
+    try:
+        return _fields(parse(text))
+    except ValueError as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_valid_texts_read_as_the_reference_reads_them(fmt):
+    read, reference = READERS[fmt]
+    for text in FORMATS[fmt][2]:
+        assert _outcome(read, text) == _outcome(reference, text)
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_texts_read_as_the_reference_reads_them(fmt, data):
+    read, reference = READERS[fmt]
+    text = _damage(data, data.draw(st.sampled_from(FORMATS[fmt][2])))
+    assert _outcome(read, text) == _outcome(reference, text)

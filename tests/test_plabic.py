@@ -760,9 +760,11 @@ def test_every_kind_of_rewrite_is_pinned():
             except ValueError as ex:
                 out = f"error: {ex}\n"
             h.update(f"{site}\n{out}".encode())
-    assert kinds == {"M1": 16, "M2": 330, "M2u": 122, "M3": 2040, "M3r": 100, "R1": 8, "R2": 4,
-                     "R3": 4, "Rloop": 2, "singleton": 58}
-    assert h.hexdigest() == "bf575900d2ad32616e57f2ebf1f91316f7d9a1c13603ea4072eb2a229c83af7b"
+    # 28 of the texts mark a loop's head e', where no start of its vertex's
+    # rotation writes every loop tail first (see planarmaps._rotation_ids)
+    assert kinds == {"M1": 16, "M2": 330, "M2u": 124, "M3": 2064, "M3r": 100, "R1": 8, "R2": 4,
+                     "R3": 4, "Rloop": 2, "singleton": 60}
+    assert h.hexdigest() == "9e001e35861347be2b03427ab15bcf197662a8b0f7bea1ea35ab9b0a524948fd"
 
 
 @pytest.mark.parametrize("kind", REWRITE_KINDS)
@@ -1491,11 +1493,51 @@ def test_plabic_text_round_trips_a_head_first_loop():
         assert _rotations(back) == _rotations(G)
 
 
-def test_plabic_text_rejects_loops_no_start_writes_tail_first():
-    # loop 6 nested inside loop 5, the two running opposite ways
+def test_plabic_text_marks_a_loop_head_no_start_writes_tail_first():
+    # loop 6 nested inside loop 5, the two running opposite ways: no start of
+    # the rotation puts both tails first, so the head of 6 is written 6'
     G = _lollipop([(5, 0), (6, 1), (6, 0), (5, 1)])
-    with pytest.raises(ValueError, match="vertex 12 has loops"):
-        G.to_text()
+    assert "vertex 12 black : 4 5 6' 6 5\n" in G.to_text()
+    _assert_text_round_trips(G, random.Random(3))
+
+
+def _assert_text_round_trips(G, rng):
+    """G and a reweighting of it read back from their text with the same ids,
+    rotations, colours and face weights."""
+    for obj in (G, reweight(G, rng)):
+        text = obj.to_text()
+        back = PlabicGraph.from_text(text)
+        assert back.to_text() == text
+        if obj is not G:
+            assert back.weights == obj.weights
+            back = back.graph
+        assert (back.n, back.col, back.edges, _rotations(back)) == (G.n, G.col, G.edges, _rotations(G))
+
+
+@pytest.mark.parametrize("seed", [28, 31, 50, 107, 155, 239, 282, 321])
+def test_contracted_chord_graphs_with_interleaved_loops_round_trip(seed):
+    # the 8 of 400 contracted chord graphs with a vertex whose loops no start
+    # of its rotation writes tail first; their text marks a loop head e'
+    rng = random.Random(seed)
+    G = contracted(chord_graph(rng, rng.randint(3, 7), rng.randint(1, 4)))
+    assert "'" in G.to_text()
+    _assert_text_round_trips(G, rng)
+
+
+def test_a_contraction_step_with_interleaved_loops_is_written(tmp_path, capsys):
+    # the first four steps of contracting the seed-174 corpus chord graph,
+    # written, then `move --site "M2 23"`: vertex 29 gets two interleaved loops
+    from positroid.cli import main
+    r = random.Random(174)
+    x = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+    for site in [("M3r", 6), ("M2", 18), ("M2", 21), ("M2", 22)]:
+        x = apply_site(x, site)
+    (tmp_path / "g.txt").write_text(x.to_text())
+    assert main(["move", str(tmp_path / "g.txt"), "--site", "M2 23"]) == 0
+    out, err = capsys.readouterr()
+    want = apply_site(x, ("M2", 23))
+    assert (out, err) == (want.to_text(), "") and "vertex 29 white : 24' 24 25' 16 17 5 25\n" in out
+    _assert_text_round_trips(want, r)
 
 
 def test_reduce_steps_round_trip_as_text(monkeypatch):
