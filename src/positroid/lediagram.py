@@ -107,14 +107,14 @@ class LeTableau:
 
     @classmethod
     def from_text(cls, text):
-        lines = text.splitlines()
+        lines, count = text.splitlines(), partial(integer, nonnegative=True)
         try:
-            k, n = map(integer, lines[0].split() if lines else ())
+            k, n = map(count, lines[0].split() if lines else ())
         except ValueError:
             k = n = -1
         if not 0 <= k <= n:
             raise ValueError("tableau text needs a 'k n' header with 0 <= k <= n")
-        shape = _tableau_line(lines[1].split(), 2, partial(integer, nonnegative=True)) if len(lines) > 1 else ()
+        shape = _tableau_line(lines[1].split(), 2, count) if len(lines) > 1 else ()
         rows = [_tableau_line(toks, number, rational) for number, toks in enumerate(map(str.split, lines[2:]), 3)
                 if toks]
         return cls(k, n, shape, rows)

@@ -393,11 +393,13 @@ def _check_darts(edges, rot):
                     raise ValueError(f"dart {d} of edge {e}=({uw[0]},{uw[1]}) missing from rotations")
 
 
-def rotations_from_edge_lists(edges, rot_ids, boundary=(), verts=()):
+def rotations_from_edge_lists(edges, rot_ids, boundary, verts):
     """Turn per-vertex clockwise edge-id lists into dart rotations, checked
     in one pass, for each vertex of rot_ids, boundary and verts and each end
     of an edge (eid -> (tail, head, ...)).  A vertex without a list takes its
-    edges, first checked to have one rotation (see _DiskGraph).  A loop's id
+    edges, first checked to have one rotation: at most one edge end at a
+    boundary vertex and two elsewhere (a loop counts twice), else it raises
+    "vertex v has degree d; give its rotation explicitly".  A loop's id
     appears twice in a list, the first time as its tail, unless a list names
     a dart (e, end) outright, as text names (e, 1) e'.  An id of no edge, or
     of an edge not at its vertex, raises as it is read; unless the darts read
@@ -665,8 +667,7 @@ def parse_disk_text(text, what, vertex_label, edge_tail, other):
                 if v in labels:
                     raise ValueError(f"vertex {v} is given twice")
                 labels[v] = vertex_label(head[1:])
-                rot_ids[v] = ([(int(t[:-1]), 1) if t[-1] == "'" else int(t) for t in ids] if "'" in cut
-                              else list(map(int, ids)))
+                rot_ids[v] = [(int(t[:-1]), 1) if t[-1] == "'" else int(t) for t in ids]
             elif key == "n":
                 if n is not None:
                     raise ValueError("a second 'n' line")

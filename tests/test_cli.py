@@ -381,11 +381,12 @@ def test_integers_are_a_sign_and_ascii_digits_exit_1(capsys, argv, message):
     (["measure"], "n 2\nsources 1\nedge 1 : 1 \uff13 1\nedge 2 : 3 2 1\n",
      "network text line 3: expected ASCII text without '_': 'edge 1 : 1 \uff13 1'"),
     (["le2net"], "\uff12 \uff13\n1\n1\n", "tableau text needs a 'k n' header with 0 <= k <= n"),
+    (["le2net"], "-0 3\n1\n1\n", "tableau text needs a 'k n' header with 0 <= k <= n"),
     (["le2net"], "1 3\n1_0\n1\n", "tableau text line 2, entry 1: '1_0' is not a nonnegative integer"),
     (["invert"], "\uff11 2\n1 1\n", "matrix text needs a 'k n' header of nonnegative integers"),
     (["move", "--site", "M2 2_3"], "n 1\nedge 1 : 1 2\nvertex 2 black : 1\n",
      "bad site 'M2 2_3': ids and indices must be integers"),
-], ids=["plabic-n", "network-edge-end", "tableau-header", "tableau-part", "matrix-header", "site-id"])
+], ids=["plabic-n", "network-edge-end", "tableau-header", "tableau-signed-header", "tableau-part", "matrix-header", "site-id"])
 def test_integers_in_text_are_a_sign_and_ascii_digits_exit_1(capsys, tmp_path, command, text, message):
     assert _one_line_error(capsys, tmp_path, text, *command) == f"error: {message}\n"
 
