@@ -183,6 +183,8 @@ def cmd_poset(args):
 def cmd_count(args):
     _check_size(args.n)
     if args.check_all:
+        if args.q or args.csv:
+            raise ValueError("count takes --check-all or --q/--csv, not both")
         failures = []
         rows = enumeration.count_table(args.n)
         for n in range(args.n + 1):

@@ -35,7 +35,8 @@ def random_grid_network(rng, n=4, w=3, h=3, keep=0.75, max_internal=12,
 
     Edges are a random subset of the grid edges with random orientations
     and weights; boundary flags are random, with incident edges forced to
-    match.  Returns None if no valid network is found.
+    match.  A try is kept when it is a valid network with a source, a sink
+    and, if require_cycle, a directed cycle; returns None if no try is.
     """
     for _ in range(tries):
         pts = [(x, y) for x in range(w + 1) for y in range(h + 1)]
@@ -80,6 +81,9 @@ def random_grid_network(rng, n=4, w=3, h=3, keep=0.75, max_internal=12,
                if (a <= n and not flags[a - 1]) or (b <= n and flags[b - 1])]
         for e in bad:
             del edges[e]
+        # every draw of the try is made: reject it before building a network
+        if all(flags) or not any(flags) or require_cycle and _acyclic(edges):
+            continue
         pos = {index[p]: p for p in alive}
         shape = {e: (a, b) for e, (a, b, _) in edges.items()}
         try:
@@ -89,12 +93,24 @@ def random_grid_network(rng, n=4, w=3, h=3, keep=0.75, max_internal=12,
             net = PlanarDirectedNetwork(n, flags, edges, rot=rot)
         except (ValueError, ZeroDivisionError):
             continue
-        if not net.sources() or not net.sinks():
-            continue
-        if require_cycle and net.is_acyclic():
-            continue
         return net
     return None
+
+
+def _acyclic(edges):
+    """Whether the directed edges {e: (tail, head, weight)} have no cycle (Kahn's algorithm)."""
+    indegree, out = {}, {}
+    for a, b, _ in edges.values():
+        indegree.setdefault(a, 0)
+        indegree[b] = indegree.get(b, 0) + 1
+        out.setdefault(a, []).append(b)
+    order = [v for v, d in indegree.items() if d == 0]
+    for v in order:
+        for w in out.get(v, ()):
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                order.append(w)
+    return len(order) == len(indegree)
 
 
 def manhattan_grid(rng, L, M, east, north):

@@ -768,6 +768,14 @@ def test_poset_covers_with_n_or_k_exit_1(capsys, option):
     assert err == "error: poset takes --covers PERM or --n N (with an optional --k K), not both\n"
 
 
+@pytest.mark.parametrize("option", ["--q", "--csv"])
+def test_count_check_all_with_q_or_csv_exit_1(capsys, option):
+    # --q and --csv would be ignored beside --check-all
+    code, out, err = run(capsys, "count", "--n", "3", option, "--check-all")
+    assert (code, out) == (1, "")
+    assert err == "error: count takes --check-all or --q/--csv, not both\n"
+
+
 def test_poset_k_at_the_ends_of_0_to_n(capsys):
     for k, count in ((0, 1), (3, 1)):
         code, out, _ = run(capsys, "poset", "--n", "3", "--k", str(k), "--json")

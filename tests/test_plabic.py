@@ -786,7 +786,7 @@ def rewrite_oracle(monkeypatch):
     """Check every rewrite against a fresh build of its result.
 
     Each graph _DiskGraph.replace derives must have the rotations, face
-    count, dart -> face map, small faces and site candidates of
+    count, dart -> face map and small faces of
     PlabicGraph(G.n, G.col, G.edges, rot=G.rot), whose full validation
     must pass, with each face the right dart cycle.  Its faces and inner
     faces must be the dart cycles of oracles.successor_faces, and its
@@ -799,8 +799,8 @@ def rewrite_oracle(monkeypatch):
     derived for the same rewrite.  Failures go through pytest.fail, which
     the ValueError/AssertionError handlers of the scrambling helpers do not
     catch.  Returns a Counter of the functions that called replace, the
-    applier by the kind of its site, of those whose maps were relabelled,
-    as "relabel <caller>", and of the bookkeeping carried.
+    applier by the kind of its site, and of those whose maps were
+    relabelled, as "relabel <caller>".
     """
     callers = Counter()
     replace, transfer = _DiskGraph.replace, plabic._transfer_weights
@@ -852,11 +852,6 @@ def rewrite_oracle(monkeypatch):
                 == {frozenset(c) for c in H.isolated_components()}):
             pytest.fail(f"the isolated components of a fresh build or of the graph {caller} "
                         "derived are not the components without a boundary vertex")
-        for kept in ("_sites",):
-            if kept in H.__dict__:
-                callers[kept] += 1
-                if H.__dict__[kept] != getattr(fresh, kept):
-                    pytest.fail(f"the {kept} {caller} carried differ from a fresh graph's")
         return H
 
     def checked_transfer(old, H, adjust=None, rename=None):
@@ -926,7 +921,7 @@ def test_rewrites_derive_the_faces_of_a_fresh_build(rewrite_oracle):
     relabelled = {f"relabel {caller}"
                   for caller in ("glue_bends", "remove_bigons", "_apply M2", "_apply M3r", "_apply R1")}
     assert set(rewrite_oracle) == {*rules, "glue_bends", "remove_bigons", "delete_edge",
-                                   "_transfer_weights", "_sites", *relabelled}
+                                   "_transfer_weights", *relabelled}
 
 
 def test_each_face_is_keyed_once(monkeypatch):
