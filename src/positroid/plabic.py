@@ -1029,16 +1029,17 @@ _FACE_KEEPING = frozenset({"M2", "M3r", "R1"})
 
 
 def parse_site(text):
-    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct'."""
+    """The site written as text, e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3' or 'construct';
+    an M3 colour may also be 1 or -1, as reduce's trace writes it."""
     kind, *toks = text.split() or [""]
     args = SITE_RULES.get(kind, (None,))[0]
     if args is None or len(toks) != len(args) + args.count("f"):
         raise ValueError(f"bad site {text!r}: expected e.g. 'M1 4 1', 'M2 7', 'M3 5 black', 'R1 2 3'")
     colours = []
     if args.endswith("c"):
-        colours = [_COLOURS.get(toks.pop().lower())]
+        colours = [{**_COLOURS, "1": BLACK, "-1": WHITE}.get(toks.pop().lower())]
         if colours == [None]:
-            raise ValueError(f"bad site {text!r}: the colour must be black or white")
+            raise ValueError(f"bad site {text!r}: the colour must be black, white, 1 (black) or -1 (white)")
     try:
         ids = [*map(integer, toks), *colours]
     except ValueError:

@@ -85,6 +85,8 @@ class DiskMap:
 
     # On a map relabel made, the image of each face that left, in the order
     # of face_changes, () where the face vanished; None on any other map.
+    # Finding them from the renaming instead, as on a derived map, took
+    # plabic_rewrite from ~391 to ~363 tasks/s on a shared 2-vCPU machine.
     _images = None
 
     def __init__(self, boundary, edges, rot=None, rot_ids=None, verts=()):
@@ -288,6 +290,7 @@ class DiskMap:
         key is found once per face and kept in the table the maps of one
         fresh build share, by the id of the orbit; the table holds the
         orbit, so no other face can take that id."""
+        # keying anew on each call took plabic_rewrite from ~391 to ~381 tasks/s
         entry = self._keys.get(id(orbit))
         if entry is None:
             entry = self._keys[id(orbit)] = orbit, _least_real(orbit, self._arcs)
@@ -449,21 +452,14 @@ def rotations_from_edge_lists(edges, rot_ids, boundary, verts):
 def _rotation_ids(darts):
     """The edge ids of the darts at a vertex, clockwise, as text writes them for
     rotations_from_edge_lists, which reads a loop's first id as its tail:
-    from the first dart that puts every loop's tail before its head, or
-    where no start does, from the first dart with each loop's head that
-    comes first written e', which names the dart (e, 1)."""
+    from the first dart, with each loop's head that comes before its tail
+    written e', which names the dart (e, 1)."""
     ids = [e for e, _ in darts]
-    if len(set(ids)) == len(ids):       # no loop
-        return ids
-    loops = [(darts.index((e, 0)), i) for i, (e, end) in enumerate(darts) if end and (e, 0) in darts]
-    k = len(ids)
-    s = next((s for s in range(k) if all((t - s) % k < (h - s) % k for t, h in loops)), None)
-    if s is None:
-        for t, h in loops:
-            if h < t:
-                ids[h] = f"{ids[h]}'"
-        return ids
-    return ids[s:] + ids[:s]
+    if len(set(ids)) < len(ids):        # a loop
+        for i, (e, end) in enumerate(darts):
+            if end and (e, 0) in darts[i + 1:]:
+                ids[i] = f"{e}'"
+    return ids
 
 
 def _reach(comp, rot, edges):

@@ -972,17 +972,40 @@ def test_argv_fuzz_has_a_total_contract(capsys, tmp_path, monkeypatch, data):
 def test_move_m3_colour_must_be_black_or_white(capsys, tmp_path, colour):
     text = graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text()
     err = _one_line_error(capsys, tmp_path, text, "move", "--site", f"M3 2 {colour}")
-    assert err == f"error: bad site 'M3 2 {colour}': the colour must be black or white\n"
+    assert err == f"error: bad site 'M3 2 {colour}': the colour must be black, white, 1 (black) or -1 (white)\n"
 
 
 def test_move_m3_inserts_the_named_colour(capsys, tmp_path):
     f = tmp_path / "g.txt"
     f.write_text(graph_from_perm(DecoratedPermutation.parse("3 4 1 2")).to_text())
-    for colour in ("black", "White"):
+    # 1 and -1 are the colours as reduce's trace writes them
+    for colour, name in (("black", "black"), ("White", "white"), ("1", "black"), ("-1", "white")):
         code, out, _ = run(capsys, "move", str(f), "--site", f"M3 2 {colour}")
         # the inserted vertex has the largest id, so its line is the last vertex line
         last = [line for line in out.splitlines() if line.startswith("vertex")][-1]
-        assert code == 0 and last.split()[2] == colour.lower()
+        assert code == 0 and last.split()[2] == name
+
+
+def test_reduce_json_trace_replays_through_move(capsys, tmp_path):
+    # each step of a trace, its fields joined by spaces, is a `move --site` on
+    # the file the step before wrote (an M3 colour is traced as 1 or -1), and
+    # the last file is reduce's text: on chord graphs of the test corpus,
+    # bare and weighted, whose traces hold every kind of site reduce takes
+    f, kinds = tmp_path / "g.txt", set()
+    for seed in (1, 3, 40):
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(5, 8), r.randint(1, 3))
+        for x in (G, reweight(G, r)):
+            f.write_text(x.to_text())
+            code, out, _ = run(capsys, "reduce", str(f), "--json")
+            data = json.loads(out)
+            for step in data["trace"]:
+                kinds.add(step[0])
+                code, out, err = run(capsys, "move", str(f), "--site", " ".join(step))
+                assert (code, err) == (0, ""), (seed, step)
+                f.write_text(out)
+            assert out == data["text"], seed
+    assert kinds == {"M2", "M2u", "M3", "M3r", "R1", "R2", "Rloop", "construct"}
 
 
 # -- reduce always ends: reduced output, or exit 2 when there is no perfect orientation --

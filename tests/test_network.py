@@ -280,7 +280,7 @@ def test_perfect_and_trivalent_idempotent_on_perfect():
     assert len(again.edges) == len(perf.edges)
 
 
-PERFECT_FORM_DIGEST = "7dbbd87f8ed3d95ac2f3587e457cc657fd62017df2a652919fd297a7319b438e"
+PERFECT_FORM_DIGEST = "3cf36215cc97dc090bb3bf7499788a62505da57f9d921e72291c97c09f64103f"
 
 
 def test_perfect_form_is_pinned():

@@ -6,9 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
-from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_le_data,
-                     random_plabic_network, random_rational, reweight)
+from helpers import (attach_leaf, chord_graph, insert_bigon, manhattan_grid, random_decorated_permutation,
+                     random_le_data, random_plabic_network, random_rational, reweight)
 from oracles import (canonical, check_faces, components, delete_edge, glue_bends_stepwise,
                      le_network, minimal_permutation, necklace_from_matroid, path_matroid,
                      perfect_gamma, perfect_orientations, planar_by_components,
@@ -637,7 +639,8 @@ CONSTRUCTED = {24, 40, 81, 152, 213, 372, 384, 427, 479, 498}
 
 def test_reduce_chord_corpus():
     # chords across faces of reduced graphs, bare and reweighted: each graph
-    # reduces to the cell of its necklace, or has no perfect orientation
+    # reduces to the cell of its necklace, or has no perfect orientation.  The
+    # bare trace replays through text, as `move --site` replays it step by step
     constructed, unorientable = set(), set()
     for seed in range(500):
         r = random.Random(seed)
@@ -659,7 +662,7 @@ def test_reduce_chord_corpus():
             for comp in _composites(trace):
                 size = _size(_graph_of(cur))
                 for site in comp:
-                    cur = apply_site(cur, site)
+                    cur = apply_site(cur if x is N else PlabicGraph.from_text(cur.to_text()), site)
                 assert len(comp) <= 3
                 assert comp == [("construct",)] or _size(_graph_of(cur)) < size, (seed, comp)
             assert cur.to_text() == red.to_text()
@@ -760,11 +763,11 @@ def test_every_kind_of_rewrite_is_pinned():
             except ValueError as ex:
                 out = f"error: {ex}\n"
             h.update(f"{site}\n{out}".encode())
-    # 28 of the texts mark a loop's head e', where no start of its vertex's
-    # rotation writes every loop tail first (see planarmaps._rotation_ids)
+    # 174 of the texts mark a loop's head e', where it comes before its tail
+    # in its vertex's rotation (see planarmaps._rotation_ids)
     assert kinds == {"M1": 16, "M2": 330, "M2u": 124, "M3": 2064, "M3r": 100, "R1": 8, "R2": 4,
                      "R3": 4, "Rloop": 2, "singleton": 60}
-    assert h.hexdigest() == "9e001e35861347be2b03427ab15bcf197662a8b0f7bea1ea35ab9b0a524948fd"
+    assert h.hexdigest() == "8bdc17783fb03efd0a4ce006d2902b970a0767dd481c477bb9e26f9613469425"
 
 
 @pytest.mark.parametrize("kind", REWRITE_KINDS)
@@ -1447,11 +1450,7 @@ def test_plabic_text_roundtrip():
     G = N.graph
     back2 = PlabicGraph.from_text(G.to_text())
     assert canonical(back2) == canonical(G)
-
-
-def _rotations(G):
-    """Each vertex's rotation as a dart cycle, whichever dart it starts at."""
-    return {v: _cycle(ds) for v, ds in G.rot.items()}
+    assert back.graph.rot == back2.rot == G.rot
 
 
 def test_network_text_reads_back_as_an_equal_network():
@@ -1468,55 +1467,58 @@ def test_network_text_reads_back_as_an_equal_network():
     assert nets[0].to_text() == "n 0\nfaces\n"
     assert nets[1].to_text() == "n 0\nvertex 5 black : \nfaces\n"
     for N in nets:
-        text = N.to_text()
-        back = PlabicGraph.from_text(text)
-        assert type(back) is PlabicNetwork and back.to_text() == text
-        assert back.weights == N.weights
-        G, H = N.graph, back.graph
-        assert (H.n, H.col, H.edges, _rotations(H)) == (G.n, G.col, G.edges, _rotations(G))
+        _read_back(N)
 
 
 def test_plabic_text_round_trips_a_head_first_loop():
-    G = _lollipop([(5, 1), (5, 0)])
-    for obj in (G, reweight(G, random.Random(3))):
-        text = obj.to_text()
-        back = PlabicGraph.from_text(text)
-        assert back.to_text() == text
-        if obj is not G:
-            assert back.weights == obj.weights
-            back = back.graph
-        assert _rotations(back) == _rotations(G)
+    _assert_text_round_trips(_lollipop([(5, 1), (5, 0)]), random.Random(3))
 
 
 def test_plabic_text_marks_a_loop_head_no_start_writes_tail_first():
-    # loop 6 nested inside loop 5, the two running opposite ways: no start of
-    # the rotation puts both tails first, so the head of 6 is written 6'
+    # loop 6 nested inside loop 5, the two running opposite ways: the head of
+    # 6 comes before its tail, so it is written 6'
     G = _lollipop([(5, 0), (6, 1), (6, 0), (5, 1)])
     assert "vertex 12 black : 4 5 6' 6 5\n" in G.to_text()
     _assert_text_round_trips(G, random.Random(3))
 
 
+def _read_back(x):
+    """x read from its text, checked equal to x: ids, colours, edges,
+    rotations as tuples and weights."""
+    back = PlabicGraph.from_text(x.to_text())
+    assert type(back) is type(x)
+    G, H = _graph_of(x), _graph_of(back)
+    assert (H.n, H.col, H.edges, H.rot) == (G.n, G.col, G.edges, G.rot)
+    assert not isinstance(x, PlabicNetwork) or back.weights == x.weights
+    return back
+
+
 def _assert_text_round_trips(G, rng):
-    """G and a reweighting of it read back from their text with the same ids,
-    rotations, colours and face weights."""
+    """G and a reweighting of it read back from their text as themselves."""
     for obj in (G, reweight(G, rng)):
-        text = obj.to_text()
-        back = PlabicGraph.from_text(text)
-        assert back.to_text() == text
-        if obj is not G:
-            assert back.weights == obj.weights
-            back = back.graph
-        assert (back.n, back.col, back.edges, _rotations(back)) == (G.n, G.col, G.edges, _rotations(G))
+        _read_back(obj)
 
 
 @pytest.mark.parametrize("seed", [28, 31, 50, 107, 155, 239, 282, 321])
 def test_contracted_chord_graphs_with_interleaved_loops_round_trip(seed):
-    # the 8 of 400 contracted chord graphs with a vertex whose loops no start
-    # of its rotation writes tail first; their text marks a loop head e'
+    # 8 of the 400 contracted chord graphs below with a vertex whose loops no
+    # start of its rotation writes tail first; their text marks a loop head e'
     rng = random.Random(seed)
     G = contracted(chord_graph(rng, rng.randint(3, 7), rng.randint(1, 4)))
     assert "'" in G.to_text()
     _assert_text_round_trips(G, rng)
+
+
+def test_contracted_chord_graphs_round_trip_exactly():
+    # each rotation reads back as the tuple it was, not only as a cycle:
+    # rewrite sites name rotation positions (M2u v i j moves rot[v][i:j])
+    marked = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        G = contracted(chord_graph(rng, rng.randint(3, 7), rng.randint(1, 4)))
+        marked += "'" in G.to_text()
+        _assert_text_round_trips(G, rng)
+    assert marked == 91
 
 
 def test_a_contraction_step_with_interleaved_loops_is_written(tmp_path, capsys):
@@ -1544,7 +1546,7 @@ def test_reduce_steps_round_trip_as_text(monkeypatch):
             back = PlabicGraph.from_text(N.to_text())
         except ValueError as ex:
             pytest.fail(f"a rewrite's text does not read back: {ex}\n{N.to_text()}")
-        if back.weights != N.weights or _rotations(back.graph) != _rotations(N.graph):
+        if back.weights != N.weights or back.graph.rot != N.graph.rot:
             pytest.fail(f"a rewrite's text reads back as another network:\n{N.to_text()}")
         loops[any(u == w for u, w in N.graph.edges.values())] += 1
         return N
@@ -1555,6 +1557,109 @@ def test_reduce_steps_round_trip_as_text(monkeypatch):
     for loop_darts in ([(5, 0), (5, 1)], [(5, 1), (5, 0)]):
         reduce_graph(reweight(_lollipop(loop_darts), random.Random(3)))
     assert loops[True] > 0
+
+
+# the rewrites of a whole graph that a walk takes besides sites, each with
+# whether it is made of moves
+WHOLE_REWRITES = {"glue_bends": (lambda x: _glued(x)[0], True), "contracted": (contracted, True),
+                  "reduce_graph": (lambda x: reduce_graph(x)[0], False)}
+
+
+def _rewrite_of(G, code, grow):
+    """A rewrite of G, as (function, whether it is a move): a whole rewrite,
+    or a site of a kind of SITE_RULES at a spot of that kind from
+    _every_site, or for M2u at any slice of any rotation, which the rewrite
+    may refuse.  The kinds that grow the graph, M2u and M3, only when grow.
+    code, a nonnegative integer, picks each choice as its next digit in the
+    mixed radix of the choices' counts, so a smaller code picks earlier."""
+    spots = {"construct": [("construct",)], **dict.fromkeys(WHOLE_REWRITES)}
+    for site in _every_site(G):
+        spots.setdefault(site[0], []).append(site)
+    inner = [v for v in sorted(G.internal_vertices()) if G.degree(v) >= 2]
+    spots.pop("M2u", None)      # M2u takes any slice below, not _every_site's one
+    if not grow:
+        spots.pop("M3", None)
+    elif inner:
+        spots["M2u"] = None
+
+    def pick(xs):
+        nonlocal code
+        code, i = divmod(code, len(xs))
+        return xs[i]
+
+    kind = pick(sorted(spots))
+    if kind in WHOLE_REWRITES:
+        return WHOLE_REWRITES[kind]
+    if kind == "M2u":
+        v = pick(inner)
+        site = ("M2u", v, pick(range(G.degree(v))), pick(range(G.degree(v))))
+    else:
+        site = pick(spots[kind])
+    return (lambda x: apply_site(x, site)), kind[0] == "M"
+
+
+class RewriteWalk(RuleBasedStateMachine):
+    """Walks of rewrites from reduced graphs of cells with n <= 7 and from
+    chord graphs, bare and weighted, some with a singleton added.  Every
+    object of a walk reads back from its text as itself; each rewrite of the
+    read-back object writes the text of the rewrite of the object, or raises
+    the same error; moves keep the trip permutation, and every rewrite of an
+    orientable graph keeps its necklace, and of an orientable network its
+    Plucker point.  The trip permutation is compared undecorated: an M3 on a
+    boundary leaf's edge leaves the fixed point no leaf to read a colour off."""
+
+    @initialize(seed=st.integers(0, 999), n=st.integers(1, 7), chords=st.booleans(),
+                weighted=st.booleans(), singleton=st.booleans())
+    def start(self, seed, n, chords, weighted, singleton):
+        r = random.Random(seed)
+        G = chord_graph(r, r.randint(3, 7), r.randint(1, 4)) if chords else \
+            graph_from_perm(random_decorated_permutation(r, n))
+        if singleton:
+            s = max(G.rot) + 1
+            G = PlabicGraph(G.n, {**G.col, s: r.choice((BLACK, WHITE))}, G.edges, rot={**G.rot, s: ()})
+        self.x = reweight(G, r) if weighted else G
+        self.back = _read_back(self.x)
+        self.neck = self.point = None
+        self._orient()
+
+    def _orient(self):
+        """The necklace and, on a network, the Plucker point, once the graph is orientable."""
+        try:
+            self.neck = necklace(_graph_of(self.x))
+        except NotPerfectlyOrientable:
+            return
+        if isinstance(self.x, PlabicNetwork):
+            self.point = measure_plabic(self.x).normalized()
+
+    @rule(code=st.integers(0, 2 ** 32))
+    def rewrite(self, code):
+        G, x, back = _graph_of(self.x), self.x, self.back
+        rewrite, move = _rewrite_of(G, code, grow=len(G.edges) < 30)
+        try:
+            y = rewrite(x)
+        except ValueError as ex:
+            with pytest.raises(type(ex)) as again:
+                rewrite(back)
+            assert str(again.value) == str(ex)
+            return
+        assert rewrite(back).to_text() == y.to_text()
+        if y is x:
+            return
+        self.x, self.back = y, _read_back(y)
+        if move:
+            assert trips(_graph_of(y)).permutation() == trips(G).permutation()
+        if self.neck is None:
+            self._orient()
+            return
+        assert necklace(_graph_of(y)) == self.neck
+        if self.point is not None:
+            assert measure_plabic(y).normalized() == self.point
+
+
+def test_rewrite_state_machine():
+    run_state_machine_as_test(RewriteWalk, settings=settings(
+        max_examples=200, stateful_step_count=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]))
 
 
 def test_export_dot():
