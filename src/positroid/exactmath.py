@@ -12,6 +12,7 @@ from math import lcm
 
 
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+\.)")
+_DIGITS = {str(d): Fraction(d) for d in range(10)}
 
 
 def rational(x):
@@ -22,8 +23,16 @@ def rational(x):
     or a plain decimal [+-]d.d, [+-]d. or [+-].d, which Fraction parses,
     where d is a run of ASCII digits; anything else (1/0, nan, exponent
     forms, which Fraction would expand, other digits) raises ValueError.
+
+    The ten one-digit tokens "0".."9", most of the tokens in matrix and
+    weight text, are read from one table: each returns one shared
+    Fraction, the value the grammar builds for it (a Fraction is
+    immutable, so sharing it is safe).  Every other token is parsed.
     """
     if isinstance(x, str):
+        digit = _DIGITS.get(x)
+        if digit is not None:
+            return digit
         p, slash, q = x.partition("/")
         if x.isascii() and (p[1:] if p[:1] in "+-" else p).isdigit() and (q.isdigit() or not slash):
             if not slash:
@@ -305,9 +314,15 @@ class PluckerVector:
         raise ValueError("zero vector")
 
     def projectively_equal(self, other):
-        if (self.k, self.n) != (other.k, other.n):
+        """Whether other is a nonzero multiple of self: with r the first
+        nonzero coordinate of self (in the order of its keys), other's
+        coordinate at r is nonzero and self[J] other[r] = other[J] self[r]
+        for every J."""
+        if (self.k, self.n) != (other.k, other.n) or self.coords.keys() != other.coords.keys():
             return False
-        return self.normalized().coords == other.normalized().coords
+        r, a = next((key, x) for key, x in self.coords.items() if x)
+        b = other.coords[r]
+        return b != 0 and all(x * b == other.coords[key] * a for key, x in self.coords.items())
 
 
 def plucker_vector(A):

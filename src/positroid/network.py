@@ -120,13 +120,18 @@ class PlanarDirectedNetwork(_DiskGraph):
     def topological_order(self):
         """All vertices with every edge pointing forward, or None if cyclic.
 
-        Kahn's algorithm, O(V + E); a loop keeps its vertex out of the order.
+        Kahn's algorithm, O(V + E), on the in-degrees and the heads of each
+        vertex's out-edges, both from one pass over the edges; a loop keeps
+        its vertex out of the order.
         """
-        indegree = {v: len(self.in_edges(v)) for v in self.rot}
+        indegree = dict.fromkeys(self.rot, 0)
+        heads = {}
+        for u, w, _ in self.edges.values():
+            indegree[w] += 1
+            heads.setdefault(u, []).append(w)
         order = [v for v, d in indegree.items() if d == 0]
         for v in order:
-            for e in self.out_edges(v):
-                w = self.head(e)
+            for w in heads.get(v, ()):
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     order.append(w)
@@ -522,8 +527,7 @@ def _split_form(net, perfect=False):
     direction, then a blow-up once the vertex alternates.  Where no step
     applies, the form is net itself.
     """
-    outs, ins = net._arcs
-    stack = [v for v in net.rot if v not in net.boundary and (v not in outs or v not in ins)]
+    stack = [v for v, ds in net.rot.items() if v not in net.boundary and {end for _, end in ds} != {0, 1}]
     if not (perfect or stack or net.isolated_components()
             or any(_apart(ds) for v, ds in net.rot.items() if v not in net.boundary)):
         return net

@@ -104,6 +104,11 @@ They are the reference of the parity test in `tests/test_parsers.py`
 for `PlanarDirectedNetwork.from_text`, `PlabicGraph.from_text`,
 `LeTableau.from_text` and `RationalMatrix.from_text`.
 
+Network order: `reference_topological_order` runs Kahn's algorithm on
+the network's `in_edges`, `out_edges` and `head` views, to cross-check
+`PlanarDirectedNetwork.topological_order`, which takes in-degrees and
+heads from one pass over the edges.
+
 Command line: `argparse_cli` is the argparse parser the CLI used before
 its command table, kept to check that `cli._parse` fills the same fields
 on every command line both accept.
@@ -1752,6 +1757,22 @@ def _reference_rotations(n, shape, verts, rot_ids):
     if loose or not len(seen) == listed == 2 * len(shape) or min(shape, default=0) < 0:
         _check_darts(shape, rot)
     return rot
+
+
+def reference_topological_order(net):
+    """Kahn's order through the network's own views, a method call per
+    vertex and per edge, to cross-check
+    `PlanarDirectedNetwork.topological_order`, which counts in-degrees and
+    collects heads in one pass over the edges."""
+    indegree = {v: len(net.in_edges(v)) for v in net.rot}
+    order = [v for v, d in indegree.items() if d == 0]
+    for v in order:
+        for e in net.out_edges(v):
+            w = net.head(e)
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                order.append(w)
+    return order if len(order) == len(indegree) else None
 
 
 def reference_network_from_text(text):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import check_grassmann_plucker, is_tnn, matroid_of, two_pass_rational, verify_exchange_axiom
-from positroid.exactmath import (Matroid, RationalMatrix, det, echelon_form,
+from positroid.exactmath import (Matroid, PluckerVector, RationalMatrix, det, echelon_form,
                                  lambda_to_subset, lex_min_base,
                                  maximal_minor, partitions_in_box,
                                  plucker_vector, rational, subset_to_lambda)
@@ -94,6 +94,43 @@ def test_echelon_projectively_equal_pluckers():
         except ValueError:
             continue
         assert plucker_vector(A).projectively_equal(plucker_vector(B))
+
+
+def test_projectively_equal_cross_multiplies_on_one_reference_coordinate():
+    p = PluckerVector(2, 4, {(1, 2): 1, (1, 3): "2/3", (2, 4): -5})
+    scaled = PluckerVector(2, 4, {key: Fraction(-7, 2) * x for key, x in p.coords.items()})
+    assert p.projectively_equal(scaled) and scaled.projectively_equal(p)
+    wider = PluckerVector(2, 4, {**p.coords, (3, 4): 1})                # a different support
+    assert not p.projectively_equal(wider) and not wider.projectively_equal(p)
+    # zero at p's reference coordinate (1, 2), proportional to p elsewhere
+    blind = PluckerVector(2, 4, {(1, 3): "2/3", (2, 4): -5})
+    assert not p.projectively_equal(blind) and not blind.projectively_equal(p)
+    for k, n in [(2, 5), (1, 4), (3, 4)]:
+        other = PluckerVector(k, n, {(1, 2, 3)[:k]: 1})
+        assert not p.projectively_equal(other) and not other.projectively_equal(p)
+
+
+def test_projectively_equal_agrees_with_normalized_equality():
+    """On random matrices A against g A (det g != 0, so a scalar of either
+    sign), A with one entry changed, and a fresh matrix of A's shape."""
+    r = random.Random(4545)
+    seen = Counter()
+    for A in _mixed_matrices(4545, 600):
+        g = _sparse_matrix(r, A.k, A.k)
+        rows = [list(row) for row in A.rows]
+        if A.k:
+            rows[r.randrange(A.k)][r.randrange(A.n)] += r.randint(1, 3)
+        for B in (RationalMatrix([[sum(g[i, t] * A[t, j] for t in range(A.k)) for j in range(A.n)]
+                                  for i in range(A.k)], A.n),
+                  RationalMatrix(rows, A.n), _sparse_matrix(r, A.k, A.n)):
+            try:
+                p, q = plucker_vector(A), plucker_vector(B)
+            except ValueError:
+                continue
+            want = p.normalized() == q.normalized()
+            assert p.projectively_equal(q) == q.projectively_equal(p) == want
+            seen[want, p.support() == q.support()] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def _sparse_matrix(r, k, n):
@@ -343,8 +380,17 @@ def test_rational_reads_a_token_as_the_two_pass_rule(token):
     assert _outcome(rational, token) == _outcome(two_pass_rational, token)
 
 
-@pytest.mark.parametrize("token", ["1/0", "0/0", "+0/5", "-4/6", ".5", "5.", "1e3", "1_0", "\u0663/\u0664",
+@pytest.mark.parametrize("token", [*"0123456789", "-0", "+0", "-1", "+1", "00", "01", "0/1", "9/1",
+                                   "1/0", "0/0", "+0/5", "-4/6", ".5", "5.", "1e3", "1_0", "\u0663/\u0664",
                                    pytest.param("7" * 5000, id="5000-digit integer"),
                                    pytest.param("-7/" + "3" * 5000, id="5000-digit denominator")])
 def test_rational_token_edge_cases(token):
     assert _outcome(rational, token) == _outcome(two_pass_rational, token)
+
+
+def test_digit_table_holds_the_value_of_each_token():
+    from positroid.exactmath import _DIGITS
+    assert list(_DIGITS) == list("0123456789")
+    for token, value in _DIGITS.items():
+        assert type(value) is Fraction and value == int(token) == two_pass_rational(token)
+        assert rational(token) is value

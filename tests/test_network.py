@@ -702,6 +702,36 @@ def _with_loop(net, local):
     return PlanarDirectedNetwork(net.n, net.source_flags, edges, rot={**net.rot, v: tuple(ds)})
 
 
+def test_topological_order_contract():
+    """On the hook network of every Le-diagram with n <= 6, on seeded grid
+    networks, acyclic and cyclic, and on the acyclic ones with a loop at an
+    internal vertex: None exactly when a depth-first search finds a directed
+    cycle, a loop included, and otherwise every vertex once with every edge
+    pointing forward, in the order of the method-call Kahn's algorithm."""
+    from oracles import enumerate_le_diagrams, reference_topological_order
+    from positroid.lediagram import diagram_to_tableau
+    local = random.Random(2121)
+    hooks = [gamma_network(diagram_to_tableau(D, dict.fromkeys(D.boxes(), 1)))
+             for n in range(1, 7) for k in range(1, n + 1) for lam in partitions_in_box(k, n - k)
+             for D in enumerate_le_diagrams(k, n, lam)]
+    grids = [net for net in (random_grid_network(local, n=local.randint(2, 6), w=local.randint(2, 4),
+                                                 h=local.randint(2, 3), require_cycle=t % 2 == 1)
+                             for t in range(120)) if net is not None]
+    loops = [_with_loop(net, local) for net in grids if _find_cycle(net) is None and net.internal_vertices()]
+    seen = dict.fromkeys(("hook", "acyclic grid", "cyclic grid", "loop"), 0)
+    for kind, nets in (("hook", hooks), ("grid", grids), ("loop", loops)):
+        for net in nets:
+            order = net.topological_order()
+            assert order == reference_topological_order(net)
+            assert (order is None) == (_find_cycle(net) is not None)
+            if order is not None:
+                place = {v: t for t, v in enumerate(order)}
+                assert len(order) == len(place) and place.keys() == net.rot.keys()
+                assert all(place[u] < place[w] for u, w, _ in net.edges.values())
+            seen[kind if kind != "grid" else "cyclic grid" if order is None else "acyclic grid"] += 1
+    assert seen["hook"] == 2365 and min(seen.values()) >= 20, seen
+
+
 def _oracle_corpus():
     """Perfect trivalent forms of cyclic networks: random grids (20 with
     an alternating vertex among them), random grids with a loop, and
